@@ -7,9 +7,12 @@ ultrafilter objects, because the verification harness chases the resulting
 diagram extensionally and a shortcut would hide bugs.
 
 Map extensions come in two independently computed flavours: the certified
-unique continuous extension (found by exhausting every candidate table) and
-the direct ultrafilter formula ``lift(f)(U) = {B : preimage of B in U}``.
-Their agreement is one of the properties the test suite verifies.
+unique continuous extension (found by exhausting every table that agrees
+with the values the embedding forces) and the direct ultrafilter formula
+``lift(f)(U) = {B : preimage of B in U}``.  Their agreement is one of the
+properties the test suite verifies.  One search, ``_forced_tables``, serves
+both the extension certificate and the compactification order; the caps
+still bound the nominal table space ``target.size ** space.size``.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cache
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .algebra import FinBoolAlg, UltraFilter, powerset_algebra, ultrafilters
 from .duality import (
@@ -131,6 +134,42 @@ def beta_space(points: tuple) -> BetaSpace:
     return BetaSpace(comp, ufs, pow_alg)
 
 
+def _check_search_bound(space: FinStoneSpace, target: FinStoneSpace) -> None:
+    total = target.size ** space.size
+    if total > MAX_SEARCH_CANDIDATES:
+        raise BoundExceeded(f"candidate search capped at {MAX_SEARCH_CANDIDATES}", total)
+
+
+def _forced_tables(
+    space: FinStoneSpace, target: FinStoneSpace, forced: Iterable[tuple[int, int]]
+) -> Iterator[tuple[int, ...]]:
+    """Every continuous table from space to target taking the forced values.
+
+    ``forced`` lists (point, value) pairs.  Only the points they leave free
+    are enumerated, so the tables come out in the lexicographic order of the
+    full table space.  A forced value outside the target, or two different
+    values forced on one point, leave no table.
+    """
+    table = [0] * space.size
+    fixed = [False] * space.size
+    for point, value in forced:
+        if not 0 <= value < target.size or fixed[point] and table[point] != value:
+            return
+        table[point] = value
+        fixed[point] = True
+    free = [s for s in range(space.size) if not fixed[s]]
+    target_opens = topology(target)
+    source_opens = set(topology(space))
+    for values in itertools.product(range(target.size), repeat=len(free)):
+        for s, v in zip(free, values):
+            table[s] = v
+        if all(
+            sum(1 << s for s, v in enumerate(table) if o >> v & 1) in source_opens
+            for o in target_opens
+        ):
+            yield tuple(table)
+
+
 def extension_candidates(
     bx: BetaSpace, f: Sequence[int], target: FinStoneSpace
 ) -> list[tuple[int, ...]]:
@@ -139,21 +178,8 @@ def extension_candidates(
     ft = tuple(int(x) for x in f)
     if len(ft) != bx.base.size or any(not 0 <= v < target.size for v in ft):
         raise ValueError("map must send base points into the target")
-    total = target.size ** bx.space.size
-    if total > MAX_SEARCH_CANDIDATES:
-        raise BoundExceeded(f"candidate search capped at {MAX_SEARCH_CANDIDATES}", total)
-    target_opens = topology(target)
-    source_opens = set(topology(bx.space))
-    out = []
-    for cand in itertools.product(range(target.size), repeat=bx.space.size):
-        if any(cand[bx.embed[i]] != ft[i] for i in range(bx.base.size)):
-            continue
-        if all(
-            sum(1 << s for s, v in enumerate(cand) if o >> v & 1) in source_opens
-            for o in target_opens
-        ):
-            out.append(cand)
-    return out
+    _check_search_bound(bx.space, target)
+    return list(_forced_tables(bx.space, target, zip(bx.embed, ft)))
 
 
 def beta_extend_to_compact(
@@ -161,10 +187,17 @@ def beta_extend_to_compact(
 ) -> ContinuousMap:
     """The unique continuous extension of f along the compactification embedding.
 
-    Uniqueness is certified by exhausting every candidate table; zero or
-    multiple matches signal an invariant bug, never bad user input.
+    Uniqueness is certified by exhausting every table that agrees with f on
+    the embedded points; zero or multiple matches signal an invariant bug,
+    never bad user input.
     """
-    candidates = extension_candidates(bx, f, target)
+    return sole_extension(bx, target, extension_candidates(bx, f, target))
+
+
+def sole_extension(
+    bx: BetaSpace, target: FinStoneSpace, candidates: Sequence[tuple[int, ...]]
+) -> ContinuousMap:
+    """The one candidate of an extension search, as a continuous map."""
     if not candidates:
         raise NoExtension("no continuous extension satisfies the equation")
     if len(candidates) > 1:
@@ -210,24 +243,17 @@ def _same_base(c1: Compactification, c2: Compactification) -> None:
 def compactification_leq(c1: Compactification, c2: Compactification) -> OrderVerdict:
     """Decide whether c2 is below c1 in the compactification order.
 
-    Searches every map from c1's space to c2's for a continuous f with
-    f(c1.embed(x)) = c2.embed(x); the witness exhibits c2 <= c1.
+    Searches the maps from c1's space to c2's that satisfy
+    f(c1.embed(x)) = c2.embed(x) for a continuous one, the first in
+    lexicographic order; the witness exhibits c2 <= c1.
     """
     _same_base(c1, c2)
-    total = c2.space.size ** c1.space.size
-    if total > MAX_SEARCH_CANDIDATES:
-        raise BoundExceeded(f"candidate search capped at {MAX_SEARCH_CANDIDATES}", total)
-    target_opens = topology(c2.space)
-    source_opens = set(topology(c1.space))
-    for cand in itertools.product(range(c2.space.size), repeat=c1.space.size):
-        if any(cand[c1.embed[i]] != c2.embed[i] for i in range(c1.base.size)):
-            continue
-        if all(
-            sum(1 << s for s, v in enumerate(cand) if o >> v & 1) in source_opens
-            for o in target_opens
-        ):
-            return OrderVerdict(True, ContinuousMap(c1.space, c2.space, cand))
-    return OrderVerdict(False)
+    _check_search_bound(c1.space, c2.space)
+    forced = [(c1.embed[i], c2.embed[i]) for i in range(c1.base.size)]
+    first = next(_forced_tables(c1.space, c2.space, forced), None)
+    if first is None:
+        return OrderVerdict(False)
+    return OrderVerdict(True, ContinuousMap(c1.space, c2.space, first))
 
 
 def compactification_equivalent(c1: Compactification, c2: Compactification) -> OrderVerdict:
@@ -240,6 +266,7 @@ def compactification_equivalent(c1: Compactification, c2: Compactification) -> O
         raise BoundExceeded("homeomorphism search capped", n)
     source_opens = set(topology(c1.space))
     target_opens = topology(c2.space)
+    target_open_set = set(target_opens)
     for cand in itertools.permutations(range(n)):
         if any(cand[c1.embed[i]] != c2.embed[i] for i in range(c1.base.size)):
             continue
@@ -252,7 +279,7 @@ def compactification_equivalent(c1: Compactification, c2: Compactification) -> O
             inverse[v] = s
         backward_ok = all(
             sum(1 << s for s, v in enumerate(inverse) if o >> v & 1)
-            in set(target_opens)
+            in target_open_set
             for o in source_opens
         )
         if forward_ok and backward_ok:

@@ -88,10 +88,6 @@ def topology(space: FinStoneSpace) -> tuple[int, ...]:
     return tuple(sorted(opens))
 
 
-def is_open(space: FinStoneSpace, mask: int) -> bool:
-    return mask in set(topology(space))
-
-
 def closure_mask(space: FinStoneSpace, mask: int) -> int:
     """Smallest closed superset: drop every open disjoint from the set."""
     full = (1 << space.size) - 1
@@ -311,3 +307,10 @@ def hat_phi_point_mask(algebra: FinBoolAlg, subset_mask: int) -> int:
         for k, nabla in enumerate(ultrafilters(powerset_algebra(n)))
         if subset_mask in nabla.members
     )
+
+
+@cache
+def hat_phi_table(algebra: FinBoolAlg) -> tuple[int, ...]:
+    """hat_phi_point_mask of every subset mask, indexed by the mask."""
+    n = len(ultrafilters(algebra))
+    return tuple(hat_phi_point_mask(algebra, a) for a in range(1 << n))

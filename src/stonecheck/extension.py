@@ -98,17 +98,29 @@ def completion(base: FinLattice, complete: FinLattice, embedding: Sequence[int])
 
 
 def _assert_complete(lattice: FinLattice) -> None:
-    # Subset scan only where 2**size is affordable; beyond that finite
-    # totality of the binary tables is what guarantees completeness.
+    """Check that every subset has its meet and join as lower and upper bound.
+
+    Subset scan only where 2**size is affordable; beyond that finite
+    totality of the binary tables is what guarantees completeness.  A
+    subset's meet (join) is folded from that of the subset without its
+    highest member, the order in which ``meet_all`` (``join_all``) folds,
+    one highest member at a time through a byte translation table.  Each
+    bound is tested against the bitmask of the elements above (below) it.
+    """
     n = lattice.size
     if n > MAX_ISO_SEARCH:
         return
     leq = lattice.poset.leq
-    for bits in range(1 << n):
-        members = [i for i in range(n) if bits >> i & 1]
-        m = lattice.meet_all(members)
-        j = lattice.join_all(members)
-        if any(not leq[m][x] for x in members) or any(not leq[x][j] for x in members):
+    full = (1 << n) - 1
+    not_above = [full ^ sum(1 << x for x in range(n) if leq[m][x]) for m in range(n)]
+    not_below = [full ^ sum(1 << x for x in range(n) if leq[x][j]) for j in range(n)]
+    meets = bytearray([lattice.top])
+    joins = bytearray([lattice.bottom])
+    for high in range(n):
+        meets += meets.translate(bytes(row[high] for row in lattice.meet).ljust(256, b"\0"))
+        joins += joins.translate(bytes(row[high] for row in lattice.join).ljust(256, b"\0"))
+    for bits, (m, j) in enumerate(zip(meets, joins)):
+        if bits & not_above[m] or bits & not_below[j]:
             raise InvariantViolation("finite lattice lost a bound", bits)
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from .algebra import (
@@ -29,15 +29,15 @@ from .algebra import (
 )
 from .compactification import (
     BetaSpace,
-    beta_extend_to_compact,
     beta_lift,
     beta_space,
     extension_candidates,
+    sole_extension,
 )
 from .duality import (
     ContinuousMap,
     dual_map,
-    hat_phi_point_mask,
+    hat_phi_table,
     phi_mask,
     stone_representation,
 )
@@ -52,7 +52,12 @@ from .extension import canonical_extension, is_compact, is_dense, sigma_extend
 
 @dataclass(frozen=True, eq=False)
 class DiagramBundle:
-    """Every arrow of the construction square for one homomorphism."""
+    """Every arrow of the construction square for one homomorphism.
+
+    ``candidate_count`` is the number of continuous extensions the search
+    found and ``lift`` the ultrafilter-formula table, both kept so that the
+    checks read them instead of recomputing them.
+    """
 
     hom: BoolHom
     h_star: ContinuousMap
@@ -60,6 +65,8 @@ class DiagramBundle:
     beta2: BetaSpace
     h_star_beta: ContinuousMap
     double_dual: tuple[int, ...]
+    candidate_count: int
+    lift: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -138,7 +145,8 @@ def build_diagram(h: BoolHom) -> DiagramBundle:
     beta1 = beta_space(tuple(ufs1))
     beta2 = beta_space(tuple(ufs2))
     composed = tuple(beta1.embed[v] for v in h_star.table)
-    via_extension = beta_extend_to_compact(beta2, composed, beta1.space)
+    candidates = extension_candidates(beta2, composed, beta1.space)
+    via_extension = sole_extension(beta2, beta1.space, candidates)
     via_formula = beta_lift(h_star.table, beta2, beta1)
     if via_extension.table != via_formula.table:
         raise CommutationFailure(
@@ -148,9 +156,11 @@ def build_diagram(h: BoolHom) -> DiagramBundle:
     for v in range(len(ufs2)):
         if via_extension.table[beta2.embed[v]] != beta1.embed[h_star.table[v]]:
             raise CommutationFailure("extension square does not commute", v)
-    bundle = DiagramBundle(h, h_star, beta1, beta2, via_extension, ())
+    bundle = DiagramBundle(
+        h, h_star, beta1, beta2, via_extension, (), len(candidates), via_formula.table
+    )
     table = tuple(double_dual_map(bundle, a) for a in range(1 << len(ufs1)))
-    return DiagramBundle(h, h_star, beta1, beta2, via_extension, table)
+    return replace(bundle, double_dual=table)
 
 
 def double_dual_map(bundle: DiagramBundle, subset_mask: int) -> int:
@@ -161,16 +171,14 @@ def double_dual_map(bundle: DiagramBundle, subset_mask: int) -> int:
     one whose embedding equals that preimage.  Duality guarantees existence;
     a miss raises NoClopenPreimage as a library-bug signal.
     """
-    src, dst = bundle.hom.source, bundle.hom.target
-    n2 = len(ultrafilters(dst))
-    upstairs = hat_phi_point_mask(src, subset_mask)
+    upstairs = hat_phi_table(bundle.hom.source)[subset_mask]
     pre = sum(
         1 << d
         for d, img in enumerate(bundle.h_star_beta.table)
         if upstairs >> img & 1
     )
     matches = [
-        b for b in range(1 << n2) if hat_phi_point_mask(dst, b) == pre
+        b for b, image in enumerate(hat_phi_table(bundle.hom.target)) if image == pre
     ]
     if not matches:
         raise NoClopenPreimage("preimage is not the embedding of any subset", subset_mask)
@@ -259,8 +267,7 @@ def _main_theorem_checks(h: BoolHom, bundle: DiagramBundle, sigma_table) -> list
     )
 
     remark_witness = None
-    for a in range(1 << n1):
-        upstairs = hat_phi_point_mask(h.source, a)
+    for a, upstairs in enumerate(hat_phi_table(h.source)):
         for d, img in enumerate(bundle.h_star_beta.table):
             lhs = bool(upstairs >> img & 1)
             rhs = a in bundle.beta1.points_as_ultrafilters[img].members
@@ -348,8 +355,7 @@ def _corollary_checks(h: BoolHom, sigma_table) -> list[CheckResult]:
 
 def _beta_checks(h: BoolHom, bundle: DiagramBundle) -> list[CheckResult]:
     checks = []
-    composed = tuple(bundle.beta1.embed[v] for v in bundle.h_star.table)
-    count = len(extension_candidates(bundle.beta2, composed, bundle.beta1.space))
+    count = bundle.candidate_count
     checks.append(
         CheckResult(
             "unique_continuous_extension",
@@ -375,13 +381,12 @@ def _beta_checks(h: BoolHom, bundle: DiagramBundle) -> list[CheckResult]:
         )
     )
 
-    lift = beta_lift(bundle.h_star.table, bundle.beta2, bundle.beta1)
-    agree = lift.table == bundle.h_star_beta.table
+    agree = bundle.lift == bundle.h_star_beta.table
     checks.append(
         CheckResult(
             "lift_paths_agree",
             "pass" if agree else "fail",
-            None if agree else {"lift": list(lift.table), "extension": list(bundle.h_star_beta.table)},
+            None if agree else {"lift": list(bundle.lift), "extension": list(bundle.h_star_beta.table)},
         )
     )
 

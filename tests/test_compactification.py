@@ -6,6 +6,7 @@ import pytest
 
 from stonecheck.algebra import powerset_algebra, ultrafilters
 from stonecheck.compactification import (
+    BetaSpace,
     Compactification,
     beta_extend_to_compact,
     beta_lift,
@@ -16,11 +17,13 @@ from stonecheck.compactification import (
     compactification_leq,
     extension_candidates,
 )
-from stonecheck.duality import compose_continuous, discrete_space, dual_space
+from stonecheck.duality import compose_continuous, discrete_space, dual_space, topology
 from stonecheck.errors import (
     BoundExceeded,
     EmptySpace,
     ImageNotDense,
+    InvariantViolation,
+    NoExtension,
     NotAnEmbedding,
 )
 
@@ -53,6 +56,32 @@ def quotient_compactifications(points):
                 embed[x] = b
         out.append(Compactification(discrete_space(points), space, tuple(embed)))
     return out
+
+
+def brute_force_tables(space, target, embed, values):
+    """Oracle: every table of the full product space, filtered by the forced
+    values and then by continuity, in lexicographic order."""
+    source_opens = set(topology(space))
+    out = []
+    for cand in itertools.product(range(target.size), repeat=space.size):
+        if any(cand[embed[i]] != values[i] for i in range(len(embed))):
+            continue
+        if all(
+            sum(1 << s for s, v in enumerate(cand) if o >> v & 1) in source_opens
+            for o in topology(target)
+        ):
+            out.append(cand)
+    return out
+
+
+def assert_leq_matches_oracle(c1, c2):
+    tables = brute_force_tables(c1.space, c2.space, c1.embed, c2.embed)
+    verdict = compactification_leq(c1, c2)
+    assert verdict.passed == bool(tables)
+    if tables:
+        assert verdict.witness.table == tables[0]
+    else:
+        assert verdict.witness is None
 
 
 def test_beta_space_of_one_point():
@@ -109,6 +138,54 @@ def test_extension_of_surjection_is_unique_among_candidates():
     assert g.table == candidates[0]
     for i in range(3):
         assert g.table[bx.embed[i]] == f[i]
+
+
+@pytest.mark.parametrize("nx", [1, 2, 3])
+def test_extension_candidates_match_brute_force_oracle(nx):
+    bx = beta_space(tuple(f"x{i}" for i in range(nx)))
+    targets = [discrete_space(tuple(f"y{i}" for i in range(ny))) for ny in (1, 2, 3)]
+    targets += [dual_space(powerset_algebra(ny)) for ny in (1, 2, 3)]
+    for target in targets:
+        for f in itertools.product(range(target.size), repeat=nx):
+            expected = brute_force_tables(bx.space, target, bx.embed, f)
+            assert extension_candidates(bx, f, target) == expected
+
+
+def raw_beta_space(base_points, space_points, embed):
+    """A BetaSpace around an unvalidated compactification, for fault paths."""
+    comp = Compactification(discrete_space(base_points), discrete_space(space_points), embed)
+    return BetaSpace(comp, (), powerset_algebra(1))
+
+
+def test_extension_without_candidates_raises_no_extension():
+    # two base points glued to one space point but sent to different values
+    bx = raw_beta_space(("x", "y"), ("p",), (0, 0))
+    target = discrete_space(("a", "b"))
+    assert extension_candidates(bx, (0, 1), target) == []
+    with pytest.raises(NoExtension):
+        beta_extend_to_compact(bx, (0, 1), target)
+
+
+def test_extension_with_several_candidates_raises_invariant_violation():
+    # the second space point is outside the image, so its value is free
+    bx = raw_beta_space(("x",), ("p", "q"), (0,))
+    target = discrete_space(("a", "b"))
+    assert extension_candidates(bx, (1,), target) == [(1, 0), (1, 1)]
+    with pytest.raises(InvariantViolation) as info:
+        beta_extend_to_compact(bx, (1,), target)
+    assert info.value.witness == 2
+
+
+def test_search_caps_bound_the_nominal_table_space():
+    # every point is forced, so one table is left, but 4**5 tables are nominal
+    bx = beta_space(tuple("abcde"))
+    target = discrete_space(tuple("pqrs"))
+    with pytest.raises(BoundExceeded) as info:
+        extension_candidates(bx, (0, 1, 2, 3, 0), target)
+    assert info.value.witness == 4**5
+    c = Compactification(bx.base, target, (0, 1, 2, 3, 0))
+    with pytest.raises(BoundExceeded):
+        compactification_leq(bx.compactification, c)
 
 
 def test_lift_of_identity_is_identity():
@@ -191,6 +268,14 @@ def test_beta_dominates_every_quotient_compactification(n):
         assert compactification_leq(beta, c).passed
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_compactification_leq_matches_brute_force_oracle(n):
+    points = tuple(f"x{i}" for i in range(n))
+    instances = quotient_compactifications(points) + [beta_space(points).compactification]
+    for c1, c2 in itertools.product(instances, repeat=2):
+        assert_leq_matches_oracle(c1, c2)
+
+
 def test_identification_is_strictly_below():
     # collapsing both points: the collapse is below the faithful
     # compactification but not conversely
@@ -217,6 +302,8 @@ def test_compactifications_of_different_sizes_are_not_equivalent():
     inflated = Compactification(base, discrete_space(("p", "q")), (0,))
     assert not compactification_equivalent(inflated, small).passed
     assert not compactification_equivalent(small, inflated).passed
+    assert_leq_matches_oracle(inflated, small)
+    assert_leq_matches_oracle(small, inflated)
 
 
 def test_preservation_of_injectivity():

@@ -21,6 +21,8 @@ from stonecheck.duality import (
     dual_of_continuous,
     dual_space,
     hat_phi,
+    hat_phi_point_mask,
+    hat_phi_table,
     phi,
     phi_mask,
     stone_space,
@@ -211,6 +213,15 @@ def test_hat_phi_at_bounds():
     assert hat_phi(algebra, frozenset()) == frozenset()
     everything = hat_phi(algebra, frozenset(ufs))
     assert everything == frozenset(ultrafilters(powerset_algebra(2)))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_hat_phi_table_lists_every_point_mask(k):
+    algebra = powerset_algebra(k)
+    table = hat_phi_table(algebra)
+    assert len(table) == 1 << k
+    for a in range(1 << k):
+        assert table[a] == hat_phi_point_mask(algebra, a)
 
 
 def test_hat_phi_of_singleton_is_principal_point():

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stonecheck.algebra import (
+    FinLattice,
     all_homs,
     hom_from_atom_function,
     identity_hom,
@@ -19,7 +20,12 @@ from stonecheck.algebra import (
     powerset_algebra,
     ultrafilters,
 )
-from stonecheck.errors import BoundExceeded, DegenerateAlgebra, NotAnEmbedding
+from stonecheck.errors import (
+    BoundExceeded,
+    DegenerateAlgebra,
+    InvariantViolation,
+    NotAnEmbedding,
+)
 from stonecheck.extension import (
     canonical_extension,
     completion,
@@ -87,6 +93,42 @@ def test_collapsing_embedding_is_rejected_before_compactness():
     two = powerset_algebra(1)
     with pytest.raises(NotAnEmbedding):
         completion(four.lattice, two.lattice, (0, 1, 1, 1))
+
+
+def first_unbounded_subset(lattice):
+    """Reference completeness scan: fold each subset with meet_all/join_all
+    and return the first subset whose meet or join is not a bound of it."""
+    leq = lattice.poset.leq
+    for bits in range(1 << lattice.size):
+        members = [i for i in range(lattice.size) if bits >> i & 1]
+        m = lattice.meet_all(members)
+        j = lattice.join_all(members)
+        if any(not leq[m][x] for x in members) or any(not leq[x][j] for x in members):
+            return bits
+    return None
+
+
+def corrupted_lattice(lattice, table, a, b, value):
+    rows = [list(row) for row in getattr(lattice, table)]
+    rows[a][b] = value
+    tables = {"meet": lattice.meet, "join": lattice.join, table: tuple(map(tuple, rows))}
+    return FinLattice(lattice.poset, tables["meet"], tables["join"], lattice.bottom, lattice.top)
+
+
+@pytest.mark.parametrize(
+    "atoms, table, a, b, value",
+    [(3, "meet", 3, 4, 7), (3, "join", 3, 4, 0), (4, "meet", 5, 10, 15), (4, "join", 9, 14, 8)],
+)
+def test_completeness_scan_reports_the_reference_witness(atoms, table, a, b, value):
+    # a and b lie outside the embedded image, so only the subset scan sees
+    # the corrupted entry
+    broken = corrupted_lattice(powerset_algebra(atoms).lattice, table, a, b, value)
+    top = broken.size - 1
+    expected = first_unbounded_subset(broken)
+    assert expected is not None
+    with pytest.raises(InvariantViolation) as info:
+        completion(powerset_algebra(1).lattice, broken, (0, top))
+    assert info.value.witness == expected
 
 
 def test_canonical_extension_sizes():

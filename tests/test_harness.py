@@ -1,5 +1,6 @@
 """The diagram bundle, the double-dual map, and the verification suite."""
 
+import hashlib
 import itertools
 import json
 
@@ -13,6 +14,7 @@ from stonecheck.algebra import (
     powerset_algebra,
     ultrafilters,
 )
+from stonecheck.compactification import beta_lift, extension_candidates
 from stonecheck.duality import phi_mask
 from stonecheck.errors import BoundExceeded
 from stonecheck.extension import sigma_extend
@@ -62,6 +64,18 @@ def test_double_dual_at_bounds():
         n2 = len(ultrafilters(four))
         assert double_dual_map(bundle, 0) == 0
         assert double_dual_map(bundle, (1 << n1) - 1) == (1 << n2) - 1
+
+
+def test_bundle_carries_search_count_and_lift():
+    for k1, k2 in [(2, 2), (3, 2), (2, 3)]:
+        for hom in all_homs(powerset_algebra(k1), powerset_algebra(k2)):
+            bundle = build_diagram(hom)
+            composed = tuple(bundle.beta1.embed[v] for v in bundle.h_star.table)
+            candidates = extension_candidates(bundle.beta2, composed, bundle.beta1.space)
+            assert bundle.candidate_count == len(candidates) == 1
+            assert bundle.h_star_beta.table == candidates[0]
+            lift = beta_lift(bundle.h_star.table, bundle.beta2, bundle.beta1)
+            assert bundle.lift == lift.table
 
 
 def test_diagram_bound():
@@ -224,3 +238,20 @@ def test_reports_sort_deterministically():
     report = exhaustive_suite(2)
     keys = [json.dumps(i.descriptor, sort_keys=True) for i in report.instances]
     assert keys == sorted(keys)
+
+
+def report_digest(report):
+    payload = json.dumps(report_jsonable(report), sort_keys=True)
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "max_atoms, sample, digest",
+    [
+        (3, None, "e8b95ce3dfc633ded4d8e8ad539abbdb22d757a6d70d6338299081cc26198a15"),
+        (4, (7, 200), "77fef6e80d3b32caf68278d210ac057551d1642e49c61b9ef5cc4cdaa431ca06"),
+    ],
+)
+def test_suite_reports_stay_byte_identical(max_atoms, sample, digest):
+    # digests pinned from reports of the unoptimised search and scans
+    assert report_digest(exhaustive_suite(max_atoms, sample)) == digest

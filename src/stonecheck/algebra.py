@@ -7,6 +7,16 @@ below it, which identifies the algebra with the powerset of its atom set and
 makes order and operations single-word bit operations.  For powerset
 algebras the element index *is* its atom mask.
 
+Validation runs a row at a time.  A poset keeps each row of its order as
+an up-set bitmask (and each column as a down-set bitmask), so the order
+laws are mask tests and a least upper bound is the element whose up-set
+mask is the intersection of two others.  The distributive and homomorphism
+laws compare rows of bytes built from the operation tables with
+``bytes.translate``.  Only a comparison that fails is scanned, so every
+check still names the same first witness as an element-by-element scan in
+index order.  Byte rows need element indices below 256, which the
+32-element cap on Boolean algebras guarantees.
+
 Filters and ideals are stored extensionally (as element sets).  The fast
 enumerations exploit that every filter of a finite lattice is a principal
 up-set; the subset-scanning brute-force enumerations are kept alongside as
@@ -16,8 +26,9 @@ cross-check oracles for the test suite.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import cache
+from dataclasses import dataclass, field
+from functools import cache, reduce
+from operator import or_
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -44,9 +55,15 @@ MAX_BRUTE_FORCE_CARRIER = 16
 
 @dataclass(frozen=True, eq=False)
 class FinPoset:
-    """A finite partial order; ``leq[i][j]`` holds iff element i <= element j."""
+    """A finite partial order; ``leq[i][j]`` holds iff element i <= element j.
+
+    ``up[i]`` is the bitmask of the elements above i and ``down[i]`` that of
+    the elements below it.
+    """
 
     leq: tuple[tuple[bool, ...], ...]
+    up: tuple[int, ...] = field(repr=False)
+    down: tuple[int, ...] = field(repr=False)
 
     @property
     def size(self) -> int:
@@ -62,33 +79,52 @@ class FinPoset:
         return frozenset(j for j in range(self.size) if self.leq[j][i])
 
 
+def _lowest_bit(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
+def _first_difference(a: bytes, b: bytes) -> int:
+    return next(k for k, (x, y) in enumerate(zip(a, b)) if x != y)
+
+
+def _byte_table(row: Sequence[int]) -> bytes:
+    """A table row as a 256-byte ``bytes.translate`` table (entries below 256)."""
+    return bytes(row).ljust(256, b"\0")
+
+
 def fin_poset(rows: Sequence[Sequence[bool]]) -> FinPoset:
     """Validate a relation matrix as a partial order.
 
     Raises NotAPoset naming the first witnessing tuple, scanning
-    reflexivity, then antisymmetry, then transitivity in index order.
+    reflexivity, then antisymmetry, then transitivity in index order.  For
+    i <= j the first transitivity witness k is the lowest element above j
+    but not above i.
     """
     n = len(rows)
     if n == 0:
         raise ValueError("carrier must be nonempty")
-    leq = tuple(tuple(bool(x) for x in row) for row in rows)
+    leq = tuple(tuple(map(bool, row)) for row in rows)
     if any(len(row) != n for row in leq):
         raise ValueError("relation matrix must be square")
+    bits = [1 << j for j in range(n)]
+    up = tuple(sum(itertools.compress(bits, row)) for row in leq)
+    down = tuple(sum(itertools.compress(bits, col)) for col in zip(*leq))
     for i in range(n):
-        if not leq[i][i]:
+        if not up[i] >> i & 1:
             raise NotAPoset("relation is not reflexive", ("reflexivity", i))
     for i in range(n):
-        for j in range(i + 1, n):
-            if leq[i][j] and leq[j][i]:
-                raise NotAPoset("relation is not antisymmetric", ("antisymmetry", i, j))
+        both = (up[i] & down[i]) >> (i + 1)
+        if both:
+            j = i + 1 + _lowest_bit(both)
+            raise NotAPoset("relation is not antisymmetric", ("antisymmetry", i, j))
     for i in range(n):
-        for j in range(n):
-            if not leq[i][j]:
-                continue
-            for k in range(n):
-                if leq[j][k] and not leq[i][k]:
-                    raise NotAPoset("relation is not transitive", ("transitivity", i, j, k))
-    return FinPoset(leq)
+        outside = ~up[i]
+        if not reduce(or_, itertools.compress(up, leq[i]), 0) & outside:
+            continue
+        j = next(j for j in range(n) if leq[i][j] and up[j] & outside)
+        k = _lowest_bit(up[j] & outside)
+        raise NotAPoset("relation is not transitive", ("transitivity", i, j, k))
+    return FinPoset(leq, up, down)
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,30 +165,33 @@ class FinLattice:
         return out
 
 
+def _bound_table(masks: tuple[int, ...], kind: str, message: str) -> tuple[tuple[int, ...], ...]:
+    """Tabulate the element whose mask is the intersection of two masks.
+
+    With up-set masks this is the least upper bound (an element u is the
+    least of the common upper bounds exactly when its up-set is all of
+    them); with down-set masks it is the greatest lower bound.
+    """
+    by_mask = {m: k for k, m in enumerate(masks)}
+    table = []
+    for i, m in enumerate(masks):
+        row = tuple(map(by_mask.get, map(m.__and__, masks)))
+        if None in row:
+            raise NotALattice(message, (kind, i, row.index(None)))
+        table.append(row)
+    return tuple(table)
+
+
 def fin_lattice(poset: FinPoset) -> FinLattice:
-    """Check that every pair has a unique meet and join and tabulate them."""
-    n = poset.size
-    leq = poset.leq
+    """Check that every pair has a unique meet and join and tabulate them.
 
-    def least_upper(i: int, j: int) -> int:
-        uppers = [k for k in range(n) if leq[i][k] and leq[j][k]]
-        for u in uppers:
-            if all(leq[u][k] for k in uppers):
-                return u
-        raise NotALattice("pair has no least upper bound", ("join", i, j))
-
-    def greatest_lower(i: int, j: int) -> int:
-        lowers = [k for k in range(n) if leq[k][i] and leq[k][j]]
-        for g in lowers:
-            if all(leq[k][g] for k in lowers):
-                return g
-        raise NotALattice("pair has no greatest lower bound", ("meet", i, j))
-
-    join = tuple(tuple(least_upper(i, j) for j in range(n)) for i in range(n))
-    meet = tuple(tuple(greatest_lower(i, j) for j in range(n)) for i in range(n))
-    bottom = next(i for i in range(n) if all(leq[i][j] for j in range(n)))
-    top = next(i for i in range(n) if all(leq[j][i] for j in range(n)))
-    return FinLattice(poset, meet, join, bottom, top)
+    The whole join table is built before the meet table, so a poset that
+    lacks both names its first pair without a join.
+    """
+    join = _bound_table(poset.up, "join", "pair has no least upper bound")
+    meet = _bound_table(poset.down, "meet", "pair has no greatest lower bound")
+    full = (1 << poset.size) - 1
+    return FinLattice(poset, meet, join, poset.up.index(full), poset.down.index(full))
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,41 +245,47 @@ def fin_bool_alg(lattice: FinLattice, complement: Sequence[int]) -> FinBoolAlg:
     The atom-bitmask encoding is computed afterwards; by Birkhoff's
     description of finite Boolean algebras it must be an order isomorphism
     onto the powerset of the atom set, so any failure there is reported as
-    an internal invariant violation rather than a user error.
+    an internal invariant violation rather than a user error.  Lattices of
+    more than ``2 ** MAX_ATOMS`` elements raise BoundExceeded.
     """
     n = lattice.size
+    if n > 1 << MAX_ATOMS:
+        raise BoundExceeded(f"Boolean algebras capped at {1 << MAX_ATOMS} elements", n)
     comp = tuple(int(c) for c in complement)
     if len(comp) != n or any(not 0 <= c < n for c in comp):
         raise ValueError("complement table must map the carrier into itself")
     meet, join = lattice.meet, lattice.join
+    join_block = bytes(itertools.chain.from_iterable(join))
+    join_tables = [_byte_table(row) for row in join]
     for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if meet[x][join[y][z]] != join[meet[x][y]][meet[x][z]]:
-                    raise NotDistributive("distributive law fails", (x, y, z))
+        # row y, column z: meet[x][join[y][z]] against join[meet[x][y]][meet[x][z]]
+        meet_row = bytes(meet[x])
+        lhs = join_block.translate(_byte_table(meet_row))
+        rhs = b"".join([meet_row.translate(join_tables[m]) for m in meet_row])
+        if lhs != rhs:
+            y, z = divmod(_first_difference(lhs, rhs), n)
+            raise NotDistributive("distributive law fails", (x, y, z))
     for x in range(n):
         if meet[x][comp[x]] != lattice.bottom:
             raise ComplementLawFails("x and not-x do not meet to bottom", (x, comp[x]))
         if join[x][comp[x]] != lattice.top:
             raise ComplementLawFails("x and not-x do not join to top", (x, comp[x]))
 
-    leq = lattice.poset.leq
+    leq, down = lattice.poset.leq, lattice.poset.down
     bottom = lattice.bottom
-    atoms = tuple(
-        i
-        for i in range(n)
-        if i != bottom and all(j == bottom or j == i for j in range(n) if leq[j][i])
-    )
+    atoms = tuple(i for i in range(n) if i != bottom and down[i] == 1 << i | 1 << bottom)
     atom_mask = tuple(
-        sum(1 << k for k, a in enumerate(atoms) if leq[a][i]) for i in range(n)
+        sum(1 << k for k, a in enumerate(atoms) if down[i] >> a & 1) for i in range(n)
     )
     mask_index = {m: i for i, m in enumerate(atom_mask)}
     if len(mask_index) != n or n != 1 << len(atoms):
         raise InvariantViolation("atom encoding is not a bijection", (n, len(atoms)))
-    for i in range(n):
-        for j in range(n):
-            if leq[i][j] != (atom_mask[i] & ~atom_mask[j] == 0):
-                raise InvariantViolation("atom encoding does not match the order", (i, j))
+    for i, m in enumerate(atom_mask):
+        # i <= j exactly when the atoms of i are among those of j
+        row = tuple(map(m.__eq__, map(m.__and__, atom_mask)))
+        if row != leq[i]:
+            j = next(j for j in range(n) if row[j] != leq[i][j])
+            raise InvariantViolation("atom encoding does not match the order", (i, j))
     return FinBoolAlg(lattice, comp, atoms, atom_mask, mask_index)
 
 
@@ -469,22 +514,42 @@ def validate_hom(table: Sequence[int], source: FinBoolAlg, target: FinBoolAlg) -
     t = tuple(int(x) for x in table)
     if len(t) != source.size or any(not 0 <= v < target.size for v in t):
         raise ValueError("table must map the source carrier into the target carrier")
+    image = bytes(t)
+    image_table = _byte_table(t)
     if t[source.bottom] != target.bottom:
         raise NotMeetPreserving("bottom must map to bottom", ("bottom", source.bottom))
-    for i in range(source.size):
-        for j in range(source.size):
-            if t[source.meet_of(i, j)] != target.meet_of(t[i], t[j]):
-                raise NotMeetPreserving("meet not preserved", (i, j))
+    witness = _unpreserved(source.lattice.meet, target.lattice.meet, image, image_table)
+    if witness is not None:
+        raise NotMeetPreserving("meet not preserved", witness)
     if t[source.top] != target.top:
         raise NotJoinPreserving("top must map to top", ("top", source.top))
-    for i in range(source.size):
-        for j in range(source.size):
-            if t[source.join_of(i, j)] != target.join_of(t[i], t[j]):
-                raise NotJoinPreserving("join not preserved", (i, j))
-    for i in range(source.size):
-        if t[source.complement_of(i)] != target.complement_of(t[i]):
-            raise NotComplementPreserving("complement not preserved", (i,))
+    witness = _unpreserved(source.lattice.join, target.lattice.join, image, image_table)
+    if witness is not None:
+        raise NotJoinPreserving("join not preserved", witness)
+    lhs = bytes(source.complement).translate(image_table)
+    rhs = image.translate(_byte_table(target.complement))
+    if lhs != rhs:
+        raise NotComplementPreserving("complement not preserved", (_first_difference(lhs, rhs),))
     return BoolHom(source, target, t)
+
+
+def _unpreserved(
+    source_op: tuple[tuple[int, ...], ...],
+    target_op: tuple[tuple[int, ...], ...],
+    image: bytes,
+    image_table: bytes,
+) -> tuple[int, int] | None:
+    """The first (i, j) with t[op(i, j)] != op(t[i], t[j]), or None.
+
+    Both sides are built as n rows of n bytes, row i of the right side by
+    translating the image through row t[i] of the target table.
+    """
+    lhs = bytes(itertools.chain.from_iterable(source_op)).translate(image_table)
+    tables = {v: _byte_table(target_op[v]) for v in set(image)}
+    rhs = b"".join([image.translate(tables[v]) for v in image])
+    if lhs == rhs:
+        return None
+    return divmod(_first_difference(lhs, rhs), len(image))
 
 
 def monotone_map(table: Sequence[int], source: FinBoolAlg, target: FinBoolAlg) -> MonotoneMap:

@@ -27,6 +27,7 @@ import json
 from dataclasses import dataclass, field
 
 from .algebra import (
+    MAX_ATOMS,
     BoolHom,
     FinBoolAlg,
     hom_from_atom_function,
@@ -67,23 +68,20 @@ def powerset_labels(n: int) -> tuple[str, ...]:
 
 
 def _closed_relation(size: int, pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    rows = [[False] * size for _ in range(size)]
-    for i in range(size):
-        rows[i][i] = True
+    """The reflexive-transitive closure of the pairs, in row-major order.
+
+    Row i is the bitmask of the elements i relates to; Warshall's closure
+    ORs row k into every row that contains k.
+    """
+    rows = [1 << i for i in range(size)]
     for i, j in pairs:
-        rows[i][j] = True
-    changed = True
-    while changed:
-        changed = False
+        rows[i] |= 1 << j
+    for k in range(size):
+        row_k, bit = rows[k], 1 << k
         for i in range(size):
-            for j in range(size):
-                if not rows[i][j]:
-                    continue
-                for k in range(size):
-                    if rows[j][k] and not rows[i][k]:
-                        rows[i][k] = True
-                        changed = True
-    return [(i, j) for i in range(size) for j in range(size) if rows[i][j]]
+            if rows[i] & bit:
+                rows[i] |= row_k
+    return [(i, j) for i in range(size) for j in range(size) if rows[i] >> j & 1]
 
 
 def _parse_algebra(entry: dict, where: str, doc: Document) -> None:
@@ -114,19 +112,21 @@ def _parse_algebra(entry: dict, where: str, doc: Document) -> None:
         carrier = entry.get("carrier")
         if not isinstance(carrier, list) or not all(isinstance(x, str) for x in carrier):
             raise ParseError(f"{where}: carrier must be a list of labels")
+        if len(carrier) > 1 << MAX_ATOMS:
+            raise ValidationError(
+                f"{where}: carrier of {len(carrier)} elements exceeds the cap of "
+                f"{1 << MAX_ATOMS} ({MAX_ATOMS} atoms)"
+            )
         if len(set(carrier)) != len(carrier):
             raise ValidationError(f"{where}: carrier labels must be unique")
         index = {label: i for i, label in enumerate(carrier)}
 
         def resolve(pair, what):
-            if (
-                not isinstance(pair, list)
-                or len(pair) != 2
-                or pair[0] not in index
-                or pair[1] not in index
-            ):
-                raise ParseError(f"{where}: bad {what} pair {pair!r}")
-            return index[pair[0]], index[pair[1]]
+            if isinstance(pair, list) and len(pair) == 2:
+                i, j = _label_index(index, pair[0]), _label_index(index, pair[1])
+                if i is not None and j is not None:
+                    return i, j
+            raise ParseError(f"{where}: bad {what} pair {pair!r}")
 
         leq_pairs = [resolve(p, "leq") for p in entry.get("leq", [])]
         comp_pairs = [resolve(p, "complement") for p in entry.get("complement", [])]
@@ -150,6 +150,11 @@ def _parse_algebra(entry: dict, where: str, doc: Document) -> None:
     doc.algebra_order.append(name)
 
 
+def _label_index(index: dict[str, int], label) -> int | None:
+    """The index of a label, or None for anything that is not one of them."""
+    return index.get(label) if isinstance(label, str) else None
+
+
 def _parse_hom(entry: dict, where: str, doc: Document) -> None:
     if not isinstance(entry, dict) or "name" not in entry:
         raise ParseError(f"{where}: hom entry must be an object with a name")
@@ -169,17 +174,19 @@ def _parse_hom(entry: dict, where: str, doc: Document) -> None:
         pairs = entry["map"]
         if not isinstance(pairs, list):
             raise ParseError(f"{where}: map must be a list of label pairs")
+        src_index = {label: i for i, label in enumerate(src_labels)}
+        dst_index = {label: i for i, label in enumerate(dst_labels)}
         table = [-1] * src.size
         for pair in pairs:
             if not isinstance(pair, list) or len(pair) != 2:
                 raise ParseError(f"{where}: bad map pair {pair!r}")
             a, b = pair
-            if a not in src_labels or b not in dst_labels:
+            i, v = _label_index(src_index, a), _label_index(dst_index, b)
+            if i is None or v is None:
                 raise ValidationError(f"{where}: unknown label in pair {pair!r}")
-            i = src_labels.index(a)
             if table[i] != -1:
                 raise ValidationError(f"{where}: element {a!r} mapped twice")
-            table[i] = dst_labels.index(b)
+            table[i] = v
         if any(v == -1 for v in table):
             missing = src_labels[table.index(-1)]
             raise ValidationError(f"{where}: element {missing!r} has no image")
@@ -191,21 +198,21 @@ def _parse_hom(entry: dict, where: str, doc: Document) -> None:
         pairs = entry["atom_map"]
         if not isinstance(pairs, list):
             raise ParseError(f"{where}: atom_map must be a list of label pairs")
-        src_atom_labels = [src_labels[a] for a in src.atoms]
-        dst_atom_labels = [dst_labels[a] for a in dst.atoms]
+        src_atom_index = {src_labels[a]: k for k, a in enumerate(src.atoms)}
+        dst_atom_index = {dst_labels[a]: k for k, a in enumerate(dst.atoms)}
         g = [-1] * dst.atom_count
         for pair in pairs:
             if not isinstance(pair, list) or len(pair) != 2:
                 raise ParseError(f"{where}: bad atom_map pair {pair!r}")
             p, q = pair
-            if p not in dst_atom_labels or q not in src_atom_labels:
+            qi, pi = _label_index(dst_atom_index, p), _label_index(src_atom_index, q)
+            if qi is None or pi is None:
                 raise ValidationError(f"{where}: unknown atom label in pair {pair!r}")
-            qi = dst_atom_labels.index(p)
             if g[qi] != -1:
                 raise ValidationError(f"{where}: target atom {p!r} mapped twice")
-            g[qi] = src_atom_labels.index(q)
+            g[qi] = pi
         if any(v == -1 for v in g):
-            missing = dst_atom_labels[g.index(-1)]
+            missing = dst_labels[dst.atoms[g.index(-1)]]
             raise ValidationError(f"{where}: target atom {missing!r} has no image")
         try:
             doc.homs[name] = hom_from_atom_function(src, dst, g)

@@ -174,6 +174,7 @@ def phi(algebra: FinBoolAlg, a: int) -> frozenset[UltraFilter]:
     return frozenset(u for u in ultrafilters(algebra) if a in u.members)
 
 
+@cache
 def phi_mask(algebra: FinBoolAlg, a: int) -> int:
     """phi as a bitmask over the canonical ultrafilter order."""
     return sum(

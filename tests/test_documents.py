@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from stonecheck.cli import main
 from stonecheck.documents import (
     document_digest,
     parse_document,
@@ -161,3 +162,49 @@ def test_powerset_labels_shape():
 def test_digest_is_stable():
     assert document_digest("x") == document_digest("x")
     assert document_digest("x") != document_digest("y")
+
+
+def abstract_powerset_entry(name, atoms):
+    size = 1 << atoms
+    labels = [f"e{m}" for m in range(size)]
+    return {
+        "name": name,
+        "carrier": labels,
+        "leq": [[labels[m], labels[m | 1 << i]] for m in range(size) for i in range(atoms)],
+        "complement": [[labels[m], labels[(size - 1) ^ m]] for m in range(size)],
+    }
+
+
+def test_abstract_carrier_is_capped_at_32_elements():
+    parse_document(json.dumps({"algebras": [abstract_powerset_entry("b5", 5)]}))
+    with pytest.raises(ValidationError) as exc:
+        parse_document(json.dumps({"algebras": [abstract_powerset_entry("b6", 6)]}))
+    assert "algebras[0]" in str(exc.value) and "64" in str(exc.value)
+
+
+def test_abstract_document_over_the_cap_exits_2(tmp_path):
+    doc = tmp_path / "b6.json"
+    doc.write_text(json.dumps({"algebras": [abstract_powerset_entry("b6", 6)]}))
+    for argv in (["dual", str(doc), "b6"], ["canext", str(doc), "b6"]):
+        assert main(argv) == 2
+
+
+@pytest.mark.parametrize(
+    "pair", [[["bot"], "top"], ["bot", {"x": 1}], ["bot", 3], ["bot"]]
+)
+def test_malformed_order_or_map_pair_is_a_user_error(pair):
+    algebra = {
+        "name": "abs",
+        "carrier": ["bot", "top"],
+        "leq": [pair],
+        "complement": [["bot", "top"], ["top", "bot"]],
+    }
+    with pytest.raises(ParseError):
+        parse_document(json.dumps({"algebras": [algebra]}))
+    algebra["leq"] = [["bot", "top"]]
+    for key, value in (("map", [pair, ["top", "{0}"]]), ("atom_map", [pair])):
+        hom = {"name": "h", "source": "abs", "target": "two", key: value}
+        with pytest.raises((ParseError, ValidationError)):
+            parse_document(
+                json.dumps({"algebras": [algebra, {"name": "two", "powerset": 1}], "homs": [hom]})
+            )

@@ -11,7 +11,6 @@ from .algebra import (
     FinLattice,
     FinPoset,
     Filter,
-    Ideal,
     MonotoneMap,
     UltraFilter,
     all_filters,
@@ -67,6 +66,4 @@ from .harness import (
     double_dual_map,
     exhaustive_suite,
     explore_monotone,
-    verify_corollary,
-    verify_main_theorem,
 )

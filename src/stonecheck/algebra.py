@@ -17,10 +17,12 @@ check still names the same first witness as an element-by-element scan in
 index order.  Byte rows need element indices below 256, which the
 32-element cap on Boolean algebras guarantees.
 
-Filters and ideals are stored extensionally (as element sets).  The fast
-enumerations exploit that every filter of a finite lattice is a principal
-up-set; the subset-scanning brute-force enumerations are kept alongside as
-cross-check oracles for the test suite.
+Filters are stored extensionally (as element sets).  The fast enumeration
+exploits that every filter of a finite lattice is a principal up-set; the
+subset-scanning brute-force enumeration is kept alongside as a cross-check
+oracle for the test suite.  Ideals are the filters of the order dual, which
+reuses the lattice's own tables with the order, the operations, and the
+bounds swapped.
 """
 
 from __future__ import annotations
@@ -163,6 +165,15 @@ class FinLattice:
         for e in elems:
             out = self.join[out][e]
         return out
+
+
+@cache
+def order_dual(lattice: FinLattice) -> FinLattice:
+    """The same carrier under the reversed order: meet and join, bottom and
+    top, and up-sets and down-sets trade places."""
+    poset = lattice.poset
+    dual_poset = FinPoset(tuple(zip(*poset.leq)), poset.down, poset.up)
+    return FinLattice(dual_poset, lattice.join, lattice.meet, lattice.top, lattice.bottom)
 
 
 def _bound_table(masks: tuple[int, ...], kind: str, message: str) -> tuple[tuple[int, ...], ...]:
@@ -352,18 +363,6 @@ class Filter:
 
 
 @dataclass(frozen=True)
-class Ideal:
-    """An downward-closed, join-closed subset containing bottom."""
-
-    lattice: FinLattice
-    members: frozenset[int]
-
-    @property
-    def generator(self) -> int:
-        return self.lattice.join_all(self.members)
-
-
-@dataclass(frozen=True)
 class UltraFilter:
     """A maximal proper filter; principal at a unique atom in the finite case."""
 
@@ -388,18 +387,6 @@ def is_filter(lattice: FinLattice, members: frozenset[int]) -> bool:
     return True
 
 
-def is_ideal(lattice: FinLattice, members: frozenset[int]) -> bool:
-    if lattice.bottom not in members:
-        return False
-    for i in members:
-        if not lattice.poset.downset(i) <= members:
-            return False
-        for j in members:
-            if lattice.join[i][j] not in members:
-                return False
-    return True
-
-
 @cache
 def all_filters(lattice: FinLattice) -> tuple[Filter, ...]:
     """Every filter of a finite lattice: the principal up-sets, one per element.
@@ -413,10 +400,9 @@ def all_filters(lattice: FinLattice) -> tuple[Filter, ...]:
 
 
 @cache
-def all_ideals(lattice: FinLattice) -> tuple[Ideal, ...]:
-    return tuple(
-        Ideal(lattice, lattice.poset.downset(x)) for x in range(lattice.size)
-    )
+def all_ideals(lattice: FinLattice) -> tuple[Filter, ...]:
+    """Every ideal: the filters of the order dual, so each generator is a join."""
+    return all_filters(order_dual(lattice))
 
 
 def all_filters_bruteforce(lattice: FinLattice) -> set[frozenset[int]]:
@@ -433,15 +419,8 @@ def all_filters_bruteforce(lattice: FinLattice) -> set[frozenset[int]]:
 
 
 def all_ideals_bruteforce(lattice: FinLattice) -> set[frozenset[int]]:
-    n = lattice.size
-    if n > MAX_BRUTE_FORCE_CARRIER:
-        raise BoundExceeded("subset scan capped", n)
-    found = set()
-    for bits in range(1 << n):
-        members = frozenset(i for i in range(n) if bits >> i & 1)
-        if members and is_ideal(lattice, members):
-            found.add(members)
-    return found
+    """Scan all subsets against the ideal axioms (cross-check oracle)."""
+    return all_filters_bruteforce(order_dual(lattice))
 
 
 @cache

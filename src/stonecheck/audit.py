@@ -3,10 +3,10 @@
 The filter-formula path (rooted at ``extension.sigma_extend``) and the
 diagram-chase path (rooted at ``harness.build_diagram`` and
 ``harness.double_dual_map``) are only allowed to share the algebra core,
-the error types, and the Stone embedding primitives.  This module extracts
-a call graph of module-level functions from the package source with ``ast``
-and reports any helper reachable from both roots that is not on the
-allowlist.
+the error types, and the bitmask Stone embedding ``duality.phi_mask``.
+This module extracts a call graph of module-level functions from the
+package source with ``ast`` and reports any helper reachable from both
+roots that is not on the allowlist.
 
 The analysis covers module-level function calls (plain names and
 ``module.function`` attributes resolved through the package imports);
@@ -23,9 +23,9 @@ SIGMA_ROOTS = ("extension.sigma_extend",)
 DIAGRAM_ROOTS = ("harness.build_diagram", "harness.double_dual_map")
 
 # Shared helpers both paths may use: the whole algebra core, the error
-# types, and the Stone embedding in its two encodings.
+# types, and the Stone embedding as a bitmask.
 SHARED_ALLOWED_PREFIXES = ("algebra.", "errors.")
-SHARED_ALLOWED = ("duality.phi", "duality.phi_mask")
+SHARED_ALLOWED = ("duality.phi_mask",)
 
 _MODULES = (
     "algebra",

@@ -74,17 +74,12 @@ def _hasse_dot(doc: Document, name: str) -> str:
             f"u{k}" for k in range(len(ufs)) if phi_mask(algebra, i) >> k & 1
         )
         lines.append(f'  e{i} [label="{labels[i]}" tooltip="in ultrafilters: {inside}"];')
+    up, down = algebra.lattice.poset.up, algebra.lattice.poset.down
     for i in range(n):
         for j in range(n):
-            if i == j or not algebra.leq_of(i, j):
-                continue
-            # covering pairs only
-            if any(
-                algebra.leq_of(i, k) and algebra.leq_of(k, j) and k not in (i, j)
-                for k in range(n)
-            ):
-                continue
-            lines.append(f"  e{i} -> e{j};")
+            # j covers i exactly when the interval from i to j is {i, j}
+            if i != j and up[i] & down[j] == 1 << i | 1 << j:
+                lines.append(f"  e{i} -> e{j};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -95,13 +95,15 @@ def _parse_algebra(entry: dict, where: str, doc: Document) -> None:
 
     if "ref" in entry:
         ref = entry["ref"]
+        if not isinstance(ref, str):
+            raise ParseError(f"{where}: ref must be an algebra name")
         if ref not in doc.algebras:
             raise ValidationError(f"{where}: ref {ref!r} is not defined yet")
         doc.algebras[name] = doc.algebras[ref]
         doc.labels[name] = doc.labels[ref]
     elif "powerset" in entry:
         n = entry["powerset"]
-        if not isinstance(n, int) or n < 0:
+        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
             raise ParseError(f"{where}: powerset must be a nonnegative integer")
         try:
             doc.algebras[name] = powerset_algebra(n)
@@ -120,6 +122,9 @@ def _parse_algebra(entry: dict, where: str, doc: Document) -> None:
         if len(set(carrier)) != len(carrier):
             raise ValidationError(f"{where}: carrier labels must be unique")
         index = {label: i for i, label in enumerate(carrier)}
+        for key in ("leq", "complement"):
+            if not isinstance(entry.get(key, []), list):
+                raise ParseError(f"{where}: {key} must be a list of label pairs")
 
         def resolve(pair, what):
             if isinstance(pair, list) and len(pair) == 2:
@@ -164,8 +169,10 @@ def _parse_hom(entry: dict, where: str, doc: Document) -> None:
     if name in doc.homs:
         raise ValidationError(f"{where}: duplicate hom name {name!r}")
     for key in ("source", "target"):
-        if entry.get(key) not in doc.algebras:
-            raise ValidationError(f"{where}: {key} {entry.get(key)!r} is not defined")
+        if not isinstance(entry.get(key), str):
+            raise ParseError(f"{where}: {key} must be an algebra name")
+        if entry[key] not in doc.algebras:
+            raise ValidationError(f"{where}: {key} {entry[key]!r} is not defined")
     src_name, dst_name = entry["source"], entry["target"]
     src, dst = doc.algebras[src_name], doc.algebras[dst_name]
     src_labels, dst_labels = doc.labels[src_name], doc.labels[dst_name]
@@ -235,6 +242,9 @@ def parse_document(text: str) -> Document:
     unknown = set(data) - {"algebras", "homs"}
     if unknown:
         raise ParseError(f"unknown top-level keys: {sorted(unknown)}")
+    for key in ("algebras", "homs"):
+        if not isinstance(data.get(key, []), list):
+            raise ParseError(f"{key} must be a list of entries")
     doc = Document(raw=data)
     for idx, entry in enumerate(data.get("algebras", [])):
         _parse_algebra(entry, f"algebras[{idx}]", doc)

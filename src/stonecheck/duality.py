@@ -170,8 +170,10 @@ def compose_continuous(outer: ContinuousMap, inner: ContinuousMap) -> Continuous
 
 
 def phi(algebra: FinBoolAlg, a: int) -> frozenset[UltraFilter]:
-    """The set of ultrafilters containing a (the Stone embedding of a)."""
-    return frozenset(u for u in ultrafilters(algebra) if a in u.members)
+    """The set of ultrafilters containing a (the Stone embedding of a), read
+    off ``phi_mask``."""
+    mask = phi_mask(algebra, a)
+    return frozenset(u for k, u in enumerate(ultrafilters(algebra)) if mask >> k & 1)
 
 
 @cache
@@ -284,24 +286,25 @@ def stone_representation(algebra: FinBoolAlg) -> RepresentationWitness:
 def hat_phi(algebra: FinBoolAlg, subset: frozenset[UltraFilter]) -> frozenset[UltraFilter]:
     """Double-dual embedding: ultrafilters of P(Uf(B)) whose members include the set.
 
-    Computed literally over ultrafilter-of-powerset objects: the given set of
-    ultrafilters is located as an element of the powerset algebra over the
-    canonical ultrafilter order, and membership is tested in each ultrafilter
-    of that algebra.
+    The given set of ultrafilters is located as an element of the powerset
+    algebra over the canonical ultrafilter order, and the points are read
+    off ``hat_phi_table``.
     """
     ufs = ultrafilters(algebra)
-    mask = 0
-    for u in subset:
-        mask |= 1 << ufs.index(u)
+    points = hat_phi_table(algebra)[sum(1 << ufs.index(u) for u in subset)]
     return frozenset(
         nabla
-        for nabla in ultrafilters(powerset_algebra(len(ufs)))
-        if mask in nabla.members
+        for k, nabla in enumerate(ultrafilters(powerset_algebra(len(ufs))))
+        if points >> k & 1
     )
 
 
 def hat_phi_point_mask(algebra: FinBoolAlg, subset_mask: int) -> int:
-    """hat_phi with both the input set and the output points as bitmasks."""
+    """hat_phi with both the input set and the output points as bitmasks.
+
+    Computed literally over ultrafilter-of-powerset objects: membership of
+    the subset is tested in each ultrafilter of the powerset algebra.
+    """
     n = len(ultrafilters(algebra))
     return sum(
         1 << k

@@ -84,10 +84,6 @@ class NoClopenPreimage(StonecheckError):
     """A preimage that duality guarantees to be clopen was not found (library bug)."""
 
 
-class CommutationFailure(StonecheckError):
-    """A square that must commute by construction failed to (library bug)."""
-
-
 class InvariantViolation(StonecheckError):
     """An internal certificate failed; this always signals a bug in the library."""
 

@@ -110,10 +110,9 @@ def _assert_complete(lattice: FinLattice) -> None:
     n = lattice.size
     if n > MAX_ISO_SEARCH:
         return
-    leq = lattice.poset.leq
     full = (1 << n) - 1
-    not_above = [full ^ sum(1 << x for x in range(n) if leq[m][x]) for m in range(n)]
-    not_below = [full ^ sum(1 << x for x in range(n) if leq[x][j]) for j in range(n)]
+    not_above = [full ^ up for up in lattice.poset.up]
+    not_below = [full ^ down for down in lattice.poset.down]
     meets = bytearray([lattice.top])
     joins = bytearray([lattice.bottom])
     for high in range(n):

@@ -7,6 +7,10 @@ through the compactified ultrafilter spaces (``build_diagram`` /
 and the Stone embedding itself -- ``audit.py`` enforces that statically --
 so their exhaustive agreement on every subset is genuine evidence rather
 than a tautology.
+
+``build_diagram`` only builds the diagram; one check battery
+(``full_hom_instance``) judges it, so a diagram that disagrees with itself
+or with the filter formula becomes a failed check with a witness.
 """
 
 from __future__ import annotations
@@ -41,12 +45,7 @@ from .duality import (
     phi_mask,
     stone_representation,
 )
-from .errors import (
-    BoundExceeded,
-    CommutationFailure,
-    InvariantViolation,
-    NoClopenPreimage,
-)
+from .errors import BoundExceeded, InvariantViolation, NoClopenPreimage
 from .extension import canonical_extension, is_compact, is_dense, sigma_extend
 
 
@@ -128,11 +127,12 @@ def hom_descriptor(h: BoolHom, name: str | None = None) -> dict:
 
 
 def build_diagram(h: BoolHom) -> DiagramBundle:
-    """Construct every arrow of the square and validate that it commutes.
+    """Construct every arrow of the square, without judging it.
 
     The compactified map is computed twice -- once as the certified unique
-    continuous extension, once by the ultrafilter lift formula -- and the two
-    tables must agree, as must the defining square itself.
+    continuous extension, once by the ultrafilter lift formula.  Whether the
+    two tables agree and whether the square commutes is decided by the
+    battery's ``lift_paths_agree`` and ``extension_square_commutes`` checks.
     """
     if h.source.atom_count > MAX_HOM_ATOMS or h.target.atom_count > MAX_HOM_ATOMS:
         raise BoundExceeded(
@@ -148,14 +148,6 @@ def build_diagram(h: BoolHom) -> DiagramBundle:
     candidates = extension_candidates(beta2, composed, beta1.space)
     via_extension = sole_extension(beta2, beta1.space, candidates)
     via_formula = beta_lift(h_star.table, beta2, beta1)
-    if via_extension.table != via_formula.table:
-        raise CommutationFailure(
-            "certified extension and lift formula disagree",
-            (via_extension.table, via_formula.table),
-        )
-    for v in range(len(ufs2)):
-        if via_extension.table[beta2.embed[v]] != beta1.embed[h_star.table[v]]:
-            raise CommutationFailure("extension square does not commute", v)
     bundle = DiagramBundle(
         h, h_star, beta1, beta2, via_extension, (), len(candidates), via_formula.table
     )
@@ -219,232 +211,139 @@ def shrink_failing_hom(h: BoolHom, fails: Callable[[BoolHom], bool]) -> dict:
     }
 
 
-def _main_theorem_checks(h: BoolHom, bundle: DiagramBundle, sigma_table) -> list[CheckResult]:
-    n1 = len(ultrafilters(h.source))
-    checks = []
+def _verdict(name: str, witness: dict | None) -> CheckResult:
+    """A check that passes exactly when it found no witness."""
+    return CheckResult(name, "pass" if witness is None else "fail", witness)
 
-    mismatch = None
-    for a in sorted(range(1 << n1), key=lambda m: (bin(m).count("1"), m)):
-        if sigma_table[a] != bundle.double_dual[a]:
-            mismatch = a
-            break
-    if mismatch is None:
-        checks.append(CheckResult("sigma_equals_double_dual", "pass"))
-    else:
+
+def _first(witnesses):
+    """The first witness of a scan, or None when the scan finds none."""
+    return next(iter(witnesses), None)
+
+
+def _hom_checks(h: BoolHom, bundle: DiagramBundle, sigma_table) -> list[CheckResult]:
+    """The per-homomorphism battery: the main theorem, its corollary, and
+    the compactification facts the diagram rests on."""
+    n1 = len(ultrafilters(h.source))
+    full1 = (1 << n1) - 1
+    full2 = (1 << len(ultrafilters(h.target))) - 1
+    double_dual = bundle.double_dual
+    h_star, h_star_beta, beta1, beta2 = (
+        bundle.h_star, bundle.h_star_beta, bundle.beta1, bundle.beta2
+    )
+
+    mismatch = _first(
+        a
+        for a in sorted(range(1 << n1), key=lambda m: (bin(m).count("1"), m))
+        if sigma_table[a] != double_dual[a]
+    )
+    sigma_witness = None
+    if mismatch is not None:
 
         def still_fails(candidate: BoolHom) -> bool:
             cb = build_diagram(candidate)
             ct = sigma_extend(candidate).table
             return any(ct[m] != cb.double_dual[m] for m in range(len(ct)))
 
-        checks.append(
-            CheckResult(
-                "sigma_equals_double_dual",
-                "fail",
-                {
-                    "subset_mask": mismatch,
-                    "sigma": sigma_table[mismatch],
-                    "double_dual": bundle.double_dual[mismatch],
-                    "shrunk": shrink_failing_hom(h, still_fails),
-                },
-            )
-        )
+        sigma_witness = {
+            "subset_mask": mismatch,
+            "sigma": sigma_table[mismatch],
+            "double_dual": double_dual[mismatch],
+            "shrunk": shrink_failing_hom(h, still_fails),
+        }
 
-    element_witness = next(
-        (
-            a
-            for a in range(h.source.size)
-            if bundle.double_dual[phi_mask(h.source, a)] != phi_mask(h.target, h.table[a])
-        ),
-        None,
+    element = _first(
+        {"element": a}
+        for a in range(h.source.size)
+        if double_dual[phi_mask(h.source, a)] != phi_mask(h.target, h.table[a])
     )
-    checks.append(
-        CheckResult(
-            "embedded_elements_preserved",
-            "pass" if element_witness is None else "fail",
-            None if element_witness is None else {"element": element_witness},
-        )
+    remark = _first(
+        {"subset_mask": a, "point": d}
+        for a, upstairs in enumerate(hat_phi_table(h.source))
+        for d, img in enumerate(h_star_beta.table)
+        if bool(upstairs >> img & 1) != (a in beta1.points_as_ultrafilters[img].members)
     )
 
-    remark_witness = None
-    for a, upstairs in enumerate(hat_phi_table(h.source)):
-        for d, img in enumerate(bundle.h_star_beta.table):
-            lhs = bool(upstairs >> img & 1)
-            rhs = a in bundle.beta1.points_as_ultrafilters[img].members
-            if lhs != rhs and remark_witness is None:
-                remark_witness = {"subset_mask": a, "point": d}
-    checks.append(
-        CheckResult(
-            "preimage_membership_equivalence",
-            "pass" if remark_witness is None else "fail",
-            remark_witness,
-        )
-    )
-    return checks
-
-
-def _corollary_checks(h: BoolHom, sigma_table) -> list[CheckResult]:
-    n1 = len(ultrafilters(h.source))
-    n2 = len(ultrafilters(h.target))
-    full1 = (1 << n1) - 1
-    full2 = (1 << n2) - 1
-    checks = []
-
-    hom_witness = None
-    if sigma_table[0] != 0 or sigma_table[full1] != full2:
-        hom_witness = {"law": "bounds"}
+    hom_law = {"law": "bounds"} if sigma_table[0] != 0 or sigma_table[full1] != full2 else None
     for a in range(1 << n1):
         for b in range(1 << n1):
             if sigma_table[a & b] != sigma_table[a] & sigma_table[b]:
-                hom_witness = hom_witness or {"law": "meet", "pair": [a, b]}
+                hom_law = hom_law or {"law": "meet", "pair": [a, b]}
             if sigma_table[a | b] != sigma_table[a] | sigma_table[b]:
-                hom_witness = hom_witness or {"law": "join", "pair": [a, b]}
+                hom_law = hom_law or {"law": "join", "pair": [a, b]}
         if sigma_table[full1 ^ a] != full2 ^ sigma_table[a]:
-            hom_witness = hom_witness or {"law": "complement", "element": a}
-    checks.append(
-        CheckResult(
-            "sigma_is_boolean_hom",
-            "pass" if hom_witness is None else "fail",
-            hom_witness,
+            hom_law = hom_law or {"law": "complement", "element": a}
+
+    h_inj, h_surj = h.is_injective, h.is_surjective
+    sigma_inj = len(set(sigma_table)) == len(sigma_table)
+    sigma_surj = set(sigma_table) == set(range(full2 + 1))
+    iso_ok = sigma_inj and sigma_surj
+    if iso_ok:
+        inverse = [0] * (full2 + 1)
+        for a, b in enumerate(sigma_table):
+            inverse[b] = a
+        iso_ok = all(
+            inverse[x & y] == inverse[x] & inverse[y]
+            for x in range(full2 + 1)
+            for y in range(full2 + 1)
         )
+
+    def unless(law_holds: bool) -> dict | None:
+        return None if law_holds else {"table": list(sigma_table)}
+
+    square = _first(
+        {"point": v}
+        for v in range(beta2.base.size)
+        if h_star_beta.table[beta2.embed[v]] != beta1.embed[h_star.table[v]]
+    )
+    lemma = _first(
+        {"point": d, "member_mask": a}
+        for d, nabla in enumerate(beta2.points_as_ultrafilters)
+        for a in nabla.members
+        if _forward_image(a, h_star.table)
+        not in beta1.points_as_ultrafilters[h_star_beta.table[d]].members
     )
 
-    inj = h.is_injective
-    inj_ok = (not inj) or len(set(sigma_table)) == len(sigma_table)
-    checks.append(
-        CheckResult(
-            "sigma_injective_when_injective",
-            "pass" if inj_ok else "fail",
-            None if inj_ok else {"table": list(sigma_table)},
-        )
-    )
-
-    surj = h.is_surjective
-    surj_ok = (not surj) or set(sigma_table) == set(range(1 << n2))
-    checks.append(
-        CheckResult(
-            "sigma_surjective_when_surjective",
-            "pass" if surj_ok else "fail",
-            None if surj_ok else {"table": list(sigma_table)},
-        )
-    )
-
-    iso = inj and surj
-    iso_ok = True
-    if iso:
-        iso_ok = len(set(sigma_table)) == 1 << n1 and set(sigma_table) == set(
-            range(1 << n2)
-        )
-        if iso_ok:
-            inverse = [0] * (1 << n2)
-            for a, b in enumerate(sigma_table):
-                inverse[b] = a
-            for x in range(1 << n2):
-                for y in range(1 << n2):
-                    if inverse[x & y] != inverse[x] & inverse[y]:
-                        iso_ok = False
-    checks.append(
-        CheckResult(
-            "sigma_isomorphism_when_isomorphism",
-            "pass" if iso_ok else "fail",
-            None if iso_ok else {"table": list(sigma_table)},
-        )
-    )
-    return checks
-
-
-def _beta_checks(h: BoolHom, bundle: DiagramBundle) -> list[CheckResult]:
-    checks = []
-    count = bundle.candidate_count
-    checks.append(
-        CheckResult(
-            "unique_continuous_extension",
-            "pass" if count == 1 else "fail",
-            None if count == 1 else {"candidates": count},
-        )
-    )
-
-    square_witness = next(
-        (
-            v
-            for v in range(bundle.beta2.base.size)
-            if bundle.h_star_beta.table[bundle.beta2.embed[v]]
-            != bundle.beta1.embed[bundle.h_star.table[v]]
+    return [
+        _verdict("sigma_equals_double_dual", sigma_witness),
+        _verdict("embedded_elements_preserved", element),
+        _verdict("preimage_membership_equivalence", remark),
+        _verdict("sigma_is_boolean_hom", hom_law),
+        _verdict("sigma_injective_when_injective", unless(not h_inj or sigma_inj)),
+        _verdict("sigma_surjective_when_surjective", unless(not h_surj or sigma_surj)),
+        _verdict(
+            "sigma_isomorphism_when_isomorphism", unless(not (h_inj and h_surj) or iso_ok)
         ),
-        None,
-    )
-    checks.append(
-        CheckResult(
-            "extension_square_commutes",
-            "pass" if square_witness is None else "fail",
-            None if square_witness is None else {"point": square_witness},
-        )
-    )
-
-    agree = bundle.lift == bundle.h_star_beta.table
-    checks.append(
-        CheckResult(
+        _verdict(
+            "unique_continuous_extension",
+            None if bundle.candidate_count == 1 else {"candidates": bundle.candidate_count},
+        ),
+        _verdict("extension_square_commutes", square),
+        _verdict(
             "lift_paths_agree",
-            "pass" if agree else "fail",
-            None if agree else {"lift": list(bundle.lift), "extension": list(bundle.h_star_beta.table)},
-        )
-    )
-
-    lemma_witness = None
-    for d, nabla in enumerate(bundle.beta2.points_as_ultrafilters):
-        image_point = bundle.beta1.points_as_ultrafilters[bundle.h_star_beta.table[d]]
-        for a in nabla.members:
-            forward = 0
-            for x in range(bundle.beta2.base.size):
-                if a >> x & 1:
-                    forward |= 1 << bundle.h_star.table[x]
-            if forward not in image_point.members and lemma_witness is None:
-                lemma_witness = {"point": d, "member_mask": a}
-    checks.append(
-        CheckResult(
-            "forward_image_in_lifted_ultrafilter",
-            "pass" if lemma_witness is None else "fail",
-            lemma_witness,
-        )
-    )
-    return checks
+            None
+            if bundle.lift == h_star_beta.table
+            else {"lift": list(bundle.lift), "extension": list(h_star_beta.table)},
+        ),
+        _verdict("forward_image_in_lifted_ultrafilter", lemma),
+    ]
 
 
-def verify_main_theorem(h: BoolHom, name: str | None = None) -> VerificationReport:
-    """Compare the filter-formula extension against the diagram chase on
-    every subset of the source ultrafilter space."""
-    start = time.perf_counter()
-    bundle = build_diagram(h)
-    sigma = sigma_extend(h)
-    checks = _main_theorem_checks(h, bundle, sigma.table)
-    inst = InstanceReport(
-        hom_descriptor(h, name), checks, int((time.perf_counter() - start) * 1000)
-    )
-    return VerificationReport([inst])
-
-
-def verify_corollary(h: BoolHom, name: str | None = None) -> VerificationReport:
-    """Check that the extension inherits injectivity, surjectivity, and
-    isomorphy from the homomorphism, and is itself a Boolean homomorphism."""
-    start = time.perf_counter()
-    sigma = sigma_extend(h)
-    checks = _corollary_checks(h, sigma.table)
-    inst = InstanceReport(
-        hom_descriptor(h, name), checks, int((time.perf_counter() - start) * 1000)
-    )
-    return VerificationReport([inst])
+def _forward_image(member_mask: int, table: tuple[int, ...]) -> int:
+    """The image of a point set (bitmask) under a point table."""
+    out = 0
+    for x, v in enumerate(table):
+        if member_mask >> x & 1:
+            out |= 1 << v
+    return out
 
 
 def full_hom_instance(h: BoolHom, name: str | None = None, extra: dict | None = None) -> InstanceReport:
-    """The complete per-homomorphism check battery used by the suite and CLI."""
+    """The per-homomorphism check battery used by the suite and CLI."""
     start = time.perf_counter()
     bundle = build_diagram(h)
     sigma = sigma_extend(h)
-    checks = (
-        _main_theorem_checks(h, bundle, sigma.table)
-        + _corollary_checks(h, sigma.table)
-        + _beta_checks(h, bundle)
-    )
+    checks = _hom_checks(h, bundle, sigma.table)
     descriptor = hom_descriptor(h, name)
     if extra:
         descriptor.update(extra)

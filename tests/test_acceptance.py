@@ -46,7 +46,7 @@ from stonecheck.harness import (
     VerificationReport,
     build_diagram,
     exhaustive_suite,
-    verify_corollary,
+    full_hom_instance,
 )
 
 SAMPLE = Path(__file__).resolve().parents[1] / "src/stonecheck/data/sample_document.json"
@@ -173,7 +173,7 @@ def test_criterion_6_preservation():
                     assert beta_preserves(f, bx, by, prop).passed
         for k1, k2 in itertools.product((1, 2, 3), repeat=2):
             for hom in all_homs(powerset_algebra(k1), powerset_algebra(k2)):
-                assert verify_corollary(hom).all_passed
+                assert full_hom_instance(hom).passed
 
 
 def test_criterion_7_completion_uniqueness():

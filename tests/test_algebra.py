@@ -27,6 +27,7 @@ from stonecheck.algebra import (
     hom_from_atom_function,
     identity_hom,
     monotone_map,
+    order_dual,
     powerset_algebra,
     ultrafilters,
     ultrafilters_bruteforce,
@@ -158,6 +159,37 @@ def test_all_ideals_against_bruteforce_oracle():
 
     one = powerset_algebra(0)
     assert [i.members for i in all_ideals(one.lattice)] == [frozenset({0})]
+
+
+# a three-element chain and the pentagon N5 (0 < 1 < 2 < 4, 0 < 3 < 4)
+CHAIN = [[i <= j for j in range(3)] for i in range(3)]
+PENTAGON = [
+    [i == 0 or j == 4 or i == j or (i, j) == (1, 2) for j in range(5)] for i in range(5)
+]
+
+
+SUBSETS_OF_TWO = [[i & ~j == 0 for j in range(4)] for i in range(4)]
+
+
+@pytest.mark.parametrize(
+    "rows", [CHAIN, PENTAGON, SUBSETS_OF_TWO], ids=["chain", "pentagon", "subsets"]
+)
+def test_order_dual_is_the_validated_reversed_order(rows):
+    lattice = fin_lattice(fin_poset(rows))
+    dual = order_dual(lattice)
+    reversed_rows = [[rows[j][i] for j in range(len(rows))] for i in range(len(rows))]
+    rebuilt = fin_lattice(fin_poset(reversed_rows))
+    assert (dual.poset.leq, dual.poset.up, dual.poset.down) == (
+        rebuilt.poset.leq,
+        rebuilt.poset.up,
+        rebuilt.poset.down,
+    )
+    assert (dual.meet, dual.join, dual.bottom, dual.top) == (
+        rebuilt.meet,
+        rebuilt.join,
+        rebuilt.bottom,
+        rebuilt.top,
+    )
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

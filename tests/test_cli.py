@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from stonecheck.cli import exit_code_for_report, main, report_json
 from stonecheck.harness import CheckResult, InstanceReport, VerificationReport
 
@@ -178,3 +180,28 @@ def test_main_callable_in_process(capsys):
     out = capsys.readouterr().out
     assert "points: 1" in out
     assert "extension size: 2" in out
+
+
+POWERSET_ONE = {"name": "a", "powerset": 1}
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        {"algebras": [POWERSET_ONE], "homs": [{"name": "h", "source": ["a"], "target": "a", "map": []}]},
+        {"algebras": [POWERSET_ONE], "homs": [{"name": "h", "source": "a", "target": ["a"], "map": []}]},
+        {"algebras": [POWERSET_ONE, {"name": "b", "ref": ["a"]}]},
+        {"algebras": 5},
+        {"algebras": [POWERSET_ONE], "homs": 5},
+        {"algebras": [{"name": "a", "powerset": True}]},
+        {"algebras": [{"name": "a", "carrier": ["x"], "leq": 5, "complement": [["x", "x"]]}]},
+    ],
+    ids=["list_source", "list_target", "list_ref", "algebras_int", "homs_int", "bool_powerset", "int_leq"],
+)
+def test_malformed_document_exits_2_without_traceback(tmp_path, document):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(document))
+    proc = run_cli("dual", str(path), "a")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr

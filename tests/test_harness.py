@@ -19,6 +19,7 @@ from stonecheck.duality import phi_mask
 from stonecheck.errors import BoundExceeded
 from stonecheck.extension import sigma_extend
 from stonecheck.harness import (
+    VerificationReport,
     build_diagram,
     double_dual_map,
     exhaustive_suite,
@@ -26,8 +27,6 @@ from stonecheck.harness import (
     full_hom_instance,
     report_jsonable,
     shrink_failing_hom,
-    verify_corollary,
-    verify_main_theorem,
 )
 
 
@@ -84,8 +83,8 @@ def test_diagram_bound():
 
 
 def test_verify_main_theorem_identity():
-    report = verify_main_theorem(identity_hom(powerset_algebra(2)))
-    assert report.all_passed
+    inst = full_hom_instance(identity_hom(powerset_algebra(2)))
+    assert inst.passed
 
 
 @pytest.mark.parametrize("k1, k2", list(itertools.product([1, 2, 3], repeat=2)))
@@ -109,8 +108,7 @@ def test_verify_corollary_injective_case():
     two, four = powerset_algebra(1), powerset_algebra(2)
     embed = hom_from_atom_function(two, four, (0, 0))
     assert embed.is_injective
-    report = verify_corollary(embed)
-    assert report.all_passed
+    assert full_hom_instance(embed).passed
     sigma = sigma_extend(embed)
     assert len(set(sigma.table)) == len(sigma.table)
 
@@ -119,8 +117,7 @@ def test_verify_corollary_surjective_case():
     four, two = powerset_algebra(2), powerset_algebra(1)
     collapse = hom_from_atom_function(four, two, (0,))
     assert collapse.is_surjective
-    report = verify_corollary(collapse)
-    assert report.all_passed
+    assert full_hom_instance(collapse).passed
     sigma = sigma_extend(collapse)
     assert set(sigma.table) == {0, 1}
 
@@ -128,8 +125,7 @@ def test_verify_corollary_surjective_case():
 def test_verify_corollary_automorphism_case():
     four = powerset_algebra(2)
     swap = hom_from_atom_function(four, four, (1, 0))
-    report = verify_corollary(swap)
-    assert report.all_passed
+    assert full_hom_instance(swap).passed
     sigma = sigma_extend(swap)
     assert sorted(sigma.table) == list(range(4))
 
@@ -187,7 +183,7 @@ def test_sampled_suite_is_deterministic():
 
 
 def test_report_serialization_zeroes_timing():
-    report = verify_main_theorem(identity_hom(powerset_algebra(1)))
+    report = VerificationReport([full_hom_instance(identity_hom(powerset_algebra(1)))])
     payload = report_jsonable(report)
     assert all(inst["timing_ms"] == 0 for inst in payload)
 

@@ -1,9 +1,11 @@
 """Command-line front end: ingest documents, run constructions, export reports.
 
 Exit codes: 0 on success, 1 when a verification records a counterexample,
-2 on usage or validation errors.  All outputs are deterministic -- sorted
-keys, fixed orderings, zeroed timings -- so consecutive runs on the same
-inputs are byte-identical.
+2 on usage or validation errors, 3 on an internal error: a ``LibraryBug``
+(``InvariantViolation``, ``NoClopenPreimage``, ``NoExtension``), which only
+a bug in this package raises, never bad input.  All outputs are
+deterministic -- sorted keys, fixed orderings, zeroed timings -- so
+consecutive runs on the same inputs are byte-identical.
 """
 
 from __future__ import annotations
@@ -17,27 +19,56 @@ from . import __version__
 from .algebra import ultrafilters
 from .documents import Document, document_digest, parse_document
 from .duality import dual_space, phi_mask
-from .errors import StonecheckError
+from .errors import LibraryBug, StonecheckError
 from .extension import canonical_extension, is_compact, is_dense
 from .harness import (
     VerificationReport,
     build_diagram,
     exhaustive_suite,
     full_hom_instance,
-    report_jsonable,
 )
 
 SCHEMA_VERSION = 1
 
 
+def _indented(value) -> str:
+    """``value`` as sorted, 2-space-indented JSON nested at instance-key depth."""
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n      ")
+
+
 def report_json(report: VerificationReport, input_digest: str) -> str:
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "tool_version": __version__,
-        "input_digest": input_digest,
-        "instances": report_jsonable(report),
-    }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """The report file: the same bytes as ``json.dumps(payload,
+    sort_keys=True, indent=2) + "\\n"`` over the schema envelope and
+    ``report_jsonable(report)``.
+
+    The text is composed from ``json.dumps`` pieces instead, so that each
+    distinct ``checks`` list (by identity: repeated sampled draws share
+    one) is encoded once.  The splice is exact because ``json.dumps``
+    escapes every newline inside a string, so every literal newline in a
+    piece is structural and re-indenting a piece is a plain replace.
+    """
+    checks_text: dict[int, str] = {}
+    instances = []
+    for inst in report.instances:
+        checks = checks_text.get(id(inst.checks))
+        if checks is None:
+            checks = checks_text[id(inst.checks)] = _indented([c.as_row() for c in inst.checks])
+        instances.append(
+            "    {\n"
+            f'      "checks": {checks},\n'
+            f'      "descriptor": {_indented(inst.descriptor)},\n'
+            '      "timing_ms": 0\n'
+            "    }"
+        )
+    listing = "[\n" + ",\n".join(instances) + "\n  ]" if instances else "[]"
+    return (
+        "{\n"
+        f'  "input_digest": {json.dumps(input_digest)},\n'
+        f'  "instances": {listing},\n'
+        f'  "schema_version": {json.dumps(SCHEMA_VERSION)},\n'
+        f'  "tool_version": {json.dumps(__version__)}\n'
+        "}\n"
+    )
 
 
 def exit_code_for_report(report: VerificationReport) -> int:
@@ -175,8 +206,12 @@ def _cmd_verify(args) -> int:
             raise UsageError("--all cannot be combined with a named homomorphism")
         if args.max_atoms is None:
             raise UsageError("--all requires --max-atoms")
+        if args.max_atoms < 1:
+            raise UsageError("--max-atoms must be at least 1")
         if (args.seed is None) != (args.count is None):
             raise UsageError("--seed and --count must be given together")
+        if args.count is not None and args.count < 1:
+            raise UsageError("--count must be at least 1")
         sample = None if args.seed is None else (args.seed, args.count)
         digest_text = (
             f"all:max_atoms={args.max_atoms}:seed={args.seed}:count={args.count}"
@@ -269,6 +304,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    except LibraryBug as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     except StonecheckError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

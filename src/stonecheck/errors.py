@@ -76,15 +76,19 @@ class EmptySpace(StonecheckError):
     """The construction requires a nonempty point set."""
 
 
-class NoExtension(StonecheckError):
+class LibraryBug(StonecheckError):
+    """Raised only by a bug in this package, never by bad input (CLI exit 3)."""
+
+
+class NoExtension(LibraryBug):
     """No continuous extension satisfies the required equation (library bug)."""
 
 
-class NoClopenPreimage(StonecheckError):
+class NoClopenPreimage(LibraryBug):
     """A preimage that duality guarantees to be clopen was not found (library bug)."""
 
 
-class InvariantViolation(StonecheckError):
+class InvariantViolation(LibraryBug):
     """An internal certificate failed; this always signals a bug in the library."""
 
 

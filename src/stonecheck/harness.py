@@ -74,6 +74,13 @@ class CheckResult:
     verdict: str  # "pass" | "fail" | "info"
     witness: dict | None = None
 
+    def as_row(self) -> dict:
+        """The check as report data: name and verdict, plus the witness if any."""
+        row: dict = {"name": self.name, "verdict": self.verdict}
+        if self.witness is not None:
+            row["witness"] = self.witness
+        return row
+
 
 @dataclass
 class InstanceReport:
@@ -102,16 +109,14 @@ def report_jsonable(report: VerificationReport) -> list[dict]:
     """Instances as plain data.  timing_ms is serialized as 0 so that report
     files are byte-identical across runs; wall-clock values stay on the
     in-memory objects."""
-    out = []
-    for inst in report.instances:
-        checks = []
-        for c in inst.checks:
-            entry: dict = {"name": c.name, "verdict": c.verdict}
-            if c.witness is not None:
-                entry["witness"] = c.witness
-            checks.append(entry)
-        out.append({"descriptor": inst.descriptor, "checks": checks, "timing_ms": 0})
-    return out
+    return [
+        {
+            "descriptor": inst.descriptor,
+            "checks": [c.as_row() for c in inst.checks],
+            "timing_ms": 0,
+        }
+        for inst in report.instances
+    ]
 
 
 def hom_descriptor(h: BoolHom, name: str | None = None) -> dict:
@@ -436,6 +441,14 @@ def exhaustive_suite(
     ``max_atoms`` atoms and every homomorphism between them; sampled mode
     draws ``count`` atom functions from a seeded generator.  Output is
     deterministic given the same arguments.
+
+    A sampled draw that repeats an earlier one (same source size and atom
+    function) reuses the verdicts of its first draw: its instance shares
+    that draw's ``checks`` list and copies its descriptor, with its own
+    ``sample_index`` and ``timing_ms`` 0.  The battery is a function of the
+    homomorphism alone, so every distinct homomorphism still gets every
+    check.  The memo is local to the call, so a patched fault is seen and
+    nothing outlives the run.
     """
     report = VerificationReport()
     for k in range(1, max_atoms + 1):
@@ -452,11 +465,17 @@ def exhaustive_suite(
     else:
         seed, count = sample
         rng = random.Random(seed)
+        first_draws: dict[tuple[int, tuple[int, ...]], InstanceReport] = {}
         for i in range(count):
             k1 = rng.randint(1, max_atoms)
             k2 = rng.randint(1, max_atoms)
             g = tuple(rng.randrange(k1) for _ in range(k2))
-            h = hom_from_atom_function(powerset_algebra(k1), powerset_algebra(k2), g)
-            report.instances.append(full_hom_instance(h, extra={"sample_index": i}))
+            first = first_draws.get((k1, g))
+            if first is None:
+                h = hom_from_atom_function(powerset_algebra(k1), powerset_algebra(k2), g)
+                instance = first_draws[k1, g] = full_hom_instance(h, extra={"sample_index": i})
+            else:
+                instance = InstanceReport(dict(first.descriptor, sample_index=i), first.checks)
+            report.instances.append(instance)
     report.sort()
     return report

@@ -15,7 +15,12 @@ from pathlib import Path
 import stonecheck.harness as harness
 from stonecheck.algebra import hom_from_atom_function, powerset_algebra
 from stonecheck.cli import main
-from stonecheck.harness import VerificationReport, full_hom_instance, report_jsonable
+from stonecheck.harness import (
+    VerificationReport,
+    exhaustive_suite,
+    full_hom_instance,
+    report_jsonable,
+)
 
 SAMPLE = Path(__file__).resolve().parents[1] / "src/stonecheck/data/sample_document.json"
 
@@ -155,3 +160,37 @@ def test_disagreeing_lift_is_a_failed_check_not_an_error(monkeypatch, capsys):
     assert [name for name, verdict in checks.items() if verdict == "fail"] == [
         "lift_paths_agree"
     ]
+
+
+def test_fault_shows_on_every_repeated_draw_of_the_faulty_hom(monkeypatch):
+    # the shifted lift is wrong exactly when the source has two atoms
+    real_build = harness.build_diagram
+    monkeypatch.setattr(harness, "build_diagram", lambda h: _wrong_lift(real_build(h)))
+    draws = {}
+    for inst in exhaustive_suite(2, (5, 300)).instances:
+        d = inst.descriptor
+        if d["kind"] == "hom":
+            draws.setdefault((d["source_atoms"], tuple(d["atom_function"])), []).append(inst)
+    faulty = {key: insts for key, insts in draws.items() if key[0] == 2}
+    assert faulty and all(len(insts) > 1 for insts in faulty.values())
+    for (k1, g), insts in faulty.items():
+        h = hom_from_atom_function(powerset_algebra(k1), powerset_algebra(len(g)), g)
+        expected = full_hom_instance(h).checks
+        assert [c.name for c in expected if c.verdict == "fail"] == ["lift_paths_agree"]
+        for inst in insts:
+            assert inst.checks == expected
+    assert all(inst.passed for key, insts in draws.items() if key[0] == 1 for inst in insts)
+
+
+def test_failing_sampled_report_file_is_pinned(monkeypatch, tmp_path, capsys):
+    real_sigma = harness.sigma_extend
+    monkeypatch.setattr(harness, "sigma_extend", lambda h: _wrong_sigma(real_sigma(h)))
+    out = tmp_path / "report.json"
+    argv = ["verify", "--all", "--max-atoms", "3", "--seed", "5", "--count", "40"]
+    assert main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().out == "43 instances, 449 checks: COUNTEREXAMPLE FOUND\n"
+    assert '"shrunk": {' in out.read_text()
+    # pinned from the report file written before sampled draws shared verdicts
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "190cc4886358fc84029aa5df295032301ad03a0763ce6501dbaa11593b85f093"
+    )

@@ -1,14 +1,25 @@
 """Command-line interface: listings, reports, DOT output, exit codes."""
 
+import hashlib
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stonecheck.cli import exit_code_for_report, main, report_json
-from stonecheck.harness import CheckResult, InstanceReport, VerificationReport
+import stonecheck.harness as harness
+from stonecheck import __version__
+from stonecheck.cli import SCHEMA_VERSION, exit_code_for_report, main, report_json
+from stonecheck.errors import InvariantViolation, NoClopenPreimage, NoExtension
+from stonecheck.harness import (
+    CheckResult,
+    InstanceReport,
+    VerificationReport,
+    report_jsonable,
+)
 
 SAMPLE = Path(__file__).resolve().parents[1] / "src/stonecheck/data/sample_document.json"
 GOLDEN_DIR = Path(__file__).resolve().parent / "data"
@@ -106,6 +117,94 @@ def test_verify_usage_errors_exit_2():
     assert run_cli("verify").returncode == 2
     assert run_cli("verify", str(SAMPLE)).returncode == 2
     assert run_cli("frobnicate").returncode == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--max-atoms", "0"),
+        ("--max-atoms", "-1"),
+        ("--max-atoms", "0", "--seed", "1", "--count", "5"),
+        ("--max-atoms", "2", "--seed", "1", "--count", "0"),
+        ("--max-atoms", "2", "--seed", "1", "--count", "-3"),
+    ],
+    ids=["max_atoms_0", "max_atoms_negative", "sampled_max_atoms_0", "count_0", "count_negative"],
+)
+def test_verify_all_out_of_range_exits_2(args):
+    proc = run_cli("verify", "--all", *args)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("usage error: ")
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("error", [InvariantViolation, NoClopenPreimage, NoExtension])
+def test_library_bug_exits_3_without_traceback(monkeypatch, capsys, error):
+    def broken(*args):
+        raise error("seeded library bug")
+
+    monkeypatch.setattr(harness, "sole_extension", broken)
+    assert main(["verify", str(SAMPLE), "identity_four"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: seeded library bug\n"
+
+
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (
+            ("--max-atoms", "3"),
+            "f5859ada234ffac3d5ddd444bd87e9ead59399f153da2f6cb4fb256cc4c91041",
+        ),
+        (
+            ("--max-atoms", "2", "--seed", "5", "--count", "300"),
+            "17a88da7ca72265854910f08d4ccee53bd27b0e0eb62573a7b6bcfe123d53755",
+        ),
+    ],
+    ids=["exhaustive_3", "sampled_2"],
+)
+def test_verify_all_report_file_is_pinned(tmp_path, args, digest):
+    # pinned from report files written by json.dumps of the whole payload
+    out = tmp_path / "report.json"
+    assert run_cli("verify", "--all", *args, "--out", str(out)).returncode == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+_TEXT = st.text(alphabet=st.sampled_from('ab \n"\\/\t\u00e9\u2203\U0001d54a'), max_size=6)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | _TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_TEXT, inner, max_size=3),
+    max_leaves=8,
+)
+_CHECK = st.builds(
+    CheckResult,
+    _TEXT,
+    st.sampled_from(["pass", "fail", "info"]),
+    st.none() | st.dictionaries(_TEXT, _JSON, max_size=3),
+)
+
+
+@st.composite
+def _reports(draw):
+    """Reports whose instances share check lists, as repeated sampled draws do."""
+    pool = draw(st.lists(st.lists(_CHECK, max_size=3), min_size=1, max_size=3))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=5))
+    descriptors = st.dictionaries(_TEXT, _JSON, max_size=3)
+    return VerificationReport(
+        [InstanceReport(draw(descriptors), pool[k], draw(st.integers(0, 9))) for k in picks]
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(_reports(), _TEXT)
+def test_report_json_matches_whole_payload_encoding(report, digest):
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        "tool_version": __version__,
+        "input_digest": digest,
+        "instances": report_jsonable(report),
+    }
+    assert report_json(report, digest) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def test_verify_sampled_mode_is_deterministic(tmp_path):

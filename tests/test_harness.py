@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+import stonecheck.harness as harness
 from stonecheck.algebra import (
     all_homs,
     hom_from_atom_function,
@@ -180,6 +181,39 @@ def test_sampled_suite_is_deterministic():
     assert json.dumps(report_jsonable(a)) == json.dumps(report_jsonable(b))
     c = exhaustive_suite(3, sample=(43, 10))
     assert json.dumps(report_jsonable(a)) != json.dumps(report_jsonable(c))
+
+
+def test_sampled_suite_runs_the_battery_once_per_distinct_hom(monkeypatch):
+    calls = {"build_diagram": 0, "sigma_extend": 0}
+
+    def counted(name):
+        real = getattr(harness, name)
+
+        def wrapper(h):
+            calls[name] += 1
+            return real(h)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(harness, name, counted(name))
+    report = exhaustive_suite(2, (5, 300))
+    homs = [i for i in report.instances if i.descriptor["kind"] == "hom"]
+    assert len(homs) == 300
+    first_draw = {}
+    for inst in sorted(homs, key=lambda i: i.descriptor["sample_index"]):
+        d = inst.descriptor
+        key = (d["source_atoms"], tuple(d["atom_function"]))
+        first = first_draw.setdefault(key, inst)
+        assert inst.checks is first.checks
+        assert {k: v for k, v in d.items() if k != "sample_index"} == {
+            k: v for k, v in first.descriptor.items() if k != "sample_index"
+        }
+        if inst is not first:
+            assert inst.timing_ms == 0
+    assert len(first_draw) < 300
+    assert calls == {"build_diagram": len(first_draw), "sigma_extend": len(first_draw)}
+    assert sorted(i.descriptor["sample_index"] for i in homs) == list(range(300))
 
 
 def test_report_serialization_zeroes_timing():

@@ -13,10 +13,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import __version__
-from .algebra import ultrafilters
+from .algebra import MAX_HOM_ATOMS, ultrafilters
 from .documents import Document, document_digest, parse_document
 from .duality import dual_space, phi_mask
 from .errors import LibraryBug, StonecheckError
@@ -31,9 +32,33 @@ from .harness import (
 SCHEMA_VERSION = 1
 
 
-def _indented(value) -> str:
-    """``value`` as sorted, 2-space-indented JSON nested at instance-key depth."""
-    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n      ")
+def _indented(value, depth: int = 6) -> str:
+    """``value`` as sorted, 2-space-indented JSON nested ``depth`` spaces
+    deep (by default at instance-key depth)."""
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + " " * depth)
+
+
+def _descriptor_text(descriptor: dict) -> str:
+    """``_indented(descriptor)``, composed directly when every key is a
+    string and every value an int, a string or a list of ints, as in every
+    descriptor the harness makes; any other descriptor goes to ``json.dumps``.
+    """
+    lines = []
+    for key, value in sorted(descriptor.items()):
+        if type(key) is not str:
+            return _indented(descriptor)
+        if type(value) is int:
+            text = str(value)
+        elif type(value) is str:
+            text = encode_basestring_ascii(value)
+        elif type(value) is list and all(type(v) is int for v in value):
+            items = ",\n          ".join(map(str, value))
+            text = f"[\n          {items}\n        ]" if value else "[]"
+        else:
+            return _indented(descriptor)
+        lines.append(f"        {encode_basestring_ascii(key)}: {text}")
+    body = ",\n".join(lines)
+    return f"{{\n{body}\n      }}" if lines else "{}"
 
 
 def report_json(report: VerificationReport, input_digest: str) -> str:
@@ -43,20 +68,38 @@ def report_json(report: VerificationReport, input_digest: str) -> str:
 
     The text is composed from ``json.dumps`` pieces instead, so that each
     distinct ``checks`` list (by identity: repeated sampled draws share
-    one) is encoded once.  The splice is exact because ``json.dumps``
-    escapes every newline inside a string, so every literal newline in a
-    piece is structural and re-indenting a piece is a plain replace.
+    one) is encoded once, each witness-free check row, which is the same
+    text wherever its name and verdict recur, is encoded once per report,
+    and descriptors are written without the pure-Python ``indent`` encoder
+    where their shape allows (``_descriptor_text``).  The splice is exact
+    because ``json.dumps`` escapes every newline inside a string, so every
+    literal newline in a piece is structural and re-indenting a piece is a
+    plain replace.
     """
     checks_text: dict[int, str] = {}
+    rows_text: dict[tuple[str, str], str] = {}
+
+    def row_text(check) -> str:
+        if check.witness is not None:
+            return _indented(check.as_row(), 8)
+        key = (check.name, check.verdict)
+        text = rows_text.get(key)
+        if text is None:
+            text = rows_text[key] = _indented(check.as_row(), 8)
+        return text
+
     instances = []
     for inst in report.instances:
         checks = checks_text.get(id(inst.checks))
         if checks is None:
-            checks = checks_text[id(inst.checks)] = _indented([c.as_row() for c in inst.checks])
+            rows = ",\n        ".join([row_text(c) for c in inst.checks])
+            checks = checks_text[id(inst.checks)] = (
+                f"[\n        {rows}\n      ]" if inst.checks else "[]"
+            )
         instances.append(
             "    {\n"
             f'      "checks": {checks},\n'
-            f'      "descriptor": {_indented(inst.descriptor)},\n'
+            f'      "descriptor": {_descriptor_text(inst.descriptor)},\n'
             '      "timing_ms": 0\n'
             "    }"
         )
@@ -206,8 +249,8 @@ def _cmd_verify(args) -> int:
             raise UsageError("--all cannot be combined with a named homomorphism")
         if args.max_atoms is None:
             raise UsageError("--all requires --max-atoms")
-        if args.max_atoms < 1:
-            raise UsageError("--max-atoms must be at least 1")
+        if not 1 <= args.max_atoms <= MAX_HOM_ATOMS:
+            raise UsageError(f"--max-atoms must be between 1 and {MAX_HOM_ATOMS}")
         if (args.seed is None) != (args.count is None):
             raise UsageError("--seed and --count must be given together")
         if args.count is not None and args.count < 1:

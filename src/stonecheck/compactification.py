@@ -13,6 +13,11 @@ with the values the embedding forces) and the direct ultrafilter formula
 properties the test suite verifies.  One search, ``_forced_tables``, serves
 both the extension certificate and the compactification order; the caps
 still bound the nominal table space ``target.size ** space.size``.
+
+Both flavours work a table at a time: each candidate's continuity and the
+lift's image sets read one preimage table of the point map
+(``duality._preimage_table``) instead of summing a preimage per open set or
+per ultrafilter, and the target space is validated once per space.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from .algebra import FinBoolAlg, UltraFilter, powerset_algebra, ultrafilters
 from .duality import (
     ContinuousMap,
     FinStoneSpace,
+    _preimage_table,
     closure_mask,
     continuous_map,
     discrete_space,
@@ -163,10 +169,8 @@ def _forced_tables(
     for values in itertools.product(range(target.size), repeat=len(free)):
         for s, v in zip(free, values):
             table[s] = v
-        if all(
-            sum(1 << s for s, v in enumerate(table) if o >> v & 1) in source_opens
-            for o in target_opens
-        ):
+        pre = _preimage_table(table, target.size)
+        if all(pre[o] in source_opens for o in target_opens):
             yield tuple(table)
 
 
@@ -209,20 +213,19 @@ def beta_lift(f: Sequence[int], bx: BetaSpace, by: BetaSpace) -> ContinuousMap:
     """Lift a map between discrete point sets via the ultrafilter formula.
 
     The image of an ultrafilter U is {B : preimage of B under f lies in U},
-    located among the points of the target compactification.
+    located among the points of the target compactification.  The preimage
+    of every B is read from one table.
     """
     ft = tuple(int(x) for x in f)
     if len(ft) != bx.base.size or any(not 0 <= v < by.base.size for v in ft):
         raise ValueError("map must send base points into the target base")
     ny = by.base.size
     index = {u.members: k for k, u in enumerate(by.points_as_ultrafilters)}
+    pre = _preimage_table(ft, ny)
     table = []
     for nabla in bx.points_as_ultrafilters:
-        image_members = frozenset(
-            mb
-            for mb in range(1 << ny)
-            if sum(1 << i for i, v in enumerate(ft) if mb >> v & 1) in nabla.members
-        )
+        members = nabla.members
+        image_members = frozenset(mb for mb in range(1 << ny) if pre[mb] in members)
         if image_members not in index:
             raise InvariantViolation("lifted set is not an ultrafilter", image_members)
         table.append(index[image_members])
@@ -270,18 +273,13 @@ def compactification_equivalent(c1: Compactification, c2: Compactification) -> O
     for cand in itertools.permutations(range(n)):
         if any(cand[c1.embed[i]] != c2.embed[i] for i in range(c1.base.size)):
             continue
-        forward_ok = all(
-            sum(1 << s for s, v in enumerate(cand) if o >> v & 1) in source_opens
-            for o in target_opens
-        )
+        pre = _preimage_table(cand, n)
+        forward_ok = all(pre[o] in source_opens for o in target_opens)
         inverse = [0] * n
         for s, v in enumerate(cand):
             inverse[v] = s
-        backward_ok = all(
-            sum(1 << s for s, v in enumerate(inverse) if o >> v & 1)
-            in target_open_set
-            for o in source_opens
-        )
+        pre = _preimage_table(inverse, n)
+        backward_ok = all(pre[o] in target_open_set for o in source_opens)
         if forward_ok and backward_ok:
             return OrderVerdict(True, ContinuousMap(c1.space, c2.space, cand))
     return OrderVerdict(False)

@@ -18,6 +18,10 @@ Schema (top level ``{"algebras": [...], "homs": [...]}``):
 
 Powerset algebras label their elements as sorted atom-index sets, e.g.
 "{}", "{0}", "{0,2}"; their atoms are thus "{0}", "{1}", ...
+
+A validator's error becomes a ``ValidationError`` naming the entry, except
+a ``LibraryBug``, which passes through unchanged: it signals a bug in this
+package, not a bad document.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from .algebra import (
     validate_boolean_algebra,
     validate_hom,
 )
-from .errors import ParseError, StonecheckError, UnknownName, ValidationError
+from .errors import LibraryBug, ParseError, StonecheckError, UnknownName, ValidationError
 
 
 @dataclass
@@ -107,6 +111,8 @@ def _parse_algebra(entry: dict, where: str, doc: Document) -> None:
             raise ParseError(f"{where}: powerset must be a nonnegative integer")
         try:
             doc.algebras[name] = powerset_algebra(n)
+        except LibraryBug:
+            raise
         except StonecheckError as exc:
             raise ValidationError(f"{where}: {exc}") from exc
         doc.labels[name] = powerset_labels(n)
@@ -147,6 +153,8 @@ def _parse_algebra(entry: dict, where: str, doc: Document) -> None:
             doc.algebras[name] = validate_boolean_algebra(
                 len(carrier), _closed_relation(len(carrier), leq_pairs), comp_table
             )
+        except LibraryBug:
+            raise
         except StonecheckError as exc:
             raise ValidationError(f"{where}: {exc}") from exc
         doc.labels[name] = tuple(carrier)
@@ -199,6 +207,8 @@ def _parse_hom(entry: dict, where: str, doc: Document) -> None:
             raise ValidationError(f"{where}: element {missing!r} has no image")
         try:
             doc.homs[name] = validate_hom(table, src, dst)
+        except LibraryBug:
+            raise
         except StonecheckError as exc:
             raise ValidationError(f"{where}: {exc}") from exc
     elif "atom_map" in entry:
@@ -223,6 +233,8 @@ def _parse_hom(entry: dict, where: str, doc: Document) -> None:
             raise ValidationError(f"{where}: target atom {missing!r} has no image")
         try:
             doc.homs[name] = hom_from_atom_function(src, dst, g)
+        except LibraryBug:
+            raise
         except StonecheckError as exc:
             raise ValidationError(f"{where}: {exc}") from exc
     else:

@@ -8,12 +8,19 @@ bitmasks over point indices.
 
 Points of dual spaces are the ultrafilter values themselves, so that the
 double-dual constructions can be manipulated extensionally.
+
+Maps are checked a table at a time: ``_preimage_table`` lists the preimage
+of every target point set of a point table, built by subset doubling, and a
+``ContinuousMap`` keeps that table (``preimages``) once it is first needed,
+so continuity and every later preimage are lookups.  Each space is
+validated once (``validate_stone`` is cached), and ``_hat_phi_fibres``
+inverts ``hat_phi_table`` once per table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from typing import Sequence
 
 from .algebra import (
@@ -98,12 +105,15 @@ def closure_mask(space: FinStoneSpace, mask: int) -> int:
     return full & ~avoid
 
 
+@cache
 def validate_stone(space: FinStoneSpace) -> tuple[int, ...]:
     """Verify the generated topology is Hausdorff and return it.
 
-    Finite spaces are automatically compact, and a finite Hausdorff space is
-    discrete (hence zero-dimensional); discreteness is asserted as an
-    internal consistency check after the pairwise separation test.
+    Cached, so that each space is validated once however many searches use
+    it; a space that fails raises again on every call.  Finite spaces are
+    automatically compact, and a finite Hausdorff space is discrete (hence
+    zero-dimensional); discreteness is asserted as an internal consistency
+    check after the pairwise separation test.
     """
     opens = topology(space)
     for i in range(space.size):
@@ -146,6 +156,27 @@ class ContinuousMap:
             1 << i for i, v in enumerate(self.table) if target_mask >> v & 1
         )
 
+    @cached_property
+    def preimages(self) -> list[int]:
+        """The preimage mask of every target mask, indexed by the target mask."""
+        return _preimage_table(self.table, self.target.size)
+
+
+def _preimage_table(table: Sequence[int], target_size: int) -> list[int]:
+    """The preimage mask of every target point set under a point table.
+
+    Entry m is the set of points whose image lies in m.  Adding target point
+    v to every set listed so far adds the fibre of v to its preimage, so the
+    table doubles once per target point.
+    """
+    fibres = [0] * target_size
+    for i, v in enumerate(table):
+        fibres[v] |= 1 << i
+    pre = [0]
+    for fibre in fibres:
+        pre += [m | fibre for m in pre]
+    return pre
+
 
 def continuous_map(
     source: FinStoneSpace, target: FinStoneSpace, table: Sequence[int]
@@ -155,8 +186,9 @@ def continuous_map(
         raise ValueError("table must map source points to target points")
     f = ContinuousMap(source, target, t)
     source_opens = set(topology(source))
+    pre = f.preimages
     for o in topology(target):
-        if f.preimage_mask(o) not in source_opens:
+        if pre[o] not in source_opens:
             raise NotContinuous("preimage of an open set is not open", o)
     return f
 
@@ -318,3 +350,18 @@ def hat_phi_table(algebra: FinBoolAlg) -> tuple[int, ...]:
     """hat_phi_point_mask of every subset mask, indexed by the mask."""
     n = len(ultrafilters(algebra))
     return tuple(hat_phi_point_mask(algebra, a) for a in range(1 << n))
+
+
+@cache
+def _hat_phi_fibres(table: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
+    """Every subset mask with a given hat_phi point mask, keyed by that mask.
+
+    The inverse of a ``hat_phi_table``; a point mask with no subset is
+    absent and one with several subsets lists them all.  Keyed by the table
+    itself, which depends only on the number of ultrafilters, so algebras of
+    one size share an entry.
+    """
+    fibres: dict[int, tuple[int, ...]] = {}
+    for subset_mask, points in enumerate(table):
+        fibres[points] = fibres.get(points, ()) + (subset_mask,)
+    return fibres

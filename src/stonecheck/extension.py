@@ -200,8 +200,11 @@ def sigma_extend(h: Union[BoolHom, MonotoneMap]) -> SigmaExtension:
 
     For every point set A, the image is the union over all filters F of the
     source whose embedded intersection lies inside A of the intersection of
-    the embedded h-images of the members of F.  The result is checked to be
-    order-preserving and to extend h along the Stone embeddings.
+    the embedded h-images of the members of F.  The table is not checked
+    here: the harness battery judges it (``sigma_is_boolean_hom`` implies
+    order preservation, and ``sigma_equals_double_dual`` with
+    ``embedded_elements_preserved`` implies that it extends h), so a wrong
+    table becomes a failed check with a witness.
     """
     src, dst = h.source, h.target
     if src.bottom == src.top or dst.bottom == dst.top:
@@ -226,13 +229,6 @@ def sigma_extend(h: Union[BoolHom, MonotoneMap]) -> SigmaExtension:
             if inter1 & ~A == 0:
                 out |= inter2
         table.append(out)
-    for A in range(1 << n1):
-        for B in range(1 << n1):
-            if A & ~B == 0 and table[A] & ~table[B] != 0:
-                raise InvariantViolation("extension is not order-preserving", (A, B))
-    for a in range(src.size):
-        if table[phi1[a]] != phi2[h.table[a]]:
-            raise InvariantViolation("extension does not extend the map", a)
     return SigmaExtension(h, n1, n2, tuple(table))
 
 

@@ -11,6 +11,14 @@ than a tautology.
 ``build_diagram`` only builds the diagram; one check battery
 (``full_hom_instance``) judges it, so a diagram that disagrees with itself
 or with the filter formula becomes a failed check with a witness.
+
+Both work a table at a time.  Each arrow of the diagram reads the preimage
+table of its point map, and each double-dual entry is a lookup in that
+table and in the inverse of ``hat_phi_table``.  The battery takes forward
+images from one table per homomorphism, compares the homomorphism laws of
+the extension one byte row at a time, and scans a row pair by pair only
+when it differs, so each check still reports the first witness of the
+literal scan.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ import json
 import random
 import time
 from dataclasses import dataclass, field, replace
+from functools import cache
 from typing import Callable
 
 from .algebra import (
@@ -40,6 +49,7 @@ from .compactification import (
 )
 from .duality import (
     ContinuousMap,
+    _hat_phi_fibres,
     dual_map,
     hat_phi_table,
     phi_mask,
@@ -164,19 +174,14 @@ def double_dual_map(bundle: DiagramBundle, subset_mask: int) -> int:
     """The dual of the compactified map, by its defining preimage equation.
 
     Embeds the subset into the double dual, pulls it back through the
-    compactified map, and scans every candidate target subset for the unique
-    one whose embedding equals that preimage.  Duality guarantees existence;
-    a miss raises NoClopenPreimage as a library-bug signal.
+    compactified map (its preimage table), and looks up the target subsets
+    whose embedding equals that preimage (the inverse of ``hat_phi_table``).
+    Duality guarantees exactly one: a miss raises NoClopenPreimage and
+    several raise InvariantViolation, both library-bug signals.
     """
     upstairs = hat_phi_table(bundle.hom.source)[subset_mask]
-    pre = sum(
-        1 << d
-        for d, img in enumerate(bundle.h_star_beta.table)
-        if upstairs >> img & 1
-    )
-    matches = [
-        b for b, image in enumerate(hat_phi_table(bundle.hom.target)) if image == pre
-    ]
+    pre = bundle.h_star_beta.preimages[upstairs]
+    matches = _hat_phi_fibres(hat_phi_table(bundle.hom.target)).get(pre, ())
     if not matches:
         raise NoClopenPreimage("preimage is not the embedding of any subset", subset_mask)
     if len(matches) > 1:
@@ -230,18 +235,21 @@ def _hom_checks(h: BoolHom, bundle: DiagramBundle, sigma_table) -> list[CheckRes
     """The per-homomorphism battery: the main theorem, its corollary, and
     the compactification facts the diagram rests on."""
     n1 = len(ultrafilters(h.source))
-    full1 = (1 << n1) - 1
-    full2 = (1 << len(ultrafilters(h.target))) - 1
+    n2 = len(ultrafilters(h.target))
+    full2 = (1 << n2) - 1
     double_dual = bundle.double_dual
     h_star, h_star_beta, beta1, beta2 = (
         bundle.h_star, bundle.h_star_beta, bundle.beta1, bundle.beta2
     )
+    members1 = [u.members for u in beta1.points_as_ultrafilters]
 
-    mismatch = _first(
-        a
-        for a in sorted(range(1 << n1), key=lambda m: (bin(m).count("1"), m))
-        if sigma_table[a] != double_dual[a]
-    )
+    mismatch = None
+    if sigma_table != double_dual:
+        mismatch = _first(
+            a
+            for a in sorted(range(1 << n1), key=lambda m: (bin(m).count("1"), m))
+            if sigma_table[a] != double_dual[a]
+        )
     sigma_witness = None
     if mismatch is not None:
 
@@ -266,18 +274,9 @@ def _hom_checks(h: BoolHom, bundle: DiagramBundle, sigma_table) -> list[CheckRes
         {"subset_mask": a, "point": d}
         for a, upstairs in enumerate(hat_phi_table(h.source))
         for d, img in enumerate(h_star_beta.table)
-        if bool(upstairs >> img & 1) != (a in beta1.points_as_ultrafilters[img].members)
+        if bool(upstairs >> img & 1) != (a in members1[img])
     )
-
-    hom_law = {"law": "bounds"} if sigma_table[0] != 0 or sigma_table[full1] != full2 else None
-    for a in range(1 << n1):
-        for b in range(1 << n1):
-            if sigma_table[a & b] != sigma_table[a] & sigma_table[b]:
-                hom_law = hom_law or {"law": "meet", "pair": [a, b]}
-            if sigma_table[a | b] != sigma_table[a] | sigma_table[b]:
-                hom_law = hom_law or {"law": "join", "pair": [a, b]}
-        if sigma_table[full1 ^ a] != full2 ^ sigma_table[a]:
-            hom_law = hom_law or {"law": "complement", "element": a}
+    hom_law = _hom_law_witness(sigma_table, n1, n2)
 
     h_inj, h_surj = h.is_injective, h.is_surjective
     sigma_inj = len(set(sigma_table)) == len(sigma_table)
@@ -301,12 +300,12 @@ def _hom_checks(h: BoolHom, bundle: DiagramBundle, sigma_table) -> list[CheckRes
         for v in range(beta2.base.size)
         if h_star_beta.table[beta2.embed[v]] != beta1.embed[h_star.table[v]]
     )
+    images = _forward_images(h_star.table)
     lemma = _first(
         {"point": d, "member_mask": a}
         for d, nabla in enumerate(beta2.points_as_ultrafilters)
         for a in nabla.members
-        if _forward_image(a, h_star.table)
-        not in beta1.points_as_ultrafilters[h_star_beta.table[d]].members
+        if images[a] not in members1[h_star_beta.table[d]]
     )
 
     return [
@@ -334,13 +333,64 @@ def _hom_checks(h: BoolHom, bundle: DiagramBundle, sigma_table) -> list[CheckRes
     ]
 
 
-def _forward_image(member_mask: int, table: tuple[int, ...]) -> int:
-    """The image of a point set (bitmask) under a point table."""
-    out = 0
-    for x, v in enumerate(table):
-        if member_mask >> x & 1:
-            out |= 1 << v
-    return out
+def _forward_images(table: tuple[int, ...]) -> list[int]:
+    """The image of every point set (bitmask) under a point table, indexed
+    by the set: adding point x to every set listed so far adds its image."""
+    images = [0]
+    for v in table:
+        images += [m | 1 << v for m in images]
+    return images
+
+
+@cache
+def _mask_ops(n: int) -> tuple[tuple[bytes, ...], tuple[bytes, ...]]:
+    """Row x of ``x & y`` and of ``x | y`` over the n-bit masks y, each as a
+    256-byte ``bytes.translate`` table (zero-padded)."""
+    size = 1 << n
+    return tuple(
+        tuple(bytes(op(x, y) for y in range(size)).ljust(256, b"\0") for x in range(size))
+        for op in (int.__and__, int.__or__)
+    )
+
+
+def _hom_law_witness(sigma_table, n1: int, n2: int) -> dict | None:
+    """The first Boolean-algebra law a table between powersets breaks, or None.
+
+    Bounds first; then for each a in turn the meet and the join with every
+    b, then the complement of a.  Row a is compared as two byte rows per
+    operation, ``sigma(a op b)`` by translating the index row through the
+    table and ``sigma(a) op sigma(b)`` by translating the table through row
+    ``sigma(a)``; only a row that differs, or one with an entry outside the
+    target, is scanned pair by pair for its first witness.
+    """
+    size1, full2 = 1 << n1, (1 << n2) - 1
+    full1 = size1 - 1
+    if sigma_table[0] != 0 or sigma_table[full1] != full2:
+        return {"law": "bounds"}
+    if 0 <= min(sigma_table) and max(sigma_table) <= full2:
+        image = bytes(sigma_table)
+        table = image.ljust(256, b"\0")
+        ands1, ors1 = _mask_ops(n1)
+        ands2, ors2 = _mask_ops(n2)
+        rows = (
+            a
+            for a, s in enumerate(sigma_table)
+            if ands1[a][:size1].translate(table) != image.translate(ands2[s])
+            or ors1[a][:size1].translate(table) != image.translate(ors2[s])
+            or sigma_table[full1 ^ a] != full2 ^ s
+        )
+    else:
+        rows = range(size1)
+    for a in rows:
+        s = sigma_table[a]
+        for b in range(size1):
+            if sigma_table[a & b] != s & sigma_table[b]:
+                return {"law": "meet", "pair": [a, b]}
+            if sigma_table[a | b] != s | sigma_table[b]:
+                return {"law": "join", "pair": [a, b]}
+        if sigma_table[full1 ^ a] != full2 ^ s:
+            return {"law": "complement", "element": a}
+    return None
 
 
 def full_hom_instance(h: BoolHom, name: str | None = None, extra: dict | None = None) -> InstanceReport:

@@ -10,9 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stonecheck.cli as cli
+import stonecheck.documents as documents
 import stonecheck.harness as harness
 from stonecheck import __version__
 from stonecheck.cli import SCHEMA_VERSION, exit_code_for_report, main, report_json
+from stonecheck.algebra import MAX_HOM_ATOMS
 from stonecheck.errors import InvariantViolation, NoClopenPreimage, NoExtension
 from stonecheck.harness import (
     CheckResult,
@@ -137,6 +140,45 @@ def test_verify_all_out_of_range_exits_2(args):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--max-atoms", str(MAX_HOM_ATOMS + 1)),
+        ("--max-atoms", str(MAX_HOM_ATOMS + 1), "--seed", "0", "--count", "1"),
+        ("--max-atoms", str(MAX_HOM_ATOMS + 1), "--seed", "1", "--count", "1"),
+        ("--max-atoms", "40", "--seed", "3", "--count", "2"),
+    ],
+    ids=["exhaustive", "sampled_seed_0", "sampled_seed_1", "sampled_far_above"],
+)
+def test_verify_all_above_the_hom_cap_exits_2_before_any_work(monkeypatch, capsys, args):
+    def no_work(*_):
+        raise AssertionError("the suite ran")
+
+    monkeypatch.setattr(cli, "exhaustive_suite", no_work)
+    assert main(["verify", "--all", *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: --max-atoms must be between 1 and {MAX_HOM_ATOMS}\n"
+
+
+def test_verify_all_at_the_hom_cap_is_accepted():
+    proc = run_cli("verify", "--all", "--max-atoms", str(MAX_HOM_ATOMS), "--seed", "0", "--count", "1")
+    assert proc.returncode == 0
+    assert len(json.loads(proc.stdout)["instances"]) == MAX_HOM_ATOMS + 1
+
+
+@pytest.mark.parametrize("error", [InvariantViolation, NoClopenPreimage, NoExtension])
+def test_library_bug_in_the_document_parser_exits_3(monkeypatch, capsys, error):
+    def broken(*args):
+        raise error("seeded library bug")
+
+    monkeypatch.setattr(documents, "validate_hom", broken)
+    assert main(["verify", str(SAMPLE), "identity_four"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: seeded library bug\n"
+
+
 @pytest.mark.parametrize("error", [InvariantViolation, NoClopenPreimage, NoExtension])
 def test_library_bug_exits_3_without_traceback(monkeypatch, capsys, error):
     def broken(*args):
@@ -160,8 +202,13 @@ def test_library_bug_exits_3_without_traceback(monkeypatch, capsys, error):
             ("--max-atoms", "2", "--seed", "5", "--count", "300"),
             "17a88da7ca72265854910f08d4ccee53bd27b0e0eb62573a7b6bcfe123d53755",
         ),
+        (
+            # the certificate: every hom up to 4 atoms
+            ("--max-atoms", "4"),
+            "86db70c76958deecf18e3a59c440b2ba13d52813a52fd2b32601cdddf92cdc7f",
+        ),
     ],
-    ids=["exhaustive_3", "sampled_2"],
+    ids=["exhaustive_3", "sampled_2", "exhaustive_4"],
 )
 def test_verify_all_report_file_is_pinned(tmp_path, args, digest):
     # pinned from report files written by json.dumps of the whole payload
@@ -205,6 +252,51 @@ def test_report_json_matches_whole_payload_encoding(report, digest):
         "instances": report_jsonable(report),
     }
     assert report_json(report, digest) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def test_report_json_reuses_witness_free_rows_across_lists():
+    # distinct check lists (as in the exhaustive tier) that repeat the same
+    # witness-free rows, with witnessed rows of the same name in between
+    lists = [
+        [CheckResult("a", "pass"), CheckResult("b", "fail", {"k": [1, "\n"]})],
+        [CheckResult("a", "pass"), CheckResult("b", "pass")],
+        [CheckResult("b", "fail", {"k": 2}), CheckResult("a", "pass"), CheckResult("b", "fail")],
+        [],
+    ]
+    report = VerificationReport([InstanceReport({"i": i}, checks) for i, checks in enumerate(lists)])
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        "tool_version": __version__,
+        "input_digest": "d",
+        "instances": report_jsonable(report),
+    }
+    assert report_json(report, "d") == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "descriptor",
+    [
+        {},
+        {"kind": "hom", "source_atoms": 4, "target_atoms": 2, "atom_function": [3, 0]},
+        {"name": "h\n\"\u00e9\U0001d54a", "atom_function": [], "sample_index": -2**70},
+        {"flag": True},
+        {"ratio": 0.5, "kind": "x"},
+        {"atom_function": [1, False]},
+        {"nested": {"a": [1]}},
+        {"x": None},
+        {1: 2, 0: 3},
+    ],
+    ids=["empty", "hom", "strings_and_big_ints", "bool", "float", "bool_in_list", "nested", "null", "int_keys"],
+)
+def test_report_json_descriptor_matches_whole_payload_encoding(descriptor):
+    report = VerificationReport([InstanceReport(descriptor, [CheckResult("a", "pass")])])
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        "tool_version": __version__,
+        "input_digest": "d",
+        "instances": report_jsonable(report),
+    }
+    assert report_json(report, "d") == json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def test_verify_sampled_mode_is_deterministic(tmp_path):

@@ -1,0 +1,236 @@
+"""The table-at-a-time arrows against the per-entry computations they replace.
+
+Each reference below is the earlier per-entry code, kept literally: the
+preimage sum of ``ContinuousMap.preimage_mask``, the per-ultrafilter sums of
+the ultrafilter lift, the per-subset double-dual scan, the per-set forward
+image, and the pair-by-pair homomorphism-law loop of the battery.  The
+tables must agree with them exactly, including the first witness and the
+exception raised on corrupted input.
+"""
+
+import itertools
+import random
+
+import pytest
+
+import stonecheck.harness as harness
+from stonecheck.algebra import all_homs, identity_hom, powerset_algebra, ultrafilters
+from stonecheck.compactification import beta_lift, beta_space, extension_candidates
+from stonecheck.duality import (
+    ContinuousMap,
+    _hat_phi_fibres,
+    _preimage_table,
+    discrete_space,
+    hat_phi_table,
+    stone_space,
+    validate_stone,
+)
+from stonecheck.errors import InvariantViolation, NoClopenPreimage, NotStone
+from stonecheck.extension import sigma_extend
+from stonecheck.harness import (
+    _forward_images,
+    _hom_law_witness,
+    build_diagram,
+    double_dual_map,
+)
+
+
+def homs_up_to(atoms):
+    for k1, k2 in itertools.product(range(1, atoms + 1), repeat=2):
+        yield from all_homs(powerset_algebra(k1), powerset_algebra(k2))
+
+
+def reference_lift_table(f, bx, by):
+    ny = by.base.size
+    index = {u.members: k for k, u in enumerate(by.points_as_ultrafilters)}
+    table = []
+    for nabla in bx.points_as_ultrafilters:
+        image_members = frozenset(
+            mb
+            for mb in range(1 << ny)
+            if sum(1 << i for i, v in enumerate(f) if mb >> v & 1) in nabla.members
+        )
+        table.append(index[image_members])
+    return tuple(table)
+
+
+def reference_double_dual_map(bundle, subset_mask, hat_phi_table=hat_phi_table):
+    upstairs = hat_phi_table(bundle.hom.source)[subset_mask]
+    pre = sum(
+        1 << d
+        for d, img in enumerate(bundle.h_star_beta.table)
+        if upstairs >> img & 1
+    )
+    matches = [
+        b for b, image in enumerate(hat_phi_table(bundle.hom.target)) if image == pre
+    ]
+    if not matches:
+        raise NoClopenPreimage("preimage is not the embedding of any subset", subset_mask)
+    if len(matches) > 1:
+        raise InvariantViolation("double-dual image is not unique", subset_mask)
+    return matches[0]
+
+
+def reference_forward_image(member_mask, table):
+    out = 0
+    for x, v in enumerate(table):
+        if member_mask >> x & 1:
+            out |= 1 << v
+    return out
+
+
+def reference_hom_law(sigma_table, n1, n2):
+    full1 = (1 << n1) - 1
+    full2 = (1 << n2) - 1
+    hom_law = {"law": "bounds"} if sigma_table[0] != 0 or sigma_table[full1] != full2 else None
+    for a in range(1 << n1):
+        for b in range(1 << n1):
+            if sigma_table[a & b] != sigma_table[a] & sigma_table[b]:
+                hom_law = hom_law or {"law": "meet", "pair": [a, b]}
+            if sigma_table[a | b] != sigma_table[a] | sigma_table[b]:
+                hom_law = hom_law or {"law": "join", "pair": [a, b]}
+        if sigma_table[full1 ^ a] != full2 ^ sigma_table[a]:
+            hom_law = hom_law or {"law": "complement", "element": a}
+    return hom_law
+
+
+def test_preimage_table_matches_preimage_mask_on_random_tables():
+    rng = random.Random(6)
+    for _ in range(300):
+        source = discrete_space(range(rng.randint(1, 5)))
+        target = discrete_space(range(rng.randint(1, 5)))
+        table = tuple(rng.randrange(target.size) for _ in range(source.size))
+        f = ContinuousMap(source, target, table)
+        expected = [f.preimage_mask(m) for m in range(1 << target.size)]
+        assert _preimage_table(table, target.size) == expected
+        assert f.preimages == expected
+
+
+@pytest.mark.parametrize("nx, ny", list(itertools.product([1, 2, 3, 4], repeat=2)))
+def test_lift_table_matches_per_ultrafilter_sums(nx, ny):
+    bx = beta_space(tuple(f"x{i}" for i in range(nx)))
+    by = beta_space(tuple(f"y{i}" for i in range(ny)))
+    for f in itertools.product(range(ny), repeat=nx):
+        assert beta_lift(f, bx, by).table == reference_lift_table(f, bx, by)
+
+
+def test_forward_images_match_per_set_images():
+    rng = random.Random(6)
+    for _ in range(200):
+        table = tuple(rng.randrange(5) for _ in range(rng.randint(1, 5)))
+        expected = [reference_forward_image(m, table) for m in range(1 << len(table))]
+        assert _forward_images(table) == expected
+
+
+def test_double_dual_table_matches_per_subset_scan_up_to_three_atoms():
+    count = 0
+    for hom in homs_up_to(3):
+        bundle = build_diagram(hom)
+        n1 = len(ultrafilters(hom.source))
+        expected = tuple(reference_double_dual_map(bundle, a) for a in range(1 << n1))
+        assert bundle.double_dual == expected
+        assert tuple(double_dual_map(bundle, a) for a in range(1 << n1)) == expected
+        count += 1
+    assert count == 56
+
+
+def test_fibres_invert_the_hat_phi_table():
+    for k in range(1, 5):
+        table = hat_phi_table(powerset_algebra(k))
+        fibres = _hat_phi_fibres(table)
+        assert sorted(fibres) == sorted(set(table))
+        for points, subsets in fibres.items():
+            assert subsets == tuple(b for b, image in enumerate(table) if image == points)
+
+
+def raised_by(compute):
+    try:
+        compute()
+    except (NoClopenPreimage, InvariantViolation) as exc:
+        return type(exc), exc.witness
+    return None
+
+
+@pytest.mark.parametrize("i, j", [(1, 2), (2, 1), (0, 3), (3, 0)])
+def test_corrupted_hat_phi_table_raises_as_the_scan_did(monkeypatch, i, j):
+    # entry i copies entry j: the old image of i has no subset and the image
+    # of j has two, whichever the double dual meets first
+    real = hat_phi_table
+
+    def corrupted(algebra):
+        table = list(real(algebra))
+        table[i] = table[j]
+        return tuple(table)
+
+    two = powerset_algebra(2)
+    kinds = set()
+    for hom in [*all_homs(two, two), *all_homs(two, powerset_algebra(3))]:
+        bundle = build_diagram(hom)
+        n1 = len(ultrafilters(hom.source))
+        expected = raised_by(
+            lambda: [reference_double_dual_map(bundle, a, corrupted) for a in range(1 << n1)]
+        )
+        monkeypatch.setattr(harness, "hat_phi_table", corrupted)
+        assert raised_by(lambda: build_diagram(hom)) == expected
+        monkeypatch.undo()
+        kinds.add(expected and expected[0])
+    assert kinds & {NoClopenPreimage, InvariantViolation}
+
+
+def test_corrupted_fibres_raise(monkeypatch):
+    hom = identity_hom(powerset_algebra(2))
+    target_table = hat_phi_table(hom.target)
+    missing = dict(_hat_phi_fibres(target_table))
+    del missing[target_table[3]]
+    monkeypatch.setattr(harness, "_hat_phi_fibres", lambda table: missing)
+    with pytest.raises(NoClopenPreimage):
+        build_diagram(hom)
+    doubled = dict(_hat_phi_fibres(target_table))
+    doubled[target_table[1]] += (2,)
+    monkeypatch.setattr(harness, "_hat_phi_fibres", lambda table: doubled)
+    with pytest.raises(InvariantViolation):
+        build_diagram(hom)
+
+
+def corrupted_tables(table, full2):
+    """Every table with one entry changed to another value, in or out of range."""
+    for position, original in enumerate(table):
+        for value in [*range(full2 + 1), full2 + 1, 256, -1]:
+            if value != original:
+                yield table[:position] + (value,) + table[position + 1 :]
+
+
+def test_hom_law_scan_gives_the_loop_witness_on_corrupted_sigma_tables():
+    laws = set()
+    homs = list(homs_up_to(3))
+    rng = random.Random(6)
+    homs += rng.sample(list(all_homs(powerset_algebra(4), powerset_algebra(4))), 12)
+    for hom in homs:
+        n1, n2 = len(ultrafilters(hom.source)), len(ultrafilters(hom.target))
+        sigma_table = sigma_extend(hom).table
+        assert _hom_law_witness(sigma_table, n1, n2) is None
+        for table in corrupted_tables(sigma_table, (1 << n2) - 1):
+            witness = _hom_law_witness(table, n1, n2)
+            assert witness == reference_hom_law(table, n1, n2)
+            laws.add(witness["law"])
+    assert laws == {"bounds", "meet", "join"}
+
+
+def test_each_space_is_validated_once():
+    validate_stone.cache_clear()
+    spaces = set()
+    for hom in homs_up_to(2):
+        bundle = build_diagram(hom)
+        spaces |= {bundle.beta1.space, bundle.beta2.space, bundle.h_star.source}
+        extension_candidates(bundle.beta2, bundle.lift, bundle.beta1.space)
+    info = validate_stone.cache_info()
+    assert info.misses <= len(spaces)
+    assert info.hits > info.misses
+
+
+def test_a_space_that_fails_validation_fails_every_time():
+    # two points and no base set: the generated topology is indiscrete
+    space = stone_space(("p", "q"), [])
+    for _ in range(2):
+        with pytest.raises(NotStone):
+            validate_stone(space)

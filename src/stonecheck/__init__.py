@@ -11,7 +11,6 @@ from .algebra import (
     FinLattice,
     FinPoset,
     Filter,
-    MonotoneMap,
     UltraFilter,
     all_filters,
     all_homs,
@@ -19,7 +18,6 @@ from .algebra import (
     atoms_of,
     hom_from_atom_function,
     identity_hom,
-    monotone_map,
     powerset_algebra,
     ultrafilters,
     validate_boolean_algebra,
@@ -65,5 +63,4 @@ from .harness import (
     build_diagram,
     double_dual_map,
     exhaustive_suite,
-    explore_monotone,
 )

@@ -44,7 +44,6 @@ from .errors import (
     NotDistributive,
     NotJoinPreserving,
     NotMeetPreserving,
-    NotOrderPreserving,
 )
 
 # Hard caps: single-algebra operations stop at 5 atoms (32 elements), hom
@@ -92,6 +91,24 @@ def _first_difference(a: bytes, b: bytes) -> int:
 def _byte_table(row: Sequence[int]) -> bytes:
     """A table row as a 256-byte ``bytes.translate`` table (entries below 256)."""
     return bytes(row).ljust(256, b"\0")
+
+
+def _subset_unions(parts: Sequence[int]) -> list[int]:
+    """Entry S is the union of ``parts[x]`` over the x in the bitmask S,
+    built by subset doubling: adding x to every set so far adds parts[x]."""
+    unions = [0]
+    for part in parts:
+        unions += [m | part for m in unions]
+    return unions
+
+
+def _preimage_table(table: Sequence[int], target_size: int) -> list[int]:
+    """The preimage mask of every target point set under a point table:
+    entry m is the union of the fibres of the points in m."""
+    fibres = [0] * target_size
+    for i, v in enumerate(table):
+        fibres[v] |= 1 << i
+    return _subset_unions(fibres)
 
 
 def fin_poset(rows: Sequence[Sequence[bool]]) -> FinPoset:
@@ -472,18 +489,6 @@ class BoolHom:
         return set(self.table) == set(range(self.target.size))
 
 
-@dataclass(frozen=True)
-class MonotoneMap:
-    """A validated order-preserving map that need not be a homomorphism."""
-
-    source: FinBoolAlg
-    target: FinBoolAlg
-    table: tuple[int, ...]
-
-    def apply(self, i: int) -> int:
-        return self.table[i]
-
-
 def validate_hom(table: Sequence[int], source: FinBoolAlg, target: FinBoolAlg) -> BoolHom:
     """Accept a raw image table as a homomorphism or name the first broken law.
 
@@ -531,17 +536,6 @@ def _unpreserved(
     return divmod(_first_difference(lhs, rhs), len(image))
 
 
-def monotone_map(table: Sequence[int], source: FinBoolAlg, target: FinBoolAlg) -> MonotoneMap:
-    t = tuple(int(x) for x in table)
-    if len(t) != source.size or any(not 0 <= v < target.size for v in t):
-        raise ValueError("table must map the source carrier into the target carrier")
-    for i in range(source.size):
-        for j in range(source.size):
-            if source.leq_of(i, j) and not target.leq_of(t[i], t[j]):
-                raise NotOrderPreserving("order not preserved", (i, j))
-    return MonotoneMap(source, target, t)
-
-
 def identity_hom(algebra: FinBoolAlg) -> BoolHom:
     return validate_hom(tuple(range(algebra.size)), algebra, algebra)
 
@@ -562,30 +556,27 @@ def hom_from_atom_function(
 
     ``atom_function[q] = p`` says that the q-th atom of the target tracks the
     p-th atom of the source: h(a) is the target element whose atoms are
-    exactly those q with atom p below a.  This is the dual description of a
-    homomorphism used both by the exhaustive generator and by the document
-    shorthand.
+    exactly those q with atom p below a, the preimage of a's atoms.  This is
+    the dual description of a homomorphism used both by the exhaustive
+    generator and by the document shorthand.
     """
     g = tuple(int(x) for x in atom_function)
     if len(g) != target.atom_count or any(not 0 <= p < source.atom_count for p in g):
         raise ValueError("atom function must map target atoms to source atoms")
-    table = []
-    for i in range(source.size):
-        m1 = source.mask_of(i)
-        m2 = sum(1 << q for q in range(target.atom_count) if m1 >> g[q] & 1)
-        table.append(target.element_of_mask(m2))
-    return validate_hom(table, source, target)
+    pre = _preimage_table(g, source.atom_count)
+    return validate_hom(
+        [target.element_of_mask(pre[m]) for m in source.atom_mask], source, target
+    )
 
 
 def atom_function_of_hom(hom: BoolHom) -> tuple[int, ...]:
-    """Recover the dual atom function; inverse of ``hom_from_atom_function``."""
-    src, dst = hom.source, hom.target
-    out = []
-    for q_atom in dst.atoms:
-        preimage = [a for a in range(src.size) if dst.leq_of(q_atom, hom.table[a])]
-        generator = src.lattice.meet_all(preimage)
-        out.append(src.atoms.index(generator))
-    return tuple(out)
+    """Recover the dual atom function; inverse of ``hom_from_atom_function``.
+    Target atom q tracks the source atom whose image lies above it."""
+    images = [hom.target.mask_of(hom.table[a]) for a in hom.source.atoms]
+    return tuple(
+        next(p for p, m in enumerate(images) if m >> q & 1)
+        for q in range(hom.target.atom_count)
+    )
 
 
 def all_homs(source: FinBoolAlg, target: FinBoolAlg) -> tuple[BoolHom, ...]:

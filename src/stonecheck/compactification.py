@@ -16,7 +16,7 @@ still bound the nominal table space ``target.size ** space.size``.
 
 Both flavours work a table at a time: each candidate's continuity and the
 lift's image sets read one preimage table of the point map
-(``duality._preimage_table``) instead of summing a preimage per open set or
+(``algebra._preimage_table``) instead of summing a preimage per open set or
 per ultrafilter, and the target space is validated once per space.
 """
 
@@ -27,11 +27,10 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Iterable, Iterator, Sequence
 
-from .algebra import FinBoolAlg, UltraFilter, powerset_algebra, ultrafilters
+from .algebra import FinBoolAlg, UltraFilter, _preimage_table, powerset_algebra, ultrafilters
 from .duality import (
     ContinuousMap,
     FinStoneSpace,
-    _preimage_table,
     closure_mask,
     continuous_map,
     discrete_space,

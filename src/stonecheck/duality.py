@@ -9,8 +9,8 @@ bitmasks over point indices.
 Points of dual spaces are the ultrafilter values themselves, so that the
 double-dual constructions can be manipulated extensionally.
 
-Maps are checked a table at a time: ``_preimage_table`` lists the preimage
-of every target point set of a point table, built by subset doubling, and a
+Maps are checked a table at a time: ``algebra._preimage_table`` lists the
+preimage of every target point set of a point table, and a
 ``ContinuousMap`` keeps that table (``preimages``) once it is first needed,
 so continuity and every later preimage are lookups.  Each space is
 validated once (``validate_stone`` is cached), and ``_hat_phi_fibres``
@@ -27,6 +27,7 @@ from .algebra import (
     BoolHom,
     FinBoolAlg,
     UltraFilter,
+    _preimage_table,
     fin_bool_alg,
     fin_lattice,
     fin_poset,
@@ -34,7 +35,7 @@ from .algebra import (
     ultrafilters,
     validate_hom,
 )
-from .errors import InvariantViolation, NotContinuous, NotStone
+from .errors import InvariantViolation, NotContinuous, NotStone, StonecheckError
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,22 +163,6 @@ class ContinuousMap:
         return _preimage_table(self.table, self.target.size)
 
 
-def _preimage_table(table: Sequence[int], target_size: int) -> list[int]:
-    """The preimage mask of every target point set under a point table.
-
-    Entry m is the set of points whose image lies in m.  Adding target point
-    v to every set listed so far adds the fibre of v to its preimage, so the
-    table doubles once per target point.
-    """
-    fibres = [0] * target_size
-    for i, v in enumerate(table):
-        fibres[v] |= 1 << i
-    pre = [0]
-    for fibre in fibres:
-        pre += [m | fibre for m in pre]
-    return pre
-
-
 def continuous_map(
     source: FinStoneSpace, target: FinStoneSpace, table: Sequence[int]
 ) -> ContinuousMap:
@@ -294,24 +279,21 @@ class RepresentationWitness:
 def stone_representation(algebra: FinBoolAlg) -> RepresentationWitness:
     """Certify a -> phi(a) as a bijective homomorphism onto Clop(dual space).
 
-    A failure here cannot come from user input; it would be a library bug,
-    so it raises InvariantViolation.
+    The laws are checked by ``validate_hom``.  A failure here cannot come
+    from user input; it would be a library bug, so it raises
+    InvariantViolation.
     """
     clop = clopen_algebra(dual_space(algebra))
     table = tuple(
         clop.index_of_mask(phi_mask(algebra, a)) for a in range(algebra.size)
     )
-    ca = clop.algebra
-    if len(set(table)) != algebra.size or algebra.size != ca.size:
+    if len(set(table)) != algebra.size or algebra.size != clop.algebra.size:
         raise InvariantViolation("representation is not bijective")
-    for i in range(algebra.size):
-        for j in range(algebra.size):
-            if table[algebra.meet_of(i, j)] != ca.meet_of(table[i], table[j]):
-                raise InvariantViolation("representation breaks meets", (i, j))
-            if table[algebra.join_of(i, j)] != ca.join_of(table[i], table[j]):
-                raise InvariantViolation("representation breaks joins", (i, j))
-        if table[algebra.complement_of(i)] != ca.complement_of(table[i]):
-            raise InvariantViolation("representation breaks complements", (i,))
+    try:
+        validate_hom(table, algebra, clop.algebra)
+    except StonecheckError as exc:
+        witness = (type(exc).__name__, exc.witness)
+        raise InvariantViolation("representation is not a homomorphism", witness) from exc
     return RepresentationWitness(algebra, clop, table)
 
 

@@ -52,10 +52,6 @@ class NotComplementPreserving(StonecheckError):
     """The map breaks complement preservation."""
 
 
-class NotOrderPreserving(StonecheckError):
-    """The map is not monotone."""
-
-
 class NotStone(StonecheckError):
     """The generated topology is not Hausdorff (hence not a Stone space)."""
 

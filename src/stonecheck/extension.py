@@ -14,13 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import Sequence, Union
+from typing import Sequence
 
 from .algebra import (
     BoolHom,
     FinBoolAlg,
     FinLattice,
-    MonotoneMap,
     UltraFilter,
     all_filters,
     all_ideals,
@@ -180,13 +179,13 @@ def canonical_extension(algebra: FinBoolAlg) -> CanonicalExtension:
 
 @dataclass(frozen=True, eq=False)
 class SigmaExtension:
-    """The extension of a map to the powersets of the ultrafilter sets.
+    """The extension of a homomorphism to the powersets of the ultrafilter sets.
 
     ``table[A]`` is the image of the point set with bitmask A over the
     source ultrafilter order, itself a bitmask over the target order.
     """
 
-    source_map: Union[BoolHom, MonotoneMap]
+    source_map: BoolHom
     source_points: int
     target_points: int
     table: tuple[int, ...]
@@ -195,8 +194,8 @@ class SigmaExtension:
         return self.table[subset_mask]
 
 
-def sigma_extend(h: Union[BoolHom, MonotoneMap]) -> SigmaExtension:
-    """Extend an order-preserving map by the filter-quantified join formula.
+def sigma_extend(h: BoolHom) -> SigmaExtension:
+    """Extend a homomorphism by the filter-quantified join formula.
 
     For every point set A, the image is the union over all filters F of the
     source whose embedded intersection lies inside A of the intersection of

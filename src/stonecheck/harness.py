@@ -15,10 +15,11 @@ or with the filter formula becomes a failed check with a witness.
 Both work a table at a time.  Each arrow of the diagram reads the preimage
 table of its point map, and each double-dual entry is a lookup in that
 table and in the inverse of ``hat_phi_table``.  The battery takes forward
-images from one table per homomorphism, compares the homomorphism laws of
-the extension one byte row at a time, and scans a row pair by pair only
-when it differs, so each check still reports the first witness of the
-literal scan.
+images from one table per homomorphism (preimage and forward-image tables
+are both built by the subset-union fold ``algebra._subset_unions``),
+compares the homomorphism laws of the extension one byte row at a time,
+and scans a row pair by pair only when it differs, so each check still
+reports the first witness of the literal scan.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Callable
 from .algebra import (
     MAX_HOM_ATOMS,
     BoolHom,
-    MonotoneMap,
+    _subset_unions,
     all_homs,
     atom_function_of_hom,
     hom_from_atom_function,
@@ -242,6 +243,7 @@ def _hom_checks(h: BoolHom, bundle: DiagramBundle, sigma_table) -> list[CheckRes
         bundle.h_star, bundle.h_star_beta, bundle.beta1, bundle.beta2
     )
     members1 = [u.members for u in beta1.points_as_ultrafilters]
+    members2 = [u.members for u in beta2.points_as_ultrafilters]
 
     mismatch = None
     if sigma_table != double_dual:
@@ -270,11 +272,12 @@ def _hom_checks(h: BoolHom, bundle: DiagramBundle, sigma_table) -> list[CheckRes
         for a in range(h.source.size)
         if double_dual[phi_mask(h.source, a)] != phi_mask(h.target, h.table[a])
     )
+    # h_*^beta(nabla) lies in hat_phi(A) exactly when h_*^-1(A) is in nabla
     remark = _first(
         {"subset_mask": a, "point": d}
         for a, upstairs in enumerate(hat_phi_table(h.source))
         for d, img in enumerate(h_star_beta.table)
-        if bool(upstairs >> img & 1) != (a in members1[img])
+        if bool(upstairs >> img & 1) != (h_star.preimages[a] in members2[d])
     )
     hom_law = _hom_law_witness(sigma_table, n1, n2)
 
@@ -303,8 +306,8 @@ def _hom_checks(h: BoolHom, bundle: DiagramBundle, sigma_table) -> list[CheckRes
     images = _forward_images(h_star.table)
     lemma = _first(
         {"point": d, "member_mask": a}
-        for d, nabla in enumerate(beta2.points_as_ultrafilters)
-        for a in nabla.members
+        for d, members in enumerate(members2)
+        for a in members
         if images[a] not in members1[h_star_beta.table[d]]
     )
 
@@ -335,11 +338,8 @@ def _hom_checks(h: BoolHom, bundle: DiagramBundle, sigma_table) -> list[CheckRes
 
 def _forward_images(table: tuple[int, ...]) -> list[int]:
     """The image of every point set (bitmask) under a point table, indexed
-    by the set: adding point x to every set listed so far adds its image."""
-    images = [0]
-    for v in table:
-        images += [m | 1 << v for m in images]
-    return images
+    by the set."""
+    return _subset_unions([1 << v for v in table])
 
 
 @cache
@@ -423,62 +423,11 @@ def algebra_instance(atom_count: int) -> InstanceReport:
     try:
         stone_representation(algebra)
         checks.append(CheckResult("representation_is_isomorphism", "pass"))
-    except InvariantViolation as exc:  # pragma: no cover - library-bug path
+    except InvariantViolation as exc:
         checks.append(
             CheckResult("representation_is_isomorphism", "fail", {"error": str(exc)})
         )
     descriptor = {"kind": "algebra", "atoms": atom_count}
-    return InstanceReport(descriptor, checks, int((time.perf_counter() - start) * 1000))
-
-
-def explore_monotone(m: MonotoneMap) -> InstanceReport:
-    """Exploratory data for order-preserving non-homomorphisms.
-
-    Records whether the ultrafilter preimages happen to be ultrafilters and
-    whether the filter-formula extension matches the preimage transform;
-    verdicts are informational only, never asserted.
-    """
-    start = time.perf_counter()
-    sigma = sigma_extend(m)
-    ufs1 = ultrafilters(m.source)
-    ufs2 = ultrafilters(m.target)
-    member_sets = {u.members for u in ufs1}
-    preimages = []
-    for v in ufs2:
-        pre = frozenset(a for a in range(m.source.size) if m.table[a] in v.members)
-        preimages.append(pre)
-    all_ultra = all(p in member_sets for p in preimages)
-
-    # The preimage transform is a set-level computation that stays
-    # meaningful even when some preimage is not an ultrafilter.
-    uf_index = {u.members: i for i, u in enumerate(ufs1)}
-    matches = True
-    for a in range(1 << len(ufs1)):
-        image = 0
-        for k, pre in enumerate(preimages):
-            if pre in uf_index and a >> uf_index[pre] & 1:
-                image |= 1 << k
-        if image != sigma.table[a]:
-            matches = False
-
-    checks = [
-        CheckResult(
-            "dual_preimages_are_ultrafilters",
-            "info",
-            {"holds": all_ultra},
-        ),
-        CheckResult(
-            "sigma_matches_preimage_transform",
-            "info",
-            {"holds": matches},
-        ),
-    ]
-    descriptor = {
-        "kind": "monotone",
-        "source_atoms": m.source.atom_count,
-        "target_atoms": m.target.atom_count,
-        "table": list(m.table),
-    }
     return InstanceReport(descriptor, checks, int((time.perf_counter() - start) * 1000))
 
 

@@ -26,7 +26,6 @@ from stonecheck.algebra import (
     fin_poset,
     hom_from_atom_function,
     identity_hom,
-    monotone_map,
     order_dual,
     powerset_algebra,
     ultrafilters,
@@ -42,7 +41,6 @@ from stonecheck.errors import (
     NotAPoset,
     NotDistributive,
     NotMeetPreserving,
-    NotOrderPreserving,
 )
 
 
@@ -255,13 +253,6 @@ def test_preimage_of_inclusion_is_a_hom():
     table = [small.index(u & {"x"}) for u in universe]
     hom = validate_hom(table, powerset_algebra(2), powerset_algebra(1))
     assert hom.table == (0, 1, 0, 1)
-
-
-def test_monotone_map_validation():
-    four = powerset_algebra(2)
-    monotone_map([0, 3, 3, 3], four, four)
-    with pytest.raises(NotOrderPreserving):
-        monotone_map([3, 0, 0, 0], four, four)
 
 
 def test_all_homs_counts_match_duality_formula():

@@ -135,9 +135,12 @@ def test_fault_reports_stay_byte_identical(monkeypatch):
     ]
     assert shrunk and all(w["target_atoms"] < 3 for w in shrunk)
     text = json.dumps(payload, sort_keys=True)
-    # pinned from the battery before it was merged into one function
+    # re-pinned when preimage_membership_equivalence began to read the
+    # preimages of h_* and the points of beta2: against the previous pin
+    # only that check's rows changed, failing under wrong_extension and
+    # passing under reordered_beta_points, for all four homs
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "407e055967c928ea8e41a98c2125d4bd7878a33ef88180644408c2c5d41b7936"
+        "18b4ea2168b01773ee746e4dcb4c9054d84548d6229b2f450ec6c363ce51a9ef"
     )
 
 

@@ -1,9 +1,11 @@
 """Stone duality: the embedding, dual spaces and maps, clopens, double dual."""
 
 import itertools
+from dataclasses import replace
 
 import pytest
 
+import stonecheck.duality as duality
 from stonecheck.algebra import (
     all_homs,
     compose_homs,
@@ -30,7 +32,14 @@ from stonecheck.duality import (
     topology,
     validate_stone,
 )
-from stonecheck.errors import DegenerateAlgebra, NotContinuous, NotStone
+from stonecheck.errors import (
+    DegenerateAlgebra,
+    InvariantViolation,
+    NotContinuous,
+    NotMeetPreserving,
+    NotStone,
+)
+from stonecheck.harness import algebra_instance
 
 
 def test_phi_at_bounds():
@@ -165,6 +174,45 @@ def test_stone_representation_certificate(n):
     witness = stone_representation(powerset_algebra(n))
     assert len(witness.table) == 2**n
     assert len(set(witness.table)) == 2**n
+
+
+def _reverse_clopen_order(monkeypatch):
+    """List the clopens in reverse, so that the representation table is
+    bijective but sends each element to the index of its complement."""
+    real = duality.clopen_algebra
+
+    def reversed_clopens(space):
+        clop = real(space)
+        return replace(clop, clopen_masks=clop.clopen_masks[::-1])
+
+    monkeypatch.setattr(duality, "clopen_algebra", reversed_clopens)
+
+
+def test_representation_breaking_the_laws_is_a_library_bug(monkeypatch):
+    _reverse_clopen_order(monkeypatch)
+    with pytest.raises(InvariantViolation, match="not a homomorphism") as info:
+        stone_representation(powerset_algebra(2))
+    assert not isinstance(info.value, NotMeetPreserving)
+    assert isinstance(info.value.__cause__, NotMeetPreserving)
+    assert info.value.witness == ("NotMeetPreserving", ("bottom", 0))
+
+
+def test_representation_breaking_the_laws_is_a_failed_row(monkeypatch):
+    _reverse_clopen_order(monkeypatch)
+    inst = algebra_instance(2)
+    assert [(c.name, c.verdict) for c in inst.checks] == [
+        ("canonical_extension_dense", "pass"),
+        ("canonical_extension_compact", "pass"),
+        ("representation_is_isomorphism", "fail"),
+    ]
+    assert "not a homomorphism" in inst.checks[-1].witness["error"]
+    assert not inst.passed
+
+
+def test_representation_that_is_not_bijective_is_a_library_bug(monkeypatch):
+    monkeypatch.setattr(duality, "phi_mask", lambda algebra, a: 0)
+    with pytest.raises(InvariantViolation, match="not bijective"):
+        stone_representation(powerset_algebra(2))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

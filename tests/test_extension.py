@@ -16,7 +16,6 @@ from stonecheck.algebra import (
     all_homs,
     hom_from_atom_function,
     identity_hom,
-    monotone_map,
     powerset_algebra,
     ultrafilters,
 )
@@ -184,14 +183,6 @@ def test_sigma_is_monotone_and_extends():
             for b in range(1 << n1):
                 if a & ~b == 0:
                     assert sigma.table[a] & ~sigma.table[b] == 0
-
-
-def test_sigma_accepts_monotone_non_hom():
-    four = powerset_algebra(2)
-    bumpy = monotone_map((0, 3, 3, 3), four, four)
-    sigma = sigma_extend(bumpy)
-    assert sigma.table[0] == 0
-    assert len(sigma.table) == 4
 
 
 def test_completion_isomorphic_to_itself():

@@ -11,7 +11,6 @@ from stonecheck.algebra import (
     all_homs,
     hom_from_atom_function,
     identity_hom,
-    monotone_map,
     powerset_algebra,
     ultrafilters,
 )
@@ -24,7 +23,6 @@ from stonecheck.harness import (
     build_diagram,
     double_dual_map,
     exhaustive_suite,
-    explore_monotone,
     full_hom_instance,
     report_jsonable,
     shrink_failing_hom,
@@ -129,23 +127,6 @@ def test_verify_corollary_automorphism_case():
     assert full_hom_instance(swap).passed
     sigma = sigma_extend(swap)
     assert sorted(sigma.table) == list(range(4))
-
-
-def test_explore_monotone_records_without_asserting():
-    four = powerset_algebra(2)
-    bumpy = monotone_map((0, 3, 3, 3), four, four)  # meets broken at the atoms
-    inst = explore_monotone(bumpy)
-    assert all(c.verdict == "info" for c in inst.checks)
-    by_name = {c.name: c.witness for c in inst.checks}
-    assert by_name["dual_preimages_are_ultrafilters"]["holds"] is False
-
-
-def test_explore_monotone_on_actual_hom_agrees():
-    four = powerset_algebra(2)
-    inst = explore_monotone(monotone_map(identity_hom(four).table, four, four))
-    by_name = {c.name: c.witness for c in inst.checks}
-    assert by_name["dual_preimages_are_ultrafilters"]["holds"] is True
-    assert by_name["sigma_matches_preimage_transform"]["holds"] is True
 
 
 def test_suite_at_one_atom():

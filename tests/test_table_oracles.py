@@ -14,12 +14,17 @@ import random
 import pytest
 
 import stonecheck.harness as harness
-from stonecheck.algebra import all_homs, identity_hom, powerset_algebra, ultrafilters
+from stonecheck.algebra import (
+    _preimage_table,
+    all_homs,
+    identity_hom,
+    powerset_algebra,
+    ultrafilters,
+)
 from stonecheck.compactification import beta_lift, beta_space, extension_candidates
 from stonecheck.duality import (
     ContinuousMap,
     _hat_phi_fibres,
-    _preimage_table,
     discrete_space,
     hat_phi_table,
     stone_space,

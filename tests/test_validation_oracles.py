@@ -1,12 +1,14 @@
 """Row-at-a-time validators against element-by-element reference loops.
 
 The ``ref_*`` functions below are the straightforward loop versions of
-``fin_poset``, ``fin_lattice``, ``fin_bool_alg``, ``validate_hom`` and
-``documents._closed_relation``: one Python step per pair or triple, in index
-order.  Every input must give the same result from both: the same exception
-class, witness and message, or identical tables.  Inputs are seeded random
-relation matrices on 1-8 elements and 16- and 32-element powersets (with
-shuffled carriers) carrying one corrupted entry.
+``fin_poset``, ``fin_lattice``, ``fin_bool_alg``, ``validate_hom``,
+``hom_from_atom_function``, ``atom_function_of_hom`` and
+``documents._closed_relation``: one Python step per element, pair or
+triple, in index order.  Every input must give the same result from both:
+the same exception class, witness and message, or identical tables.  Inputs
+are seeded random relation matrices on 1-8 elements, 16- and 32-element
+powersets (with shuffled carriers) carrying one corrupted entry, and the
+atom functions between powersets and between shuffled presentations.
 """
 
 import dataclasses
@@ -17,10 +19,12 @@ import pytest
 
 from stonecheck.algebra import (
     MAX_ATOMS,
+    atom_function_of_hom,
     fin_bool_alg,
     fin_lattice,
     fin_poset,
     hom_from_atom_function,
+    powerset_algebra,
     validate_boolean_algebra,
     validate_hom,
 )
@@ -133,6 +137,25 @@ def ref_validate_hom(table, source, target):
         if t[source.complement_of(i)] != target.complement_of(t[i]):
             raise NotComplementPreserving("complement not preserved", (i,))
     return t
+
+
+def ref_hom_table_from_atom_function(source, target, g):
+    table = []
+    for i in range(source.size):
+        m1 = source.mask_of(i)
+        m2 = sum(1 << q for q in range(target.atom_count) if m1 >> g[q] & 1)
+        table.append(target.element_of_mask(m2))
+    return tuple(table)
+
+
+def ref_atom_function_of_hom(hom):
+    src, dst = hom.source, hom.target
+    out = []
+    for q_atom in dst.atoms:
+        preimage = [a for a in range(src.size) if dst.leq_of(q_atom, hom.table[a])]
+        generator = src.lattice.meet_all(preimage)
+        out.append(src.atoms.index(generator))
+    return tuple(out)
 
 
 def ref_closed_relation(size, pairs):
@@ -361,6 +384,33 @@ def test_every_table_on_four_elements_matches_reference():
         assert outcome(lambda t: validate_hom(t, four, four).table, table) == ref
         seen.add(ref[0])
     assert {"ok", NotMeetPreserving, NotJoinPreserving} <= seen
+
+
+def assert_atom_function_expansions_match(source, target):
+    for g in itertools.product(range(source.atom_count), repeat=target.atom_count):
+        hom = hom_from_atom_function(source, target, g)
+        assert hom.table == ref_hom_table_from_atom_function(source, target, g)
+        assert atom_function_of_hom(hom) == ref_atom_function_of_hom(hom) == g
+
+
+@pytest.mark.parametrize("k1, k2", list(itertools.product(range(4), repeat=2)))
+def test_atom_function_expansions_match_reference(k1, k2):
+    assert_atom_function_expansions_match(powerset_algebra(k1), powerset_algebra(k2))
+
+
+def relabeled_algebra(atoms, rng):
+    rows, comp = relabeled_powerset(atoms, rng)
+    return fin_bool_alg(fin_lattice(fin_poset(rows)), comp)
+
+
+def test_atom_function_expansions_match_reference_on_shuffled_carriers():
+    # element index and atom mask differ, so an expansion that confuses
+    # them gives a different table or atom function than the reference
+    rng = random.Random(7)
+    algebras = [relabeled_algebra(atoms, rng) for atoms in (1, 2, 2, 3, 3)]
+    assert all(b.atom_mask != tuple(range(b.size)) for b in algebras[1:])
+    for source, target in itertools.product(algebras, repeat=2):
+        assert_atom_function_expansions_match(source, target)
 
 
 @pytest.mark.parametrize("size", [1, 2, 3, 5, 8, 32])

@@ -112,21 +112,31 @@ def _preimage_table(table: Sequence[int], target_size: int) -> list[int]:
 
 
 def fin_poset(rows: Sequence[Sequence[bool]]) -> FinPoset:
-    """Validate a relation matrix as a partial order.
-
-    Raises NotAPoset naming the first witnessing tuple, scanning
-    reflexivity, then antisymmetry, then transitivity in index order.  For
-    i <= j the first transitivity witness k is the lowest element above j
-    but not above i.
-    """
+    """Validate a relation matrix as a partial order: ``poset_of_up_sets``
+    over its rows read as bitmasks."""
     n = len(rows)
-    if n == 0:
-        raise ValueError("carrier must be nonempty")
-    leq = tuple(tuple(map(bool, row)) for row in rows)
-    if any(len(row) != n for row in leq):
+    if any(len(row) != n for row in rows):
         raise ValueError("relation matrix must be square")
     bits = [1 << j for j in range(n)]
-    up = tuple(sum(itertools.compress(bits, row)) for row in leq)
+    return poset_of_up_sets([sum(itertools.compress(bits, row)) for row in rows])
+
+
+def poset_of_up_sets(up: Sequence[int]) -> FinPoset:
+    """Validate a relation given row by row as bitmasks as a partial order.
+
+    Bit j of ``up[i]`` says that i <= j.  Raises NotAPoset naming the first
+    witnessing tuple, scanning reflexivity, then antisymmetry, then
+    transitivity in index order.  For i <= j the first transitivity witness
+    k is the lowest element above j but not above i.
+    """
+    n = len(up)
+    if n == 0:
+        raise ValueError("carrier must be nonempty")
+    up = tuple(up)
+    if any(m >> n for m in up):
+        raise ValueError("relation masks must lie inside the carrier")
+    bits = [1 << j for j in range(n)]
+    leq = tuple(tuple(map(bool, map(m.__and__, bits))) for m in up)
     down = tuple(sum(itertools.compress(bits, col)) for col in zip(*leq))
     for i in range(n):
         if not up[i] >> i & 1:
@@ -328,12 +338,12 @@ def validate_boolean_algebra(
     the relation must already be transitively closed, or NotAPoset is
     raised with the offending tuple.
     """
-    rows = [[False] * size for _ in range(size)]
+    up = [0] * size
     for i, j in leq_pairs:
         if not (0 <= i < size and 0 <= j < size):
             raise ValueError(f"order pair ({i}, {j}) is outside the carrier")
-        rows[i][j] = True
-    return fin_bool_alg(fin_lattice(fin_poset(rows)), complement)
+        up[i] |= 1 << j
+    return fin_bool_alg(fin_lattice(poset_of_up_sets(up)), complement)
 
 
 def atoms_of(algebra: FinBoolAlg) -> tuple[int, ...]:

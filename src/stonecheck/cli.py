@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -297,7 +298,9 @@ class UsageError(StonecheckError):
     pass
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing never changes it."""
     parser = argparse.ArgumentParser(
         prog="stonecheck",
         description=(

@@ -22,6 +22,14 @@ Powerset algebras label their elements as sorted atom-index sets, e.g.
 A validator's error becomes a ``ValidationError`` naming the entry, except
 a ``LibraryBug``, which passes through unchanged: it signals a bug in this
 package, not a bad document.
+
+Every command parses and validates the whole document again.  To keep that
+cheap, the label pairs of a ``leq``, ``complement``, ``map`` or
+``atom_map`` list are resolved in one pass; the pair-by-pair checks run
+only when that pass fails, to name the first bad pair.  The closure of the
+``leq`` pairs stays as up-set bitmasks (``_closed_relation``), which go to
+``algebra.poset_of_up_sets`` as they are, with no pair list or boolean
+matrix in between.
 """
 
 from __future__ import annotations
@@ -29,17 +37,22 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from typing import Callable, TypeVar
 
 from .algebra import (
     MAX_ATOMS,
     BoolHom,
     FinBoolAlg,
+    fin_bool_alg,
+    fin_lattice,
     hom_from_atom_function,
+    poset_of_up_sets,
     powerset_algebra,
-    validate_boolean_algebra,
     validate_hom,
 )
 from .errors import LibraryBug, ParseError, StonecheckError, UnknownName, ValidationError
+
+T = TypeVar("T")
 
 
 @dataclass
@@ -71,11 +84,12 @@ def powerset_labels(n: int) -> tuple[str, ...]:
     return tuple(out)
 
 
-def _closed_relation(size: int, pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """The reflexive-transitive closure of the pairs, in row-major order.
+def _closed_relation(size: int, pairs: list[tuple[int, int]]) -> list[int]:
+    """The reflexive-transitive closure of the pairs as up-set bitmasks.
 
     Row i is the bitmask of the elements i relates to; Warshall's closure
-    ORs row k into every row that contains k.
+    ORs row k into every row that contains k.  The rows go to
+    ``poset_of_up_sets`` as they are.
     """
     rows = [1 << i for i in range(size)]
     for i, j in pairs:
@@ -85,7 +99,7 @@ def _closed_relation(size: int, pairs: list[tuple[int, int]]) -> list[tuple[int,
         for i in range(size):
             if rows[i] & bit:
                 rows[i] |= row_k
-    return [(i, j) for i in range(size) for j in range(size) if rows[i] >> j & 1]
+    return rows
 
 
 def _parse_algebra(entry: dict, where: str, doc: Document) -> None:
@@ -109,17 +123,14 @@ def _parse_algebra(entry: dict, where: str, doc: Document) -> None:
         n = entry["powerset"]
         if isinstance(n, bool) or not isinstance(n, int) or n < 0:
             raise ParseError(f"{where}: powerset must be a nonnegative integer")
-        try:
-            doc.algebras[name] = powerset_algebra(n)
-        except LibraryBug:
-            raise
-        except StonecheckError as exc:
-            raise ValidationError(f"{where}: {exc}") from exc
+        doc.algebras[name] = _validated(where, lambda: powerset_algebra(n))
         doc.labels[name] = powerset_labels(n)
     elif "carrier" in entry:
         carrier = entry.get("carrier")
         if not isinstance(carrier, list) or not all(isinstance(x, str) for x in carrier):
             raise ParseError(f"{where}: carrier must be a list of labels")
+        if not carrier:
+            raise ValidationError(f"{where}: carrier must be nonempty")
         if len(carrier) > 1 << MAX_ATOMS:
             raise ValidationError(
                 f"{where}: carrier of {len(carrier)} elements exceeds the cap of "
@@ -131,41 +142,95 @@ def _parse_algebra(entry: dict, where: str, doc: Document) -> None:
         for key in ("leq", "complement"):
             if not isinstance(entry.get(key, []), list):
                 raise ParseError(f"{where}: {key} must be a list of label pairs")
-
-        def resolve(pair, what):
-            if isinstance(pair, list) and len(pair) == 2:
-                i, j = _label_index(index, pair[0]), _label_index(index, pair[1])
-                if i is not None and j is not None:
-                    return i, j
-            raise ParseError(f"{where}: bad {what} pair {pair!r}")
-
-        leq_pairs = [resolve(p, "leq") for p in entry.get("leq", [])]
-        comp_pairs = [resolve(p, "complement") for p in entry.get("complement", [])]
+        leq_pairs, comp_pairs = (
+            list(_resolved_pairs(entry.get(key, []), index, index, where, key))
+            for key in ("leq", "complement")
+        )
         comp_table = [-1] * len(carrier)
         for i, j in comp_pairs:
             if comp_table[i] != -1:
                 raise ValidationError(f"{where}: element {carrier[i]!r} has two complements")
             comp_table[i] = j
-        if any(c == -1 for c in comp_table):
+        if -1 in comp_table:
             missing = carrier[comp_table.index(-1)]
             raise ValidationError(f"{where}: element {missing!r} has no complement")
-        try:
-            doc.algebras[name] = validate_boolean_algebra(
-                len(carrier), _closed_relation(len(carrier), leq_pairs), comp_table
-            )
-        except LibraryBug:
-            raise
-        except StonecheckError as exc:
-            raise ValidationError(f"{where}: {exc}") from exc
+        up = _closed_relation(len(carrier), leq_pairs)
+        doc.algebras[name] = _validated(
+            where, lambda: fin_bool_alg(fin_lattice(poset_of_up_sets(up)), comp_table)
+        )
         doc.labels[name] = tuple(carrier)
     else:
         raise ParseError(f"{where}: algebra needs 'powerset', 'carrier', or 'ref'")
     doc.algebra_order.append(name)
 
 
-def _label_index(index: dict[str, int], label) -> int | None:
-    """The index of a label, or None for anything that is not one of them."""
-    return index.get(label) if isinstance(label, str) else None
+def _validated(where: str, build: Callable[[], T]) -> T:
+    """``build()``, with a validator's error turned into a ValidationError
+    naming the entry; a LibraryBug passes through unchanged."""
+    try:
+        return build()
+    except LibraryBug:
+        raise
+    except StonecheckError as exc:
+        raise ValidationError(f"{where}: {exc}") from exc
+
+
+def _resolved_pairs(pairs: list, left: dict, right: dict, where: str, key: str, unknown=None):
+    """The (left, right) label indices of every pair, resolved in one pass.
+
+    When some pair is bad, the result is instead an iterator that resolves
+    the pairs one at a time and raises the error naming the first bad one
+    (``_resolve_pair``), so a caller that checks each pair as it comes
+    still meets the errors in pair order.
+    """
+    try:
+        out = [(left[p[0]], right[p[1]]) for p in pairs if type(p) is list and len(p) == 2]
+        if len(out) == len(pairs):
+            return out
+    except (KeyError, TypeError):
+        pass
+    return (_resolve_pair(p, left, right, where, key, unknown) for p in pairs)
+
+
+def _resolve_pair(pair, left: dict, right: dict, where: str, key: str, unknown: str | None):
+    """The indices of one pair, or the error that names it.
+
+    A pair that is not a list of two items is a ParseError; so is one with
+    an unknown label, unless ``unknown`` words a ValidationError for it.
+    """
+    if type(pair) is list and len(pair) == 2:
+        a, b = pair
+        if isinstance(a, str) and isinstance(b, str) and a in left and b in right:
+            return left[a], right[b]
+        if unknown is not None:
+            raise ValidationError(f"{where}: {unknown} in pair {pair!r}")
+    raise ParseError(f"{where}: bad {key} pair {pair!r}")
+
+
+def _pair_table(
+    pairs, left_labels: tuple[str, ...], right: dict, where: str, key: str
+) -> list[int]:
+    """Entry i is the right index that ``pairs`` gives the i-th left label.
+
+    The error names the first bad pair: pairs are taken in order, each
+    checked for its shape, then its labels, then a left label mapped twice.
+    """
+    if not isinstance(pairs, list):
+        raise ParseError(f"{where}: {key} must be a list of label pairs")
+    if key == "map":
+        noun, unknown = "element", "unknown label"
+    else:
+        noun, unknown = "target atom", "unknown atom label"
+    left = {label: i for i, label in enumerate(left_labels)}
+    table = [-1] * len(left_labels)
+    for i, v in _resolved_pairs(pairs, left, right, where, key, unknown):
+        if table[i] != -1:
+            raise ValidationError(f"{where}: {noun} {left_labels[i]!r} mapped twice")
+        table[i] = v
+    if -1 in table:
+        missing = left_labels[table.index(-1)]
+        raise ValidationError(f"{where}: {noun} {missing!r} has no image")
+    return table
 
 
 def _parse_hom(entry: dict, where: str, doc: Document) -> None:
@@ -186,57 +251,14 @@ def _parse_hom(entry: dict, where: str, doc: Document) -> None:
     src_labels, dst_labels = doc.labels[src_name], doc.labels[dst_name]
 
     if "map" in entry:
-        pairs = entry["map"]
-        if not isinstance(pairs, list):
-            raise ParseError(f"{where}: map must be a list of label pairs")
-        src_index = {label: i for i, label in enumerate(src_labels)}
-        dst_index = {label: i for i, label in enumerate(dst_labels)}
-        table = [-1] * src.size
-        for pair in pairs:
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise ParseError(f"{where}: bad map pair {pair!r}")
-            a, b = pair
-            i, v = _label_index(src_index, a), _label_index(dst_index, b)
-            if i is None or v is None:
-                raise ValidationError(f"{where}: unknown label in pair {pair!r}")
-            if table[i] != -1:
-                raise ValidationError(f"{where}: element {a!r} mapped twice")
-            table[i] = v
-        if any(v == -1 for v in table):
-            missing = src_labels[table.index(-1)]
-            raise ValidationError(f"{where}: element {missing!r} has no image")
-        try:
-            doc.homs[name] = validate_hom(table, src, dst)
-        except LibraryBug:
-            raise
-        except StonecheckError as exc:
-            raise ValidationError(f"{where}: {exc}") from exc
+        dst_index = {label: v for v, label in enumerate(dst_labels)}
+        table = _pair_table(entry["map"], src_labels, dst_index, where, "map")
+        doc.homs[name] = _validated(where, lambda: validate_hom(table, src, dst))
     elif "atom_map" in entry:
-        pairs = entry["atom_map"]
-        if not isinstance(pairs, list):
-            raise ParseError(f"{where}: atom_map must be a list of label pairs")
         src_atom_index = {src_labels[a]: k for k, a in enumerate(src.atoms)}
-        dst_atom_index = {dst_labels[a]: k for k, a in enumerate(dst.atoms)}
-        g = [-1] * dst.atom_count
-        for pair in pairs:
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise ParseError(f"{where}: bad atom_map pair {pair!r}")
-            p, q = pair
-            qi, pi = _label_index(dst_atom_index, p), _label_index(src_atom_index, q)
-            if qi is None or pi is None:
-                raise ValidationError(f"{where}: unknown atom label in pair {pair!r}")
-            if g[qi] != -1:
-                raise ValidationError(f"{where}: target atom {p!r} mapped twice")
-            g[qi] = pi
-        if any(v == -1 for v in g):
-            missing = dst_labels[dst.atoms[g.index(-1)]]
-            raise ValidationError(f"{where}: target atom {missing!r} has no image")
-        try:
-            doc.homs[name] = hom_from_atom_function(src, dst, g)
-        except LibraryBug:
-            raise
-        except StonecheckError as exc:
-            raise ValidationError(f"{where}: {exc}") from exc
+        dst_atom_labels = tuple(dst_labels[a] for a in dst.atoms)
+        g = _pair_table(entry["atom_map"], dst_atom_labels, src_atom_index, where, "atom_map")
+        doc.homs[name] = _validated(where, lambda: hom_from_atom_function(src, dst, g))
     else:
         raise ParseError(f"{where}: hom needs 'map' or 'atom_map'")
     doc.hom_order.append(name)

@@ -152,11 +152,6 @@ class ContinuousMap:
     def is_surjective(self) -> bool:
         return set(self.table) == set(range(self.target.size))
 
-    def preimage_mask(self, target_mask: int) -> int:
-        return sum(
-            1 << i for i, v in enumerate(self.table) if target_mask >> v & 1
-        )
-
     @cached_property
     def preimages(self) -> list[int]:
         """The preimage mask of every target mask, indexed by the target mask."""
@@ -261,9 +256,7 @@ def dual_of_continuous(f: ContinuousMap) -> BoolHom:
     """The homomorphism Clop(target) -> Clop(source), U -> preimage of U."""
     src_clop = clopen_algebra(f.target)
     dst_clop = clopen_algebra(f.source)
-    table = [
-        dst_clop.index_of_mask(f.preimage_mask(m)) for m in src_clop.clopen_masks
-    ]
+    table = [dst_clop.index_of_mask(f.preimages[m]) for m in src_clop.clopen_masks]
     return validate_hom(table, src_clop.algebra, dst_clop.algebra)
 
 

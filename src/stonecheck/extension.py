@@ -8,6 +8,13 @@ ultrafilter set with the Stone embedding, and the extension of a map is
 computed by the filter-quantified join formula -- deliberately not by the
 dual-map shortcut, which lives in the verification harness as the
 independent path the formula is checked against.
+
+The completeness scan of a completion's lattice runs once per lattice
+object (``_assert_complete`` is cached).  Every canonical extension of an
+n-atom algebra is completed by the same cached ``powerset_algebra(n)``
+lattice, so its 2**(2**n)-subset scan is paid once per process however
+many documents name such an algebra; a lattice that fails raises again on
+every call, since an exception is never cached.
 """
 
 from __future__ import annotations
@@ -96,6 +103,7 @@ def completion(base: FinLattice, complete: FinLattice, embedding: Sequence[int])
     return Completion(base, complete, e)
 
 
+@cache
 def _assert_complete(lattice: FinLattice) -> None:
     """Check that every subset has its meet and join as lower and upper bound.
 
@@ -105,6 +113,7 @@ def _assert_complete(lattice: FinLattice) -> None:
     highest member, the order in which ``meet_all`` (``join_all``) folds,
     one highest member at a time through a byte translation table.  Each
     bound is tested against the bitmask of the elements above (below) it.
+    Cached per lattice object; a failing lattice is not cached.
     """
     n = lattice.size
     if n > MAX_ISO_SEARCH:

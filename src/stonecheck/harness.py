@@ -24,12 +24,13 @@ reports the first witness of the literal scan.
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 import time
 from dataclasses import dataclass, field, replace
 from functools import cache
-from typing import Callable
+from typing import Callable, Sequence
 
 from .algebra import (
     MAX_HOM_ATOMS,
@@ -82,7 +83,7 @@ class DiagramBundle:
 @dataclass(frozen=True)
 class CheckResult:
     name: str
-    verdict: str  # "pass" | "fail" | "info"
+    verdict: str  # "pass" | "fail"
     witness: dict | None = None
 
     def as_row(self) -> dict:
@@ -101,7 +102,7 @@ class InstanceReport:
 
     @property
     def passed(self) -> bool:
-        return all(c.verdict != "fail" for c in self.checks)
+        return all(c.verdict == "pass" for c in self.checks)
 
 
 @dataclass
@@ -130,12 +131,18 @@ def report_jsonable(report: VerificationReport) -> list[dict]:
     ]
 
 
-def hom_descriptor(h: BoolHom, name: str | None = None) -> dict:
+def hom_descriptor(
+    h: BoolHom, name: str | None = None, atom_function: Sequence[int] | None = None
+) -> dict:
+    """The instance descriptor of a hom; ``atom_function``, when the caller
+    built h from it, spares re-deriving it from the table."""
+    if atom_function is None:
+        atom_function = atom_function_of_hom(h)
     d = {
         "kind": "hom",
         "source_atoms": h.source.atom_count,
         "target_atoms": h.target.atom_count,
-        "atom_function": list(atom_function_of_hom(h)),
+        "atom_function": list(atom_function),
     }
     if name is not None:
         d["name"] = name
@@ -393,13 +400,21 @@ def _hom_law_witness(sigma_table, n1: int, n2: int) -> dict | None:
     return None
 
 
-def full_hom_instance(h: BoolHom, name: str | None = None, extra: dict | None = None) -> InstanceReport:
-    """The per-homomorphism check battery used by the suite and CLI."""
+def full_hom_instance(
+    h: BoolHom,
+    name: str | None = None,
+    extra: dict | None = None,
+    atom_function: Sequence[int] | None = None,
+) -> InstanceReport:
+    """The per-homomorphism check battery used by the suite and CLI.
+
+    ``atom_function`` is the one h was built from, if the caller has it.
+    """
     start = time.perf_counter()
     bundle = build_diagram(h)
     sigma = sigma_extend(h)
     checks = _hom_checks(h, bundle, sigma.table)
-    descriptor = hom_descriptor(h, name)
+    descriptor = hom_descriptor(h, name, atom_function)
     if extra:
         descriptor.update(extra)
     return InstanceReport(descriptor, checks, int((time.perf_counter() - start) * 1000))
@@ -459,8 +474,10 @@ def exhaustive_suite(
             )
         for k1 in range(1, max_atoms + 1):
             for k2 in range(1, max_atoms + 1):
-                for h in all_homs(powerset_algebra(k1), powerset_algebra(k2)):
-                    report.instances.append(full_hom_instance(h))
+                # all_homs lists the homs in the order of their atom functions
+                homs = all_homs(powerset_algebra(k1), powerset_algebra(k2))
+                for g, h in zip(itertools.product(range(k1), repeat=k2), homs):
+                    report.instances.append(full_hom_instance(h, atom_function=g))
     else:
         seed, count = sample
         rng = random.Random(seed)
@@ -472,7 +489,9 @@ def exhaustive_suite(
             first = first_draws.get((k1, g))
             if first is None:
                 h = hom_from_atom_function(powerset_algebra(k1), powerset_algebra(k2), g)
-                instance = first_draws[k1, g] = full_hom_instance(h, extra={"sample_index": i})
+                instance = first_draws[k1, g] = full_hom_instance(
+                    h, extra={"sample_index": i}, atom_function=g
+                )
             else:
                 instance = InstanceReport(dict(first.descriptor, sample_index=i), first.checks)
             report.instances.append(instance)

@@ -27,6 +27,7 @@ from stonecheck.algebra import (
     hom_from_atom_function,
     identity_hom,
     order_dual,
+    poset_of_up_sets,
     powerset_algebra,
     ultrafilters,
     ultrafilters_bruteforce,
@@ -84,6 +85,18 @@ def test_diamond_m3_is_not_distributive():
     lhs = lattice.meet_of(x, lattice.join_of(y, z))
     rhs = lattice.join_of(lattice.meet_of(x, y), lattice.meet_of(x, z))
     assert lhs != rhs
+
+
+def test_matrix_and_mask_validators_give_one_poset():
+    rows = [[i & ~j == 0 for j in range(8)] for i in range(8)]
+    masks = [sum(1 << j for j in range(8) if rows[i][j]) for i in range(8)]
+    from_rows, from_masks = fin_poset(rows), poset_of_up_sets(masks)
+    assert (from_rows.leq, from_rows.up, from_rows.down) == (
+        from_masks.leq, from_masks.up, from_masks.down
+    )
+    for bad in ([], [1, 4], [1, -1]):
+        with pytest.raises(ValueError):
+            poset_of_up_sets(bad)
 
 
 def test_poset_validation_names_first_witness():

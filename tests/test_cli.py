@@ -226,7 +226,7 @@ _JSON = st.recursive(
 _CHECK = st.builds(
     CheckResult,
     _TEXT,
-    st.sampled_from(["pass", "fail", "info"]),
+    st.sampled_from(["pass", "fail"]),
     st.none() | st.dictionaries(_TEXT, _JSON, max_size=3),
 )
 
@@ -349,10 +349,11 @@ def test_exit_code_mapping_for_failing_report():
         [InstanceReport({"kind": "hom"}, [CheckResult("anything", "pass")])]
     )
     assert exit_code_for_report(passing) == 0
-    informational = VerificationReport(
-        [InstanceReport({"kind": "monotone"}, [CheckResult("probe", "info")])]
+    # only "pass" passes: a verdict outside pass/fail cannot read as passing
+    mistyped = VerificationReport(
+        [InstanceReport({"kind": "hom"}, [CheckResult("anything", "info")])]
     )
-    assert exit_code_for_report(informational) == 0
+    assert exit_code_for_report(mistyped) == 1
 
 
 def test_report_json_envelope():
@@ -363,6 +364,14 @@ def test_report_json_envelope():
     assert payload["input_digest"] == "digest123"
     assert payload["tool_version"]
     assert payload["instances"][0]["timing_ms"] == 0
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    assert main(["canext", str(SAMPLE), "two"]) == 0
+    assert main(["dual", str(SAMPLE), "four"]) == 0
+    out = capsys.readouterr().out
+    assert "extension size: 2" in out and "dual space of four" in out
 
 
 def test_main_callable_in_process(capsys):

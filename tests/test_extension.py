@@ -6,6 +6,7 @@ with the filter-formula implementation.
 """
 
 import itertools
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from stonecheck.algebra import (
     powerset_algebra,
     ultrafilters,
 )
+from stonecheck.documents import parse_document
 from stonecheck.errors import (
     BoundExceeded,
     DegenerateAlgebra,
@@ -26,6 +28,7 @@ from stonecheck.errors import (
     NotAnEmbedding,
 )
 from stonecheck.extension import (
+    _assert_complete,
     canonical_extension,
     completion,
     completion_isomorphic,
@@ -34,6 +37,8 @@ from stonecheck.extension import (
     permuted_completion,
     sigma_extend,
 )
+
+SAMPLE = Path(__file__).resolve().parents[1] / "src/stonecheck/data/sample_document.json"
 
 
 def identity_completion(algebra):
@@ -128,6 +133,24 @@ def test_completeness_scan_reports_the_reference_witness(atoms, table, a, b, val
     with pytest.raises(InvariantViolation) as info:
         completion(powerset_algebra(1).lattice, broken, (0, top))
     assert info.value.witness == expected
+
+
+def test_each_completion_lattice_is_scanned_once():
+    # two parses give two algebra objects, both completed by the one cached
+    # powerset lattice on their two ultrafilters
+    text = SAMPLE.read_text()
+    _assert_complete.cache_clear()
+    for _ in range(2):
+        canonical_extension(parse_document(text).algebra("abstract_four"))
+    info = _assert_complete.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_a_lattice_that_fails_the_scan_fails_every_time():
+    broken = corrupted_lattice(powerset_algebra(3).lattice, "meet", 3, 4, 7)
+    for _ in range(2):
+        with pytest.raises(InvariantViolation):
+            completion(powerset_algebra(1).lattice, broken, (0, broken.size - 1))
 
 
 def test_canonical_extension_sizes():

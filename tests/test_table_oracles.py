@@ -1,9 +1,10 @@
 """The table-at-a-time arrows against the per-entry computations they replace.
 
 Each reference below is the earlier per-entry code, kept literally: the
-preimage sum of ``ContinuousMap.preimage_mask``, the per-ultrafilter sums of
-the ultrafilter lift, the per-subset double-dual scan, the per-set forward
-image, and the pair-by-pair homomorphism-law loop of the battery.  The
+per-set preimage sum (once ``ContinuousMap.preimage_mask``), the
+per-ultrafilter sums of the ultrafilter lift, the per-subset double-dual
+scan, the per-set forward image, and the pair-by-pair homomorphism-law loop
+of the battery.  The
 tables must agree with them exactly, including the first witness and the
 exception raised on corrupted input.
 """
@@ -99,6 +100,10 @@ def reference_hom_law(sigma_table, n1, n2):
     return hom_law
 
 
+def ref_preimage_mask(table, target_mask):
+    return sum(1 << i for i, v in enumerate(table) if target_mask >> v & 1)
+
+
 def test_preimage_table_matches_preimage_mask_on_random_tables():
     rng = random.Random(6)
     for _ in range(300):
@@ -106,7 +111,7 @@ def test_preimage_table_matches_preimage_mask_on_random_tables():
         target = discrete_space(range(rng.randint(1, 5)))
         table = tuple(rng.randrange(target.size) for _ in range(source.size))
         f = ContinuousMap(source, target, table)
-        expected = [f.preimage_mask(m) for m in range(1 << target.size)]
+        expected = [ref_preimage_mask(table, m) for m in range(1 << target.size)]
         assert _preimage_table(table, target.size) == expected
         assert f.preimages == expected
 

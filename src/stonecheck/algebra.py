@@ -12,9 +12,11 @@ an up-set bitmask (and each column as a down-set bitmask), so the order
 laws are mask tests and a least upper bound is the element whose up-set
 mask is the intersection of two others.  The distributive and homomorphism
 laws compare rows of bytes built from the operation tables with
-``bytes.translate``.  Only a comparison that fails is scanned, so every
-check still names the same first witness as an element-by-element scan in
-index order.  Byte rows need element indices below 256, which the
+``bytes.translate``; a lattice keeps its meet and join tables as flat byte
+blocks (``meet_bytes``, ``join_bytes``), built once per lattice, for
+``validate_hom`` to translate.  Only a comparison that fails is scanned, so
+every check still names the same first witness as an element-by-element
+scan in index order.  Byte rows need element indices below 256, which the
 32-element cap on Boolean algebras guarantees.
 
 Filters are stored extensionally (as element sets).  The fast enumeration
@@ -22,14 +24,16 @@ exploits that every filter of a finite lattice is a principal up-set; the
 subset-scanning brute-force enumeration is kept alongside as a cross-check
 oracle for the test suite.  Ideals are the filters of the order dual, which
 reuses the lattice's own tables with the order, the operations, and the
-bounds swapped.
+bounds swapped.  An ultrafilter also keeps a 256-byte ``indicator``, so
+that membership of a whole row of elements is one ``bytes.translate``;
+``ultrafilter_rows`` keys the ultrafilters by the resulting rows.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cache, reduce
+from functools import cache, cached_property, reduce
 from operator import or_
 from typing import Iterable, Sequence
 
@@ -192,6 +196,16 @@ class FinLattice:
         for e in elems:
             out = self.join[out][e]
         return out
+
+    @cached_property
+    def meet_bytes(self) -> bytes:
+        """The meet table as one flat block of n rows of n bytes."""
+        return bytes(itertools.chain.from_iterable(self.meet))
+
+    @cached_property
+    def join_bytes(self) -> bytes:
+        """The join table as one flat block of n rows of n bytes."""
+        return bytes(itertools.chain.from_iterable(self.join))
 
 
 @cache
@@ -401,6 +415,24 @@ class UltraFilter:
     def members(self) -> frozenset[int]:
         return self.filter.members
 
+    @cached_property
+    def indicator(self) -> bytes:
+        """A 256-byte ``bytes.translate`` table: 1 at each member, else 0.
+
+        Translating a row of elements through it marks which lie in the
+        ultrafilter; its first ``algebra.size`` bytes are the membership row
+        that ``ultrafilter_rows`` keys on.
+        """
+        row = bytearray(256)
+        for a in self.members:
+            row[a] = 1
+        return bytes(row)
+
+
+def ultrafilter_rows(ufs: Sequence[UltraFilter]) -> dict[bytes, int]:
+    """The position of each ultrafilter, keyed by its membership row."""
+    return {u.indicator[: u.algebra.size]: k for k, u in enumerate(ufs)}
+
 
 def is_filter(lattice: FinLattice, members: frozenset[int]) -> bool:
     if lattice.top not in members:
@@ -503,21 +535,23 @@ def validate_hom(table: Sequence[int], source: FinBoolAlg, target: FinBoolAlg) -
     """Accept a raw image table as a homomorphism or name the first broken law.
 
     Bottom preservation is checked with the meets (bottom is the meet of the
-    whole carrier) and top preservation with the joins.
+    whole carrier) and top preservation with the joins.  Each operation law
+    reads the lattices' flat byte blocks (``meet_bytes``, ``join_bytes``).
     """
-    t = tuple(int(x) for x in table)
-    if len(t) != source.size or any(not 0 <= v < target.size for v in t):
+    t = tuple(map(int, table))
+    if len(t) != source.size or min(t) < 0 or max(t) >= target.size:
         raise ValueError("table must map the source carrier into the target carrier")
     image = bytes(t)
     image_table = _byte_table(t)
+    src, dst = source.lattice, target.lattice
     if t[source.bottom] != target.bottom:
         raise NotMeetPreserving("bottom must map to bottom", ("bottom", source.bottom))
-    witness = _unpreserved(source.lattice.meet, target.lattice.meet, image, image_table)
+    witness = _unpreserved(src.meet_bytes, dst.meet_bytes, dst.size, image, image_table)
     if witness is not None:
         raise NotMeetPreserving("meet not preserved", witness)
     if t[source.top] != target.top:
         raise NotJoinPreserving("top must map to top", ("top", source.top))
-    witness = _unpreserved(source.lattice.join, target.lattice.join, image, image_table)
+    witness = _unpreserved(src.join_bytes, dst.join_bytes, dst.size, image, image_table)
     if witness is not None:
         raise NotJoinPreserving("join not preserved", witness)
     lhs = bytes(source.complement).translate(image_table)
@@ -528,18 +562,17 @@ def validate_hom(table: Sequence[int], source: FinBoolAlg, target: FinBoolAlg) -
 
 
 def _unpreserved(
-    source_op: tuple[tuple[int, ...], ...],
-    target_op: tuple[tuple[int, ...], ...],
-    image: bytes,
-    image_table: bytes,
+    source_op: bytes, target_op: bytes, m: int, image: bytes, image_table: bytes
 ) -> tuple[int, int] | None:
     """The first (i, j) with t[op(i, j)] != op(t[i], t[j]), or None.
 
-    Both sides are built as n rows of n bytes, row i of the right side by
-    translating the image through row t[i] of the target table.
+    The operations are flat byte blocks, n by n on the source and m by m on
+    the target.  Both sides are built as n rows of n bytes, row i of the
+    right side by translating the image through row t[i] of the target
+    block, sliced into a 256-byte table once per distinct image value.
     """
-    lhs = bytes(itertools.chain.from_iterable(source_op)).translate(image_table)
-    tables = {v: _byte_table(target_op[v]) for v in set(image)}
+    lhs = source_op.translate(image_table)
+    tables = {v: _byte_table(target_op[v * m : v * m + m]) for v in set(image)}
     rhs = b"".join([image.translate(tables[v]) for v in image])
     if lhs == rhs:
         return None
@@ -570,13 +603,12 @@ def hom_from_atom_function(
     the dual description of a homomorphism used both by the exhaustive
     generator and by the document shorthand.
     """
-    g = tuple(int(x) for x in atom_function)
-    if len(g) != target.atom_count or any(not 0 <= p < source.atom_count for p in g):
+    g = tuple(map(int, atom_function))
+    if len(g) != target.atom_count or g and (min(g) < 0 or max(g) >= source.atom_count):
         raise ValueError("atom function must map target atoms to source atoms")
     pre = _preimage_table(g, source.atom_count)
-    return validate_hom(
-        [target.element_of_mask(pre[m]) for m in source.atom_mask], source, target
-    )
+    index = target._mask_index
+    return validate_hom([index[pre[m]] for m in source.atom_mask], source, target)
 
 
 def atom_function_of_hom(hom: BoolHom) -> tuple[int, ...]:

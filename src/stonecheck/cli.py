@@ -206,6 +206,8 @@ def _diagram_dot(doc: Document, hom_name: str) -> str:
 
 
 def _cmd_dual(args) -> int:
+    if args.dot and args.out is None:
+        raise UsageError("--dot requires --out PATH")
     doc, _ = _load_document(args.document)
     algebra = doc.algebra(args.name)
     labels = doc.labels[args.name]
@@ -221,8 +223,6 @@ def _cmd_dual(args) -> int:
         lines.append("  {" + inside + "}")
     sys.stdout.write("\n".join(lines) + "\n")
     if args.dot:
-        if args.out is None:
-            raise StonecheckError("--dot requires --out PATH")
         _write_output(_hasse_dot(doc, args.name), args.out)
     return 0
 

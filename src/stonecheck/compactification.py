@@ -17,17 +17,27 @@ still bound the nominal table space ``target.size ** space.size``.
 Both flavours work a table at a time: each candidate's continuity and the
 lift's image sets read one preimage table of the point map
 (``algebra._preimage_table``) instead of summing a preimage per open set or
-per ultrafilter, and the target space is validated once per space.
+per ultrafilter, and the target space is validated once per space.  The
+lift reads each image set as a byte row, that preimage table translated
+through the ultrafilter's indicator, and looks it up among the target's
+``point_rows``, which are keyed once per ``BetaSpace``.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .algebra import FinBoolAlg, UltraFilter, _preimage_table, powerset_algebra, ultrafilters
+from .algebra import (
+    FinBoolAlg,
+    UltraFilter,
+    _preimage_table,
+    powerset_algebra,
+    ultrafilter_rows,
+    ultrafilters,
+)
 from .duality import (
     ContinuousMap,
     FinStoneSpace,
@@ -35,6 +45,7 @@ from .duality import (
     continuous_map,
     discrete_space,
     dual_space,
+    open_set,
     topology,
     validate_stone,
 )
@@ -83,6 +94,12 @@ class BetaSpace:
     @property
     def embed(self) -> tuple[int, ...]:
         return self.compactification.embed
+
+    @cached_property
+    def point_rows(self) -> dict[bytes, int]:
+        """The index of each point, keyed by its membership row over the
+        subsets of the base (``ultrafilter_rows``)."""
+        return ultrafilter_rows(self.points_as_ultrafilters)
 
 
 def build_compactification(
@@ -164,7 +181,7 @@ def _forced_tables(
         fixed[point] = True
     free = [s for s in range(space.size) if not fixed[s]]
     target_opens = topology(target)
-    source_opens = set(topology(space))
+    source_opens = open_set(space)
     for values in itertools.product(range(target.size), repeat=len(free)):
         for s, v in zip(free, values):
             table[s] = v
@@ -213,21 +230,23 @@ def beta_lift(f: Sequence[int], bx: BetaSpace, by: BetaSpace) -> ContinuousMap:
 
     The image of an ultrafilter U is {B : preimage of B under f lies in U},
     located among the points of the target compactification.  The preimage
-    of every B is read from one table.
+    of every B is read from one table, and the image of U is that table as
+    a byte row translated through the indicator of U: a membership row,
+    looked up among the target's ``point_rows``.
     """
-    ft = tuple(int(x) for x in f)
-    if len(ft) != bx.base.size or any(not 0 <= v < by.base.size for v in ft):
+    ft = tuple(map(int, f))
+    if len(ft) != bx.base.size or min(ft) < 0 or max(ft) >= by.base.size:
         raise ValueError("map must send base points into the target base")
-    ny = by.base.size
-    index = {u.members: k for k, u in enumerate(by.points_as_ultrafilters)}
-    pre = _preimage_table(ft, ny)
+    index = by.point_rows
+    pre = bytes(_preimage_table(ft, by.base.size))
     table = []
     for nabla in bx.points_as_ultrafilters:
-        members = nabla.members
-        image_members = frozenset(mb for mb in range(1 << ny) if pre[mb] in members)
-        if image_members not in index:
+        row = pre.translate(nabla.indicator)
+        k = index.get(row)
+        if k is None:
+            image_members = frozenset(mb for mb, inside in enumerate(row) if inside)
             raise InvariantViolation("lifted set is not an ultrafilter", image_members)
-        table.append(index[image_members])
+        table.append(k)
     return continuous_map(bx.space, by.space, table)
 
 
@@ -266,9 +285,9 @@ def compactification_equivalent(c1: Compactification, c2: Compactification) -> O
     n = c1.space.size
     if n > MAX_BETA_POINTS:
         raise BoundExceeded("homeomorphism search capped", n)
-    source_opens = set(topology(c1.space))
+    source_opens = open_set(c1.space)
     target_opens = topology(c2.space)
-    target_open_set = set(target_opens)
+    target_open_set = open_set(c2.space)
     for cand in itertools.permutations(range(n)):
         if any(cand[c1.embed[i]] != c2.embed[i] for i in range(c1.base.size)):
             continue

@@ -12,9 +12,13 @@ double-dual constructions can be manipulated extensionally.
 Maps are checked a table at a time: ``algebra._preimage_table`` lists the
 preimage of every target point set of a point table, and a
 ``ContinuousMap`` keeps that table (``preimages``) once it is first needed,
-so continuity and every later preimage are lookups.  Each space is
-validated once (``validate_stone`` is cached), and ``_hat_phi_fibres``
-inverts ``hat_phi_table`` once per table.
+so continuity and every later preimage are lookups in it and in the set of
+opens (``open_set``, once per space).  Each space is validated once
+(``validate_stone`` is cached), and ``_hat_phi_fibres`` inverts
+``hat_phi_table`` once per table.  ``dual_map`` finds the preimage of an
+ultrafilter as one byte row, the hom's table translated through the
+ultrafilter's indicator, and looks it up among the source's ultrafilter
+rows, which are keyed once per algebra.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from .algebra import (
     fin_lattice,
     fin_poset,
     powerset_algebra,
+    ultrafilter_rows,
     ultrafilters,
     validate_hom,
 )
@@ -94,6 +99,12 @@ def topology(space: FinStoneSpace) -> tuple[int, ...]:
             break
         opens |= new
     return tuple(sorted(opens))
+
+
+@cache
+def open_set(space: FinStoneSpace) -> frozenset[int]:
+    """The opens of ``topology`` as one set, for membership tests."""
+    return frozenset(topology(space))
 
 
 def closure_mask(space: FinStoneSpace, mask: int) -> int:
@@ -161,11 +172,11 @@ class ContinuousMap:
 def continuous_map(
     source: FinStoneSpace, target: FinStoneSpace, table: Sequence[int]
 ) -> ContinuousMap:
-    t = tuple(int(x) for x in table)
-    if len(t) != source.size or any(not 0 <= v < target.size for v in t):
+    t = tuple(map(int, table))
+    if len(t) != source.size or t and (min(t) < 0 or max(t) >= target.size):
         raise ValueError("table must map source points to target points")
     f = ContinuousMap(source, target, t)
-    source_opens = set(topology(source))
+    source_opens = open_set(source)
     pre = f.preimages
     for o in topology(target):
         if pre[o] not in source_opens:
@@ -209,20 +220,29 @@ def dual_space(algebra: FinBoolAlg) -> FinStoneSpace:
     return space
 
 
+@cache
+def _ultrafilter_rows(algebra: FinBoolAlg) -> dict[bytes, int]:
+    """``ultrafilter_rows`` of the algebra's ultrafilters, once per algebra."""
+    return ultrafilter_rows(ultrafilters(algebra))
+
+
 def dual_map(hom: BoolHom) -> ContinuousMap:
     """The continuous map Uf(target) -> Uf(source), v -> preimage of v under h.
 
-    Each preimage is checked to be an ultrafilter of the source algebra.
+    Each preimage is checked to be an ultrafilter of the source algebra.  It
+    is computed as a membership row, the image table translated through the
+    indicator of v, and looked up among the source's ultrafilter rows.
     """
     src_space = dual_space(hom.target)
     dst_space = dual_space(hom.source)
-    index = {u.members: i for i, u in enumerate(ultrafilters(hom.source))}
+    index = _ultrafilter_rows(hom.source)
+    image = bytes(hom.table)
     table = []
     for v in ultrafilters(hom.target):
-        pre = frozenset(a for a in range(hom.source.size) if hom.table[a] in v.members)
-        if pre not in index:
+        k = index.get(image.translate(v.indicator))
+        if k is None:
             raise InvariantViolation("hom preimage of an ultrafilter is not one", v)
-        table.append(index[pre])
+        table.append(k)
     return continuous_map(src_space, dst_space, table)
 
 
@@ -242,7 +262,7 @@ class ClopenAlgebra:
 def clopen_algebra(space: FinStoneSpace) -> ClopenAlgebra:
     """Compute the clopen family from the generated topology and package it."""
     validate_stone(space)
-    opens = set(topology(space))
+    opens = open_set(space)
     full = (1 << space.size) - 1
     clopens = sorted(o for o in opens if (full & ~o) in opens)
     n = len(clopens)

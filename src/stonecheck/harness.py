@@ -14,12 +14,14 @@ or with the filter formula becomes a failed check with a witness.
 
 Both work a table at a time.  Each arrow of the diagram reads the preimage
 table of its point map, and each double-dual entry is a lookup in that
-table and in the inverse of ``hat_phi_table``.  The battery takes forward
-images from one table per homomorphism (preimage and forward-image tables
-are both built by the subset-union fold ``algebra._subset_unions``),
-compares the homomorphism laws of the extension one byte row at a time,
-and scans a row pair by pair only when it differs, so each check still
-reports the first witness of the literal scan.
+table and in the inverse of ``hat_phi_table``; ``build_diagram`` makes the
+whole double-dual table before it makes the bundle.  The battery takes
+forward images from one table per homomorphism (preimage and forward-image
+tables are both built by the subset-union fold ``algebra._subset_unions``),
+compares the homomorphism laws of the extension and the preimage
+membership equivalence one byte row at a time, and scans pair by pair only
+when a row differs, so each check still reports the first witness of the
+literal scan.  A passing check is one shared ``CheckResult`` per name.
 """
 
 from __future__ import annotations
@@ -28,13 +30,14 @@ import itertools
 import json
 import random
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cache
 from typing import Callable, Sequence
 
 from .algebra import (
     MAX_HOM_ATOMS,
     BoolHom,
+    FinBoolAlg,
     _subset_unions,
     all_homs,
     atom_function_of_hom,
@@ -171,30 +174,42 @@ def build_diagram(h: BoolHom) -> DiagramBundle:
     candidates = extension_candidates(beta2, composed, beta1.space)
     via_extension = sole_extension(beta2, beta1.space, candidates)
     via_formula = beta_lift(h_star.table, beta2, beta1)
-    bundle = DiagramBundle(
-        h, h_star, beta1, beta2, via_extension, (), len(candidates), via_formula.table
+    double_dual = _double_dual_entries(h, via_extension, range(1 << len(ufs1)))
+    return DiagramBundle(
+        h, h_star, beta1, beta2, via_extension, double_dual, len(candidates), via_formula.table
     )
-    table = tuple(double_dual_map(bundle, a) for a in range(1 << len(ufs1)))
-    return replace(bundle, double_dual=table)
 
 
 def double_dual_map(bundle: DiagramBundle, subset_mask: int) -> int:
-    """The dual of the compactified map, by its defining preimage equation.
+    """The dual of the compactified map at one subset, by its defining
+    preimage equation (see ``_double_dual_entries``)."""
+    return _double_dual_entries(bundle.hom, bundle.h_star_beta, (subset_mask,))[0]
 
-    Embeds the subset into the double dual, pulls it back through the
+
+def _double_dual_entries(
+    h: BoolHom, h_star_beta: ContinuousMap, subset_masks: Sequence[int]
+) -> tuple[int, ...]:
+    """The dual of the compactified map at each of the given subsets.
+
+    Embeds each subset into the double dual, pulls it back through the
     compactified map (its preimage table), and looks up the target subsets
     whose embedding equals that preimage (the inverse of ``hat_phi_table``).
     Duality guarantees exactly one: a miss raises NoClopenPreimage and
-    several raise InvariantViolation, both library-bug signals.
+    several raise InvariantViolation, both library-bug signals, at the
+    first subset in the given order that has them.
     """
-    upstairs = hat_phi_table(bundle.hom.source)[subset_mask]
-    pre = bundle.h_star_beta.preimages[upstairs]
-    matches = _hat_phi_fibres(hat_phi_table(bundle.hom.target)).get(pre, ())
-    if not matches:
-        raise NoClopenPreimage("preimage is not the embedding of any subset", subset_mask)
-    if len(matches) > 1:
-        raise InvariantViolation("double-dual image is not unique", subset_mask)
-    return matches[0]
+    upstairs = hat_phi_table(h.source)
+    pre = h_star_beta.preimages
+    fibres = _hat_phi_fibres(hat_phi_table(h.target))
+    table = []
+    for a in subset_masks:
+        matches = fibres.get(pre[upstairs[a]], ())
+        if len(matches) != 1:
+            if not matches:
+                raise NoClopenPreimage("preimage is not the embedding of any subset", a)
+            raise InvariantViolation("double-dual image is not unique", a)
+        table.append(matches[0])
+    return tuple(table)
 
 
 def shrink_failing_hom(h: BoolHom, fails: Callable[[BoolHom], bool]) -> dict:
@@ -229,9 +244,15 @@ def shrink_failing_hom(h: BoolHom, fails: Callable[[BoolHom], bool]) -> dict:
     }
 
 
+@cache
+def _passed(name: str) -> CheckResult:
+    """The passing result of a check, one shared frozen object per name."""
+    return CheckResult(name, "pass")
+
+
 def _verdict(name: str, witness: dict | None) -> CheckResult:
     """A check that passes exactly when it found no witness."""
-    return CheckResult(name, "pass" if witness is None else "fail", witness)
+    return _passed(name) if witness is None else CheckResult(name, "fail", witness)
 
 
 def _first(witnesses):
@@ -279,13 +300,20 @@ def _hom_checks(h: BoolHom, bundle: DiagramBundle, sigma_table) -> list[CheckRes
         for a in range(h.source.size)
         if double_dual[phi_mask(h.source, a)] != phi_mask(h.target, h.table[a])
     )
-    # h_*^beta(nabla) lies in hat_phi(A) exactly when h_*^-1(A) is in nabla
-    remark = _first(
-        {"subset_mask": a, "point": d}
-        for a, upstairs in enumerate(hat_phi_table(h.source))
-        for d, img in enumerate(h_star_beta.table)
-        if bool(upstairs >> img & 1) != (h_star.preimages[a] in members2[d])
-    )
+    # h_*^beta(nabla) lies in hat_phi(A) exactly when h_*^-1(A) is in nabla:
+    # per point nabla, one byte row over A of each side
+    preimages = bytes(h_star.preimages)
+    remark = None
+    if any(
+        preimages.translate(nabla.indicator) != _hat_phi_bit_row(h.source, img)
+        for nabla, img in zip(beta2.points_as_ultrafilters, h_star_beta.table)
+    ):
+        remark = _first(
+            {"subset_mask": a, "point": d}
+            for a, upstairs in enumerate(hat_phi_table(h.source))
+            for d, img in enumerate(h_star_beta.table)
+            if bool(upstairs >> img & 1) != (h_star.preimages[a] in members2[d])
+        )
     hom_law = _hom_law_witness(sigma_table, n1, n2)
 
     h_inj, h_surj = h.is_injective, h.is_surjective
@@ -341,6 +369,12 @@ def _hom_checks(h: BoolHom, bundle: DiagramBundle, sigma_table) -> list[CheckRes
         ),
         _verdict("forward_image_in_lifted_ultrafilter", lemma),
     ]
+
+
+@cache
+def _hat_phi_bit_row(algebra: FinBoolAlg, point: int) -> bytes:
+    """Byte A is 1 when the double-dual point lies in hat_phi(A), else 0."""
+    return bytes(upstairs >> point & 1 for upstairs in hat_phi_table(algebra))
 
 
 def _forward_images(table: tuple[int, ...]) -> list[int]:

@@ -68,6 +68,15 @@ def test_dual_dot_output(tmp_path):
     assert "e0 -> e1" in text
 
 
+@pytest.mark.parametrize("document", [str(SAMPLE), "missing-document.json"])
+def test_dual_dot_without_out_is_a_usage_error_before_loading(document):
+    # the missing document shows that the arguments are judged before loading
+    proc = run_cli("dual", document, "four", "--dot")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "usage error: --dot requires --out PATH\n"
+
+
 def test_canext_summary(tmp_path):
     doc = tmp_path / "doc.json"
     doc.write_text(

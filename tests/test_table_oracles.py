@@ -9,28 +9,35 @@ tables must agree with them exactly, including the first witness and the
 exception raised on corrupted input.
 """
 
+import dataclasses
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
 import stonecheck.harness as harness
 from stonecheck.algebra import (
+    BoolHom,
     _preimage_table,
     all_homs,
+    hom_from_atom_function,
     identity_hom,
     powerset_algebra,
     ultrafilters,
+    validate_boolean_algebra,
 )
 from stonecheck.compactification import beta_lift, beta_space, extension_candidates
 from stonecheck.duality import (
     ContinuousMap,
     _hat_phi_fibres,
     discrete_space,
+    dual_map,
     hat_phi_table,
     stone_space,
     validate_stone,
 )
+from stonecheck.documents import parse_document
 from stonecheck.errors import InvariantViolation, NoClopenPreimage, NotStone
 from stonecheck.extension import sigma_extend
 from stonecheck.harness import (
@@ -39,6 +46,8 @@ from stonecheck.harness import (
     build_diagram,
     double_dual_map,
 )
+
+SAMPLE = Path(__file__).resolve().parents[1] / "src/stonecheck/data/sample_document.json"
 
 
 def homs_up_to(atoms):
@@ -244,3 +253,195 @@ def test_a_space_that_fails_validation_fails_every_time():
     for _ in range(2):
         with pytest.raises(NotStone):
             validate_stone(space)
+
+
+# The byte-row membership tests against the frozenset scans they replace.
+# Each reference is the earlier code, kept literally.
+
+
+def reference_dual_map_table(hom):
+    index = {u.members: i for i, u in enumerate(ultrafilters(hom.source))}
+    table = []
+    for v in ultrafilters(hom.target):
+        pre = frozenset(a for a in range(hom.source.size) if hom.table[a] in v.members)
+        if pre not in index:
+            raise InvariantViolation("hom preimage of an ultrafilter is not one", v)
+        table.append(index[pre])
+    return tuple(table)
+
+
+def reference_beta_lift_table(f, bx, by):
+    ny = by.base.size
+    index = {u.members: k for k, u in enumerate(by.points_as_ultrafilters)}
+    pre = _preimage_table(f, ny)
+    table = []
+    for nabla in bx.points_as_ultrafilters:
+        members = nabla.members
+        image_members = frozenset(mb for mb in range(1 << ny) if pre[mb] in members)
+        if image_members not in index:
+            raise InvariantViolation("lifted set is not an ultrafilter", image_members)
+        table.append(index[image_members])
+    return tuple(table)
+
+
+def reference_preimage_membership(h, bundle):
+    members2 = [u.members for u in bundle.beta2.points_as_ultrafilters]
+    return next(
+        (
+            {"subset_mask": a, "point": d}
+            for a, upstairs in enumerate(hat_phi_table(h.source))
+            for d, img in enumerate(bundle.h_star_beta.table)
+            if bool(upstairs >> img & 1) != (bundle.h_star.preimages[a] in members2[d])
+        ),
+        None,
+    )
+
+
+def shuffled_powerset(atoms, rng):
+    """The powerset algebra presented on a shuffled carrier."""
+    size = 1 << atoms
+    perm = list(range(size))
+    rng.shuffle(perm)
+    pairs = [(perm[m], perm[k]) for m in range(size) for k in range(size) if m & ~k == 0]
+    comp = [0] * size
+    for m in range(size):
+        comp[perm[m]] = perm[(size - 1) ^ m]
+    return validate_boolean_algebra(size, pairs, comp)
+
+
+def shuffled_homs():
+    rng = random.Random(9)
+    algebras = [shuffled_powerset(atoms, rng) for atoms in (1, 2, 3, 4)]
+    for source, target in itertools.product(algebras, repeat=2):
+        for _ in range(4):
+            g = [rng.randrange(source.atom_count) for _ in range(target.atom_count)]
+            yield hom_from_atom_function(source, target, g)
+
+
+def sample_homs():
+    doc = parse_document(SAMPLE.read_text())
+    return [doc.hom(name) for name in doc.hom_order]
+
+
+def every_hom_family():
+    return [*homs_up_to(4), *sample_homs(), *shuffled_homs()]
+
+
+def raised(compute):
+    """The computed value, or the class and witness of the InvariantViolation."""
+    try:
+        return compute()
+    except InvariantViolation as exc:
+        return InvariantViolation, exc.witness
+
+
+def membership_check(h, bundle):
+    checks = harness._hom_checks(h, bundle, sigma_extend(h).table)
+    (check,) = [c for c in checks if c.name == "preimage_membership_equivalence"]
+    return check.witness
+
+
+def test_indicator_marks_exactly_the_members_of_every_ultrafilter():
+    rng = random.Random(8)
+    algebras = [powerset_algebra(k) for k in range(1, 6)]
+    algebras += [shuffled_powerset(k, rng) for k in range(1, 6)]
+    doc = parse_document(SAMPLE.read_text())
+    algebras += [doc.algebra(name) for name in doc.algebra_order]
+    for algebra in algebras:
+        for u in ultrafilters(algebra):
+            assert len(u.indicator) == 256
+            assert set(u.indicator) <= {0, 1}
+            assert {a for a, inside in enumerate(u.indicator) if inside} == u.members
+
+
+def test_dual_map_matches_the_frozenset_preimages():
+    count = 0
+    for hom in every_hom_family():
+        assert dual_map(hom).table == reference_dual_map_table(hom)
+        count += 1
+    assert count > 494
+
+
+def test_dual_map_miss_raises_as_the_frozenset_scan_did():
+    # tables that are not homomorphisms, built without validation: the
+    # preimage of some ultrafilter is then not an ultrafilter
+    rng = random.Random(4)
+    misses = 0
+    for k1, k2 in itertools.product(range(1, 5), repeat=2):
+        source, target = powerset_algebra(k1), powerset_algebra(k2)
+        for _ in range(20):
+            table = tuple(rng.randrange(target.size) for _ in range(source.size))
+            hom = BoolHom(source, target, table)
+            expected = raised(lambda: reference_dual_map_table(hom))
+            got = raised(lambda: dual_map(hom).table)
+            assert got == expected
+            misses += expected[0] is InvariantViolation
+    assert misses > 100
+
+
+@pytest.mark.parametrize("nx, ny", list(itertools.product([1, 2, 3, 4], repeat=2)))
+def test_beta_lift_matches_the_frozenset_lift(nx, ny):
+    bx = beta_space(tuple(f"x{i}" for i in range(nx)))
+    by = beta_space(tuple(f"y{i}" for i in range(ny)))
+    for f in itertools.product(range(ny), repeat=nx):
+        assert beta_lift(f, bx, by).table == reference_beta_lift_table(f, bx, by)
+
+
+def test_beta_lift_on_every_diagram_matches_the_frozenset_lift():
+    for hom in every_hom_family():
+        bundle = build_diagram(hom)
+        expected = reference_beta_lift_table(bundle.h_star.table, bundle.beta2, bundle.beta1)
+        assert bundle.lift == expected
+
+
+def test_forced_beta_lift_miss_raises_with_the_frozenset_witness():
+    bx = beta_space(("x0", "x1", "x2"))
+    by = beta_space(("y0", "y1"))
+    points = by.points_as_ultrafilters
+    for dropped in range(len(points)):
+        # a target that lacks one point: lifting onto it has no match
+        crippled = dataclasses.replace(
+            by, points_as_ultrafilters=points[:dropped] + points[dropped + 1 :]
+        )
+        for f in itertools.product(range(2), repeat=3):
+            expected = raised(lambda: reference_beta_lift_table(f, bx, crippled))
+            got = raised(lambda: beta_lift(f, bx, crippled).table)
+            assert got == expected
+            if got[0] is InvariantViolation:
+                assert type(got[1]) is frozenset
+                assert got[1] == points[dropped].members
+
+
+def test_preimage_membership_rows_agree_with_the_frozenset_scan():
+    for hom in every_hom_family():
+        bundle = build_diagram(hom)
+        assert membership_check(hom, bundle) is None
+        assert reference_preimage_membership(hom, bundle) is None
+
+
+def membership_faults(bundle):
+    """Diagrams with one arrow or one point order wrong."""
+    points1 = bundle.beta1.space.size
+    table = tuple((v + 1) % points1 for v in bundle.h_star_beta.table)
+    yield dataclasses.replace(
+        bundle, h_star_beta=dataclasses.replace(bundle.h_star_beta, table=table)
+    )
+    yield dataclasses.replace(
+        bundle,
+        beta2=dataclasses.replace(
+            bundle.beta2, points_as_ultrafilters=bundle.beta2.points_as_ultrafilters[::-1]
+        ),
+    )
+    h_star = bundle.h_star
+    shifted = tuple((v + 1) % h_star.target.size for v in h_star.table)
+    yield dataclasses.replace(bundle, h_star=dataclasses.replace(h_star, table=shifted))
+
+
+def test_preimage_membership_rows_give_the_scan_witness_on_faulty_diagrams():
+    failures = 0
+    for hom in [*homs_up_to(3), *sample_homs(), *shuffled_homs()]:
+        for faulty in membership_faults(build_diagram(hom)):
+            expected = reference_preimage_membership(hom, faulty)
+            assert membership_check(hom, faulty) == expected
+            failures += expected is not None
+    assert failures > 100

@@ -17,6 +17,7 @@ import random
 
 import pytest
 
+import stonecheck.extension as extension
 from stonecheck.algebra import (
     MAX_ATOMS,
     atom_function_of_hom,
@@ -433,3 +434,135 @@ def test_boolean_algebras_are_capped_at_32_elements():
     lattice = fin_lattice(fin_poset(rows))
     with pytest.raises(BoundExceeded):
         fin_bool_alg(lattice, [(size - 1) ^ m for m in range(size)])
+
+
+# ------------------------------------- the byte-split scans against the loops
+# ``parent_validate_hom`` is the earlier validator, which rebuilt the flat
+# source block and a row table per target value on every call, and
+# ``reference_assert_complete`` the earlier completeness scan, which tested
+# every subset in turn.  Both are kept literally.
+
+
+def _byte_table(row):
+    return bytes(row).ljust(256, b"\0")
+
+
+def _first_difference(a, b):
+    return next(k for k, (x, y) in enumerate(zip(a, b)) if x != y)
+
+
+def parent_validate_hom(table, source, target):
+    t = tuple(int(x) for x in table)
+    if len(t) != source.size or any(not 0 <= v < target.size for v in t):
+        raise ValueError("table must map the source carrier into the target carrier")
+    image = bytes(t)
+    image_table = _byte_table(t)
+    if t[source.bottom] != target.bottom:
+        raise NotMeetPreserving("bottom must map to bottom", ("bottom", source.bottom))
+    witness = parent_unpreserved(source.lattice.meet, target.lattice.meet, image, image_table)
+    if witness is not None:
+        raise NotMeetPreserving("meet not preserved", witness)
+    if t[source.top] != target.top:
+        raise NotJoinPreserving("top must map to top", ("top", source.top))
+    witness = parent_unpreserved(source.lattice.join, target.lattice.join, image, image_table)
+    if witness is not None:
+        raise NotJoinPreserving("join not preserved", witness)
+    lhs = bytes(source.complement).translate(image_table)
+    rhs = image.translate(_byte_table(target.complement))
+    if lhs != rhs:
+        raise NotComplementPreserving("complement not preserved", (_first_difference(lhs, rhs),))
+    return t
+
+
+def parent_unpreserved(source_op, target_op, image, image_table):
+    lhs = bytes(itertools.chain.from_iterable(source_op)).translate(image_table)
+    tables = {v: _byte_table(target_op[v]) for v in set(image)}
+    rhs = b"".join([image.translate(tables[v]) for v in image])
+    if lhs == rhs:
+        return None
+    return divmod(_first_difference(lhs, rhs), len(image))
+
+
+def reference_assert_complete(lattice):
+    n = lattice.size
+    full = (1 << n) - 1
+    not_above = [full ^ up for up in lattice.poset.up]
+    not_below = [full ^ down for down in lattice.poset.down]
+    meets = bytearray([lattice.top])
+    joins = bytearray([lattice.bottom])
+    for high in range(n):
+        meets += meets.translate(bytes(row[high] for row in lattice.meet).ljust(256, b"\0"))
+        joins += joins.translate(bytes(row[high] for row in lattice.join).ljust(256, b"\0"))
+    for bits, (m, j) in enumerate(zip(meets, joins)):
+        if bits & not_above[m] or bits & not_below[j]:
+            raise InvariantViolation("finite lattice lost a bound", bits)
+
+
+def hom_outcome(fn, *args):
+    """Like ``outcome``, with the range check's ValueError as an outcome too."""
+    try:
+        result = fn(*args)
+    except (StonecheckError, ValueError) as exc:
+        return type(exc), getattr(exc, "witness", None), str(exc)
+    return "ok", getattr(result, "table", result)
+
+
+def random_raw_tables(source, target, rng):
+    """Uniform tables, hom tables with one or two entries changed, and
+    tables with one entry outside the target."""
+    for _ in range(15):
+        yield [rng.randrange(target.size) for _ in range(source.size)]
+    for _ in range(15):
+        g = [rng.randrange(source.atom_count) for _ in range(target.atom_count)]
+        table = list(hom_from_atom_function(source, target, g).table)
+        for _ in range(rng.choice([0, 1, 1, 2])):
+            table[rng.randrange(source.size)] = rng.randrange(target.size)
+        yield table
+    table = [rng.randrange(target.size) for _ in range(source.size)]
+    table[rng.randrange(source.size)] = rng.choice([-1, target.size, 256])
+    yield table
+
+
+def test_validate_hom_matches_the_parent_scan_on_random_raw_tables():
+    rng = random.Random(11)
+    algebras = [powerset_algebra(k) for k in range(1, MAX_ATOMS + 1)]
+    algebras += [shuffled_algebra(k, rng) for k in range(1, MAX_ATOMS + 1)]
+    seen = set()
+    for source, target in itertools.product(algebras, repeat=2):
+        for table in random_raw_tables(source, target, rng):
+            expected = hom_outcome(parent_validate_hom, table, source, target)
+            assert hom_outcome(validate_hom, table, source, target) == expected
+            seen.add(expected[0])
+    # a table that preserves the bounds, meets and joins preserves
+    # complements too, so no complement witness can come up here
+    assert seen == {"ok", ValueError, NotMeetPreserving, NotJoinPreserving}
+
+
+def corrupted_lattices(lattice, rng, limit=None):
+    """The lattice with one meet or one join entry changed."""
+    n = lattice.size
+    changes = [
+        (kind, i, j, v)
+        for kind in ("meet", "join")
+        for i in range(n)
+        for j in range(n)
+        for v in range(n)
+        if v != getattr(lattice, kind)[i][j]
+    ]
+    if limit is not None:
+        changes = rng.sample(changes, limit)
+    for kind, i, j, v in changes:
+        rows = [list(row) for row in getattr(lattice, kind)]
+        rows[i][j] = v
+        yield dataclasses.replace(lattice, **{kind: tuple(map(tuple, rows))})
+
+
+@pytest.mark.parametrize("atoms, limit", [(1, None), (2, None), (3, None), (4, 40)])
+def test_completeness_scan_names_the_loop_witness_on_corrupted_lattices(atoms, limit):
+    rng = random.Random(atoms)
+    lost = 0
+    for lattice in corrupted_lattices(powerset_algebra(atoms).lattice, rng, limit):
+        expected = hom_outcome(reference_assert_complete, lattice)
+        assert hom_outcome(extension._assert_complete, lattice) == expected
+        lost += expected[0] is InvariantViolation
+    assert lost > 0

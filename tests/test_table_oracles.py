@@ -379,14 +379,6 @@ def test_dual_map_miss_raises_as_the_frozenset_scan_did():
     assert misses > 100
 
 
-@pytest.mark.parametrize("nx, ny", list(itertools.product([1, 2, 3, 4], repeat=2)))
-def test_beta_lift_matches_the_frozenset_lift(nx, ny):
-    bx = beta_space(tuple(f"x{i}" for i in range(nx)))
-    by = beta_space(tuple(f"y{i}" for i in range(ny)))
-    for f in itertools.product(range(ny), repeat=nx):
-        assert beta_lift(f, bx, by).table == reference_beta_lift_table(f, bx, by)
-
-
 def test_beta_lift_on_every_diagram_matches_the_frozenset_lift():
     for hom in every_hom_family():
         bundle = build_diagram(hom)

@@ -16,8 +16,7 @@ laws compare rows of bytes built from the operation tables with
 blocks (``meet_bytes``, ``join_bytes``), built once per lattice, for
 ``validate_hom`` to translate.  Only a comparison that fails is scanned, so
 every check still names the same first witness as an element-by-element
-scan in index order.  Byte rows need element indices below 256, which the
-32-element cap on Boolean algebras guarantees.
+scan in index order.
 
 Filters are stored extensionally (as element sets).  The fast enumeration
 exploits that every filter of a finite lattice is a principal up-set; the
@@ -50,12 +49,25 @@ from .errors import (
     NotMeetPreserving,
 )
 
-# Hard caps: single-algebra operations stop at 5 atoms (32 elements), hom
-# enumeration at 4 atoms, and subset-scanning oracles at 16-element carriers,
-# so that double-powerset constructions stay under 2**16 subsets.
+# The cap table, the only place a bound is set.  Single algebras and beta
+# spaces (a point per atom) stop at MAX_ATOMS atoms, document carriers at
+# 2**MAX_ATOMS labels; homomorphisms (``check_hom_cap``) at MAX_HOM_ATOMS, the
+# extension search at MAX_SEARCH_CANDIDATES tables; subset scans at
+# MAX_BRUTE_FORCE_CARRIER elements, raw table scans at 2**that many tables.
+# Byte rows need element indices below 256, so MAX_ATOMS <= 8; and
+# ``extension._assert_complete`` splits its not-above/not-below masks into
+# two bytes, so MAX_BRUTE_FORCE_CARRIER <= 16.
 MAX_ATOMS = 5
 MAX_HOM_ATOMS = 4
 MAX_BRUTE_FORCE_CARRIER = 16
+MAX_SEARCH_CANDIDATES = MAX_HOM_ATOMS**MAX_HOM_ATOMS
+
+
+def check_hom_cap(stage: str, *atom_counts: int) -> None:
+    """Raise BoundExceeded, naming ``stage``, if an atom count exceeds MAX_HOM_ATOMS."""
+    if max(atom_counts) > MAX_HOM_ATOMS:
+        witness = atom_counts if len(atom_counts) > 1 else atom_counts[0]
+        raise BoundExceeded(f"{stage} capped at {MAX_HOM_ATOMS} atoms", witness)
 
 
 @dataclass(frozen=True, eq=False)
@@ -627,11 +639,7 @@ def all_homs(source: FinBoolAlg, target: FinBoolAlg) -> tuple[BoolHom, ...]:
     The count always equals |Uf(source)| ** |Uf(target)|; the generator
     asserts this, and the test suite cross-checks against a raw table scan.
     """
-    if source.atom_count > MAX_HOM_ATOMS or target.atom_count > MAX_HOM_ATOMS:
-        raise BoundExceeded(
-            f"hom enumeration capped at {MAX_HOM_ATOMS} atoms",
-            (source.atom_count, target.atom_count),
-        )
+    check_hom_cap("hom enumeration", source.atom_count, target.atom_count)
     homs = tuple(
         hom_from_atom_function(source, target, g)
         for g in itertools.product(range(source.atom_count), repeat=target.atom_count)
@@ -644,7 +652,7 @@ def all_homs(source: FinBoolAlg, target: FinBoolAlg) -> tuple[BoolHom, ...]:
 
 def all_homs_bruteforce(source: FinBoolAlg, target: FinBoolAlg) -> set[tuple[int, ...]]:
     """All hom tables found by filtering every raw table (oracle; tiny sizes only)."""
-    if target.size ** source.size > 1 << 16:
+    if target.size ** source.size > 1 << MAX_BRUTE_FORCE_CARRIER:
         raise BoundExceeded("table scan capped", (source.size, target.size))
     found = set()
     for table in itertools.product(range(target.size), repeat=source.size):

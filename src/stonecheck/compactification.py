@@ -31,6 +31,8 @@ from functools import cache, cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .algebra import (
+    MAX_ATOMS,
+    MAX_SEARCH_CANDIDATES,
     FinBoolAlg,
     UltraFilter,
     _preimage_table,
@@ -56,10 +58,8 @@ from .errors import (
     InvariantViolation,
     NoExtension,
     NotAnEmbedding,
+    NotContinuous,
 )
-
-MAX_BETA_POINTS = 5
-MAX_SEARCH_CANDIDATES = 4**4
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,8 +139,8 @@ def beta_space(points: tuple) -> BetaSpace:
     """
     if len(points) == 0:
         raise EmptySpace("cannot compactify the empty point set")
-    if len(points) > MAX_BETA_POINTS:
-        raise BoundExceeded(f"compactification capped at {MAX_BETA_POINTS} points", len(points))
+    if len(points) > MAX_ATOMS:
+        raise BoundExceeded(f"compactification capped at {MAX_ATOMS} points", len(points))
     n = len(points)
     pow_alg = powerset_algebra(n)
     space = dual_space(pow_alg)
@@ -283,7 +283,7 @@ def compactification_equivalent(c1: Compactification, c2: Compactification) -> O
     if c1.space.size != c2.space.size:
         return OrderVerdict(False)
     n = c1.space.size
-    if n > MAX_BETA_POINTS:
+    if n > MAX_ATOMS:
         raise BoundExceeded("homeomorphism search capped", n)
     source_opens = open_set(c1.space)
     target_opens = topology(c2.space)
@@ -343,7 +343,7 @@ def beta_preserves(
             inverse[v] = s
         try:
             continuous_map(by.space, bx.space, inverse)
-        except Exception:
+        except NotContinuous:
             return PreservationVerdict(property_name, True, False)
         return PreservationVerdict(property_name, True, True)
     raise ValueError(f"unknown property {property_name!r}")

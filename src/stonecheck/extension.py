@@ -26,6 +26,7 @@ from functools import cache
 from typing import Sequence
 
 from .algebra import (
+    MAX_BRUTE_FORCE_CARRIER as MAX_ISO_SEARCH,
     BoolHom,
     FinBoolAlg,
     FinLattice,
@@ -39,8 +40,6 @@ from .algebra import (
 )
 from .duality import phi_mask
 from .errors import BoundExceeded, DegenerateAlgebra, InvariantViolation, NotAnEmbedding
-
-MAX_ISO_SEARCH = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,7 +270,7 @@ def completion_isomorphic(c1: Completion, c2: Completion) -> IsoVerdict:
     """Search for a lattice isomorphism commuting with the two embeddings.
 
     Backtracking over the unmatched elements, pruned by order signatures;
-    intended only for completions with at most 16 elements.
+    capped at MAX_ISO_SEARCH (the subset-scan cap) elements.
     """
     if c1.base is not c2.base and c1.base.poset.leq != c2.base.poset.leq:
         raise ValueError("completions must share the base lattice")

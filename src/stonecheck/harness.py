@@ -35,12 +35,12 @@ from functools import cache
 from typing import Callable, Sequence
 
 from .algebra import (
-    MAX_HOM_ATOMS,
     BoolHom,
     FinBoolAlg,
     _subset_unions,
     all_homs,
     atom_function_of_hom,
+    check_hom_cap,
     hom_from_atom_function,
     powerset_algebra,
     ultrafilters,
@@ -60,7 +60,7 @@ from .duality import (
     phi_mask,
     stone_representation,
 )
-from .errors import BoundExceeded, InvariantViolation, NoClopenPreimage
+from .errors import InvariantViolation, NoClopenPreimage
 from .extension import canonical_extension, is_compact, is_dense, sigma_extend
 
 
@@ -160,11 +160,7 @@ def build_diagram(h: BoolHom) -> DiagramBundle:
     two tables agree and whether the square commutes is decided by the
     battery's ``lift_paths_agree`` and ``extension_square_commutes`` checks.
     """
-    if h.source.atom_count > MAX_HOM_ATOMS or h.target.atom_count > MAX_HOM_ATOMS:
-        raise BoundExceeded(
-            f"diagram construction capped at {MAX_HOM_ATOMS} atoms",
-            (h.source.atom_count, h.target.atom_count),
-        )
+    check_hom_cap("diagram construction", h.source.atom_count, h.target.atom_count)
     h_star = dual_map(h)
     ufs1 = ultrafilters(h.source)
     ufs2 = ultrafilters(h.target)
@@ -498,14 +494,11 @@ def exhaustive_suite(
     check.  The memo is local to the call, so a patched fault is seen and
     nothing outlives the run.
     """
+    check_hom_cap("exhaustive suite", max_atoms)
     report = VerificationReport()
     for k in range(1, max_atoms + 1):
         report.instances.append(algebra_instance(k))
     if sample is None:
-        if max_atoms > MAX_HOM_ATOMS:
-            raise BoundExceeded(
-                f"exhaustive suite capped at {MAX_HOM_ATOMS} atoms", max_atoms
-            )
         for k1 in range(1, max_atoms + 1):
             for k2 in range(1, max_atoms + 1):
                 # all_homs lists the homs in the order of their atom functions

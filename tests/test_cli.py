@@ -15,8 +15,8 @@ import stonecheck.documents as documents
 import stonecheck.harness as harness
 from stonecheck import __version__
 from stonecheck.cli import SCHEMA_VERSION, exit_code_for_report, main, report_json
-from stonecheck.algebra import MAX_HOM_ATOMS
-from stonecheck.errors import InvariantViolation, NoClopenPreimage, NoExtension
+from stonecheck.algebra import MAX_HOM_ATOMS, all_homs
+from stonecheck.errors import BoundExceeded, InvariantViolation, NoClopenPreimage, NoExtension
 from stonecheck.harness import (
     CheckResult,
     InstanceReport,
@@ -414,3 +414,34 @@ def test_malformed_document_exits_2_without_traceback(tmp_path, document):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+
+
+# powersets 1 and 5 and a hom up whose target lies above the hom cap
+ABOVE_THE_HOM_CAP = {
+    "algebras": [{"name": "one", "powerset": 1}, {"name": "five", "powerset": 5}],
+    "homs": [
+        {"name": "up", "source": "one", "target": "five",
+         "atom_map": [[f"{{{q}}}", "{0}"] for q in range(5)]},
+    ],
+}
+
+
+def test_every_entry_point_honours_the_one_hom_cap(tmp_path):
+    path = tmp_path / "up.json"
+    path.write_text(json.dumps(ABOVE_THE_HOM_CAP))
+    message = f"error: diagram construction capped at {MAX_HOM_ATOMS} atoms; witness=(1, 5)\n"
+    dot = tmp_path / "d.dot"
+    for args in (("verify", str(path), "up"), ("diagram", str(path), "up", "--out", str(dot))):
+        proc = run_cli(*args)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message)
+    assert not dot.exists()
+
+    up = documents.parse_document(path.read_text()).hom("up")
+    five = up.target
+    with pytest.raises(BoundExceeded):
+        all_homs(five, up.source)
+    with pytest.raises(BoundExceeded):
+        harness.build_diagram(up)
+    for sample in (None, (0, 1)):
+        with pytest.raises(BoundExceeded):
+            harness.exhaustive_suite(five.atom_count, sample=sample)

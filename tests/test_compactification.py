@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+import stonecheck.compactification as compactification
 from stonecheck.algebra import powerset_algebra, ultrafilters
 from stonecheck.compactification import (
     BetaSpace,
@@ -25,6 +26,7 @@ from stonecheck.errors import (
     InvariantViolation,
     NoExtension,
     NotAnEmbedding,
+    NotContinuous,
 )
 
 
@@ -324,6 +326,26 @@ def test_swap_lifts_to_homeomorphism():
     bx = beta_space(("x", "y"))
     verdict = beta_preserves((1, 0), bx, bx, "bijective")
     assert verdict.applicable and verdict.passed
+
+
+@pytest.mark.parametrize("error", [NotContinuous, InvariantViolation])
+def test_only_a_discontinuous_inverse_fails_bijectivity(monkeypatch, error):
+    bx = beta_space(("x", "y", "z"))
+    lifted = beta_lift((1, 2, 0), bx, bx)
+    real = compactification.continuous_map
+
+    def inverse_raises(source, target, table):
+        if tuple(table) != lifted.table:
+            raise error("seeded", tuple(table))
+        return real(source, target, table)
+
+    monkeypatch.setattr(compactification, "continuous_map", inverse_raises)
+    if error is NotContinuous:
+        verdict = beta_preserves((1, 2, 0), bx, bx, "bijective")
+        assert verdict.applicable and not verdict.passed
+    else:
+        with pytest.raises(InvariantViolation, match="seeded"):
+            beta_preserves((1, 2, 0), bx, bx, "bijective")
 
 
 def test_vacuous_preservation_is_recorded():

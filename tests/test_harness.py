@@ -156,6 +156,20 @@ def test_suite_bound():
         exhaustive_suite(5)
 
 
+def test_sampled_suite_bound_holds_for_every_seed_before_any_instance(monkeypatch):
+    built = []
+
+    def record(*args, **kwargs):
+        built.append(args)
+
+    monkeypatch.setattr(harness, "algebra_instance", record)
+    monkeypatch.setattr(harness, "full_hom_instance", record)
+    for seed in range(10):
+        with pytest.raises(BoundExceeded):
+            exhaustive_suite(5, sample=(seed, 1))
+    assert built == []
+
+
 def test_sampled_suite_is_deterministic():
     a = exhaustive_suite(3, sample=(42, 10))
     b = exhaustive_suite(3, sample=(42, 10))

@@ -26,15 +26,20 @@ reuses the lattice's own tables with the order, the operations, and the
 bounds swapped.  An ultrafilter also keeps a 256-byte ``indicator``, so
 that membership of a whole row of elements is one ``bytes.translate``;
 ``ultrafilter_rows`` keys the ultrafilters by the resulting rows.
+
+A result computed from one structure is cached on that structure
+(``object_cache``), so it is freed with it; only ``powerset_algebra``,
+whose tables are few and reused, is cached for the whole process.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cache, cached_property, reduce
+from functools import cache, cached_property, partial, reduce, wraps
 from operator import or_
-from typing import Iterable, Sequence
+from types import SimpleNamespace
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     BoundExceeded,
@@ -61,6 +66,56 @@ MAX_ATOMS = 5
 MAX_HOM_ATOMS = 4
 MAX_BRUTE_FORCE_CARRIER = 16
 MAX_SEARCH_CANDIDATES = MAX_HOM_ATOMS**MAX_HOM_ATOMS
+
+
+def object_cache(func: Callable | None = None, *, owner: Callable | None = None):
+    """Cache ``func(obj)`` in the ``_cache`` field of obj, so that each
+    result is freed with the object it was computed from.
+
+    With ``owner``, ``func(*args)`` is cached under its arguments in the
+    ``_cache`` of ``owner(*args)``, or not at all when that has none.  An
+    exception is never cached.  ``cache_info()`` counts hits and misses over
+    the process.  A field, not the instance ``__dict__``: on CPython 3.11
+    taking an instance's ``__dict__`` slows its later attribute reads.
+    """
+    if func is None:
+        return partial(object_cache, owner=owner)
+    slot = f"{func.__module__}.{func.__qualname__}"
+    counts = [0, 0]
+
+    # two copies of one lookup: a shared helper would cost a call per hit
+    def cached_on_first(obj):
+        memo = obj._cache
+        try:
+            result = memo[slot]
+        except KeyError:
+            counts[1] += 1
+        else:
+            counts[0] += 1
+            return result
+        result = memo[slot] = func(obj)
+        return result
+
+    def cached_on_owner(*args):
+        memo = getattr(owner(*args), "_cache", {}).setdefault(slot, {})
+        try:
+            result = memo[args]
+        except KeyError:
+            counts[1] += 1
+        else:
+            counts[0] += 1
+            return result
+        result = memo[args] = func(*args)
+        return result
+
+    wrapper = wraps(func)(cached_on_first if owner is None else cached_on_owner)
+    wrapper.cache_info = lambda: SimpleNamespace(hits=counts[0], misses=counts[1])
+    return wrapper
+
+
+def cache_field():
+    """The ``_cache`` field that ``object_cache`` keeps its results in."""
+    return field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def check_hom_cap(stage: str, *atom_counts: int) -> None:
@@ -181,6 +236,7 @@ class FinLattice:
     join: tuple[tuple[int, ...], ...]
     bottom: int
     top: int
+    _cache: dict = cache_field()
 
     @property
     def size(self) -> int:
@@ -220,7 +276,7 @@ class FinLattice:
         return bytes(itertools.chain.from_iterable(self.join))
 
 
-@cache
+@object_cache
 def order_dual(lattice: FinLattice) -> FinLattice:
     """The same carrier under the reversed order: meet and join, bottom and
     top, and up-sets and down-sets trade places."""
@@ -267,6 +323,7 @@ class FinBoolAlg:
     atoms: tuple[int, ...]
     atom_mask: tuple[int, ...]
     _mask_index: dict
+    _cache: dict = cache_field()
 
     @property
     def size(self) -> int:
@@ -303,14 +360,44 @@ class FinBoolAlg:
         return self._mask_index[mask]
 
 
+@cache
+def _mask_ops(n: int) -> tuple[tuple[bytes, ...], tuple[bytes, ...]]:
+    """Row x of ``x & y`` and of ``x | y`` over the n-bit masks y, each as a
+    256-byte ``bytes.translate`` table (zero-padded)."""
+    size = 1 << n
+    return tuple(
+        tuple(bytes(op(x, y) for y in range(size)).ljust(256, b"\0") for x in range(size))
+        for op in (int.__and__, int.__or__)
+    )
+
+
+def _carries_powerset_ops(
+    meet_block: bytes, join_block: bytes, atom_count: int, atom_mask: tuple, mask_index: dict
+) -> bool:
+    """Whether the atom encoding is a bijection onto the atom masks that
+    carries meet and join to ``&`` and ``|``, so that they distribute."""
+    n = len(atom_mask)
+    if len(mask_index) != n or n != 1 << atom_count:
+        return False
+    masks = bytes(atom_mask)
+    index = _byte_table([mask_index[m] for m in range(n)])
+    return all(
+        b"".join([masks.translate(ops[m]) for m in atom_mask]).translate(index) == block
+        for ops, block in zip(_mask_ops(atom_count), (meet_block, join_block))
+    )
+
+
 def fin_bool_alg(lattice: FinLattice, complement: Sequence[int]) -> FinBoolAlg:
     """Validate distributivity and the complement laws, then canonicalize.
 
-    The atom-bitmask encoding is computed afterwards; by Birkhoff's
-    description of finite Boolean algebras it must be an order isomorphism
-    onto the powerset of the atom set, so any failure there is reported as
-    an internal invariant violation rather than a user error.  Lattices of
-    more than ``2 ** MAX_ATOMS`` elements raise BoundExceeded.
+    The atom-bitmask encoding is computed first.  When it carries the meet
+    and join tables to the powerset's ``&`` and ``|``, they distribute;
+    otherwise the distributive law is scanned a row at a time for its first
+    witness.  By Birkhoff's description of finite Boolean algebras the
+    encoding of a valid algebra is an order isomorphism onto the powerset of
+    the atom set, so a failure there, checked after the complement laws, is
+    reported as an internal invariant violation rather than a user error.
+    Lattices of more than ``2 ** MAX_ATOMS`` elements raise BoundExceeded.
     """
     n = lattice.size
     if n > 1 << MAX_ATOMS:
@@ -319,22 +406,6 @@ def fin_bool_alg(lattice: FinLattice, complement: Sequence[int]) -> FinBoolAlg:
     if len(comp) != n or any(not 0 <= c < n for c in comp):
         raise ValueError("complement table must map the carrier into itself")
     meet, join = lattice.meet, lattice.join
-    join_block = bytes(itertools.chain.from_iterable(join))
-    join_tables = [_byte_table(row) for row in join]
-    for x in range(n):
-        # row y, column z: meet[x][join[y][z]] against join[meet[x][y]][meet[x][z]]
-        meet_row = bytes(meet[x])
-        lhs = join_block.translate(_byte_table(meet_row))
-        rhs = b"".join([meet_row.translate(join_tables[m]) for m in meet_row])
-        if lhs != rhs:
-            y, z = divmod(_first_difference(lhs, rhs), n)
-            raise NotDistributive("distributive law fails", (x, y, z))
-    for x in range(n):
-        if meet[x][comp[x]] != lattice.bottom:
-            raise ComplementLawFails("x and not-x do not meet to bottom", (x, comp[x]))
-        if join[x][comp[x]] != lattice.top:
-            raise ComplementLawFails("x and not-x do not join to top", (x, comp[x]))
-
     leq, down = lattice.poset.leq, lattice.poset.down
     bottom = lattice.bottom
     atoms = tuple(i for i in range(n) if i != bottom and down[i] == 1 << i | 1 << bottom)
@@ -342,6 +413,24 @@ def fin_bool_alg(lattice: FinLattice, complement: Sequence[int]) -> FinBoolAlg:
         sum(1 << k for k, a in enumerate(atoms) if down[i] >> a & 1) for i in range(n)
     )
     mask_index = {m: i for i, m in enumerate(atom_mask)}
+    meet_block = bytes(itertools.chain.from_iterable(meet))
+    join_block = bytes(itertools.chain.from_iterable(join))
+    if not _carries_powerset_ops(meet_block, join_block, len(atoms), atom_mask, mask_index):
+        join_tables = [_byte_table(row) for row in join]
+        for x in range(n):
+            # row y, column z: meet[x][join[y][z]] against join[meet[x][y]][meet[x][z]]
+            meet_row = meet_block[x * n : x * n + n]
+            lhs = join_block.translate(_byte_table(meet_row))
+            rhs = b"".join([meet_row.translate(join_tables[m]) for m in meet_row])
+            if lhs != rhs:
+                y, z = divmod(_first_difference(lhs, rhs), n)
+                raise NotDistributive("distributive law fails", (x, y, z))
+    for x in range(n):
+        if meet[x][comp[x]] != lattice.bottom:
+            raise ComplementLawFails("x and not-x do not meet to bottom", (x, comp[x]))
+        if join[x][comp[x]] != lattice.top:
+            raise ComplementLawFails("x and not-x do not join to top", (x, comp[x]))
+
     if len(mask_index) != n or n != 1 << len(atoms):
         raise InvariantViolation("atom encoding is not a bijection", (n, len(atoms)))
     for i, m in enumerate(atom_mask):
@@ -422,6 +511,7 @@ class UltraFilter:
     algebra: FinBoolAlg
     filter: Filter
     atom: int
+    _cache: dict = cache_field()
 
     @property
     def members(self) -> frozenset[int]:
@@ -458,7 +548,7 @@ def is_filter(lattice: FinLattice, members: frozenset[int]) -> bool:
     return True
 
 
-@cache
+@object_cache
 def all_filters(lattice: FinLattice) -> tuple[Filter, ...]:
     """Every filter of a finite lattice: the principal up-sets, one per element.
 
@@ -470,7 +560,7 @@ def all_filters(lattice: FinLattice) -> tuple[Filter, ...]:
     )
 
 
-@cache
+@object_cache
 def all_ideals(lattice: FinLattice) -> tuple[Filter, ...]:
     """Every ideal: the filters of the order dual, so each generator is a join."""
     return all_filters(order_dual(lattice))
@@ -494,7 +584,7 @@ def all_ideals_bruteforce(lattice: FinLattice) -> set[frozenset[int]]:
     return all_filters_bruteforce(order_dual(lattice))
 
 
-@cache
+@object_cache
 def ultrafilters(algebra: FinBoolAlg) -> tuple[UltraFilter, ...]:
     """All maximal proper filters, sorted by the generating atom's mask.
 

@@ -20,7 +20,7 @@ from pathlib import Path
 from . import __version__
 from .algebra import MAX_HOM_ATOMS, ultrafilters
 from .documents import Document, document_digest, parse_document
-from .duality import dual_space, phi_mask
+from .duality import dual_space, phi_table
 from .errors import LibraryBug, StonecheckError
 from .extension import canonical_extension, is_compact, is_dense
 from .harness import (
@@ -142,12 +142,11 @@ def _hasse_dot(doc: Document, name: str) -> str:
     algebra = doc.algebra(name)
     labels = doc.labels[name]
     ufs = ultrafilters(algebra)
+    phi = phi_table(algebra)
     n = algebra.size
     lines = [f'digraph "{name}" {{', "  rankdir=BT;", "  node [shape=box];"]
     for i in range(n):
-        inside = ",".join(
-            f"u{k}" for k in range(len(ufs)) if phi_mask(algebra, i) >> k & 1
-        )
+        inside = ",".join(f"u{k}" for k in range(len(ufs)) if phi[i] >> k & 1)
         lines.append(f'  e{i} [label="{labels[i]}" tooltip="in ultrafilters: {inside}"];')
     up, down = algebra.lattice.poset.up, algebra.lattice.poset.down
     for i in range(n):

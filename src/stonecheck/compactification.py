@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .algebra import (
@@ -36,6 +36,7 @@ from .algebra import (
     FinBoolAlg,
     UltraFilter,
     _preimage_table,
+    object_cache,
     powerset_algebra,
     ultrafilter_rows,
     ultrafilters,
@@ -129,13 +130,14 @@ def build_compactification(
     return Compactification(base, space, e)
 
 
-@cache
+@object_cache(owner=lambda points: points[0] if points else None)
 def beta_space(points: tuple) -> BetaSpace:
     """The dual Stone space of the powerset algebra over the given points.
 
     The embedding sends a point to the ultrafilter of all subsets containing
     it; that description is checked literally against the members of each
-    embedded ultrafilter.
+    embedded ultrafilter.  Cached on the first point when it can hold the
+    result, as an ultrafilter can, so it is freed with that point's algebra.
     """
     if len(points) == 0:
         raise EmptySpace("cannot compactify the empty point set")

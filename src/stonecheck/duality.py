@@ -14,11 +14,12 @@ preimage of every target point set of a point table, and a
 ``ContinuousMap`` keeps that table (``preimages``) once it is first needed,
 so continuity and every later preimage are lookups in it and in the set of
 opens (``open_set``, once per space).  Each space is validated once
-(``validate_stone`` is cached), and ``_hat_phi_fibres`` inverts
-``hat_phi_table`` once per table.  ``dual_map`` finds the preimage of an
-ultrafilter as one byte row, the hom's table translated through the
-ultrafilter's indicator, and looks it up among the source's ultrafilter
-rows, which are keyed once per algebra.
+(``validate_stone`` is cached on the space), and ``_hat_phi_fibres``
+inverts ``hat_phi_table`` once per table.  The Stone embedding is one
+table per algebra (``phi_table``), which the hot loops read directly.
+``dual_map`` finds the preimage of an ultrafilter as one byte row, the
+hom's table translated through the ultrafilter's indicator, and looks it
+up among the source's ultrafilter rows, which are keyed once per algebra.
 """
 
 from __future__ import annotations
@@ -32,9 +33,11 @@ from .algebra import (
     FinBoolAlg,
     UltraFilter,
     _preimage_table,
+    cache_field,
     fin_bool_alg,
     fin_lattice,
     fin_poset,
+    object_cache,
     powerset_algebra,
     ultrafilter_rows,
     ultrafilters,
@@ -49,6 +52,7 @@ class FinStoneSpace:
 
     points: tuple
     base: tuple[frozenset[int], ...]
+    _cache: dict = cache_field()
 
     @property
     def size(self) -> int:
@@ -76,7 +80,7 @@ def discrete_space(points: Sequence) -> FinStoneSpace:
     return FinStoneSpace(pts, tuple(frozenset({i}) for i in range(len(pts))))
 
 
-@cache
+@object_cache
 def topology(space: FinStoneSpace) -> tuple[int, ...]:
     """All opens generated by the base, as a sorted tuple of point masks.
 
@@ -101,7 +105,7 @@ def topology(space: FinStoneSpace) -> tuple[int, ...]:
     return tuple(sorted(opens))
 
 
-@cache
+@object_cache
 def open_set(space: FinStoneSpace) -> frozenset[int]:
     """The opens of ``topology`` as one set, for membership tests."""
     return frozenset(topology(space))
@@ -117,15 +121,15 @@ def closure_mask(space: FinStoneSpace, mask: int) -> int:
     return full & ~avoid
 
 
-@cache
+@object_cache
 def validate_stone(space: FinStoneSpace) -> tuple[int, ...]:
     """Verify the generated topology is Hausdorff and return it.
 
-    Cached, so that each space is validated once however many searches use
-    it; a space that fails raises again on every call.  Finite spaces are
-    automatically compact, and a finite Hausdorff space is discrete (hence
-    zero-dimensional); discreteness is asserted as an internal consistency
-    check after the pairwise separation test.
+    Cached on the space, so that each space is validated once however many
+    searches use it; a space that fails raises again on every call.  Finite
+    spaces are automatically compact, and a finite Hausdorff space is
+    discrete (hence zero-dimensional); discreteness is asserted as an
+    internal consistency check after the pairwise separation test.
     """
     opens = topology(space)
     for i in range(space.size):
@@ -199,15 +203,24 @@ def phi(algebra: FinBoolAlg, a: int) -> frozenset[UltraFilter]:
     return frozenset(u for k, u in enumerate(ultrafilters(algebra)) if mask >> k & 1)
 
 
-@cache
 def phi_mask(algebra: FinBoolAlg, a: int) -> int:
-    """phi as a bitmask over the canonical ultrafilter order."""
-    return sum(
-        1 << i for i, u in enumerate(ultrafilters(algebra)) if a in u.members
+    """phi as a bitmask over the canonical ultrafilter order: one entry of
+    ``phi_table``."""
+    return phi_table(algebra)[a]
+
+
+@object_cache
+def phi_table(algebra: FinBoolAlg) -> tuple[int, ...]:
+    """The Stone embedding of every element as a bitmask over the canonical
+    ultrafilter order, indexed by the element.  Callers that read many
+    entries read this table once; it is shared, so never mutated."""
+    ufs = ultrafilters(algebra)
+    return tuple(
+        sum(1 << i for i, u in enumerate(ufs) if a in u.members) for a in range(algebra.size)
     )
 
 
-@cache
+@object_cache
 def dual_space(algebra: FinBoolAlg) -> FinStoneSpace:
     """The ultrafilter space with base {phi(a) : a in the carrier}, validated."""
     ufs = ultrafilters(algebra)
@@ -220,7 +233,7 @@ def dual_space(algebra: FinBoolAlg) -> FinStoneSpace:
     return space
 
 
-@cache
+@object_cache
 def _ultrafilter_rows(algebra: FinBoolAlg) -> dict[bytes, int]:
     """``ultrafilter_rows`` of the algebra's ultrafilters, once per algebra."""
     return ultrafilter_rows(ultrafilters(algebra))
@@ -258,7 +271,7 @@ class ClopenAlgebra:
         return self.clopen_masks.index(mask)
 
 
-@cache
+@object_cache
 def clopen_algebra(space: FinStoneSpace) -> ClopenAlgebra:
     """Compute the clopen family from the generated topology and package it."""
     validate_stone(space)
@@ -297,9 +310,7 @@ def stone_representation(algebra: FinBoolAlg) -> RepresentationWitness:
     InvariantViolation.
     """
     clop = clopen_algebra(dual_space(algebra))
-    table = tuple(
-        clop.index_of_mask(phi_mask(algebra, a)) for a in range(algebra.size)
-    )
+    table = tuple(clop.index_of_mask(m) for m in phi_table(algebra))
     if len(set(table)) != algebra.size or algebra.size != clop.algebra.size:
         raise InvariantViolation("representation is not bijective")
     try:
@@ -340,7 +351,7 @@ def hat_phi_point_mask(algebra: FinBoolAlg, subset_mask: int) -> int:
     )
 
 
-@cache
+@object_cache
 def hat_phi_table(algebra: FinBoolAlg) -> tuple[int, ...]:
     """hat_phi_point_mask of every subset mask, indexed by the mask."""
     n = len(ultrafilters(algebra))

@@ -10,19 +10,18 @@ dual-map shortcut, which lives in the verification harness as the
 independent path the formula is checked against.
 
 The completeness scan of a completion's lattice runs once per lattice
-object (``_assert_complete`` is cached).  Every canonical extension of an
-n-atom algebra is completed by the same cached ``powerset_algebra(n)``
-lattice, so its 2**(2**n)-subset scan is paid once per process however
-many documents name such an algebra; a lattice that fails raises again on
-every call, since an exception is never cached.  The scan tests 256
-subsets at a time against the low and the high bytes of the bound masks,
-and walks subset by subset only to name the first lost bound.
+object (``_assert_complete`` is cached on the lattice).  Every canonical
+extension of an n-atom algebra is completed by the lattice of the one
+``powerset_algebra(n)``, so its 2**(2**n)-subset scan is paid once per
+lattice object, not once per algebra that names it; a lattice that fails
+raises again on every call, since an exception is never cached.  The scan
+tests 256 subsets at a time against the low and the high bytes of the
+bound masks, and walks subset by subset only to name the first lost bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from typing import Sequence
 
 from .algebra import (
@@ -35,10 +34,11 @@ from .algebra import (
     all_ideals,
     fin_lattice,
     fin_poset,
+    object_cache,
     powerset_algebra,
     ultrafilters,
 )
-from .duality import phi_mask
+from .duality import phi_table
 from .errors import BoundExceeded, DegenerateAlgebra, InvariantViolation, NotAnEmbedding
 
 
@@ -104,7 +104,7 @@ def completion(base: FinLattice, complete: FinLattice, embedding: Sequence[int])
     return Completion(base, complete, e)
 
 
-@cache
+@object_cache
 def _assert_complete(lattice: FinLattice) -> None:
     """Check that every subset has its meet and join as lower and upper bound.
 
@@ -120,8 +120,8 @@ def _assert_complete(lattice: FinLattice) -> None:
     not-above (not-below) masks, and each is ANDed, as one int, with the
     low or the high bytes of the block's subsets.  Only when some block
     finds a lost bound does the subset-by-subset scan run, so the witness
-    is the first failing subset.  Cached per lattice object; a failing
-    lattice is not cached.
+    is the first failing subset.  Cached on the lattice; a failing lattice
+    is not cached.
     """
     n = lattice.size
     if n > MAX_ISO_SEARCH:
@@ -194,7 +194,7 @@ def is_compact(c: Completion) -> CompactnessVerdict:
     return CompactnessVerdict(True)
 
 
-@cache
+@object_cache
 def canonical_extension(algebra: FinBoolAlg) -> CanonicalExtension:
     """The powerset of the ultrafilter set with the Stone embedding.
 
@@ -203,8 +203,7 @@ def canonical_extension(algebra: FinBoolAlg) -> CanonicalExtension:
     """
     ufs = ultrafilters(algebra)
     pow_alg = powerset_algebra(len(ufs))
-    emb = tuple(phi_mask(algebra, a) for a in range(algebra.size))
-    comp = completion(algebra.lattice, pow_alg.lattice, emb)
+    comp = completion(algebra.lattice, pow_alg.lattice, phi_table(algebra))
     if not is_dense(comp).passed:
         raise InvariantViolation("canonical extension is not dense")
     if not is_compact(comp).passed:
@@ -245,8 +244,8 @@ def sigma_extend(h: BoolHom) -> SigmaExtension:
         raise DegenerateAlgebra("extension needs nondegenerate algebras")
     n1 = len(ultrafilters(src))
     n2 = len(ultrafilters(dst))
-    phi1 = [phi_mask(src, a) for a in range(src.size)]
-    phi2 = [phi_mask(dst, b) for b in range(dst.size)]
+    phi1 = phi_table(src)
+    phi2 = phi_table(dst)
     full2 = (1 << n2) - 1
     contributions = []
     for F in all_filters(src.lattice):

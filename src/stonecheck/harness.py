@@ -37,11 +37,13 @@ from typing import Callable, Sequence
 from .algebra import (
     BoolHom,
     FinBoolAlg,
+    _mask_ops,
     _subset_unions,
     all_homs,
     atom_function_of_hom,
     check_hom_cap,
     hom_from_atom_function,
+    object_cache,
     powerset_algebra,
     ultrafilters,
 )
@@ -57,7 +59,7 @@ from .duality import (
     _hat_phi_fibres,
     dual_map,
     hat_phi_table,
-    phi_mask,
+    phi_table,
     stone_representation,
 )
 from .errors import InvariantViolation, NoClopenPreimage
@@ -291,17 +293,19 @@ def _hom_checks(h: BoolHom, bundle: DiagramBundle, sigma_table) -> list[CheckRes
             "shrunk": shrink_failing_hom(h, still_fails),
         }
 
+    phi1, phi2 = phi_table(h.source), phi_table(h.target)
     element = _first(
         {"element": a}
         for a in range(h.source.size)
-        if double_dual[phi_mask(h.source, a)] != phi_mask(h.target, h.table[a])
+        if double_dual[phi1[a]] != phi2[h.table[a]]
     )
     # h_*^beta(nabla) lies in hat_phi(A) exactly when h_*^-1(A) is in nabla:
     # per point nabla, one byte row over A of each side
     preimages = bytes(h_star.preimages)
+    bit_rows = _hat_phi_bit_rows(h.source)
     remark = None
     if any(
-        preimages.translate(nabla.indicator) != _hat_phi_bit_row(h.source, img)
+        preimages.translate(nabla.indicator) != bit_rows[img]
         for nabla, img in zip(beta2.points_as_ultrafilters, h_star_beta.table)
     ):
         remark = _first(
@@ -367,27 +371,20 @@ def _hom_checks(h: BoolHom, bundle: DiagramBundle, sigma_table) -> list[CheckRes
     ]
 
 
-@cache
-def _hat_phi_bit_row(algebra: FinBoolAlg, point: int) -> bytes:
-    """Byte A is 1 when the double-dual point lies in hat_phi(A), else 0."""
-    return bytes(upstairs >> point & 1 for upstairs in hat_phi_table(algebra))
+@object_cache
+def _hat_phi_bit_rows(algebra: FinBoolAlg) -> tuple[bytes, ...]:
+    """Row d, byte A is 1 when the double-dual point d lies in hat_phi(A)."""
+    table = hat_phi_table(algebra)
+    return tuple(
+        bytes(upstairs >> point & 1 for upstairs in table)
+        for point in range(len(ultrafilters(algebra)))
+    )
 
 
 def _forward_images(table: tuple[int, ...]) -> list[int]:
     """The image of every point set (bitmask) under a point table, indexed
     by the set."""
     return _subset_unions([1 << v for v in table])
-
-
-@cache
-def _mask_ops(n: int) -> tuple[tuple[bytes, ...], tuple[bytes, ...]]:
-    """Row x of ``x & y`` and of ``x | y`` over the n-bit masks y, each as a
-    256-byte ``bytes.translate`` table (zero-padded)."""
-    size = 1 << n
-    return tuple(
-        tuple(bytes(op(x, y) for y in range(size)).ljust(256, b"\0") for x in range(size))
-        for op in (int.__and__, int.__or__)
-    )
 
 
 def _hom_law_witness(sigma_table, n1: int, n2: int) -> dict | None:
@@ -492,8 +489,14 @@ def exhaustive_suite(
     ``sample_index`` and ``timing_ms`` 0.  The battery is a function of the
     homomorphism alone, so every distinct homomorphism still gets every
     check.  The memo is local to the call, so a patched fault is seen and
-    nothing outlives the run.
+    nothing outlives the run.  A range that checks nothing (``max_atoms`` or
+    ``count`` below 1) raises ValueError and one above the hom cap
+    BoundExceeded, both before any work.
     """
+    if max_atoms < 1:
+        raise ValueError("max_atoms must be at least 1")
+    if sample is not None and sample[1] < 1:
+        raise ValueError("sample count must be at least 1")
     check_hom_cap("exhaustive suite", max_atoms)
     report = VerificationReport()
     for k in range(1, max_atoms + 1):

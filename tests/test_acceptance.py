@@ -205,7 +205,8 @@ def test_criterion_8_oracle_independence_audit():
         assert result.passed, f"disallowed shared helpers: {result.violations}"
         # the audit must not be vacuous: both roots reach their machinery
         assert "algebra.all_filters" in result.sigma_reachable
-        assert "duality.phi_mask" in result.sigma_reachable
+        # sigma_extend reads the Stone embedding as a whole table
+        assert "duality.phi_table" in result.sigma_reachable
         assert "compactification.beta_space" in result.diagram_reachable
         assert "duality.hat_phi_point_mask" in result.diagram_reachable
         assert "extension.sigma_extend" not in result.diagram_reachable

@@ -210,7 +210,7 @@ def test_representation_breaking_the_laws_is_a_failed_row(monkeypatch):
 
 
 def test_representation_that_is_not_bijective_is_a_library_bug(monkeypatch):
-    monkeypatch.setattr(duality, "phi_mask", lambda algebra, a: 0)
+    monkeypatch.setattr(duality, "phi_table", lambda algebra: (0,) * algebra.size)
     with pytest.raises(InvariantViolation, match="not bijective"):
         stone_representation(powerset_algebra(2))
 

@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 from stonecheck.algebra import (
     FinLattice,
     all_homs,
+    fin_lattice,
+    fin_poset,
     hom_from_atom_function,
     identity_hom,
     powerset_algebra,
@@ -135,15 +137,35 @@ def test_completeness_scan_reports_the_reference_witness(atoms, table, a, b, val
     assert info.value.witness == expected
 
 
+def scans_during(action) -> tuple[int, int]:
+    """The completeness scans ``action`` ran and those it found cached."""
+    before = _assert_complete.cache_info()
+    action()
+    after = _assert_complete.cache_info()
+    return after.misses - before.misses, after.hits - before.hits
+
+
 def test_each_completion_lattice_is_scanned_once():
-    # two parses give two algebra objects, both completed by the one cached
-    # powerset lattice on their two ultrafilters
+    # a fresh lattice is scanned on its first completion only
+    pow_alg = powerset_algebra(2)
+    fresh = fin_lattice(fin_poset(pow_alg.lattice.poset.leq))
+    base = powerset_algebra(1).lattice
+
+    def complete_twice():
+        for _ in range(2):
+            completion(base, fresh, (0, 3))
+
+    assert scans_during(complete_twice) == (1, 1)
+    # two parses give two algebra objects, both completed by the lattice of
+    # the one powerset algebra on their two ultrafilters, scanned at most once
+    _assert_complete(pow_alg.lattice)
     text = SAMPLE.read_text()
-    _assert_complete.cache_clear()
-    for _ in range(2):
-        canonical_extension(parse_document(text).algebra("abstract_four"))
-    info = _assert_complete.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+
+    def extend_two_parses():
+        for _ in range(2):
+            canonical_extension(parse_document(text).algebra("abstract_four"))
+
+    assert scans_during(extend_two_parses) == (0, 2)
 
 
 def test_a_lattice_that_fails_the_scan_fails_every_time():

@@ -156,6 +156,21 @@ def test_suite_bound():
         exhaustive_suite(5)
 
 
+@pytest.mark.parametrize(
+    "max_atoms, sample",
+    [(0, None), (-2, None), (2, (1, 0)), (3, (3, -3))],
+    ids=["no_atoms", "negative_atoms", "no_draws", "negative_draws"],
+)
+def test_vacuous_range_is_rejected_before_any_instance(monkeypatch, max_atoms, sample):
+    def no_work(*_args, **_kwargs):
+        raise AssertionError("the suite ran")
+
+    monkeypatch.setattr(harness, "algebra_instance", no_work)
+    monkeypatch.setattr(harness, "full_hom_instance", no_work)
+    with pytest.raises(ValueError, match="at least 1"):
+        exhaustive_suite(max_atoms, sample=sample)
+
+
 def test_sampled_suite_bound_holds_for_every_seed_before_any_instance(monkeypatch):
     built = []
 

@@ -24,9 +24,10 @@ MUTANTS = {
         "for F in all_filters(src.lattice)[:-1]:",
     ),
     "flip_subset_test": ("if inter1 & ~A == 0:", "if inter1 & ~A != 0:"),
+    # phi_table is shared, so the mutant perturbs a copy of it
     "stray_phi2_point": (
-        "phi2 = [phi_mask(dst, b) for b in range(dst.size)]",
-        "phi2 = [phi_mask(dst, b) for b in range(dst.size)]\n    phi2[1] |= 1 << (n2 - 1)",
+        "phi2 = phi_table(dst)",
+        "phi2 = list(phi_table(dst))\n    phi2[1] |= 1 << (n2 - 1)",
     ),
 }
 

@@ -21,6 +21,7 @@ from stonecheck.algebra import (
     BoolHom,
     _preimage_table,
     all_homs,
+    export_presentation,
     hom_from_atom_function,
     identity_hom,
     powerset_algebra,
@@ -236,15 +237,26 @@ def test_hom_law_scan_gives_the_loop_witness_on_corrupted_sigma_tables():
 
 
 def test_each_space_is_validated_once():
-    validate_stone.cache_clear()
-    spaces = set()
-    for hom in homs_up_to(2):
-        bundle = build_diagram(hom)
-        spaces |= {bundle.beta1.space, bundle.beta2.space, bundle.h_star.source}
-        extension_candidates(bundle.beta2, bundle.lift, bundle.beta1.space)
-    info = validate_stone.cache_info()
-    assert info.misses <= len(spaces)
-    assert info.hits > info.misses
+    # fresh copies of the powerset algebras, so that their dual spaces and
+    # the base spaces of their beta spaces are new objects
+    fresh = {
+        k: validate_boolean_algebra(*export_presentation(powerset_algebra(k))) for k in (1, 2)
+    }
+    new_spaces, spaces = set(), set()
+    before = validate_stone.cache_info()
+    for k1, k2 in itertools.product(fresh, repeat=2):
+        for hom in all_homs(fresh[k1], fresh[k2]):
+            bundle = build_diagram(hom)
+            new_spaces |= {
+                bundle.h_star.source, bundle.h_star.target, bundle.beta1.base, bundle.beta2.base
+            }
+            spaces |= new_spaces | {bundle.beta1.space, bundle.beta2.space}
+            extension_candidates(bundle.beta2, bundle.lift, bundle.beta1.space)
+    after = validate_stone.cache_info()
+    misses, hits = after.misses - before.misses, after.hits - before.hits
+    assert len(new_spaces) == 4
+    assert len(new_spaces) <= misses <= len(spaces)
+    assert hits > misses
 
 
 def test_a_space_that_fails_validation_fails_every_time():

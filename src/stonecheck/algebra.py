@@ -7,7 +7,16 @@ below it, which identifies the algebra with the powerset of its atom set and
 makes order and operations single-word bit operations.  For powerset
 algebras the element index *is* its atom mask.
 
-Validation runs a row at a time.  A poset keeps each row of its order as
+A valid algebra is recognised by its atom encoding.  By Stone's
+representation a finite Boolean algebra is the powerset of its atoms, so
+``boolean_algebra_of_up_sets`` first reads candidate atoms and atom masks
+off the up-set bitmasks of the order, in O(k * 2**k) steps for 2**k
+elements.  When the masks show a powerset order, the order, meet and join
+tables are translated from the masks, and only the complement laws are
+left to check.  The row scans below run only on an order that is not a
+powerset order, to name its witness.
+
+Those scans run a row at a time.  A poset keeps each row of its order as
 an up-set bitmask (and each column as a down-set bitmask), so the order
 laws are mask tests and a least upper bound is the element whose up-set
 mask is the intersection of two others.  The distributive and homomorphism
@@ -35,6 +44,7 @@ whose tables are few and reused, is cached for the whole process.
 from __future__ import annotations
 
 import itertools
+import struct
 from dataclasses import dataclass, field
 from functools import cache, cached_property, partial, reduce, wraps
 from operator import or_
@@ -157,6 +167,9 @@ def _lowest_bit(mask: int) -> int:
 
 def _first_difference(a: bytes, b: bytes) -> int:
     return next(k for k, (x, y) in enumerate(zip(a, b)) if x != y)
+
+
+_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
 def _byte_table(row: Sequence[int]) -> bytes:
@@ -361,51 +374,64 @@ class FinBoolAlg:
 
 
 @cache
-def _mask_ops(n: int) -> tuple[tuple[bytes, ...], tuple[bytes, ...]]:
-    """Row x of ``x & y`` and of ``x | y`` over the n-bit masks y, each as a
-    256-byte ``bytes.translate`` table (zero-padded)."""
+def _mask_ops(n: int) -> tuple[tuple[bytes, ...], tuple[bytes, ...], tuple[bytes, ...]]:
+    """Row x of ``x & y``, of ``x | y`` and of ``x <= y`` (1 when x is a
+    subset of y, else 0) over the n-bit masks y, each as a 256-byte
+    ``bytes.translate`` table (zero-padded)."""
     size = 1 << n
     return tuple(
         tuple(bytes(op(x, y) for y in range(size)).ljust(256, b"\0") for x in range(size))
-        for op in (int.__and__, int.__or__)
+        for op in (int.__and__, int.__or__, lambda x, y: x & ~y == 0)
     )
 
 
-def _carries_powerset_ops(
-    meet_block: bytes, join_block: bytes, atom_count: int, atom_mask: tuple, mask_index: dict
-) -> bool:
-    """Whether the atom encoding is a bijection onto the atom masks that
-    carries meet and join to ``&`` and ``|``, so that they distribute."""
-    n = len(atom_mask)
-    if len(mask_index) != n or n != 1 << atom_count:
-        return False
-    masks = bytes(atom_mask)
-    index = _byte_table([mask_index[m] for m in range(n)])
-    return all(
-        b"".join([masks.translate(ops[m]) for m in atom_mask]).translate(index) == block
-        for ops, block in zip(_mask_ops(atom_count), (meet_block, join_block))
-    )
+def _checked_complement(n: int, complement: Sequence[int]) -> tuple[int, ...]:
+    """The complement table of an n-element lattice, after the size cap."""
+    if n > 1 << MAX_ATOMS:
+        raise BoundExceeded(f"Boolean algebras capped at {1 << MAX_ATOMS} elements", n)
+    comp = tuple(map(int, complement))
+    if len(comp) != n or min(comp) < 0 or max(comp) >= n:
+        raise ValueError("complement table must map the carrier into itself")
+    return comp
+
+
+def _check_complement_laws(lattice: FinLattice, comp: tuple[int, ...]) -> None:
+    """Raise ComplementLawFails at the first x whose complement fails a law."""
+    meet, join = lattice.meet, lattice.join
+    for x in range(lattice.size):
+        if meet[x][comp[x]] != lattice.bottom:
+            raise ComplementLawFails("x and not-x do not meet to bottom", (x, comp[x]))
+        if join[x][comp[x]] != lattice.top:
+            raise ComplementLawFails("x and not-x do not join to top", (x, comp[x]))
 
 
 def fin_bool_alg(lattice: FinLattice, complement: Sequence[int]) -> FinBoolAlg:
     """Validate distributivity and the complement laws, then canonicalize.
 
-    The atom-bitmask encoding is computed first.  When it carries the meet
-    and join tables to the powerset's ``&`` and ``|``, they distribute;
-    otherwise the distributive law is scanned a row at a time for its first
-    witness.  By Birkhoff's description of finite Boolean algebras the
-    encoding of a valid algebra is an order isomorphism onto the powerset of
-    the atom set, so a failure there, checked after the complement laws, is
-    reported as an internal invariant violation rather than a user error.
-    Lattices of more than ``2 ** MAX_ATOMS`` elements raise BoundExceeded.
+    The distributive law is checked a row at a time and scanned for its
+    first witness only in a row that fails.  By Birkhoff's description of
+    finite Boolean algebras the atom-bitmask encoding of a valid algebra is
+    an order isomorphism onto the powerset of the atom set, so a failure
+    there, checked after the complement laws, is reported as an internal
+    invariant violation rather than a user error.  Lattices of more than
+    ``2 ** MAX_ATOMS`` elements raise BoundExceeded.
     """
     n = lattice.size
-    if n > 1 << MAX_ATOMS:
-        raise BoundExceeded(f"Boolean algebras capped at {1 << MAX_ATOMS} elements", n)
-    comp = tuple(int(c) for c in complement)
-    if len(comp) != n or any(not 0 <= c < n for c in comp):
-        raise ValueError("complement table must map the carrier into itself")
+    comp = _checked_complement(n, complement)
     meet, join = lattice.meet, lattice.join
+    meet_block = bytes(itertools.chain.from_iterable(meet))
+    join_block = bytes(itertools.chain.from_iterable(join))
+    join_tables = [_byte_table(row) for row in join]
+    for x in range(n):
+        # row y, column z: meet[x][join[y][z]] against join[meet[x][y]][meet[x][z]]
+        meet_row = meet_block[x * n : x * n + n]
+        lhs = join_block.translate(_byte_table(meet_row))
+        rhs = b"".join([meet_row.translate(join_tables[m]) for m in meet_row])
+        if lhs != rhs:
+            y, z = divmod(_first_difference(lhs, rhs), n)
+            raise NotDistributive("distributive law fails", (x, y, z))
+    _check_complement_laws(lattice, comp)
+
     leq, down = lattice.poset.leq, lattice.poset.down
     bottom = lattice.bottom
     atoms = tuple(i for i in range(n) if i != bottom and down[i] == 1 << i | 1 << bottom)
@@ -413,24 +439,6 @@ def fin_bool_alg(lattice: FinLattice, complement: Sequence[int]) -> FinBoolAlg:
         sum(1 << k for k, a in enumerate(atoms) if down[i] >> a & 1) for i in range(n)
     )
     mask_index = {m: i for i, m in enumerate(atom_mask)}
-    meet_block = bytes(itertools.chain.from_iterable(meet))
-    join_block = bytes(itertools.chain.from_iterable(join))
-    if not _carries_powerset_ops(meet_block, join_block, len(atoms), atom_mask, mask_index):
-        join_tables = [_byte_table(row) for row in join]
-        for x in range(n):
-            # row y, column z: meet[x][join[y][z]] against join[meet[x][y]][meet[x][z]]
-            meet_row = meet_block[x * n : x * n + n]
-            lhs = join_block.translate(_byte_table(meet_row))
-            rhs = b"".join([meet_row.translate(join_tables[m]) for m in meet_row])
-            if lhs != rhs:
-                y, z = divmod(_first_difference(lhs, rhs), n)
-                raise NotDistributive("distributive law fails", (x, y, z))
-    for x in range(n):
-        if meet[x][comp[x]] != lattice.bottom:
-            raise ComplementLawFails("x and not-x do not meet to bottom", (x, comp[x]))
-        if join[x][comp[x]] != lattice.top:
-            raise ComplementLawFails("x and not-x do not join to top", (x, comp[x]))
-
     if len(mask_index) != n or n != 1 << len(atoms):
         raise InvariantViolation("atom encoding is not a bijection", (n, len(atoms)))
     for i, m in enumerate(atom_mask):
@@ -439,6 +447,77 @@ def fin_bool_alg(lattice: FinLattice, complement: Sequence[int]) -> FinBoolAlg:
         if row != leq[i]:
             j = next(j for j in range(n) if row[j] != leq[i][j])
             raise InvariantViolation("atom encoding does not match the order", (i, j))
+    return FinBoolAlg(lattice, comp, atoms, atom_mask, mask_index)
+
+
+def _atom_encoding(up: tuple[int, ...]) -> tuple[tuple[int, ...], bytes] | None:
+    """The atoms and atom masks of a powerset order given by its up-sets,
+    or None when the order is not one (or has more than 256 elements).
+
+    With n = 2**k elements, the candidate atoms are the elements with
+    2**(k-1) elements above them, in index order, and bit t of an element's
+    mask says that it lies above candidate t.  The order is a powerset
+    order exactly when the masks are a bijection onto 0..n-1 and the up-set
+    of each element is the set of elements whose mask contains its own:
+    entry m of ``above`` is the intersection of the candidates' up-sets
+    over the bits of m.
+    """
+    n = len(up)
+    if not n or n & (n - 1) or n > 256:
+        return None
+    atoms = tuple(i for i, m in enumerate(up) if m.bit_count() == n >> 1)
+    if n != 1 << len(atoms):
+        return None
+    packed, above = 0, [(1 << n) - 1]
+    for t, a in enumerate(atoms):
+        column = up[a]
+        if column >> n:
+            return None
+        # one byte per element, 1 where it lies above atom t, moved to bit t
+        row = format(column, f"0{n}b").encode().translate(_BITS)
+        packed += int.from_bytes(row, "big") << t
+        above += [m & column for m in above]
+    masks = packed.to_bytes(n, "little")
+    if len(set(masks)) != n or tuple(map(above.__getitem__, masks)) != up:
+        return None
+    return atoms, masks
+
+
+def boolean_algebra_of_up_sets(up: Sequence[int], complement: Sequence[int]) -> FinBoolAlg:
+    """Validate an order given row by row as up-set bitmasks, with its
+    complement table, as a Boolean algebra.
+
+    A powerset order (``_atom_encoding``) is a Boolean lattice, so its
+    order, meet and join tables are translated from the atom masks through
+    ``_mask_ops``, and only the cap, the complement table and the
+    complement laws are left to check, in ``fin_bool_alg``'s order.  Any
+    other order goes through ``poset_of_up_sets``, ``fin_lattice`` and
+    ``fin_bool_alg``, whose scans name the first witness.
+    """
+    up = tuple(up)
+    encoding = _atom_encoding(up)
+    if encoding is None:
+        return fin_bool_alg(fin_lattice(poset_of_up_sets(up)), complement)
+    atoms, masks = encoding
+    n = len(up)
+    comp = _checked_complement(n, complement)
+    ands, ors, subsets = _mask_ops(len(atoms))
+    atom_mask = tuple(masks)
+    mask_index = {m: i for i, m in enumerate(atom_mask)}
+    index = _byte_table([mask_index[m] for m in range(n)])
+    rows = struct.Struct(f"{n}?").unpack
+    leq = tuple([rows(masks.translate(subsets[m])) for m in atom_mask])
+    meet, join = (
+        tuple([tuple(masks.translate(ops[m]).translate(index)) for m in atom_mask])
+        for ops in (ands, ors)
+    )
+    below = [(1 << n) - 1]
+    for a in atoms:
+        outside = ~up[a]
+        below = [m & outside for m in below] + below
+    down = tuple(map(below.__getitem__, atom_mask))
+    lattice = FinLattice(FinPoset(leq, up, down), meet, join, index[0], index[n - 1])
+    _check_complement_laws(lattice, comp)
     return FinBoolAlg(lattice, comp, atoms, atom_mask, mask_index)
 
 
@@ -458,7 +537,7 @@ def validate_boolean_algebra(
         if not (0 <= i < size and 0 <= j < size):
             raise ValueError(f"order pair ({i}, {j}) is outside the carrier")
         up[i] |= 1 << j
-    return fin_bool_alg(fin_lattice(poset_of_up_sets(up)), complement)
+    return boolean_algebra_of_up_sets(up, complement)
 
 
 def atoms_of(algebra: FinBoolAlg) -> tuple[int, ...]:
@@ -481,11 +560,8 @@ def powerset_algebra(n: int) -> FinBoolAlg:
     if n > MAX_ATOMS:
         raise BoundExceeded(f"powerset algebra capped at {MAX_ATOMS} atoms", n)
     size = 1 << n
-    rows = [[(i & ~j) == 0 for j in range(size)] for i in range(size)]
-    full = size - 1
-    algebra = fin_bool_alg(
-        fin_lattice(fin_poset(rows)), tuple(full ^ m for m in range(size))
-    )
+    up = [sum(1 << j for j in range(size) if i & ~j == 0) for i in range(size)]
+    algebra = boolean_algebra_of_up_sets(up, [(size - 1) ^ m for m in range(size)])
     if algebra.atom_mask != tuple(range(size)):
         raise InvariantViolation("powerset algebra is not in canonical form", n)
     return algebra

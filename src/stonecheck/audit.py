@@ -3,7 +3,7 @@
 The filter-formula path (rooted at ``extension.sigma_extend``) and the
 diagram-chase path (rooted at ``harness.build_diagram`` and
 ``harness.double_dual_map``) are only allowed to share the algebra core,
-the error types, and the bitmask Stone embedding ``duality.phi_mask``.
+the error types, and the bitmask Stone embedding ``duality.phi_table``.
 This module extracts a call graph of module-level functions from the
 package source with ``ast`` and reports any helper reachable from both
 roots that is not on the allowlist.
@@ -25,7 +25,7 @@ DIAGRAM_ROOTS = ("harness.build_diagram", "harness.double_dual_map")
 # Shared helpers both paths may use: the whole algebra core, the error
 # types, and the Stone embedding as a bitmask.
 SHARED_ALLOWED_PREFIXES = ("algebra.", "errors.")
-SHARED_ALLOWED = ("duality.phi_mask",)
+SHARED_ALLOWED = ("duality.phi_table",)
 
 _MODULES = (
     "algebra",

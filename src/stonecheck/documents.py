@@ -28,8 +28,10 @@ cheap, the label pairs of a ``leq``, ``complement``, ``map`` or
 ``atom_map`` list are resolved in one pass; the pair-by-pair checks run
 only when that pass fails, to name the first bad pair.  The closure of the
 ``leq`` pairs stays as up-set bitmasks (``_closed_relation``), which go to
-``algebra.poset_of_up_sets`` as they are, with no pair list or boolean
-matrix in between.
+``algebra.boolean_algebra_of_up_sets`` as they are, with no pair list or
+boolean matrix in between.  It recognises a valid algebra by its atom
+encoding; the order and lattice scans run only on an invalid one, to name
+its witness.
 """
 
 from __future__ import annotations
@@ -43,10 +45,8 @@ from .algebra import (
     MAX_ATOMS,
     BoolHom,
     FinBoolAlg,
-    fin_bool_alg,
-    fin_lattice,
+    boolean_algebra_of_up_sets,
     hom_from_atom_function,
-    poset_of_up_sets,
     powerset_algebra,
     validate_hom,
 )
@@ -89,7 +89,7 @@ def _closed_relation(size: int, pairs: list[tuple[int, int]]) -> list[int]:
 
     Row i is the bitmask of the elements i relates to; Warshall's closure
     ORs row k into every row that contains k.  The rows go to
-    ``poset_of_up_sets`` as they are.
+    ``boolean_algebra_of_up_sets`` as they are.
     """
     rows = [1 << i for i in range(size)]
     for i, j in pairs:
@@ -156,7 +156,7 @@ def _parse_algebra(entry: dict, where: str, doc: Document) -> None:
             raise ValidationError(f"{where}: element {missing!r} has no complement")
         up = _closed_relation(len(carrier), leq_pairs)
         doc.algebras[name] = _validated(
-            where, lambda: fin_bool_alg(fin_lattice(poset_of_up_sets(up)), comp_table)
+            where, lambda: boolean_algebra_of_up_sets(up, comp_table)
         )
         doc.labels[name] = tuple(carrier)
     else:

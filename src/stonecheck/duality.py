@@ -33,10 +33,8 @@ from .algebra import (
     FinBoolAlg,
     UltraFilter,
     _preimage_table,
+    boolean_algebra_of_up_sets,
     cache_field,
-    fin_bool_alg,
-    fin_lattice,
-    fin_poset,
     object_cache,
     powerset_algebra,
     ultrafilter_rows,
@@ -279,9 +277,9 @@ def clopen_algebra(space: FinStoneSpace) -> ClopenAlgebra:
     full = (1 << space.size) - 1
     clopens = sorted(o for o in opens if (full & ~o) in opens)
     n = len(clopens)
-    rows = [[(clopens[i] & ~clopens[j]) == 0 for j in range(n)] for i in range(n)]
-    comp = tuple(clopens.index(full & ~clopens[i]) for i in range(n))
-    algebra = fin_bool_alg(fin_lattice(fin_poset(rows)), comp)
+    up = [sum(1 << j for j in range(n) if c & ~clopens[j] == 0) for c in clopens]
+    comp = tuple(clopens.index(full & ~c) for c in clopens)
+    algebra = boolean_algebra_of_up_sets(up, comp)
     return ClopenAlgebra(space, algebra, tuple(clopens))
 
 

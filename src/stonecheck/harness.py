@@ -404,8 +404,8 @@ def _hom_law_witness(sigma_table, n1: int, n2: int) -> dict | None:
     if 0 <= min(sigma_table) and max(sigma_table) <= full2:
         image = bytes(sigma_table)
         table = image.ljust(256, b"\0")
-        ands1, ors1 = _mask_ops(n1)
-        ands2, ors2 = _mask_ops(n2)
+        ands1, ors1, _ = _mask_ops(n1)
+        ands2, ors2, _ = _mask_ops(n2)
         rows = (
             a
             for a, s in enumerate(sigma_table)

@@ -37,6 +37,16 @@ def run_cli(*args):
     )
 
 
+def test_relabelled_five_atom_document_exits_0_and_its_broken_copy_exits_2(tmp_path):
+    doc = GOLDEN_DIR / "relabelled_five.json"
+    assert run_cli("dual", str(doc), "five", "--dot", "--out", str(tmp_path / "five.dot")).returncode == 0
+    assert run_cli("canext", str(doc), "five").returncode == 0
+    assert run_cli("verify", str(doc), "collapse", "--out", str(tmp_path / "r.json")).returncode == 0
+    proc = run_cli("canext", str(GOLDEN_DIR / "relabelled_five_missing_cover.json"), "five")
+    assert proc.returncode == 2
+    assert proc.stderr == "error: algebras[0]: pair has no least upper bound; witness=('join', 8, 12)\n"
+
+
 def test_dual_lists_points_deterministically():
     proc = run_cli("dual", str(SAMPLE), "four")
     assert proc.returncode == 0

@@ -1,11 +1,18 @@
-"""Seeded faults in the filter-formula extension reach the check battery.
+"""Seeded faults reach a check that fails.
 
-Each mutant is the source of ``extension.sigma_extend`` with one edit,
-compiled in a copy of the extension module's namespace and bound as the
-``sigma_extend`` the harness reads, so the battery and the shrinker both
-run it.  Under each mutant ``verify --all --max-atoms 3`` must exit 1 with
-a failed ``sigma_equals_double_dual`` check whose witness carries a shrunk
-instance, rather than stop on an internal error.
+Each ``sigma_extend`` mutant is the source of ``extension.sigma_extend``
+with one edit, compiled in a copy of the extension module's namespace and
+bound as the ``sigma_extend`` the harness reads, so the battery and the
+shrinker both run it.  Under each mutant ``verify --all --max-atoms 3`` must
+exit 1 with a failed ``sigma_equals_double_dual`` check whose witness
+carries a shrunk instance, rather than stop on an internal error.
+
+Each recognizer mutant is ``algebra._atom_encoding`` with one edit, compiled
+the same way in a copy of the algebra module's namespace together with the
+``boolean_algebra_of_up_sets`` that calls it.  Each must fail the named
+pinned check of ``test_powerset_recognition`` that ``RECOGNIZER_MUTANTS``
+lists for it: the mutant accepts an order that is not a powerset order, so
+it no longer names the generic chain's witness.
 """
 
 import inspect
@@ -13,8 +20,10 @@ import json
 
 import pytest
 
+import stonecheck.algebra as algebra
 import stonecheck.extension as extension
 import stonecheck.harness as harness
+import test_powerset_recognition as recognition
 from stonecheck.cli import main
 
 # name -> (original line, replacement)
@@ -77,3 +86,50 @@ def test_sigma_mutant_fails_the_battery_with_a_shrunk_witness(
         shrunk = check["witness"]["shrunk"]
         assert set(shrunk) == {"source_atoms", "target_atoms", "atom_function"}
         assert len(shrunk["atom_function"]) == shrunk["target_atoms"]
+
+
+# name -> (original line, replacement, the pinned check that kills it)
+RECOGNIZER_MUTANTS = {
+    "skip_last_up_set": (
+        "tuple(map(above.__getitem__, masks)) != up",
+        "tuple(map(above.__getitem__, masks))[:-1] != up[:-1]",
+        recognition.check_corrupted_last_row,
+    ),
+    "any_atom_count": (
+        "if n != 1 << len(atoms):\n        return None",
+        "pass",
+        recognition.check_three_atoms_under_a_top,
+    ),
+    "skip_bijection": (
+        "len(set(masks)) != n or ",
+        "",
+        recognition.check_two_elements_with_one_mask,
+    ),
+}
+
+
+def compiled_constructor(original: str, replacement: str):
+    source = inspect.getsource(algebra._atom_encoding)
+    assert source.count(original) == 1, "the mutated line is no longer in _atom_encoding"
+    namespace = dict(vars(algebra))
+    for source in (
+        source.replace(original, replacement),
+        inspect.getsource(algebra.boolean_algebra_of_up_sets),
+    ):
+        exec(compile(source, algebra.__file__, "exec"), namespace)
+    return namespace["boolean_algebra_of_up_sets"]
+
+
+def test_unmutated_constructor_copy_passes_every_pinned_check():
+    line = RECOGNIZER_MUTANTS["skip_bijection"][0]
+    build = compiled_constructor(line, line)
+    for check in recognition.PINNED:
+        check(build)
+
+
+@pytest.mark.parametrize("name", list(RECOGNIZER_MUTANTS))
+def test_recognizer_mutant_fails_its_pinned_check(name):
+    original, replacement, check = RECOGNIZER_MUTANTS[name]
+    build = compiled_constructor(original, replacement)
+    with pytest.raises(AssertionError):
+        check(build)

@@ -22,10 +22,13 @@ laws are mask tests and a least upper bound is the element whose up-set
 mask is the intersection of two others.  The distributive and homomorphism
 laws compare rows of bytes built from the operation tables with
 ``bytes.translate``; a lattice keeps its meet and join tables as flat byte
-blocks (``meet_bytes``, ``join_bytes``), built once per lattice, for
-``validate_hom`` to translate.  Only a comparison that fails is scanned, so
-every check still names the same first witness as an element-by-element
-scan in index order.
+blocks (``meet_bytes``, ``join_bytes``), built once per lattice (a
+recognised powerset order is handed the blocks its constructor built), for
+``validate_hom`` to translate.  A target lattice also keeps the 256-byte
+row tables of each value that some image has taken (``_row_tables``), so
+a row is sliced once per lattice, not once per homomorphism.  Only a
+comparison that fails is scanned, so every check still names the same
+first witness as an element-by-element scan in index order.
 
 Filters are stored extensionally (as element sets).  The fast enumeration
 exploits that every filter of a finite lattice is a principal up-set; the
@@ -278,15 +281,25 @@ class FinLattice:
             out = self.join[out][e]
         return out
 
-    @cached_property
+    @property
     def meet_bytes(self) -> bytes:
         """The meet table as one flat block of n rows of n bytes."""
-        return bytes(itertools.chain.from_iterable(self.meet))
+        return _flat_block(self, "meet_bytes", self.meet)
 
-    @cached_property
+    @property
     def join_bytes(self) -> bytes:
         """The join table as one flat block of n rows of n bytes."""
-        return bytes(itertools.chain.from_iterable(self.join))
+        return _flat_block(self, "join_bytes", self.join)
+
+
+def _flat_block(lattice: FinLattice, slot: str, table: tuple[tuple[int, ...], ...]) -> bytes:
+    """A table's flat byte block, kept in the lattice's ``_cache`` under
+    ``slot``, where ``boolean_algebra_of_up_sets`` puts the blocks it builds."""
+    memo = lattice._cache
+    block = memo.get(slot)
+    if block is None:
+        block = memo[slot] = bytes(itertools.chain.from_iterable(table))
+    return block
 
 
 @object_cache
@@ -507,16 +520,17 @@ def boolean_algebra_of_up_sets(up: Sequence[int], complement: Sequence[int]) -> 
     index = _byte_table([mask_index[m] for m in range(n)])
     rows = struct.Struct(f"{n}?").unpack
     leq = tuple([rows(masks.translate(subsets[m])) for m in atom_mask])
-    meet, join = (
-        tuple([tuple(masks.translate(ops[m]).translate(index)) for m in atom_mask])
-        for ops in (ands, ors)
+    meet_rows, join_rows = (
+        [masks.translate(ops[m]).translate(index) for m in atom_mask] for ops in (ands, ors)
     )
     below = [(1 << n) - 1]
     for a in atoms:
         outside = ~up[a]
         below = [m & outside for m in below] + below
     down = tuple(map(below.__getitem__, atom_mask))
+    meet, join = (tuple(map(tuple, rows)) for rows in (meet_rows, join_rows))
     lattice = FinLattice(FinPoset(leq, up, down), meet, join, index[0], index[n - 1])
+    lattice._cache.update(meet_bytes=b"".join(meet_rows), join_bytes=b"".join(join_rows))
     _check_complement_laws(lattice, comp)
     return FinBoolAlg(lattice, comp, atoms, atom_mask, mask_index)
 
@@ -714,7 +728,8 @@ def validate_hom(table: Sequence[int], source: FinBoolAlg, target: FinBoolAlg) -
 
     Bottom preservation is checked with the meets (bottom is the meet of the
     whole carrier) and top preservation with the joins.  Each operation law
-    reads the lattices' flat byte blocks (``meet_bytes``, ``join_bytes``).
+    reads the lattices' flat byte blocks (``meet_bytes``, ``join_bytes``)
+    and the target lattice's row tables (``_row_tables``).
     """
     t = tuple(map(int, table))
     if len(t) != source.size or min(t) < 0 or max(t) >= target.size:
@@ -722,14 +737,15 @@ def validate_hom(table: Sequence[int], source: FinBoolAlg, target: FinBoolAlg) -
     image = bytes(t)
     image_table = _byte_table(t)
     src, dst = source.lattice, target.lattice
+    meet_rows, join_rows = _row_tables(dst)
     if t[source.bottom] != target.bottom:
         raise NotMeetPreserving("bottom must map to bottom", ("bottom", source.bottom))
-    witness = _unpreserved(src.meet_bytes, dst.meet_bytes, dst.size, image, image_table)
+    witness = _unpreserved(src.meet_bytes, dst.meet_bytes, meet_rows, dst.size, image, image_table)
     if witness is not None:
         raise NotMeetPreserving("meet not preserved", witness)
     if t[source.top] != target.top:
         raise NotJoinPreserving("top must map to top", ("top", source.top))
-    witness = _unpreserved(src.join_bytes, dst.join_bytes, dst.size, image, image_table)
+    witness = _unpreserved(src.join_bytes, dst.join_bytes, join_rows, dst.size, image, image_table)
     if witness is not None:
         raise NotJoinPreserving("join not preserved", witness)
     lhs = bytes(source.complement).translate(image_table)
@@ -739,19 +755,37 @@ def validate_hom(table: Sequence[int], source: FinBoolAlg, target: FinBoolAlg) -
     return BoolHom(source, target, t)
 
 
+@object_cache
+def _row_tables(lattice: FinLattice) -> tuple[dict[int, bytes], dict[int, bytes]]:
+    """Row v of the meet and of the join table as 256-byte
+    ``bytes.translate`` tables, for each v that ``_unpreserved`` has met in
+    an image so far.  They hold bytes only, never the lattice, so they form
+    no reference cycle with it."""
+    return {}, {}
+
+
 def _unpreserved(
-    source_op: bytes, target_op: bytes, m: int, image: bytes, image_table: bytes
+    source_op: bytes,
+    target_op: bytes,
+    rows: dict[int, bytes],
+    m: int,
+    image: bytes,
+    image_table: bytes,
 ) -> tuple[int, int] | None:
     """The first (i, j) with t[op(i, j)] != op(t[i], t[j]), or None.
 
     The operations are flat byte blocks, n by n on the source and m by m on
     the target.  Both sides are built as n rows of n bytes, row i of the
     right side by translating the image through row t[i] of the target
-    block, sliced into a 256-byte table once per distinct image value.
+    block as a 256-byte table.  ``rows`` keeps those tables for the target
+    lattice; a value no earlier image used has its row sliced and padded
+    here, so each row is built once per lattice and only if some image
+    takes that value.
     """
     lhs = source_op.translate(image_table)
-    tables = {v: _byte_table(target_op[v * m : v * m + m]) for v in set(image)}
-    rhs = b"".join([image.translate(tables[v]) for v in image])
+    for v in set(image).difference(rows):
+        rows[v] = _byte_table(target_op[v * m : v * m + m])
+    rhs = b"".join([image.translate(rows[v]) for v in image])
     if lhs == rhs:
         return None
     return divmod(_first_difference(lhs, rhs), len(image))

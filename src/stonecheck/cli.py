@@ -276,15 +276,16 @@ def _cmd_verify(args) -> int:
     text = report_json(report, digest)
     if args.out is not None:
         _write_output(text, args.out)
+    code = exit_code_for_report(report)
     if args.json or args.out is None:
         sys.stdout.write(text)
     else:
         total = sum(len(i.checks) for i in report.instances)
-        status = "all passed" if report.all_passed else "COUNTEREXAMPLE FOUND"
+        status = "all passed" if code == 0 else "COUNTEREXAMPLE FOUND"
         sys.stdout.write(
             f"{len(report.instances)} instances, {total} checks: {status}\n"
         )
-    return exit_code_for_report(report)
+    return code
 
 
 def _cmd_diagram(args) -> int:

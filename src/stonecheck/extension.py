@@ -233,11 +233,17 @@ def sigma_extend(h: BoolHom) -> SigmaExtension:
 
     For every point set A, the image is the union over all filters F of the
     source whose embedded intersection lies inside A of the intersection of
-    the embedded h-images of the members of F.  The table is not checked
-    here: the harness battery judges it (``sigma_is_boolean_hom`` implies
-    order preservation, and ``sigma_equals_double_dual`` with
-    ``embedded_elements_preserved`` implies that it extends h), so a wrong
-    table becomes a failed check with a witness.
+    the embedded h-images of the members of F.  That union is a subset zeta
+    transform (Bjorklund, Husfeldt, Kaski & Koivisto, "Fourier meets
+    Moebius: fast subset convolution", STOC 2007): each filter's image is
+    scattered to the entry of its embedded intersection, and then each
+    entry takes the union of the entries of its subsets, one point at a
+    time, in O(n * 2**n) steps for n points rather than O(filters * 2**n).
+    The table is not checked here: the harness battery judges it
+    (``sigma_is_boolean_hom`` implies order preservation, and
+    ``sigma_equals_double_dual`` with ``embedded_elements_preserved``
+    implies that it extends h), so a wrong table becomes a failed check
+    with a witness.
     """
     src, dst = h.source, h.target
     if src.bottom == src.top or dst.bottom == dst.top:
@@ -246,22 +252,20 @@ def sigma_extend(h: BoolHom) -> SigmaExtension:
     n2 = len(ultrafilters(dst))
     phi1 = phi_table(src)
     phi2 = phi_table(dst)
+    full1 = (1 << n1) - 1
     full2 = (1 << n2) - 1
-    contributions = []
+    table = [0] * (full1 + 1)
     for F in all_filters(src.lattice):
-        inter1 = (1 << n1) - 1
+        inter1 = full1
         inter2 = full2
         for a in F.members:
             inter1 &= phi1[a]
             inter2 &= phi2[h.table[a]]
-        contributions.append((inter1, inter2))
-    table = []
-    for A in range(1 << n1):
-        out = 0
-        for inter1, inter2 in contributions:
-            if inter1 & ~A == 0:
-                out |= inter2
-        table.append(out)
+        table[inter1] |= inter2
+    for bit in (1 << p for p in range(n1)):
+        for A in range(full1 + 1):
+            if A & bit:
+                table[A] |= table[A ^ bit]
     return SigmaExtension(h, n1, n2, tuple(table))
 
 

@@ -18,7 +18,7 @@ import weakref
 from pathlib import Path
 
 import stonecheck.cli as cli
-from stonecheck.algebra import powerset_algebra
+from stonecheck.algebra import _row_tables, powerset_algebra
 from stonecheck.documents import parse_document
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -58,6 +58,31 @@ def test_a_document_is_freed_after_its_commands(monkeypatch, tmp_path, capsys):
     gc.collect()
     assert len(built) == len(commands)
     assert [ref() for ref in built] == [None] * len(commands)
+
+
+def test_a_target_lattice_is_freed_by_reference_counting_alone():
+    # the row tables validate_hom keeps on the target lattice must not refer
+    # back to it: a reference cycle would keep it until the cycle collector ran
+    doc = json.loads(SAMPLE.read_text())
+    doc["homs"] = [{
+        "name": "swap",
+        "source": "abstract_four",
+        "target": "abstract_four",
+        "map": [["bot", "bot"], ["left", "right"], ["right", "left"], ["top", "top"]],
+    }]
+    text = json.dumps(doc)
+    gc.collect()
+    gc.disable()
+    try:
+        document = parse_document(text)
+        lattice = document.hom("swap").target.lattice
+        assert lattice is not powerset_algebra(2).lattice
+        assert all(_row_tables(lattice))
+        ref = weakref.ref(lattice)
+        del document, lattice
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def _session_inputs():

@@ -280,6 +280,14 @@ def test_reports_sort_deterministically():
     assert keys == sorted(keys)
 
 
+def test_the_sort_key_is_the_text_of_json_dumps():
+    report = exhaustive_suite(2, sample=(5, 40))
+    descriptors = [i.descriptor for i in report.instances]
+    descriptors += [{"name": "é\n\"x\"", "b": [1, 2], "a": {"z": None, "y": 1.5}}]
+    for descriptor in descriptors:
+        assert harness._sort_key(descriptor) == json.dumps(descriptor, sort_keys=True)
+
+
 def report_digest(report):
     payload = json.dumps(report_jsonable(report), sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()

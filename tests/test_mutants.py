@@ -7,6 +7,14 @@ shrinker both run it.  Under each mutant ``verify --all --max-atoms 3`` must
 exit 1 with a failed ``sigma_equals_double_dual`` check whose witness
 carries a shrunk instance, rather than stop on an internal error.
 
+``sigma_extend`` scatters each filter's image to the entry of its embedded
+intersection with ``table[inter1] |= inter2``.  Plain assignment in its
+place (``table[inter1] = inter2``) is an equivalent mutant, so none is
+listed: every filter of a finite Boolean algebra is principal, generated by
+the meet of its members, and its embedded intersection is the Stone
+embedding of that generator, which is injective.  No two filters therefore
+share ``inter1``, and no entry is scattered to twice.
+
 Each recognizer mutant is ``algebra._atom_encoding`` with one edit, compiled
 the same way in a copy of the algebra module's namespace together with the
 ``boolean_algebra_of_up_sets`` that calls it.  Each must fail the named
@@ -32,7 +40,8 @@ MUTANTS = {
         "for F in all_filters(src.lattice):",
         "for F in all_filters(src.lattice)[:-1]:",
     ),
-    "flip_subset_test": ("if inter1 & ~A == 0:", "if inter1 & ~A != 0:"),
+    # the zeta transform's subset step, run on the entries without the point
+    "flip_subset_test": ("if A & bit:", "if not A & bit:"),
     # phi_table is shared, so the mutant perturbs a copy of it
     "stray_phi2_point": (
         "phi2 = phi_table(dst)",

@@ -15,6 +15,7 @@ The ``check_*`` functions take the constructor as an argument, so that
 ``test_mutants`` can run them against seeded faults in the recognizer.
 """
 
+import itertools
 import json
 import random
 
@@ -152,6 +153,22 @@ def test_shuffled_powersets_build_the_same_algebra_three_ways(monkeypatch, atoms
         doc = parse_document(document_of(up, comp))
         assert doc.labels["B"] == tuple(f"e{i}" for i in range(n))
         assert tables(doc.algebra("B")) == want
+
+
+@pytest.mark.parametrize("atoms", range(MAX_ATOMS + 1))
+def test_a_recognised_lattice_holds_its_flat_byte_blocks_from_the_start(atoms):
+    # the constructor hands over the blocks it built, so validate_hom never
+    # flattens the tuple tables of a freshly parsed algebra
+    rng = random.Random(2000 + atoms)
+    for _ in range(5):
+        up, comp = shuffled_powerset(atoms, rng)
+        lattice = boolean_algebra_of_up_sets(up, comp).lattice
+        blocks = dict(lattice._cache)
+        assert set(blocks) == {"meet_bytes", "join_bytes"}
+        assert blocks["meet_bytes"] == bytes(itertools.chain.from_iterable(lattice.meet))
+        assert blocks["join_bytes"] == bytes(itertools.chain.from_iterable(lattice.join))
+        assert lattice.meet_bytes is blocks["meet_bytes"]
+        assert lattice.join_bytes is blocks["join_bytes"]
 
 
 def test_the_one_element_algebra_is_recognised():

@@ -3,10 +3,10 @@
 Each reference below is the earlier per-entry code, kept literally: the
 per-set preimage sum (once ``ContinuousMap.preimage_mask``), the
 per-ultrafilter sums of the ultrafilter lift, the per-subset double-dual
-scan, the per-set forward image, and the pair-by-pair homomorphism-law loop
-of the battery.  The
-tables must agree with them exactly, including the first witness and the
-exception raised on corrupted input.
+scan, the per-set forward image, the pair-by-pair homomorphism-law loop
+of the battery, and the filter-quantified double loop of ``sigma_extend``.
+The tables must agree with them exactly, including the first witness and
+the exception raised on corrupted input.
 """
 
 import dataclasses
@@ -20,7 +20,9 @@ import stonecheck.harness as harness
 from stonecheck.algebra import (
     BoolHom,
     _preimage_table,
+    all_filters,
     all_homs,
+    boolean_algebra_of_up_sets,
     export_presentation,
     hom_from_atom_function,
     identity_hom,
@@ -35,6 +37,7 @@ from stonecheck.duality import (
     discrete_space,
     dual_map,
     hat_phi_table,
+    phi_table,
     stone_space,
     validate_stone,
 )
@@ -234,6 +237,69 @@ def test_hom_law_scan_gives_the_loop_witness_on_corrupted_sigma_tables():
             assert witness == reference_hom_law(table, n1, n2)
             laws.add(witness["law"])
     assert laws == {"bounds", "meet", "join"}
+
+
+def reference_sigma_table(h):
+    """For every point set A, the union over all filters of the source whose
+    embedded intersection lies inside A of the intersection of the embedded
+    images of their members: one pass over the filters per set."""
+    src, dst = h.source, h.target
+    n1 = len(ultrafilters(src))
+    n2 = len(ultrafilters(dst))
+    phi1 = phi_table(src)
+    phi2 = phi_table(dst)
+    full2 = (1 << n2) - 1
+    contributions = []
+    for F in all_filters(src.lattice):
+        inter1 = (1 << n1) - 1
+        inter2 = full2
+        for a in F.members:
+            inter1 &= phi1[a]
+            inter2 &= phi2[h.table[a]]
+        contributions.append((inter1, inter2))
+    table = []
+    for A in range(1 << n1):
+        out = 0
+        for inter1, inter2 in contributions:
+            if inter1 & ~A == 0:
+                out |= inter2
+        table.append(out)
+    return tuple(table)
+
+
+def up_set_powerset(atoms, rng):
+    """The powerset algebra on a shuffled carrier, given to the constructor
+    as up-set masks: carrier index ``perm[m]`` holds the element with atom
+    mask m."""
+    size = 1 << atoms
+    perm = list(range(size))
+    rng.shuffle(perm)
+    up = [0] * size
+    comp = [0] * size
+    for m in range(size):
+        up[perm[m]] = sum(1 << perm[k] for k in range(size) if m & ~k == 0)
+        comp[perm[m]] = perm[(size - 1) ^ m]
+    return boolean_algebra_of_up_sets(up, comp)
+
+
+def test_sigma_extend_matches_the_filter_loop_on_every_hom_up_to_four_atoms():
+    homs = list(homs_up_to(4))
+    assert len(homs) == 494
+    for h in homs:
+        assert sigma_extend(h).table == reference_sigma_table(h)
+
+
+def test_sigma_extend_matches_the_filter_loop_on_shuffled_presentations():
+    rng = random.Random(13)
+    algebras = [up_set_powerset(atoms, rng) for atoms in (1, 2, 3, 4) for _ in range(2)]
+    # on a powerset an element's index is its atom mask, which hides confusions
+    assert sum(alg.atom_mask != tuple(range(alg.size)) for alg in algebras) >= 6
+    count = 0
+    for source, target in itertools.product(algebras, repeat=2):
+        for h in all_homs(source, target):
+            assert sigma_extend(h).table == reference_sigma_table(h)
+            count += 1
+    assert count == 4 * 494
 
 
 def test_each_space_is_validated_once():

@@ -20,6 +20,7 @@ import pytest
 import stonecheck.extension as extension
 from stonecheck.algebra import (
     MAX_ATOMS,
+    _row_tables,
     atom_function_of_hom,
     fin_bool_alg,
     fin_lattice,
@@ -536,6 +537,22 @@ def test_validate_hom_matches_the_parent_scan_on_random_raw_tables():
     # a table that preserves the bounds, meets and joins preserves
     # complements too, so no complement witness can come up here
     assert seen == {"ok", ValueError, NotMeetPreserving, NotJoinPreserving}
+
+
+def test_the_row_tables_hold_each_used_value_once_and_no_other():
+    rng = random.Random(12)
+    source = shuffled_algebra(2, rng)
+    target = shuffled_algebra(4, rng)
+    lattice = target.lattice
+    meet_rows, join_rows = _row_tables(lattice)
+    used = set()
+    for _ in range(3):
+        g = [rng.randrange(source.atom_count) for _ in range(target.atom_count)]
+        used |= set(hom_from_atom_function(source, target, g).table)
+        for rows, table in ((meet_rows, lattice.meet), (join_rows, lattice.join)):
+            assert set(rows) == used
+            assert all(rows[v] == _byte_table(table[v]) for v in used)
+    assert len(used) < target.size
 
 
 def corrupted_lattices(lattice, rng, limit=None):

@@ -49,7 +49,7 @@ from __future__ import annotations
 import itertools
 import struct
 from dataclasses import dataclass, field
-from functools import cache, cached_property, partial, reduce, wraps
+from functools import cache, partial, reduce, wraps
 from operator import or_
 from types import SimpleNamespace
 from typing import Callable, Iterable, Sequence
@@ -607,7 +607,8 @@ class UltraFilter:
     def members(self) -> frozenset[int]:
         return self.filter.members
 
-    @cached_property
+    @property
+    @object_cache
     def indicator(self) -> bytes:
         """A 256-byte ``bytes.translate`` table: 1 at each member, else 0.
 

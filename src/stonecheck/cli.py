@@ -6,16 +6,24 @@ Exit codes: 0 on success, 1 when a verification records a counterexample,
 a bug in this package raises, never bad input.  All outputs are
 deterministic -- sorted keys, fixed orderings, zeroed timings -- so
 consecutive runs on the same inputs are byte-identical.
+
+A verification report is streamed: ``write_report`` sends it a piece at a
+time to the ``--out`` file, stdout, or both in one pass, so the report text
+is never held whole; ``report_json`` joins the same pieces into one string
+for library callers.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from collections.abc import Iterable, Iterator, Sequence
 from functools import cache
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .algebra import MAX_HOM_ATOMS, ultrafilters
@@ -29,6 +37,9 @@ from .harness import (
     exhaustive_suite,
     full_hom_instance,
 )
+
+if TYPE_CHECKING:
+    from _typeshed import SupportsWrite
 
 SCHEMA_VERSION = 1
 
@@ -62,8 +73,9 @@ def _descriptor_text(descriptor: dict) -> str:
     return f"{{\n{body}\n      }}" if lines else "{}"
 
 
-def report_json(report: VerificationReport, input_digest: str) -> str:
-    """The report file: the same bytes as ``json.dumps(payload,
+def _report_pieces(report: VerificationReport, input_digest: str) -> Iterator[str]:
+    """The report file's text in order: the envelope head, one piece per
+    instance, then the tail; joined, the same bytes as ``json.dumps(payload,
     sort_keys=True, indent=2) + "\\n"`` over the schema envelope and
     ``report_jsonable(report)``.
 
@@ -75,7 +87,8 @@ def report_json(report: VerificationReport, input_digest: str) -> str:
     where their shape allows (``_descriptor_text``).  The splice is exact
     because ``json.dumps`` escapes every newline inside a string, so every
     literal newline in a piece is structural and re-indenting a piece is a
-    plain replace.
+    plain replace.  Only those two caches and the current piece are held:
+    never the report text.
     """
     checks_text: dict[int, str] = {}
     rows_text: dict[tuple[str, str], str] = {}
@@ -89,7 +102,12 @@ def report_json(report: VerificationReport, input_digest: str) -> str:
             text = rows_text[key] = _indented(check.as_row(), 8)
         return text
 
-    instances = []
+    yield (
+        "{\n"
+        f'  "input_digest": {json.dumps(input_digest)},\n'
+        '  "instances": ['
+    )
+    separator = "\n"
     for inst in report.instances:
         checks = checks_text.get(id(inst.checks))
         if checks is None:
@@ -97,22 +115,39 @@ def report_json(report: VerificationReport, input_digest: str) -> str:
             checks = checks_text[id(inst.checks)] = (
                 f"[\n        {rows}\n      ]" if inst.checks else "[]"
             )
-        instances.append(
-            "    {\n"
+        yield (
+            f"{separator}    {{\n"
             f'      "checks": {checks},\n'
             f'      "descriptor": {_descriptor_text(inst.descriptor)},\n'
             '      "timing_ms": 0\n'
             "    }"
         )
-    listing = "[\n" + ",\n".join(instances) + "\n  ]" if instances else "[]"
-    return (
-        "{\n"
-        f'  "input_digest": {json.dumps(input_digest)},\n'
-        f'  "instances": {listing},\n'
-        f'  "schema_version": {json.dumps(SCHEMA_VERSION)},\n'
+        separator = ",\n"
+    yield (
+        ("\n  ]" if report.instances else "]")
+        + f',\n  "schema_version": {json.dumps(SCHEMA_VERSION)},\n'
         f'  "tool_version": {json.dumps(__version__)}\n'
         "}\n"
     )
+
+
+def report_json(report: VerificationReport, input_digest: str) -> str:
+    """The report file as one string: the joined pieces of
+    ``_report_pieces``.  For library callers and tests; the CLI streams the
+    pieces through ``write_report`` instead of holding the text."""
+    return "".join(_report_pieces(report, input_digest))
+
+
+def write_report(
+    report: VerificationReport, input_digest: str, sinks: Sequence[SupportsWrite[str]]
+) -> None:
+    """Write the report file's text to every sink in one pass, a piece at a
+    time, so the report is encoded once whatever the number of sinks and its
+    text is never held whole.  Each sink's own buffer batches the pieces
+    into large writes."""
+    for piece in _report_pieces(report, input_digest):
+        for sink in sinks:
+            sink.write(piece)
 
 
 def exit_code_for_report(report: VerificationReport) -> int:
@@ -127,14 +162,60 @@ def _load_document(path: str) -> tuple[Document, str]:
     return parse_document(text), document_digest(text)
 
 
-def _write_output(text: str, out: str | None) -> None:
+class _OutputFile:
+    """The ``--out`` file as a sink.  An OSError in opening, writing or
+    closing it is the ``cannot write`` error (exit 2); one raised by another
+    sink written in the same pass, such as stdout, is not."""
+
+    def __init__(self, out: str) -> None:
+        self.out = out
+        self.fh = self._call(open, out, "w", encoding="utf-8")
+
+    def _call(self, func, *args, **kwargs):
+        try:
+            return func(*args, **kwargs)
+        except OSError as exc:
+            raise StonecheckError(f"cannot write {self.out!r}: {exc}") from exc
+
+    def write(self, text: str) -> None:
+        self._call(self.fh.write, text)
+
+    def __enter__(self) -> _OutputFile:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._call(self.fh.close)
+
+
+class _Stdout:
+    """stdout as a report sink.  Once its reader has gone (a broken pipe, as
+    with ``| head``), the rest is dropped quietly: the exit code stays the
+    verification's, and any other sink of the pass still gets the whole
+    report."""
+
+    def __init__(self) -> None:
+        self.open = True
+
+    def write(self, text: str) -> None:
+        if self.open:
+            try:
+                sys.stdout.write(text)
+            except BrokenPipeError:
+                self.open = False
+                # so that the flush at exit does not raise it again
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, sys.stdout.fileno())
+                os.close(devnull)
+
+
+def _write_output(pieces: Iterable[str], out: str | None) -> None:
+    """Write ``pieces`` in order to the file ``out``, or to stdout without one."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
         return
-    try:
-        Path(out).write_text(text, encoding="utf-8")
-    except OSError as exc:
-        raise StonecheckError(f"cannot write {out!r}: {exc}") from exc
+    with _OutputFile(out) as sink:
+        for piece in pieces:
+            sink.write(piece)
 
 
 def _hasse_dot(doc: Document, name: str) -> str:
@@ -222,7 +303,7 @@ def _cmd_dual(args) -> int:
         lines.append("  {" + inside + "}")
     sys.stdout.write("\n".join(lines) + "\n")
     if args.dot:
-        _write_output(_hasse_dot(doc, args.name), args.out)
+        _write_output([_hasse_dot(doc, args.name)], args.out)
     return 0
 
 
@@ -273,13 +354,13 @@ def _cmd_verify(args) -> int:
         report = VerificationReport([full_hom_instance(hom, name=args.hom)])
         report.sort()
 
-    text = report_json(report, digest)
-    if args.out is not None:
-        _write_output(text, args.out)
     code = exit_code_for_report(report)
-    if args.json or args.out is None:
-        sys.stdout.write(text)
-    else:
+    if args.out is None:
+        write_report(report, digest, [_Stdout()])
+        return code
+    with _OutputFile(args.out) as sink:
+        write_report(report, digest, [sink, _Stdout()] if args.json else [sink])
+    if not args.json:
         total = sum(len(i.checks) for i in report.instances)
         status = "all passed" if code == 0 else "COUNTEREXAMPLE FOUND"
         sys.stdout.write(
@@ -290,7 +371,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_diagram(args) -> int:
     doc, _ = _load_document(args.document)
-    _write_output(_diagram_dot(doc, args.hom), args.out)
+    _write_output([_diagram_dot(doc, args.hom)], args.out)
     return 0
 
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .algebra import (
@@ -36,6 +35,7 @@ from .algebra import (
     FinBoolAlg,
     UltraFilter,
     _preimage_table,
+    cache_field,
     object_cache,
     powerset_algebra,
     ultrafilter_rows,
@@ -83,6 +83,7 @@ class BetaSpace:
     compactification: Compactification
     points_as_ultrafilters: tuple[UltraFilter, ...]
     algebra: FinBoolAlg
+    _cache: dict = cache_field()
 
     @property
     def base(self) -> FinStoneSpace:
@@ -96,7 +97,8 @@ class BetaSpace:
     def embed(self) -> tuple[int, ...]:
         return self.compactification.embed
 
-    @cached_property
+    @property
+    @object_cache
     def point_rows(self) -> dict[bytes, int]:
         """The index of each point, keyed by its membership row over the
         subsets of the base (``ultrafilter_rows``)."""

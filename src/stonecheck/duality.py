@@ -25,7 +25,7 @@ up among the source's ultrafilter rows, which are keyed once per algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from typing import Sequence
 
 from .algebra import (
@@ -153,6 +153,7 @@ class ContinuousMap:
     source: FinStoneSpace
     target: FinStoneSpace
     table: tuple[int, ...]
+    _cache: dict = cache_field()
 
     def apply(self, i: int) -> int:
         return self.table[i]
@@ -165,7 +166,8 @@ class ContinuousMap:
     def is_surjective(self) -> bool:
         return set(self.table) == set(range(self.target.size))
 
-    @cached_property
+    @property
+    @object_cache
     def preimages(self) -> list[int]:
         """The preimage mask of every target mask, indexed by the target mask."""
         return _preimage_table(self.table, self.target.size)

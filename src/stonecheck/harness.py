@@ -221,9 +221,14 @@ def shrink_failing_hom(h: BoolHom, fails: Callable[[BoolHom], bool]) -> dict:
 
     Each step deletes one coordinate of the dual atom function and renumbers
     the surviving source atoms; the first smaller instance that still fails
-    is taken, repeatedly, so the reported witness is locally minimal.
+    is taken, repeatedly, so the reported witness is locally minimal.  When
+    no coordinate can be dropped, the source atoms are still renumbered,
+    and that compressed instance is kept only if it fails too; otherwise the
+    original instance is reported.  Every witness therefore names a real
+    instance: each entry lies below ``source_atoms``.
     """
     current = tuple(atom_function_of_hom(h))
+    source_atoms = h.source.atom_count
     improved = True
     while improved:
         improved = False
@@ -231,21 +236,31 @@ def shrink_failing_hom(h: BoolHom, fails: Callable[[BoolHom], bool]) -> dict:
             sub = current[:drop] + current[drop + 1 :]
             if not sub:
                 continue
-            used = sorted(set(sub))
-            remapped = tuple(used.index(p) for p in sub)
-            candidate = hom_from_atom_function(
-                powerset_algebra(len(used)), powerset_algebra(len(sub)), remapped
-            )
+            remapped, candidate = _compressed(sub)
             if fails(candidate):
-                current = remapped
+                current, source_atoms = remapped, candidate.source.atom_count
                 improved = True
                 break
-    used = sorted(set(current)) or [0]
+    if source_atoms > len(set(current)):
+        remapped, candidate = _compressed(current)
+        if fails(candidate):
+            current, source_atoms = remapped, candidate.source.atom_count
     return {
-        "source_atoms": len(used),
+        "source_atoms": source_atoms,
         "target_atoms": len(current),
         "atom_function": list(current),
     }
+
+
+def _compressed(atom_function: tuple[int, ...]) -> tuple[tuple[int, ...], BoolHom]:
+    """``atom_function`` with its source atoms renumbered, in order, onto
+    the ones it uses, and the hom between powersets that it defines."""
+    used = sorted(set(atom_function))
+    remapped = tuple(map(used.index, atom_function))
+    candidate = hom_from_atom_function(
+        powerset_algebra(len(used)), powerset_algebra(len(remapped)), remapped
+    )
+    return remapped, candidate
 
 
 @cache

@@ -17,9 +17,13 @@ import tracemalloc
 import weakref
 from pathlib import Path
 
+import pytest
+
 import stonecheck.cli as cli
-from stonecheck.algebra import _row_tables, powerset_algebra
+from stonecheck.algebra import UltraFilter, _row_tables, powerset_algebra, ultrafilters
+from stonecheck.compactification import BetaSpace, beta_space
 from stonecheck.documents import parse_document
+from stonecheck.duality import ContinuousMap, discrete_space
 
 ROOT = Path(__file__).resolve().parents[1]
 SAMPLE = ROOT / "src/stonecheck/data/sample_document.json"
@@ -121,3 +125,28 @@ def test_a_second_session_round_retains_next_to_nothing(monkeypatch, tmp_path):
         tracemalloc.stop()
     # each round kept about 2.2 MB while the caches were module-level
     assert retained <= 256 * 1024
+
+
+def _fresh(name: str):
+    """A new object, with an empty ``_cache``, that has the derived value ``name``."""
+    ufs = ultrafilters(powerset_algebra(2))
+    if name == "indicator":
+        return UltraFilter(ufs[0].algebra, ufs[0].filter, ufs[0].atom)
+    if name == "preimages":
+        space = discrete_space(range(2))
+        return ContinuousMap(space, space, (1, 0))
+    beta = beta_space(ufs)
+    return BetaSpace(beta.compactification, beta.points_as_ultrafilters, beta.algebra)
+
+
+@pytest.mark.parametrize("name", ["indicator", "preimages", "point_rows"])
+def test_a_derived_value_is_computed_once_into_the_cache_field(name):
+    obj = _fresh(name)
+    info = getattr(type(obj), name).fget.cache_info
+    misses = info().misses
+    value = getattr(obj, name)
+    assert getattr(obj, name) is value
+    assert info().misses == misses + 1
+    assert any(cached is value for cached in obj._cache.values())
+    # taking the instance __dict__ slows every later attribute read on CPython 3.11
+    assert name not in vars(obj)

@@ -4,6 +4,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -226,14 +227,87 @@ def test_library_bug_exits_3_without_traceback(monkeypatch, capsys, error):
             ("--max-atoms", "4"),
             "86db70c76958deecf18e3a59c440b2ba13d52813a52fd2b32601cdddf92cdc7f",
         ),
+        (
+            ("--max-atoms", "4", "--seed", "7", "--count", "2000"),
+            "3a4569ef1df03f09d130ce1eded4377844fdbb38bfbfba6ade3df22d8ce9d3f8",
+        ),
     ],
-    ids=["exhaustive_3", "sampled_2", "exhaustive_4"],
+    ids=["exhaustive_3", "sampled_2", "exhaustive_4", "sampled_4"],
 )
 def test_verify_all_report_file_is_pinned(tmp_path, args, digest):
     # pinned from report files written by json.dumps of the whole payload
     out = tmp_path / "report.json"
     assert run_cli("verify", "--all", *args, "--out", str(out)).returncode == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_writing_a_report_holds_no_copy_of_its_text(tmp_path):
+    report = harness.exhaustive_suite(3, sample=(7, 2000))
+    text = report_json(report, "d")
+    path = tmp_path / "report.json"
+    with open(path, "w", encoding="utf-8") as fh:
+        tracemalloc.start()
+        try:
+            cli.write_report(report, "d", [fh])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert path.read_text(encoding="utf-8") == text
+    # building the text whole held about three copies of it
+    assert peak < len(text) / 10
+
+
+def test_verify_json_out_writes_the_same_bytes_to_the_file_and_stdout(tmp_path):
+    out = tmp_path / "report.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "stonecheck", "verify", "--all", "--max-atoms", "3",
+         "--seed", "7", "--count", "500", "--json", "--out", str(out)],
+        capture_output=True,
+        check=False,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == out.read_bytes()
+    assert json.loads(proc.stdout)["instances"]
+
+
+def test_a_stdout_reader_that_stops_early_leaves_the_exit_code_and_the_out_file(tmp_path):
+    # the 2.7 MB report overfills the pipe, so the writer meets the closed end
+    out, err = tmp_path / "report.json", tmp_path / "stderr"
+    with open(err, "wb") as stderr:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "stonecheck", "verify", "--all", "--max-atoms", "4",
+             "--seed", "7", "--count", "2000", "--json", "--out", str(out)],
+            stdout=subprocess.PIPE,
+            stderr=stderr,
+        )
+        assert proc.stdout.read(1) == b"{"
+        proc.stdout.close()
+        assert proc.wait(timeout=300) == 0
+    assert err.read_bytes() == b""
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "3a4569ef1df03f09d130ce1eded4377844fdbb38bfbfba6ade3df22d8ce9d3f8"
+    )
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("verify", "--all", "--max-atoms", "2", "--json"),
+        ("verify", str(SAMPLE), "identity_four"),
+        ("dual", str(SAMPLE), "four", "--dot"),
+        ("diagram", str(SAMPLE), "identity_four"),
+    ],
+    ids=["verify_all", "verify_named", "dual_dot", "diagram"],
+)
+def test_an_out_path_in_a_missing_directory_exits_2(tmp_path, args):
+    out = str(tmp_path / "missing" / "out")
+    proc = run_cli(*args, "--out", out)
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        f"error: cannot write {out!r}: [Errno 2] No such file or directory: {out!r}\n"
+    )
+    if args[0] != "dual":  # dual prints its listing before it writes the DOT file
+        assert proc.stdout == ""
 
 
 _TEXT = st.text(alphabet=st.sampled_from('ab \n"\\/\t\u00e9\u2203\U0001d54a'), max_size=6)

@@ -274,6 +274,22 @@ def test_shrinker_keeps_unshrinkable_instance():
     assert shrunk["source_atoms"] == 1
 
 
+def test_shrinker_renumbers_the_source_atoms_of_an_unshrinkable_instance():
+    # one target atom cannot be dropped; source atoms 0 and 1 are unused
+    start = hom_from_atom_function(powerset_algebra(3), powerset_algebra(1), (2,))
+    assert shrink_failing_hom(start, lambda candidate: True) == {
+        "source_atoms": 1,
+        "target_atoms": 1,
+        "atom_function": [0],
+    }
+    # a compressed instance that does not fail is not reported
+    assert shrink_failing_hom(start, lambda candidate: candidate is start) == {
+        "source_atoms": 3,
+        "target_atoms": 1,
+        "atom_function": [2],
+    }
+
+
 def test_reports_sort_deterministically():
     report = exhaustive_suite(2)
     keys = [json.dumps(i.descriptor, sort_keys=True) for i in report.instances]

@@ -97,6 +97,27 @@ def test_sigma_mutant_fails_the_battery_with_a_shrunk_witness(
         assert len(shrunk["atom_function"]) == shrunk["target_atoms"]
 
 
+def test_every_shrunk_witness_is_a_failing_instance(monkeypatch):
+    mutant = compiled_sigma_extend(*MUTANTS["flip_subset_test"])
+    monkeypatch.setattr(harness, "sigma_extend", mutant)
+    witnesses = [
+        check.witness["shrunk"]
+        for inst in harness.exhaustive_suite(3).instances
+        for check in inst.checks
+        if check.name == "sigma_equals_double_dual" and check.verdict == "fail"
+    ]
+    assert len(witnesses) == 56
+    for shrunk in witnesses:
+        function = shrunk["atom_function"]
+        assert all(0 <= p < shrunk["source_atoms"] for p in function)
+        h = algebra.hom_from_atom_function(
+            algebra.powerset_algebra(shrunk["source_atoms"]),
+            algebra.powerset_algebra(shrunk["target_atoms"]),
+            tuple(function),
+        )
+        assert mutant(h).table != harness.build_diagram(h).double_dual
+
+
 # name -> (original line, replacement, the pinned check that kills it)
 RECOGNIZER_MUTANTS = {
     "skip_last_up_set": (

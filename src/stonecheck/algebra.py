@@ -49,7 +49,7 @@ from __future__ import annotations
 import itertools
 import struct
 from dataclasses import dataclass, field
-from functools import cache, partial, reduce, wraps
+from functools import cache, reduce, wraps
 from operator import or_
 from types import SimpleNamespace
 from typing import Callable, Iterable, Sequence
@@ -81,23 +81,20 @@ MAX_BRUTE_FORCE_CARRIER = 16
 MAX_SEARCH_CANDIDATES = MAX_HOM_ATOMS**MAX_HOM_ATOMS
 
 
-def object_cache(func: Callable | None = None, *, owner: Callable | None = None):
-    """Cache ``func(obj)`` in the ``_cache`` field of obj, so that each
-    result is freed with the object it was computed from.
+def object_cache(func: Callable) -> Callable:
+    """Cache ``func(obj)`` in the ``_cache`` field of obj, keyed by the
+    wrapper's ``slot``, so that each result is freed with the object it was
+    computed from.
 
-    With ``owner``, ``func(*args)`` is cached under its arguments in the
-    ``_cache`` of ``owner(*args)``, or not at all when that has none.  An
-    exception is never cached.  ``cache_info()`` counts hits and misses over
-    the process.  A field, not the instance ``__dict__``: on CPython 3.11
-    taking an instance's ``__dict__`` slows its later attribute reads.
+    An exception is never cached.  ``cache_info()`` counts hits and misses
+    over the process.  A field, not the instance ``__dict__``: on CPython
+    3.11 taking an instance's ``__dict__`` slows its later attribute reads.
     """
-    if func is None:
-        return partial(object_cache, owner=owner)
     slot = f"{func.__module__}.{func.__qualname__}"
     counts = [0, 0]
 
-    # two copies of one lookup: a shared helper would cost a call per hit
-    def cached_on_first(obj):
+    @wraps(func)
+    def wrapper(obj):
         memo = obj._cache
         try:
             result = memo[slot]
@@ -109,19 +106,7 @@ def object_cache(func: Callable | None = None, *, owner: Callable | None = None)
         result = memo[slot] = func(obj)
         return result
 
-    def cached_on_owner(*args):
-        memo = getattr(owner(*args), "_cache", {}).setdefault(slot, {})
-        try:
-            result = memo[args]
-        except KeyError:
-            counts[1] += 1
-        else:
-            counts[0] += 1
-            return result
-        result = memo[args] = func(*args)
-        return result
-
-    wrapper = wraps(func)(cached_on_first if owner is None else cached_on_owner)
+    wrapper.slot = slot
     wrapper.cache_info = lambda: SimpleNamespace(hits=counts[0], misses=counts[1])
     return wrapper
 

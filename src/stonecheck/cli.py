@@ -80,17 +80,18 @@ def _report_pieces(report: VerificationReport, input_digest: str) -> Iterator[st
     ``report_jsonable(report)``.
 
     The text is composed from ``json.dumps`` pieces instead, so that each
-    distinct ``checks`` list (by identity: repeated sampled draws share
-    one) is encoded once, each witness-free check row, which is the same
-    text wherever its name and verdict recur, is encoded once per report,
-    and descriptors are written without the pure-Python ``indent`` encoder
-    where their shape allows (``_descriptor_text``).  The splice is exact
-    because ``json.dumps`` escapes every newline inside a string, so every
-    literal newline in a piece is structural and re-indenting a piece is a
-    plain replace.  Only those two caches and the current piece are held:
-    never the report text.
+    distinct ``checks`` list is encoded once, keyed by the identities of its
+    ``CheckResult`` objects (repeated sampled draws share a list, all-pass
+    lists the one passing result per name), each witness-free check row,
+    which is the same text wherever its name and verdict recur, is encoded
+    once per report, and descriptors are written without the pure-Python
+    ``indent`` encoder where their shape allows (``_descriptor_text``).
+    The splice is exact because ``json.dumps`` escapes every newline inside
+    a string, so every literal newline in a piece is structural and
+    re-indenting a piece is a plain replace.  Only those two caches and the
+    current piece are held: never the report text.
     """
-    checks_text: dict[int, str] = {}
+    checks_text: dict[tuple[int, ...], str] = {}
     rows_text: dict[tuple[str, str], str] = {}
 
     def row_text(check) -> str:
@@ -109,10 +110,11 @@ def _report_pieces(report: VerificationReport, input_digest: str) -> Iterator[st
     )
     separator = "\n"
     for inst in report.instances:
-        checks = checks_text.get(id(inst.checks))
+        key = tuple(map(id, inst.checks))
+        checks = checks_text.get(key)
         if checks is None:
             rows = ",\n        ".join([row_text(c) for c in inst.checks])
-            checks = checks_text[id(inst.checks)] = (
+            checks = checks_text[key] = (
                 f"[\n        {rows}\n      ]" if inst.checks else "[]"
             )
         yield (
@@ -288,6 +290,8 @@ def _diagram_dot(doc: Document, hom_name: str) -> str:
 def _cmd_dual(args) -> int:
     if args.dot and args.out is None:
         raise UsageError("--dot requires --out PATH")
+    if args.out is not None and not args.dot:
+        raise UsageError("--out requires --dot")
     doc, _ = _load_document(args.document)
     algebra = doc.algebra(args.name)
     labels = doc.labels[args.name]

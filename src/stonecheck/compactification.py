@@ -17,9 +17,11 @@ still bound the nominal table space ``target.size ** space.size``.
 Both flavours work a table at a time: each candidate's continuity and the
 lift's image sets read one preimage table of the point map
 (``algebra._preimage_table``) instead of summing a preimage per open set or
-per ultrafilter, and the target space is validated once per space.  The
-lift reads each image set as a byte row, that preimage table translated
-through the ultrafilter's indicator, and looks it up among the target's
+per ultrafilter, and the target space is validated once per space; no
+table is built twice (``sole_extension`` keeps the accepted candidate's,
+and the lift of a ``ContinuousMap`` reads the map's).  The lift reads each
+image set as a byte row, that preimage table translated through the
+ultrafilter's indicator, and looks it up among the target's
 ``point_rows``, which are keyed once per ``BetaSpace``.
 """
 
@@ -44,6 +46,7 @@ from .algebra import (
 from .duality import (
     ContinuousMap,
     FinStoneSpace,
+    _checked_map,
     closure_mask,
     continuous_map,
     discrete_space,
@@ -132,14 +135,12 @@ def build_compactification(
     return Compactification(base, space, e)
 
 
-@object_cache(owner=lambda points: points[0] if points else None)
 def beta_space(points: tuple) -> BetaSpace:
     """The dual Stone space of the powerset algebra over the given points.
 
     The embedding sends a point to the ultrafilter of all subsets containing
     it; that description is checked literally against the members of each
-    embedded ultrafilter.  Cached on the first point when it can hold the
-    result, as an ultrafilter can, so it is freed with that point's algebra.
+    embedded ultrafilter.
     """
     if len(points) == 0:
         raise EmptySpace("cannot compactify the empty point set")
@@ -190,8 +191,14 @@ def _forced_tables(
         for s, v in zip(free, values):
             table[s] = v
         pre = _preimage_table(table, target.size)
-        if all(pre[o] in source_opens for o in target_opens):
-            yield tuple(table)
+        if source_opens.issuperset(map(pre.__getitem__, target_opens)):
+            accepted = _Accepted(table)
+            accepted.preimages = pre
+            yield accepted
+
+
+class _Accepted(tuple):
+    """A table the search accepted, with the preimage table it was tested on."""
 
 
 def extension_candidates(
@@ -199,8 +206,8 @@ def extension_candidates(
 ) -> list[tuple[int, ...]]:
     """All continuous tables g with g(embed(x)) = f(x); used for certification."""
     validate_stone(target)
-    ft = tuple(int(x) for x in f)
-    if len(ft) != bx.base.size or any(not 0 <= v < target.size for v in ft):
+    ft = tuple(map(int, f))
+    if len(ft) != bx.base.size or ft and (min(ft) < 0 or max(ft) >= target.size):
         raise ValueError("map must send base points into the target")
     _check_search_bound(bx.space, target)
     return list(_forced_tables(bx.space, target, zip(bx.embed, ft)))
@@ -226,23 +233,30 @@ def sole_extension(
         raise NoExtension("no continuous extension satisfies the equation")
     if len(candidates) > 1:
         raise InvariantViolation("continuous extension is not unique", len(candidates))
-    return continuous_map(bx.space, target, candidates[0])
+    table = candidates[0]
+    if isinstance(table, _Accepted):
+        return _checked_map(bx.space, target, tuple(table), table.preimages)
+    return continuous_map(bx.space, target, table)
 
 
-def beta_lift(f: Sequence[int], bx: BetaSpace, by: BetaSpace) -> ContinuousMap:
+def beta_lift(
+    f: Sequence[int] | ContinuousMap, bx: BetaSpace, by: BetaSpace
+) -> ContinuousMap:
     """Lift a map between discrete point sets via the ultrafilter formula.
 
     The image of an ultrafilter U is {B : preimage of B under f lies in U},
     located among the points of the target compactification.  The preimage
-    of every B is read from one table, and the image of U is that table as
-    a byte row translated through the indicator of U: a membership row,
-    looked up among the target's ``point_rows``.
+    of every B is read from one table (a ``ContinuousMap`` f lends its own),
+    and the image of U is that table as a byte row translated through the
+    indicator of U: a membership row, looked up among the target's
+    ``point_rows``.
     """
-    ft = tuple(map(int, f))
+    ft = f.table if isinstance(f, ContinuousMap) else tuple(map(int, f))
     if len(ft) != bx.base.size or min(ft) < 0 or max(ft) >= by.base.size:
         raise ValueError("map must send base points into the target base")
+    lent = isinstance(f, ContinuousMap) and f.target.size == by.base.size
     index = by.point_rows
-    pre = bytes(_preimage_table(ft, by.base.size))
+    pre = bytes(f.preimages if lent else _preimage_table(ft, by.base.size))
     table = []
     for nabla in bx.points_as_ultrafilters:
         row = pre.translate(nabla.indicator)
@@ -278,7 +292,7 @@ def compactification_leq(c1: Compactification, c2: Compactification) -> OrderVer
     first = next(_forced_tables(c1.space, c2.space, forced), None)
     if first is None:
         return OrderVerdict(False)
-    return OrderVerdict(True, ContinuousMap(c1.space, c2.space, first))
+    return OrderVerdict(True, ContinuousMap(c1.space, c2.space, tuple(first)))
 
 
 def compactification_equivalent(c1: Compactification, c2: Compactification) -> OrderVerdict:

@@ -10,10 +10,11 @@ Points of dual spaces are the ultrafilter values themselves, so that the
 double-dual constructions can be manipulated extensionally.
 
 Maps are checked a table at a time: ``algebra._preimage_table`` lists the
-preimage of every target point set of a point table, and a
-``ContinuousMap`` keeps that table (``preimages``) once it is first needed,
-so continuity and every later preimage are lookups in it and in the set of
-opens (``open_set``, once per space).  Each space is validated once
+preimage of every target point set of a point table, built once per map
+(the extension search hands over the one it built, ``_checked_map``) and
+kept as its ``preimages``, so continuity is one ``issuperset`` test against
+the set of opens (``open_set``, once per space) and every later preimage is
+a lookup.  A space's point count is a field.  Each space is validated once
 (``validate_stone`` is cached on the space), and ``_hat_phi_fibres``
 inverts ``hat_phi_table`` once per table.  The Stone embedding is one
 table per algebra (``phi_table``), which the hot loops read directly.
@@ -24,7 +25,7 @@ up among the source's ultrafilter rows, which are keyed once per algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from typing import Sequence
 
@@ -50,11 +51,11 @@ class FinStoneSpace:
 
     points: tuple
     base: tuple[frozenset[int], ...]
+    size: int = field(init=False, repr=False, compare=False)
     _cache: dict = cache_field()
 
-    @property
-    def size(self) -> int:
-        return len(self.points)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "size", len(self.points))
 
     def index_of(self, point) -> int:
         return self.points.index(point)
@@ -179,12 +180,21 @@ def continuous_map(
     t = tuple(map(int, table))
     if len(t) != source.size or t and (min(t) < 0 or max(t) >= target.size):
         raise ValueError("table must map source points to target points")
-    f = ContinuousMap(source, target, t)
+    return _checked_map(source, target, t, _preimage_table(t, target.size))
+
+
+def _checked_map(
+    source: FinStoneSpace, target: FinStoneSpace, table: tuple[int, ...], pre: list[int]
+) -> ContinuousMap:
+    """The map of a valid table with preimage table ``pre``, kept as its
+    ``preimages``, once every open's preimage is open (a scan names a failure)."""
+    opens = topology(target)
     source_opens = open_set(source)
-    pre = f.preimages
-    for o in topology(target):
-        if pre[o] not in source_opens:
-            raise NotContinuous("preimage of an open set is not open", o)
+    if not source_opens.issuperset(map(pre.__getitem__, opens)):
+        o = next(o for o in opens if pre[o] not in source_opens)
+        raise NotContinuous("preimage of an open set is not open", o)
+    f = ContinuousMap(source, target, table)
+    f._cache[ContinuousMap.preimages.fget.slot] = pre
     return f
 
 

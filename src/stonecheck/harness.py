@@ -12,18 +12,19 @@ than a tautology.
 (``full_hom_instance``) judges it, so a diagram that disagrees with itself
 or with the filter formula becomes a failed check with a witness.
 
-Both work a table at a time.  Each arrow of the diagram reads the preimage
-table of its point map, and each double-dual entry is a lookup in that
-table and in the inverse of ``hat_phi_table``; ``build_diagram`` makes the
-whole double-dual table before it makes the bundle.  The battery takes
+Both work a table at a time.  Each arrow of the diagram reads the one
+preimage table of its point map, built once per arrow, and each double-dual
+entry is a lookup in that table and in the inverse of ``hat_phi_table``;
+each algebra keeps its compactification (``_beta_of``).  The battery takes
 forward images from one table per homomorphism (preimage and forward-image
 tables are both built by the subset-union fold ``algebra._subset_unions``).
-It compares each homomorphism law of the extension as one block of bytes
-over all pairs, and the preimage membership equivalence one byte row per
-point.  Only when a block differs are its rows compared one at a time, and
-only a row that differs is scanned pair by pair, so each check still
-reports the first witness of the literal scan.  A passing check is one
-shared ``CheckResult`` per name.
+It compares each homomorphism law of the extension and the isomorphism law
+as one block of bytes over all pairs, and the preimage membership
+equivalence and the forward-image lemma as byte rows, one per point.  Only
+when a block differs are its rows compared one at a time, and only a row
+that differs is scanned pair by pair, so each check still reports the
+first witness of the literal scan.  A passing check is one shared
+``CheckResult`` per name.
 """
 
 from __future__ import annotations
@@ -170,18 +171,22 @@ def build_diagram(h: BoolHom) -> DiagramBundle:
     """
     check_hom_cap("diagram construction", h.source.atom_count, h.target.atom_count)
     h_star = dual_map(h)
-    ufs1 = ultrafilters(h.source)
-    ufs2 = ultrafilters(h.target)
-    beta1 = beta_space(tuple(ufs1))
-    beta2 = beta_space(tuple(ufs2))
-    composed = tuple(beta1.embed[v] for v in h_star.table)
+    beta1, beta2 = _beta_of(h.source), _beta_of(h.target)
+    embed1 = beta1.embed
+    composed = tuple([embed1[v] for v in h_star.table])
     candidates = extension_candidates(beta2, composed, beta1.space)
     via_extension = sole_extension(beta2, beta1.space, candidates)
-    via_formula = beta_lift(h_star.table, beta2, beta1)
-    double_dual = _double_dual_entries(h, via_extension, range(1 << len(ufs1)))
+    via_formula = beta_lift(h_star, beta2, beta1)
+    double_dual = _double_dual_entries(h, via_extension, range(1 << beta1.base.size))
     return DiagramBundle(
         h, h_star, beta1, beta2, via_extension, double_dual, len(candidates), via_formula.table
     )
+
+
+@object_cache
+def _beta_of(algebra: FinBoolAlg) -> BetaSpace:
+    """The compactification of the algebra's ultrafilters, once per algebra."""
+    return beta_space(ultrafilters(algebra))
 
 
 def double_dual_map(bundle: DiagramBundle, subset_mask: int) -> int:
@@ -282,15 +287,15 @@ def _first(witnesses):
 def _hom_checks(h: BoolHom, bundle: DiagramBundle, sigma_table) -> list[CheckResult]:
     """The per-homomorphism battery: the main theorem, its corollary, and
     the compactification facts the diagram rests on."""
-    n1 = len(ultrafilters(h.source))
-    n2 = len(ultrafilters(h.target))
-    full2 = (1 << n2) - 1
     double_dual = bundle.double_dual
     h_star, h_star_beta, beta1, beta2 = (
         bundle.h_star, bundle.h_star_beta, bundle.beta1, bundle.beta2
     )
-    members1 = [u.members for u in beta1.points_as_ultrafilters]
-    members2 = [u.members for u in beta2.points_as_ultrafilters]
+    n1, n2 = beta1.base.size, beta2.base.size
+    full2 = (1 << n2) - 1
+    points1, points2 = beta1.points_as_ultrafilters, beta2.points_as_ultrafilters
+    indicators2 = [nabla.indicator for nabla in points2]
+    lifted = h_star_beta.table
 
     mismatch = None
     if sigma_table != double_dual:
@@ -322,18 +327,19 @@ def _hom_checks(h: BoolHom, bundle: DiagramBundle, sigma_table) -> list[CheckRes
     )
     # h_*^beta(nabla) lies in hat_phi(A) exactly when h_*^-1(A) is in nabla:
     # per point nabla, one byte row over A of each side
-    preimages = bytes(h_star.preimages)
+    preimages = h_star.preimages
+    pre_row = bytes(preimages)
     bit_rows = _hat_phi_bit_rows(h.source)
     remark = None
     if any(
-        preimages.translate(nabla.indicator) != bit_rows[img]
-        for nabla, img in zip(beta2.points_as_ultrafilters, h_star_beta.table)
+        pre_row.translate(indicator) != bit_rows[img]
+        for indicator, img in zip(indicators2, lifted)
     ):
         remark = _first(
             {"subset_mask": a, "point": d}
             for a, upstairs in enumerate(hat_phi_table(h.source))
-            for d, img in enumerate(h_star_beta.table)
-            if bool(upstairs >> img & 1) != (h_star.preimages[a] in members2[d])
+            for d, img in enumerate(lifted)
+            if bool(upstairs >> img & 1) != (preimages[a] in points2[d].members)
         )
     hom_law = _hom_law_witness(sigma_table, n1, n2)
 
@@ -345,27 +351,30 @@ def _hom_checks(h: BoolHom, bundle: DiagramBundle, sigma_table) -> list[CheckRes
         inverse = [0] * (full2 + 1)
         for a, b in enumerate(sigma_table):
             inverse[b] = a
-        iso_ok = all(
-            inverse[x & y] == inverse[x] & inverse[y]
-            for x in range(full2 + 1)
-            for y in range(full2 + 1)
-        )
+        iso_ok = _carries(bytes(inverse), n2, n1, 0)
 
     def unless(law_holds: bool) -> dict | None:
         return None if law_holds else {"table": list(sigma_table)}
 
     square = _first(
         {"point": v}
-        for v in range(beta2.base.size)
-        if h_star_beta.table[beta2.embed[v]] != beta1.embed[h_star.table[v]]
+        for v in range(n2)
+        if lifted[beta2.embed[v]] != beta1.embed[h_star.table[v]]
     )
+    # per point d, its membership row over A lies within the row of whether
+    # the forward image of A is in d's lifted point: all points as one integer
     images = _forward_images(h_star.table)
-    lemma = _first(
-        {"point": d, "member_mask": a}
-        for d, members in enumerate(members2)
-        for a in members
-        if images[a] not in members1[h_star_beta.table[d]]
-    )
+    image_row, size2 = bytes(images), 1 << n2
+    members = b"".join([indicator[:size2] for indicator in indicators2])
+    covered = b"".join([image_row.translate(points1[img].indicator) for img in lifted])
+    lemma = None
+    if int.from_bytes(members, "big") & ~int.from_bytes(covered, "big"):
+        lemma = _first(
+            {"point": d, "member_mask": a}
+            for d, nabla in enumerate(points2)
+            for a in nabla.members
+            if images[a] not in points1[lifted[d]].members
+        )
 
     return [
         _verdict("sigma_equals_double_dual", sigma_witness),
@@ -385,8 +394,8 @@ def _hom_checks(h: BoolHom, bundle: DiagramBundle, sigma_table) -> list[CheckRes
         _verdict(
             "lift_paths_agree",
             None
-            if bundle.lift == h_star_beta.table
-            else {"lift": list(bundle.lift), "extension": list(h_star_beta.table)},
+            if bundle.lift == lifted
+            else {"lift": list(bundle.lift), "extension": list(lifted)},
         ),
         _verdict("forward_image_in_lifted_ultrafilter", lemma),
     ]
@@ -428,16 +437,15 @@ def _hom_law_witness(sigma_table, n1: int, n2: int) -> dict | None:
         return {"law": "bounds"}
     if 0 <= min(sigma_table) and max(sigma_table) <= full2:
         image = bytes(sigma_table)
-        table = image.ljust(256, b"\0")
-        ands2, ors2, _ = _mask_ops(n2)
-        meets1, joins1, _ = _law_blocks(n1)
         if (
-            meets1.translate(table) == b"".join([image.translate(ands2[s]) for s in image])
-            and joins1.translate(table) == b"".join([image.translate(ors2[s]) for s in image])
+            _carries(image, n1, n2, 0)
+            and _carries(image, n1, n2, 1)
             and image[::-1] == image.translate(_law_blocks(n2)[2])
         ):
             return None
+        table = image.ljust(256, b"\0")
         ands1, ors1, _ = _mask_ops(n1)
+        ands2, ors2, _ = _mask_ops(n2)
         rows = (
             a
             for a, s in enumerate(sigma_table)
@@ -457,6 +465,15 @@ def _hom_law_witness(sigma_table, n1: int, n2: int) -> dict | None:
         if sigma_table[full1 ^ a] != full2 ^ s:
             return {"law": "complement", "element": a}
     return None
+
+
+def _carries(image: bytes, n1: int, n2: int, op: int) -> bool:
+    """Whether a table from the n1-bit to the n2-bit masks carries ``&``
+    (op 0) or ``|`` (op 1) over all pairs, compared as one block."""
+    rows = _mask_ops(n2)[op]
+    return _law_blocks(n1)[op].translate(image.ljust(256, b"\0")) == b"".join(
+        [image.translate(rows[s]) for s in image]
+    )
 
 
 @cache

@@ -88,6 +88,16 @@ def test_dual_dot_without_out_is_a_usage_error_before_loading(document):
     assert proc.stderr == "usage error: --dot requires --out PATH\n"
 
 
+@pytest.mark.parametrize("document", [str(SAMPLE), "missing-document.json"])
+def test_dual_out_without_dot_is_a_usage_error_before_loading(tmp_path, document):
+    out = tmp_path / "hasse.dot"
+    proc = run_cli("dual", document, "four", "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "usage error: --out requires --dot\n"
+    assert not out.exists()
+
+
 def test_canext_summary(tmp_path):
     doc = tmp_path / "doc.json"
     doc.write_text(

@@ -18,7 +18,13 @@ from stonecheck.compactification import (
     compactification_leq,
     extension_candidates,
 )
-from stonecheck.duality import compose_continuous, discrete_space, dual_space, topology
+from stonecheck.duality import (
+    compose_continuous,
+    discrete_space,
+    dual_space,
+    stone_space,
+    topology,
+)
 from stonecheck.errors import (
     BoundExceeded,
     EmptySpace,
@@ -176,6 +182,25 @@ def test_extension_with_several_candidates_raises_invariant_violation():
     with pytest.raises(InvariantViolation) as info:
         beta_extend_to_compact(bx, (1,), target)
     assert info.value.witness == 2
+
+
+def test_search_keeps_only_the_continuous_tables_of_a_coarse_space():
+    # spaces that are not Stone spaces, left unvalidated: a table that
+    # splits an open of the target across a coarse open is rejected
+    coarse_spaces = [
+        stone_space(("p", "q"), [frozenset({0, 1})]),
+        stone_space(("p", "q"), [frozenset({0})]),
+        stone_space(("p", "q", "r"), [frozenset({0, 1}), frozenset({2})]),
+    ]
+    rejected = 0
+    for space in coarse_spaces:
+        bx = BetaSpace(Compactification(discrete_space(("x",)), space, (0,)), (), None)
+        for target in (discrete_space(("a", "b")), discrete_space(("a", "b", "c"))):
+            for f in itertools.product(range(target.size), repeat=1):
+                expected = brute_force_tables(space, target, bx.embed, f)
+                assert extension_candidates(bx, f, target) == expected
+                rejected += target.size ** (space.size - 1) - len(expected)
+    assert rejected > 0
 
 
 def test_search_caps_bound_the_nominal_table_space():

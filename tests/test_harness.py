@@ -6,6 +6,10 @@ import json
 
 import pytest
 
+import stonecheck.algebra as algebra
+import stonecheck.compactification as compactification
+import stonecheck.duality as duality
+import stonecheck.extension as extension
 import stonecheck.harness as harness
 from stonecheck.algebra import (
     all_homs,
@@ -319,3 +323,43 @@ def report_digest(report):
 def test_suite_reports_stay_byte_identical(max_atoms, sample, digest):
     # digests pinned from reports of the unoptimised search and scans
     assert report_digest(exhaustive_suite(max_atoms, sample)) == digest
+
+
+def _cached_functions():
+    """Every function and property getter of the package that counts its
+    cache lookups in ``cache_info()``, once each."""
+    found = {}
+    for module in (algebra, duality, compactification, extension, harness):
+        for value in vars(module).values():
+            getters = [value]
+            if isinstance(value, type):
+                getters = [p.fget for p in vars(value).values() if isinstance(p, property)]
+            found.update((id(g), g) for g in getters if hasattr(g, "cache_info"))
+    return list(found.values())
+
+
+def test_one_hom_builds_each_arrow_table_once_and_a_fixed_number_of_lookups(monkeypatch):
+    # h_*, the accepted extension and the lift each build one preimage table,
+    # and the diagram and battery read the caches a fixed number of times:
+    # both counts are exact, so duplicated work shows here first
+    h = hom_from_atom_function(powerset_algebra(4), powerset_algebra(4), (0, 0, 1, 2))
+    full_hom_instance(h)
+    real = algebra._preimage_table
+    built = []
+
+    def counted(table, target_size):
+        built.append(tuple(table))
+        return real(table, target_size)
+
+    for module in (algebra, duality, compactification, harness):
+        if getattr(module, "_preimage_table", None) is real:
+            monkeypatch.setattr(module, "_preimage_table", counted)
+    functions = _cached_functions()
+
+    def lookups() -> int:
+        return sum(f.cache_info().hits + f.cache_info().misses for f in functions)
+
+    before = lookups()
+    full_hom_instance(h)
+    assert len(built) == 3
+    assert lookups() - before == 62

@@ -15,12 +15,24 @@ the meet of its members, and its embedded intersection is the Stone
 embedding of that generator, which is injective.  No two filters therefore
 share ``inter1``, and no entry is scattered to twice.
 
+Each fast-path mutant edits one line of a table-at-a-time shortcut of the
+diagram path, the battery or the report encoder, compiled the same way and
+bound wherever the package binds the original.  ``FAST_PATH_MUTANTS`` names
+the check that must fail under each: a battery check over
+``exhaustive_suite(3)``, or one of ``NAMED_CHECKS``, which are mostly tests
+of the other modules run as they are.  Some shortcuts have equivalent mutants,
+which are not listed: a prefilter or a block comparison made stricter (the
+lemma's ``& ~`` read as ``|``, say) only sends more homomorphisms to the
+literal scan, which finds the same witness or none.  The kill matrix test
+runs every mutant against every check and prints the matrix.
+
 Each recognizer mutant is ``algebra._atom_encoding`` with one edit, compiled
 the same way in a copy of the algebra module's namespace together with the
 ``boolean_algebra_of_up_sets`` that calls it.  Each must fail the named
 pinned check of ``test_powerset_recognition`` that ``RECOGNIZER_MUTANTS``
 lists for it: the mutant accepts an order that is not a powerset order, so
-it no longer names the generic chain's witness.
+it no longer names the generic chain's witness.  These are checked against
+pinned orders, not the battery, and are not in the kill matrix.
 """
 
 import inspect
@@ -29,10 +41,17 @@ import json
 import pytest
 
 import stonecheck.algebra as algebra
+import stonecheck.cli as cli
+import stonecheck.compactification as compactification
+import stonecheck.duality as duality
 import stonecheck.extension as extension
 import stonecheck.harness as harness
+import test_battery_faults as faults
+import test_compactification
 import test_powerset_recognition as recognition
+import test_table_oracles as oracles
 from stonecheck.cli import main
+from stonecheck.errors import NotContinuous, StonecheckError
 
 # name -> (original line, replacement)
 MUTANTS = {
@@ -50,13 +69,18 @@ MUTANTS = {
 }
 
 
+def compiled(module, name: str, original: str, replacement: str):
+    """``module.name`` with its one ``original`` line replaced, compiled in a
+    copy of the module's namespace."""
+    source = inspect.getsource(getattr(module, name))
+    assert source.count(original) == 1, f"the mutated line is no longer in {name}"
+    namespace = dict(vars(module))
+    exec(compile(source.replace(original, replacement), module.__file__, "exec"), namespace)
+    return namespace[name]
+
+
 def compiled_sigma_extend(original: str, replacement: str):
-    source = inspect.getsource(extension.sigma_extend)
-    assert source.count(original) == 1, "the mutated line is no longer in sigma_extend"
-    namespace = dict(vars(extension))
-    code = compile(source.replace(original, replacement), extension.__file__, "exec")
-    exec(code, namespace)
-    return namespace["sigma_extend"]
+    return compiled(extension, "sigma_extend", original, replacement)
 
 
 def run_suite(monkeypatch, tmp_path, sigma_extend) -> tuple[int, dict]:
@@ -163,3 +187,155 @@ def test_recognizer_mutant_fails_its_pinned_check(name):
     build = compiled_constructor(original, replacement)
     with pytest.raises(AssertionError):
         check(build)
+
+
+# name -> (module, function, original line, replacement, the check that kills it)
+FAST_PATH_MUTANTS = {
+    # continuity tested on the first open only, which is always the empty set
+    "map_continuity_first_open": (
+        duality,
+        "_checked_map",
+        "issuperset(map(pre.__getitem__, opens))",
+        "issuperset(map(pre.__getitem__, opens[:1]))",
+        "coarse_map_is_not_continuous",
+    ),
+    "search_continuity_first_open": (
+        compactification,
+        "_forced_tables",
+        "issuperset(map(pre.__getitem__, target_opens))",
+        "issuperset(map(pre.__getitem__, target_opens[:1]))",
+        "coarse_space_search",
+    ),
+    # the search hands sole_extension the preimage table of the complements
+    "handed_preimages_reversed": (
+        compactification,
+        "_forced_tables",
+        "accepted.preimages = pre",
+        "accepted.preimages = pre[::-1]",
+        "sigma_equals_double_dual",
+    ),
+    # the lemma's prefilter compares the member rows with themselves
+    "lemma_rows_against_themselves": (
+        harness,
+        "_hom_checks",
+        '& ~int.from_bytes(covered, "big")',
+        '& ~int.from_bytes(members, "big")',
+        "every_check_fails_under_a_fault",
+    ),
+    # the block of pairs is compared with its first row only
+    "operation_block_first_row": (
+        harness,
+        "_carries",
+        "for s in image]",
+        "for s in image[:1]]",
+        "sigma_isomorphism_when_isomorphism",
+    ),
+    # the encoder shares one checks text among lists with the same names
+    "checks_key_by_names": (
+        cli,
+        "_report_pieces",
+        "key = tuple(map(id, inst.checks))",
+        "key = tuple(c.name for c in inst.checks)",
+        "failing_report_is_pinned",
+    ),
+}
+
+PACKAGE = (algebra, duality, compactification, extension, harness, cli)
+
+
+def install(monkeypatch, module, name: str, function) -> None:
+    """Bind ``function`` wherever the package binds ``module.name``."""
+    original = getattr(module, name)
+    for bound in PACKAGE:
+        if getattr(bound, name, None) is original:
+            monkeypatch.setattr(bound, name, function)
+
+
+def check_coarse_map_is_not_continuous(monkeypatch, tmp_path, capsys):
+    two = duality.discrete_space(("a", "b"))
+    coarse = duality.stone_space(("x", "y"), [frozenset({0, 1})])
+    with pytest.raises(NotContinuous) as info:
+        duality.continuous_map(coarse, two, (0, 1))
+    assert info.value.witness == 1
+
+
+# name -> check(monkeypatch, tmp_path, capsys); each raises when it fails
+NAMED_CHECKS = {
+    "coarse_map_is_not_continuous": check_coarse_map_is_not_continuous,
+    "coarse_space_search": lambda *_: (
+        test_compactification.test_search_keeps_only_the_continuous_tables_of_a_coarse_space()
+    ),
+    "arrow_preimage_tables": lambda *_: (
+        oracles.test_every_arrow_keeps_the_preimage_table_of_its_own_point_table()
+    ),
+    "lemma_scan_witness": lambda *_: (
+        oracles.test_forward_image_rows_give_the_scan_witness_on_faulty_diagrams()
+    ),
+    "every_check_fails_under_a_fault": lambda mp, *_: (
+        faults.test_every_check_fails_under_some_seeded_fault(mp)
+    ),
+    "failing_report_is_pinned": faults.test_failing_sampled_report_file_is_pinned,
+}
+
+# what a failing check raises: an assertion, or pytest.raises seeing nothing
+FAILED = (AssertionError, pytest.fail.Exception)
+
+
+def battery_kills() -> dict[str, int]:
+    """Failing instances of ``exhaustive_suite(3)`` per check name, or
+    ``{"error": 1}`` when the suite stops on an error."""
+    kills: dict[str, int] = {}
+    try:
+        report = harness.exhaustive_suite(3)
+    except StonecheckError:
+        return {"error": 1}
+    for inst in report.instances:
+        for check in inst.checks:
+            if check.verdict == "fail":
+                kills[check.name] = kills.get(check.name, 0) + 1
+    return kills
+
+
+def named_kills(monkeypatch, tmp_path, capsys) -> set[str]:
+    killed = set()
+    for name, check in NAMED_CHECKS.items():
+        with monkeypatch.context() as mp:
+            try:
+                check(mp, tmp_path, capsys)
+            except FAILED:
+                killed.add(name)
+    capsys.readouterr()
+    return killed
+
+
+def test_kill_matrix(monkeypatch, tmp_path, capsys):
+    """Every mutant against every check, printed as a matrix; the program
+    itself fails none of them, and each mutant fails at least its own."""
+    mutants = {"(none)": None}
+    for name, (original, replacement) in MUTANTS.items():
+        mutants[name] = (extension, "sigma_extend", original, replacement)
+    mutants.update({name: entry[:4] for name, entry in FAST_PATH_MUTANTS.items()})
+    rows = {}
+    for name, entry in mutants.items():
+        with monkeypatch.context() as mp:
+            if entry is not None:
+                install(mp, entry[0], entry[1], compiled(*entry))
+            kills = battery_kills()
+            kills.update(dict.fromkeys(named_kills(mp, tmp_path, capsys), "x"))
+        rows[name] = kills
+    columns = [
+        c for c in (*faults.BATTERY, "error", *NAMED_CHECKS) if any(c in r for r in rows.values())
+    ]
+    width = max(map(len, rows))
+    lines = ["kill matrix: failing instances of exhaustive_suite(3), x = named check fails"]
+    lines += [f"  c{i} {column}" for i, column in enumerate(columns, 1)]
+    lines.append(" " * width + "".join(f"{f'c{i}':>5}" for i in range(1, len(columns) + 1)))
+    for name, kills in rows.items():
+        lines.append(name.ljust(width) + "".join(f"{kills.get(c, '.'):>5}" for c in columns))
+    with capsys.disabled():
+        print("\n" + "\n".join(lines))
+    assert rows.pop("(none)") == {}
+    expected = {name: "sigma_equals_double_dual" for name in MUTANTS}
+    expected.update({name: entry[4] for name, entry in FAST_PATH_MUTANTS.items()})
+    for name, kills in rows.items():
+        assert expected[name] in kills, name

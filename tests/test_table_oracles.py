@@ -515,3 +515,78 @@ def test_preimage_membership_rows_give_the_scan_witness_on_faulty_diagrams():
             assert membership_check(hom, faulty) == expected
             failures += expected is not None
     assert failures > 100
+
+
+def reference_forward_image_lemma(h, bundle):
+    members1 = [u.members for u in bundle.beta1.points_as_ultrafilters]
+    members2 = [u.members for u in bundle.beta2.points_as_ultrafilters]
+    images = _forward_images(bundle.h_star.table)
+    return next(
+        (
+            {"point": d, "member_mask": a}
+            for d, members in enumerate(members2)
+            for a in members
+            if images[a] not in members1[bundle.h_star_beta.table[d]]
+        ),
+        None,
+    )
+
+
+def lemma_check(h, bundle):
+    checks = harness._hom_checks(h, bundle, sigma_extend(h).table)
+    (check,) = [c for c in checks if c.name == "forward_image_in_lifted_ultrafilter"]
+    return check.witness
+
+
+def test_forward_image_rows_agree_with_the_frozenset_scan():
+    for hom in every_hom_family():
+        bundle = build_diagram(hom)
+        assert lemma_check(hom, bundle) is None
+        assert reference_forward_image_lemma(hom, bundle) is None
+
+
+def test_forward_image_rows_give_the_scan_witness_on_faulty_diagrams():
+    failures = 0
+    for hom in [*homs_up_to(3), *sample_homs(), *shuffled_homs()]:
+        for faulty in membership_faults(build_diagram(hom)):
+            expected = reference_forward_image_lemma(hom, faulty)
+            assert lemma_check(hom, faulty) == expected
+            failures += expected is not None
+    assert failures > 100
+
+
+def test_operation_blocks_match_the_pair_loop_on_bijections():
+    # the isomorphism law of the battery reads the meet block of the inverse
+    # table; automorphisms of the powerset carry both operations, most other
+    # bijections neither
+    rng = random.Random(15)
+    verdicts = []
+    for n in range(1, 5):
+        size = 1 << n
+        tables = [
+            [sum(1 << atoms[i] for i in range(n) if m >> i & 1) for m in range(size)]
+            for atoms in itertools.permutations(range(n))
+        ]
+        tables += [rng.sample(range(size), size) for _ in range(40)]
+        for table in tables:
+            for op, apply in ((0, int.__and__), (1, int.__or__)):
+                expected = all(
+                    table[apply(x, y)] == apply(table[x], table[y])
+                    for x in range(size)
+                    for y in range(size)
+                )
+                assert harness._carries(bytes(table), n, n, op) == expected
+                verdicts.append(expected)
+    assert True in verdicts and False in verdicts
+
+
+def test_every_arrow_keeps_the_preimage_table_of_its_own_point_table():
+    # the search hands the table it accepted on to the extension, and the
+    # lift reads the one of h_*: each must be the table of the arrow's points
+    for hom in every_hom_family():
+        bundle = build_diagram(hom)
+        for arrow in (bundle.h_star, bundle.h_star_beta):
+            assert arrow.preimages == _preimage_table(arrow.table, arrow.target.size)
+        assert bundle.lift == reference_beta_lift_table(
+            bundle.h_star.table, bundle.beta2, bundle.beta1
+        )

@@ -198,7 +198,8 @@ def _forced_tables(
 
 
 class _Accepted(tuple):
-    """A table the search accepted, with the preimage table it was tested on."""
+    """A table the search accepted, with the preimage table it was tested on,
+    which ``sole_extension`` hands on to the map it returns."""
 
 
 def extension_candidates(
@@ -228,15 +229,12 @@ def beta_extend_to_compact(
 def sole_extension(
     bx: BetaSpace, target: FinStoneSpace, candidates: Sequence[tuple[int, ...]]
 ) -> ContinuousMap:
-    """The one candidate of an extension search, as a continuous map."""
+    """The one table ``extension_candidates`` found, as a continuous map."""
     if not candidates:
         raise NoExtension("no continuous extension satisfies the equation")
     if len(candidates) > 1:
         raise InvariantViolation("continuous extension is not unique", len(candidates))
-    table = candidates[0]
-    if isinstance(table, _Accepted):
-        return _checked_map(bx.space, target, tuple(table), table.preimages)
-    return continuous_map(bx.space, target, table)
+    return _checked_map(bx.space, target, tuple(candidates[0]), candidates[0].preimages)
 
 
 def beta_lift(
@@ -251,10 +249,12 @@ def beta_lift(
     indicator of U: a membership row, looked up among the target's
     ``point_rows``.
     """
-    ft = f.table if isinstance(f, ContinuousMap) else tuple(map(int, f))
-    if len(ft) != bx.base.size or min(ft) < 0 or max(ft) >= by.base.size:
+    lent = isinstance(f, ContinuousMap)
+    ft = f.table if lent else tuple(map(int, f))
+    if len(ft) != bx.base.size or min(ft) < 0 or max(ft) >= by.base.size or (
+        lent and f.target.size != by.base.size
+    ):
         raise ValueError("map must send base points into the target base")
-    lent = isinstance(f, ContinuousMap) and f.target.size == by.base.size
     index = by.point_rows
     pre = bytes(f.preimages if lent else _preimage_table(ft, by.base.size))
     table = []

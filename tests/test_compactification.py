@@ -20,6 +20,7 @@ from stonecheck.compactification import (
 )
 from stonecheck.duality import (
     compose_continuous,
+    continuous_map,
     discrete_space,
     dual_space,
     stone_space,
@@ -226,6 +227,15 @@ def test_lift_of_collapse_sends_everything_to_the_point():
     by = beta_space(("z",))
     lift = beta_lift((0, 0), bx, by)
     assert lift.table == (0, 0)
+
+
+def test_lift_of_a_map_reads_its_table_and_rejects_another_target():
+    bx = beta_space(("x", "y"))
+    by = beta_space(("z", "w", "v"))
+    onto_two = continuous_map(discrete_space(("x", "y")), discrete_space(("z", "w")), (1, 0))
+    assert beta_lift(onto_two, bx, bx).table == beta_lift((1, 0), bx, bx).table
+    with pytest.raises(ValueError):
+        beta_lift(onto_two, bx, by)
 
 
 @pytest.mark.parametrize("nx, ny", list(itertools.product([1, 2, 3], repeat=2)))

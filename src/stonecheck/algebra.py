@@ -22,11 +22,12 @@ laws are mask tests and a least upper bound is the element whose up-set
 mask is the intersection of two others.  The distributive and homomorphism
 laws compare rows of bytes built from the operation tables with
 ``bytes.translate``; a lattice keeps its meet and join tables as flat byte
-blocks (``meet_bytes``, ``join_bytes``), built once per lattice (a
+blocks (``meet_bytes``, ``join_bytes``, cached like any other result; a
 recognised powerset order is handed the blocks its constructor built), for
-``validate_hom`` to translate.  A target lattice also keeps the 256-byte
-row tables of each value that some image has taken (``_row_tables``), so
-a row is sliced once per lattice, not once per homomorphism.  Only a
+``fin_bool_alg`` and ``validate_hom`` to translate.  A target lattice also
+keeps the 256-byte row tables of each value that some image has taken
+(``_row_tables``), so a row is sliced once per lattice, not once per
+homomorphism.  Only a
 comparison that fails is scanned, so every check still names the same
 first witness as an element-by-element scan in index order.
 
@@ -267,24 +268,16 @@ class FinLattice:
         return out
 
     @property
+    @object_cache
     def meet_bytes(self) -> bytes:
         """The meet table as one flat block of n rows of n bytes."""
-        return _flat_block(self, "meet_bytes", self.meet)
+        return bytes(itertools.chain.from_iterable(self.meet))
 
     @property
+    @object_cache
     def join_bytes(self) -> bytes:
         """The join table as one flat block of n rows of n bytes."""
-        return _flat_block(self, "join_bytes", self.join)
-
-
-def _flat_block(lattice: FinLattice, slot: str, table: tuple[tuple[int, ...], ...]) -> bytes:
-    """A table's flat byte block, kept in the lattice's ``_cache`` under
-    ``slot``, where ``boolean_algebra_of_up_sets`` puts the blocks it builds."""
-    memo = lattice._cache
-    block = memo.get(slot)
-    if block is None:
-        block = memo[slot] = bytes(itertools.chain.from_iterable(table))
-    return block
+        return bytes(itertools.chain.from_iterable(self.join))
 
 
 @object_cache
@@ -416,10 +409,8 @@ def fin_bool_alg(lattice: FinLattice, complement: Sequence[int]) -> FinBoolAlg:
     """
     n = lattice.size
     comp = _checked_complement(n, complement)
-    meet, join = lattice.meet, lattice.join
-    meet_block = bytes(itertools.chain.from_iterable(meet))
-    join_block = bytes(itertools.chain.from_iterable(join))
-    join_tables = [_byte_table(row) for row in join]
+    meet_block, join_block = lattice.meet_bytes, lattice.join_bytes
+    join_tables = [_byte_table(row) for row in lattice.join]
     for x in range(n):
         # row y, column z: meet[x][join[y][z]] against join[meet[x][y]][meet[x][z]]
         meet_row = meet_block[x * n : x * n + n]
@@ -515,7 +506,8 @@ def boolean_algebra_of_up_sets(up: Sequence[int], complement: Sequence[int]) -> 
     down = tuple(map(below.__getitem__, atom_mask))
     meet, join = (tuple(map(tuple, rows)) for rows in (meet_rows, join_rows))
     lattice = FinLattice(FinPoset(leq, up, down), meet, join, index[0], index[n - 1])
-    lattice._cache.update(meet_bytes=b"".join(meet_rows), join_bytes=b"".join(join_rows))
+    lattice._cache[FinLattice.meet_bytes.fget.slot] = b"".join(meet_rows)
+    lattice._cache[FinLattice.join_bytes.fget.slot] = b"".join(join_rows)
     _check_complement_laws(lattice, comp)
     return FinBoolAlg(lattice, comp, atoms, atom_mask, mask_index)
 
@@ -696,9 +688,6 @@ class BoolHom:
     source: FinBoolAlg
     target: FinBoolAlg
     table: tuple[int, ...]
-
-    def apply(self, i: int) -> int:
-        return self.table[i]
 
     @property
     def is_injective(self) -> bool:

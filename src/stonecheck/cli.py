@@ -7,10 +7,10 @@ a bug in this package raises, never bad input.  All outputs are
 deterministic -- sorted keys, fixed orderings, zeroed timings -- so
 consecutive runs on the same inputs are byte-identical.
 
-A verification report is streamed: ``write_report`` sends it a piece at a
-time to the ``--out`` file, stdout, or both in one pass, so the report text
-is never held whole; ``report_json`` joins the same pieces into one string
-for library callers.
+Every byte a command writes goes through ``write_pieces``, a piece at a
+time to the ``--out`` file, stdout, or both in one pass, so a report's text
+is never held whole, and a reader that closes stdout changes no exit code;
+``report_json`` joins the same pieces into one string for library callers.
 """
 
 from __future__ import annotations
@@ -19,11 +19,10 @@ import argparse
 import json
 import os
 import sys
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from functools import cache
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from . import __version__
 from .algebra import MAX_HOM_ATOMS, ultrafilters
@@ -37,9 +36,6 @@ from .harness import (
     exhaustive_suite,
     full_hom_instance,
 )
-
-if TYPE_CHECKING:
-    from _typeshed import SupportsWrite
 
 SCHEMA_VERSION = 1
 
@@ -136,20 +132,8 @@ def _report_pieces(report: VerificationReport, input_digest: str) -> Iterator[st
 def report_json(report: VerificationReport, input_digest: str) -> str:
     """The report file as one string: the joined pieces of
     ``_report_pieces``.  For library callers and tests; the CLI streams the
-    pieces through ``write_report`` instead of holding the text."""
+    pieces through ``write_pieces`` instead of holding the text."""
     return "".join(_report_pieces(report, input_digest))
-
-
-def write_report(
-    report: VerificationReport, input_digest: str, sinks: Sequence[SupportsWrite[str]]
-) -> None:
-    """Write the report file's text to every sink in one pass, a piece at a
-    time, so the report is encoded once whatever the number of sinks and its
-    text is never held whole.  Each sink's own buffer batches the pieces
-    into large writes."""
-    for piece in _report_pieces(report, input_digest):
-        for sink in sinks:
-            sink.write(piece)
 
 
 def exit_code_for_report(report: VerificationReport) -> int:
@@ -159,7 +143,7 @@ def exit_code_for_report(report: VerificationReport) -> int:
 def _load_document(path: str) -> tuple[Document, str]:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise StonecheckError(f"cannot read document: {exc}") from exc
     return parse_document(text), document_digest(text)
 
@@ -182,42 +166,50 @@ class _OutputFile:
     def write(self, text: str) -> None:
         self._call(self.fh.write, text)
 
-    def __enter__(self) -> _OutputFile:
-        return self
-
-    def __exit__(self, *exc_info) -> None:
+    def close(self) -> None:
         self._call(self.fh.close)
 
 
 class _Stdout:
-    """stdout as a report sink.  Once its reader has gone (a broken pipe, as
-    with ``| head``), the rest is dropped quietly: the exit code stays the
-    verification's, and any other sink of the pass still gets the whole
-    report."""
-
-    def __init__(self) -> None:
-        self.open = True
+    """stdout as a sink.  Once its reader has gone (a broken pipe, as with
+    ``| head``), the rest is dropped quietly: the exit code stays the
+    command's, and any other sink of the pass still gets the whole text.
+    ``close`` flushes stdout, so that a broken pipe is met here and not at
+    interpreter exit."""
 
     def write(self, text: str) -> None:
-        if self.open:
-            try:
-                sys.stdout.write(text)
-            except BrokenPipeError:
-                self.open = False
-                # so that the flush at exit does not raise it again
-                devnull = os.open(os.devnull, os.O_WRONLY)
-                os.dup2(devnull, sys.stdout.fileno())
-                os.close(devnull)
+        self._call(sys.stdout.write, text)
+
+    def close(self) -> None:
+        self._call(sys.stdout.flush)
+
+    @staticmethod
+    def _call(func, *args) -> None:
+        try:
+            func(*args)
+        except BrokenPipeError:
+            # stdout goes to the null device from here on, so that neither a
+            # later write nor the flush at exit raises it again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
 
 
-def _write_output(pieces: Iterable[str], out: str | None) -> None:
-    """Write ``pieces`` in order to the file ``out``, or to stdout without one."""
-    if out is None:
-        sys.stdout.writelines(pieces)
-        return
-    with _OutputFile(out) as sink:
+def write_pieces(pieces: Iterable[str], out: str | None = None, echo: bool = False) -> None:
+    """Write ``pieces`` in order to the file ``out``, and to stdout when
+    there is no ``out`` or ``echo`` is set, in one pass, a piece at a time:
+    the text is made once whatever the number of sinks, never held whole,
+    and each sink's own buffer batches the pieces into large writes."""
+    sinks = [] if out is None else [_OutputFile(out)]
+    if out is None or echo:
+        sinks.append(_Stdout())
+    try:
         for piece in pieces:
-            sink.write(piece)
+            for sink in sinks:
+                sink.write(piece)
+    finally:
+        for sink in reversed(sinks):
+            sink.close()
 
 
 def _hasse_dot(doc: Document, name: str) -> str:
@@ -305,9 +297,9 @@ def _cmd_dual(args) -> int:
     for s in base:
         inside = ",".join(f"u{k}" for k in sorted(s))
         lines.append("  {" + inside + "}")
-    sys.stdout.write("\n".join(lines) + "\n")
+    write_pieces(["\n".join(lines) + "\n"])
     if args.dot:
-        _write_output([_hasse_dot(doc, args.name)], args.out)
+        write_pieces([_hasse_dot(doc, args.name)], args.out)
     return 0
 
 
@@ -324,7 +316,7 @@ def _cmd_canext(args) -> int:
         f"dense: {'pass' if dense.passed else 'fail'}",
         f"compact: {'pass' if compact.passed else 'fail'}",
     ]
-    sys.stdout.write("\n".join(lines) + "\n")
+    write_pieces(["\n".join(lines) + "\n"])
     return 0
 
 
@@ -359,23 +351,17 @@ def _cmd_verify(args) -> int:
         report.sort()
 
     code = exit_code_for_report(report)
-    if args.out is None:
-        write_report(report, digest, [_Stdout()])
-        return code
-    with _OutputFile(args.out) as sink:
-        write_report(report, digest, [sink, _Stdout()] if args.json else [sink])
-    if not args.json:
+    write_pieces(_report_pieces(report, digest), args.out, echo=args.json)
+    if args.out is not None and not args.json:
         total = sum(len(i.checks) for i in report.instances)
         status = "all passed" if code == 0 else "COUNTEREXAMPLE FOUND"
-        sys.stdout.write(
-            f"{len(report.instances)} instances, {total} checks: {status}\n"
-        )
+        write_pieces([f"{len(report.instances)} instances, {total} checks: {status}\n"])
     return code
 
 
 def _cmd_diagram(args) -> int:
     doc, _ = _load_document(args.document)
-    _write_output([_diagram_dot(doc, args.hom)], args.out)
+    write_pieces([_diagram_dot(doc, args.hom)], args.out)
     return 0
 
 

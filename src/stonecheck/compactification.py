@@ -11,8 +11,10 @@ unique continuous extension (found by exhausting every table that agrees
 with the values the embedding forces) and the direct ultrafilter formula
 ``lift(f)(U) = {B : preimage of B in U}``.  Their agreement is one of the
 properties the test suite verifies.  One search, ``_forced_tables``, serves
-both the extension certificate and the compactification order; the caps
-still bound the nominal table space ``target.size ** space.size``.
+the extension certificate, the compactification order and equivalence,
+whose witness must also pass ``_is_homeomorphism``.  The first two caps
+bound the nominal table space ``target.size ** space.size``, equivalence
+the point count (``MAX_ATOMS``).
 
 Both flavours work a table at a time: each candidate's continuity and the
 lift's image sets read one preimage table of the point map
@@ -296,29 +298,32 @@ def compactification_leq(c1: Compactification, c2: Compactification) -> OrderVer
 
 
 def compactification_equivalent(c1: Compactification, c2: Compactification) -> OrderVerdict:
-    """As the order check but requiring a homeomorphism witness."""
+    """As the order check but requiring a homeomorphism witness: the first
+    table of the same search that is a bijection with a continuous inverse."""
     _same_base(c1, c2)
     if c1.space.size != c2.space.size:
         return OrderVerdict(False)
-    n = c1.space.size
-    if n > MAX_ATOMS:
-        raise BoundExceeded("homeomorphism search capped", n)
-    source_opens = open_set(c1.space)
-    target_opens = topology(c2.space)
-    target_open_set = open_set(c2.space)
-    for cand in itertools.permutations(range(n)):
-        if any(cand[c1.embed[i]] != c2.embed[i] for i in range(c1.base.size)):
-            continue
-        pre = _preimage_table(cand, n)
-        forward_ok = all(pre[o] in source_opens for o in target_opens)
-        inverse = [0] * n
-        for s, v in enumerate(cand):
-            inverse[v] = s
-        pre = _preimage_table(inverse, n)
-        backward_ok = all(pre[o] in target_open_set for o in source_opens)
-        if forward_ok and backward_ok:
-            return OrderVerdict(True, ContinuousMap(c1.space, c2.space, cand))
+    if c1.space.size > MAX_ATOMS:
+        raise BoundExceeded("homeomorphism search capped", c1.space.size)
+    for table in _forced_tables(c1.space, c2.space, zip(c1.embed, c2.embed)):
+        if _is_homeomorphism(c1.space, c2.space, table):
+            return OrderVerdict(True, ContinuousMap(c1.space, c2.space, tuple(table)))
     return OrderVerdict(False)
+
+
+def _is_homeomorphism(space: FinStoneSpace, target: FinStoneSpace, table: Sequence[int]) -> bool:
+    """Whether a continuous table from space to target is a bijection whose
+    inverse is continuous too."""
+    if sorted(table) != list(range(target.size)):
+        return False
+    inverse = [0] * target.size
+    for s, v in enumerate(table):
+        inverse[v] = s
+    try:
+        continuous_map(target, space, inverse)
+    except NotContinuous:
+        return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -352,16 +357,9 @@ def beta_preserves(
         )
     if property_name == "bijective":
         applicable = injective and surjective
-        if not applicable:
-            return PreservationVerdict(property_name, False, True)
-        if not (lifted.is_injective and lifted.is_surjective):
-            return PreservationVerdict(property_name, True, False)
-        inverse = [0] * by.space.size
-        for s, v in enumerate(lifted.table):
-            inverse[v] = s
-        try:
-            continuous_map(by.space, bx.space, inverse)
-        except NotContinuous:
-            return PreservationVerdict(property_name, True, False)
-        return PreservationVerdict(property_name, True, True)
+        return PreservationVerdict(
+            property_name,
+            applicable,
+            (not applicable) or _is_homeomorphism(bx.space, by.space, lifted.table),
+        )
     raise ValueError(f"unknown property {property_name!r}")

@@ -271,6 +271,8 @@ def parse_document(text: str) -> Document:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"JSON nested too deeply: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError("top level must be an object")
     unknown = set(data) - {"algebras", "homs"}

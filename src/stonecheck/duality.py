@@ -57,9 +57,6 @@ class FinStoneSpace:
     def __post_init__(self) -> None:
         object.__setattr__(self, "size", len(self.points))
 
-    def index_of(self, point) -> int:
-        return self.points.index(point)
-
     def base_masks(self) -> tuple[int, ...]:
         return tuple(sum(1 << i for i in s) for s in self.base)
 
@@ -155,9 +152,6 @@ class ContinuousMap:
     target: FinStoneSpace
     table: tuple[int, ...]
     _cache: dict = cache_field()
-
-    def apply(self, i: int) -> int:
-        return self.table[i]
 
     @property
     def is_injective(self) -> bool:

@@ -224,9 +224,6 @@ class SigmaExtension:
     target_points: int
     table: tuple[int, ...]
 
-    def apply(self, subset_mask: int) -> int:
-        return self.table[subset_mask]
-
 
 def sigma_extend(h: BoolHom) -> SigmaExtension:
     """Extend a homomorphism by the filter-quantified join formula.

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -17,7 +18,13 @@ import stonecheck.harness as harness
 from stonecheck import __version__
 from stonecheck.cli import SCHEMA_VERSION, exit_code_for_report, main, report_json
 from stonecheck.algebra import MAX_HOM_ATOMS, all_homs
-from stonecheck.errors import BoundExceeded, InvariantViolation, NoClopenPreimage, NoExtension
+from stonecheck.errors import (
+    BoundExceeded,
+    InvariantViolation,
+    NoClopenPreimage,
+    NoExtension,
+    ParseError,
+)
 from stonecheck.harness import (
     CheckResult,
     InstanceReport,
@@ -255,13 +262,12 @@ def test_writing_a_report_holds_no_copy_of_its_text(tmp_path):
     report = harness.exhaustive_suite(3, sample=(7, 2000))
     text = report_json(report, "d")
     path = tmp_path / "report.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        tracemalloc.start()
-        try:
-            cli.write_report(report, "d", [fh])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    tracemalloc.start()
+    try:
+        cli.write_pieces(cli._report_pieces(report, "d"), str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert path.read_text(encoding="utf-8") == text
     # building the text whole held about three copies of it
     assert peak < len(text) / 10
@@ -318,6 +324,64 @@ def test_an_out_path_in_a_missing_directory_exits_2(tmp_path, args):
     )
     if args[0] != "dual":  # dual prints its listing before it writes the DOT file
         assert proc.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("dual", str(SAMPLE), "four"),
+        ("canext", str(SAMPLE), "four"),
+        ("verify", "--all", "--max-atoms", "2", "--out", "{out}"),
+        ("verify", str(SAMPLE), "identity_four"),
+        ("diagram", str(SAMPLE), "identity_four"),
+        ("verify", "--all", "--max-atoms", "2", "--json", "--out", "{out}"),
+    ],
+    ids=["dual", "canext", "verify_all_out", "verify_named", "diagram", "verify_all_json_out"],
+)
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_closed_stdout_leaves_the_exit_code_and_stderr_clean(tmp_path, args, unbuffered):
+    # the read end is closed before the child starts, so any write or flush
+    # of stdout meets a broken pipe, at once or at exit; every command here
+    # succeeds, so its own exit code is 0
+    out = tmp_path / "report.json"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "stonecheck", *(a.format(out=out) for a in args)],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            check=False,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    if "--out" in args:
+        assert json.loads(out.read_text(encoding="utf-8"))["instances"]
+
+
+def test_a_document_that_is_not_utf8_exits_2(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"algebras": [{"name": "\u00e9", "powerset": 1}]}'.encode("latin-1"))
+    proc = run_cli("canext", str(path), "a")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot read document: 'utf-8' codec can't decode")
+    assert "Traceback" not in proc.stderr
+
+
+def test_a_document_nested_too_deeply_is_a_parse_error(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    proc = run_cli("canext", str(path), "a")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: JSON nested too deeply: ")
+    assert "Traceback" not in proc.stderr
+    with pytest.raises(ParseError, match="nested too deeply"):
+        documents.parse_document('{"algebras": ' + "[" * 100_000)
 
 
 _TEXT = st.text(alphabet=st.sampled_from('ab \n"\\/\t\u00e9\u2203\U0001d54a'), max_size=6)

@@ -343,6 +343,90 @@ def test_compactifications_of_different_sizes_are_not_equivalent():
     assert_leq_matches_oracle(small, inflated)
 
 
+def permutation_equivalence_oracle(c1, c2):
+    """Oracle: the homeomorphism search as its own loop, over every
+    permutation in lexicographic order, each tested for the forced values
+    and for continuity both ways; the first homeomorphism's table, or None."""
+    n = c1.space.size
+    if c2.space.size != n:
+        return None
+
+    def continuous(table, source, target):
+        opens = set(topology(source))
+        return all(
+            sum(1 << s for s, v in enumerate(table) if o >> v & 1) in opens
+            for o in topology(target)
+        )
+
+    for cand in itertools.permutations(range(n)):
+        if any(cand[c1.embed[i]] != c2.embed[i] for i in range(c1.base.size)):
+            continue
+        inverse = [0] * n
+        for s, v in enumerate(cand):
+            inverse[v] = s
+        if continuous(cand, c1.space, c2.space) and continuous(inverse, c2.space, c1.space):
+            return cand
+    return None
+
+
+def assert_equivalent_matches_oracle(c1, c2):
+    table = permutation_equivalence_oracle(c1, c2)
+    verdict = compactification_equivalent(c1, c2)
+    assert verdict.passed == (table is not None)
+    if table is None:
+        assert verdict.witness is None
+    else:
+        assert verdict.witness.table == table
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_compactification_equivalent_matches_the_permutation_oracle(n):
+    points = tuple(f"x{i}" for i in range(n))
+    instances = quotient_compactifications(points) + [beta_space(points).compactification]
+    for c1, c2 in itertools.product(instances, repeat=2):
+        assert_equivalent_matches_oracle(c1, c2)
+
+
+def test_equivalence_with_free_points_matches_the_permutation_oracle():
+    # raw four-point spaces that embed two base points and leave two free,
+    # discrete or coarse, so that some bijections have a discontinuous inverse
+    base = discrete_space(("x", "y"))
+    points = ("p", "q", "r", "s")
+    spaces = [
+        discrete_space(points),
+        stone_space(points, [frozenset({0}), frozenset({1}), frozenset({2, 3})]),
+        stone_space(points, [frozenset({0, 1}), frozenset({2, 3}), frozenset({0, 2})]),
+    ]
+    instances = [
+        Compactification(base, space, embed)
+        for space in spaces
+        for embed in itertools.permutations(range(4), 2)
+    ]
+    verdicts = set()
+    for c1, c2 in itertools.product(instances, repeat=2):
+        assert_equivalent_matches_oracle(c1, c2)
+        verdicts.add(compactification_equivalent(c1, c2).passed)
+    assert verdicts == {False, True}
+
+
+def test_equivalence_of_five_points_matches_the_oracle_and_six_exceed_the_cap():
+    points = tuple(f"x{i}" for i in range(5))
+    beta = beta_space(points).compactification
+    identity = identity_compactification(points)
+    assert_equivalent_matches_oracle(beta, identity)
+    assert compactification_equivalent(beta, identity).passed
+    # five points, three of them free
+    free = Compactification(discrete_space(points[:2]), discrete_space(points), (3, 1))
+    other = Compactification(discrete_space(points[:2]), discrete_space(points), (0, 4))
+    assert_equivalent_matches_oracle(free, other)
+    assert compactification_equivalent(free, other).passed
+    six = tuple(f"x{i}" for i in range(6))
+    with pytest.raises(BoundExceeded):
+        compactification_equivalent(
+            identity_compactification(six), identity_compactification(six)
+        )
+
+
 def test_preservation_of_injectivity():
     bx = beta_space(("x",))
     by = beta_space(("p", "q"))

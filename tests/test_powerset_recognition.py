@@ -24,6 +24,7 @@ import pytest
 import stonecheck.algebra as algebra
 from stonecheck.algebra import (
     MAX_ATOMS,
+    FinLattice,
     _atom_encoding,
     boolean_algebra_of_up_sets,
     fin_bool_alg,
@@ -164,11 +165,12 @@ def test_a_recognised_lattice_holds_its_flat_byte_blocks_from_the_start(atoms):
         up, comp = shuffled_powerset(atoms, rng)
         lattice = boolean_algebra_of_up_sets(up, comp).lattice
         blocks = dict(lattice._cache)
-        assert set(blocks) == {"meet_bytes", "join_bytes"}
-        assert blocks["meet_bytes"] == bytes(itertools.chain.from_iterable(lattice.meet))
-        assert blocks["join_bytes"] == bytes(itertools.chain.from_iterable(lattice.join))
-        assert lattice.meet_bytes is blocks["meet_bytes"]
-        assert lattice.join_bytes is blocks["join_bytes"]
+        meet_slot, join_slot = FinLattice.meet_bytes.fget.slot, FinLattice.join_bytes.fget.slot
+        assert set(blocks) == {meet_slot, join_slot}
+        assert blocks[meet_slot] == bytes(itertools.chain.from_iterable(lattice.meet))
+        assert blocks[join_slot] == bytes(itertools.chain.from_iterable(lattice.join))
+        assert lattice.meet_bytes is blocks[meet_slot]
+        assert lattice.join_bytes is blocks[join_slot]
 
 
 def test_the_one_element_algebra_is_recognised():

@@ -231,18 +231,19 @@ def poset_of_up_sets(up: Sequence[int]) -> FinPoset:
 
 @dataclass(frozen=True, eq=False)
 class FinLattice:
-    """A finite lattice: a poset plus total meet/join tables and its bounds."""
+    """A finite lattice: a poset plus total meet/join tables and its bounds.
+    Its size is a plain field, read off the poset when the lattice is made."""
 
     poset: FinPoset
     meet: tuple[tuple[int, ...], ...]
     join: tuple[tuple[int, ...], ...]
     bottom: int
     top: int
+    size: int = field(init=False, repr=False, compare=False)
     _cache: dict = cache_field()
 
-    @property
-    def size(self) -> int:
-        return self.poset.size
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "size", self.poset.size)
 
     def leq_of(self, i: int, j: int) -> bool:
         return self.poset.leq[i][j]
@@ -320,30 +321,28 @@ def fin_lattice(poset: FinPoset) -> FinLattice:
 
 @dataclass(frozen=True, eq=False)
 class FinBoolAlg:
-    """A finite Boolean algebra in canonical atom-bitmask form."""
+    """A finite Boolean algebra in canonical atom-bitmask form.
+
+    Its size, atom count and bounds are plain fields, read off the lattice
+    and the atoms when the algebra is made.
+    """
 
     lattice: FinLattice
     complement: tuple[int, ...]
     atoms: tuple[int, ...]
     atom_mask: tuple[int, ...]
     _mask_index: dict
+    size: int = field(init=False, repr=False, compare=False)
+    atom_count: int = field(init=False, repr=False, compare=False)
+    bottom: int = field(init=False, repr=False, compare=False)
+    top: int = field(init=False, repr=False, compare=False)
     _cache: dict = cache_field()
 
-    @property
-    def size(self) -> int:
-        return self.lattice.size
-
-    @property
-    def atom_count(self) -> int:
-        return len(self.atoms)
-
-    @property
-    def bottom(self) -> int:
-        return self.lattice.bottom
-
-    @property
-    def top(self) -> int:
-        return self.lattice.top
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "size", self.lattice.size)
+        object.__setattr__(self, "atom_count", len(self.atoms))
+        object.__setattr__(self, "bottom", self.lattice.bottom)
+        object.__setattr__(self, "top", self.lattice.top)
 
     def leq_of(self, i: int, j: int) -> bool:
         return self.lattice.leq_of(i, j)

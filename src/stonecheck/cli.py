@@ -369,10 +369,22 @@ class UsageError(StonecheckError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose help text goes through ``write_pieces``, so
+    that ``--help`` into a closed stdout exits 0 with nothing on stderr.
+    Subcommand parsers are made of the same class."""
+
+    def print_help(self, file=None) -> None:
+        if file is None:
+            write_pieces([self.format_help()])
+        else:
+            super().print_help(file)
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; parsing never changes it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stonecheck",
         description=(
             "Finite Boolean algebras, their ultrafilter spaces and canonical "

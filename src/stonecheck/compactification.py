@@ -21,16 +21,22 @@ lift's image sets read one preimage table of the point map
 (``algebra._preimage_table``) instead of summing a preimage per open set or
 per ultrafilter, and the target space is validated once per space; no
 table is built twice (``sole_extension`` keeps the accepted candidate's,
-and the lift of a ``ContinuousMap`` reads the map's).  The lift reads each
-image set as a byte row, that preimage table translated through the
-ultrafilter's indicator, and looks it up among the target's
-``point_rows``, which are keyed once per ``BetaSpace``.
+and the lift of a ``ContinuousMap`` reads the map's), and no continuity is
+tested twice (``sole_extension`` does not test the search's table again,
+and the lift's entries are point indices, so only its continuity is
+tested).  The lift reads each image set as a byte row, that preimage
+table translated through a point's indicator (``BetaSpace.indicators``, a
+plain field like the compactification's base, space and embedding), and
+looks it up among the target's ``point_rows``, which are keyed once per
+``BetaSpace``.  How many tables the search found is judged by its caller:
+``beta_extend_to_compact`` raises on two or more, and the harness battery
+reports them as a failed check.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from .algebra import (
@@ -49,6 +55,7 @@ from .duality import (
     ContinuousMap,
     FinStoneSpace,
     _checked_map,
+    _tested_map,
     closure_mask,
     continuous_map,
     discrete_space,
@@ -83,24 +90,27 @@ class Compactification:
 
 @dataclass(frozen=True, eq=False)
 class BetaSpace:
-    """The powerset-dual compactification whose points are ultrafilters."""
+    """The powerset-dual compactification whose points are ultrafilters.
+
+    The compactification's base, space and embedding, and the indicators of
+    the points in order, are plain fields, set when the space is made.
+    """
 
     compactification: Compactification
     points_as_ultrafilters: tuple[UltraFilter, ...]
     algebra: FinBoolAlg
+    base: FinStoneSpace = field(init=False, repr=False, compare=False)
+    space: FinStoneSpace = field(init=False, repr=False, compare=False)
+    embed: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    indicators: tuple[bytes, ...] = field(init=False, repr=False, compare=False)
     _cache: dict = cache_field()
 
-    @property
-    def base(self) -> FinStoneSpace:
-        return self.compactification.base
-
-    @property
-    def space(self) -> FinStoneSpace:
-        return self.compactification.space
-
-    @property
-    def embed(self) -> tuple[int, ...]:
-        return self.compactification.embed
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "base", self.compactification.base)
+        object.__setattr__(self, "space", self.compactification.space)
+        object.__setattr__(self, "embed", self.compactification.embed)
+        indicators = tuple([u.indicator for u in self.points_as_ultrafilters])
+        object.__setattr__(self, "indicators", indicators)
 
     @property
     @object_cache
@@ -225,18 +235,26 @@ def beta_extend_to_compact(
     the embedded points; zero or multiple matches signal an invariant bug,
     never bad user input.
     """
-    return sole_extension(bx, target, extension_candidates(bx, f, target))
+    candidates = extension_candidates(bx, f, target)
+    if len(candidates) > 1:
+        raise InvariantViolation("continuous extension is not unique", len(candidates))
+    return sole_extension(bx, target, candidates)
 
 
 def sole_extension(
     bx: BetaSpace, target: FinStoneSpace, candidates: Sequence[tuple[int, ...]]
 ) -> ContinuousMap:
-    """The one table ``extension_candidates`` found, as a continuous map."""
+    """The first table ``extension_candidates`` found, as a continuous map.
+
+    The map keeps the preimage table the search tested it on, and its
+    continuity is not tested again.  An empty list raises NoExtension; two
+    or more tables are for the caller to judge (the battery's
+    ``unique_continuous_extension`` check, or ``beta_extend_to_compact``).
+    """
     if not candidates:
         raise NoExtension("no continuous extension satisfies the equation")
-    if len(candidates) > 1:
-        raise InvariantViolation("continuous extension is not unique", len(candidates))
-    return _checked_map(bx.space, target, tuple(candidates[0]), candidates[0].preimages)
+    first = candidates[0]
+    return _tested_map(bx.space, target, tuple(first), first.preimages)
 
 
 def beta_lift(
@@ -259,15 +277,12 @@ def beta_lift(
         raise ValueError("map must send base points into the target base")
     index = by.point_rows
     pre = bytes(f.preimages if lent else _preimage_table(ft, by.base.size))
-    table = []
-    for nabla in bx.points_as_ultrafilters:
-        row = pre.translate(nabla.indicator)
-        k = index.get(row)
-        if k is None:
-            image_members = frozenset(mb for mb, inside in enumerate(row) if inside)
-            raise InvariantViolation("lifted set is not an ultrafilter", image_members)
-        table.append(k)
-    return continuous_map(bx.space, by.space, table)
+    table = tuple([index.get(pre.translate(indicator)) for indicator in bx.indicators])
+    if None in table:
+        row = pre.translate(bx.indicators[table.index(None)])
+        image_members = frozenset(mb for mb, inside in enumerate(row) if inside)
+        raise InvariantViolation("lifted set is not an ultrafilter", image_members)
+    return _checked_map(bx.space, by.space, table, _preimage_table(table, by.space.size))
 
 
 @dataclass(frozen=True)

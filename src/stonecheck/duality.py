@@ -11,16 +11,20 @@ double-dual constructions can be manipulated extensionally.
 
 Maps are checked a table at a time: ``algebra._preimage_table`` lists the
 preimage of every target point set of a point table, built once per map
-(the extension search hands over the one it built, ``_checked_map``) and
-kept as its ``preimages``, so continuity is one ``issuperset`` test against
-the set of opens (``open_set``, once per space) and every later preimage is
-a lookup.  A space's point count is a field.  Each space is validated once
-(``validate_stone`` is cached on the space), and ``_hat_phi_fibres``
-inverts ``hat_phi_table`` once per table.  The Stone embedding is one
-table per algebra (``phi_table``), which the hot loops read directly.
-``dual_map`` finds the preimage of an ultrafilter as one byte row, the
-hom's table translated through the ultrafilter's indicator, and looks it
-up among the source's ultrafilter rows, which are keyed once per algebra.
+and kept as its ``preimages``, so continuity is one ``issuperset`` test
+against the set of opens (``open_set``, once per space) and every later
+preimage is a lookup.  Each map is validated once: ``continuous_map``
+checks a table's entries and ``_checked_map`` its continuity, which is all
+that a table built from index lookups of valid points needs, and
+``_tested_map`` makes the map of a table whose continuity the extension
+search has just tested.  A space's point count is a field.  Each space is
+validated once (``validate_stone`` is cached on the space), and
+``_hat_phi_fibres`` inverts ``hat_phi_table`` once per table.  The Stone
+embedding is one table per algebra (``phi_table``), which the hot loops
+read directly.  ``dual_map`` finds the preimage of an ultrafilter as one
+byte row, the hom's table translated through the ultrafilter's indicator,
+and looks it up among the source's ultrafilter rows; the rows and the
+indicators are kept once per algebra (``_ultrafilter_rows``).
 """
 
 from __future__ import annotations
@@ -168,6 +172,9 @@ class ContinuousMap:
         return _preimage_table(self.table, self.target.size)
 
 
+_PREIMAGES = ContinuousMap.preimages.fget.slot
+
+
 def continuous_map(
     source: FinStoneSpace, target: FinStoneSpace, table: Sequence[int]
 ) -> ContinuousMap:
@@ -180,15 +187,25 @@ def continuous_map(
 def _checked_map(
     source: FinStoneSpace, target: FinStoneSpace, table: tuple[int, ...], pre: list[int]
 ) -> ContinuousMap:
-    """The map of a valid table with preimage table ``pre``, kept as its
-    ``preimages``, once every open's preimage is open (a scan names a failure)."""
+    """The map of a table whose entries are target points, with preimage
+    table ``pre``, once every open's preimage is open (a scan names a
+    failure).  The entries are not checked again: callers build them from
+    point indices, or ``continuous_map`` checks them."""
     opens = topology(target)
     source_opens = open_set(source)
     if not source_opens.issuperset(map(pre.__getitem__, opens)):
         o = next(o for o in opens if pre[o] not in source_opens)
         raise NotContinuous("preimage of an open set is not open", o)
+    return _tested_map(source, target, table, pre)
+
+
+def _tested_map(
+    source: FinStoneSpace, target: FinStoneSpace, table: tuple[int, ...], pre: list[int]
+) -> ContinuousMap:
+    """The map of a table whose continuity was just tested on its preimage
+    table ``pre``, which the map keeps as its ``preimages``."""
     f = ContinuousMap(source, target, table)
-    f._cache[ContinuousMap.preimages.fget.slot] = pre
+    f._cache[_PREIMAGES] = pre
     return f
 
 
@@ -238,9 +255,11 @@ def dual_space(algebra: FinBoolAlg) -> FinStoneSpace:
 
 
 @object_cache
-def _ultrafilter_rows(algebra: FinBoolAlg) -> dict[bytes, int]:
-    """``ultrafilter_rows`` of the algebra's ultrafilters, once per algebra."""
-    return ultrafilter_rows(ultrafilters(algebra))
+def _ultrafilter_rows(algebra: FinBoolAlg) -> tuple[dict[bytes, int], tuple[bytes, ...]]:
+    """``ultrafilter_rows`` of the algebra's ultrafilters, and their
+    indicators in order, once per algebra."""
+    ufs = ultrafilters(algebra)
+    return ultrafilter_rows(ufs), tuple([u.indicator for u in ufs])
 
 
 def dual_map(hom: BoolHom) -> ContinuousMap:
@@ -248,19 +267,18 @@ def dual_map(hom: BoolHom) -> ContinuousMap:
 
     Each preimage is checked to be an ultrafilter of the source algebra.  It
     is computed as a membership row, the image table translated through the
-    indicator of v, and looked up among the source's ultrafilter rows.
+    indicator of v, and looked up among the source's ultrafilter rows.  The
+    entries are those positions, so only continuity is tested.
     """
     src_space = dual_space(hom.target)
     dst_space = dual_space(hom.source)
-    index = _ultrafilter_rows(hom.source)
+    index = _ultrafilter_rows(hom.source)[0]
     image = bytes(hom.table)
-    table = []
-    for v in ultrafilters(hom.target):
-        k = index.get(image.translate(v.indicator))
-        if k is None:
-            raise InvariantViolation("hom preimage of an ultrafilter is not one", v)
-        table.append(k)
-    return continuous_map(src_space, dst_space, table)
+    table = tuple([index.get(image.translate(v)) for v in _ultrafilter_rows(hom.target)[1]])
+    if None in table:
+        v = ultrafilters(hom.target)[table.index(None)]
+        raise InvariantViolation("hom preimage of an ultrafilter is not one", v)
+    return _checked_map(src_space, dst_space, table, _preimage_table(table, dst_space.size))
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,6 +9,11 @@ computed by the filter-quantified join formula -- deliberately not by the
 dual-map shortcut, which lives in the verification harness as the
 independent path the formula is checked against.
 
+The filter-formula extension reads each filter's intersections off a
+plan of the source's filters, cached per algebra (``_filter_plan``): each
+filter is its generator plus its maximal proper subfilters, so the
+intersections take one AND per cover rather than one per member.
+
 The completeness scan of a completion's lattice runs once per lattice
 object (``_assert_complete`` is cached on the lattice).  Every canonical
 extension of an n-atom algebra is completed by the lattice of the one
@@ -230,12 +235,16 @@ def sigma_extend(h: BoolHom) -> SigmaExtension:
 
     For every point set A, the image is the union over all filters F of the
     source whose embedded intersection lies inside A of the intersection of
-    the embedded h-images of the members of F.  That union is a subset zeta
-    transform (Bjorklund, Husfeldt, Kaski & Koivisto, "Fourier meets
-    Moebius: fast subset convolution", STOC 2007): each filter's image is
-    scattered to the entry of its embedded intersection, and then each
-    entry takes the union of the entries of its subsets, one point at a
-    time, in O(n * 2**n) steps for n points rather than O(filters * 2**n).
+    the embedded h-images of the members of F.  A filter's members are its
+    generator and the members of its maximal proper subfilters, so each
+    intersection is the generator's entry intersected with those of the
+    subfilters, read off the source's filter plan (``_filter_plan``): n *
+    2**(n - 1) ANDs for n points rather than one per member, 3**n.  The
+    union is a subset zeta transform (Bjorklund, Husfeldt, Kaski & Koivisto,
+    "Fourier meets Moebius: fast subset convolution", STOC 2007): each
+    filter's image is scattered to the entry of its embedded intersection,
+    and then each entry takes the union of the entries of its subsets, one
+    point at a time, in O(n * 2**n) steps rather than O(filters * 2**n).
     The table is not checked here: the harness battery judges it
     (``sigma_is_boolean_hom`` implies order preservation, and
     ``sigma_equals_double_dual`` with ``embedded_elements_preserved``
@@ -245,25 +254,61 @@ def sigma_extend(h: BoolHom) -> SigmaExtension:
     src, dst = h.source, h.target
     if src.bottom == src.top or dst.bottom == dst.top:
         raise DegenerateAlgebra("extension needs nondegenerate algebras")
-    n1 = len(ultrafilters(src))
-    n2 = len(ultrafilters(dst))
+    n1, n2 = src.atom_count, dst.atom_count
     phi1 = phi_table(src)
     phi2 = phi_table(dst)
-    full1 = (1 << n1) - 1
-    full2 = (1 << n2) - 1
-    table = [0] * (full1 + 1)
-    for F in all_filters(src.lattice):
-        inter1 = full1
-        inter2 = full2
-        for a in F.members:
-            inter1 &= phi1[a]
-            inter2 &= phi2[h.table[a]]
+    image = h.table
+    plan = _filter_plan(src)
+    inter1s = [0] * len(plan)
+    inter2s = [0] * len(plan)
+    for k, g, subfilters in plan:
+        inter1 = phi1[g]
+        inter2 = phi2[image[g]]
+        for j in subfilters:
+            inter1 &= inter1s[j]
+            inter2 &= inter2s[j]
+        inter1s[k] = inter1
+        inter2s[k] = inter2
+    table = [0] * (1 << n1)
+    for inter1, inter2 in zip(inter1s, inter2s):
         table[inter1] |= inter2
     for bit in (1 << p for p in range(n1)):
-        for A in range(full1 + 1):
+        for A in range(1 << n1):
             if A & bit:
                 table[A] |= table[A ^ bit]
     return SigmaExtension(h, n1, n2, tuple(table))
+
+
+@object_cache
+def _filter_plan(algebra: FinBoolAlg) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """Each filter of ``all_filters`` as (its position, its generator, the
+    positions of its maximal proper subfilters), smaller filters first.
+
+    The generator is the member whose up-set is the filter, and the
+    maximal proper subfilters are the up-sets of the members that cover it:
+    the y with ``up[g] & down[y] == {g, y}``.  One AND per member, read off
+    the up and down masks.  A filter that is not the up-set of a member, or
+    a cover whose up-set is not listed, is a library bug.
+    """
+    poset = algebra.lattice.poset
+    up, down = poset.up, poset.down
+    generator = {m: x for x, m in enumerate(up)}
+    filters = all_filters(algebra.lattice)
+    masks = [sum(1 << a for a in F.members) for F in filters]
+    position = {m: k for k, m in enumerate(masks)}
+    plan = []
+    for k, (F, m) in enumerate(zip(filters, masks)):
+        g = generator.get(m)
+        if g is None:
+            raise InvariantViolation("filter is not the up-set of a member", k)
+        covers = [
+            position.get(up[y]) for y in F.members if y != g and down[y] & m == 1 << g | 1 << y
+        ]
+        if None in covers:
+            raise InvariantViolation("a maximal proper subfilter is not listed", k)
+        plan.append((len(F.members), k, g, tuple(covers)))
+    plan.sort()
+    return tuple(entry[1:] for entry in plan)
 
 
 def completion_isomorphic(c1: Completion, c2: Completion) -> IsoVerdict:

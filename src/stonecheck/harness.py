@@ -10,12 +10,16 @@ than a tautology.
 
 ``build_diagram`` only builds the diagram; one check battery
 (``full_hom_instance``) judges it, so a diagram that disagrees with itself
-or with the filter formula becomes a failed check with a witness.
+or with the filter formula becomes a failed check with a witness, and so
+does an extension search that finds more than one table (the diagram goes
+on with the first).
 
 Both work a table at a time.  Each arrow of the diagram reads the one
-preimage table of its point map, built once per arrow, and each double-dual
-entry is a lookup in that table and in the inverse of ``hat_phi_table``;
-each algebra keeps its compactification (``_beta_of``).  The battery takes
+preimage table of its point map, built and tested for continuity once per
+arrow, and each double-dual entry is a lookup in that table and in the
+inverse of ``hat_phi_table``; each algebra keeps its compactification
+(``_beta_of``), whose base, space, embedding and point indicators are
+plain fields that the battery reads directly.  The battery takes
 forward images from one table per homomorphism (preimage and forward-image
 tables are both built by the subset-union fold ``algebra._subset_unions``).
 It compares each homomorphism law of the extension and the isomorphism law
@@ -294,7 +298,7 @@ def _hom_checks(h: BoolHom, bundle: DiagramBundle, sigma_table) -> list[CheckRes
     n1, n2 = beta1.base.size, beta2.base.size
     full2 = (1 << n2) - 1
     points1, points2 = beta1.points_as_ultrafilters, beta2.points_as_ultrafilters
-    indicators2 = [nabla.indicator for nabla in points2]
+    indicators1, indicators2 = beta1.indicators, beta2.indicators
     lifted = h_star_beta.table
 
     mismatch = None
@@ -366,7 +370,7 @@ def _hom_checks(h: BoolHom, bundle: DiagramBundle, sigma_table) -> list[CheckRes
     images = _forward_images(h_star.table)
     image_row, size2 = bytes(images), 1 << n2
     members = b"".join([indicator[:size2] for indicator in indicators2])
-    covered = b"".join([image_row.translate(points1[img].indicator) for img in lifted])
+    covered = b"".join([image_row.translate(indicators1[img]) for img in lifted])
     lemma = None
     if int.from_bytes(members, "big") & ~int.from_bytes(covered, "big"):
         lemma = _first(

@@ -364,6 +364,42 @@ def test_a_closed_stdout_leaves_the_exit_code_and_stderr_clean(tmp_path, args, u
         assert json.loads(out.read_text(encoding="utf-8"))["instances"]
 
 
+@pytest.mark.parametrize("args", [("--help",), ("verify", "--help")], ids=["main", "verify"])
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_help_into_a_closed_stdout_exits_0_with_stderr_clean(args, unbuffered):
+    # argparse's help goes through the one writer, which meets the broken
+    # pipe itself instead of leaving it to the flush at interpreter exit
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "stonecheck", *args],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            check=False,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+
+
+@pytest.mark.parametrize(
+    "args, usage",
+    [(["--help"], "usage: stonecheck [-h]"), (["verify", "--help"], "usage: stonecheck verify")],
+)
+def test_help_is_printed_whole(capsys, args, usage):
+    with pytest.raises(SystemExit) as info:
+        main(args)
+    assert info.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith(usage) and captured.out.endswith("\n")
+    assert captured.err == ""
+
+
 def test_a_document_that_is_not_utf8_exits_2(tmp_path):
     path = tmp_path / "latin1.json"
     path.write_bytes('{"algebras": [{"name": "\u00e9", "powerset": 1}]}'.encode("latin-1"))

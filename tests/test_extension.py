@@ -12,15 +12,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stonecheck.extension as extension
 from stonecheck.algebra import (
+    Filter,
     FinLattice,
     all_homs,
+    export_presentation,
     fin_lattice,
     fin_poset,
     hom_from_atom_function,
     identity_hom,
     powerset_algebra,
     ultrafilters,
+    validate_boolean_algebra,
 )
 from stonecheck.documents import parse_document
 from stonecheck.errors import (
@@ -217,6 +221,28 @@ def test_sigma_of_empty_set_is_empty():
 def test_sigma_matches_preimage_oracle_exhaustively(k1, k2):
     for hom in all_homs(powerset_algebra(k1), powerset_algebra(k2)):
         assert sigma_extend(hom).table == sigma_oracle(hom)
+
+
+@pytest.mark.parametrize("fault", ["not_principal", "top_filter_missing"])
+def test_a_filter_enumeration_the_plan_cannot_split_is_a_library_bug(monkeypatch, fault):
+    # a fresh algebra, so that its filter plan is built under the fault
+    four = validate_boolean_algebra(*export_presentation(powerset_algebra(2)))
+    real = extension.all_filters
+
+    def faulty(lattice):
+        filters = real(lattice)
+        if fault == "not_principal":
+            return (Filter(lattice, frozenset({1, 2})),) + filters[1:]
+        return filters[:-1]
+
+    monkeypatch.setattr(extension, "all_filters", faulty)
+    with pytest.raises(InvariantViolation) as info:
+        sigma_extend(identity_hom(four))
+    assert str(info.value).startswith(
+        "filter is not the up-set of a member"
+        if fault == "not_principal"
+        else "a maximal proper subfilter is not listed"
+    )
 
 
 def test_sigma_is_monotone_and_extends():

@@ -362,4 +362,4 @@ def test_one_hom_builds_each_arrow_table_once_and_a_fixed_number_of_lookups(monk
     before = lookups()
     full_hom_instance(h)
     assert len(built) == 3
-    assert lookups() - before == 62
+    assert lookups() - before == 42

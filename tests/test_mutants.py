@@ -16,11 +16,11 @@ embedding of that generator, which is injective.  No two filters therefore
 share ``inter1``, and no entry is scattered to twice.
 
 Each fast-path mutant edits one line of a table-at-a-time shortcut of the
-diagram path, the battery or the report encoder, compiled the same way and
-bound wherever the package binds the original.  ``FAST_PATH_MUTANTS`` names
-the check that must fail under each: a battery check over
-``exhaustive_suite(3)``, or one of ``NAMED_CHECKS``, which are mostly tests
-of the other modules run as they are.  Some shortcuts have equivalent mutants,
+diagram path, the extension search, the battery or the report encoder,
+compiled the same way and bound wherever the package binds the original.
+``FAST_PATH_MUTANTS`` names the check that must fail under each: a battery
+check over ``exhaustive_suite(3)``, or one of ``NAMED_CHECKS``, which are
+mostly tests of the other modules run as they are.  Some shortcuts have equivalent mutants,
 which are not listed: a prefilter or a block comparison made stricter (the
 lemma's ``& ~`` read as ``|``, say) only sends more homomorphisms to the
 literal scan, which finds the same witness or none.  The kill matrix test
@@ -55,9 +55,10 @@ from stonecheck.errors import NotContinuous, StonecheckError
 
 # name -> (original line, replacement)
 MUTANTS = {
+    # the scatter skips the last filter of ``all_filters``
     "drop_last_filter": (
-        "for F in all_filters(src.lattice):",
-        "for F in all_filters(src.lattice)[:-1]:",
+        "for inter1, inter2 in zip(inter1s, inter2s):",
+        "for inter1, inter2 in zip(inter1s[:-1], inter2s):",
     ),
     # the zeta transform's subset step, run on the entries without the point
     "flip_subset_test": ("if A & bit:", "if not A & bit:"),
@@ -214,6 +215,14 @@ FAST_PATH_MUTANTS = {
         "accepted.preimages = pre[::-1]",
         "sigma_equals_double_dual",
     ),
+    # the search yields each table it accepts twice
+    "duplicate_yield": (
+        compactification,
+        "_forced_tables",
+        "yield accepted",
+        "yield accepted\n            yield accepted",
+        "unique_continuous_extension",
+    ),
     # the lemma's prefilter compares the member rows with themselves
     "lemma_rows_against_themselves": (
         harness,
@@ -249,6 +258,32 @@ def install(monkeypatch, module, name: str, function) -> None:
     for bound in PACKAGE:
         if getattr(bound, name, None) is original:
             monkeypatch.setattr(bound, name, function)
+
+
+def test_a_search_that_yields_a_table_twice_is_a_failed_check(monkeypatch, tmp_path, capsys):
+    # two candidates are a counterexample to uniqueness, exit 1, not an
+    # internal error; the other ten checks still pass on the first table
+    module, name, original, replacement, _ = FAST_PATH_MUTANTS["duplicate_yield"]
+    install(monkeypatch, module, name, compiled(module, name, original, replacement))
+    out = tmp_path / "report.json"
+    assert main(["verify", "--all", "--max-atoms", "2", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ""
+    instances = json.loads(out.read_text())["instances"]
+    homs = [inst for inst in instances if inst["descriptor"]["kind"] == "hom"]
+    assert len(homs) == 8
+    for inst in homs:
+        failed = [c for c in inst["checks"] if c["verdict"] == "fail"]
+        assert failed == [
+            {"name": "unique_continuous_extension", "verdict": "fail", "witness": {"candidates": 2}}
+        ]
+
+
+def test_a_search_that_yields_no_table_is_an_internal_error(monkeypatch, capsys):
+    monkeypatch.setattr(harness, "extension_candidates", lambda *args: [])
+    assert main(["verify", "--all", "--max-atoms", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: no continuous extension satisfies the equation\n"
 
 
 def check_coarse_map_is_not_continuous(monkeypatch, tmp_path, capsys):

@@ -43,7 +43,7 @@ from stonecheck.duality import (
 )
 from stonecheck.documents import parse_document
 from stonecheck.errors import InvariantViolation, NoClopenPreimage, NotStone
-from stonecheck.extension import sigma_extend
+from stonecheck.extension import _filter_plan, sigma_extend
 from stonecheck.harness import (
     _forward_images,
     _hom_law_witness,
@@ -52,6 +52,7 @@ from stonecheck.harness import (
 )
 
 SAMPLE = Path(__file__).resolve().parents[1] / "src/stonecheck/data/sample_document.json"
+RELABELLED_FIVE = Path(__file__).resolve().parent / "data/relabelled_five.json"
 
 
 def homs_up_to(atoms):
@@ -300,6 +301,61 @@ def test_sigma_extend_matches_the_filter_loop_on_shuffled_presentations():
             assert sigma_extend(h).table == reference_sigma_table(h)
             count += 1
     assert count == 4 * 494
+
+
+def test_sigma_extend_matches_the_filter_loop_on_a_sample_of_five_atom_homs():
+    rng = random.Random(17)
+    five = powerset_algebra(5)
+    count = 0
+    for k in range(1, 6):
+        other = powerset_algebra(k)
+        for source, target in ((five, other), (other, five)):
+            for _ in range(5):
+                g = [rng.randrange(source.atom_count) for _ in range(target.atom_count)]
+                h = hom_from_atom_function(source, target, g)
+                assert sigma_extend(h).table == reference_sigma_table(h)
+                count += 1
+    assert count == 50
+
+
+def test_sigma_extend_matches_the_filter_loop_on_the_relabelled_five_atom_document():
+    doc = parse_document(RELABELLED_FIVE.read_text())
+    five = doc.algebra("five")
+    assert five.atom_count == 5 and five.atom_mask != tuple(range(five.size))
+    rng = random.Random(19)
+    count = 0
+    for name in doc.algebra_order:
+        other = doc.algebra(name)
+        for source, target in ((five, other), (other, five)):
+            for _ in range(8):
+                g = [rng.randrange(source.atom_count) for _ in range(target.atom_count)]
+                h = hom_from_atom_function(source, target, g)
+                assert sigma_extend(h).table == reference_sigma_table(h)
+                count += 1
+    assert count == 48
+
+
+def test_filter_plan_splits_each_filter_into_its_generator_and_maximal_subfilters():
+    # n * 2**(n - 1) subfilter reads in all, against 3**n members
+    rng = random.Random(23)
+    algebras = [powerset_algebra(k) for k in range(1, 6)]
+    algebras += [up_set_powerset(k, rng) for k in range(1, 6)]
+    for algebra in algebras:
+        filters = all_filters(algebra.lattice)
+        plan = _filter_plan(algebra)
+        assert sorted(k for k, _, _ in plan) == list(range(len(filters)))
+        done = set()
+        for k, g, subfilters in plan:
+            members = filters[k].members
+            assert algebra.lattice.poset.upset(g) == members
+            assert done.issuperset(subfilters)
+            assert members == {g}.union(*(filters[j].members for j in subfilters))
+            for j in subfilters:
+                assert filters[j].members < members
+                assert not any(filters[j].members < f.members < members for f in filters)
+            done.add(k)
+        n = algebra.atom_count
+        assert sum(len(subfilters) for _, _, subfilters in plan) == n << n >> 1
 
 
 def test_each_space_is_validated_once():

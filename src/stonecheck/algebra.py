@@ -24,12 +24,16 @@ laws compare rows of bytes built from the operation tables with
 ``bytes.translate``; a lattice keeps its meet and join tables as flat byte
 blocks (``meet_bytes``, ``join_bytes``, cached like any other result; a
 recognised powerset order is handed the blocks its constructor built), for
-``fin_bool_alg`` and ``validate_hom`` to translate.  A target lattice also
-keeps the 256-byte row tables of each value that some image has taken
-(``_row_tables``), so a row is sliced once per lattice, not once per
-homomorphism.  Only a
-comparison that fails is scanned, so every check still names the same
-first witness as an element-by-element scan in index order.
+``fin_bool_alg`` and ``validate_hom`` to translate.  Only a comparison that
+fails is scanned, so every check still names the same first witness as an
+element-by-element scan in index order.
+
+A homomorphism is recognised by its atom masks.  By Stone duality a table
+between finite Boolean algebras is a homomorphism exactly when, read in
+atom-mask coordinates, it is the preimage table of a point map
+(``atom_additive``), which takes O(size) steps.  ``validate_hom`` accepts
+such a table at once; its law scans run only on a table that is not one,
+to name its first witness, and slice the target's rows as they go.
 
 Filters are stored extensionally (as element sets).  The fast enumeration
 exploits that every filter of a finite lattice is a principal up-set; the
@@ -697,68 +701,84 @@ class BoolHom:
         return set(self.table) == set(range(self.target.size))
 
 
+def atom_additive(by_mask: Sequence[int], n1: int, n2: int) -> bool:
+    """Whether a table from the n1-bit to the n2-bit masks, indexed by the
+    source mask, is a Boolean homomorphism between the two powersets.
+
+    It is one exactly when it sends the full mask to the full mask, the
+    images of the n1 atoms have popcounts summing to n2, and every entry is
+    the union of the atom images below it (``_subset_unions``).  Proof:
+    the atom images then join to the full mask with popcounts summing to
+    its own, so they partition it, and a union over S of the parts of a
+    partition keeps bottom, top, joins, meets and complements.  Conversely
+    a homomorphism keeps joins, so each entry is the union of its atoms'
+    images, and these meet pairwise to bottom and join to top.  The table
+    is then the preimage table of the point map that sends target atom q
+    to the source atom whose image holds q.  Entries may be any ints: a
+    negative or too wide atom image cannot join to the full mask.
+    """
+    parts = [by_mask[1 << x] for x in range(n1)]
+    return (
+        by_mask[(1 << n1) - 1] == (1 << n2) - 1
+        and sum(map(int.bit_count, parts)) == n2
+        and _subset_unions(parts) == list(by_mask)
+    )
+
+
 def validate_hom(table: Sequence[int], source: FinBoolAlg, target: FinBoolAlg) -> BoolHom:
     """Accept a raw image table as a homomorphism or name the first broken law.
 
-    Bottom preservation is checked with the meets (bottom is the meet of the
-    whole carrier) and top preservation with the joins.  Each operation law
-    reads the lattices' flat byte blocks (``meet_bytes``, ``join_bytes``)
-    and the target lattice's row tables (``_row_tables``).
+    The image masks, ordered by the source element's mask, are tested with
+    ``atom_additive``, and a table that passes is accepted at once.  Any
+    other table breaks a law, and the scans below name the first: bottom
+    preservation is checked with the meets (bottom is the meet of the whole
+    carrier) and top preservation with the joins.  Each operation law reads
+    the lattices' flat byte blocks (``meet_bytes``, ``join_bytes``).
     """
     t = tuple(map(int, table))
-    if len(t) != source.size or min(t) < 0 or max(t) >= target.size:
+    n = source.size
+    if len(t) != n or min(t) < 0 or max(t) >= target.size:
         raise ValueError("table must map the source carrier into the target carrier")
+    masks = target.atom_mask
+    if source.atom_mask == tuple(range(n)):
+        by_mask = [masks[v] for v in t]
+    else:
+        index = source._mask_index
+        by_mask = [masks[t[index[m]]] for m in range(n)]
+    if atom_additive(by_mask, source.atom_count, target.atom_count):
+        return BoolHom(source, target, t)
     image = bytes(t)
     image_table = _byte_table(t)
     src, dst = source.lattice, target.lattice
-    meet_rows, join_rows = _row_tables(dst)
     if t[source.bottom] != target.bottom:
         raise NotMeetPreserving("bottom must map to bottom", ("bottom", source.bottom))
-    witness = _unpreserved(src.meet_bytes, dst.meet_bytes, meet_rows, dst.size, image, image_table)
+    witness = _unpreserved(src.meet_bytes, dst.meet_bytes, dst.size, image, image_table)
     if witness is not None:
         raise NotMeetPreserving("meet not preserved", witness)
     if t[source.top] != target.top:
         raise NotJoinPreserving("top must map to top", ("top", source.top))
-    witness = _unpreserved(src.join_bytes, dst.join_bytes, join_rows, dst.size, image, image_table)
+    witness = _unpreserved(src.join_bytes, dst.join_bytes, dst.size, image, image_table)
     if witness is not None:
         raise NotJoinPreserving("join not preserved", witness)
     lhs = bytes(source.complement).translate(image_table)
     rhs = image.translate(_byte_table(target.complement))
     if lhs != rhs:
         raise NotComplementPreserving("complement not preserved", (_first_difference(lhs, rhs),))
-    return BoolHom(source, target, t)
-
-
-@object_cache
-def _row_tables(lattice: FinLattice) -> tuple[dict[int, bytes], dict[int, bytes]]:
-    """Row v of the meet and of the join table as 256-byte
-    ``bytes.translate`` tables, for each v that ``_unpreserved`` has met in
-    an image so far.  They hold bytes only, never the lattice, so they form
-    no reference cycle with it."""
-    return {}, {}
+    raise InvariantViolation("a table that keeps every law is not atom additive", t)
 
 
 def _unpreserved(
-    source_op: bytes,
-    target_op: bytes,
-    rows: dict[int, bytes],
-    m: int,
-    image: bytes,
-    image_table: bytes,
+    source_op: bytes, target_op: bytes, m: int, image: bytes, image_table: bytes
 ) -> tuple[int, int] | None:
     """The first (i, j) with t[op(i, j)] != op(t[i], t[j]), or None.
 
     The operations are flat byte blocks, n by n on the source and m by m on
     the target.  Both sides are built as n rows of n bytes, row i of the
     right side by translating the image through row t[i] of the target
-    block as a 256-byte table.  ``rows`` keeps those tables for the target
-    lattice; a value no earlier image used has its row sliced and padded
-    here, so each row is built once per lattice and only if some image
-    takes that value.
+    block, sliced and padded to a 256-byte table once per value taken.
     """
     lhs = source_op.translate(image_table)
-    for v in set(image).difference(rows):
-        rows[v] = _byte_table(target_op[v * m : v * m + m])
+    rows = {v: _byte_table(target_op[v * m : v * m + m]) for v in set(image)}
     rhs = b"".join([image.translate(rows[v]) for v in image])
     if lhs == rhs:
         return None

@@ -20,10 +20,11 @@ from pathlib import Path
 import pytest
 
 import stonecheck.cli as cli
-from stonecheck.algebra import UltraFilter, _row_tables, powerset_algebra, ultrafilters
+from stonecheck.algebra import UltraFilter, powerset_algebra, ultrafilters, validate_hom
 from stonecheck.compactification import BetaSpace, beta_space
 from stonecheck.documents import parse_document
 from stonecheck.duality import ContinuousMap, discrete_space
+from stonecheck.errors import NotMeetPreserving
 
 ROOT = Path(__file__).resolve().parents[1]
 SAMPLE = ROOT / "src/stonecheck/data/sample_document.json"
@@ -65,8 +66,10 @@ def test_a_document_is_freed_after_its_commands(monkeypatch, tmp_path, capsys):
 
 
 def test_a_target_lattice_is_freed_by_reference_counting_alone():
-    # the row tables validate_hom keeps on the target lattice must not refer
-    # back to it: a reference cycle would keep it until the cycle collector ran
+    # validate_hom, whether it accepts a table by atom additivity or scans
+    # one that fails, keeps nothing on the target lattice beyond its byte
+    # blocks, which must not refer back to it: a reference cycle would keep
+    # it until the cycle collector ran
     doc = json.loads(SAMPLE.read_text())
     doc["homs"] = [{
         "name": "swap",
@@ -79,11 +82,18 @@ def test_a_target_lattice_is_freed_by_reference_counting_alone():
     gc.disable()
     try:
         document = parse_document(text)
-        lattice = document.hom("swap").target.lattice
+        hom = document.hom("swap")
+        lattice = hom.target.lattice
         assert lattice is not powerset_algebra(2).lattice
-        assert all(_row_tables(lattice))
+        cached = set(lattice._cache)
+        source, target = hom.source, hom.target
+        # bottom to bottom and all else to top: the meet scan names a pair
+        broken = [target.bottom if a == source.bottom else target.top for a in range(source.size)]
+        with pytest.raises(NotMeetPreserving):
+            validate_hom(broken, source, target)
+        assert set(lattice._cache) == cached
         ref = weakref.ref(lattice)
-        del document, lattice
+        del document, hom, source, target, lattice
         assert ref() is None
     finally:
         gc.enable()

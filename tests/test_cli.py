@@ -55,6 +55,15 @@ def test_relabelled_five_atom_document_exits_0_and_its_broken_copy_exits_2(tmp_p
     assert proc.stderr == "error: algebras[0]: pair has no least upper bound; witness=('join', 8, 12)\n"
 
 
+def test_relabelled_document_with_one_changed_map_pair_names_the_broken_law(capsys):
+    # the table is not atom additive, so validate_hom's scan names the pair
+    doc = GOLDEN_DIR / "relabelled_five_bad_map.json"
+    assert main(["verify", str(doc), "collapse"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: homs[0]: meet not preserved; witness=(0, 3)\n"
+
+
 def test_dual_lists_points_deterministically():
     proc = run_cli("dual", str(SAMPLE), "four")
     assert proc.returncode == 0

@@ -341,7 +341,9 @@ def _cached_functions():
 def test_one_hom_builds_each_arrow_table_once_and_a_fixed_number_of_lookups(monkeypatch):
     # h_*, the accepted extension and the lift each build one preimage table,
     # and the diagram and battery read the caches a fixed number of times:
-    # both counts are exact, so duplicated work shows here first
+    # both counts are exact, so duplicated work shows here first.  The hom
+    # law of sigma is tested by atom additivity, which reads no cached
+    # operation block
     h = hom_from_atom_function(powerset_algebra(4), powerset_algebra(4), (0, 0, 1, 2))
     full_hom_instance(h)
     real = algebra._preimage_table
@@ -362,4 +364,4 @@ def test_one_hom_builds_each_arrow_table_once_and_a_fixed_number_of_lookups(monk
     before = lookups()
     full_hom_instance(h)
     assert len(built) == 3
-    assert lookups() - before == 42
+    assert lookups() - before == 37

@@ -16,11 +16,18 @@ embedding of that generator, which is injective.  No two filters therefore
 share ``inter1``, and no entry is scattered to twice.
 
 Each fast-path mutant edits one line of a table-at-a-time shortcut of the
-diagram path, the extension search, the battery or the report encoder,
-compiled the same way and bound wherever the package binds the original.
-``FAST_PATH_MUTANTS`` names the check that must fail under each: a battery
-check over ``exhaustive_suite(3)``, or one of ``NAMED_CHECKS``, which are
-mostly tests of the other modules run as they are.  Some shortcuts have equivalent mutants,
+diagram path, the extension search, the battery, the Stone embedding, the
+homomorphism validator or the report encoder, compiled the same way and
+bound wherever the package binds the original; an ``@object_cache``
+function is compiled under a fresh cache slot, so that it never reads the
+table the original cached on an algebra.  ``FAST_PATH_MUTANTS`` names the
+check that must fail under each: a battery check over
+``exhaustive_suite(3)``, or one of ``NAMED_CHECKS``, which are mostly tests
+of the other modules run as they are, and fail by an assertion or by a
+library error.  ``validate_hom`` read without the source reordering is
+invisible to the battery, whose algebras are all powersets with element
+index equal to atom mask; the tests over shuffled presentations kill it.
+Some shortcuts have equivalent mutants,
 which are not listed: a prefilter or a block comparison made stricter (the
 lemma's ``& ~`` read as ``|``, say) only sends more homomorphisms to the
 literal scan, which finds the same witness or none.  The kill matrix test
@@ -36,6 +43,7 @@ pinned orders, not the battery, and are not in the kill matrix.
 """
 
 import inspect
+import itertools
 import json
 
 import pytest
@@ -50,6 +58,7 @@ import test_battery_faults as faults
 import test_compactification
 import test_powerset_recognition as recognition
 import test_table_oracles as oracles
+import test_validation_oracles as validation
 from stonecheck.cli import main
 from stonecheck.errors import NotContinuous, StonecheckError
 
@@ -70,12 +79,23 @@ MUTANTS = {
 }
 
 
+MUTANT_SLOTS = itertools.count()
+
+
+def fresh_object_cache(func):
+    """``algebra.object_cache`` under a slot no other function uses, so a
+    mutant never reads what the original or another mutant cached."""
+    func.__qualname__ += f"<mutant {next(MUTANT_SLOTS)}>"
+    return algebra.object_cache(func)
+
+
 def compiled(module, name: str, original: str, replacement: str):
     """``module.name`` with its one ``original`` line replaced, compiled in a
-    copy of the module's namespace."""
+    copy of the module's namespace (an ``@object_cache`` function is cached
+    under a fresh slot)."""
     source = inspect.getsource(getattr(module, name))
     assert source.count(original) == 1, f"the mutated line is no longer in {name}"
-    namespace = dict(vars(module))
+    namespace = dict(vars(module), object_cache=fresh_object_cache)
     exec(compile(source.replace(original, replacement), module.__file__, "exec"), namespace)
     return namespace[name]
 
@@ -239,6 +259,38 @@ FAST_PATH_MUTANTS = {
         "for s in image[:1]]",
         "sigma_isomorphism_when_isomorphism",
     ),
+    # the Stone embedding of the last element, top, is the empty set
+    "phi_table_drops_top": (
+        duality,
+        "phi_table",
+        "for a in range(algebra.size)\n    )",
+        "for a in range(algebra.size - 1)\n    ) + (0,)",
+        "embedded_elements_preserved",
+    ),
+    # atom images may overlap: the popcounts need not sum to n2
+    "additive_without_popcount": (
+        algebra,
+        "atom_additive",
+        "and sum(map(int.bit_count, parts)) == n2\n        and ",
+        "and ",
+        "raw_table_oracle",
+    ),
+    # validate_hom reads each element index as its atom mask
+    "hom_without_source_reordering": (
+        algebra,
+        "validate_hom",
+        "by_mask = [masks[t[index[m]]] for m in range(n)]",
+        "by_mask = [masks[v] for v in t]",
+        "raw_table_oracle",
+    ),
+    # the battery's fast path is handed the full mask as the table's last entry
+    "hom_law_without_full_mask": (
+        harness,
+        "_hom_law_witness",
+        "if atom_additive(sigma_table, n1, n2):",
+        "if atom_additive([*sigma_table[:-1], (1 << n2) - 1], n1, n2):",
+        "small_table_hom_laws",
+    ),
     # the encoder shares one checks text among lists with the same names
     "checks_key_by_names": (
         cli,
@@ -258,6 +310,16 @@ def install(monkeypatch, module, name: str, function) -> None:
     for bound in PACKAGE:
         if getattr(bound, name, None) is original:
             monkeypatch.setattr(bound, name, function)
+
+
+def test_a_compiled_cached_function_gets_a_fresh_slot():
+    # an unmutated copy of phi_table computes its own table on an algebra
+    # whose table the original has already cached
+    three = algebra.powerset_algebra(3)
+    original = duality.phi_table(three)
+    copy = compiled(duality, "phi_table", "algebra.size", "algebra.size")
+    assert copy.slot != duality.phi_table.slot
+    assert copy(three) == original and copy(three) is not original
 
 
 def test_a_search_that_yields_a_table_twice_is_a_failed_check(monkeypatch, tmp_path, capsys):
@@ -310,10 +372,17 @@ NAMED_CHECKS = {
         faults.test_every_check_fails_under_some_seeded_fault(mp)
     ),
     "failing_report_is_pinned": faults.test_failing_sampled_report_file_is_pinned,
+    "raw_table_oracle": lambda *_: (
+        validation.test_atom_additivity_is_the_pairwise_hom_laws_on_every_raw_table(2, 2)
+    ),
+    "small_table_hom_laws": lambda *_: (
+        oracles.test_hom_law_fast_path_is_the_pair_loop_on_every_small_table(2, 2)
+    ),
 }
 
-# what a failing check raises: an assertion, or pytest.raises seeing nothing
-FAILED = (AssertionError, pytest.fail.Exception)
+# what a failing check raises: an assertion, pytest.raises seeing nothing,
+# or a library error such as an InvariantViolation
+FAILED = (AssertionError, pytest.fail.Exception, StonecheckError)
 
 
 def battery_kills() -> dict[str, int]:

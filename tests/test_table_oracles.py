@@ -6,7 +6,9 @@ per-ultrafilter sums of the ultrafilter lift, the per-subset double-dual
 scan, the per-set forward image, the pair-by-pair homomorphism-law loop
 of the battery, and the filter-quantified double loop of ``sigma_extend``.
 The tables must agree with them exactly, including the first witness and
-the exception raised on corrupted input.
+the exception raised on corrupted input.  ``algebra.atom_additive``, the
+battery's fast hom-law test, must accept exactly the tables that the
+pair loop passes, whatever ints they hold.
 """
 
 import dataclasses
@@ -238,6 +240,50 @@ def test_hom_law_scan_gives_the_loop_witness_on_corrupted_sigma_tables():
             assert witness == reference_hom_law(table, n1, n2)
             laws.add(witness["law"])
     assert laws == {"bounds", "meet", "join"}
+
+
+def assert_fast_path_agrees(table, n1, n2):
+    # read through the harness module, so that a mutant bound there runs
+    expected = reference_hom_law(table, n1, n2)
+    assert harness.atom_additive(table, n1, n2) == (expected is None), table
+    assert harness._hom_law_witness(table, n1, n2) == expected, table
+    return expected
+
+
+@pytest.mark.parametrize("n1, n2", list(itertools.product(range(3), repeat=2)))
+def test_hom_law_fast_path_is_the_pair_loop_on_every_small_table(n1, n2):
+    # every table whose entries lie in the target, one past it, at 256 or at -1
+    full2 = (1 << n2) - 1
+    values = [-1, *range(full2 + 2), 256]
+    homs = 0
+    for table in itertools.product(values, repeat=1 << n1):
+        homs += assert_fast_path_agrees(table, n1, n2) is None
+    assert homs == n1**n2
+
+
+def test_a_sigma_table_that_atom_additivity_rejects_is_a_library_bug(monkeypatch):
+    # every law holds, so the loop names no witness: the two tests disagree
+    monkeypatch.setattr(harness, "atom_additive", lambda *args: False)
+    with pytest.raises(InvariantViolation):
+        harness._hom_law_witness((0, 1, 2, 3), 2, 2)
+
+
+def test_hom_law_fast_path_is_the_pair_loop_on_twice_corrupted_sigma_tables():
+    rng = random.Random(18)
+    laws = set()
+    for hom in homs_up_to(3):
+        n1, n2 = hom.source.atom_count, hom.target.atom_count
+        full2 = (1 << n2) - 1
+        table = list(sigma_extend(hom).table)
+        for _ in range(40):
+            corrupted = list(table)
+            for i in rng.sample(range(1 << n1), min(2, 1 << n1)):
+                corrupted[i] = rng.choice([-5, -1, *range(full2 + 1), full2 + 1, 256, 1000])
+            witness = assert_fast_path_agrees(corrupted, n1, n2)
+            laws.add(witness and witness["law"])
+    # a table that keeps the bounds and the meet and join of a with its
+    # complement keeps that complement too, so no complement witness comes up
+    assert laws == {None, "bounds", "meet", "join"}
 
 
 def reference_sigma_table(h):

@@ -9,6 +9,9 @@ the same exception class, witness and message, or identical tables.  Inputs
 are seeded random relation matrices on 1-8 elements, 16- and 32-element
 powersets (with shuffled carriers) carrying one corrupted entry, and the
 atom functions between powersets and between shuffled presentations.
+``algebra.atom_additive``, with which ``validate_hom`` accepts a table
+before any scan, must accept exactly the tables ``ref_validate_hom`` does,
+on every raw table between small powersets and shuffled presentations.
 """
 
 import dataclasses
@@ -17,10 +20,10 @@ import random
 
 import pytest
 
+import stonecheck.algebra as algebra
 import stonecheck.extension as extension
 from stonecheck.algebra import (
     MAX_ATOMS,
-    _row_tables,
     atom_function_of_hom,
     fin_bool_alg,
     fin_lattice,
@@ -539,20 +542,73 @@ def test_validate_hom_matches_the_parent_scan_on_random_raw_tables():
     assert seen == {"ok", ValueError, NotMeetPreserving, NotJoinPreserving}
 
 
-def test_the_row_tables_hold_each_used_value_once_and_no_other():
+def test_a_hom_is_accepted_without_a_scan_and_nothing_is_kept_on_the_target(monkeypatch):
     rng = random.Random(12)
     source = shuffled_algebra(2, rng)
     target = shuffled_algebra(4, rng)
-    lattice = target.lattice
-    meet_rows, join_rows = _row_tables(lattice)
-    used = set()
+    cached = set(target.lattice._cache)
+    scanned = []
+    real = algebra._unpreserved
+
+    def counted(*args):
+        scanned.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(algebra, "_unpreserved", counted)
     for _ in range(3):
         g = [rng.randrange(source.atom_count) for _ in range(target.atom_count)]
-        used |= set(hom_from_atom_function(source, target, g).table)
-        for rows, table in ((meet_rows, lattice.meet), (join_rows, lattice.join)):
-            assert set(rows) == used
-            assert all(rows[v] == _byte_table(table[v]) for v in used)
-    assert len(used) < target.size
+        table = list(hom_from_atom_function(source, target, g).table)
+        assert scanned == []
+        # a hom with one entry changed, not a bound's, breaks a law that
+        # only a scan names
+        i = rng.choice([a for a in range(source.size) if a not in (source.bottom, source.top)])
+        table[i] = rng.choice([v for v in range(target.size) if v != table[i]])
+        expected = hom_outcome(ref_validate_hom, table, source, target)
+        assert expected[0] in (NotMeetPreserving, NotJoinPreserving)
+        assert hom_outcome(validate_hom, table, source, target) == expected
+        assert scanned
+        scanned.clear()
+    assert set(target.lattice._cache) == cached
+
+
+def test_a_hom_that_atom_additivity_rejects_is_a_library_bug(monkeypatch):
+    # every law holds, so the scans name no witness: the two tests disagree
+    monkeypatch.setattr(algebra, "atom_additive", lambda *args: False)
+    four = powerset_algebra(2)
+    with pytest.raises(InvariantViolation):
+        validate_hom((0, 1, 2, 3), four, four)
+
+
+def by_mask_table(table, source, target):
+    """A table of elements as the target masks indexed by the source masks."""
+    by_mask = [0] * source.size
+    for a, v in enumerate(table):
+        by_mask[source.mask_of(a)] = target.mask_of(v)
+    return by_mask
+
+
+@pytest.mark.parametrize(
+    "k1, k2", [*itertools.product(range(3), repeat=2), (3, 2), (2, 3)]
+)
+def test_atom_additivity_is_the_pairwise_hom_laws_on_every_raw_table(k1, k2):
+    # every table between the powersets and between shuffled presentations,
+    # and for at most 2 atoms on each side between the mixed pairs too
+    rng = random.Random(k1 * 10 + k2)
+    sources = [powerset_algebra(k1), shuffled_algebra(k1, rng)]
+    targets = [powerset_algebra(k2), shuffled_algebra(k2, rng)]
+    pairs = list(zip(sources, targets))
+    if max(k1, k2) <= 2:
+        pairs = list(itertools.product(sources, targets))
+    homs = 0
+    for source, target in pairs:
+        for table in itertools.product(range(target.size), repeat=source.size):
+            expected = hom_outcome(ref_validate_hom, table, source, target)
+            # read through the module, so that a mutant bound there runs
+            additive = algebra.atom_additive(by_mask_table(table, source, target), k1, k2)
+            assert additive == (expected[0] == "ok"), table
+            assert hom_outcome(algebra.validate_hom, table, source, target) == expected
+            homs += additive
+    assert homs == len(pairs) * k1**k2
 
 
 def corrupted_lattices(lattice, rng, limit=None):

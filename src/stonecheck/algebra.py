@@ -72,18 +72,17 @@ from .errors import (
     NotMeetPreserving,
 )
 
-# The cap table, the only place a bound is set.  Single algebras and beta
-# spaces (a point per atom) stop at MAX_ATOMS atoms, document carriers at
-# 2**MAX_ATOMS labels; homomorphisms (``check_hom_cap``) at MAX_HOM_ATOMS, the
-# extension search at MAX_SEARCH_CANDIDATES tables; subset scans at
-# MAX_BRUTE_FORCE_CARRIER elements, raw table scans at 2**that many tables.
-# Byte rows need element indices below 256, so MAX_ATOMS <= 8; and
-# ``extension._assert_complete`` splits its not-above/not-below masks into
-# two bytes, so MAX_BRUTE_FORCE_CARRIER <= 16.
+# The cap table, the only place a bound is set.  Algebras, and with them
+# homomorphisms and beta spaces (a point per atom), stop at MAX_ATOMS atoms,
+# document carriers at 2**MAX_ATOMS labels, and the table search at
+# MAX_SEARCH_CANDIDATES tables, which lets two MAX_ATOMS-point spaces through;
+# subset scans at MAX_BRUTE_FORCE_CARRIER elements, raw table scans at 2**that
+# many tables.  Byte rows need element indices below 256, so MAX_ATOMS <= 8;
+# and ``extension._assert_complete`` splits its not-above/not-below masks
+# into two bytes, so MAX_BRUTE_FORCE_CARRIER <= 16.
 MAX_ATOMS = 5
-MAX_HOM_ATOMS = 4
 MAX_BRUTE_FORCE_CARRIER = 16
-MAX_SEARCH_CANDIDATES = MAX_HOM_ATOMS**MAX_HOM_ATOMS
+MAX_SEARCH_CANDIDATES = MAX_ATOMS**MAX_ATOMS
 
 
 def object_cache(func: Callable) -> Callable:
@@ -119,13 +118,6 @@ def object_cache(func: Callable) -> Callable:
 def cache_field():
     """The ``_cache`` field that ``object_cache`` keeps its results in."""
     return field(default_factory=dict, init=False, repr=False, compare=False)
-
-
-def check_hom_cap(stage: str, *atom_counts: int) -> None:
-    """Raise BoundExceeded, naming ``stage``, if an atom count exceeds MAX_HOM_ATOMS."""
-    if max(atom_counts) > MAX_HOM_ATOMS:
-        witness = atom_counts if len(atom_counts) > 1 else atom_counts[0]
-        raise BoundExceeded(f"{stage} capped at {MAX_HOM_ATOMS} atoms", witness)
 
 
 @dataclass(frozen=True, eq=False)
@@ -833,7 +825,6 @@ def all_homs(source: FinBoolAlg, target: FinBoolAlg) -> tuple[BoolHom, ...]:
     The count always equals |Uf(source)| ** |Uf(target)|; the generator
     asserts this, and the test suite cross-checks against a raw table scan.
     """
-    check_hom_cap("hom enumeration", source.atom_count, target.atom_count)
     homs = tuple(
         hom_from_atom_function(source, target, g)
         for g in itertools.product(range(source.atom_count), repeat=target.atom_count)

@@ -25,7 +25,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import __version__
-from .algebra import MAX_HOM_ATOMS, ultrafilters
+from .algebra import MAX_ATOMS, ultrafilters
 from .documents import Document, document_digest, parse_document
 from .duality import dual_space, phi_table
 from .errors import LibraryBug, StonecheckError
@@ -326,8 +326,8 @@ def _cmd_verify(args) -> int:
             raise UsageError("--all cannot be combined with a named homomorphism")
         if args.max_atoms is None:
             raise UsageError("--all requires --max-atoms")
-        if not 1 <= args.max_atoms <= MAX_HOM_ATOMS:
-            raise UsageError(f"--max-atoms must be between 1 and {MAX_HOM_ATOMS}")
+        if not 1 <= args.max_atoms <= MAX_ATOMS:
+            raise UsageError(f"--max-atoms must be between 1 and {MAX_ATOMS}")
         if (args.seed is None) != (args.count is None):
             raise UsageError("--seed and --count must be given together")
         if args.count is not None and args.count < 1:

@@ -12,9 +12,9 @@ with the values the embedding forces) and the direct ultrafilter formula
 ``lift(f)(U) = {B : preimage of B in U}``.  Their agreement is one of the
 properties the test suite verifies.  One search, ``_forced_tables``, serves
 the extension certificate, the compactification order and equivalence,
-whose witness must also pass ``_is_homeomorphism``.  The first two caps
-bound the nominal table space ``target.size ** space.size``, equivalence
-the point count (``MAX_ATOMS``).
+whose witness must also pass ``_is_homeomorphism``.  All three cap the
+nominal table space ``target.size ** space.size`` at
+``MAX_SEARCH_CANDIDATES`` (``_check_search_bound``).
 
 Both flavours work a table at a time: each candidate's continuity and the
 lift's image sets read one preimage table of the point map
@@ -318,8 +318,7 @@ def compactification_equivalent(c1: Compactification, c2: Compactification) -> O
     _same_base(c1, c2)
     if c1.space.size != c2.space.size:
         return OrderVerdict(False)
-    if c1.space.size > MAX_ATOMS:
-        raise BoundExceeded("homeomorphism search capped", c1.space.size)
+    _check_search_bound(c1.space, c2.space)
     for table in _forced_tables(c1.space, c2.space, zip(c1.embed, c2.embed)):
         if _is_homeomorphism(c1.space, c2.space, table):
             return OrderVerdict(True, ContinuousMap(c1.space, c2.space, tuple(table)))

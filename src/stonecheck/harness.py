@@ -43,6 +43,7 @@ from functools import cache
 from typing import Callable, Sequence
 
 from .algebra import (
+    MAX_ATOMS,
     BoolHom,
     FinBoolAlg,
     _mask_ops,
@@ -50,7 +51,6 @@ from .algebra import (
     all_homs,
     atom_additive,
     atom_function_of_hom,
-    check_hom_cap,
     hom_from_atom_function,
     object_cache,
     powerset_algebra,
@@ -71,7 +71,7 @@ from .duality import (
     phi_table,
     stone_representation,
 )
-from .errors import InvariantViolation, NoClopenPreimage
+from .errors import BoundExceeded, InvariantViolation, NoClopenPreimage
 from .extension import canonical_extension, is_compact, is_dense, sigma_extend
 
 
@@ -175,7 +175,6 @@ def build_diagram(h: BoolHom) -> DiagramBundle:
     two tables agree and whether the square commutes is decided by the
     battery's ``lift_paths_agree`` and ``extension_square_commutes`` checks.
     """
-    check_hom_cap("diagram construction", h.source.atom_count, h.target.atom_count)
     h_star = dual_map(h)
     beta1, beta2 = _beta_of(h.source), _beta_of(h.target)
     embed1 = beta1.embed
@@ -544,14 +543,15 @@ def exhaustive_suite(
     homomorphism alone, so every distinct homomorphism still gets every
     check.  The memo is local to the call, so a patched fault is seen and
     nothing outlives the run.  A range that checks nothing (``max_atoms`` or
-    ``count`` below 1) raises ValueError and one above the hom cap
+    ``count`` below 1) raises ValueError and one above ``MAX_ATOMS``
     BoundExceeded, both before any work.
     """
     if max_atoms < 1:
         raise ValueError("max_atoms must be at least 1")
     if sample is not None and sample[1] < 1:
         raise ValueError("sample count must be at least 1")
-    check_hom_cap("exhaustive suite", max_atoms)
+    if max_atoms > MAX_ATOMS:
+        raise BoundExceeded(f"exhaustive suite capped at {MAX_ATOMS} atoms", max_atoms)
     report = VerificationReport()
     for k in range(1, max_atoms + 1):
         report.instances.append(algebra_instance(k))

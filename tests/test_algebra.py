@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stonecheck.algebra import (
+    MAX_ATOMS,
     all_filters,
     all_filters_bruteforce,
     all_homs,
@@ -290,8 +291,11 @@ def test_all_homs_against_table_scan_oracle(k1, k2):
 
 
 def test_all_homs_bound():
+    # every hom between two algebras at the cap; none above it can be built
+    top = powerset_algebra(MAX_ATOMS)
+    assert len({h.table for h in all_homs(top, top)}) == MAX_ATOMS**MAX_ATOMS == 3125
     with pytest.raises(BoundExceeded):
-        all_homs(powerset_algebra(5), powerset_algebra(1))
+        powerset_algebra(MAX_ATOMS + 1)
 
 
 def test_atom_function_round_trip():

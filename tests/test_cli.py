@@ -17,7 +17,7 @@ import stonecheck.documents as documents
 import stonecheck.harness as harness
 from stonecheck import __version__
 from stonecheck.cli import SCHEMA_VERSION, exit_code_for_report, main, report_json
-from stonecheck.algebra import MAX_HOM_ATOMS, all_homs
+from stonecheck.algebra import MAX_ATOMS, all_homs
 from stonecheck.errors import (
     BoundExceeded,
     InvariantViolation,
@@ -189,9 +189,9 @@ def test_verify_all_out_of_range_exits_2(args):
 @pytest.mark.parametrize(
     "args",
     [
-        ("--max-atoms", str(MAX_HOM_ATOMS + 1)),
-        ("--max-atoms", str(MAX_HOM_ATOMS + 1), "--seed", "0", "--count", "1"),
-        ("--max-atoms", str(MAX_HOM_ATOMS + 1), "--seed", "1", "--count", "1"),
+        ("--max-atoms", str(MAX_ATOMS + 1)),
+        ("--max-atoms", str(MAX_ATOMS + 1), "--seed", "0", "--count", "1"),
+        ("--max-atoms", str(MAX_ATOMS + 1), "--seed", "1", "--count", "1"),
         ("--max-atoms", "40", "--seed", "3", "--count", "2"),
     ],
     ids=["exhaustive", "sampled_seed_0", "sampled_seed_1", "sampled_far_above"],
@@ -204,13 +204,13 @@ def test_verify_all_above_the_hom_cap_exits_2_before_any_work(monkeypatch, capsy
     assert main(["verify", "--all", *args]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"usage error: --max-atoms must be between 1 and {MAX_HOM_ATOMS}\n"
+    assert captured.err == f"usage error: --max-atoms must be between 1 and {MAX_ATOMS}\n"
 
 
 def test_verify_all_at_the_hom_cap_is_accepted():
-    proc = run_cli("verify", "--all", "--max-atoms", str(MAX_HOM_ATOMS), "--seed", "0", "--count", "1")
+    proc = run_cli("verify", "--all", "--max-atoms", str(MAX_ATOMS), "--seed", "0", "--count", "1")
     assert proc.returncode == 0
-    assert len(json.loads(proc.stdout)["instances"]) == MAX_HOM_ATOMS + 1
+    assert len(json.loads(proc.stdout)["instances"]) == MAX_ATOMS + 1
 
 
 @pytest.mark.parametrize("error", [InvariantViolation, NoClopenPreimage, NoExtension])
@@ -257,8 +257,13 @@ def test_library_bug_exits_3_without_traceback(monkeypatch, capsys, error):
             ("--max-atoms", "4", "--seed", "7", "--count", "2000"),
             "3a4569ef1df03f09d130ce1eded4377844fdbb38bfbfba6ade3df22d8ce9d3f8",
         ),
+        (
+            # every hom up to 5 atoms: 5 704 instances, a 7.7 MB report
+            ("--max-atoms", "5"),
+            "1bad2435e2feacceeb64de8f4c1ee0c984cf78afd5422218a88475f79dded9ae",
+        ),
     ],
-    ids=["exhaustive_3", "sampled_2", "exhaustive_4", "sampled_4"],
+    ids=["exhaustive_3", "sampled_2", "exhaustive_4", "sampled_4", "exhaustive_5"],
 )
 def test_verify_all_report_file_is_pinned(tmp_path, args, digest):
     # pinned from report files written by json.dumps of the whole payload
@@ -619,32 +624,43 @@ def test_malformed_document_exits_2_without_traceback(tmp_path, document):
     assert "Traceback" not in proc.stderr
 
 
-# powersets 1 and 5 and a hom up whose target lies above the hom cap
-ABOVE_THE_HOM_CAP = {
-    "algebras": [{"name": "one", "powerset": 1}, {"name": "five", "powerset": 5}],
-    "homs": [
-        {"name": "up", "source": "one", "target": "five",
-         "atom_map": [[f"{{{q}}}", "{0}"] for q in range(5)]},
-    ],
-}
+def cap_document(atoms: int) -> dict:
+    """Powersets 1 and ``atoms`` and a hom ``up`` from the first into the second."""
+    return {
+        "algebras": [{"name": "one", "powerset": 1}, {"name": "top", "powerset": atoms}],
+        "homs": [
+            {"name": "up", "source": "one", "target": "top",
+             "atom_map": [[f"{{{q}}}", "{0}"] for q in range(atoms)]},
+        ],
+    }
 
 
 def test_every_entry_point_honours_the_one_hom_cap(tmp_path):
+    # a hom into an algebra at the cap is verified and drawn
     path = tmp_path / "up.json"
-    path.write_text(json.dumps(ABOVE_THE_HOM_CAP))
-    message = f"error: diagram construction capped at {MAX_HOM_ATOMS} atoms; witness=(1, 5)\n"
+    path.write_text(json.dumps(cap_document(MAX_ATOMS)))
     dot = tmp_path / "d.dot"
     for args in (("verify", str(path), "up"), ("diagram", str(path), "up", "--out", str(dot))):
         proc = run_cli(*args)
-        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message)
-    assert not dot.exists()
+        assert (proc.returncode, proc.stderr) == (0, "")
+    assert dot.exists()
 
     up = documents.parse_document(path.read_text()).hom("up")
-    five = up.target
-    with pytest.raises(BoundExceeded):
-        all_homs(five, up.source)
-    with pytest.raises(BoundExceeded):
-        harness.build_diagram(up)
+    assert len(all_homs(up.target, up.source)) == MAX_ATOMS
+    assert harness.full_hom_instance(up).passed
+
+    # one atom more is a validation error before any hom is read
+    above = tmp_path / "above.json"
+    above.write_text(json.dumps(cap_document(MAX_ATOMS + 1)))
+    message = (
+        f"error: algebras[1]: powerset algebra capped at {MAX_ATOMS} atoms; "
+        f"witness={MAX_ATOMS + 1}\n"
+    )
+    for args in (("verify", str(above), "up"), ("diagram", str(above), "up", "--out", str(dot))):
+        dot.unlink(missing_ok=True)
+        proc = run_cli(*args)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message)
+        assert not dot.exists()
     for sample in (None, (0, 1)):
         with pytest.raises(BoundExceeded):
-            harness.exhaustive_suite(five.atom_count, sample=sample)
+            harness.exhaustive_suite(MAX_ATOMS + 1, sample=sample)

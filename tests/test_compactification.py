@@ -205,13 +205,13 @@ def test_search_keeps_only_the_continuous_tables_of_a_coarse_space():
 
 
 def test_search_caps_bound_the_nominal_table_space():
-    # every point is forced, so one table is left, but 4**5 tables are nominal
+    # every point is forced, so one table is left, but 6**5 tables are nominal
     bx = beta_space(tuple("abcde"))
-    target = discrete_space(tuple("pqrs"))
+    target = discrete_space(tuple("pqrstu"))
     with pytest.raises(BoundExceeded) as info:
-        extension_candidates(bx, (0, 1, 2, 3, 0), target)
-    assert info.value.witness == 4**5
-    c = Compactification(bx.base, target, (0, 1, 2, 3, 0))
+        extension_candidates(bx, (0, 1, 2, 3, 5), target)
+    assert info.value.witness == 6**5
+    c = Compactification(bx.base, target, (0, 1, 2, 3, 5))
     with pytest.raises(BoundExceeded):
         compactification_leq(bx.compactification, c)
 

@@ -3,6 +3,8 @@
 import hashlib
 import itertools
 import json
+import random
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +21,7 @@ from stonecheck.algebra import (
     ultrafilters,
 )
 from stonecheck.compactification import beta_lift, extension_candidates
+from stonecheck.documents import parse_document
 from stonecheck.duality import phi_mask
 from stonecheck.errors import BoundExceeded
 from stonecheck.extension import sigma_extend
@@ -31,6 +34,8 @@ from stonecheck.harness import (
     report_jsonable,
     shrink_failing_hom,
 )
+
+RELABELLED_FIVE = Path(__file__).resolve().parent / "data/relabelled_five.json"
 
 
 def test_identity_diagram_is_all_identities():
@@ -81,8 +86,35 @@ def test_bundle_carries_search_count_and_lift():
 
 
 def test_diagram_bound():
+    # the identity at the cap is built and passes the battery; no algebra
+    # above the cap can be built
+    top = identity_hom(powerset_algebra(algebra.MAX_ATOMS))
+    assert build_diagram(top).candidate_count == 1
+    assert full_hom_instance(top).passed
     with pytest.raises(BoundExceeded):
-        build_diagram(identity_hom(powerset_algebra(5)))
+        powerset_algebra(algebra.MAX_ATOMS + 1)
+
+
+def test_battery_on_the_relabelled_five_atom_presentation_matches_the_powersets():
+    # shuffled carriers hide any confusion of element index with atom mask
+    doc = parse_document(RELABELLED_FIVE.read_text())
+    five, three = doc.algebra("five"), doc.algebra("three")
+    assert (five.atom_count, three.atom_count) == (5, 3)
+    assert five.atom_mask != tuple(range(five.size))
+    rng = random.Random(23)
+    sides = [five, three, *(powerset_algebra(k) for k in range(1, 6))]
+    for _ in range(200):
+        # a relabelled algebra on one side, any of them on the other
+        pair = [rng.choice((five, three)), rng.choice(sides)]
+        rng.shuffle(pair)
+        source, target = pair
+        g = tuple(rng.randrange(source.atom_count) for _ in range(target.atom_count))
+        inst = full_hom_instance(hom_from_atom_function(source, target, g))
+        reference = full_hom_instance(hom_from_atom_function(
+            powerset_algebra(source.atom_count), powerset_algebra(target.atom_count), g
+        ))
+        assert inst.passed
+        assert (inst.descriptor, inst.checks) == (reference.descriptor, reference.checks)
 
 
 def test_verify_main_theorem_identity():
@@ -157,7 +189,7 @@ def test_suite_at_three_atoms_matches_duality_count():
 
 def test_suite_bound():
     with pytest.raises(BoundExceeded):
-        exhaustive_suite(5)
+        exhaustive_suite(algebra.MAX_ATOMS + 1)
 
 
 @pytest.mark.parametrize(
@@ -185,7 +217,7 @@ def test_sampled_suite_bound_holds_for_every_seed_before_any_instance(monkeypatc
     monkeypatch.setattr(harness, "full_hom_instance", record)
     for seed in range(10):
         with pytest.raises(BoundExceeded):
-            exhaustive_suite(5, sample=(seed, 1))
+            exhaustive_suite(algebra.MAX_ATOMS + 1, sample=(seed, 1))
     assert built == []
 
 

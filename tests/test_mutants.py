@@ -3,9 +3,11 @@
 Each ``sigma_extend`` mutant is the source of ``extension.sigma_extend``
 with one edit, compiled in a copy of the extension module's namespace and
 bound as the ``sigma_extend`` the harness reads, so the battery and the
-shrinker both run it.  Under each mutant ``verify --all --max-atoms 3`` must
-exit 1 with a failed ``sigma_equals_double_dual`` check whose witness
-carries a shrunk instance, rather than stop on an internal error.
+shrinker both run it.  Under each mutant ``verify --all --max-atoms 3``
+must exit 1 with a failed ``sigma_equals_double_dual`` check whose witness
+carries a shrunk instance, rather than stop on an internal error.  Every
+mutant is compiled at its function's own lines of the module file, so its
+traceback points into the function.
 
 ``sigma_extend`` scatters each filter's image to the entry of its embedded
 intersection with ``table[inter1] |= inter2``.  Plain assignment in its
@@ -45,6 +47,7 @@ pinned orders, not the battery, and are not in the kill matrix.
 import inspect
 import itertools
 import json
+import random
 
 import pytest
 
@@ -89,11 +92,19 @@ def fresh_object_cache(func):
     return algebra.object_cache(func)
 
 
+def placed_source(function) -> str:
+    """The source of ``function`` after a blank line for each line above it
+    in its module, so that code compiled from it keeps the module's line
+    numbers and a mutant's traceback points into the function."""
+    lines, start = inspect.getsourcelines(function)
+    return "\n" * (start - 1) + "".join(lines)
+
+
 def compiled(module, name: str, original: str, replacement: str):
     """``module.name`` with its one ``original`` line replaced, compiled in a
     copy of the module's namespace (an ``@object_cache`` function is cached
     under a fresh slot)."""
-    source = inspect.getsource(getattr(module, name))
+    source = placed_source(getattr(module, name))
     assert source.count(original) == 1, f"the mutated line is no longer in {name}"
     namespace = dict(vars(module), object_cache=fresh_object_cache)
     exec(compile(source.replace(original, replacement), module.__file__, "exec"), namespace)
@@ -184,15 +195,49 @@ RECOGNIZER_MUTANTS = {
 
 
 def compiled_constructor(original: str, replacement: str):
-    source = inspect.getsource(algebra._atom_encoding)
+    source = placed_source(algebra._atom_encoding)
     assert source.count(original) == 1, "the mutated line is no longer in _atom_encoding"
     namespace = dict(vars(algebra))
     for source in (
         source.replace(original, replacement),
-        inspect.getsource(algebra.boolean_algebra_of_up_sets),
+        placed_source(algebra.boolean_algebra_of_up_sets),
     ):
         exec(compile(source, algebra.__file__, "exec"), namespace)
     return namespace["boolean_algebra_of_up_sets"]
+
+
+def raised_at(call) -> tuple[str, int]:
+    """The file and line of the frame that raises ZeroDivisionError under ``call``."""
+    with pytest.raises(ZeroDivisionError) as info:
+        call()
+    tb = info.tb
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    return tb.tb_frame.f_code.co_filename, tb.tb_lineno
+
+
+@pytest.mark.parametrize("mutated", ["sigma_extend", "_atom_encoding"])
+def test_a_mutant_raises_at_the_module_line_it_replaced(mutated):
+    # its traceback points into the function, not into the module docstring
+    four = algebra.powerset_algebra(2)
+    function, original, call = {
+        "sigma_extend": (
+            extension.sigma_extend,
+            "phi2 = phi_table(dst)",
+            lambda *edit: compiled_sigma_extend(*edit)(algebra.identity_hom(four)),
+        ),
+        "_atom_encoding": (
+            algebra._atom_encoding,
+            'masks = packed.to_bytes(n, "little")',
+            lambda *edit: compiled_constructor(*edit)(
+                *recognition.shuffled_powerset(2, random.Random(0))
+            ),
+        ),
+    }[mutated]
+    lines, start = inspect.getsourcelines(function)
+    line = start + next(i for i, text in enumerate(lines) if original in text)
+    raised = raised_at(lambda: call(original, "raise ZeroDivisionError"))
+    assert raised == (inspect.getsourcefile(function), line)
 
 
 def test_unmutated_constructor_copy_passes_every_pinned_check():

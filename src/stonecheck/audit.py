@@ -2,11 +2,12 @@
 
 The filter-formula path (rooted at ``extension.sigma_extend``) and the
 diagram-chase path (rooted at ``harness.build_diagram`` and
-``harness.double_dual_map``) are only allowed to share the algebra core,
-the error types, and the bitmask Stone embedding ``duality.phi_table``.
+``harness.double_dual_map``) may share only the helpers named in
+``SHARED_ALLOWED``: the ultrafilters of an algebra and two error types.
 This module extracts a call graph of module-level functions from the
 package source with ``ast`` and reports any helper reachable from both
-roots that is not on the allowlist.
+roots that is not on that list, so a new shared helper, even one in the
+algebra core, must be added to it by name.
 
 The analysis covers module-level function calls (plain names and
 ``module.function`` attributes resolved through the package imports);
@@ -22,10 +23,8 @@ from pathlib import Path
 SIGMA_ROOTS = ("extension.sigma_extend",)
 DIAGRAM_ROOTS = ("harness.build_diagram", "harness.double_dual_map")
 
-# Shared helpers both paths may use: the whole algebra core, the error
-# types, and the Stone embedding as a bitmask.
-SHARED_ALLOWED_PREFIXES = ("algebra.", "errors.")
-SHARED_ALLOWED = ("duality.phi_table",)
+# The helpers both paths may reach, by name.
+SHARED_ALLOWED = ("algebra.ultrafilters", "errors.DegenerateAlgebra", "errors.InvariantViolation")
 
 _MODULES = (
     "algebra",
@@ -112,12 +111,7 @@ def audit_ownership() -> AuditResult:
     sigma = _reachable(graph, SIGMA_ROOTS)
     diagram = _reachable(graph, DIAGRAM_ROOTS)
     shared = sorted((sigma & diagram) - set(SIGMA_ROOTS) - set(DIAGRAM_ROOTS))
-    violations = tuple(
-        name
-        for name in shared
-        if name not in SHARED_ALLOWED
-        and not name.startswith(SHARED_ALLOWED_PREFIXES)
-    )
+    violations = tuple(name for name in shared if name not in SHARED_ALLOWED)
     return AuditResult(
         tuple(sorted(sigma)), tuple(sorted(diagram)), tuple(shared), violations
     )

@@ -212,6 +212,11 @@ def write_pieces(pieces: Iterable[str], out: str | None = None, echo: bool = Fal
             sink.close()
 
 
+def _dot_string(text: str) -> str:
+    """``text`` as a quoted DOT string, with ``\\`` and ``"`` escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def _hasse_dot(doc: Document, name: str) -> str:
     """Hasse diagram of the algebra with its ultrafilters annotated."""
     algebra = doc.algebra(name)
@@ -219,10 +224,11 @@ def _hasse_dot(doc: Document, name: str) -> str:
     ufs = ultrafilters(algebra)
     phi = phi_table(algebra)
     n = algebra.size
-    lines = [f'digraph "{name}" {{', "  rankdir=BT;", "  node [shape=box];"]
+    lines = [f"digraph {_dot_string(name)} {{", "  rankdir=BT;", "  node [shape=box];"]
     for i in range(n):
         inside = ",".join(f"u{k}" for k in range(len(ufs)) if phi[i] >> k & 1)
-        lines.append(f'  e{i} [label="{labels[i]}" tooltip="in ultrafilters: {inside}"];')
+        tip = _dot_string(f"in ultrafilters: {inside}")
+        lines.append(f"  e{i} [label={_dot_string(labels[i])} tooltip={tip}];")
     up, down = algebra.lattice.poset.up, algebra.lattice.poset.down
     for i in range(n):
         for j in range(n):
@@ -253,14 +259,14 @@ def _diagram_dot(doc: Document, hom_name: str) -> str:
     )
     dd_tip = table_tip(bundle.double_dual)
     lines = [
-        f'digraph "{hom_name}" {{',
+        f"digraph {_dot_string(hom_name)} {{",
         "  rankdir=LR;",
         "  node [shape=box];",
-        f'  b1 [label="B1 = {src_name} ({hom.source.size} elements)"];',
+        f"  b1 [label={_dot_string(f'B1 = {src_name} ({hom.source.size} elements)')}];",
         f'  uf1 [label="Uf(B1) ({points(n1)})"];',
         f'  beta1 [label="beta(Uf(B1)) ({points(n1)})"];',
         f'  pow1 [label="P(Uf(B1)) ({1 << n1} elements)"];',
-        f'  b2 [label="B2 = {dst_name} ({hom.target.size} elements)"];',
+        f"  b2 [label={_dot_string(f'B2 = {dst_name} ({hom.target.size} elements)')}];",
         f'  uf2 [label="Uf(B2) ({points(n2)})"];',
         f'  beta2 [label="beta(Uf(B2)) ({points(n2)})"];',
         f'  pow2 [label="P(Uf(B2)) ({1 << n2} elements)"];',
@@ -270,7 +276,7 @@ def _diagram_dot(doc: Document, hom_name: str) -> str:
         '  b2 -> uf2 [label="(.)_*" style=dashed];',
         '  uf2 -> beta2 [label="beta_2"];',
         '  beta2 -> pow2 [label="(.)^*" style=dashed];',
-        f'  b1 -> b2 [label="h" tooltip="{hom_tip}"];',
+        f'  b1 -> b2 [label="h" tooltip={_dot_string(hom_tip)}];',
         f'  uf2 -> uf1 [label="h_*" tooltip="{table_tip(bundle.h_star.table)}"];',
         f'  beta2 -> beta1 [label="h_*^beta" tooltip="{table_tip(bundle.h_star_beta.table)}"];',
         f'  pow1 -> pow2 [label="(h_*^beta)^*" tooltip="{dd_tip}"];',

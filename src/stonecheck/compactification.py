@@ -14,23 +14,25 @@ properties the test suite verifies.  One search, ``_forced_tables``, serves
 the extension certificate, the compactification order and equivalence,
 whose witness must also pass ``_is_homeomorphism``.  All three cap the
 nominal table space ``target.size ** space.size`` at
-``MAX_SEARCH_CANDIDATES`` (``_check_search_bound``).
+``MAX_SEARCH_CANDIDATES`` (``_check_search_bound``), and all three return
+the maps the search made.
 
 Both flavours work a table at a time: each candidate's continuity and the
 lift's image sets read one preimage table of the point map
 (``algebra._preimage_table``) instead of summing a preimage per open set or
-per ultrafilter, and the target space is validated once per space; no
-table is built twice (``sole_extension`` keeps the accepted candidate's,
-and the lift of a ``ContinuousMap`` reads the map's), and no continuity is
-tested twice (``sole_extension`` does not test the search's table again,
-and the lift's entries are point indices, so only its continuity is
-tested).  The lift reads each image set as a byte row, that preimage
-table translated through a point's indicator (``BetaSpace.indicators``, a
-plain field like the compactification's base, space and embedding), and
-looks it up among the target's ``point_rows``, which are keyed once per
-``BetaSpace``.  How many tables the search found is judged by its caller:
-``beta_extend_to_compact`` raises on two or more, and the harness battery
-reports them as a failed check.
+per ultrafilter, and the target space is validated once per space.  No
+table is built twice and no continuity is tested twice: the search yields
+each table that passes ``duality._continuous`` as a ``ContinuousMap`` that
+keeps the preimage table it was tested on, ``sole_extension`` returns the
+first of those maps as it is, the lift of a ``ContinuousMap`` reads the
+map's preimage table, and the lift's entries are point indices, so only its
+continuity is tested.  The lift reads each image set as a byte row, that
+preimage table translated through a point's indicator
+(``BetaSpace.indicators``, a plain field like the compactification's base,
+space and embedding), and looks it up among the target's ``point_rows``,
+which are keyed once per ``BetaSpace``.  How many tables the search found
+is judged by its caller: ``beta_extend_to_compact`` raises on two or more,
+and the harness battery reports them as a failed check.
 """
 
 from __future__ import annotations
@@ -55,12 +57,10 @@ from .duality import (
     ContinuousMap,
     FinStoneSpace,
     _checked_map,
-    _tested_map,
+    _continuous,
     closure_mask,
-    continuous_map,
     discrete_space,
     dual_space,
-    open_set,
     topology,
     validate_stone,
 )
@@ -71,7 +71,6 @@ from .errors import (
     InvariantViolation,
     NoExtension,
     NotAnEmbedding,
-    NotContinuous,
 )
 
 
@@ -181,8 +180,9 @@ def _check_search_bound(space: FinStoneSpace, target: FinStoneSpace) -> None:
 
 def _forced_tables(
     space: FinStoneSpace, target: FinStoneSpace, forced: Iterable[tuple[int, int]]
-) -> Iterator[tuple[int, ...]]:
-    """Every continuous table from space to target taking the forced values.
+) -> Iterator[ContinuousMap]:
+    """The map of every continuous table from space to target taking the
+    forced values, with the preimage table its continuity was tested on.
 
     ``forced`` lists (point, value) pairs.  Only the points they leave free
     are enumerated, so the tables come out in the lexicographic order of the
@@ -197,27 +197,19 @@ def _forced_tables(
         table[point] = value
         fixed[point] = True
     free = [s for s in range(space.size) if not fixed[s]]
-    target_opens = topology(target)
-    source_opens = open_set(space)
     for values in itertools.product(range(target.size), repeat=len(free)):
         for s, v in zip(free, values):
             table[s] = v
         pre = _preimage_table(table, target.size)
-        if source_opens.issuperset(map(pre.__getitem__, target_opens)):
-            accepted = _Accepted(table)
-            accepted.preimages = pre
-            yield accepted
-
-
-class _Accepted(tuple):
-    """A table the search accepted, with the preimage table it was tested on,
-    which ``sole_extension`` hands on to the map it returns."""
+        if _continuous(space, target, pre):
+            yield ContinuousMap(space, target, tuple(table), pre)
 
 
 def extension_candidates(
     bx: BetaSpace, f: Sequence[int], target: FinStoneSpace
-) -> list[tuple[int, ...]]:
-    """All continuous tables g with g(embed(x)) = f(x); used for certification."""
+) -> list[ContinuousMap]:
+    """The continuous maps g with g(embed(x)) = f(x), in the lexicographic
+    order of their tables; used for certification."""
     validate_stone(target)
     ft = tuple(map(int, f))
     if len(ft) != bx.base.size or ft and (min(ft) < 0 or max(ft) >= target.size):
@@ -238,23 +230,19 @@ def beta_extend_to_compact(
     candidates = extension_candidates(bx, f, target)
     if len(candidates) > 1:
         raise InvariantViolation("continuous extension is not unique", len(candidates))
-    return sole_extension(bx, target, candidates)
+    return sole_extension(candidates)
 
 
-def sole_extension(
-    bx: BetaSpace, target: FinStoneSpace, candidates: Sequence[tuple[int, ...]]
-) -> ContinuousMap:
-    """The first table ``extension_candidates`` found, as a continuous map.
+def sole_extension(candidates: Sequence[ContinuousMap]) -> ContinuousMap:
+    """The first map ``extension_candidates`` found.
 
-    The map keeps the preimage table the search tested it on, and its
-    continuity is not tested again.  An empty list raises NoExtension; two
-    or more tables are for the caller to judge (the battery's
-    ``unique_continuous_extension`` check, or ``beta_extend_to_compact``).
+    An empty list raises NoExtension; two or more maps are for the caller
+    to judge (the battery's ``unique_continuous_extension`` check, or
+    ``beta_extend_to_compact``).
     """
     if not candidates:
         raise NoExtension("no continuous extension satisfies the equation")
-    first = candidates[0]
-    return _tested_map(bx.space, target, tuple(first), first.preimages)
+    return candidates[0]
 
 
 def beta_lift(
@@ -282,7 +270,7 @@ def beta_lift(
         row = pre.translate(bx.indicators[table.index(None)])
         image_members = frozenset(mb for mb, inside in enumerate(row) if inside)
         raise InvariantViolation("lifted set is not an ultrafilter", image_members)
-    return _checked_map(bx.space, by.space, table, _preimage_table(table, by.space.size))
+    return _checked_map(bx.space, by.space, table)
 
 
 @dataclass(frozen=True)
@@ -307,9 +295,7 @@ def compactification_leq(c1: Compactification, c2: Compactification) -> OrderVer
     _check_search_bound(c1.space, c2.space)
     forced = [(c1.embed[i], c2.embed[i]) for i in range(c1.base.size)]
     first = next(_forced_tables(c1.space, c2.space, forced), None)
-    if first is None:
-        return OrderVerdict(False)
-    return OrderVerdict(True, ContinuousMap(c1.space, c2.space, tuple(first)))
+    return OrderVerdict(first is not None, first)
 
 
 def compactification_equivalent(c1: Compactification, c2: Compactification) -> OrderVerdict:
@@ -319,9 +305,9 @@ def compactification_equivalent(c1: Compactification, c2: Compactification) -> O
     if c1.space.size != c2.space.size:
         return OrderVerdict(False)
     _check_search_bound(c1.space, c2.space)
-    for table in _forced_tables(c1.space, c2.space, zip(c1.embed, c2.embed)):
-        if _is_homeomorphism(c1.space, c2.space, table):
-            return OrderVerdict(True, ContinuousMap(c1.space, c2.space, tuple(table)))
+    for f in _forced_tables(c1.space, c2.space, zip(c1.embed, c2.embed)):
+        if _is_homeomorphism(c1.space, c2.space, f.table):
+            return OrderVerdict(True, f)
     return OrderVerdict(False)
 
 
@@ -333,11 +319,7 @@ def _is_homeomorphism(space: FinStoneSpace, target: FinStoneSpace, table: Sequen
     inverse = [0] * target.size
     for s, v in enumerate(table):
         inverse[v] = s
-    try:
-        continuous_map(target, space, inverse)
-    except NotContinuous:
-        return False
-    return True
+    return _continuous(target, space, _preimage_table(inverse, space.size))
 
 
 @dataclass(frozen=True)

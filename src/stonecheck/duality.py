@@ -10,21 +10,21 @@ Points of dual spaces are the ultrafilter values themselves, so that the
 double-dual constructions can be manipulated extensionally.
 
 Maps are checked a table at a time: ``algebra._preimage_table`` lists the
-preimage of every target point set of a point table, built once per map
-and kept as its ``preimages``, so continuity is one ``issuperset`` test
-against the set of opens (``open_set``, once per space) and every later
-preimage is a lookup.  Each map is validated once: ``continuous_map``
-checks a table's entries and ``_checked_map`` its continuity, which is all
-that a table built from index lookups of valid points needs, and
-``_tested_map`` makes the map of a table whose continuity the extension
-search has just tested.  A space's point count is a field.  Each space is
-validated once (``validate_stone`` is cached on the space), and
-``_hat_phi_fibres`` inverts ``hat_phi_table`` once per table.  The Stone
-embedding is one table per algebra (``phi_table``), which the hot loops
-read directly.  ``dual_map`` finds the preimage of an ultrafilter as one
-byte row, the hom's table translated through the ultrafilter's indicator,
-and looks it up among the source's ultrafilter rows; the rows and the
-indicators are kept once per algebra (``_ultrafilter_rows``).
+preimage of every target point set of a point table, built once per map and
+kept as its ``preimages``, a field set when the map is made, so continuity
+is one test, ``_continuous``, against the set of opens (``open_set``, once
+per space) and every later preimage is a lookup.  Each map is validated
+once: ``continuous_map`` checks a table's entries and ``_checked_map`` its
+continuity, which is all that a table built from index lookups of valid
+points needs, and the extension search makes the map of each table it has
+tested itself.  A space's point count is a field.  Each space is validated
+once (``validate_stone`` is cached on the space), and ``_hat_phi_fibres``
+inverts ``hat_phi_table`` once per table.  The Stone embedding is one table
+per algebra (``phi_table``), which the hot loops read directly.
+``dual_map`` finds the preimage of an ultrafilter as one byte row, the
+hom's table translated through the ultrafilter's indicator, and looks it up
+among the source's ultrafilter rows; the rows and the indicators are kept
+once per algebra (``_ultrafilter_rows``).
 """
 
 from __future__ import annotations
@@ -150,12 +150,13 @@ def validate_stone(space: FinStoneSpace) -> tuple[int, ...]:
 
 @dataclass(frozen=True, eq=False)
 class ContinuousMap:
-    """A point table validated so that preimages of opens are open."""
+    """A point table validated so that preimages of opens are open, with
+    the preimage mask of every target mask, indexed by the target mask."""
 
     source: FinStoneSpace
     target: FinStoneSpace
     table: tuple[int, ...]
-    _cache: dict = cache_field()
+    preimages: list[int] = field(repr=False, compare=False)
 
     @property
     def is_injective(self) -> bool:
@@ -165,15 +166,6 @@ class ContinuousMap:
     def is_surjective(self) -> bool:
         return set(self.table) == set(range(self.target.size))
 
-    @property
-    @object_cache
-    def preimages(self) -> list[int]:
-        """The preimage mask of every target mask, indexed by the target mask."""
-        return _preimage_table(self.table, self.target.size)
-
-
-_PREIMAGES = ContinuousMap.preimages.fget.slot
-
 
 def continuous_map(
     source: FinStoneSpace, target: FinStoneSpace, table: Sequence[int]
@@ -181,32 +173,28 @@ def continuous_map(
     t = tuple(map(int, table))
     if len(t) != source.size or t and (min(t) < 0 or max(t) >= target.size):
         raise ValueError("table must map source points to target points")
-    return _checked_map(source, target, t, _preimage_table(t, target.size))
+    return _checked_map(source, target, t)
+
+
+def _continuous(source: FinStoneSpace, target: FinStoneSpace, pre: Sequence[int]) -> bool:
+    """Whether the preimage table ``pre`` of a point table from source to
+    target sends every open of the target to an open of the source."""
+    return open_set(source).issuperset(map(pre.__getitem__, topology(target)))
 
 
 def _checked_map(
-    source: FinStoneSpace, target: FinStoneSpace, table: tuple[int, ...], pre: list[int]
+    source: FinStoneSpace, target: FinStoneSpace, table: tuple[int, ...]
 ) -> ContinuousMap:
-    """The map of a table whose entries are target points, with preimage
-    table ``pre``, once every open's preimage is open (a scan names a
-    failure).  The entries are not checked again: callers build them from
-    point indices, or ``continuous_map`` checks them."""
-    opens = topology(target)
-    source_opens = open_set(source)
-    if not source_opens.issuperset(map(pre.__getitem__, opens)):
-        o = next(o for o in opens if pre[o] not in source_opens)
+    """The map of a table whose entries are target points, once every open's
+    preimage is open (a scan names a failure).  The entries are not checked
+    again: callers build them from point indices, or ``continuous_map``
+    checks them."""
+    pre = _preimage_table(table, target.size)
+    if not _continuous(source, target, pre):
+        source_opens = open_set(source)
+        o = next(o for o in topology(target) if pre[o] not in source_opens)
         raise NotContinuous("preimage of an open set is not open", o)
-    return _tested_map(source, target, table, pre)
-
-
-def _tested_map(
-    source: FinStoneSpace, target: FinStoneSpace, table: tuple[int, ...], pre: list[int]
-) -> ContinuousMap:
-    """The map of a table whose continuity was just tested on its preimage
-    table ``pre``, which the map keeps as its ``preimages``."""
-    f = ContinuousMap(source, target, table)
-    f._cache[_PREIMAGES] = pre
-    return f
+    return ContinuousMap(source, target, table, pre)
 
 
 def compose_continuous(outer: ContinuousMap, inner: ContinuousMap) -> ContinuousMap:
@@ -278,7 +266,7 @@ def dual_map(hom: BoolHom) -> ContinuousMap:
     if None in table:
         v = ultrafilters(hom.target)[table.index(None)]
         raise InvariantViolation("hom preimage of an ultrafilter is not one", v)
-    return _checked_map(src_space, dst_space, table, _preimage_table(table, dst_space.size))
+    return _checked_map(src_space, dst_space, table)
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,10 +3,10 @@
 Two independent computations sit at the heart of the verification: the
 filter-formula extension (``extension.sigma_extend``) and the diagram chase
 through the compactified ultrafilter spaces (``build_diagram`` /
-``double_dual_map``).  The two paths share nothing beyond the algebra core
-and the Stone embedding itself -- ``audit.py`` enforces that statically --
-so their exhaustive agreement on every subset is genuine evidence rather
-than a tautology.
+``double_dual_map``).  The two paths share nothing beyond the ultrafilters
+of an algebra and two error types -- ``audit.py`` enforces that statically
+against an explicit list -- so their exhaustive agreement on every subset
+is genuine evidence rather than a tautology.
 
 ``build_diagram`` only builds the diagram; one check battery
 (``full_hom_instance``) judges it, so a diagram that disagrees with itself
@@ -22,11 +22,11 @@ inverse of ``hat_phi_table``; each algebra keeps its compactification
 plain fields that the battery reads directly.  The battery takes
 forward images from one table per homomorphism (preimage and forward-image
 tables are both built by the subset-union fold ``algebra._subset_unions``).
-It tests the extension's homomorphism laws at once by atom additivity
+It tests the extension's homomorphism laws, and for a bijective
+extension those of its inverse, at once by atom additivity
 (``algebra.atom_additive``: the table is the union of its atom images,
-which partition the target), the isomorphism law as one block of bytes
-over all pairs, and the preimage membership equivalence and the
-forward-image lemma as byte rows, one per point.  Only when a test fails
+which partition the target), and the preimage membership equivalence and
+the forward-image lemma as byte rows, one per point.  Only when a test fails
 are its rows compared one at a time, and only a row that differs is
 scanned pair by pair, so each check still reports the first witness of the
 literal scan.  A passing check is one shared ``CheckResult`` per name.
@@ -180,7 +180,7 @@ def build_diagram(h: BoolHom) -> DiagramBundle:
     embed1 = beta1.embed
     composed = tuple([embed1[v] for v in h_star.table])
     candidates = extension_candidates(beta2, composed, beta1.space)
-    via_extension = sole_extension(beta2, beta1.space, candidates)
+    via_extension = sole_extension(candidates)
     via_formula = beta_lift(h_star, beta2, beta1)
     double_dual = _double_dual_entries(h, via_extension, range(1 << beta1.base.size))
     return DiagramBundle(
@@ -356,7 +356,7 @@ def _hom_checks(h: BoolHom, bundle: DiagramBundle, sigma_table) -> list[CheckRes
         inverse = [0] * (full2 + 1)
         for a, b in enumerate(sigma_table):
             inverse[b] = a
-        iso_ok = _carries(bytes(inverse), n2, n1, 0)
+        iso_ok = atom_additive(inverse, n2, n1)
 
     def unless(law_holds: bool) -> dict | None:
         return None if law_holds else {"table": list(sigma_table)}
@@ -461,23 +461,6 @@ def _hom_law_witness(sigma_table, n1: int, n2: int) -> dict | None:
         if sigma_table[full1 ^ a] != full2 ^ s:
             return {"law": "complement", "element": a}
     raise InvariantViolation("a table that keeps every law is not atom additive", list(sigma_table))
-
-
-def _carries(image: bytes, n1: int, n2: int, op: int) -> bool:
-    """Whether a table from the n1-bit to the n2-bit masks carries ``&``
-    (op 0) or ``|`` (op 1) over all pairs, compared as one block."""
-    rows = _mask_ops(n2)[op]
-    return _law_blocks(n1)[op].translate(image.ljust(256, b"\0")) == b"".join(
-        [image.translate(rows[s]) for s in image]
-    )
-
-
-@cache
-def _law_blocks(n: int) -> tuple[bytes, bytes]:
-    """Over the n-bit masks, the tables of ``x & y`` and of ``x | y``, each
-    one flat block of 2**n rows x of 2**n bytes."""
-    size = 1 << n
-    return tuple(b"".join([row[:size] for row in rows]) for rows in _mask_ops(n)[:2])
 
 
 def full_hom_instance(

@@ -14,6 +14,7 @@ import time
 from contextlib import contextmanager
 from pathlib import Path
 
+import stonecheck.audit as audit
 from stonecheck.algebra import (
     all_homs,
     hom_from_atom_function,
@@ -211,6 +212,15 @@ def test_criterion_8_oracle_independence_audit():
         assert "duality.hat_phi_point_mask" in result.diagram_reachable
         assert "extension.sigma_extend" not in result.diagram_reachable
         assert "algebra.all_filters" not in result.diagram_reachable
+
+
+def test_the_audit_allows_only_the_helpers_it_names(monkeypatch):
+    # the two paths share exactly the listed helpers, and one dropped from
+    # the list is a violation, even one from the algebra core
+    assert audit_ownership().shared == audit.SHARED_ALLOWED
+    allowed = tuple(name for name in audit.SHARED_ALLOWED if name != "algebra.ultrafilters")
+    monkeypatch.setattr(audit, "SHARED_ALLOWED", allowed)
+    assert audit_ownership().violations == ("algebra.ultrafilters",)
 
 
 def run_cli(*args):

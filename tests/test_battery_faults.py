@@ -13,7 +13,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import stonecheck.harness as harness
-from stonecheck.algebra import hom_from_atom_function, powerset_algebra
+from stonecheck.algebra import _preimage_table, hom_from_atom_function, powerset_algebra
 from stonecheck.cli import main
 from stonecheck.harness import (
     VerificationReport,
@@ -53,8 +53,10 @@ def _wrong_lift(bundle):
 
 
 def _wrong_extension(bundle):
-    table = _shifted(bundle.h_star_beta.table, bundle.beta1.space.size)
-    return replace(bundle, h_star_beta=replace(bundle.h_star_beta, table=table))
+    points = bundle.beta1.space.size
+    table = _shifted(bundle.h_star_beta.table, points)
+    pre = _preimage_table(table, points)
+    return replace(bundle, h_star_beta=replace(bundle.h_star_beta, table=table, preimages=pre))
 
 
 def _wrong_double_dual(bundle):
@@ -149,7 +151,8 @@ def test_disagreeing_lift_is_a_failed_check_not_an_error(monkeypatch, capsys):
 
     def wrong_lift(f, bx, by):
         lifted = real_lift(f, bx, by)
-        return replace(lifted, table=_shifted(lifted.table, by.space.size))
+        table = _shifted(lifted.table, by.space.size)
+        return replace(lifted, table=table, preimages=_preimage_table(table, by.space.size))
 
     monkeypatch.setattr(harness, "beta_lift", wrong_lift)
     code = main(["verify", str(SAMPLE), "identity_four", "--json"])

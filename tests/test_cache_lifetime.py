@@ -23,7 +23,6 @@ import stonecheck.cli as cli
 from stonecheck.algebra import UltraFilter, powerset_algebra, ultrafilters, validate_hom
 from stonecheck.compactification import BetaSpace, beta_space
 from stonecheck.documents import parse_document
-from stonecheck.duality import ContinuousMap, discrete_space
 from stonecheck.errors import NotMeetPreserving
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -142,14 +141,11 @@ def _fresh(name: str):
     ufs = ultrafilters(powerset_algebra(2))
     if name == "indicator":
         return UltraFilter(ufs[0].algebra, ufs[0].filter, ufs[0].atom)
-    if name == "preimages":
-        space = discrete_space(range(2))
-        return ContinuousMap(space, space, (1, 0))
     beta = beta_space(ufs)
     return BetaSpace(beta.compactification, beta.points_as_ultrafilters, beta.algebra)
 
 
-@pytest.mark.parametrize("name", ["indicator", "preimages", "point_rows"])
+@pytest.mark.parametrize("name", ["indicator", "point_rows"])
 def test_a_derived_value_is_computed_once_into_the_cache_field(name):
     obj = _fresh(name)
     info = getattr(type(obj), name).fget.cache_info

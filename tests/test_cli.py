@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -34,6 +35,7 @@ from stonecheck.harness import (
 
 SAMPLE = Path(__file__).resolve().parents[1] / "src/stonecheck/data/sample_document.json"
 GOLDEN_DIR = Path(__file__).resolve().parent / "data"
+QUOTED = GOLDEN_DIR / "quoted_labels.json"
 
 
 def run_cli(*args):
@@ -93,6 +95,40 @@ def test_dual_dot_output(tmp_path):
     text = out.read_text()
     assert text.startswith('digraph "four"')
     assert "e0 -> e1" in text
+
+
+# a quoted DOT string: anything but a quote or a backslash, or an escaped character
+DOT_STRING = re.compile(r'"((?:[^"\\]|\\.)*)"')
+
+
+def dot_strings(text: str) -> list[str]:
+    """The text of every quoted string of a DOT file, un-escaped, asserting
+    that no line leaves a quote open."""
+    strings = []
+    for line in text.splitlines():
+        assert '"' not in DOT_STRING.sub("", line), line
+        strings += [re.sub(r"\\(.)", r"\1", s) for s in DOT_STRING.findall(line)]
+    return strings
+
+
+def test_dot_escapes_quotes_and_backslashes_in_names_and_labels(tmp_path, capsys):
+    hasse = tmp_path / "hasse.dot"
+    assert main(["dual", str(QUOTED), 'four"\\', "--dot", "--out", str(hasse)]) == 0
+    strings = dot_strings(hasse.read_text())
+    assert strings[0] == 'four"\\'
+    assert strings[1::2] == ["bot\\", 'x"y', '"right', 'top"\\']
+    for hom, tip in [
+        ('id"\\', 'bot\\->bot\\; x"y->x"y; "right->"right; top"\\->top"\\'),
+        ('collapse"', 'bot\\->0\\; x"y->"1; "right->0\\; top"\\->"1'),
+    ]:
+        diagram = tmp_path / "diagram.dot"
+        assert main(["diagram", str(QUOTED), hom, "--out", str(diagram)]) == 0
+        strings = dot_strings(diagram.read_text())
+        assert strings[0] == hom
+        assert 'B1 = four"\\ (4 elements)' in strings
+        assert tip in strings
+    assert 'B2 = two\\ (2 elements)' in strings
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("document", [str(SAMPLE), "missing-document.json"])

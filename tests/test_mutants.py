@@ -258,34 +258,28 @@ def test_recognizer_mutant_fails_its_pinned_check(name):
 # name -> (module, function, original line, replacement, the check that kills it)
 FAST_PATH_MUTANTS = {
     # continuity tested on the first open only, which is always the empty set
-    "map_continuity_first_open": (
+    "continuity_first_open": (
         duality,
-        "_checked_map",
-        "issuperset(map(pre.__getitem__, opens))",
-        "issuperset(map(pre.__getitem__, opens[:1]))",
+        "_continuous",
+        "map(pre.__getitem__, topology(target))",
+        "map(pre.__getitem__, topology(target)[:1])",
         "coarse_map_is_not_continuous",
     ),
-    "search_continuity_first_open": (
-        compactification,
-        "_forced_tables",
-        "issuperset(map(pre.__getitem__, target_opens))",
-        "issuperset(map(pre.__getitem__, target_opens[:1]))",
-        "coarse_space_search",
-    ),
-    # the search hands sole_extension the preimage table of the complements
+    # the search's maps keep the preimage table of the complements
     "handed_preimages_reversed": (
         compactification,
         "_forced_tables",
-        "accepted.preimages = pre",
-        "accepted.preimages = pre[::-1]",
+        "yield ContinuousMap(space, target, tuple(table), pre)",
+        "yield ContinuousMap(space, target, tuple(table), pre[::-1])",
         "sigma_equals_double_dual",
     ),
-    # the search yields each table it accepts twice
+    # the search yields each map it makes twice
     "duplicate_yield": (
         compactification,
         "_forced_tables",
-        "yield accepted",
-        "yield accepted\n            yield accepted",
+        "yield ContinuousMap(space, target, tuple(table), pre)",
+        "yield ContinuousMap(space, target, tuple(table), pre)\n"
+        "            yield ContinuousMap(space, target, tuple(table), pre)",
         "unique_continuous_extension",
     ),
     # the lemma's prefilter compares the member rows with themselves
@@ -296,12 +290,13 @@ FAST_PATH_MUTANTS = {
         '& ~int.from_bytes(members, "big")',
         "every_check_fails_under_a_fault",
     ),
-    # the block of pairs is compared with its first row only
-    "operation_block_first_row": (
+    # the isomorphism law is tested on the inverse read backwards, which
+    # complements every entry
+    "iso_inverse_reversed": (
         harness,
-        "_carries",
-        "for s in image]",
-        "for s in image[:1]]",
+        "_hom_checks",
+        "iso_ok = atom_additive(inverse, n2, n1)",
+        "iso_ok = atom_additive(inverse[::-1], n2, n1)",
         "sigma_isomorphism_when_isomorphism",
     ),
     # the Stone embedding of the last element, top, is the empty set

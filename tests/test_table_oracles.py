@@ -7,8 +7,9 @@ scan, the per-set forward image, the pair-by-pair homomorphism-law loop
 of the battery, and the filter-quantified double loop of ``sigma_extend``.
 The tables must agree with them exactly, including the first witness and
 the exception raised on corrupted input.  ``algebra.atom_additive``, the
-battery's fast hom-law test, must accept exactly the tables that the
-pair loop passes, whatever ints they hold.
+battery's fast test of the hom laws and of the isomorphism law, must
+accept exactly the tables that the pair loop passes, whatever ints they
+hold.
 """
 
 import dataclasses
@@ -24,6 +25,7 @@ from stonecheck.algebra import (
     _preimage_table,
     all_filters,
     all_homs,
+    atom_additive,
     boolean_algebra_of_up_sets,
     export_presentation,
     hom_from_atom_function,
@@ -34,8 +36,8 @@ from stonecheck.algebra import (
 )
 from stonecheck.compactification import beta_lift, beta_space, extension_candidates
 from stonecheck.duality import (
-    ContinuousMap,
     _hat_phi_fibres,
+    continuous_map,
     discrete_space,
     dual_map,
     hat_phi_table,
@@ -126,7 +128,7 @@ def test_preimage_table_matches_preimage_mask_on_random_tables():
         source = discrete_space(range(rng.randint(1, 5)))
         target = discrete_space(range(rng.randint(1, 5)))
         table = tuple(rng.randrange(target.size) for _ in range(source.size))
-        f = ContinuousMap(source, target, table)
+        f = continuous_map(source, target, table)
         expected = [ref_preimage_mask(table, m) for m in range(1 << target.size)]
         assert _preimage_table(table, target.size) == expected
         assert f.preimages == expected
@@ -595,8 +597,9 @@ def membership_faults(bundle):
     """Diagrams with one arrow or one point order wrong."""
     points1 = bundle.beta1.space.size
     table = tuple((v + 1) % points1 for v in bundle.h_star_beta.table)
+    pre = _preimage_table(table, points1)
     yield dataclasses.replace(
-        bundle, h_star_beta=dataclasses.replace(bundle.h_star_beta, table=table)
+        bundle, h_star_beta=dataclasses.replace(bundle.h_star_beta, table=table, preimages=pre)
     )
     yield dataclasses.replace(
         bundle,
@@ -606,7 +609,10 @@ def membership_faults(bundle):
     )
     h_star = bundle.h_star
     shifted = tuple((v + 1) % h_star.target.size for v in h_star.table)
-    yield dataclasses.replace(bundle, h_star=dataclasses.replace(h_star, table=shifted))
+    pre = _preimage_table(shifted, h_star.target.size)
+    yield dataclasses.replace(
+        bundle, h_star=dataclasses.replace(h_star, table=shifted, preimages=pre)
+    )
 
 
 def test_preimage_membership_rows_give_the_scan_witness_on_faulty_diagrams():
@@ -657,10 +663,11 @@ def test_forward_image_rows_give_the_scan_witness_on_faulty_diagrams():
     assert failures > 100
 
 
-def test_operation_blocks_match_the_pair_loop_on_bijections():
-    # the isomorphism law of the battery reads the meet block of the inverse
-    # table; automorphisms of the powerset carry both operations, most other
-    # bijections neither
+def test_atom_additivity_matches_the_pair_loops_on_bijections():
+    # the isomorphism law of the battery tests the inverse table by atom
+    # additivity: a bijection of the powerset that carries either operation
+    # is an automorphism, so it carries both, and most other bijections
+    # carry neither
     rng = random.Random(15)
     verdicts = []
     for n in range(1, 5):
@@ -671,13 +678,14 @@ def test_operation_blocks_match_the_pair_loop_on_bijections():
         ]
         tables += [rng.sample(range(size), size) for _ in range(40)]
         for table in tables:
-            for op, apply in ((0, int.__and__), (1, int.__or__)):
+            additive = atom_additive(table, n, n)
+            for apply in (int.__and__, int.__or__):
                 expected = all(
                     table[apply(x, y)] == apply(table[x], table[y])
                     for x in range(size)
                     for y in range(size)
                 )
-                assert harness._carries(bytes(table), n, n, op) == expected
+                assert additive == expected
                 verdicts.append(expected)
     assert True in verdicts and False in verdicts
 

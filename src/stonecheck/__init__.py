@@ -15,9 +15,7 @@ from .algebra import (
     all_filters,
     all_homs,
     all_ideals,
-    atoms_of,
     hom_from_atom_function,
-    identity_hom,
     powerset_algebra,
     ultrafilters,
     validate_boolean_algebra,

@@ -37,10 +37,9 @@ to name its first witness, and slice the target's rows as they go.
 
 Filters are stored extensionally (as element sets).  The fast enumeration
 exploits that every filter of a finite lattice is a principal up-set; the
-subset-scanning brute-force enumeration is kept alongside as a cross-check
-oracle for the test suite.  Ideals are the filters of the order dual, which
-reuses the lattice's own tables with the order, the operations, and the
-bounds swapped.  An ultrafilter also keeps a 256-byte ``indicator``, so
+tests check it against a scan of every subset.  Ideals are the filters of
+the order dual, which reuses the lattice's own tables with the order, the
+operations, and the bounds swapped.  An ultrafilter also keeps a 256-byte ``indicator``, so
 that membership of a whole row of elements is one ``bytes.translate``;
 ``ultrafilter_rows`` keys the ultrafilters by the resulting rows.
 
@@ -526,18 +525,6 @@ def validate_boolean_algebra(
     return boolean_algebra_of_up_sets(up, complement)
 
 
-def atoms_of(algebra: FinBoolAlg) -> tuple[int, ...]:
-    """All minimal nonzero elements (empty for the one-element algebra)."""
-    return algebra.atoms
-
-
-def export_presentation(algebra: FinBoolAlg) -> tuple[int, list[tuple[int, int]], tuple[int, ...]]:
-    """Dump an algebra back to the abstract form accepted by the validator."""
-    n = algebra.size
-    pairs = [(i, j) for i in range(n) for j in range(n) if algebra.leq_of(i, j)]
-    return n, pairs, algebra.complement
-
-
 @cache
 def powerset_algebra(n: int) -> FinBoolAlg:
     """The 2**n-element powerset algebra; element index == atom mask."""
@@ -599,24 +586,12 @@ def ultrafilter_rows(ufs: Sequence[UltraFilter]) -> dict[bytes, int]:
     return {u.indicator[: u.algebra.size]: k for k, u in enumerate(ufs)}
 
 
-def is_filter(lattice: FinLattice, members: frozenset[int]) -> bool:
-    if lattice.top not in members:
-        return False
-    for i in members:
-        if not lattice.poset.upset(i) <= members:
-            return False
-        for j in members:
-            if lattice.meet[i][j] not in members:
-                return False
-    return True
-
-
 @object_cache
 def all_filters(lattice: FinLattice) -> tuple[Filter, ...]:
     """Every filter of a finite lattice: the principal up-sets, one per element.
 
-    Ordered by generating element index.  ``all_filters_bruteforce`` is the
-    subset-scanning oracle this enumeration is tested against.
+    Ordered by generating element index.  The tests check it against a
+    scan of every subset.
     """
     return tuple(
         Filter(lattice, lattice.poset.upset(x)) for x in range(lattice.size)
@@ -629,30 +604,12 @@ def all_ideals(lattice: FinLattice) -> tuple[Filter, ...]:
     return all_filters(order_dual(lattice))
 
 
-def all_filters_bruteforce(lattice: FinLattice) -> set[frozenset[int]]:
-    """Scan all subsets against the filter axioms (cross-check oracle)."""
-    n = lattice.size
-    if n > MAX_BRUTE_FORCE_CARRIER:
-        raise BoundExceeded("subset scan capped", n)
-    found = set()
-    for bits in range(1 << n):
-        members = frozenset(i for i in range(n) if bits >> i & 1)
-        if members and is_filter(lattice, members):
-            found.add(members)
-    return found
-
-
-def all_ideals_bruteforce(lattice: FinLattice) -> set[frozenset[int]]:
-    """Scan all subsets against the ideal axioms (cross-check oracle)."""
-    return all_filters_bruteforce(order_dual(lattice))
-
-
 @object_cache
 def ultrafilters(algebra: FinBoolAlg) -> tuple[UltraFilter, ...]:
     """All maximal proper filters, sorted by the generating atom's mask.
 
     In a finite Boolean algebra these are exactly the principal up-sets of
-    atoms; ``ultrafilters_bruteforce`` provides the maximality-based oracle.
+    atoms; the tests check them against the maximal proper filters.
     """
     if algebra.bottom == algebra.top:
         raise DegenerateAlgebra("the one-element algebra has no proper filters")
@@ -663,17 +620,6 @@ def ultrafilters(algebra: FinBoolAlg) -> tuple[UltraFilter, ...]:
     ]
     ufs.sort(key=lambda u: algebra.mask_of(u.atom))
     return tuple(ufs)
-
-
-def ultrafilters_bruteforce(algebra: FinBoolAlg) -> set[frozenset[int]]:
-    """Maximal proper filters found by scanning all filters (oracle)."""
-    if algebra.bottom == algebra.top:
-        raise DegenerateAlgebra("the one-element algebra has no proper filters")
-    proper = [
-        f for f in all_filters_bruteforce(algebra.lattice)
-        if algebra.bottom not in f
-    ]
-    return {f for f in proper if not any(f < g for g in proper)}
 
 
 @dataclass(frozen=True)
@@ -777,10 +723,6 @@ def _unpreserved(
     return divmod(_first_difference(lhs, rhs), len(image))
 
 
-def identity_hom(algebra: FinBoolAlg) -> BoolHom:
-    return validate_hom(tuple(range(algebra.size)), algebra, algebra)
-
-
 def compose_homs(outer: BoolHom, inner: BoolHom) -> BoolHom:
     """The homomorphism outer∘inner (inner applied first)."""
     if inner.target is not outer.source:
@@ -833,16 +775,3 @@ def all_homs(source: FinBoolAlg, target: FinBoolAlg) -> tuple[BoolHom, ...]:
     if len(homs) != expected or len({h.table for h in homs}) != expected:
         raise InvariantViolation("hom enumeration does not match the duality count")
     return homs
-
-
-def all_homs_bruteforce(source: FinBoolAlg, target: FinBoolAlg) -> set[tuple[int, ...]]:
-    """All hom tables found by filtering every raw table (oracle; tiny sizes only)."""
-    if target.size ** source.size > 1 << MAX_BRUTE_FORCE_CARRIER:
-        raise BoundExceeded("table scan capped", (source.size, target.size))
-    found = set()
-    for table in itertools.product(range(target.size), repeat=source.size):
-        try:
-            found.add(validate_hom(table, source, target).table)
-        except (NotMeetPreserving, NotJoinPreserving, NotComplementPreserving):
-            pass
-    return found

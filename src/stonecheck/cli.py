@@ -19,9 +19,11 @@ import argparse
 import json
 import os
 import sys
+import time
 from collections.abc import Iterable, Iterator
 from functools import cache
 from json.encoder import encode_basestring_ascii
+from operator import is_
 from pathlib import Path
 
 from . import __version__
@@ -31,10 +33,11 @@ from .duality import dual_space, phi_table
 from .errors import LibraryBug, StonecheckError
 from .extension import canonical_extension, is_compact, is_dense
 from .harness import (
+    InstanceReport,
     VerificationReport,
     build_diagram,
-    exhaustive_suite,
     full_hom_instance,
+    suite_plan,
 )
 
 SCHEMA_VERSION = 1
@@ -69,26 +72,51 @@ def _descriptor_text(descriptor: dict) -> str:
     return f"{{\n{body}\n      }}" if lines else "{}"
 
 
-def _report_pieces(report: VerificationReport, input_digest: str) -> Iterator[str]:
-    """The report file's text in order: the envelope head, one piece per
-    instance, then the tail; joined, the same bytes as ``json.dumps(payload,
-    sort_keys=True, indent=2) + "\\n"`` over the schema envelope and
-    ``report_jsonable(report)``.
+class _Tally:
+    """Counts the instances and checks written and whether all passed; with
+    the ``total`` of a run and a terminal as stderr, it also shows ``k/total
+    instances`` there after the first second, at most once a second."""
 
-    The text is composed from ``json.dumps`` pieces instead, so that each
-    distinct ``checks`` list is encoded once, keyed by the identities of its
-    ``CheckResult`` objects (repeated sampled draws share a list, all-pass
-    lists the one passing result per name), each witness-free check row,
-    which is the same text wherever its name and verdict recur, is encoded
-    once per report, and descriptors are written without the pure-Python
-    ``indent`` encoder where their shape allows (``_descriptor_text``).
-    The splice is exact because ``json.dumps`` escapes every newline inside
-    a string, so every literal newline in a piece is structural and
-    re-indenting a piece is a plain replace.  Only those two caches and the
-    current piece are held: never the report text.
+    def __init__(self, total: int | None = None) -> None:
+        self.instances, self.checks, self.passed = 0, 0, True
+        self.total = total if total is not None and sys.stderr.isatty() else None
+        self.due = _clock() + 1.0
+
+    def add(self, checks: int, passed: bool) -> None:
+        self.instances += 1
+        self.checks += checks
+        self.passed = self.passed and passed
+        if self.total is not None and (now := _clock()) >= self.due:
+            print(f"{self.instances}/{self.total} instances", file=sys.stderr, flush=True)
+            self.due = now + 1.0
+
+
+_clock = time.monotonic
+
+
+def _report_pieces(
+    stream: Iterable[tuple[InstanceReport, int | None]],
+    input_digest: str,
+    tally: _Tally,
+) -> Iterator[str]:
+    """The report file's text, a piece per instance of ``stream`` as it
+    comes, the envelope head with the first; joined, the bytes of
+    ``json.dumps(payload, sort_keys=True, indent=2) + "\\n"`` over the schema
+    envelope and ``report_jsonable`` of the instances, counted in ``tally``.
+    A hom that the stream marks as repeated (``harness.SuitePlan.run``) has
+    its checks and descriptor text encoded once; each later draw splices
+    in its own ``sample_index``.  A ``checks`` list that holds the same
+    ``CheckResult`` objects as the one before it (all-pass lists share one
+    per name) reuses its text; a witness-free row is encoded once per name
+    and verdict.  The splices are exact because ``json.dumps`` escapes
+    every newline in a string.  Never held: the report text, nor an
+    instance once written.
     """
-    checks_text: dict[tuple[int, ...], str] = {}
+    # the last checks list with its text: kept alive, so that no object in
+    # it is freed and no later list can hold an object of the same identity
+    last: tuple[list, str, bool] = ([], "[]", True)
     rows_text: dict[tuple[str, str], str] = {}
+    repeat_text: dict[int, tuple[str, bool, str, str]] = {}
 
     def row_text(check) -> str:
         if check.witness is not None:
@@ -99,30 +127,43 @@ def _report_pieces(report: VerificationReport, input_digest: str) -> Iterator[st
             text = rows_text[key] = _indented(check.as_row(), 8)
         return text
 
-    yield (
-        "{\n"
-        f'  "input_digest": {json.dumps(input_digest)},\n'
-        '  "instances": ['
-    )
-    separator = "\n"
-    for inst in report.instances:
-        key = tuple(map(id, inst.checks))
-        checks = checks_text.get(key)
-        if checks is None:
-            rows = ",\n        ".join([row_text(c) for c in inst.checks])
-            checks = checks_text[key] = (
-                f"[\n        {rows}\n      ]" if inst.checks else "[]"
-            )
+    def checks_piece(checks) -> tuple[str, bool]:
+        nonlocal last
+        same = len(checks) == len(last[0]) and all(map(is_, checks, last[0]))
+        if not same:
+            rows = ",\n        ".join([row_text(c) for c in checks])
+            text = f"[\n        {rows}\n      ]" if checks else "[]"
+            last = (checks, text, all(c.verdict == "pass" for c in checks))
+        return last[1:]
+
+    # sent with the first instance: a run that stops before it writes nothing
+    head = f'{{\n  "input_digest": {json.dumps(input_digest)},\n  "instances": ['
+    separator = head
+    for inst, repeat in stream:
+        known = repeat_text.get(repeat)
+        if known is None:
+            checks, passed = checks_piece(inst.checks)
+            descriptor = _descriptor_text(inst.descriptor)
+            if repeat is not None:
+                marker = f'"sample_index": {inst.descriptor["sample_index"]}'
+                before, _, after = descriptor.rpartition(marker)
+                repeat_text[repeat] = (checks, passed, before + '"sample_index": ', after)
+        else:
+            checks, passed, before, after = known
+            descriptor = before + str(inst.descriptor["sample_index"]) + after
+        tally.add(len(inst.checks), passed)
+        # the stream makes its next instance while this frame waits
+        del inst
         yield (
-            f"{separator}    {{\n"
+            f"{separator}\n    {{\n"
             f'      "checks": {checks},\n'
-            f'      "descriptor": {_descriptor_text(inst.descriptor)},\n'
+            f'      "descriptor": {descriptor},\n'
             '      "timing_ms": 0\n'
             "    }"
         )
-        separator = ",\n"
+        separator = ","
     yield (
-        ("\n  ]" if report.instances else "]")
+        (head + "]" if separator is head else "\n  ]")
         + f',\n  "schema_version": {json.dumps(SCHEMA_VERSION)},\n'
         f'  "tool_version": {json.dumps(__version__)}\n'
         "}\n"
@@ -133,7 +174,8 @@ def report_json(report: VerificationReport, input_digest: str) -> str:
     """The report file as one string: the joined pieces of
     ``_report_pieces``.  For library callers and tests; the CLI streams the
     pieces through ``write_pieces`` instead of holding the text."""
-    return "".join(_report_pieces(report, input_digest))
+    stream = ((inst, None) for inst in report.instances)
+    return "".join(_report_pieces(stream, input_digest, _Tally()))
 
 
 def exit_code_for_report(report: VerificationReport) -> int:
@@ -149,13 +191,14 @@ def _load_document(path: str) -> tuple[Document, str]:
 
 
 class _OutputFile:
-    """The ``--out`` file as a sink.  An OSError in opening, writing or
-    closing it is the ``cannot write`` error (exit 2); one raised by another
-    sink written in the same pass, such as stdout, is not."""
+    """The ``--out`` file as a sink, buffered 64 KiB so that a report written
+    while the battery runs costs few system calls.  An OSError in opening,
+    writing or closing it is the ``cannot write`` error (exit 2); one raised
+    by another sink written in the same pass, such as stdout, is not."""
 
     def __init__(self, out: str) -> None:
         self.out = out
-        self.fh = self._call(open, out, "w", encoding="utf-8")
+        self.fh = self._call(open, out, "w", 1 << 16, encoding="utf-8")
 
     def _call(self, func, *args, **kwargs):
         try:
@@ -344,7 +387,8 @@ def _cmd_verify(args) -> int:
         )
         if args.document is not None:
             raise UsageError("--all does not take a document")
-        report = exhaustive_suite(args.max_atoms, sample)
+        plan = suite_plan(args.max_atoms, sample)
+        stream, total = plan.run(), len(plan)
         digest = document_digest(digest_text)
     else:
         if args.document is None or args.hom is None:
@@ -353,15 +397,14 @@ def _cmd_verify(args) -> int:
             raise UsageError("--max-atoms/--seed/--count only apply to --all")
         doc, digest = _load_document(args.document)
         hom = doc.hom(args.hom)
-        report = VerificationReport([full_hom_instance(hom, name=args.hom)])
-        report.sort()
+        stream, total = [(full_hom_instance(hom, name=args.hom), None)], None
 
-    code = exit_code_for_report(report)
-    write_pieces(_report_pieces(report, digest), args.out, echo=args.json)
+    tally = _Tally(total)
+    write_pieces(_report_pieces(stream, digest, tally), args.out, echo=args.json)
+    code = 0 if tally.passed else 1
     if args.out is not None and not args.json:
-        total = sum(len(i.checks) for i in report.instances)
         status = "all passed" if code == 0 else "COUNTEREXAMPLE FOUND"
-        write_pieces([f"{len(report.instances)} instances, {total} checks: {status}\n"])
+        write_pieces([f"{tally.instances} instances, {tally.checks} checks: {status}\n"])
     return code
 
 

@@ -35,12 +35,12 @@ literal scan.  A passing check is one shared ``CheckResult`` per name.
 from __future__ import annotations
 
 import itertools
-import json
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .algebra import (
     MAX_ATOMS,
@@ -126,13 +126,6 @@ class VerificationReport:
     @property
     def all_passed(self) -> bool:
         return all(inst.passed for inst in self.instances)
-
-    def sort(self) -> None:
-        self.instances.sort(key=lambda i: _sort_key(i.descriptor))
-
-
-# the text of json.dumps(value, sort_keys=True), from one shared encoder
-_sort_key = json.JSONEncoder(sort_keys=True).encode
 
 
 def report_jsonable(report: VerificationReport) -> list[dict]:
@@ -509,58 +502,95 @@ def algebra_instance(atom_count: int) -> InstanceReport:
     return InstanceReport(descriptor, checks, int((time.perf_counter() - start) * 1000))
 
 
-def exhaustive_suite(
-    max_atoms: int, sample: tuple[int, int] | None = None
-) -> VerificationReport:
-    """Run the full battery over all (or a seeded sample of) homomorphisms.
+@dataclass(frozen=True)
+class SuitePlan:
+    """Every instance of a suite run in report order (``suite_plan``).  A hom
+    entry is (source atoms, atom function, hom or None, sample index, that
+    of the hom's first draw, whether another draw repeats the hom)."""
 
-    Exhaustive mode iterates every pair of powerset algebras with at most
-    ``max_atoms`` atoms and every homomorphism between them; sampled mode
-    draws ``count`` atom functions from a seeded generator.  Output is
-    deterministic given the same arguments.
+    homs: list[tuple]
+    algebra_sizes: list[int]
 
-    A sampled draw that repeats an earlier one (same source size and atom
-    function) reuses the verdicts of its first draw: its instance shares
-    that draw's ``checks`` list and copies its descriptor, with its own
-    ``sample_index`` and ``timing_ms`` 0.  The battery is a function of the
-    homomorphism alone, so every distinct homomorphism still gets every
-    check.  The memo is local to the call, so a patched fault is seen and
-    nothing outlives the run.  A range that checks nothing (``max_atoms`` or
-    ``count`` below 1) raises ValueError and one above ``MAX_ATOMS``
-    BoundExceeded, both before any work.
-    """
+    def __len__(self) -> int:
+        return len(self.homs) + len(self.algebra_sizes)
+
+    def run(self) -> Iterator[tuple[InstanceReport, int | None]]:
+        """Make each instance in order, with the sample index of its hom's
+        first draw when another draw repeats the hom, else None.  The
+        battery runs once per distinct hom: every draw of a repeated hom
+        shares the ``checks`` of its first draw, which alone keeps its
+        ``timing_ms``.  No instance is kept, and a repeated hom's verdicts
+        only until its atom function's draws, adjacent in report order, end."""
+        firsts: dict[int, tuple[dict, list[CheckResult], int]] = {}
+        atom_function = None
+        for k1, g, h, i, first_draw, repeated in self.homs:
+            if h is None and first_draw not in firsts:  # a sampled hom's first draw
+                h = hom_from_atom_function(powerset_algebra(k1), powerset_algebra(len(g)), g)
+            if not repeated:
+                extra = None if i is None else {"sample_index": i}
+                yield full_hom_instance(h, extra=extra, atom_function=g), None
+                continue
+            if g != atom_function:
+                firsts.clear()
+                atom_function = g
+            if first_draw not in firsts:
+                inst = full_hom_instance(h, extra={"sample_index": first_draw}, atom_function=g)
+                firsts[first_draw] = (inst.descriptor, inst.checks, inst.timing_ms)
+                del inst
+            descriptor, checks, timing_ms = firsts[first_draw]
+            if i != first_draw:
+                descriptor, timing_ms = dict(descriptor, sample_index=i), 0
+            yield InstanceReport(descriptor, checks, timing_ms), first_draw
+        for k in self.algebra_sizes:
+            yield algebra_instance(k), None
+
+
+def suite_plan(max_atoms: int, sample: tuple[int, int] | None = None) -> SuitePlan:
+    """List every instance of the suite in report order, before any work.
+
+    Exhaustive mode takes every hom between powerset algebras of at most
+    ``max_atoms`` atoms (``all_homs``, which asserts each pair's duality
+    count); sampled mode draws ``count`` atom functions from a seeded
+    generator.  The order is that of the ``json.dumps(descriptor,
+    sort_keys=True)`` texts, found without encoding one: hom texts begin
+    ``{"atom_function": [``, before algebra texts' ``{"atoms": ``, and first
+    differ in the atom function's text, or else in the decimal sample index
+    (source size, when exhaustive), which a comma follows.  A range that
+    checks nothing raises ValueError, one above ``MAX_ATOMS`` BoundExceeded."""
     if max_atoms < 1:
         raise ValueError("max_atoms must be at least 1")
     if sample is not None and sample[1] < 1:
         raise ValueError("sample count must be at least 1")
     if max_atoms > MAX_ATOMS:
         raise BoundExceeded(f"exhaustive suite capped at {MAX_ATOMS} atoms", max_atoms)
-    report = VerificationReport()
-    for k in range(1, max_atoms + 1):
-        report.instances.append(algebra_instance(k))
+    sizes = range(1, max_atoms + 1)
+    homs = []
     if sample is None:
-        for k1 in range(1, max_atoms + 1):
-            for k2 in range(1, max_atoms + 1):
-                # all_homs lists the homs in the order of their atom functions
-                homs = all_homs(powerset_algebra(k1), powerset_algebra(k2))
-                for g, h in zip(itertools.product(range(k1), repeat=k2), homs):
-                    report.instances.append(full_hom_instance(h, atom_function=g))
+        for k1, k2 in itertools.product(sizes, sizes):
+            # all_homs lists the homs in the order of their atom functions
+            functions = itertools.product(range(k1), repeat=k2)
+            pairs = zip(functions, all_homs(powerset_algebra(k1), powerset_algebra(k2)))
+            homs += [(k1, g, h, None, None, False) for g, h in pairs]
+        homs.sort(key=lambda e: (str(list(e[1])), str(e[0])))
     else:
-        seed, count = sample
-        rng = random.Random(seed)
-        first_draws: dict[tuple[int, tuple[int, ...]], InstanceReport] = {}
-        for i in range(count):
+        rng = random.Random(sample[0])
+        draws = []
+        for _ in range(sample[1]):
             k1 = rng.randint(1, max_atoms)
             k2 = rng.randint(1, max_atoms)
-            g = tuple(rng.randrange(k1) for _ in range(k2))
-            first = first_draws.get((k1, g))
-            if first is None:
-                h = hom_from_atom_function(powerset_algebra(k1), powerset_algebra(k2), g)
-                instance = first_draws[k1, g] = full_hom_instance(
-                    h, extra={"sample_index": i}, atom_function=g
-                )
-            else:
-                instance = InstanceReport(dict(first.descriptor, sample_index=i), first.checks)
-            report.instances.append(instance)
-    report.sort()
-    return report
+            draws.append((k1, tuple(rng.randrange(k1) for _ in range(k2))))
+        first_draw: dict[tuple[int, tuple[int, ...]], int] = {}
+        for i, draw in enumerate(draws):
+            first_draw.setdefault(draw, i)
+        counts = Counter(draws)
+        homs = [(*d, None, i, first_draw[d], counts[d] > 1) for i, d in enumerate(draws)]
+        homs.sort(key=lambda e: (str(list(e[1])), str(e[3])))
+    return SuitePlan(homs, sorted(sizes, key=str))
+
+
+def exhaustive_suite(max_atoms: int, sample: tuple[int, int] | None = None) -> VerificationReport:
+    """Run the full battery over all (or a seeded sample of) homomorphisms:
+    the stream of ``suite_plan(max_atoms, sample).run()``, which the CLI
+    writes as it goes, collected.  Each distinct hom gets every check once,
+    and nothing outlives the call, so a patched fault is seen."""
+    return VerificationReport([inst for inst, _ in suite_plan(max_atoms, sample).run()])

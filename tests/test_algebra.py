@@ -1,8 +1,8 @@
 """Algebra core: validation, generators, filters, ultrafilters, homs.
 
 The fast enumerations are cross-checked against the subset-scanning and
-table-scanning oracles, and the frozen expected values below were computed
-with those oracles.
+table-scanning oracles of ``helpers``, and the frozen expected values below
+were computed with those oracles.
 """
 
 import itertools
@@ -11,27 +11,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import (
+    all_filters_bruteforce,
+    all_homs_bruteforce,
+    all_ideals_bruteforce,
+    export_presentation,
+    identity_hom,
+    ultrafilters_bruteforce,
+)
 from stonecheck.algebra import (
     MAX_ATOMS,
     all_filters,
-    all_filters_bruteforce,
     all_homs,
-    all_homs_bruteforce,
     all_ideals,
-    all_ideals_bruteforce,
     atom_function_of_hom,
-    atoms_of,
     compose_homs,
-    export_presentation,
     fin_lattice,
     fin_poset,
     hom_from_atom_function,
-    identity_hom,
     order_dual,
     poset_of_up_sets,
     powerset_algebra,
     ultrafilters,
-    ultrafilters_bruteforce,
     validate_boolean_algebra,
     validate_hom,
 )
@@ -54,7 +55,7 @@ def test_two_element_chain_is_smallest_boolean_algebra():
     algebra = validate_boolean_algebra(2, chain_relation(2), [1, 0])
     assert algebra.atom_count == 1
     assert algebra.bottom == 0 and algebra.top == 1
-    assert atoms_of(algebra) == (1,)
+    assert algebra.atoms == (1,)
 
 
 def test_three_element_chain_has_no_complement_for_middle():
@@ -132,7 +133,7 @@ def test_lattice_validation_rejects_fork():
 def test_powerset_algebra_sizes():
     degenerate = powerset_algebra(0)
     assert degenerate.size == 1 and degenerate.bottom == degenerate.top
-    assert atoms_of(degenerate) == ()
+    assert degenerate.atoms == ()
     assert powerset_algebra(2).size == 4 and powerset_algebra(2).atom_count == 2
     assert powerset_algebra(3).size == 2**3
     with pytest.raises(BoundExceeded):
@@ -140,7 +141,7 @@ def test_powerset_algebra_sizes():
 
 
 def test_powerset_atoms_are_singleton_masks():
-    assert atoms_of(powerset_algebra(3)) == (1, 2, 4)
+    assert powerset_algebra(3).atoms == (1, 2, 4)
 
 
 def test_all_filters_against_bruteforce_oracle():
@@ -218,10 +219,10 @@ def test_ultrafilters_match_maximality_oracle(n):
     algebra = powerset_algebra(n)
     fast = {u.members for u in ultrafilters(algebra)}
     assert fast == ultrafilters_bruteforce(algebra)
-    assert len(ultrafilters(algebra)) == len(atoms_of(algebra))
+    assert len(ultrafilters(algebra)) == len(algebra.atoms)
     # the least element of each ultrafilter is its atom, bijectively
     leasts = [algebra.lattice.meet_all(u.members) for u in ultrafilters(algebra)]
-    assert sorted(leasts) == sorted(atoms_of(algebra))
+    assert sorted(leasts) == sorted(algebra.atoms)
 
 
 def test_ultrafilter_counts():

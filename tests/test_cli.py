@@ -5,8 +5,10 @@ import json
 import os
 import re
 import subprocess
+import itertools
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import pytest
@@ -236,7 +238,7 @@ def test_verify_all_above_the_hom_cap_exits_2_before_any_work(monkeypatch, capsy
     def no_work(*_):
         raise AssertionError("the suite ran")
 
-    monkeypatch.setattr(cli, "exhaustive_suite", no_work)
+    monkeypatch.setattr(cli, "suite_plan", no_work)
     assert main(["verify", "--all", *args]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -314,13 +316,121 @@ def test_writing_a_report_holds_no_copy_of_its_text(tmp_path):
     path = tmp_path / "report.json"
     tracemalloc.start()
     try:
-        cli.write_pieces(cli._report_pieces(report, "d"), str(path))
+        stream = ((inst, None) for inst in report.instances)
+        cli.write_pieces(cli._report_pieces(stream, "d", cli._Tally()), str(path))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert path.read_text(encoding="utf-8") == text
     # building the text whole held about three copies of it
     assert peak < len(text) / 10
+
+
+def test_verify_all_holds_at_most_one_hom_instance_at_a_time(monkeypatch, tmp_path, capsys):
+    # each instance is written as it is made and freed once written; every
+    # repeated draw takes the verdicts of its first, so the battery runs once
+    # per distinct hom
+    real = harness.full_hom_instance
+    made = []
+
+    def tracked(*args, **kwargs):
+        assert [ref for ref in made if ref() is not None] == []
+        inst = real(*args, **kwargs)
+        made.append(weakref.ref(inst))
+        return inst
+
+    monkeypatch.setattr(harness, "full_hom_instance", tracked)
+    out = tmp_path / "report.json"
+    argv = ["verify", "--all", "--max-atoms", "3", "--seed", "7", "--count", "500"]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "503 instances, 5509 checks: all passed\n"
+    assert 1 < len(made) <= 56
+    assert all(ref() is None for ref in made)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "ba4b8ccc7a9d0fb7cc45e2d73b55a1c47e5ff8cc27402cacd1f2958a6361b84d"
+    )
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--max-atoms", str(MAX_ATOMS + 1)),
+        ("--max-atoms", "0"),
+        ("--max-atoms", "3", "--seed", "1", "--count", "0"),
+        ("--max-atoms", str(MAX_ATOMS + 1), "--seed", "1", "--count", "5"),
+    ],
+    ids=["above_cap", "no_atoms", "no_draws", "sampled_above_cap"],
+)
+@pytest.mark.parametrize("existing", [False, True], ids=["new_file", "existing_file"])
+def test_a_range_error_exits_2_before_the_out_file_is_opened(tmp_path, capsys, args, existing):
+    out = tmp_path / "report.json"
+    if existing:
+        out.write_text("kept\n")
+    assert main(["verify", "--all", *args, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("usage error: ")
+    if existing:
+        assert out.read_text() == "kept\n"
+    else:
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "fault_at, digest",
+    [
+        (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        (5, "82977861036e4d33757b1566b20b3efdf6d8c5e699517ce694cf0b833a647016"),
+    ],
+    ids=["first_instance", "fifth_instance"],
+)
+def test_a_library_bug_mid_run_exits_3_and_leaves_the_instances_before_it(
+    monkeypatch, tmp_path, capsys, fault_at, digest
+):
+    # the report is written as the battery runs: the --out file keeps the
+    # envelope head and every instance finished before the fault, with no
+    # tail, so it does not parse; a fault at the first instance leaves it empty
+    whole = tmp_path / "whole.json"
+    argv = ["verify", "--all", "--max-atoms", "3"]
+    assert main([*argv, "--out", str(whole)]) == 0
+    real, calls = harness.full_hom_instance, itertools.count(1)
+
+    def faulty(*args, **kwargs):
+        if next(calls) == fault_at:
+            raise InvariantViolation("seeded library bug")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "full_hom_instance", faulty)
+    capsys.readouterr()
+    out = tmp_path / "report.json"
+    assert main([*argv, "--out", str(out)]) == 3
+    assert capsys.readouterr() == ("", "internal error: seeded library bug\n")
+    text = out.read_text(encoding="utf-8")
+    assert whole.read_text(encoding="utf-8").startswith(text)
+    assert text.count('"descriptor": ') == fault_at - 1
+    assert text == "" or text.endswith("\n    }")
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_verify_all_shows_progress_on_a_terminal_once_a_second(monkeypatch, tmp_path, capsys):
+    # the clock advances a quarter second per reading: the tally reads it
+    # once when the run starts and once per instance
+    out = tmp_path / "report.json"
+    argv = ["verify", "--all", "--max-atoms", "2", "--out", str(out)]
+    assert main(argv) == 0
+    quiet = capsys.readouterr()
+    expected = out.read_bytes()
+    ticks = itertools.count()
+    monkeypatch.setattr(cli, "_clock", lambda: next(ticks) / 4)
+    monkeypatch.setattr(sys.stderr, "isatty", lambda: True)
+    assert main(argv) == 0
+    assert capsys.readouterr() == (quiet.out, "4/10 instances\n8/10 instances\n")
+    assert out.read_bytes() == expected
+    # a named verify has no total and shows nothing; nor does a run on a
+    # stderr that is not a terminal
+    assert main(["verify", str(SAMPLE), "identity_four", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    monkeypatch.setattr(sys.stderr, "isatty", lambda: False)
+    assert main(argv) == 0
+    assert capsys.readouterr() == quiet
 
 
 def test_verify_json_out_writes_the_same_bytes_to_the_file_and_stdout(tmp_path):
@@ -607,6 +717,17 @@ def test_exit_code_mapping_for_failing_report():
         [InstanceReport({"kind": "hom"}, [CheckResult("anything", "info")])]
     )
     assert exit_code_for_report(mistyped) == 1
+    # verify reads the same mapping off the tally of the report it writes,
+    # also when a list with the same names follows a passing one
+    for instances, code in [
+        (failing.instances, 1),
+        (passing.instances, 0),
+        (mistyped.instances, 1),
+        (passing.instances + mistyped.instances, 1),
+    ]:
+        tally = cli._Tally()
+        list(cli._report_pieces(((inst, None) for inst in instances), "d", tally))
+        assert (0 if tally.passed else 1) == code
 
 
 def test_report_json_envelope():

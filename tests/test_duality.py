@@ -6,11 +6,11 @@ from dataclasses import replace
 import pytest
 
 import stonecheck.duality as duality
+from helpers import identity_hom
 from stonecheck.algebra import (
     all_homs,
     compose_homs,
     hom_from_atom_function,
-    identity_hom,
     powerset_algebra,
     ultrafilters,
 )

@@ -13,15 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stonecheck.extension as extension
+from helpers import export_presentation, identity_hom
 from stonecheck.algebra import (
     Filter,
     FinLattice,
     all_homs,
-    export_presentation,
     fin_lattice,
     fin_poset,
     hom_from_atom_function,
-    identity_hom,
     powerset_algebra,
     ultrafilters,
     validate_boolean_algebra,

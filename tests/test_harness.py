@@ -13,10 +13,10 @@ import stonecheck.compactification as compactification
 import stonecheck.duality as duality
 import stonecheck.extension as extension
 import stonecheck.harness as harness
+from helpers import identity_hom
 from stonecheck.algebra import (
     all_homs,
     hom_from_atom_function,
-    identity_hom,
     powerset_algebra,
     ultrafilters,
 )
@@ -332,12 +332,32 @@ def test_reports_sort_deterministically():
     assert keys == sorted(keys)
 
 
-def test_the_sort_key_is_the_text_of_json_dumps():
-    report = exhaustive_suite(2, sample=(5, 40))
-    descriptors = [i.descriptor for i in report.instances]
-    descriptors += [{"name": "é\n\"x\"", "b": [1, 2], "a": {"z": None, "y": 1.5}}]
-    for descriptor in descriptors:
-        assert harness._sort_key(descriptor) == json.dumps(descriptor, sort_keys=True)
+@pytest.mark.parametrize(
+    "max_atoms, sample",
+    [(5, None), (5, (3, 3000)), (4, (7, 2000)), (2, (5, 40)), (1, (1, 12))],
+    ids=["exhaustive_5", "sampled_5", "sampled_4", "sampled_2", "sampled_1"],
+)
+def test_the_plan_orders_instances_by_the_text_of_json_dumps(max_atoms, sample):
+    # the plan's keys never encode a descriptor; the order they give is
+    # that of the descriptors' sorted-key JSON texts
+    plan = harness.suite_plan(max_atoms, sample)
+    descriptors = [
+        {
+            "kind": "hom",
+            "source_atoms": k1,
+            "target_atoms": len(g),
+            "atom_function": list(g),
+            **({} if i is None else {"sample_index": i}),
+        }
+        for k1, g, _, i, _, _ in plan.homs
+    ]
+    descriptors += [{"kind": "algebra", "atoms": k} for k in plan.algebra_sizes]
+    keys = [json.dumps(d, sort_keys=True) for d in descriptors]
+    assert len(plan) == len(keys) and keys == sorted(keys)
+    if sample is not None:
+        assert sorted(d["sample_index"] for d in descriptors[: len(plan.homs)]) == list(
+            range(sample[1])
+        )
 
 
 def report_digest(report):

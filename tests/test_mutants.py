@@ -44,6 +44,7 @@ it no longer names the generic chain's witness.  These are checked against
 pinned orders, not the battery, and are not in the kill matrix.
 """
 
+import hashlib
 import inspect
 import itertools
 import json
@@ -62,6 +63,7 @@ import test_compactification
 import test_powerset_recognition as recognition
 import test_table_oracles as oracles
 import test_validation_oracles as validation
+from helpers import identity_hom
 from stonecheck.cli import main
 from stonecheck.errors import NotContinuous, StonecheckError
 
@@ -127,6 +129,20 @@ def test_unmutated_copy_passes(monkeypatch, tmp_path, capsys):
     code, _ = run_suite(monkeypatch, tmp_path, compiled_sigma_extend(line, line))
     assert code == 0
     assert capsys.readouterr().err == ""
+
+
+def test_failing_exhaustive_report_file_is_pinned(monkeypatch, tmp_path, capsys):
+    # every hom fails with witnesses of its own, and each instance is freed
+    # once written, so a checks text cached by the identities of the
+    # CheckResult objects could be served for a later list that reuses them
+    monkeypatch.setattr(harness, "sigma_extend", compiled_sigma_extend(*MUTANTS["flip_subset_test"]))
+    out = tmp_path / "report.json"
+    assert main(["verify", "--all", "--max-atoms", "3", "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("59 instances, 625 checks: COUNTEREXAMPLE FOUND\n", "")
+    # pinned from the report written before instances were streamed
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "d7a6d46005f18f18fa67272836822e5f26acf24bd18c960bf96abf7c7d78839b"
+    )
 
 
 @pytest.mark.parametrize("name, killed", [
@@ -224,7 +240,7 @@ def test_a_mutant_raises_at_the_module_line_it_replaced(mutated):
         "sigma_extend": (
             extension.sigma_extend,
             "phi2 = phi_table(dst)",
-            lambda *edit: compiled_sigma_extend(*edit)(algebra.identity_hom(four)),
+            lambda *edit: compiled_sigma_extend(*edit)(identity_hom(four)),
         ),
         "_atom_encoding": (
             algebra._atom_encoding,
@@ -331,12 +347,12 @@ FAST_PATH_MUTANTS = {
         "if atom_additive([*sigma_table[:-1], (1 << n2) - 1], n1, n2):",
         "small_table_hom_laws",
     ),
-    # the encoder shares one checks text among lists with the same names
+    # the encoder reuses the last checks text for a list with the same names
     "checks_key_by_names": (
         cli,
         "_report_pieces",
-        "key = tuple(map(id, inst.checks))",
-        "key = tuple(c.name for c in inst.checks)",
+        "same = len(checks) == len(last[0]) and all(map(is_, checks, last[0]))",
+        "same = [c.name for c in checks] == [c.name for c in last[0]]",
         "failing_report_is_pinned",
     ),
 }

@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 import stonecheck.harness as harness
+from helpers import export_presentation, identity_hom
 from stonecheck.algebra import (
     BoolHom,
     _preimage_table,
@@ -27,9 +28,7 @@ from stonecheck.algebra import (
     all_homs,
     atom_additive,
     boolean_algebra_of_up_sets,
-    export_presentation,
     hom_from_atom_function,
-    identity_hom,
     powerset_algebra,
     ultrafilters,
     validate_boolean_algebra,

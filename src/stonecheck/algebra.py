@@ -72,16 +72,15 @@ from .errors import (
 )
 
 # The cap table, the only place a bound is set.  Algebras, and with them
-# homomorphisms and beta spaces (a point per atom), stop at MAX_ATOMS atoms,
-# document carriers at 2**MAX_ATOMS labels, and the table search at
-# MAX_SEARCH_CANDIDATES tables, which lets two MAX_ATOMS-point spaces through;
-# subset scans at MAX_BRUTE_FORCE_CARRIER elements, raw table scans at 2**that
-# many tables.  Byte rows need element indices below 256, so MAX_ATOMS <= 8;
+# homomorphisms, stop at MAX_ATOMS atoms, document carriers at 2**MAX_ATOMS
+# labels, and Stone spaces (``duality.topology``) at MAX_ATOMS points, so the
+# table search tries at most MAX_ATOMS**MAX_ATOMS tables; subset scans stop
+# at MAX_BRUTE_FORCE_CARRIER elements, raw table scans at 2**that many
+# tables.  Byte rows need element indices below 256, so MAX_ATOMS <= 8;
 # and ``extension._assert_complete`` splits its not-above/not-below masks
 # into two bytes, so MAX_BRUTE_FORCE_CARRIER <= 16.
 MAX_ATOMS = 5
 MAX_BRUTE_FORCE_CARRIER = 16
-MAX_SEARCH_CANDIDATES = MAX_ATOMS**MAX_ATOMS
 
 
 def object_cache(func: Callable) -> Callable:

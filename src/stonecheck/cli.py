@@ -178,10 +178,6 @@ def report_json(report: VerificationReport, input_digest: str) -> str:
     return "".join(_report_pieces(stream, input_digest, _Tally()))
 
 
-def exit_code_for_report(report: VerificationReport) -> int:
-    return 0 if report.all_passed else 1
-
-
 def _load_document(path: str) -> tuple[Document, str]:
     try:
         text = Path(path).read_text(encoding="utf-8")

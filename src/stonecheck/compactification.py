@@ -12,10 +12,10 @@ with the values the embedding forces) and the direct ultrafilter formula
 ``lift(f)(U) = {B : preimage of B in U}``.  Their agreement is one of the
 properties the test suite verifies.  One search, ``_forced_tables``, serves
 the extension certificate, the compactification order and equivalence,
-whose witness must also pass ``_is_homeomorphism``.  All three cap the
-nominal table space ``target.size ** space.size`` at
-``MAX_SEARCH_CANDIDATES`` (``_check_search_bound``), and all three return
-the maps the search made.
+whose witness must also pass ``_is_homeomorphism``, and all three return
+the maps the search made.  The search has no cap of its own:
+``duality.topology`` caps every space at ``MAX_ATOMS`` points, so it tries
+at most ``MAX_ATOMS ** MAX_ATOMS`` tables.
 
 Both flavours work a table at a time: each candidate's continuity and the
 lift's image sets read one preimage table of the point map
@@ -42,8 +42,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from .algebra import (
-    MAX_ATOMS,
-    MAX_SEARCH_CANDIDATES,
     FinBoolAlg,
     UltraFilter,
     _preimage_table,
@@ -65,7 +63,6 @@ from .duality import (
     validate_stone,
 )
 from .errors import (
-    BoundExceeded,
     EmptySpace,
     ImageNotDense,
     InvariantViolation,
@@ -155,8 +152,6 @@ def beta_space(points: tuple) -> BetaSpace:
     """
     if len(points) == 0:
         raise EmptySpace("cannot compactify the empty point set")
-    if len(points) > MAX_ATOMS:
-        raise BoundExceeded(f"compactification capped at {MAX_ATOMS} points", len(points))
     n = len(points)
     pow_alg = powerset_algebra(n)
     space = dual_space(pow_alg)
@@ -170,12 +165,6 @@ def beta_space(points: tuple) -> BetaSpace:
         embed.append(hits[0])
     comp = build_compactification(discrete_space(points), space, embed)
     return BetaSpace(comp, ufs, pow_alg)
-
-
-def _check_search_bound(space: FinStoneSpace, target: FinStoneSpace) -> None:
-    total = target.size ** space.size
-    if total > MAX_SEARCH_CANDIDATES:
-        raise BoundExceeded(f"candidate search capped at {MAX_SEARCH_CANDIDATES}", total)
 
 
 def _forced_tables(
@@ -214,7 +203,6 @@ def extension_candidates(
     ft = tuple(map(int, f))
     if len(ft) != bx.base.size or ft and (min(ft) < 0 or max(ft) >= target.size):
         raise ValueError("map must send base points into the target")
-    _check_search_bound(bx.space, target)
     return list(_forced_tables(bx.space, target, zip(bx.embed, ft)))
 
 
@@ -279,9 +267,12 @@ class OrderVerdict:
     witness: ContinuousMap | None = None
 
 
-def _same_base(c1: Compactification, c2: Compactification) -> None:
+def _comparable(c1: Compactification, c2: Compactification) -> None:
+    """Both share the base point set, and both spaces are within the point
+    cap (``topology``), before any table of the search is built."""
     if c1.base.points != c2.base.points:
         raise ValueError("compactifications must share the base point set")
+    topology(c1.space), topology(c2.space)
 
 
 def compactification_leq(c1: Compactification, c2: Compactification) -> OrderVerdict:
@@ -291,8 +282,7 @@ def compactification_leq(c1: Compactification, c2: Compactification) -> OrderVer
     f(c1.embed(x)) = c2.embed(x) for a continuous one, the first in
     lexicographic order; the witness exhibits c2 <= c1.
     """
-    _same_base(c1, c2)
-    _check_search_bound(c1.space, c2.space)
+    _comparable(c1, c2)
     forced = [(c1.embed[i], c2.embed[i]) for i in range(c1.base.size)]
     first = next(_forced_tables(c1.space, c2.space, forced), None)
     return OrderVerdict(first is not None, first)
@@ -301,10 +291,9 @@ def compactification_leq(c1: Compactification, c2: Compactification) -> OrderVer
 def compactification_equivalent(c1: Compactification, c2: Compactification) -> OrderVerdict:
     """As the order check but requiring a homeomorphism witness: the first
     table of the same search that is a bijection with a continuous inverse."""
-    _same_base(c1, c2)
+    _comparable(c1, c2)
     if c1.space.size != c2.space.size:
         return OrderVerdict(False)
-    _check_search_bound(c1.space, c2.space)
     for f in _forced_tables(c1.space, c2.space, zip(c1.embed, c2.embed)):
         if _is_homeomorphism(c1.space, c2.space, f.table):
             return OrderVerdict(True, f)

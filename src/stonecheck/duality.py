@@ -34,6 +34,7 @@ from functools import cache
 from typing import Sequence
 
 from .algebra import (
+    MAX_ATOMS,
     BoolHom,
     FinBoolAlg,
     UltraFilter,
@@ -46,7 +47,7 @@ from .algebra import (
     ultrafilters,
     validate_hom,
 )
-from .errors import InvariantViolation, NotContinuous, NotStone, StonecheckError
+from .errors import BoundExceeded, InvariantViolation, NotContinuous, NotStone, StonecheckError
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,8 +87,12 @@ def topology(space: FinStoneSpace) -> tuple[int, ...]:
 
     The family is treated as a subbase: close under pairwise intersection
     (the empty intersection contributes the whole space), then under
-    pairwise union (the empty union contributes the empty set).
+    pairwise union (the empty union contributes the empty set).  A space of
+    more than ``MAX_ATOMS`` points raises BoundExceeded before any open is
+    generated; every use of a space's opens comes through here.
     """
+    if space.size > MAX_ATOMS:
+        raise BoundExceeded(f"Stone spaces capped at {MAX_ATOMS} points", space.size)
     full = (1 << space.size) - 1
     inters = {full}
     inters.update(space.base_masks())
@@ -126,10 +131,11 @@ def validate_stone(space: FinStoneSpace) -> tuple[int, ...]:
     """Verify the generated topology is Hausdorff and return it.
 
     Cached on the space, so that each space is validated once however many
-    searches use it; a space that fails raises again on every call.  Finite
-    spaces are automatically compact, and a finite Hausdorff space is
-    discrete (hence zero-dimensional); discreteness is asserted as an
-    internal consistency check after the pairwise separation test.
+    searches use it; a space that fails raises again on every call, and one
+    above the point cap raises from ``topology``.  Finite spaces are
+    automatically compact, and a finite Hausdorff space is discrete (hence
+    zero-dimensional); discreteness is asserted as an internal consistency
+    check after the pairwise separation test.
     """
     opens = topology(space)
     for i in range(space.size):

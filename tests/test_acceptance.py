@@ -15,6 +15,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import stonecheck.audit as audit
+import stonecheck.cli as cli
 from stonecheck.algebra import (
     all_homs,
     hom_from_atom_function,
@@ -23,7 +24,6 @@ from stonecheck.algebra import (
     validate_boolean_algebra,
 )
 from stonecheck.audit import audit_ownership
-from stonecheck.cli import exit_code_for_report
 from stonecheck.compactification import (
     beta_extend_to_compact,
     beta_lift,
@@ -44,7 +44,6 @@ from stonecheck.extension import (
 from stonecheck.harness import (
     CheckResult,
     InstanceReport,
-    VerificationReport,
     build_diagram,
     exhaustive_suite,
     full_hom_instance,
@@ -259,12 +258,10 @@ def test_criterion_9_cli_determinism_and_exit_codes(tmp_path):
         assert run_cli("dual", str(SAMPLE), "no_such_name").returncode == 2
         # a counterexample report maps to exit code 1 (no honest input can
         # produce one, so the mapping is pinned on a synthetic report)
-        synthetic = VerificationReport(
-            [
-                InstanceReport(
-                    {"kind": "hom", "name": "synthetic"},
-                    [CheckResult("sigma_equals_double_dual", "fail")],
-                )
-            ]
+        synthetic = InstanceReport(
+            {"kind": "hom", "name": "synthetic"},
+            [CheckResult("sigma_equals_double_dual", "fail")],
         )
-        assert exit_code_for_report(synthetic) == 1
+        tally = cli._Tally()
+        list(cli._report_pieces([(synthetic, None)], "d", tally))
+        assert (0 if tally.passed else 1) == 1

@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 import stonecheck.compactification as compactification
-from stonecheck.algebra import _preimage_table, powerset_algebra, ultrafilters
+from stonecheck.algebra import MAX_ATOMS, _preimage_table, powerset_algebra, ultrafilters
 from stonecheck.compactification import (
     BetaSpace,
     Compactification,
@@ -19,12 +19,15 @@ from stonecheck.compactification import (
     extension_candidates,
 )
 from stonecheck.duality import (
+    clopen_algebra,
+    closure_mask,
     compose_continuous,
     continuous_map,
     discrete_space,
     dual_space,
     stone_space,
     topology,
+    validate_stone,
 )
 from stonecheck.errors import (
     BoundExceeded,
@@ -221,16 +224,42 @@ def test_search_keeps_only_the_continuous_tables_of_a_coarse_space():
     assert rejected > 0
 
 
-def test_search_caps_bound_the_nominal_table_space():
-    # every point is forced, so one table is left, but 6**5 tables are nominal
-    bx = beta_space(tuple("abcde"))
-    target = discrete_space(tuple("pqrstu"))
+def above_the_cap_calls():
+    """One call per entry point that reaches ``topology`` on a space of
+    ``MAX_ATOMS + 1`` points."""
+    six = tuple(f"p{i}" for i in range(MAX_ATOMS + 1))
+    big = discrete_space(six)
+    bx = beta_space(six[:MAX_ATOMS])
+    # every point of the smaller space forced, as the diagram path does
+    into_big = Compactification(bx.base, big, tuple(range(MAX_ATOMS)))
+    forced = Compactification(discrete_space(six), big, tuple(range(MAX_ATOMS + 1)))
+    # a non-dense image: one point embedded, the rest left free
+    free = Compactification(discrete_space(six[:1]), big, (0,))
+    return {
+        "validate_stone": lambda: validate_stone(big),
+        "build_compactification": lambda: build_compactification(big, big, range(len(six))),
+        "extension_candidates": lambda: extension_candidates(bx, range(MAX_ATOMS), big),
+        "leq_forced": lambda: compactification_leq(bx.compactification, into_big),
+        "leq_free": lambda: compactification_leq(free, free),
+        "equivalent_forced": lambda: compactification_equivalent(forced, forced),
+        "equivalent_free": lambda: compactification_equivalent(free, free),
+        "closure_mask": lambda: closure_mask(big, 1),
+        "clopen_algebra": lambda: clopen_algebra(big),
+    }
+
+
+@pytest.mark.parametrize("entry", list(above_the_cap_calls()))
+def test_a_space_above_the_atom_cap_is_refused_before_any_table(entry, monkeypatch):
+    tried = []
+    original = compactification._continuous
+    monkeypatch.setattr(
+        compactification, "_continuous", lambda *args: tried.append(args) or original(*args)
+    )
     with pytest.raises(BoundExceeded) as info:
-        extension_candidates(bx, (0, 1, 2, 3, 5), target)
-    assert info.value.witness == 6**5
-    c = Compactification(bx.base, target, (0, 1, 2, 3, 5))
-    with pytest.raises(BoundExceeded):
-        compactification_leq(bx.compactification, c)
+        above_the_cap_calls()[entry]()
+    assert info.value.witness == MAX_ATOMS + 1
+    assert str(info.value).startswith(f"Stone spaces capped at {MAX_ATOMS} points")
+    assert tried == []
 
 
 def test_lift_of_identity_is_identity():

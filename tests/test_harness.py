@@ -187,6 +187,26 @@ def test_suite_at_three_atoms_matches_duality_count():
     assert report.all_passed
 
 
+def test_each_extension_search_tests_one_table(monkeypatch):
+    # a validated finite Stone space is discrete, so the embedding forces
+    # every point of the beta space and no table is left to enumerate
+    searches, tested = [], []
+    real_search, real_continuous = harness.extension_candidates, compactification._continuous
+
+    def search(*args):
+        before = len(tested)
+        result = real_search(*args)
+        searches.append(len(tested) - before)
+        return result
+
+    monkeypatch.setattr(harness, "extension_candidates", search)
+    monkeypatch.setattr(
+        compactification, "_continuous", lambda *args: tested.append(args) or real_continuous(*args)
+    )
+    exhaustive_suite(3)
+    assert searches == [1] * 56
+
+
 def test_suite_bound():
     with pytest.raises(BoundExceeded):
         exhaustive_suite(algebra.MAX_ATOMS + 1)

@@ -33,7 +33,9 @@ Some shortcuts have equivalent mutants,
 which are not listed: a prefilter or a block comparison made stricter (the
 lemma's ``& ~`` read as ``|``, say) only sends more homomorphisms to the
 literal scan, which finds the same witness or none.  The kill matrix test
-runs every mutant against every check and prints the matrix.
+runs every mutant against every check and prints the matrix; README's
+table "What each check can catch" lists, per battery check, the mutants
+that fail it there, and is checked against it.
 
 Each recognizer mutant is ``algebra._atom_encoding`` with one edit, compiled
 the same way in a copy of the algebra module's namespace together with the
@@ -49,6 +51,8 @@ import inspect
 import itertools
 import json
 import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -298,6 +302,30 @@ FAST_PATH_MUTANTS = {
         "            yield ContinuousMap(space, target, tuple(table), pre)",
         "unique_continuous_extension",
     ),
+    # the search moves each forced value to the next target point
+    "forced_value_shifted": (
+        compactification,
+        "_forced_tables",
+        "        table[point] = value\n",
+        "        table[point] = (value + 1) % target.size\n",
+        "extension_square_commutes",
+    ),
+    # the lift reads the indicators of the source points in reverse order
+    "lift_indicators_reversed": (
+        compactification,
+        "beta_lift",
+        "for indicator in bx.indicators])",
+        "for indicator in bx.indicators[::-1]])",
+        "lift_paths_agree",
+    ),
+    # the forward image of a point set is taken under the reversed table
+    "forward_images_reversed": (
+        harness,
+        "_forward_images",
+        "_subset_unions([1 << v for v in table])",
+        "_subset_unions([1 << v for v in table[::-1]])",
+        "forward_image_in_lifted_ultrafilter",
+    ),
     # the lemma's prefilter compares the member rows with themselves
     "lemma_rows_against_themselves": (
         harness,
@@ -468,6 +496,27 @@ def named_kills(monkeypatch, tmp_path, capsys) -> set[str]:
     return killed
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_catch_table() -> dict[str, set[str]]:
+    """README's "What each check can catch": the mutants named in the last
+    column of each row, keyed by the row's check, in table order."""
+    text = README.read_text(encoding="utf-8").split("## What each check can catch\n", 1)[1]
+    lines = itertools.dropwhile(lambda line: not line.startswith("|"), text.splitlines())
+    rows = list(itertools.takewhile(lambda line: line.startswith("|"), lines))[2:]
+    cells = [row.strip("|").split("|") for row in rows]
+    return {check.strip(" `"): set(re.findall(r"`(\w+)`", last)) for check, *_, last in cells}
+
+
+def test_the_readme_table_lists_the_battery_and_known_mutants():
+    table = readme_catch_table()
+    checks = harness.full_hom_instance(identity_hom(algebra.powerset_algebra(2))).checks
+    assert list(table) == [check.name for check in checks] == list(faults.BATTERY)
+    named = set().union(*table.values())
+    assert named <= MUTANTS.keys() | FAST_PATH_MUTANTS.keys()
+
+
 def test_kill_matrix(monkeypatch, tmp_path, capsys):
     """Every mutant against every check, printed as a matrix; the program
     itself fails none of them, and each mutant fails at least its own."""
@@ -499,3 +548,7 @@ def test_kill_matrix(monkeypatch, tmp_path, capsys):
     expected.update({name: entry[4] for name, entry in FAST_PATH_MUTANTS.items()})
     for name, kills in rows.items():
         assert expected[name] in kills, name
+    assert readme_catch_table() == {
+        check: {name for name, kills in rows.items() if check in kills}
+        for check in faults.BATTERY
+    }

@@ -11,10 +11,14 @@ A valid algebra is recognised by its atom encoding.  By Stone's
 representation a finite Boolean algebra is the powerset of its atoms, so
 ``boolean_algebra_of_up_sets`` first reads candidate atoms and atom masks
 off the up-set bitmasks of the order, in O(k * 2**k) steps for 2**k
-elements.  When the masks show a powerset order, the order, meet and join
-tables are translated from the masks, and only the complement laws are
-left to check.  The row scans below run only on an order that is not a
-powerset order, to name its witness.
+elements.  When the masks show a powerset order, only the complement laws
+are left to check, on the masks: x meets not-x to bottom when their masks
+are disjoint, and joins it to top when their masks cover every atom.  The
+row scans below run only on an order that is not a powerset order, to name
+its witness.  A valid algebra keeps its up-sets and atom masks, and its
+order, meet and join tables (``FinBoolAlg.lattice``) are translated from
+the masks when something first reads them, so an algebra that is only
+validated costs no tables.
 
 Those scans run a row at a time.  A poset keeps each row of its order as
 an up-set bitmask (and each column as a down-set bitmask), so the order
@@ -23,10 +27,10 @@ mask is the intersection of two others.  The distributive and homomorphism
 laws compare rows of bytes built from the operation tables with
 ``bytes.translate``; a lattice keeps its meet and join tables as flat byte
 blocks (``meet_bytes``, ``join_bytes``, cached like any other result; a
-recognised powerset order is handed the blocks its constructor built), for
-``fin_bool_alg`` and ``validate_hom`` to translate.  Only a comparison that
-fails is scanned, so every check still names the same first witness as an
-element-by-element scan in index order.
+lattice translated from atom masks is handed the blocks it was built
+from), for ``fin_bool_alg`` and ``validate_hom`` to translate.  Only a
+comparison that fails is scanned, so every check still names the same
+first witness as an element-by-element scan in index order.
 
 A homomorphism is recognised by its atom masks.  By Stone duality a table
 between finite Boolean algebras is a homomorphism exactly when, read in
@@ -317,11 +321,12 @@ def fin_lattice(poset: FinPoset) -> FinLattice:
 class FinBoolAlg:
     """A finite Boolean algebra in canonical atom-bitmask form.
 
-    Its size, atom count and bounds are plain fields, read off the lattice
-    and the atoms when the algebra is made.
+    It keeps the up-set bitmasks of its order; its size, atom count and
+    bounds are plain fields, read off the atom masks when the algebra is
+    made.  Its ``lattice`` is built from the masks when first read.
     """
 
-    lattice: FinLattice
+    up: tuple[int, ...]
     complement: tuple[int, ...]
     atoms: tuple[int, ...]
     atom_mask: tuple[int, ...]
@@ -333,10 +338,36 @@ class FinBoolAlg:
     _cache: dict = cache_field()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "size", self.lattice.size)
+        size = len(self.atom_mask)
+        object.__setattr__(self, "size", size)
         object.__setattr__(self, "atom_count", len(self.atoms))
-        object.__setattr__(self, "bottom", self.lattice.bottom)
-        object.__setattr__(self, "top", self.lattice.top)
+        object.__setattr__(self, "bottom", self._mask_index[0])
+        object.__setattr__(self, "top", self._mask_index[size - 1])
+
+    @property
+    @object_cache
+    def lattice(self) -> FinLattice:
+        """The order, meet and join tables, translated from the atom masks
+        through ``_mask_ops``, with the flat byte blocks they came from."""
+        up, atom_mask, n = self.up, self.atom_mask, self.size
+        masks = bytes(atom_mask)
+        ands, ors, subsets = _mask_ops(self.atom_count)
+        index = _byte_table([self._mask_index[m] for m in range(n)])
+        rows = struct.Struct(f"{n}?").unpack
+        leq = tuple([rows(masks.translate(subsets[m])) for m in atom_mask])
+        meet_rows, join_rows = (
+            [masks.translate(ops[m]).translate(index) for m in atom_mask] for ops in (ands, ors)
+        )
+        below = [(1 << n) - 1]
+        for a in self.atoms:
+            outside = ~up[a]
+            below = [m & outside for m in below] + below
+        down = tuple(map(below.__getitem__, atom_mask))
+        meet, join = (tuple(map(tuple, rows)) for rows in (meet_rows, join_rows))
+        lattice = FinLattice(FinPoset(leq, up, down), meet, join, self.bottom, self.top)
+        lattice._cache[FinLattice.meet_bytes.fget.slot] = b"".join(meet_rows)
+        lattice._cache[FinLattice.join_bytes.fget.slot] = b"".join(join_rows)
+        return lattice
 
     def leq_of(self, i: int, j: int) -> bool:
         return self.lattice.leq_of(i, j)
@@ -379,16 +410,6 @@ def _checked_complement(n: int, complement: Sequence[int]) -> tuple[int, ...]:
     return comp
 
 
-def _check_complement_laws(lattice: FinLattice, comp: tuple[int, ...]) -> None:
-    """Raise ComplementLawFails at the first x whose complement fails a law."""
-    meet, join = lattice.meet, lattice.join
-    for x in range(lattice.size):
-        if meet[x][comp[x]] != lattice.bottom:
-            raise ComplementLawFails("x and not-x do not meet to bottom", (x, comp[x]))
-        if join[x][comp[x]] != lattice.top:
-            raise ComplementLawFails("x and not-x do not join to top", (x, comp[x]))
-
-
 def fin_bool_alg(lattice: FinLattice, complement: Sequence[int]) -> FinBoolAlg:
     """Validate distributivity and the complement laws, then canonicalize.
 
@@ -412,7 +433,12 @@ def fin_bool_alg(lattice: FinLattice, complement: Sequence[int]) -> FinBoolAlg:
         if lhs != rhs:
             y, z = divmod(_first_difference(lhs, rhs), n)
             raise NotDistributive("distributive law fails", (x, y, z))
-    _check_complement_laws(lattice, comp)
+    meet, join = lattice.meet, lattice.join
+    for x, c in enumerate(comp):
+        if meet[x][c] != lattice.bottom:
+            raise ComplementLawFails("x and not-x do not meet to bottom", (x, c))
+        if join[x][c] != lattice.top:
+            raise ComplementLawFails("x and not-x do not join to top", (x, c))
 
     leq, down = lattice.poset.leq, lattice.poset.down
     bottom = lattice.bottom
@@ -429,7 +455,9 @@ def fin_bool_alg(lattice: FinLattice, complement: Sequence[int]) -> FinBoolAlg:
         if row != leq[i]:
             j = next(j for j in range(n) if row[j] != leq[i][j])
             raise InvariantViolation("atom encoding does not match the order", (i, j))
-    return FinBoolAlg(lattice, comp, atoms, atom_mask, mask_index)
+    algebra = FinBoolAlg(lattice.poset.up, comp, atoms, atom_mask, mask_index)
+    algebra._cache[FinBoolAlg.lattice.fget.slot] = lattice
+    return algebra
 
 
 def _atom_encoding(up: tuple[int, ...]) -> tuple[tuple[int, ...], bytes] | None:
@@ -469,11 +497,11 @@ def boolean_algebra_of_up_sets(up: Sequence[int], complement: Sequence[int]) -> 
     """Validate an order given row by row as up-set bitmasks, with its
     complement table, as a Boolean algebra.
 
-    A powerset order (``_atom_encoding``) is a Boolean lattice, so its
-    order, meet and join tables are translated from the atom masks through
-    ``_mask_ops``, and only the cap, the complement table and the
-    complement laws are left to check, in ``fin_bool_alg``'s order.  Any
-    other order goes through ``poset_of_up_sets``, ``fin_lattice`` and
+    A powerset order (``_atom_encoding``) is a Boolean lattice, so only the
+    cap, the complement table and the complement laws are left to check, in
+    ``fin_bool_alg``'s order; the laws are tested on the atom masks, and
+    the tables are built only when the algebra's ``lattice`` is first read.
+    Any other order goes through ``poset_of_up_sets``, ``fin_lattice`` and
     ``fin_bool_alg``, whose scans name the first witness.
     """
     up = tuple(up)
@@ -483,26 +511,15 @@ def boolean_algebra_of_up_sets(up: Sequence[int], complement: Sequence[int]) -> 
     atoms, masks = encoding
     n = len(up)
     comp = _checked_complement(n, complement)
-    ands, ors, subsets = _mask_ops(len(atoms))
+    # x meets not-x in bottom, whose mask is 0, and joins it in top
+    full = n - 1
+    for x, c in enumerate(comp):
+        if masks[x] & masks[c]:
+            raise ComplementLawFails("x and not-x do not meet to bottom", (x, c))
+        if masks[x] | masks[c] != full:
+            raise ComplementLawFails("x and not-x do not join to top", (x, c))
     atom_mask = tuple(masks)
-    mask_index = {m: i for i, m in enumerate(atom_mask)}
-    index = _byte_table([mask_index[m] for m in range(n)])
-    rows = struct.Struct(f"{n}?").unpack
-    leq = tuple([rows(masks.translate(subsets[m])) for m in atom_mask])
-    meet_rows, join_rows = (
-        [masks.translate(ops[m]).translate(index) for m in atom_mask] for ops in (ands, ors)
-    )
-    below = [(1 << n) - 1]
-    for a in atoms:
-        outside = ~up[a]
-        below = [m & outside for m in below] + below
-    down = tuple(map(below.__getitem__, atom_mask))
-    meet, join = (tuple(map(tuple, rows)) for rows in (meet_rows, join_rows))
-    lattice = FinLattice(FinPoset(leq, up, down), meet, join, index[0], index[n - 1])
-    lattice._cache[FinLattice.meet_bytes.fget.slot] = b"".join(meet_rows)
-    lattice._cache[FinLattice.join_bytes.fget.slot] = b"".join(join_rows)
-    _check_complement_laws(lattice, comp)
-    return FinBoolAlg(lattice, comp, atoms, atom_mask, mask_index)
+    return FinBoolAlg(up, comp, atoms, atom_mask, {m: i for i, m in enumerate(atom_mask)})
 
 
 def validate_boolean_algebra(

@@ -24,14 +24,19 @@ a ``LibraryBug``, which passes through unchanged: it signals a bug in this
 package, not a bad document.
 
 Every command parses and validates the whole document again.  To keep that
-cheap, the label pairs of a ``leq``, ``complement``, ``map`` or
-``atom_map`` list are resolved in one pass; the pair-by-pair checks run
-only when that pass fails, to name the first bad pair.  The closure of the
+cheap, the label pairs of a ``leq`` or ``complement`` list are resolved in
+one pass, and a ``map`` or ``atom_map`` list in one ``dict(pairs)`` and one
+lookup per source label, through the label index the document keeps for
+each algebra (``Document.label_index``); the pair-by-pair checks run only
+when that pass fails, to name the first bad pair.  The closure of the
 ``leq`` pairs stays as up-set bitmasks (``_closed_relation``), which go to
 ``algebra.boolean_algebra_of_up_sets`` as they are, with no pair list or
 boolean matrix in between.  It recognises a valid algebra by its atom
-encoding; the order and lattice scans run only on an invalid one, to name
-its witness.
+encoding and tests the complement laws on the atom masks; the order and
+lattice scans run only on an invalid one, to name its witness.  A valid
+algebra's order, meet and join tables (``FinBoolAlg.lattice``) are built
+when a command first reads them, so a command pays for the tables of the
+algebras it uses, not for those of every algebra in the document.
 """
 
 from __future__ import annotations
@@ -59,6 +64,7 @@ T = TypeVar("T")
 class Document:
     algebras: dict[str, FinBoolAlg] = field(default_factory=dict)
     labels: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    label_index: dict[str, dict[str, int]] = field(default_factory=dict)
     algebra_order: list[str] = field(default_factory=list)
     homs: dict[str, BoolHom] = field(default_factory=dict)
     hom_order: list[str] = field(default_factory=list)
@@ -119,12 +125,14 @@ def _parse_algebra(entry: dict, where: str, doc: Document) -> None:
             raise ValidationError(f"{where}: ref {ref!r} is not defined yet")
         doc.algebras[name] = doc.algebras[ref]
         doc.labels[name] = doc.labels[ref]
+        doc.label_index[name] = doc.label_index[ref]
     elif "powerset" in entry:
         n = entry["powerset"]
         if isinstance(n, bool) or not isinstance(n, int) or n < 0:
             raise ParseError(f"{where}: powerset must be a nonnegative integer")
         doc.algebras[name] = _validated(where, lambda: powerset_algebra(n))
-        doc.labels[name] = powerset_labels(n)
+        doc.labels[name] = labels = powerset_labels(n)
+        doc.label_index[name] = {label: i for i, label in enumerate(labels)}
     elif "carrier" in entry:
         carrier = entry.get("carrier")
         if not isinstance(carrier, list) or not all(isinstance(x, str) for x in carrier):
@@ -159,6 +167,7 @@ def _parse_algebra(entry: dict, where: str, doc: Document) -> None:
             where, lambda: boolean_algebra_of_up_sets(up, comp_table)
         )
         doc.labels[name] = tuple(carrier)
+        doc.label_index[name] = index
     else:
         raise ParseError(f"{where}: algebra needs 'powerset', 'carrier', or 'ref'")
     doc.algebra_order.append(name)
@@ -175,7 +184,7 @@ def _validated(where: str, build: Callable[[], T]) -> T:
         raise ValidationError(f"{where}: {exc}") from exc
 
 
-def _resolved_pairs(pairs: list, left: dict, right: dict, where: str, key: str, unknown=None):
+def _resolved_pairs(pairs: list, left: dict, right: dict, where: str, key: str):
     """The (left, right) label indices of every pair, resolved in one pass.
 
     When some pair is bad, the result is instead an iterator that resolves
@@ -189,10 +198,10 @@ def _resolved_pairs(pairs: list, left: dict, right: dict, where: str, key: str, 
             return out
     except (KeyError, TypeError):
         pass
-    return (_resolve_pair(p, left, right, where, key, unknown) for p in pairs)
+    return (_resolve_pair(p, left, right, where, key) for p in pairs)
 
 
-def _resolve_pair(pair, left: dict, right: dict, where: str, key: str, unknown: str | None):
+def _resolve_pair(pair, left: dict, right: dict, where: str, key: str, unknown: str | None = None):
     """The indices of one pair, or the error that names it.
 
     A pair that is not a list of two items is a ParseError; so is one with
@@ -207,23 +216,34 @@ def _resolve_pair(pair, left: dict, right: dict, where: str, key: str, unknown: 
     raise ParseError(f"{where}: bad {key} pair {pair!r}")
 
 
-def _pair_table(
-    pairs, left_labels: tuple[str, ...], right: dict, where: str, key: str
-) -> list[int]:
-    """Entry i is the right index that ``pairs`` gives the i-th left label.
+def _pair_table(pairs, left: dict, right: dict, where: str, key: str) -> list[int]:
+    """Entry i is the right index that ``pairs`` gives the i-th left label,
+    the labels of ``left`` taken in order.
 
-    The error names the first bad pair: pairs are taken in order, each
-    checked for its shape, then its labels, then a left label mapped twice.
+    A list of two-item lists with one pair per left label and only known
+    labels is read in one pass: ``dict(pairs)``, then one lookup per left
+    label.  Any other input is scanned pair by pair, so the error names the
+    first bad pair: pairs are taken in order, each checked for its shape,
+    then its labels, then a left label mapped twice.
     """
     if not isinstance(pairs, list):
         raise ParseError(f"{where}: {key} must be a list of label pairs")
+    try:
+        # dict() would also split a two-character string into a pair
+        if set(map(type, pairs)) == {list}:
+            images = dict(pairs)
+            if len(images) == len(pairs) == len(left):
+                return [right[images[label]] for label in left]
+    except (KeyError, TypeError, ValueError):
+        pass
     if key == "map":
         noun, unknown = "element", "unknown label"
     else:
         noun, unknown = "target atom", "unknown atom label"
-    left = {label: i for i, label in enumerate(left_labels)}
+    left_labels = list(left)
     table = [-1] * len(left_labels)
-    for i, v in _resolved_pairs(pairs, left, right, where, key, unknown):
+    for pair in pairs:
+        i, v = _resolve_pair(pair, left, right, where, key, unknown)
         if table[i] != -1:
             raise ValidationError(f"{where}: {noun} {left_labels[i]!r} mapped twice")
         table[i] = v
@@ -248,16 +268,16 @@ def _parse_hom(entry: dict, where: str, doc: Document) -> None:
             raise ValidationError(f"{where}: {key} {entry[key]!r} is not defined")
     src_name, dst_name = entry["source"], entry["target"]
     src, dst = doc.algebras[src_name], doc.algebras[dst_name]
-    src_labels, dst_labels = doc.labels[src_name], doc.labels[dst_name]
 
     if "map" in entry:
-        dst_index = {label: v for v, label in enumerate(dst_labels)}
-        table = _pair_table(entry["map"], src_labels, dst_index, where, "map")
+        src_index, dst_index = doc.label_index[src_name], doc.label_index[dst_name]
+        table = _pair_table(entry["map"], src_index, dst_index, where, "map")
         doc.homs[name] = _validated(where, lambda: validate_hom(table, src, dst))
     elif "atom_map" in entry:
+        src_labels, dst_labels = doc.labels[src_name], doc.labels[dst_name]
         src_atom_index = {src_labels[a]: k for k, a in enumerate(src.atoms)}
-        dst_atom_labels = tuple(dst_labels[a] for a in dst.atoms)
-        g = _pair_table(entry["atom_map"], dst_atom_labels, src_atom_index, where, "atom_map")
+        dst_atom_index = {dst_labels[a]: q for q, a in enumerate(dst.atoms)}
+        g = _pair_table(entry["atom_map"], dst_atom_index, src_atom_index, where, "atom_map")
         doc.homs[name] = _validated(where, lambda: hom_from_atom_function(src, dst, g))
     else:
         raise ParseError(f"{where}: hom needs 'map' or 'atom_map'")

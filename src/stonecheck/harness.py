@@ -123,10 +123,6 @@ class InstanceReport:
 class VerificationReport:
     instances: list[InstanceReport] = field(default_factory=list)
 
-    @property
-    def all_passed(self) -> bool:
-        return all(inst.passed for inst in self.instances)
-
 
 def report_jsonable(report: VerificationReport) -> list[dict]:
     """Instances as plain data.  timing_ms is serialized as 0 so that report

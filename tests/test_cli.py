@@ -59,6 +59,15 @@ def test_relabelled_five_atom_document_exits_0_and_its_broken_copy_exits_2(tmp_p
     assert proc.stderr == "error: algebras[0]: pair has no least upper bound; witness=('join', 8, 12)\n"
 
 
+def test_relabelled_five_atom_document_with_two_complements_swapped_exits_2():
+    # the complement laws are tested on atom masks; the witness is the
+    # first (x, not-x) pair that the table scan named
+    proc = run_cli("canext", str(GOLDEN_DIR / "relabelled_five_bad_complement.json"), "five")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: algebras[0]: x and not-x do not meet to bottom; witness=(1, 10)\n"
+
+
 def test_relabelled_document_with_one_changed_map_pair_names_the_broken_law(capsys):
     # the table is not atom additive, so validate_hom's scan names the pair
     doc = GOLDEN_DIR / "relabelled_five_bad_map.json"

@@ -208,3 +208,58 @@ def test_malformed_order_or_map_pair_is_a_user_error(pair):
             parse_document(
                 json.dumps({"algebras": [algebra, {"name": "two", "powerset": 1}], "homs": [hom]})
             )
+
+
+# Each malformed map below is reported with the class and message pinned
+# from the pair-by-pair scan, so a one-pass resolution of the well-formed
+# case must fall back to that scan on every one of them.  A two-character
+# string is a pair to dict(): "00", "11" would make a total table.
+BINARY = {"name": "b", "carrier": ["0", "1"], "leq": [["0", "1"]], "complement": [["0", "1"], ["1", "0"]]}
+MALFORMED_MAPS = {
+    "string_pair": (["00", ["1", "1"]], ParseError, "homs[0]: bad map pair '00'"),
+    "string_pairs_making_a_table": (["00", "11"], ParseError, "homs[0]: bad map pair '00'"),
+    "three_items": ([["0", "0", "1"], ["1", "1"]], ParseError, "homs[0]: bad map pair ['0', '0', '1']"),
+    "one_item": ([["0"], ["1", "1"]], ParseError, "homs[0]: bad map pair ['0']"),
+    "unhashable_source": (
+        [[["0"], "1"], ["1", "1"]], ValidationError, "homs[0]: unknown label in pair [['0'], '1']"
+    ),
+    "unhashable_target": (
+        [["0", ["1"]], ["1", "1"]], ValidationError, "homs[0]: unknown label in pair ['0', ['1']]"
+    ),
+    "number_label": ([[0, "0"], ["1", "1"]], ValidationError, "homs[0]: unknown label in pair [0, '0']"),
+    "duplicated_source": ([["0", "0"], ["0", "1"]], ValidationError, "homs[0]: element '0' mapped twice"),
+    "unknown_target": (
+        [["0", "x"], ["1", "1"]], ValidationError, "homs[0]: unknown label in pair ['0', 'x']"
+    ),
+    "unknown_source": (
+        [["x", "0"], ["1", "1"]], ValidationError, "homs[0]: unknown label in pair ['x', '0']"
+    ),
+    "extra_pair": (
+        [["0", "0"], ["1", "1"], ["x", "1"]], ValidationError, "homs[0]: unknown label in pair ['x', '1']"
+    ),
+    "missing_source": ([["1", "1"]], ValidationError, "homs[0]: element '0' has no image"),
+    "empty": ([], ValidationError, "homs[0]: element '0' has no image"),
+    "not_a_list": ({"0": "0", "1": "1"}, ParseError, "homs[0]: map must be a list of label pairs"),
+    # the one atom of b is "1": dict(["11"]) would be a total atom map
+    "string_atom_pair_making_a_table": (["11"], ParseError, "homs[0]: bad atom_map pair '11'"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_MAPS)
+def test_a_malformed_map_names_its_first_bad_pair(case):
+    pairs, error, message = MALFORMED_MAPS[case]
+    key = "atom_map" if "atom" in case else "map"
+    hom = {"name": "h", "source": "b", "target": "b", key: pairs}
+    with pytest.raises(error) as exc:
+        parse_document(json.dumps({"algebras": [BINARY], "homs": [hom]}))
+    assert type(exc.value) is error and str(exc.value) == message
+
+
+def test_a_well_formed_map_in_any_pair_order_gives_the_same_table():
+    pairs = [["{0,1}", "{0,1}"], ["{}", "{}"], ["{1}", "{0}"], ["{0}", "{1}"]]
+    algebras = [{"name": "p", "powerset": 2}]
+    tables = set()
+    for order in (pairs, pairs[::-1]):
+        hom = {"name": "swap", "source": "p", "target": "p", "map": order}
+        tables.add(parse_document(json.dumps({"algebras": algebras, "homs": [hom]})).hom("swap").table)
+    assert tables == {(0, 2, 1, 3)}

@@ -9,7 +9,9 @@ invalid one.  Valid inputs are powerset orders on seeded shuffled carriers,
 built through the constructor, ``validate_boolean_algebra`` and
 ``parse_document``; invalid ones are the corrupted presentations of
 ``test_validation_oracles``, random relations on 2**k elements, and pinned
-orders that a faulty recognizer would accept.
+orders that a faulty recognizer would accept.  A recognised algebra is
+validated on its atom masks alone: the three-way test also pins that its
+tables are built only when first read.
 
 The ``check_*`` functions take the constructor as an argument, so that
 ``test_mutants`` can run them against seeded faults in the recognizer.
@@ -22,8 +24,10 @@ import random
 import pytest
 
 import stonecheck.algebra as algebra
+import stonecheck.cli as cli
 from stonecheck.algebra import (
     MAX_ATOMS,
+    FinBoolAlg,
     FinLattice,
     _atom_encoding,
     boolean_algebra_of_up_sets,
@@ -31,11 +35,13 @@ from stonecheck.algebra import (
     fin_lattice,
     poset_of_up_sets,
     validate_boolean_algebra,
+    validate_hom,
 )
 from stonecheck.documents import parse_document
 from stonecheck.errors import BoundExceeded, ComplementLawFails, NotALattice, NotAPoset
 from test_validation_oracles import random_relation, relabeled_powerset
 
+LATTICE = FinBoolAlg.lattice.fget.slot
 FIELDS = (
     "leq", "up", "down", "meet", "join", "bottom", "top",
     "complement", "atoms", "atom_mask", "_mask_index",
@@ -79,16 +85,19 @@ def shuffled_powerset(atoms, rng):
     return as_up_sets(rows), comp
 
 
-def document_of(up, comp):
+def algebra_entry(name, up, comp):
     n = len(up)
     labels = [f"e{i}" for i in range(n)]
-    entry = {
-        "name": "B",
+    return {
+        "name": name,
         "carrier": labels,
         "leq": [[labels[i], labels[j]] for i in range(n) for j in range(n) if up[i] >> j & 1],
         "complement": [[labels[i], labels[c]] for i, c in enumerate(comp)],
     }
-    return json.dumps({"algebras": [entry]})
+
+
+def document_of(up, comp):
+    return json.dumps({"algebras": [algebra_entry("B", up, comp)]})
 
 
 # ------------------------------------------ pinned orders a faulty recognizer accepts
@@ -139,7 +148,7 @@ def test_pinned_orders_are_not_recognised(check):
 
 
 @pytest.mark.parametrize("atoms", range(1, MAX_ATOMS + 1))
-def test_shuffled_powersets_build_the_same_algebra_three_ways(monkeypatch, atoms):
+def test_shuffled_powersets_build_the_same_algebra_three_ways(monkeypatch, tmp_path, capsys, atoms):
     rng = random.Random(1000 + atoms)
     cases = [shuffled_powerset(atoms, rng) for _ in range(20)]
     expected = [tables(generic(up, comp)) for up, comp in cases]
@@ -149,11 +158,31 @@ def test_shuffled_powersets_build_the_same_algebra_three_ways(monkeypatch, atoms
         assert _atom_encoding(tuple(up)) is not None
         n = len(up)
         pairs = [(i, j) for i in range(n) for j in range(n) if up[i] >> j & 1]
-        assert tables(boolean_algebra_of_up_sets(up, comp)) == want
+        # the tables are built when first read, and a hom that is atom
+        # additive is accepted without them
+        alg = boolean_algebra_of_up_sets(up, comp)
+        assert LATTICE not in alg._cache
+        validate_hom(range(n), alg, alg)
+        assert alg._cache == {}
+        assert tables(alg) == want
+        assert LATTICE in alg._cache
         assert tables(validate_boolean_algebra(n, pairs, comp)) == want
         doc = parse_document(document_of(up, comp))
         assert doc.labels["B"] == tuple(f"e{i}" for i in range(n))
+        assert LATTICE not in doc.algebra("B")._cache
         assert tables(doc.algebra("B")) == want
+
+    # one dual command over nine algebras builds the lattice it reads, only
+    parsed = []
+    monkeypatch.setattr(cli, "parse_document", lambda text: parsed.append(parse_document(text)) or parsed[-1])
+    path = tmp_path / "nine.json"
+    entries = [algebra_entry(f"B{k}", up, comp) for k, (up, comp) in enumerate(cases[:9])]
+    path.write_text(json.dumps({"algebras": entries}))
+    misses = FinBoolAlg.lattice.fget.cache_info().misses
+    assert cli.main(["dual", str(path), "B4"]) == 0
+    assert FinBoolAlg.lattice.fget.cache_info().misses == misses + 1
+    assert [name for name, alg in parsed[0].algebras.items() if LATTICE in alg._cache] == ["B4"]
+    assert capsys.readouterr().out.startswith("dual space of B4\n")
 
 
 @pytest.mark.parametrize("atoms", range(MAX_ATOMS + 1))

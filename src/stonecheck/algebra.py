@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import itertools
 import struct
-from dataclasses import dataclass, field
 from functools import cache, reduce, wraps
 from operator import or_
 from types import SimpleNamespace
@@ -88,13 +87,13 @@ MAX_BRUTE_FORCE_CARRIER = 16
 
 
 def object_cache(func: Callable) -> Callable:
-    """Cache ``func(obj)`` in the ``_cache`` field of obj, keyed by the
+    """Cache ``func(obj)`` in the ``_cache`` dict of obj, keyed by the
     wrapper's ``slot``, so that each result is freed with the object it was
     computed from.
 
     An exception is never cached.  ``cache_info()`` counts hits and misses
-    over the process.  A field, not the instance ``__dict__``: on CPython
-    3.11 taking an instance's ``__dict__`` slows its later attribute reads.
+    over the process.  The dict sits in a ``__slots__`` slot that the
+    record's ``__init__`` fills: records have no instance ``__dict__``.
     """
     slot = f"{func.__module__}.{func.__qualname__}"
     counts = [0, 0]
@@ -117,12 +116,35 @@ def object_cache(func: Callable) -> Callable:
     return wrapper
 
 
-def cache_field():
-    """The ``_cache`` field that ``object_cache`` keeps its results in."""
-    return field(default_factory=dict, init=False, repr=False, compare=False)
+class FieldEquality:
+    """``==`` and ``hash`` over the constructor's fields, named in ``_fields``,
+    between records of one class; a record without this base compares by
+    identity.
+
+    Every record is a plain ``__slots__`` class whose ``__init__`` sets each
+    field once, derived fields and the empty ``_cache`` dict included; no
+    code outside an ``__init__`` assigns a field (``tests/test_field_stores.py``).
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
 
 
-@dataclass(frozen=True, eq=False)
 class FinPoset:
     """A finite partial order; ``leq[i][j]`` holds iff element i <= element j.
 
@@ -130,9 +152,14 @@ class FinPoset:
     the elements below it.
     """
 
-    leq: tuple[tuple[bool, ...], ...]
-    up: tuple[int, ...] = field(repr=False)
-    down: tuple[int, ...] = field(repr=False)
+    __slots__ = ("leq", "up", "down", "__weakref__")
+
+    def __init__(
+        self, leq: tuple[tuple[bool, ...], ...], up: tuple[int, ...], down: tuple[int, ...]
+    ) -> None:
+        self.leq = leq
+        self.up = up
+        self.down = down
 
     @property
     def size(self) -> int:
@@ -227,21 +254,27 @@ def poset_of_up_sets(up: Sequence[int]) -> FinPoset:
     return FinPoset(leq, up, down)
 
 
-@dataclass(frozen=True, eq=False)
 class FinLattice:
     """A finite lattice: a poset plus total meet/join tables and its bounds.
     Its size is a plain field, read off the poset when the lattice is made."""
 
-    poset: FinPoset
-    meet: tuple[tuple[int, ...], ...]
-    join: tuple[tuple[int, ...], ...]
-    bottom: int
-    top: int
-    size: int = field(init=False, repr=False, compare=False)
-    _cache: dict = cache_field()
+    __slots__ = ("poset", "meet", "join", "bottom", "top", "size", "_cache", "__weakref__")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "size", self.poset.size)
+    def __init__(
+        self,
+        poset: FinPoset,
+        meet: tuple[tuple[int, ...], ...],
+        join: tuple[tuple[int, ...], ...],
+        bottom: int,
+        top: int,
+    ) -> None:
+        self.poset = poset
+        self.meet = meet
+        self.join = join
+        self.bottom = bottom
+        self.top = top
+        self.size = poset.size
+        self._cache = {}
 
     def leq_of(self, i: int, j: int) -> bool:
         return self.poset.leq[i][j]
@@ -317,7 +350,6 @@ def fin_lattice(poset: FinPoset) -> FinLattice:
     return FinLattice(poset, meet, join, poset.up.index(full), poset.down.index(full))
 
 
-@dataclass(frozen=True, eq=False)
 class FinBoolAlg:
     """A finite Boolean algebra in canonical atom-bitmask form.
 
@@ -326,23 +358,29 @@ class FinBoolAlg:
     made.  Its ``lattice`` is built from the masks when first read.
     """
 
-    up: tuple[int, ...]
-    complement: tuple[int, ...]
-    atoms: tuple[int, ...]
-    atom_mask: tuple[int, ...]
-    _mask_index: dict
-    size: int = field(init=False, repr=False, compare=False)
-    atom_count: int = field(init=False, repr=False, compare=False)
-    bottom: int = field(init=False, repr=False, compare=False)
-    top: int = field(init=False, repr=False, compare=False)
-    _cache: dict = cache_field()
+    __slots__ = (
+        "up", "complement", "atoms", "atom_mask", "_mask_index",
+        "size", "atom_count", "bottom", "top", "_cache", "__weakref__",
+    )
 
-    def __post_init__(self) -> None:
-        size = len(self.atom_mask)
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "atom_count", len(self.atoms))
-        object.__setattr__(self, "bottom", self._mask_index[0])
-        object.__setattr__(self, "top", self._mask_index[size - 1])
+    def __init__(
+        self,
+        up: tuple[int, ...],
+        complement: tuple[int, ...],
+        atoms: tuple[int, ...],
+        atom_mask: tuple[int, ...],
+        _mask_index: dict,
+    ) -> None:
+        self.up = up
+        self.complement = complement
+        self.atoms = atoms
+        self.atom_mask = atom_mask
+        self._mask_index = _mask_index
+        self.size = size = len(atom_mask)
+        self.atom_count = len(atoms)
+        self.bottom = _mask_index[0]
+        self.top = _mask_index[size - 1]
+        self._cache = {}
 
     @property
     @object_cache
@@ -556,12 +594,15 @@ def powerset_algebra(n: int) -> FinBoolAlg:
     return algebra
 
 
-@dataclass(frozen=True)
-class Filter:
+class Filter(FieldEquality):
     """An upward-closed, meet-closed subset containing top (improper allowed)."""
 
-    lattice: FinLattice
-    members: frozenset[int]
+    _fields = ("lattice", "members")
+    __slots__ = (*_fields, "__weakref__")
+
+    def __init__(self, lattice: FinLattice, members: frozenset[int]) -> None:
+        self.lattice = lattice
+        self.members = members
 
     @property
     def generator(self) -> int:
@@ -569,14 +610,17 @@ class Filter:
         return self.lattice.meet_all(self.members)
 
 
-@dataclass(frozen=True)
-class UltraFilter:
+class UltraFilter(FieldEquality):
     """A maximal proper filter; principal at a unique atom in the finite case."""
 
-    algebra: FinBoolAlg
-    filter: Filter
-    atom: int
-    _cache: dict = cache_field()
+    _fields = ("algebra", "filter", "atom")
+    __slots__ = (*_fields, "_cache", "__weakref__")
+
+    def __init__(self, algebra: FinBoolAlg, filter: Filter, atom: int) -> None:
+        self.algebra = algebra
+        self.filter = filter
+        self.atom = atom
+        self._cache = {}
 
     @property
     def members(self) -> frozenset[int]:
@@ -638,13 +682,16 @@ def ultrafilters(algebra: FinBoolAlg) -> tuple[UltraFilter, ...]:
     return tuple(ufs)
 
 
-@dataclass(frozen=True)
-class BoolHom:
+class BoolHom(FieldEquality):
     """A validated Boolean homomorphism given by its image table."""
 
-    source: FinBoolAlg
-    target: FinBoolAlg
-    table: tuple[int, ...]
+    _fields = ("source", "target", "table")
+    __slots__ = (*_fields, "__weakref__")
+
+    def __init__(self, source: FinBoolAlg, target: FinBoolAlg, table: tuple[int, ...]) -> None:
+        self.source = source
+        self.target = target
+        self.table = table
 
     @property
     def is_injective(self) -> bool:

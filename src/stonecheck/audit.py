@@ -17,8 +17,9 @@ methods of the core data types count as part of their owning module.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
 from pathlib import Path
+
+from .algebra import FieldEquality
 
 SIGMA_ROOTS = ("extension.sigma_extend",)
 DIAGRAM_ROOTS = ("harness.build_diagram", "harness.double_dual_map")
@@ -35,12 +36,21 @@ _MODULES = (
 )
 
 
-@dataclass(frozen=True)
-class AuditResult:
-    sigma_reachable: tuple[str, ...]
-    diagram_reachable: tuple[str, ...]
-    shared: tuple[str, ...]
-    violations: tuple[str, ...]
+class AuditResult(FieldEquality):
+    _fields = ("sigma_reachable", "diagram_reachable", "shared", "violations")
+    __slots__ = (*_fields, "__weakref__")
+
+    def __init__(
+        self,
+        sigma_reachable: tuple[str, ...],
+        diagram_reachable: tuple[str, ...],
+        shared: tuple[str, ...],
+        violations: tuple[str, ...],
+    ) -> None:
+        self.sigma_reachable = sigma_reachable
+        self.diagram_reachable = diagram_reachable
+        self.shared = shared
+        self.violations = violations
 
     @property
     def passed(self) -> bool:

@@ -38,14 +38,13 @@ and the harness battery reports them as a failed check.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from .algebra import (
+    FieldEquality,
     FinBoolAlg,
     UltraFilter,
     _preimage_table,
-    cache_field,
     object_cache,
     powerset_algebra,
     ultrafilter_rows,
@@ -71,7 +70,6 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True, eq=False)
 class Compactification:
     """A dense homeomorphic embedding of a discrete base into a Stone space.
 
@@ -79,12 +77,14 @@ class Compactification:
     deliberately broken instances); ``build_compactification`` validates.
     """
 
-    base: FinStoneSpace
-    space: FinStoneSpace
-    embed: tuple[int, ...]
+    __slots__ = ("base", "space", "embed", "__weakref__")
+
+    def __init__(self, base: FinStoneSpace, space: FinStoneSpace, embed: tuple[int, ...]) -> None:
+        self.base = base
+        self.space = space
+        self.embed = embed
 
 
-@dataclass(frozen=True, eq=False)
 class BetaSpace:
     """The powerset-dual compactification whose points are ultrafilters.
 
@@ -92,21 +92,25 @@ class BetaSpace:
     the points in order, are plain fields, set when the space is made.
     """
 
-    compactification: Compactification
-    points_as_ultrafilters: tuple[UltraFilter, ...]
-    algebra: FinBoolAlg
-    base: FinStoneSpace = field(init=False, repr=False, compare=False)
-    space: FinStoneSpace = field(init=False, repr=False, compare=False)
-    embed: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    indicators: tuple[bytes, ...] = field(init=False, repr=False, compare=False)
-    _cache: dict = cache_field()
+    __slots__ = (
+        "compactification", "points_as_ultrafilters", "algebra",
+        "base", "space", "embed", "indicators", "_cache", "__weakref__",
+    )
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "base", self.compactification.base)
-        object.__setattr__(self, "space", self.compactification.space)
-        object.__setattr__(self, "embed", self.compactification.embed)
-        indicators = tuple([u.indicator for u in self.points_as_ultrafilters])
-        object.__setattr__(self, "indicators", indicators)
+    def __init__(
+        self,
+        compactification: Compactification,
+        points_as_ultrafilters: tuple[UltraFilter, ...],
+        algebra: FinBoolAlg,
+    ) -> None:
+        self.compactification = compactification
+        self.points_as_ultrafilters = points_as_ultrafilters
+        self.algebra = algebra
+        self.base = compactification.base
+        self.space = compactification.space
+        self.embed = compactification.embed
+        self.indicators = tuple([u.indicator for u in points_as_ultrafilters])
+        self._cache = {}
 
     @property
     @object_cache
@@ -261,10 +265,13 @@ def beta_lift(
     return _checked_map(bx.space, by.space, table)
 
 
-@dataclass(frozen=True)
-class OrderVerdict:
-    passed: bool
-    witness: ContinuousMap | None = None
+class OrderVerdict(FieldEquality):
+    _fields = ("passed", "witness")
+    __slots__ = (*_fields, "__weakref__")
+
+    def __init__(self, passed: bool, witness: ContinuousMap | None = None) -> None:
+        self.passed = passed
+        self.witness = witness
 
 
 def _comparable(c1: Compactification, c2: Compactification) -> None:
@@ -311,11 +318,14 @@ def _is_homeomorphism(space: FinStoneSpace, target: FinStoneSpace, table: Sequen
     return _continuous(target, space, _preimage_table(inverse, space.size))
 
 
-@dataclass(frozen=True)
-class PreservationVerdict:
-    property_name: str
-    applicable: bool
-    passed: bool
+class PreservationVerdict(FieldEquality):
+    _fields = ("property_name", "applicable", "passed")
+    __slots__ = (*_fields, "__weakref__")
+
+    def __init__(self, property_name: str, applicable: bool, passed: bool) -> None:
+        self.property_name = property_name
+        self.applicable = applicable
+        self.passed = passed
 
 
 def beta_preserves(

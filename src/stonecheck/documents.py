@@ -43,12 +43,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
 from typing import Callable, TypeVar
 
 from .algebra import (
     MAX_ATOMS,
     BoolHom,
+    FieldEquality,
     FinBoolAlg,
     boolean_algebra_of_up_sets,
     hom_from_atom_function,
@@ -60,16 +60,37 @@ from .errors import LibraryBug, ParseError, StonecheckError, UnknownName, Valida
 T = TypeVar("T")
 
 
-@dataclass
-class Document:
-    algebras: dict[str, FinBoolAlg] = field(default_factory=dict)
-    labels: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    label_index: dict[str, dict[str, int]] = field(default_factory=dict)
-    algebra_order: list[str] = field(default_factory=list)
-    homs: dict[str, BoolHom] = field(default_factory=dict)
-    hom_order: list[str] = field(default_factory=list)
-    hom_endpoints: dict[str, tuple[str, str]] = field(default_factory=dict)
-    raw: dict = field(default_factory=dict)
+class Document(FieldEquality):
+    """A parsed document: its algebras and homs by name, in document order,
+    with each algebra's labels and label index and each hom's endpoints.
+    ``parse_document`` fills the empty containers an entry at a time."""
+
+    _fields = (
+        "algebras", "labels", "label_index", "algebra_order",
+        "homs", "hom_order", "hom_endpoints", "raw",
+    )
+    __slots__ = (*_fields, "__weakref__")
+    __hash__ = None
+
+    def __init__(
+        self,
+        algebras: dict[str, FinBoolAlg] | None = None,
+        labels: dict[str, tuple[str, ...]] | None = None,
+        label_index: dict[str, dict[str, int]] | None = None,
+        algebra_order: list[str] | None = None,
+        homs: dict[str, BoolHom] | None = None,
+        hom_order: list[str] | None = None,
+        hom_endpoints: dict[str, tuple[str, str]] | None = None,
+        raw: dict | None = None,
+    ) -> None:
+        self.algebras = {} if algebras is None else algebras
+        self.labels = {} if labels is None else labels
+        self.label_index = {} if label_index is None else label_index
+        self.algebra_order = [] if algebra_order is None else algebra_order
+        self.homs = {} if homs is None else homs
+        self.hom_order = [] if hom_order is None else hom_order
+        self.hom_endpoints = {} if hom_endpoints is None else hom_endpoints
+        self.raw = {} if raw is None else raw
 
     def algebra(self, name: str) -> FinBoolAlg:
         if name not in self.algebras:

@@ -29,7 +29,6 @@ once per algebra (``_ultrafilter_rows``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache
 from typing import Sequence
 
@@ -40,7 +39,6 @@ from .algebra import (
     UltraFilter,
     _preimage_table,
     boolean_algebra_of_up_sets,
-    cache_field,
     object_cache,
     powerset_algebra,
     ultrafilter_rows,
@@ -50,17 +48,16 @@ from .algebra import (
 from .errors import BoundExceeded, InvariantViolation, NotContinuous, NotStone, StonecheckError
 
 
-@dataclass(frozen=True, eq=False)
 class FinStoneSpace:
     """A finite point set with a distinguished generating family of subsets."""
 
-    points: tuple
-    base: tuple[frozenset[int], ...]
-    size: int = field(init=False, repr=False, compare=False)
-    _cache: dict = cache_field()
+    __slots__ = ("points", "base", "size", "_cache", "__weakref__")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "size", len(self.points))
+    def __init__(self, points: tuple, base: tuple[frozenset[int], ...]) -> None:
+        self.points = points
+        self.base = base
+        self.size = len(points)
+        self._cache = {}
 
     def base_masks(self) -> tuple[int, ...]:
         return tuple(sum(1 << i for i in s) for s in self.base)
@@ -154,15 +151,23 @@ def validate_stone(space: FinStoneSpace) -> tuple[int, ...]:
     return opens
 
 
-@dataclass(frozen=True, eq=False)
 class ContinuousMap:
     """A point table validated so that preimages of opens are open, with
     the preimage mask of every target mask, indexed by the target mask."""
 
-    source: FinStoneSpace
-    target: FinStoneSpace
-    table: tuple[int, ...]
-    preimages: list[int] = field(repr=False, compare=False)
+    __slots__ = ("source", "target", "table", "preimages", "__weakref__")
+
+    def __init__(
+        self,
+        source: FinStoneSpace,
+        target: FinStoneSpace,
+        table: tuple[int, ...],
+        preimages: list[int],
+    ) -> None:
+        self.source = source
+        self.target = target
+        self.table = table
+        self.preimages = preimages
 
     @property
     def is_injective(self) -> bool:
@@ -275,13 +280,17 @@ def dual_map(hom: BoolHom) -> ContinuousMap:
     return _checked_map(src_space, dst_space, table)
 
 
-@dataclass(frozen=True, eq=False)
 class ClopenAlgebra:
     """The Boolean algebra of clopen sets of a space, ordered by inclusion."""
 
-    space: FinStoneSpace
-    algebra: FinBoolAlg
-    clopen_masks: tuple[int, ...]
+    __slots__ = ("space", "algebra", "clopen_masks", "__weakref__")
+
+    def __init__(
+        self, space: FinStoneSpace, algebra: FinBoolAlg, clopen_masks: tuple[int, ...]
+    ) -> None:
+        self.space = space
+        self.algebra = algebra
+        self.clopen_masks = clopen_masks
 
     def index_of_mask(self, mask: int) -> int:
         return self.clopen_masks.index(mask)
@@ -309,13 +318,15 @@ def dual_of_continuous(f: ContinuousMap) -> BoolHom:
     return validate_hom(table, src_clop.algebra, dst_clop.algebra)
 
 
-@dataclass(frozen=True, eq=False)
 class RepresentationWitness:
     """A certified isomorphism from an algebra onto the clopens of its dual."""
 
-    algebra: FinBoolAlg
-    clopens: ClopenAlgebra
-    table: tuple[int, ...]
+    __slots__ = ("algebra", "clopens", "table", "__weakref__")
+
+    def __init__(self, algebra: FinBoolAlg, clopens: ClopenAlgebra, table: tuple[int, ...]) -> None:
+        self.algebra = algebra
+        self.clopens = clopens
+        self.table = table
 
 
 def stone_representation(algebra: FinBoolAlg) -> RepresentationWitness:

@@ -26,12 +26,12 @@ bound masks, and walks subset by subset only to name the first lost bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .algebra import (
     MAX_BRUTE_FORCE_CARRIER as MAX_ISO_SEARCH,
     BoolHom,
+    FieldEquality,
     FinBoolAlg,
     FinLattice,
     UltraFilter,
@@ -47,42 +47,62 @@ from .duality import phi_table
 from .errors import BoundExceeded, DegenerateAlgebra, InvariantViolation, NotAnEmbedding
 
 
-@dataclass(frozen=True, eq=False)
 class Completion:
     """A complete finite lattice together with an embedding of the base."""
 
-    base: FinLattice
-    complete: FinLattice
-    embedding: tuple[int, ...]
+    __slots__ = ("base", "complete", "embedding", "__weakref__")
+
+    def __init__(self, base: FinLattice, complete: FinLattice, embedding: tuple[int, ...]) -> None:
+        self.base = base
+        self.complete = complete
+        self.embedding = embedding
 
 
-@dataclass(frozen=True, eq=False)
 class CanonicalExtension:
     """The powerset-of-ultrafilters completion, with its point carrier."""
 
-    completion: Completion
-    point_carrier: tuple[UltraFilter, ...]
-    algebra: FinBoolAlg
+    __slots__ = ("completion", "point_carrier", "algebra", "__weakref__")
+
+    def __init__(
+        self, completion: Completion, point_carrier: tuple[UltraFilter, ...], algebra: FinBoolAlg
+    ) -> None:
+        self.completion = completion
+        self.point_carrier = point_carrier
+        self.algebra = algebra
 
 
-@dataclass(frozen=True)
-class DensityVerdict:
-    passed: bool
-    element: int | None = None
-    side: str | None = None
+class DensityVerdict(FieldEquality):
+    _fields = ("passed", "element", "side")
+    __slots__ = (*_fields, "__weakref__")
+
+    def __init__(self, passed: bool, element: int | None = None, side: str | None = None) -> None:
+        self.passed = passed
+        self.element = element
+        self.side = side
 
 
-@dataclass(frozen=True)
-class CompactnessVerdict:
-    passed: bool
-    filter_members: frozenset[int] | None = None
-    ideal_members: frozenset[int] | None = None
+class CompactnessVerdict(FieldEquality):
+    _fields = ("passed", "filter_members", "ideal_members")
+    __slots__ = (*_fields, "__weakref__")
+
+    def __init__(
+        self,
+        passed: bool,
+        filter_members: frozenset[int] | None = None,
+        ideal_members: frozenset[int] | None = None,
+    ) -> None:
+        self.passed = passed
+        self.filter_members = filter_members
+        self.ideal_members = ideal_members
 
 
-@dataclass(frozen=True)
-class IsoVerdict:
-    passed: bool
-    table: tuple[int, ...] | None = None
+class IsoVerdict(FieldEquality):
+    _fields = ("passed", "table")
+    __slots__ = (*_fields, "__weakref__")
+
+    def __init__(self, passed: bool, table: tuple[int, ...] | None = None) -> None:
+        self.passed = passed
+        self.table = table
 
 
 def completion(base: FinLattice, complete: FinLattice, embedding: Sequence[int]) -> Completion:
@@ -216,7 +236,6 @@ def canonical_extension(algebra: FinBoolAlg) -> CanonicalExtension:
     return CanonicalExtension(comp, ufs, pow_alg)
 
 
-@dataclass(frozen=True, eq=False)
 class SigmaExtension:
     """The extension of a homomorphism to the powersets of the ultrafilter sets.
 
@@ -224,10 +243,15 @@ class SigmaExtension:
     source ultrafilter order, itself a bitmask over the target order.
     """
 
-    source_map: BoolHom
-    source_points: int
-    target_points: int
-    table: tuple[int, ...]
+    __slots__ = ("source_map", "source_points", "target_points", "table", "__weakref__")
+
+    def __init__(
+        self, source_map: BoolHom, source_points: int, target_points: int, table: tuple[int, ...]
+    ) -> None:
+        self.source_map = source_map
+        self.source_points = source_points
+        self.target_points = target_points
+        self.table = table
 
 
 def sigma_extend(h: BoolHom) -> SigmaExtension:

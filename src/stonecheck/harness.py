@@ -38,13 +38,13 @@ import itertools
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cache
 from typing import Callable, Iterator, Sequence
 
 from .algebra import (
     MAX_ATOMS,
     BoolHom,
+    FieldEquality,
     FinBoolAlg,
     _mask_ops,
     _subset_unions,
@@ -75,7 +75,6 @@ from .errors import BoundExceeded, InvariantViolation, NoClopenPreimage
 from .extension import canonical_extension, is_compact, is_dense, sigma_extend
 
 
-@dataclass(frozen=True, eq=False)
 class DiagramBundle:
     """Every arrow of the construction square for one homomorphism.
 
@@ -84,21 +83,40 @@ class DiagramBundle:
     checks read them instead of recomputing them.
     """
 
-    hom: BoolHom
-    h_star: ContinuousMap
-    beta1: BetaSpace
-    beta2: BetaSpace
-    h_star_beta: ContinuousMap
-    double_dual: tuple[int, ...]
-    candidate_count: int
-    lift: tuple[int, ...]
+    __slots__ = (
+        "hom", "h_star", "beta1", "beta2", "h_star_beta",
+        "double_dual", "candidate_count", "lift", "__weakref__",
+    )
+
+    def __init__(
+        self,
+        hom: BoolHom,
+        h_star: ContinuousMap,
+        beta1: BetaSpace,
+        beta2: BetaSpace,
+        h_star_beta: ContinuousMap,
+        double_dual: tuple[int, ...],
+        candidate_count: int,
+        lift: tuple[int, ...],
+    ) -> None:
+        self.hom = hom
+        self.h_star = h_star
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.h_star_beta = h_star_beta
+        self.double_dual = double_dual
+        self.candidate_count = candidate_count
+        self.lift = lift
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    verdict: str  # "pass" | "fail"
-    witness: dict | None = None
+class CheckResult(FieldEquality):
+    _fields = ("name", "verdict", "witness")
+    __slots__ = (*_fields, "__weakref__")
+
+    def __init__(self, name: str, verdict: str, witness: dict | None = None) -> None:
+        self.name = name
+        self.verdict = verdict  # "pass" | "fail"
+        self.witness = witness
 
     def as_row(self) -> dict:
         """The check as report data: name and verdict, plus the witness if any."""
@@ -108,20 +126,28 @@ class CheckResult:
         return row
 
 
-@dataclass
-class InstanceReport:
-    descriptor: dict
-    checks: list[CheckResult]
-    timing_ms: int = 0
+class InstanceReport(FieldEquality):
+    _fields = ("descriptor", "checks", "timing_ms")
+    __slots__ = (*_fields, "__weakref__")
+    __hash__ = None
+
+    def __init__(self, descriptor: dict, checks: list[CheckResult], timing_ms: int = 0) -> None:
+        self.descriptor = descriptor
+        self.checks = checks
+        self.timing_ms = timing_ms
 
     @property
     def passed(self) -> bool:
         return all(c.verdict == "pass" for c in self.checks)
 
 
-@dataclass
-class VerificationReport:
-    instances: list[InstanceReport] = field(default_factory=list)
+class VerificationReport(FieldEquality):
+    _fields = ("instances",)
+    __slots__ = (*_fields, "__weakref__")
+    __hash__ = None
+
+    def __init__(self, instances: list[InstanceReport] | None = None) -> None:
+        self.instances = [] if instances is None else instances
 
 
 def report_jsonable(report: VerificationReport) -> list[dict]:
@@ -264,7 +290,8 @@ def _compressed(atom_function: tuple[int, ...]) -> tuple[tuple[int, ...], BoolHo
 
 @cache
 def _passed(name: str) -> CheckResult:
-    """The passing result of a check, one shared frozen object per name."""
+    """The passing result of a check, one shared object per name (no code
+    assigns a field of a record after its ``__init__``)."""
     return CheckResult(name, "pass")
 
 
@@ -498,14 +525,17 @@ def algebra_instance(atom_count: int) -> InstanceReport:
     return InstanceReport(descriptor, checks, int((time.perf_counter() - start) * 1000))
 
 
-@dataclass(frozen=True)
-class SuitePlan:
+class SuitePlan(FieldEquality):
     """Every instance of a suite run in report order (``suite_plan``).  A hom
     entry is (source atoms, atom function, hom or None, sample index, that
     of the hom's first draw, whether another draw repeats the hom)."""
 
-    homs: list[tuple]
-    algebra_sizes: list[int]
+    _fields = ("homs", "algebra_sizes")
+    __slots__ = (*_fields, "__weakref__")
+
+    def __init__(self, homs: list[tuple], algebra_sizes: list[int]) -> None:
+        self.homs = homs
+        self.algebra_sizes = algebra_sizes
 
     def __len__(self) -> int:
         return len(self.homs) + len(self.algebra_sizes)

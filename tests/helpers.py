@@ -7,6 +7,7 @@ at ``MAX_BRUTE_FORCE_CARRIER`` elements and a table scan at 2**that many
 tables.
 """
 
+import inspect
 import itertools
 
 from stonecheck.algebra import (
@@ -24,6 +25,18 @@ from stonecheck.errors import (
     NotJoinPreserving,
     NotMeetPreserving,
 )
+
+
+def replace(obj, **changes):
+    """A copy of a record with the given constructor fields changed.
+
+    The copy is built through the record's constructor, with every
+    parameter of ``inspect.signature(type(obj))`` read off obj unless
+    changed, so its derived fields are recomputed and its ``_cache`` starts
+    empty, as ``dataclasses.replace`` gave.
+    """
+    fields = {name: getattr(obj, name) for name in inspect.signature(type(obj)).parameters}
+    return type(obj)(**{**fields, **changes})
 
 
 def identity_hom(algebra: FinBoolAlg) -> BoolHom:

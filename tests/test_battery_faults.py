@@ -9,10 +9,10 @@ pinned by digest so that refactoring the battery cannot change them.
 
 import hashlib
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import stonecheck.harness as harness
+from helpers import replace
 from stonecheck.algebra import _preimage_table, hom_from_atom_function, powerset_algebra
 from stonecheck.cli import main
 from stonecheck.harness import (

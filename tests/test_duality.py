@@ -1,12 +1,11 @@
 """Stone duality: the embedding, dual spaces and maps, clopens, double dual."""
 
 import itertools
-from dataclasses import replace
 
 import pytest
 
 import stonecheck.duality as duality
-from helpers import identity_hom
+from helpers import identity_hom, replace
 from stonecheck.algebra import (
     all_homs,
     compose_homs,

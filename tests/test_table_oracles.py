@@ -12,7 +12,6 @@ accept exactly the tables that the pair loop passes, whatever ints they
 hold.
 """
 
-import dataclasses
 import itertools
 import random
 from pathlib import Path
@@ -20,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import stonecheck.harness as harness
-from helpers import export_presentation, identity_hom
+from helpers import export_presentation, identity_hom, replace
 from stonecheck.algebra import (
     BoolHom,
     _preimage_table,
@@ -573,7 +572,7 @@ def test_forced_beta_lift_miss_raises_with_the_frozenset_witness():
     points = by.points_as_ultrafilters
     for dropped in range(len(points)):
         # a target that lacks one point: lifting onto it has no match
-        crippled = dataclasses.replace(
+        crippled = replace(
             by, points_as_ultrafilters=points[:dropped] + points[dropped + 1 :]
         )
         for f in itertools.product(range(2), repeat=3):
@@ -597,20 +596,20 @@ def membership_faults(bundle):
     points1 = bundle.beta1.space.size
     table = tuple((v + 1) % points1 for v in bundle.h_star_beta.table)
     pre = _preimage_table(table, points1)
-    yield dataclasses.replace(
-        bundle, h_star_beta=dataclasses.replace(bundle.h_star_beta, table=table, preimages=pre)
+    yield replace(
+        bundle, h_star_beta=replace(bundle.h_star_beta, table=table, preimages=pre)
     )
-    yield dataclasses.replace(
+    yield replace(
         bundle,
-        beta2=dataclasses.replace(
+        beta2=replace(
             bundle.beta2, points_as_ultrafilters=bundle.beta2.points_as_ultrafilters[::-1]
         ),
     )
     h_star = bundle.h_star
     shifted = tuple((v + 1) % h_star.target.size for v in h_star.table)
     pre = _preimage_table(shifted, h_star.target.size)
-    yield dataclasses.replace(
-        bundle, h_star=dataclasses.replace(h_star, table=shifted, preimages=pre)
+    yield replace(
+        bundle, h_star=replace(h_star, table=shifted, preimages=pre)
     )
 
 

@@ -14,7 +14,6 @@ before any scan, must accept exactly the tables ``ref_validate_hom`` does,
 on every raw table between small powersets and shuffled presentations.
 """
 
-import dataclasses
 import itertools
 import random
 
@@ -22,6 +21,7 @@ import pytest
 
 import stonecheck.algebra as algebra
 import stonecheck.extension as extension
+from helpers import replace
 from stonecheck.algebra import (
     MAX_ATOMS,
     atom_function_of_hom,
@@ -328,7 +328,7 @@ def test_powerset_with_one_corrupted_operation_entry_matches_reference(atoms, ta
         a, b = rng.randrange(size), rng.randrange(size)
         corrupted = [list(row) for row in getattr(lattice, table)]
         corrupted[a][b] = rng.choice([v for v in range(size) if v != corrupted[a][b]])
-        broken = dataclasses.replace(lattice, **{table: tuple(map(tuple, corrupted))})
+        broken = replace(lattice, **{table: tuple(map(tuple, corrupted))})
         seen.add(assert_same(outcome(reference_bool_alg, broken, comp), outcome(library_bool_alg, broken, comp)))
     assert ("NotDistributive", None) in seen
 
@@ -627,7 +627,7 @@ def corrupted_lattices(lattice, rng, limit=None):
     for kind, i, j, v in changes:
         rows = [list(row) for row in getattr(lattice, kind)]
         rows[i][j] = v
-        yield dataclasses.replace(lattice, **{kind: tuple(map(tuple, rows))})
+        yield replace(lattice, **{kind: tuple(map(tuple, rows))})
 
 
 @pytest.mark.parametrize("atoms, limit", [(1, None), (2, None), (3, None), (4, 40)])

@@ -13,31 +13,26 @@ representation a finite Boolean algebra is the powerset of its atoms, so
 off the up-set bitmasks of the order, in O(k * 2**k) steps for 2**k
 elements.  When the masks show a powerset order, only the complement laws
 are left to check, on the masks: x meets not-x to bottom when their masks
-are disjoint, and joins it to top when their masks cover every atom.  The
-row scans below run only on an order that is not a powerset order, to name
-its witness.  A valid algebra keeps its up-sets and atom masks, and its
-order, meet and join tables (``FinBoolAlg.lattice``) are translated from
-the masks when something first reads them, so an algebra that is only
-validated costs no tables.
-
-Those scans run a row at a time.  A poset keeps each row of its order as
-an up-set bitmask (and each column as a down-set bitmask), so the order
-laws are mask tests and a least upper bound is the element whose up-set
-mask is the intersection of two others.  The distributive and homomorphism
-laws compare rows of bytes built from the operation tables with
-``bytes.translate``; a lattice keeps its meet and join tables as flat byte
-blocks (``meet_bytes``, ``join_bytes``, cached like any other result; a
-lattice translated from atom masks is handed the blocks it was built
-from), for ``fin_bool_alg`` and ``validate_hom`` to translate.  Only a
-comparison that fails is scanned, so every check still names the same
-first witness as an element-by-element scan in index order.
+are disjoint, and joins it to top when their masks cover every atom.  A
+valid algebra keeps its up-sets and atom masks, and its order, meet and
+join tables (``FinBoolAlg.lattice``) are translated from the masks when
+something first reads them, so an algebra that is only validated costs no
+tables.
 
 A homomorphism is recognised by its atom masks.  By Stone duality a table
 between finite Boolean algebras is a homomorphism exactly when, read in
 atom-mask coordinates, it is the preimage table of a point map
 (``atom_additive``), which takes O(size) steps.  ``validate_hom`` accepts
-such a table at once; its law scans run only on a table that is not one,
-to name its first witness, and slice the target's rows as they go.
+such a table at once.
+
+Every valid input is accepted by these mask tests.  Only an input that
+fails one reaches the law scans (``poset_of_up_sets``, ``fin_lattice``,
+``fin_bool_alg`` and the tail of ``validate_hom``), which name its first
+witness in index order.  A poset keeps each row of its order as an up-set
+bitmask (and each column as a down-set bitmask), so the order laws are
+mask tests and a least upper bound is the element whose up-set mask is the
+intersection of two others; the distributive and homomorphism laws are
+plain loops over the operation tables.
 
 Filters are stored extensionally (as element sets).  The fast enumeration
 exploits that every filter of a finite lattice is a principal up-set; the
@@ -171,24 +166,12 @@ class FinPoset:
     def upset(self, i: int) -> frozenset[int]:
         return frozenset(j for j in range(self.size) if self.leq[i][j])
 
-    def downset(self, i: int) -> frozenset[int]:
-        return frozenset(j for j in range(self.size) if self.leq[j][i])
-
 
 def _lowest_bit(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-def _first_difference(a: bytes, b: bytes) -> int:
-    return next(k for k, (x, y) in enumerate(zip(a, b)) if x != y)
-
-
 _BITS = bytes.maketrans(b"01", b"\0\1")
-
-
-def _byte_table(row: Sequence[int]) -> bytes:
-    """A table row as a 256-byte ``bytes.translate`` table (entries below 256)."""
-    return bytes(row).ljust(256, b"\0")
 
 
 def _subset_unions(parts: Sequence[int]) -> list[int]:
@@ -299,18 +282,6 @@ class FinLattice:
             out = self.join[out][e]
         return out
 
-    @property
-    @object_cache
-    def meet_bytes(self) -> bytes:
-        """The meet table as one flat block of n rows of n bytes."""
-        return bytes(itertools.chain.from_iterable(self.meet))
-
-    @property
-    @object_cache
-    def join_bytes(self) -> bytes:
-        """The join table as one flat block of n rows of n bytes."""
-        return bytes(itertools.chain.from_iterable(self.join))
-
 
 @object_cache
 def order_dual(lattice: FinLattice) -> FinLattice:
@@ -386,26 +357,23 @@ class FinBoolAlg:
     @object_cache
     def lattice(self) -> FinLattice:
         """The order, meet and join tables, translated from the atom masks
-        through ``_mask_ops``, with the flat byte blocks they came from."""
+        through ``_mask_ops``."""
         up, atom_mask, n = self.up, self.atom_mask, self.size
         masks = bytes(atom_mask)
         ands, ors, subsets = _mask_ops(self.atom_count)
-        index = _byte_table([self._mask_index[m] for m in range(n)])
+        index = bytes([self._mask_index[m] for m in range(n)]).ljust(256, b"\0")
         rows = struct.Struct(f"{n}?").unpack
         leq = tuple([rows(masks.translate(subsets[m])) for m in atom_mask])
-        meet_rows, join_rows = (
-            [masks.translate(ops[m]).translate(index) for m in atom_mask] for ops in (ands, ors)
+        meet, join = (
+            tuple([tuple(masks.translate(ops[m]).translate(index)) for m in atom_mask])
+            for ops in (ands, ors)
         )
         below = [(1 << n) - 1]
         for a in self.atoms:
             outside = ~up[a]
             below = [m & outside for m in below] + below
         down = tuple(map(below.__getitem__, atom_mask))
-        meet, join = (tuple(map(tuple, rows)) for rows in (meet_rows, join_rows))
-        lattice = FinLattice(FinPoset(leq, up, down), meet, join, self.bottom, self.top)
-        lattice._cache[FinLattice.meet_bytes.fget.slot] = b"".join(meet_rows)
-        lattice._cache[FinLattice.join_bytes.fget.slot] = b"".join(join_rows)
-        return lattice
+        return FinLattice(FinPoset(leq, up, down), meet, join, self.bottom, self.top)
 
     def leq_of(self, i: int, j: int) -> bool:
         return self.lattice.leq_of(i, j)
@@ -416,14 +384,8 @@ class FinBoolAlg:
     def join_of(self, i: int, j: int) -> int:
         return self.lattice.join[i][j]
 
-    def complement_of(self, i: int) -> int:
-        return self.complement[i]
-
     def mask_of(self, i: int) -> int:
         return self.atom_mask[i]
-
-    def element_of_mask(self, mask: int) -> int:
-        return self._mask_index[mask]
 
 
 @cache
@@ -451,48 +413,32 @@ def _checked_complement(n: int, complement: Sequence[int]) -> tuple[int, ...]:
 def fin_bool_alg(lattice: FinLattice, complement: Sequence[int]) -> FinBoolAlg:
     """Validate distributivity and the complement laws, then canonicalize.
 
-    The distributive law is checked a row at a time and scanned for its
-    first witness only in a row that fails.  By Birkhoff's description of
-    finite Boolean algebras the atom-bitmask encoding of a valid algebra is
-    an order isomorphism onto the powerset of the atom set, so a failure
-    there, checked after the complement laws, is reported as an internal
-    invariant violation rather than a user error.  Lattices of more than
-    ``2 ** MAX_ATOMS`` elements raise BoundExceeded.
+    Each law is a plain scan that names the first witness in index order:
+    the triples (x, y, z) of the distributive law, then each x with its
+    complement.  By Birkhoff's description of finite Boolean algebras a
+    Boolean lattice is a powerset order, so an order that
+    ``_atom_encoding`` does not read as one, checked after the complement
+    laws, is reported as an internal invariant violation rather than a user
+    error.  Lattices of more than ``2 ** MAX_ATOMS`` elements raise
+    BoundExceeded.
     """
     n = lattice.size
     comp = _checked_complement(n, complement)
-    meet_block, join_block = lattice.meet_bytes, lattice.join_bytes
-    join_tables = [_byte_table(row) for row in lattice.join]
-    for x in range(n):
-        # row y, column z: meet[x][join[y][z]] against join[meet[x][y]][meet[x][z]]
-        meet_row = meet_block[x * n : x * n + n]
-        lhs = join_block.translate(_byte_table(meet_row))
-        rhs = b"".join([meet_row.translate(join_tables[m]) for m in meet_row])
-        if lhs != rhs:
-            y, z = divmod(_first_difference(lhs, rhs), n)
-            raise NotDistributive("distributive law fails", (x, y, z))
     meet, join = lattice.meet, lattice.join
+    for x, y, z in itertools.product(range(n), repeat=3):
+        if meet[x][join[y][z]] != join[meet[x][y]][meet[x][z]]:
+            raise NotDistributive("distributive law fails", (x, y, z))
     for x, c in enumerate(comp):
         if meet[x][c] != lattice.bottom:
             raise ComplementLawFails("x and not-x do not meet to bottom", (x, c))
         if join[x][c] != lattice.top:
             raise ComplementLawFails("x and not-x do not join to top", (x, c))
-
-    leq, down = lattice.poset.leq, lattice.poset.down
-    bottom = lattice.bottom
-    atoms = tuple(i for i in range(n) if i != bottom and down[i] == 1 << i | 1 << bottom)
-    atom_mask = tuple(
-        sum(1 << k for k, a in enumerate(atoms) if down[i] >> a & 1) for i in range(n)
-    )
+    encoding = _atom_encoding(lattice.poset.up)
+    if encoding is None:
+        raise InvariantViolation("a Boolean lattice is not a powerset order", n)
+    atoms, masks = encoding
+    atom_mask = tuple(masks)
     mask_index = {m: i for i, m in enumerate(atom_mask)}
-    if len(mask_index) != n or n != 1 << len(atoms):
-        raise InvariantViolation("atom encoding is not a bijection", (n, len(atoms)))
-    for i, m in enumerate(atom_mask):
-        # i <= j exactly when the atoms of i are among those of j
-        row = tuple(map(m.__eq__, map(m.__and__, atom_mask)))
-        if row != leq[i]:
-            j = next(j for j in range(n) if row[j] != leq[i][j])
-            raise InvariantViolation("atom encoding does not match the order", (i, j))
     algebra = FinBoolAlg(lattice.poset.up, comp, atoms, atom_mask, mask_index)
     algebra._cache[FinBoolAlg.lattice.fget.slot] = lattice
     return algebra
@@ -603,11 +549,6 @@ class Filter(FieldEquality):
     def __init__(self, lattice: FinLattice, members: frozenset[int]) -> None:
         self.lattice = lattice
         self.members = members
-
-    @property
-    def generator(self) -> int:
-        """In a finite lattice every filter is the up-set of its total meet."""
-        return self.lattice.meet_all(self.members)
 
 
 class UltraFilter(FieldEquality):
@@ -731,10 +672,9 @@ def validate_hom(table: Sequence[int], source: FinBoolAlg, target: FinBoolAlg) -
 
     The image masks, ordered by the source element's mask, are tested with
     ``atom_additive``, and a table that passes is accepted at once.  Any
-    other table breaks a law, and the scans below name the first: bottom
-    preservation is checked with the meets (bottom is the meet of the whole
-    carrier) and top preservation with the joins.  Each operation law reads
-    the lattices' flat byte blocks (``meet_bytes``, ``join_bytes``).
+    other table breaks a law, and plain scans name the first: bottom, the
+    meet of each pair (i, j) in row-major order, top, the join of each
+    pair, then the complement of each element.
     """
     t = tuple(map(int, table))
     n = source.size
@@ -748,42 +688,22 @@ def validate_hom(table: Sequence[int], source: FinBoolAlg, target: FinBoolAlg) -
         by_mask = [masks[t[index[m]]] for m in range(n)]
     if atom_additive(by_mask, source.atom_count, target.atom_count):
         return BoolHom(source, target, t)
-    image = bytes(t)
-    image_table = _byte_table(t)
     src, dst = source.lattice, target.lattice
+    pairs = list(itertools.product(range(n), repeat=2))
     if t[source.bottom] != target.bottom:
         raise NotMeetPreserving("bottom must map to bottom", ("bottom", source.bottom))
-    witness = _unpreserved(src.meet_bytes, dst.meet_bytes, dst.size, image, image_table)
-    if witness is not None:
-        raise NotMeetPreserving("meet not preserved", witness)
+    for i, j in pairs:
+        if t[src.meet[i][j]] != dst.meet[t[i]][t[j]]:
+            raise NotMeetPreserving("meet not preserved", (i, j))
     if t[source.top] != target.top:
         raise NotJoinPreserving("top must map to top", ("top", source.top))
-    witness = _unpreserved(src.join_bytes, dst.join_bytes, dst.size, image, image_table)
-    if witness is not None:
-        raise NotJoinPreserving("join not preserved", witness)
-    lhs = bytes(source.complement).translate(image_table)
-    rhs = image.translate(_byte_table(target.complement))
-    if lhs != rhs:
-        raise NotComplementPreserving("complement not preserved", (_first_difference(lhs, rhs),))
+    for i, j in pairs:
+        if t[src.join[i][j]] != dst.join[t[i]][t[j]]:
+            raise NotJoinPreserving("join not preserved", (i, j))
+    for a in range(n):
+        if t[source.complement[a]] != target.complement[t[a]]:
+            raise NotComplementPreserving("complement not preserved", (a,))
     raise InvariantViolation("a table that keeps every law is not atom additive", t)
-
-
-def _unpreserved(
-    source_op: bytes, target_op: bytes, m: int, image: bytes, image_table: bytes
-) -> tuple[int, int] | None:
-    """The first (i, j) with t[op(i, j)] != op(t[i], t[j]), or None.
-
-    The operations are flat byte blocks, n by n on the source and m by m on
-    the target.  Both sides are built as n rows of n bytes, row i of the
-    right side by translating the image through row t[i] of the target
-    block, sliced and padded to a 256-byte table once per value taken.
-    """
-    lhs = source_op.translate(image_table)
-    rows = {v: _byte_table(target_op[v * m : v * m + m]) for v in set(image)}
-    rhs = b"".join([image.translate(rows[v]) for v in image])
-    if lhs == rhs:
-        return None
-    return divmod(_first_difference(lhs, rhs), len(image))
 
 
 def compose_homs(outer: BoolHom, inner: BoolHom) -> BoolHom:

@@ -347,7 +347,7 @@ def render_document(doc: Document) -> str:
                 if algebra.leq_of(i, j)
             ],
             "complement": [
-                [labels[i], labels[algebra.complement_of(i)]] for i in range(n)
+                [labels[i], labels[algebra.complement[i]]] for i in range(n)
             ],
         }
         algebras.append(entry)

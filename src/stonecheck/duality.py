@@ -267,16 +267,19 @@ def dual_map(hom: BoolHom) -> ContinuousMap:
     Each preimage is checked to be an ultrafilter of the source algebra.  It
     is computed as a membership row, the image table translated through the
     indicator of v, and looked up among the source's ultrafilter rows.  The
-    entries are those positions, so only continuity is tested.
+    entries are those positions, so only continuity is tested.  A preimage
+    that is not an ultrafilter is named by its members, read off its row.
     """
     src_space = dual_space(hom.target)
     dst_space = dual_space(hom.source)
     index = _ultrafilter_rows(hom.source)[0]
     image = bytes(hom.table)
-    table = tuple([index.get(image.translate(v)) for v in _ultrafilter_rows(hom.target)[1]])
+    indicators = _ultrafilter_rows(hom.target)[1]
+    table = tuple([index.get(image.translate(v)) for v in indicators])
     if None in table:
-        v = ultrafilters(hom.target)[table.index(None)]
-        raise InvariantViolation("hom preimage of an ultrafilter is not one", v)
+        row = image.translate(indicators[table.index(None)])
+        members = frozenset(a for a, inside in enumerate(row) if inside)
+        raise InvariantViolation("hom preimage of an ultrafilter is not one", members)
     return _checked_map(src_space, dst_space, table)
 
 

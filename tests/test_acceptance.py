@@ -115,7 +115,7 @@ def test_criterion_2_canonical_extension_axioms():
             assert masks[algebra.bottom] == 0
             assert masks[algebra.top] == full
             for a in range(algebra.size):
-                assert masks[algebra.complement_of(a)] == full ^ masks[a]
+                assert masks[algebra.complement[a]] == full ^ masks[a]
                 for b in range(algebra.size):
                     assert masks[algebra.meet_of(a, b)] == masks[a] & masks[b]
                     assert masks[algebra.join_of(a, b)] == masks[a] | masks[b]

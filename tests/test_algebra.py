@@ -209,9 +209,10 @@ def test_order_dual_is_the_validated_reversed_order(rows):
 def test_every_filter_is_principal(n):
     lattice = powerset_algebra(n).lattice
     for f in all_filters(lattice):
-        assert f.members == lattice.poset.upset(f.generator)
+        assert f.members == lattice.poset.upset(lattice.meet_all(f.members))
     for i in all_ideals(lattice):
-        assert i.members == lattice.poset.downset(i.generator)
+        generator = lattice.join_all(i.members)
+        assert i.members == {j for j in range(lattice.size) if lattice.leq_of(j, generator)}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -244,7 +245,7 @@ def test_ultrafilter_dichotomy(n):
     algebra = powerset_algebra(n)
     for u in ultrafilters(algebra):
         for a in range(algebra.size):
-            assert (a in u.members) != (algebra.complement_of(a) in u.members)
+            assert (a in u.members) != (algebra.complement[a] in u.members)
 
 
 def test_validate_hom_accepts_identity():

@@ -68,6 +68,29 @@ def test_relabelled_five_atom_document_with_two_complements_swapped_exits_2():
     assert proc.stderr == "error: algebras[0]: x and not-x do not meet to bottom; witness=(1, 10)\n"
 
 
+M3_DIAMOND = {
+    "algebras": [
+        {
+            "name": "m3",
+            "carrier": ["0", "a", "b", "c", "1"],
+            "leq": [["0", "a"], ["0", "b"], ["0", "c"], ["a", "1"], ["b", "1"], ["c", "1"]],
+            "complement": [["0", "1"], ["a", "b"], ["b", "c"], ["c", "a"], ["1", "0"]],
+        }
+    ]
+}
+
+
+def test_a_diamond_lattice_exits_2_with_its_distributive_witness(tmp_path):
+    # M3 is a complemented lattice but not distributive: the plain triple
+    # scan names a, meeting b join c, as its first witness
+    doc = tmp_path / "m3.json"
+    doc.write_text(json.dumps(M3_DIAMOND))
+    proc = run_cli("canext", str(doc), "m3")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: algebras[0]: distributive law fails; witness=(1, 2, 3)\n"
+
+
 def test_relabelled_document_with_one_changed_map_pair_names_the_broken_law(capsys):
     # the table is not atom additive, so validate_hom's scan names the pair
     doc = GOLDEN_DIR / "relabelled_five_bad_map.json"

@@ -88,7 +88,7 @@ def test_phi_is_a_boolean_embedding(n):
             assert masks[algebra.meet_of(a, b)] == masks[a] & masks[b]
             assert masks[algebra.join_of(a, b)] == masks[a] | masks[b]
             assert (masks[a] & ~masks[b] == 0) == algebra.leq_of(a, b)
-        assert masks[algebra.complement_of(a)] == full ^ masks[a]
+        assert masks[algebra.complement[a]] == full ^ masks[a]
     assert masks[algebra.bottom] == 0
     assert masks[algebra.top] == full
 

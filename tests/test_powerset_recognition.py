@@ -17,7 +17,6 @@ The ``check_*`` functions take the constructor as an argument, so that
 ``test_mutants`` can run them against seeded faults in the recognizer.
 """
 
-import itertools
 import json
 import random
 
@@ -28,7 +27,6 @@ import stonecheck.cli as cli
 from stonecheck.algebra import (
     MAX_ATOMS,
     FinBoolAlg,
-    FinLattice,
     _atom_encoding,
     boolean_algebra_of_up_sets,
     fin_bool_alg,
@@ -183,23 +181,6 @@ def test_shuffled_powersets_build_the_same_algebra_three_ways(monkeypatch, tmp_p
     assert FinBoolAlg.lattice.fget.cache_info().misses == misses + 1
     assert [name for name, alg in parsed[0].algebras.items() if LATTICE in alg._cache] == ["B4"]
     assert capsys.readouterr().out.startswith("dual space of B4\n")
-
-
-@pytest.mark.parametrize("atoms", range(MAX_ATOMS + 1))
-def test_a_recognised_lattice_holds_its_flat_byte_blocks_from_the_start(atoms):
-    # the constructor hands over the blocks it built, so validate_hom never
-    # flattens the tuple tables of a freshly parsed algebra
-    rng = random.Random(2000 + atoms)
-    for _ in range(5):
-        up, comp = shuffled_powerset(atoms, rng)
-        lattice = boolean_algebra_of_up_sets(up, comp).lattice
-        blocks = dict(lattice._cache)
-        meet_slot, join_slot = FinLattice.meet_bytes.fget.slot, FinLattice.join_bytes.fget.slot
-        assert set(blocks) == {meet_slot, join_slot}
-        assert blocks[meet_slot] == bytes(itertools.chain.from_iterable(lattice.meet))
-        assert blocks[join_slot] == bytes(itertools.chain.from_iterable(lattice.join))
-        assert lattice.meet_bytes is blocks[meet_slot]
-        assert lattice.join_bytes is blocks[join_slot]
 
 
 def test_the_one_element_algebra_is_recognised():

@@ -445,7 +445,7 @@ def reference_dual_map_table(hom):
     for v in ultrafilters(hom.target):
         pre = frozenset(a for a in range(hom.source.size) if hom.table[a] in v.members)
         if pre not in index:
-            raise InvariantViolation("hom preimage of an ultrafilter is not one", v)
+            raise InvariantViolation("hom preimage of an ultrafilter is not one", pre)
         table.append(index[pre])
     return tuple(table)
 
@@ -557,6 +557,17 @@ def test_dual_map_miss_raises_as_the_frozenset_scan_did():
             assert got == expected
             misses += expected[0] is InvariantViolation
     assert misses > 100
+
+
+def test_dual_map_miss_names_the_preimage_members_without_an_address():
+    # the witness is a frozenset of element indices, so the internal-error
+    # text is the same in every run
+    hom = BoolHom(powerset_algebra(1), powerset_algebra(2), (0, 1))
+    with pytest.raises(InvariantViolation) as info:
+        dual_map(hom)
+    assert info.value.witness == frozenset()
+    assert str(info.value) == "hom preimage of an ultrafilter is not one; witness=frozenset()"
+    assert "0x" not in str(info.value)
 
 
 def test_beta_lift_on_every_diagram_matches_the_frozenset_lift():

@@ -18,7 +18,6 @@ from .algebra import (
     hom_from_atom_function,
     powerset_algebra,
     ultrafilters,
-    validate_boolean_algebra,
     validate_hom,
 )
 from .compactification import (
@@ -41,8 +40,6 @@ from .duality import (
     dual_map,
     dual_of_continuous,
     dual_space,
-    hat_phi,
-    phi,
     stone_representation,
 )
 from .extension import (

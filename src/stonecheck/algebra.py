@@ -14,10 +14,10 @@ off the up-set bitmasks of the order, in O(k * 2**k) steps for 2**k
 elements.  When the masks show a powerset order, only the complement laws
 are left to check, on the masks: x meets not-x to bottom when their masks
 are disjoint, and joins it to top when their masks cover every atom.  A
-valid algebra keeps its up-sets and atom masks, and its order, meet and
-join tables (``FinBoolAlg.lattice``) are translated from the masks when
-something first reads them, so an algebra that is only validated costs no
-tables.
+valid algebra keeps its up-sets and atom masks, and its meet and join
+tables (``FinBoolAlg.lattice``) are translated from the masks when
+something first reads them, so an algebra that is only validated, or whose
+ultrafilters are only listed, costs no tables.
 
 A homomorphism is recognised by its atom masks.  By Stone duality a table
 between finite Boolean algebras is a homomorphism exactly when, read in
@@ -28,8 +28,9 @@ such a table at once.
 Every valid input is accepted by these mask tests.  Only an input that
 fails one reaches the law scans (``poset_of_up_sets``, ``fin_lattice``,
 ``fin_bool_alg`` and the tail of ``validate_hom``), which name its first
-witness in index order.  A poset keeps each row of its order as an up-set
-bitmask (and each column as a down-set bitmask), so the order laws are
+witness in index order.  An order is held as bitmasks only: a poset keeps
+each row as an up-set bitmask and each column as a down-set bitmask, so
+``leq_of`` is one bit, the order dual swaps the two, the order laws are
 mask tests and a least upper bound is the element whose up-set mask is the
 intersection of two others; the distributive and homomorphism laws are
 plain loops over the operation tables.
@@ -50,7 +51,6 @@ whose tables are few and reused, is cached for the whole process.
 from __future__ import annotations
 
 import itertools
-import struct
 from functools import cache, reduce, wraps
 from operator import or_
 from types import SimpleNamespace
@@ -141,30 +141,24 @@ class FieldEquality:
 
 
 class FinPoset:
-    """A finite partial order; ``leq[i][j]`` holds iff element i <= element j.
-
-    ``up[i]`` is the bitmask of the elements above i and ``down[i]`` that of
-    the elements below it.
+    """A finite partial order as bitmasks: bit j of ``up[i]`` says that
+    element i <= element j, and ``down[j]`` is the bitmask of the elements
+    below j, so it is ``up`` transposed.
     """
 
-    __slots__ = ("leq", "up", "down", "__weakref__")
+    __slots__ = ("up", "down", "__weakref__")
 
-    def __init__(
-        self, leq: tuple[tuple[bool, ...], ...], up: tuple[int, ...], down: tuple[int, ...]
-    ) -> None:
-        self.leq = leq
+    def __init__(self, up: tuple[int, ...], down: tuple[int, ...]) -> None:
         self.up = up
         self.down = down
 
     @property
     def size(self) -> int:
-        return len(self.leq)
-
-    def leq_of(self, i: int, j: int) -> bool:
-        return self.leq[i][j]
+        return len(self.up)
 
     def upset(self, i: int) -> frozenset[int]:
-        return frozenset(j for j in range(self.size) if self.leq[i][j])
+        m = self.up[i]
+        return frozenset(j for j in range(self.size) if m >> j & 1)
 
 
 def _lowest_bit(mask: int) -> int:
@@ -216,9 +210,7 @@ def poset_of_up_sets(up: Sequence[int]) -> FinPoset:
     up = tuple(up)
     if any(m >> n for m in up):
         raise ValueError("relation masks must lie inside the carrier")
-    bits = [1 << j for j in range(n)]
-    leq = tuple(tuple(map(bool, map(m.__and__, bits))) for m in up)
-    down = tuple(sum(itertools.compress(bits, col)) for col in zip(*leq))
+    down = tuple(sum(1 << i for i in range(n) if up[i] >> j & 1) for j in range(n))
     for i in range(n):
         if not up[i] >> i & 1:
             raise NotAPoset("relation is not reflexive", ("reflexivity", i))
@@ -229,12 +221,13 @@ def poset_of_up_sets(up: Sequence[int]) -> FinPoset:
             raise NotAPoset("relation is not antisymmetric", ("antisymmetry", i, j))
     for i in range(n):
         outside = ~up[i]
-        if not reduce(or_, itertools.compress(up, leq[i]), 0) & outside:
+        above = [j for j in range(n) if up[i] >> j & 1]
+        if not reduce(or_, map(up.__getitem__, above), 0) & outside:
             continue
-        j = next(j for j in range(n) if leq[i][j] and up[j] & outside)
+        j = next(j for j in above if up[j] & outside)
         k = _lowest_bit(up[j] & outside)
         raise NotAPoset("relation is not transitive", ("transitivity", i, j, k))
-    return FinPoset(leq, up, down)
+    return FinPoset(up, down)
 
 
 class FinLattice:
@@ -259,8 +252,9 @@ class FinLattice:
         self.size = poset.size
         self._cache = {}
 
-    def leq_of(self, i: int, j: int) -> bool:
-        return self.poset.leq[i][j]
+    def leq_of(self, i: int, j: int) -> int:
+        """1 when element i <= element j, else 0."""
+        return self.poset.up[i] >> j & 1
 
     def meet_of(self, i: int, j: int) -> int:
         return self.meet[i][j]
@@ -287,9 +281,8 @@ class FinLattice:
 def order_dual(lattice: FinLattice) -> FinLattice:
     """The same carrier under the reversed order: meet and join, bottom and
     top, and up-sets and down-sets trade places."""
-    poset = lattice.poset
-    dual_poset = FinPoset(tuple(zip(*poset.leq)), poset.down, poset.up)
-    return FinLattice(dual_poset, lattice.join, lattice.meet, lattice.top, lattice.bottom)
+    poset = FinPoset(lattice.poset.down, lattice.poset.up)
+    return FinLattice(poset, lattice.join, lattice.meet, lattice.top, lattice.bottom)
 
 
 def _bound_table(masks: tuple[int, ...], kind: str, message: str) -> tuple[tuple[int, ...], ...]:
@@ -356,47 +349,34 @@ class FinBoolAlg:
     @property
     @object_cache
     def lattice(self) -> FinLattice:
-        """The order, meet and join tables, translated from the atom masks
-        through ``_mask_ops``."""
+        """The meet and join tables, translated from the atom masks through
+        ``_mask_ops``, over the algebra's up-sets and their down-sets."""
         up, atom_mask, n = self.up, self.atom_mask, self.size
         masks = bytes(atom_mask)
-        ands, ors, subsets = _mask_ops(self.atom_count)
         index = bytes([self._mask_index[m] for m in range(n)]).ljust(256, b"\0")
-        rows = struct.Struct(f"{n}?").unpack
-        leq = tuple([rows(masks.translate(subsets[m])) for m in atom_mask])
         meet, join = (
             tuple([tuple(masks.translate(ops[m]).translate(index)) for m in atom_mask])
-            for ops in (ands, ors)
+            for ops in _mask_ops(self.atom_count)
         )
         below = [(1 << n) - 1]
         for a in self.atoms:
             outside = ~up[a]
             below = [m & outside for m in below] + below
         down = tuple(map(below.__getitem__, atom_mask))
-        return FinLattice(FinPoset(leq, up, down), meet, join, self.bottom, self.top)
-
-    def leq_of(self, i: int, j: int) -> bool:
-        return self.lattice.leq_of(i, j)
-
-    def meet_of(self, i: int, j: int) -> int:
-        return self.lattice.meet[i][j]
-
-    def join_of(self, i: int, j: int) -> int:
-        return self.lattice.join[i][j]
+        return FinLattice(FinPoset(up, down), meet, join, self.bottom, self.top)
 
     def mask_of(self, i: int) -> int:
         return self.atom_mask[i]
 
 
 @cache
-def _mask_ops(n: int) -> tuple[tuple[bytes, ...], tuple[bytes, ...], tuple[bytes, ...]]:
-    """Row x of ``x & y``, of ``x | y`` and of ``x <= y`` (1 when x is a
-    subset of y, else 0) over the n-bit masks y, each as a 256-byte
-    ``bytes.translate`` table (zero-padded)."""
+def _mask_ops(n: int) -> tuple[tuple[bytes, ...], tuple[bytes, ...]]:
+    """Row x of ``x & y`` and of ``x | y`` over the n-bit masks y, each as
+    a 256-byte ``bytes.translate`` table (zero-padded)."""
     size = 1 << n
     return tuple(
         tuple(bytes(op(x, y) for y in range(size)).ljust(256, b"\0") for x in range(size))
-        for op in (int.__and__, int.__or__, lambda x, y: x & ~y == 0)
+        for op in (int.__and__, int.__or__)
     )
 
 
@@ -506,25 +486,6 @@ def boolean_algebra_of_up_sets(up: Sequence[int], complement: Sequence[int]) -> 
     return FinBoolAlg(up, comp, atoms, atom_mask, {m: i for i, m in enumerate(atom_mask)})
 
 
-def validate_boolean_algebra(
-    size: int,
-    leq_pairs: Iterable[tuple[int, int]],
-    complement: Sequence[int],
-) -> FinBoolAlg:
-    """Validate an abstract presentation (carrier + order pairs + complements).
-
-    The pair list is taken literally: reflexive pairs must be present and
-    the relation must already be transitively closed, or NotAPoset is
-    raised with the offending tuple.
-    """
-    up = [0] * size
-    for i, j in leq_pairs:
-        if not (0 <= i < size and 0 <= j < size):
-            raise ValueError(f"order pair ({i}, {j}) is outside the carrier")
-        up[i] |= 1 << j
-    return boolean_algebra_of_up_sets(up, complement)
-
-
 @cache
 def powerset_algebra(n: int) -> FinBoolAlg:
     """The 2**n-element powerset algebra; element index == atom mask."""
@@ -554,18 +515,14 @@ class Filter(FieldEquality):
 class UltraFilter(FieldEquality):
     """A maximal proper filter; principal at a unique atom in the finite case."""
 
-    _fields = ("algebra", "filter", "atom")
+    _fields = ("algebra", "members", "atom")
     __slots__ = (*_fields, "_cache", "__weakref__")
 
-    def __init__(self, algebra: FinBoolAlg, filter: Filter, atom: int) -> None:
+    def __init__(self, algebra: FinBoolAlg, members: frozenset[int], atom: int) -> None:
         self.algebra = algebra
-        self.filter = filter
+        self.members = members
         self.atom = atom
         self._cache = {}
-
-    @property
-    def members(self) -> frozenset[int]:
-        return self.filter.members
 
     @property
     @object_cache
@@ -610,13 +567,14 @@ def ultrafilters(algebra: FinBoolAlg) -> tuple[UltraFilter, ...]:
     """All maximal proper filters, sorted by the generating atom's mask.
 
     In a finite Boolean algebra these are exactly the principal up-sets of
-    atoms; the tests check them against the maximal proper filters.
+    atoms, read off the algebra's up-set masks, so no lattice is built; the
+    tests check them against the maximal proper filters.
     """
     if algebra.bottom == algebra.top:
         raise DegenerateAlgebra("the one-element algebra has no proper filters")
-    lat = algebra.lattice
+    up, n = algebra.up, algebra.size
     ufs = [
-        UltraFilter(algebra, Filter(lat, lat.poset.upset(a)), a)
+        UltraFilter(algebra, frozenset(j for j in range(n) if up[a] >> j & 1), a)
         for a in algebra.atoms
     ]
     ufs.sort(key=lambda u: algebra.mask_of(u.atom))

@@ -102,7 +102,9 @@ def _report_pieces(
     """The report file's text, a piece per instance of ``stream`` as it
     comes, the envelope head with the first; joined, the bytes of
     ``json.dumps(payload, sort_keys=True, indent=2) + "\\n"`` over the schema
-    envelope and ``report_jsonable`` of the instances, counted in ``tally``.
+    envelope and each instance as its descriptor, the rows of its checks
+    (``CheckResult.as_row``) and a ``timing_ms`` of 0, so that report files
+    are byte-identical across runs; counted in ``tally``.
     A hom that the stream marks as repeated (``harness.SuitePlan.run``) has
     its checks and descriptor text encoded once; each later draw splices
     in its own ``sample_index``.  A ``checks`` list that holds the same
@@ -268,11 +270,11 @@ def _hasse_dot(doc: Document, name: str) -> str:
         inside = ",".join(f"u{k}" for k in range(len(ufs)) if phi[i] >> k & 1)
         tip = _dot_string(f"in ultrafilters: {inside}")
         lines.append(f"  e{i} [label={_dot_string(labels[i])} tooltip={tip}];")
-    up, down = algebra.lattice.poset.up, algebra.lattice.poset.down
+    masks = algebra.atom_mask
     for i in range(n):
         for j in range(n):
-            # j covers i exactly when the interval from i to j is {i, j}
-            if i != j and up[i] & down[j] == 1 << i | 1 << j:
+            # j covers i exactly when its atom mask adds one atom to i's
+            if masks[j] > masks[i] and (masks[i] ^ masks[j]).bit_count() == 1:
                 lines.append(f"  e{i} -> e{j};")
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -337,10 +339,10 @@ def _cmd_dual(args) -> int:
     lines = [f"dual space of {args.name}", f"points: {space.size}"]
     for k, u in enumerate(ufs):
         lines.append(f"  u{k}: principal ultrafilter at atom {labels[u.atom]}")
-    base = sorted({frozenset(s) for s in space.base}, key=lambda s: (len(s), sorted(s)))
+    base = {m: [k for k in range(space.size) if m >> k & 1] for m in space.base}
     lines.append(f"base sets: {len(base)}")
-    for s in base:
-        inside = ",".join(f"u{k}" for k in sorted(s))
+    for points in sorted(base.values(), key=lambda points: (len(points), points)):
+        inside = ",".join(f"u{k}" for k in points)
         lines.append("  {" + inside + "}")
     write_pieces(["\n".join(lines) + "\n"])
     if args.dot:

@@ -337,15 +337,11 @@ def render_document(doc: Document) -> str:
         algebra = doc.algebras[name]
         labels = doc.labels[name]
         n = algebra.size
+        up = algebra.up
         entry = {
             "name": name,
             "carrier": list(labels),
-            "leq": [
-                [labels[i], labels[j]]
-                for i in range(n)
-                for j in range(n)
-                if algebra.leq_of(i, j)
-            ],
+            "leq": [[labels[i], labels[j]] for i in range(n) for j in range(n) if up[i] >> j & 1],
             "complement": [
                 [labels[i], labels[algebra.complement[i]]] for i in range(n)
             ],

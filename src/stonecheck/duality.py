@@ -3,8 +3,9 @@
 Spaces keep an explicit generating family rather than hard-coding
 discreteness: the topology is genuinely generated from the base, the
 Hausdorff property is verified from it, and inputs whose generated topology
-fails to separate points are rejected.  Point sets are handled internally as
-bitmasks over point indices.
+fails to separate points are rejected.  Every point set is a bitmask over
+the point indices: the base sets of a space, its opens, and the Stone
+embeddings ``phi_table`` and ``hat_phi_table``.
 
 Points of dual spaces are the ultrafilter values themselves, so that the
 double-dual constructions can be manipulated extensionally.
@@ -36,7 +37,6 @@ from .algebra import (
     MAX_ATOMS,
     BoolHom,
     FinBoolAlg,
-    UltraFilter,
     _preimage_table,
     boolean_algebra_of_up_sets,
     object_cache,
@@ -49,33 +49,22 @@ from .errors import BoundExceeded, InvariantViolation, NotContinuous, NotStone, 
 
 
 class FinStoneSpace:
-    """A finite point set with a distinguished generating family of subsets."""
+    """A finite point set with a distinguished generating family of subsets,
+    each a bitmask over the point indices."""
 
     __slots__ = ("points", "base", "size", "_cache", "__weakref__")
 
-    def __init__(self, points: tuple, base: tuple[frozenset[int], ...]) -> None:
+    def __init__(self, points: tuple, base: tuple[int, ...]) -> None:
         self.points = points
         self.base = base
         self.size = len(points)
         self._cache = {}
 
-    def base_masks(self) -> tuple[int, ...]:
-        return tuple(sum(1 << i for i in s) for s in self.base)
-
-
-def stone_space(points: Sequence, base_sets: Sequence[frozenset[int]]) -> FinStoneSpace:
-    """Package points and base sets (given as sets of point indices)."""
-    pts = tuple(points)
-    for s in base_sets:
-        if any(not 0 <= i < len(pts) for i in s):
-            raise ValueError("base set mentions a point outside the carrier")
-    return FinStoneSpace(pts, tuple(frozenset(s) for s in base_sets))
-
 
 def discrete_space(points: Sequence) -> FinStoneSpace:
     """The discrete space on the given points: base = all singletons."""
     pts = tuple(points)
-    return FinStoneSpace(pts, tuple(frozenset({i}) for i in range(len(pts))))
+    return FinStoneSpace(pts, tuple(1 << i for i in range(len(pts))))
 
 
 @object_cache
@@ -92,7 +81,7 @@ def topology(space: FinStoneSpace) -> tuple[int, ...]:
         raise BoundExceeded(f"Stone spaces capped at {MAX_ATOMS} points", space.size)
     full = (1 << space.size) - 1
     inters = {full}
-    inters.update(space.base_masks())
+    inters.update(space.base)
     while True:
         new = {a & b for a in inters for b in inters} - inters
         if not new:
@@ -216,15 +205,9 @@ def compose_continuous(outer: ContinuousMap, inner: ContinuousMap) -> Continuous
     )
 
 
-def phi(algebra: FinBoolAlg, a: int) -> frozenset[UltraFilter]:
-    """The set of ultrafilters containing a (the Stone embedding of a), read
-    off ``phi_mask``."""
-    mask = phi_mask(algebra, a)
-    return frozenset(u for k, u in enumerate(ultrafilters(algebra)) if mask >> k & 1)
-
-
 def phi_mask(algebra: FinBoolAlg, a: int) -> int:
-    """phi as a bitmask over the canonical ultrafilter order: one entry of
+    """The Stone embedding of a, the set of ultrafilters containing a, as a
+    bitmask over the canonical ultrafilter order: one entry of
     ``phi_table``."""
     return phi_table(algebra)[a]
 
@@ -244,9 +227,9 @@ def phi_table(algebra: FinBoolAlg) -> tuple[int, ...]:
 def dual_space(algebra: FinBoolAlg) -> FinStoneSpace:
     """The ultrafilter space with base {phi(a) : a in the carrier}, validated."""
     ufs = ultrafilters(algebra)
+    # phi_table's masks, not read from it: the two paths share no helper (audit)
     base = tuple(
-        frozenset(i for i, u in enumerate(ufs) if a in u.members)
-        for a in range(algebra.size)
+        sum(1 << i for i, u in enumerate(ufs) if a in u.members) for a in range(algebra.size)
     )
     space = FinStoneSpace(ufs, base)
     validate_stone(space)
@@ -351,24 +334,9 @@ def stone_representation(algebra: FinBoolAlg) -> RepresentationWitness:
     return RepresentationWitness(algebra, clop, table)
 
 
-def hat_phi(algebra: FinBoolAlg, subset: frozenset[UltraFilter]) -> frozenset[UltraFilter]:
-    """Double-dual embedding: ultrafilters of P(Uf(B)) whose members include the set.
-
-    The given set of ultrafilters is located as an element of the powerset
-    algebra over the canonical ultrafilter order, and the points are read
-    off ``hat_phi_table``.
-    """
-    ufs = ultrafilters(algebra)
-    points = hat_phi_table(algebra)[sum(1 << ufs.index(u) for u in subset)]
-    return frozenset(
-        nabla
-        for k, nabla in enumerate(ultrafilters(powerset_algebra(len(ufs))))
-        if points >> k & 1
-    )
-
-
 def hat_phi_point_mask(algebra: FinBoolAlg, subset_mask: int) -> int:
-    """hat_phi with both the input set and the output points as bitmasks.
+    """The double-dual embedding hat_phi: the ultrafilters of P(Uf(B)) that
+    hold a set of ultrafilters, with both the set and the points as bitmasks.
 
     Computed literally over ultrafilter-of-powerset objects: membership of
     the subset is tested in each ultrafilter of the powerset algebra.

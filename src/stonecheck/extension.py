@@ -341,7 +341,7 @@ def completion_isomorphic(c1: Completion, c2: Completion) -> IsoVerdict:
     Backtracking over the unmatched elements, pruned by order signatures;
     capped at MAX_ISO_SEARCH (the subset-scan cap) elements.
     """
-    if c1.base is not c2.base and c1.base.poset.leq != c2.base.poset.leq:
+    if c1.base is not c2.base and c1.base.poset.up != c2.base.poset.up:
         raise ValueError("completions must share the base lattice")
     C1, C2 = c1.complete, c2.complete
     if C1.size != C2.size:

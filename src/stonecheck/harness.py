@@ -149,20 +149,6 @@ class VerificationReport(FieldEquality):
         self.instances = [] if instances is None else instances
 
 
-def report_jsonable(report: VerificationReport) -> list[dict]:
-    """Instances as plain data.  timing_ms is serialized as 0 so that report
-    files are byte-identical across runs; wall-clock values stay on the
-    in-memory objects."""
-    return [
-        {
-            "descriptor": inst.descriptor,
-            "checks": [c.as_row() for c in inst.checks],
-            "timing_ms": 0,
-        }
-        for inst in report.instances
-    ]
-
-
 def hom_descriptor(
     h: BoolHom, name: str | None = None, atom_function: Sequence[int] | None = None
 ) -> dict:

@@ -15,6 +15,7 @@ from stonecheck.algebra import (
     BoolHom,
     FinBoolAlg,
     FinLattice,
+    boolean_algebra_of_up_sets,
     order_dual,
     validate_hom,
 )
@@ -43,10 +44,39 @@ def identity_hom(algebra: FinBoolAlg) -> BoolHom:
     return validate_hom(tuple(range(algebra.size)), algebra, algebra)
 
 
+def validate_boolean_algebra(size, leq_pairs, complement) -> FinBoolAlg:
+    """Validate an abstract presentation (carrier + order pairs + complements).
+
+    The pair list is taken literally: reflexive pairs must be present and
+    the relation must already be transitively closed, or NotAPoset is
+    raised with the offending tuple.
+    """
+    up = [0] * size
+    for i, j in leq_pairs:
+        if not (0 <= i < size and 0 <= j < size):
+            raise ValueError(f"order pair ({i}, {j}) is outside the carrier")
+        up[i] |= 1 << j
+    return boolean_algebra_of_up_sets(up, complement)
+
+
+def report_jsonable(report) -> list[dict]:
+    """Instances as plain data.  timing_ms is serialized as 0 so that report
+    files are byte-identical across runs; wall-clock values stay on the
+    in-memory objects."""
+    return [
+        {
+            "descriptor": inst.descriptor,
+            "checks": [c.as_row() for c in inst.checks],
+            "timing_ms": 0,
+        }
+        for inst in report.instances
+    ]
+
+
 def export_presentation(algebra: FinBoolAlg) -> tuple[int, list[tuple[int, int]], tuple[int, ...]]:
     """Dump an algebra back to the abstract form accepted by the validator."""
     n = algebra.size
-    pairs = [(i, j) for i in range(n) for j in range(n) if algebra.leq_of(i, j)]
+    pairs = [(i, j) for i in range(n) for j in range(n) if algebra.up[i] >> j & 1]
     return n, pairs, algebra.complement
 
 

@@ -16,12 +16,12 @@ from pathlib import Path
 
 import stonecheck.audit as audit
 import stonecheck.cli as cli
+from helpers import validate_boolean_algebra
 from stonecheck.algebra import (
     all_homs,
     hom_from_atom_function,
     powerset_algebra,
     ultrafilters,
-    validate_boolean_algebra,
 )
 from stonecheck.audit import audit_ownership
 from stonecheck.compactification import (
@@ -112,14 +112,15 @@ def test_criterion_2_canonical_extension_axioms():
             assert is_compact(ext.completion).passed
             full = (1 << len(ultrafilters(algebra))) - 1
             masks = [phi_mask(algebra, a) for a in range(algebra.size)]
+            lattice = algebra.lattice
             assert masks[algebra.bottom] == 0
             assert masks[algebra.top] == full
             for a in range(algebra.size):
                 assert masks[algebra.complement[a]] == full ^ masks[a]
                 for b in range(algebra.size):
-                    assert masks[algebra.meet_of(a, b)] == masks[a] & masks[b]
-                    assert masks[algebra.join_of(a, b)] == masks[a] | masks[b]
-                    assert (masks[a] & ~masks[b] == 0) == algebra.leq_of(a, b)
+                    assert masks[lattice.meet[a][b]] == masks[a] & masks[b]
+                    assert masks[lattice.join[a][b]] == masks[a] | masks[b]
+                    assert (masks[a] & ~masks[b] == 0) == lattice.leq_of(a, b)
 
 
 def test_criterion_3_stone_representation():

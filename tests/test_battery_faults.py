@@ -12,14 +12,13 @@ import json
 from pathlib import Path
 
 import stonecheck.harness as harness
-from helpers import replace
+from helpers import replace, report_jsonable
 from stonecheck.algebra import _preimage_table, hom_from_atom_function, powerset_algebra
 from stonecheck.cli import main
 from stonecheck.harness import (
     VerificationReport,
     exhaustive_suite,
     full_hom_instance,
-    report_jsonable,
 )
 
 SAMPLE = Path(__file__).resolve().parents[1] / "src/stonecheck/data/sample_document.json"

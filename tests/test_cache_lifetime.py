@@ -140,7 +140,7 @@ def _fresh(name: str):
     """A new object, with an empty ``_cache``, that has the derived value ``name``."""
     ufs = ultrafilters(powerset_algebra(2))
     if name == "indicator":
-        return UltraFilter(ufs[0].algebra, ufs[0].filter, ufs[0].atom)
+        return UltraFilter(ufs[0].algebra, ufs[0].members, ufs[0].atom)
     beta = beta_space(ufs)
     return BetaSpace(beta.compactification, beta.points_as_ultrafilters, beta.algebra)
 

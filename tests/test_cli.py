@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import stonecheck.cli as cli
 import stonecheck.documents as documents
 import stonecheck.harness as harness
+from helpers import report_jsonable
 from stonecheck import __version__
 from stonecheck.cli import SCHEMA_VERSION, main, report_json
 from stonecheck.algebra import MAX_ATOMS, all_homs
@@ -32,7 +33,6 @@ from stonecheck.harness import (
     CheckResult,
     InstanceReport,
     VerificationReport,
-    report_jsonable,
 )
 
 SAMPLE = Path(__file__).resolve().parents[1] / "src/stonecheck/data/sample_document.json"

@@ -19,13 +19,13 @@ from stonecheck.compactification import (
     extension_candidates,
 )
 from stonecheck.duality import (
+    FinStoneSpace,
     clopen_algebra,
     closure_mask,
     compose_continuous,
     continuous_map,
     discrete_space,
     dual_space,
-    stone_space,
     topology,
     validate_stone,
 )
@@ -209,9 +209,9 @@ def test_search_keeps_only_the_continuous_tables_of_a_coarse_space():
     # spaces that are not Stone spaces, left unvalidated: a table that
     # splits an open of the target across a coarse open is rejected
     coarse_spaces = [
-        stone_space(("p", "q"), [frozenset({0, 1})]),
-        stone_space(("p", "q"), [frozenset({0})]),
-        stone_space(("p", "q", "r"), [frozenset({0, 1}), frozenset({2})]),
+        FinStoneSpace(("p", "q"), (0b11,)),
+        FinStoneSpace(("p", "q"), (0b01,)),
+        FinStoneSpace(("p", "q", "r"), (0b011, 0b100)),
     ]
     rejected = 0
     for space in coarse_spaces:
@@ -441,8 +441,8 @@ def test_equivalence_with_free_points_matches_the_permutation_oracle():
     points = ("p", "q", "r", "s")
     spaces = [
         discrete_space(points),
-        stone_space(points, [frozenset({0}), frozenset({1}), frozenset({2, 3})]),
-        stone_space(points, [frozenset({0, 1}), frozenset({2, 3}), frozenset({0, 2})]),
+        FinStoneSpace(points, (0b0001, 0b0010, 0b1100)),
+        FinStoneSpace(points, (0b0011, 0b1100, 0b0101)),
     ]
     instances = [
         Compactification(base, space, embed)

@@ -14,6 +14,7 @@ from stonecheck.algebra import (
     ultrafilters,
 )
 from stonecheck.duality import (
+    FinStoneSpace,
     clopen_algebra,
     compose_continuous,
     continuous_map,
@@ -21,12 +22,10 @@ from stonecheck.duality import (
     dual_map,
     dual_of_continuous,
     dual_space,
-    hat_phi,
     hat_phi_point_mask,
     hat_phi_table,
-    phi,
     phi_mask,
-    stone_space,
+    phi_table,
     stone_representation,
     topology,
     validate_stone,
@@ -43,32 +42,33 @@ from stonecheck.harness import algebra_instance
 
 def test_phi_at_bounds():
     algebra = powerset_algebra(3)
-    assert phi(algebra, algebra.bottom) == frozenset()
-    assert phi(algebra, algebra.top) == frozenset(ultrafilters(algebra))
+    assert phi_mask(algebra, algebra.bottom) == 0
+    assert phi_mask(algebra, algebra.top) == (1 << len(ultrafilters(algebra))) - 1
 
 
 def test_phi_of_atom_is_its_ultrafilter():
     algebra = powerset_algebra(2)
     ufs = ultrafilters(algebra)
     # membership oracle: scan the enumerated ultrafilters directly
-    expected = frozenset(u for u in ufs if 1 in u.members)
-    assert phi(algebra, 1) == expected
-    assert len(expected) == 1
+    expected = sum(1 << k for k, u in enumerate(ufs) if 1 in u.members)
+    assert phi_mask(algebra, 1) == expected
+    assert expected.bit_count() == 1
 
 
 def test_phi_of_join_of_two_atoms():
     algebra = powerset_algebra(3)
-    element = algebra.join_of(1, 2)  # atom0 or atom1
-    hits = phi(algebra, element)
-    assert len(hits) == 2
-    assert hits == frozenset(
-        u for u in ultrafilters(algebra) if element in u.members
+    element = algebra.lattice.join[1][2]  # atom0 or atom1
+    hits = phi_mask(algebra, element)
+    assert hits.bit_count() == 2
+    assert hits == sum(
+        1 << k for k, u in enumerate(ultrafilters(algebra)) if element in u.members
     )
+    assert phi_table(algebra)[element] == hits
 
 
 def test_phi_raises_on_degenerate():
     with pytest.raises(DegenerateAlgebra):
-        phi(powerset_algebra(0), 0)
+        phi_mask(powerset_algebra(0), 0)
 
 
 @pytest.mark.parametrize("n, points", [(1, 1), (2, 2), (3, 3)])
@@ -83,11 +83,12 @@ def test_phi_is_a_boolean_embedding(n):
     algebra = powerset_algebra(n)
     full = (1 << len(ultrafilters(algebra))) - 1
     masks = [phi_mask(algebra, a) for a in range(algebra.size)]
+    lattice = algebra.lattice
     for a in range(algebra.size):
         for b in range(algebra.size):
-            assert masks[algebra.meet_of(a, b)] == masks[a] & masks[b]
-            assert masks[algebra.join_of(a, b)] == masks[a] | masks[b]
-            assert (masks[a] & ~masks[b] == 0) == algebra.leq_of(a, b)
+            assert masks[lattice.meet[a][b]] == masks[a] & masks[b]
+            assert masks[lattice.join[a][b]] == masks[a] | masks[b]
+            assert (masks[a] & ~masks[b] == 0) == lattice.leq_of(a, b)
         assert masks[algebra.complement[a]] == full ^ masks[a]
     assert masks[algebra.bottom] == 0
     assert masks[algebra.top] == full
@@ -122,7 +123,7 @@ def test_clopen_algebra_sizes():
 
 
 def test_indiscrete_two_points_is_not_stone():
-    space = stone_space(("a", "b"), [frozenset(), frozenset({0, 1})])
+    space = FinStoneSpace(("a", "b"), (0, 0b11))
     with pytest.raises(NotStone):
         validate_stone(space)
     with pytest.raises(NotStone):
@@ -131,7 +132,7 @@ def test_indiscrete_two_points_is_not_stone():
 
 def test_continuity_validation():
     two = discrete_space(("a", "b"))
-    indiscrete_like = stone_space(("x", "y"), [frozenset({0, 1})])
+    indiscrete_like = FinStoneSpace(("x", "y"), (0b11,))
     continuous_map(two, two, (1, 0))
     # from the coarse space to the discrete one, point-splitting maps fail
     with pytest.raises(NotContinuous):
@@ -257,9 +258,9 @@ def test_round_trip_naturality_square():
 def test_hat_phi_at_bounds():
     algebra = powerset_algebra(2)
     ufs = ultrafilters(algebra)
-    assert hat_phi(algebra, frozenset()) == frozenset()
-    everything = hat_phi(algebra, frozenset(ufs))
-    assert everything == frozenset(ultrafilters(powerset_algebra(2)))
+    assert hat_phi_point_mask(algebra, 0) == 0
+    everything = hat_phi_point_mask(algebra, (1 << len(ufs)) - 1)
+    assert everything == (1 << len(ultrafilters(powerset_algebra(2)))) - 1
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -274,9 +275,9 @@ def test_hat_phi_table_lists_every_point_mask(k):
 def test_hat_phi_of_singleton_is_principal_point():
     algebra = powerset_algebra(2)
     ufs = ultrafilters(algebra)
-    hits = hat_phi(algebra, frozenset({ufs[0]}))
-    assert len(hits) == 1
+    hits = hat_phi_point_mask(algebra, 1)  # the singleton {u0}
+    assert hits.bit_count() == 1
     # the hit is the principal ultrafilter of P(Uf(B)) at the atom {u0},
     # whose element mask in the powerset over the point order is 1
-    (nabla,) = hits
+    nabla = ultrafilters(powerset_algebra(len(ufs)))[hits.bit_length() - 1]
     assert nabla.atom == 1

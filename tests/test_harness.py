@@ -13,7 +13,7 @@ import stonecheck.compactification as compactification
 import stonecheck.duality as duality
 import stonecheck.extension as extension
 import stonecheck.harness as harness
-from helpers import identity_hom
+from helpers import identity_hom, report_jsonable
 from stonecheck.algebra import (
     all_homs,
     hom_from_atom_function,
@@ -31,7 +31,6 @@ from stonecheck.harness import (
     double_dual_map,
     exhaustive_suite,
     full_hom_instance,
-    report_jsonable,
     shrink_failing_hom,
 )
 

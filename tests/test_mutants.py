@@ -434,7 +434,7 @@ def test_a_search_that_yields_no_table_is_an_internal_error(monkeypatch, capsys)
 
 def check_coarse_map_is_not_continuous(monkeypatch, tmp_path, capsys):
     two = duality.discrete_space(("a", "b"))
-    coarse = duality.stone_space(("x", "y"), [frozenset({0, 1})])
+    coarse = duality.FinStoneSpace(("x", "y"), (0b11,))
     with pytest.raises(NotContinuous) as info:
         duality.continuous_map(coarse, two, (0, 1))
     assert info.value.witness == 1

@@ -11,7 +11,7 @@ built through the constructor, ``validate_boolean_algebra`` and
 ``test_validation_oracles``, random relations on 2**k elements, and pinned
 orders that a faulty recognizer would accept.  A recognised algebra is
 validated on its atom masks alone: the three-way test also pins that its
-tables are built only when first read.
+tables are built only when first read, and that ``dual`` reads none.
 
 The ``check_*`` functions take the constructor as an argument, so that
 ``test_mutants`` can run them against seeded faults in the recognizer.
@@ -24,6 +24,7 @@ import pytest
 
 import stonecheck.algebra as algebra
 import stonecheck.cli as cli
+from helpers import validate_boolean_algebra
 from stonecheck.algebra import (
     MAX_ATOMS,
     FinBoolAlg,
@@ -31,8 +32,8 @@ from stonecheck.algebra import (
     boolean_algebra_of_up_sets,
     fin_bool_alg,
     fin_lattice,
+    order_dual,
     poset_of_up_sets,
-    validate_boolean_algebra,
     validate_hom,
 )
 from stonecheck.documents import parse_document
@@ -41,7 +42,7 @@ from test_validation_oracles import random_relation, relabeled_powerset
 
 LATTICE = FinBoolAlg.lattice.fget.slot
 FIELDS = (
-    "leq", "up", "down", "meet", "join", "bottom", "top",
+    "up", "down", "meet", "join", "bottom", "top",
     "complement", "atoms", "atom_mask", "_mask_index",
 )
 
@@ -53,7 +54,7 @@ def generic(up, complement):
 def tables(alg):
     lattice, poset = alg.lattice, alg.lattice.poset
     values = (
-        poset.leq, poset.up, poset.down, lattice.meet, lattice.join, lattice.bottom,
+        poset.up, poset.down, lattice.meet, lattice.join, lattice.bottom,
         lattice.top, alg.complement, alg.atoms, alg.atom_mask, alg._mask_index,
     )
     return dict(zip(FIELDS, values))
@@ -164,22 +165,34 @@ def test_shuffled_powersets_build_the_same_algebra_three_ways(monkeypatch, tmp_p
         assert alg._cache == {}
         assert tables(alg) == want
         assert LATTICE in alg._cache
+        # the order is its up-set masks alone: down is their transpose, the
+        # dual of the dual has the same masks, and leq_of is mask inclusion
+        lattice, masks = alg.lattice, alg.atom_mask
+        assert lattice.poset.down == tuple(
+            sum(1 << i for i in range(n) if up[i] >> j & 1) for j in range(n)
+        )
+        twice = order_dual(order_dual(lattice)).poset
+        assert (twice.up, twice.down) == (lattice.poset.up, lattice.poset.down)
+        assert [[lattice.leq_of(i, j) for j in range(n)] for i in range(n)] == [
+            [masks[i] & ~masks[j] == 0 for j in range(n)] for i in range(n)
+        ]
         assert tables(validate_boolean_algebra(n, pairs, comp)) == want
         doc = parse_document(document_of(up, comp))
         assert doc.labels["B"] == tuple(f"e{i}" for i in range(n))
         assert LATTICE not in doc.algebra("B")._cache
         assert tables(doc.algebra("B")) == want
 
-    # one dual command over nine algebras builds the lattice it reads, only
+    # one dual command over nine algebras, Hasse diagram included, builds
+    # no lattice: it reads the up-set and atom masks
     parsed = []
     monkeypatch.setattr(cli, "parse_document", lambda text: parsed.append(parse_document(text)) or parsed[-1])
     path = tmp_path / "nine.json"
     entries = [algebra_entry(f"B{k}", up, comp) for k, (up, comp) in enumerate(cases[:9])]
     path.write_text(json.dumps({"algebras": entries}))
     misses = FinBoolAlg.lattice.fget.cache_info().misses
-    assert cli.main(["dual", str(path), "B4"]) == 0
-    assert FinBoolAlg.lattice.fget.cache_info().misses == misses + 1
-    assert [name for name, alg in parsed[0].algebras.items() if LATTICE in alg._cache] == ["B4"]
+    assert cli.main(["dual", str(path), "B4", "--dot", "--out", str(tmp_path / "b4.dot")]) == 0
+    assert FinBoolAlg.lattice.fget.cache_info().misses == misses
+    assert [name for name, alg in parsed[0].algebras.items() if LATTICE in alg._cache] == []
     assert capsys.readouterr().out.startswith("dual space of B4\n")
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from stonecheck.algebra import hom_from_atom_function, powerset_algebra
+from stonecheck.algebra import all_filters, hom_from_atom_function, powerset_algebra
 from stonecheck.audit import audit_ownership
 from stonecheck.compactification import beta_preserves, compactification_leq
 from stonecheck.documents import parse_document
@@ -50,7 +50,7 @@ def _records() -> dict:
         source.lattice.poset,
         hom,
         bundle.beta1.points_as_ultrafilters[0],
-        bundle.beta1.points_as_ultrafilters[0].filter,
+        all_filters(source.lattice)[0],
         bundle.h_star,
         bundle.beta1.space,
         clopen_algebra(bundle.beta1.space),
@@ -80,7 +80,7 @@ RECORDS = _records()
 
 # class name -> (module, equality kind, [(parameter, default)])
 CLASSES = {
-    "FinPoset": ("algebra", "identity", [("leq", REQUIRED), ("up", REQUIRED), ("down", REQUIRED)]),
+    "FinPoset": ("algebra", "identity", [("up", REQUIRED), ("down", REQUIRED)]),
     "FinLattice": ("algebra", "identity", [
         ("poset", REQUIRED), ("meet", REQUIRED), ("join", REQUIRED),
         ("bottom", REQUIRED), ("top", REQUIRED),
@@ -90,7 +90,7 @@ CLASSES = {
         ("atom_mask", REQUIRED), ("_mask_index", REQUIRED),
     ]),
     "Filter": ("algebra", "fields", [("lattice", REQUIRED), ("members", REQUIRED)]),
-    "UltraFilter": ("algebra", "fields", [("algebra", REQUIRED), ("filter", REQUIRED), ("atom", REQUIRED)]),
+    "UltraFilter": ("algebra", "fields", [("algebra", REQUIRED), ("members", REQUIRED), ("atom", REQUIRED)]),
     "BoolHom": ("algebra", "fields", [("source", REQUIRED), ("target", REQUIRED), ("table", REQUIRED)]),
     "FinStoneSpace": ("duality", "identity", [("points", REQUIRED), ("base", REQUIRED)]),
     "ContinuousMap": ("duality", "identity", [

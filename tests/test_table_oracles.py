@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import stonecheck.harness as harness
-from helpers import export_presentation, identity_hom, replace
+from helpers import export_presentation, identity_hom, replace, validate_boolean_algebra
 from stonecheck.algebra import (
     BoolHom,
     _preimage_table,
@@ -30,17 +30,16 @@ from stonecheck.algebra import (
     hom_from_atom_function,
     powerset_algebra,
     ultrafilters,
-    validate_boolean_algebra,
 )
 from stonecheck.compactification import beta_lift, beta_space, extension_candidates
 from stonecheck.duality import (
+    FinStoneSpace,
     _hat_phi_fibres,
     continuous_map,
     discrete_space,
     dual_map,
     hat_phi_table,
     phi_table,
-    stone_space,
     validate_stone,
 )
 from stonecheck.documents import parse_document
@@ -429,7 +428,7 @@ def test_each_space_is_validated_once():
 
 def test_a_space_that_fails_validation_fails_every_time():
     # two points and no base set: the generated topology is indiscrete
-    space = stone_space(("p", "q"), [])
+    space = FinStoneSpace(("p", "q"), ())
     for _ in range(2):
         with pytest.raises(NotStone):
             validate_stone(space)

@@ -21,7 +21,7 @@ import pytest
 
 import stonecheck.algebra as algebra
 import stonecheck.extension as extension
-from helpers import replace
+from helpers import replace, validate_boolean_algebra
 from stonecheck.algebra import (
     MAX_ATOMS,
     atom_function_of_hom,
@@ -30,7 +30,6 @@ from stonecheck.algebra import (
     fin_poset,
     hom_from_atom_function,
     powerset_algebra,
-    validate_boolean_algebra,
     validate_hom,
 )
 from stonecheck.documents import _closed_relation
@@ -126,17 +125,18 @@ def ref_fin_bool_alg(leq, meet, join, bottom, top, complement):
 
 def ref_validate_hom(table, source, target):
     t = tuple(int(x) for x in table)
+    src, dst = source.lattice, target.lattice
     if t[source.bottom] != target.bottom:
         raise NotMeetPreserving("bottom must map to bottom", ("bottom", source.bottom))
     for i in range(source.size):
         for j in range(source.size):
-            if t[source.meet_of(i, j)] != target.meet_of(t[i], t[j]):
+            if t[src.meet_of(i, j)] != dst.meet_of(t[i], t[j]):
                 raise NotMeetPreserving("meet not preserved", (i, j))
     if t[source.top] != target.top:
         raise NotJoinPreserving("top must map to top", ("top", source.top))
     for i in range(source.size):
         for j in range(source.size):
-            if t[source.join_of(i, j)] != target.join_of(t[i], t[j]):
+            if t[src.join_of(i, j)] != dst.join_of(t[i], t[j]):
                 raise NotJoinPreserving("join not preserved", (i, j))
     for i in range(source.size):
         if t[source.complement[i]] != target.complement[t[i]]:
@@ -157,7 +157,7 @@ def ref_atom_function_of_hom(hom):
     src, dst = hom.source, hom.target
     out = []
     for q_atom in dst.atoms:
-        preimage = [a for a in range(src.size) if dst.leq_of(q_atom, hom.table[a])]
+        preimage = [a for a in range(src.size) if dst.up[q_atom] >> hom.table[a] & 1]
         generator = src.lattice.meet_all(preimage)
         out.append(src.atoms.index(generator))
     return tuple(out)
@@ -200,18 +200,23 @@ def reference_pipeline(rows, complement):
     return (leq, *lattice, *ref_fin_bool_alg(leq, *lattice, complement))
 
 
+def leq_rows(poset):
+    """The boolean order matrix of a poset, read off its up-set masks."""
+    return tuple(tuple(bool(m >> j & 1) for j in range(poset.size)) for m in poset.up)
+
+
 def library_pipeline(rows, complement):
     lattice = fin_lattice(fin_poset(rows))
     algebra = fin_bool_alg(lattice, complement)
     return (
-        lattice.poset.leq, lattice.meet, lattice.join, lattice.bottom, lattice.top,
+        leq_rows(lattice.poset), lattice.meet, lattice.join, lattice.bottom, lattice.top,
         algebra.complement, algebra.atoms, algebra.atom_mask,
     )
 
 
 def reference_bool_alg(lattice, complement):
     return ref_fin_bool_alg(
-        lattice.poset.leq, lattice.meet, lattice.join, lattice.bottom, lattice.top, complement
+        leq_rows(lattice.poset), lattice.meet, lattice.join, lattice.bottom, lattice.top, complement
     )
 
 

@@ -39,9 +39,9 @@ Filters are stored extensionally (as element sets).  The fast enumeration
 exploits that every filter of a finite lattice is a principal up-set; the
 tests check it against a scan of every subset.  Ideals are the filters of
 the order dual, which reuses the lattice's own tables with the order, the
-operations, and the bounds swapped.  An ultrafilter also keeps a 256-byte ``indicator``, so
-that membership of a whole row of elements is one ``bytes.translate``;
-``ultrafilter_rows`` keys the ultrafilters by the resulting rows.
+operations, and the bounds swapped.  An ultrafilter is its atom and its
+members; the byte rows that the dual constructions read off the members
+are built in ``duality.ultrafilter_rows``.
 
 A result computed from one structure is cached on that structure
 (``object_cache``), so it is freed with it; only ``powerset_algebra``,
@@ -277,10 +277,10 @@ class FinLattice:
         return out
 
 
-@object_cache
 def order_dual(lattice: FinLattice) -> FinLattice:
     """The same carrier under the reversed order: meet and join, bottom and
-    top, and up-sets and down-sets trade places."""
+    top, and up-sets and down-sets trade places.  Not cached: its one
+    caller, ``all_ideals``, is."""
     poset = FinPoset(lattice.poset.down, lattice.poset.up)
     return FinLattice(poset, lattice.join, lattice.meet, lattice.top, lattice.bottom)
 
@@ -516,32 +516,12 @@ class UltraFilter(FieldEquality):
     """A maximal proper filter; principal at a unique atom in the finite case."""
 
     _fields = ("algebra", "members", "atom")
-    __slots__ = (*_fields, "_cache", "__weakref__")
+    __slots__ = (*_fields, "__weakref__")
 
     def __init__(self, algebra: FinBoolAlg, members: frozenset[int], atom: int) -> None:
         self.algebra = algebra
         self.members = members
         self.atom = atom
-        self._cache = {}
-
-    @property
-    @object_cache
-    def indicator(self) -> bytes:
-        """A 256-byte ``bytes.translate`` table: 1 at each member, else 0.
-
-        Translating a row of elements through it marks which lie in the
-        ultrafilter; its first ``algebra.size`` bytes are the membership row
-        that ``ultrafilter_rows`` keys on.
-        """
-        row = bytearray(256)
-        for a in self.members:
-            row[a] = 1
-        return bytes(row)
-
-
-def ultrafilter_rows(ufs: Sequence[UltraFilter]) -> dict[bytes, int]:
-    """The position of each ultrafilter, keyed by its membership row."""
-    return {u.indicator[: u.algebra.size]: k for k, u in enumerate(ufs)}
 
 
 @object_cache

@@ -31,7 +31,7 @@ from .algebra import MAX_ATOMS, ultrafilters
 from .documents import Document, document_digest, parse_document
 from .duality import dual_space, phi_table
 from .errors import LibraryBug, StonecheckError
-from .extension import canonical_extension, is_compact, is_dense
+from .extension import canonical_extension
 from .harness import (
     InstanceReport,
     VerificationReport,
@@ -105,35 +105,25 @@ def _report_pieces(
     envelope and each instance as its descriptor, the rows of its checks
     (``CheckResult.as_row``) and a ``timing_ms`` of 0, so that report files
     are byte-identical across runs; counted in ``tally``.
-    A hom that the stream marks as repeated (``harness.SuitePlan.run``) has
-    its checks and descriptor text encoded once; each later draw splices
-    in its own ``sample_index``.  A ``checks`` list that holds the same
-    ``CheckResult`` objects as the one before it (all-pass lists share one
-    per name) reuses its text; a witness-free row is encoded once per name
-    and verdict.  The splices are exact because ``json.dumps`` escapes
-    every newline in a string.  Never held: the report text, nor an
-    instance once written.
+    Each sampled draw comes marked with the sample index of its hom's first
+    draw (``harness.SuitePlan.run``), and an exhaustive hom with None.  A
+    marked hom has its checks and descriptor text encoded once, under that
+    mark; each later draw splices in its own ``sample_index``.  A ``checks``
+    list that holds the same ``CheckResult`` objects as the one before it
+    (all-pass lists share one per name) reuses its text.  The splices are
+    exact because ``json.dumps`` escapes every newline in a string.  Never
+    held: the report text, nor an instance once written.
     """
     # the last checks list with its text: kept alive, so that no object in
     # it is freed and no later list can hold an object of the same identity
     last: tuple[list, str, bool] = ([], "[]", True)
-    rows_text: dict[tuple[str, str], str] = {}
     repeat_text: dict[int, tuple[str, bool, str, str]] = {}
-
-    def row_text(check) -> str:
-        if check.witness is not None:
-            return _indented(check.as_row(), 8)
-        key = (check.name, check.verdict)
-        text = rows_text.get(key)
-        if text is None:
-            text = rows_text[key] = _indented(check.as_row(), 8)
-        return text
 
     def checks_piece(checks) -> tuple[str, bool]:
         nonlocal last
         same = len(checks) == len(last[0]) and all(map(is_, checks, last[0]))
         if not same:
-            rows = ",\n        ".join([row_text(c) for c in checks])
+            rows = ",\n        ".join([_indented(c.as_row(), 8) for c in checks])
             text = f"[\n        {rows}\n      ]" if checks else "[]"
             last = (checks, text, all(c.verdict == "pass" for c in checks))
         return last[1:]
@@ -354,14 +344,12 @@ def _cmd_canext(args) -> int:
     doc, _ = _load_document(args.document)
     algebra = doc.algebra(args.name)
     ext = canonical_extension(algebra)
-    dense = is_dense(ext.completion)
-    compact = is_compact(ext.completion)
     lines = [
         f"canonical extension of {args.name}",
         f"points: {len(ext.point_carrier)}",
         f"extension size: {ext.algebra.size}",
-        f"dense: {'pass' if dense.passed else 'fail'}",
-        f"compact: {'pass' if compact.passed else 'fail'}",
+        f"dense: {'pass' if ext.dense.passed else 'fail'}",
+        f"compact: {'pass' if ext.compact.passed else 'fail'}",
     ]
     write_pieces(["\n".join(lines) + "\n"])
     return 0

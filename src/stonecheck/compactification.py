@@ -27,10 +27,9 @@ keeps the preimage table it was tested on, ``sole_extension`` returns the
 first of those maps as it is, the lift of a ``ContinuousMap`` reads the
 map's preimage table, and the lift's entries are point indices, so only its
 continuity is tested.  The lift reads each image set as a byte row, that
-preimage table translated through a point's indicator
-(``BetaSpace.indicators``, a plain field like the compactification's base,
-space and embedding), and looks it up among the target's ``point_rows``,
-which are keyed once per ``BetaSpace``.  How many tables the search found
+preimage table translated through a point's indicator, and looks it up
+among the target's point rows (``BetaSpace.indicators`` and ``point_rows``,
+plain fields built from the space's own points).  How many tables the search found
 is judged by its caller: ``beta_extend_to_compact`` raises on two or more,
 and the harness battery reports them as a failed check.
 """
@@ -45,9 +44,7 @@ from .algebra import (
     FinBoolAlg,
     UltraFilter,
     _preimage_table,
-    object_cache,
     powerset_algebra,
-    ultrafilter_rows,
     ultrafilters,
 )
 from .duality import (
@@ -59,6 +56,7 @@ from .duality import (
     discrete_space,
     dual_space,
     topology,
+    ultrafilter_rows,
     validate_stone,
 )
 from .errors import (
@@ -88,13 +86,14 @@ class Compactification:
 class BetaSpace:
     """The powerset-dual compactification whose points are ultrafilters.
 
-    The compactification's base, space and embedding, and the indicators of
-    the points in order, are plain fields, set when the space is made.
+    The compactification's base, space and embedding, and the rows and
+    indicators of the points (``ultrafilter_rows``), are plain fields, set
+    when the space is made.
     """
 
     __slots__ = (
         "compactification", "points_as_ultrafilters", "algebra",
-        "base", "space", "embed", "indicators", "_cache", "__weakref__",
+        "base", "space", "embed", "point_rows", "indicators", "__weakref__",
     )
 
     def __init__(
@@ -109,15 +108,7 @@ class BetaSpace:
         self.base = compactification.base
         self.space = compactification.space
         self.embed = compactification.embed
-        self.indicators = tuple([u.indicator for u in points_as_ultrafilters])
-        self._cache = {}
-
-    @property
-    @object_cache
-    def point_rows(self) -> dict[bytes, int]:
-        """The index of each point, keyed by its membership row over the
-        subsets of the base (``ultrafilter_rows``)."""
-        return ultrafilter_rows(self.points_as_ultrafilters)
+        self.point_rows, self.indicators = ultrafilter_rows(points_as_ultrafilters)
 
 
 def build_compactification(

@@ -67,7 +67,7 @@ class Document(FieldEquality):
 
     _fields = (
         "algebras", "labels", "label_index", "algebra_order",
-        "homs", "hom_order", "hom_endpoints", "raw",
+        "homs", "hom_order", "hom_endpoints",
     )
     __slots__ = (*_fields, "__weakref__")
     __hash__ = None
@@ -81,7 +81,6 @@ class Document(FieldEquality):
         homs: dict[str, BoolHom] | None = None,
         hom_order: list[str] | None = None,
         hom_endpoints: dict[str, tuple[str, str]] | None = None,
-        raw: dict | None = None,
     ) -> None:
         self.algebras = {} if algebras is None else algebras
         self.labels = {} if labels is None else labels
@@ -90,7 +89,6 @@ class Document(FieldEquality):
         self.homs = {} if homs is None else homs
         self.hom_order = [] if hom_order is None else hom_order
         self.hom_endpoints = {} if hom_endpoints is None else hom_endpoints
-        self.raw = {} if raw is None else raw
 
     def algebra(self, name: str) -> FinBoolAlg:
         if name not in self.algebras:
@@ -322,7 +320,7 @@ def parse_document(text: str) -> Document:
     for key in ("algebras", "homs"):
         if not isinstance(data.get(key, []), list):
             raise ParseError(f"{key} must be a list of entries")
-    doc = Document(raw=data)
+    doc = Document()
     for idx, entry in enumerate(data.get("algebras", [])):
         _parse_algebra(entry, f"algebras[{idx}]", doc)
     for idx, entry in enumerate(data.get("homs", [])):

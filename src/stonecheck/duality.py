@@ -24,8 +24,8 @@ inverts ``hat_phi_table`` once per table.  The Stone embedding is one table
 per algebra (``phi_table``), which the hot loops read directly.
 ``dual_map`` finds the preimage of an ultrafilter as one byte row, the
 hom's table translated through the ultrafilter's indicator, and looks it up
-among the source's ultrafilter rows; the rows and the indicators are kept
-once per algebra (``_ultrafilter_rows``).
+among the source's ultrafilter rows, which ``ultrafilter_rows`` builds with
+the indicators, once per algebra (``_ultrafilter_rows``).
 """
 
 from __future__ import annotations
@@ -37,11 +37,11 @@ from .algebra import (
     MAX_ATOMS,
     BoolHom,
     FinBoolAlg,
+    UltraFilter,
     _preimage_table,
     boolean_algebra_of_up_sets,
     object_cache,
     powerset_algebra,
-    ultrafilter_rows,
     ultrafilters,
     validate_hom,
 )
@@ -236,12 +236,26 @@ def dual_space(algebra: FinBoolAlg) -> FinStoneSpace:
     return space
 
 
+def ultrafilter_rows(ufs: Sequence[UltraFilter]) -> tuple[dict[bytes, int], tuple[bytes, ...]]:
+    """The position of each ultrafilter, keyed by its membership row, and the
+    ultrafilters' indicators in order.  An indicator is a 256-byte
+    ``bytes.translate`` table, 1 at each member: translating a row of
+    elements through it marks which lie in the ultrafilter, and its first
+    ``algebra.size`` bytes are the membership row."""
+    indicators = []
+    for u in ufs:
+        row = bytearray(256)
+        for a in u.members:
+            row[a] = 1
+        indicators.append(bytes(row))
+    rows = {ind[: u.algebra.size]: k for k, (u, ind) in enumerate(zip(ufs, indicators))}
+    return rows, tuple(indicators)
+
+
 @object_cache
 def _ultrafilter_rows(algebra: FinBoolAlg) -> tuple[dict[bytes, int], tuple[bytes, ...]]:
-    """``ultrafilter_rows`` of the algebra's ultrafilters, and their
-    indicators in order, once per algebra."""
-    ufs = ultrafilters(algebra)
-    return ultrafilter_rows(ufs), tuple([u.indicator for u in ufs])
+    """``ultrafilter_rows`` of the algebra's ultrafilters, once per algebra."""
+    return ultrafilter_rows(ultrafilters(algebra))
 
 
 def dual_map(hom: BoolHom) -> ContinuousMap:

@@ -59,16 +59,24 @@ class Completion:
 
 
 class CanonicalExtension:
-    """The powerset-of-ultrafilters completion, with its point carrier."""
+    """The powerset-of-ultrafilters completion, with its point carrier and
+    the density and compactness verdicts it was built with."""
 
-    __slots__ = ("completion", "point_carrier", "algebra", "__weakref__")
+    __slots__ = ("completion", "point_carrier", "algebra", "dense", "compact", "__weakref__")
 
     def __init__(
-        self, completion: Completion, point_carrier: tuple[UltraFilter, ...], algebra: FinBoolAlg
+        self,
+        completion: Completion,
+        point_carrier: tuple[UltraFilter, ...],
+        algebra: FinBoolAlg,
+        dense: DensityVerdict,
+        compact: CompactnessVerdict,
     ) -> None:
         self.completion = completion
         self.point_carrier = point_carrier
         self.algebra = algebra
+        self.dense = dense
+        self.compact = compact
 
 
 class DensityVerdict(FieldEquality):
@@ -223,17 +231,19 @@ def is_compact(c: Completion) -> CompactnessVerdict:
 def canonical_extension(algebra: FinBoolAlg) -> CanonicalExtension:
     """The powerset of the ultrafilter set with the Stone embedding.
 
-    Density and compactness are asserted before returning; a failure would
-    be a library bug.
+    Density and compactness are asserted before returning, and their
+    verdicts kept for callers to read; a failure would be a library bug.
     """
     ufs = ultrafilters(algebra)
     pow_alg = powerset_algebra(len(ufs))
     comp = completion(algebra.lattice, pow_alg.lattice, phi_table(algebra))
-    if not is_dense(comp).passed:
+    dense = is_dense(comp)
+    if not dense.passed:
         raise InvariantViolation("canonical extension is not dense")
-    if not is_compact(comp).passed:
+    compact = is_compact(comp)
+    if not compact.passed:
         raise InvariantViolation("canonical extension is not compact")
-    return CanonicalExtension(comp, ufs, pow_alg)
+    return CanonicalExtension(comp, ufs, pow_alg, dense, compact)
 
 
 class SigmaExtension:

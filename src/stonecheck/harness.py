@@ -36,8 +36,6 @@ from __future__ import annotations
 
 import itertools
 import random
-import time
-from collections import Counter
 from functools import cache
 from typing import Callable, Iterator, Sequence
 
@@ -71,7 +69,7 @@ from .duality import (
     stone_representation,
 )
 from .errors import BoundExceeded, InvariantViolation, NoClopenPreimage
-from .extension import canonical_extension, is_compact, is_dense, sigma_extend
+from .extension import canonical_extension, sigma_extend
 
 
 class DiagramBundle:
@@ -126,14 +124,13 @@ class CheckResult(FieldEquality):
 
 
 class InstanceReport(FieldEquality):
-    _fields = ("descriptor", "checks", "timing_ms")
+    _fields = ("descriptor", "checks")
     __slots__ = (*_fields, "__weakref__")
     __hash__ = None
 
-    def __init__(self, descriptor: dict, checks: list[CheckResult], timing_ms: int = 0) -> None:
+    def __init__(self, descriptor: dict, checks: list[CheckResult]) -> None:
         self.descriptor = descriptor
         self.checks = checks
-        self.timing_ms = timing_ms
 
     @property
     def passed(self) -> bool:
@@ -459,30 +456,22 @@ def full_hom_instance(
 
     ``atom_function`` is the one h was built from, if the caller has it.
     """
-    start = time.perf_counter()
     bundle = build_diagram(h)
     sigma = sigma_extend(h)
     checks = _hom_checks(h, bundle, sigma.table)
     descriptor = hom_descriptor(h, name, atom_function)
     if extra:
         descriptor.update(extra)
-    return InstanceReport(descriptor, checks, int((time.perf_counter() - start) * 1000))
+    return InstanceReport(descriptor, checks)
 
 
 def algebra_instance(atom_count: int) -> InstanceReport:
     """Density, compactness, and representation checks for one algebra size."""
-    start = time.perf_counter()
     algebra = powerset_algebra(atom_count)
     ext = canonical_extension(algebra)
     checks = [
-        CheckResult(
-            "canonical_extension_dense",
-            "pass" if is_dense(ext.completion).passed else "fail",
-        ),
-        CheckResult(
-            "canonical_extension_compact",
-            "pass" if is_compact(ext.completion).passed else "fail",
-        ),
+        CheckResult("canonical_extension_dense", "pass" if ext.dense.passed else "fail"),
+        CheckResult("canonical_extension_compact", "pass" if ext.compact.passed else "fail"),
     ]
     try:
         stone_representation(algebra)
@@ -492,13 +481,13 @@ def algebra_instance(atom_count: int) -> InstanceReport:
             CheckResult("representation_is_isomorphism", "fail", {"error": str(exc)})
         )
     descriptor = {"kind": "algebra", "atoms": atom_count}
-    return InstanceReport(descriptor, checks, int((time.perf_counter() - start) * 1000))
+    return InstanceReport(descriptor, checks)
 
 
 class SuitePlan(FieldEquality):
     """Every instance of a suite run in report order (``suite_plan``).  A hom
-    entry is (source atoms, atom function, hom or None, sample index, that
-    of the hom's first draw, whether another draw repeats the hom)."""
+    entry is (source atoms, atom function, hom, None) when exhaustive and
+    (source atoms, atom function, None, sample index) when sampled."""
 
     _fields = ("homs", "algebra_sizes")
     __slots__ = (*_fields, "__weakref__")
@@ -511,32 +500,31 @@ class SuitePlan(FieldEquality):
         return len(self.homs) + len(self.algebra_sizes)
 
     def run(self) -> Iterator[tuple[InstanceReport, int | None]]:
-        """Make each instance in order, with the sample index of its hom's
-        first draw when another draw repeats the hom, else None.  The
-        battery runs once per distinct hom: every draw of a repeated hom
-        shares the ``checks`` of its first draw, which alone keeps its
-        ``timing_ms``.  No instance is kept, and a repeated hom's verdicts
-        only until its atom function's draws, adjacent in report order, end."""
-        firsts: dict[int, tuple[dict, list[CheckResult], int]] = {}
+        """Make each instance in order, a sampled draw with the sample index
+        of its hom's first draw, an exhaustive hom with None.  The draws of
+        one atom function are adjacent in report order, so the battery runs
+        once per source size while they last: every later draw of a hom
+        shares the ``checks`` of its first draw.  No instance is kept, and
+        a hom's verdicts only until its atom function's draws end."""
+        firsts: dict[int, tuple[int, dict, list[CheckResult]]] = {}
         atom_function = None
-        for k1, g, h, i, first_draw, repeated in self.homs:
-            if h is None and first_draw not in firsts:  # a sampled hom's first draw
-                h = hom_from_atom_function(powerset_algebra(k1), powerset_algebra(len(g)), g)
-            if not repeated:
-                extra = None if i is None else {"sample_index": i}
-                yield full_hom_instance(h, extra=extra, atom_function=g), None
+        for k1, g, h, i in self.homs:
+            if i is None:
+                yield full_hom_instance(h, atom_function=g), None
                 continue
             if g != atom_function:
                 firsts.clear()
                 atom_function = g
-            if first_draw not in firsts:
-                inst = full_hom_instance(h, extra={"sample_index": first_draw}, atom_function=g)
-                firsts[first_draw] = (inst.descriptor, inst.checks, inst.timing_ms)
-                del inst
-            descriptor, checks, timing_ms = firsts[first_draw]
-            if i != first_draw:
-                descriptor, timing_ms = dict(descriptor, sample_index=i), 0
-            yield InstanceReport(descriptor, checks, timing_ms), first_draw
+            first = firsts.get(k1)
+            if first is None:
+                h = hom_from_atom_function(powerset_algebra(k1), powerset_algebra(len(g)), g)
+                inst = full_hom_instance(h, extra={"sample_index": i}, atom_function=g)
+                first = firsts[k1] = (i, inst.descriptor, inst.checks)
+            else:
+                inst = InstanceReport(dict(first[1], sample_index=i), first[2])
+            yield inst, first[0]
+            # the consumer has dropped it: free it before the next battery runs
+            del inst
         for k in self.algebra_sizes:
             yield algebra_instance(k), None
 
@@ -566,20 +554,14 @@ def suite_plan(max_atoms: int, sample: tuple[int, int] | None = None) -> SuitePl
             # all_homs lists the homs in the order of their atom functions
             functions = itertools.product(range(k1), repeat=k2)
             pairs = zip(functions, all_homs(powerset_algebra(k1), powerset_algebra(k2)))
-            homs += [(k1, g, h, None, None, False) for g, h in pairs]
+            homs += [(k1, g, h, None) for g, h in pairs]
         homs.sort(key=lambda e: (str(list(e[1])), str(e[0])))
     else:
         rng = random.Random(sample[0])
-        draws = []
-        for _ in range(sample[1]):
+        for i in range(sample[1]):
             k1 = rng.randint(1, max_atoms)
             k2 = rng.randint(1, max_atoms)
-            draws.append((k1, tuple(rng.randrange(k1) for _ in range(k2))))
-        first_draw: dict[tuple[int, tuple[int, ...]], int] = {}
-        for i, draw in enumerate(draws):
-            first_draw.setdefault(draw, i)
-        counts = Counter(draws)
-        homs = [(*d, None, i, first_draw[d], counts[d] > 1) for i, d in enumerate(draws)]
+            homs.append((k1, tuple(rng.randrange(k1) for _ in range(k2)), None, i))
         homs.sort(key=lambda e: (str(list(e[1])), str(e[3])))
     return SuitePlan(homs, sorted(sizes, key=str))
 

@@ -210,6 +210,9 @@ def test_criterion_8_oracle_independence_audit():
         assert "duality.phi_table" in result.sigma_reachable
         assert "compactification.beta_space" in result.diagram_reachable
         assert "duality.hat_phi_point_mask" in result.diagram_reachable
+        # the ultrafilter rows and indicators serve the diagram path only
+        assert "duality.ultrafilter_rows" in result.diagram_reachable
+        assert "duality.ultrafilter_rows" not in result.sigma_reachable
         assert "extension.sigma_extend" not in result.diagram_reachable
         assert "algebra.all_filters" not in result.diagram_reachable
 

@@ -20,9 +20,9 @@ from pathlib import Path
 import pytest
 
 import stonecheck.cli as cli
-from stonecheck.algebra import UltraFilter, powerset_algebra, ultrafilters, validate_hom
-from stonecheck.compactification import BetaSpace, beta_space
+from stonecheck.algebra import boolean_algebra_of_up_sets, powerset_algebra, validate_hom
 from stonecheck.documents import parse_document
+from stonecheck.duality import _ultrafilter_rows
 from stonecheck.errors import NotMeetPreserving
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -136,24 +136,21 @@ def test_a_second_session_round_retains_next_to_nothing(monkeypatch, tmp_path):
     assert retained <= 256 * 1024
 
 
-def _fresh(name: str):
-    """A new object, with an empty ``_cache``, that has the derived value ``name``."""
-    ufs = ultrafilters(powerset_algebra(2))
-    if name == "indicator":
-        return UltraFilter(ufs[0].algebra, ufs[0].members, ufs[0].atom)
-    beta = beta_space(ufs)
-    return BetaSpace(beta.compactification, beta.points_as_ultrafilters, beta.algebra)
-
-
 @pytest.mark.parametrize("name", ["indicator", "point_rows"])
 def test_a_derived_value_is_computed_once_into_the_cache_field(name):
-    obj = _fresh(name)
-    info = getattr(type(obj), name).fget.cache_info
+    # the indicators and the point rows of an algebra's ultrafilters are the
+    # two parts of one value, cached per algebra by _ultrafilter_rows
+    part = {"point_rows": 0, "indicator": 1}[name]
+    # a fresh algebra, with an empty _cache, equal in order to the powerset's
+    shared = powerset_algebra(2)
+    algebra = boolean_algebra_of_up_sets(shared.up, shared.complement)
+    info = _ultrafilter_rows.cache_info
     misses = info().misses
-    value = getattr(obj, name)
-    assert getattr(obj, name) is value
+    whole = _ultrafilter_rows(algebra)
+    value = whole[part]
+    assert _ultrafilter_rows(algebra)[part] is value
     assert info().misses == misses + 1
-    assert any(cached is value for cached in obj._cache.values())
+    assert algebra._cache[_ultrafilter_rows.slot] is whole
     # a slots record has no instance __dict__ to hold the value, or to slow
     # its later attribute reads as taking one does on CPython 3.11
-    assert not hasattr(obj, "__dict__")
+    assert not hasattr(algebra, "__dict__")

@@ -633,7 +633,7 @@ def _reports(draw):
     picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=5))
     descriptors = st.dictionaries(_TEXT, _JSON, max_size=3)
     return VerificationReport(
-        [InstanceReport(draw(descriptors), pool[k], draw(st.integers(0, 9))) for k in picks]
+        [InstanceReport(draw(descriptors), pool[k]) for k in picks]
     )
 
 

@@ -6,13 +6,17 @@ with the filter-formula implementation.
 """
 
 import itertools
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stonecheck.cli as cli
 import stonecheck.extension as extension
+import stonecheck.harness as harness
 from helpers import export_presentation, identity_hom, validate_boolean_algebra
 from stonecheck.algebra import (
     Filter,
@@ -77,6 +81,30 @@ def test_identity_completion_is_dense_and_compact():
 def test_canonical_extension_is_dense_exhaustively():
     ext = canonical_extension(powerset_algebra(2))
     assert is_dense(ext.completion).passed
+
+
+def test_canext_and_the_algebra_instance_judge_density_and_compactness_once(monkeypatch):
+    # canonical_extension keeps the verdicts it asserts, and the command and
+    # the suite's algebra instance read them instead of judging again
+    calls = Counter()
+    for name in ("is_dense", "is_compact"):
+        real = getattr(extension, name)
+
+        def counted(c, real=real, name=name):
+            calls[name] += 1
+            return real(c)
+
+        for modname, module in list(sys.modules.items()):
+            if modname.startswith("stonecheck") and getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counted)
+    assert cli.main(["canext", str(SAMPLE), "abstract_four"]) == 0
+    assert calls == {"is_dense": 1, "is_compact": 1}
+    calls.clear()
+    # the process-wide algebra may hold its extension from an earlier test
+    algebra = powerset_algebra(3)
+    monkeypatch.delitem(algebra._cache, canonical_extension.slot, raising=False)
+    assert harness.algebra_instance(3).passed
+    assert calls == {"is_dense": 1, "is_compact": 1}
 
 
 def test_padding_completion_fails_density():

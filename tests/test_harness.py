@@ -287,8 +287,6 @@ def test_sampled_suite_runs_the_battery_once_per_distinct_hom(monkeypatch):
         assert {k: v for k, v in d.items() if k != "sample_index"} == {
             k: v for k, v in first.descriptor.items() if k != "sample_index"
         }
-        if inst is not first:
-            assert inst.timing_ms == 0
     assert len(first_draw) < 300
     assert calls == {"build_diagram": len(first_draw), "sigma_extend": len(first_draw)}
     assert sorted(i.descriptor["sample_index"] for i in homs) == list(range(300))
@@ -381,7 +379,7 @@ def test_the_plan_orders_instances_by_the_text_of_json_dumps(max_atoms, sample):
             "atom_function": list(g),
             **({} if i is None else {"sample_index": i}),
         }
-        for k1, g, _, i, _, _ in plan.homs
+        for k1, g, _, i in plan.homs
     ]
     descriptors += [{"kind": "algebra", "atoms": k} for k in plan.algebra_sizes]
     keys = [json.dumps(d, sort_keys=True) for d in descriptors]
@@ -449,4 +447,4 @@ def test_one_hom_builds_each_arrow_table_once_and_a_fixed_number_of_lookups(monk
     before = lookups()
     full_hom_instance(h)
     assert len(built) == 3
-    assert lookups() - before == 34
+    assert lookups() - before == 33

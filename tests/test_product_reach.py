@@ -10,6 +10,13 @@ invalid documents that reach each validation scan; and ``--help``.  The
 functions whose code never ran must be exactly ``NEVER_RAN``.  A function
 that stops running, or a new function that no command reaches, fails the
 test until it joins the product or the list, with its reason.
+
+The runner also records how many hits each cache of the package gets over
+the commands: every ``object_cache`` and ``functools.cache`` wrapper, a
+module-level function or a property getter, by the ``cache_info()`` delta
+from just after the import to the end.  A cache that no command hits must
+be named in ``NO_CACHE_HIT`` with its reason; otherwise it only costs its
+memory and its lookups, and should go.
 """
 
 import json
@@ -19,6 +26,7 @@ import sys
 from inspect import CO_OPTIMIZED
 from pathlib import Path
 
+import pytest
 from test_cli import M3_DIAMOND
 
 TESTS = Path(__file__).resolve().parent
@@ -29,8 +37,9 @@ SAMPLE = PACKAGE / "data" / "sample_document.json"
 
 # The hook is set before stonecheck.cli is imported.  argv[1] holds the
 # commands as JSON, argv[2] the path the result is written to: each
-# command's exit code (a SystemExit's code for --help), and the
-# (file, first line, name) of every code object that was called.
+# command's exit code (a SystemExit's code for --help), the
+# (file, first line, name) of every code object that was called, and the
+# hits of every cache wrapper, by module.qualname, over the commands.
 RUNNER = r"""
 import json, sys
 
@@ -40,9 +49,25 @@ def hook(frame, event, arg):
     if event == "call":
         ran.add(frame.f_code)
 
+def cache_hits():
+    found = {}
+    for modname, module in list(sys.modules.items()):
+        if not modname.startswith("stonecheck"):
+            continue
+        for value in list(vars(module).values()):
+            getters = [value]
+            if isinstance(value, type):
+                getters = [p.fget for p in vars(value).values() if isinstance(p, property)]
+            for g in getters:
+                if hasattr(g, "cache_info") and g.__module__.startswith("stonecheck."):
+                    name = g.__module__.removeprefix("stonecheck.") + "." + g.__qualname__
+                    found[name] = g.cache_info().hits
+    return found
+
 sys.setprofile(hook)
 import stonecheck.cli as cli
 
+before = cache_hits()
 codes = []
 for argv in json.loads(sys.argv[1]):
     try:
@@ -50,9 +75,10 @@ for argv in json.loads(sys.argv[1]):
     except SystemExit as exc:
         codes.append(exc.code)
 sys.setprofile(None)
+hits = {name: count - before[name] for name, count in cache_hits().items()}
 called = sorted({(c.co_filename, c.co_firstlineno, c.co_name) for c in ran})
 with open(sys.argv[2], "w") as out:
-    json.dump({"codes": codes, "called": called}, out)
+    json.dump({"codes": codes, "called": called, "cache_hits": hits}, out)
 """
 
 # The functions no product command runs, by reason, as module.qualname.
@@ -122,6 +148,10 @@ NEVER_RAN = {
 }
 
 
+# The caches no product command hits, by module.qualname, with the reason.
+NO_CACHE_HIT: dict[str, str] = {}
+
+
 def defined_functions() -> dict[tuple[str, int, str], str]:
     """Every function of the package, keyed as the runner records it, to
     its ``module.qualname`` (nested functions joined by dots)."""
@@ -170,7 +200,10 @@ def product_commands(tmp_path: Path) -> tuple[list[list[str]], list[int]]:
     return [argv for argv, _ in commands], [code for _, code in commands]
 
 
-def test_every_function_runs_in_a_product_command_or_is_listed(tmp_path):
+@pytest.fixture(scope="module")
+def product_run(tmp_path_factory):
+    """The runner's result over ``product_commands``, once for the module."""
+    tmp_path = tmp_path_factory.mktemp("product")
     argvs, expected = product_commands(tmp_path)
     result = tmp_path / "result.json"
     proc = subprocess.run(
@@ -184,12 +217,27 @@ def test_every_function_runs_in_a_product_command_or_is_listed(tmp_path):
     assert proc.returncode == 0, proc.stderr
     data = json.loads(result.read_text())
     assert data["codes"] == expected
+    return data
+
+
+def test_every_function_runs_in_a_product_command_or_is_listed(product_run):
     called = {
         (Path(filename).name, line, name)
-        for filename, line, name in data["called"]
+        for filename, line, name in product_run["called"]
         if Path(filename).resolve().parent == PACKAGE
     }
     never_ran = {qualname for key, qualname in defined_functions().items() if key not in called}
     listed = set().union(*NEVER_RAN.values())
     assert sorted(never_ran - listed) == [], "functions no command reaches"
     assert sorted(listed - never_ran) == [], "listed functions that now run"
+
+
+def test_every_cache_is_hit_by_a_product_command_or_is_listed(product_run):
+    hits = product_run["cache_hits"]
+    # the walk finds the caches of every kind: a property getter, an
+    # object_cache function and a functools.cache function
+    assert {"algebra.FinBoolAlg.lattice", "duality._ultrafilter_rows", "cli.build_parser"} <= set(hits)
+    assert set(NO_CACHE_HIT) <= set(hits), "listed caches that do not exist"
+    never_hit = sorted(name for name, count in hits.items() if count == 0)
+    assert [name for name in never_hit if name not in NO_CACHE_HIT] == [], "caches no command hits"
+    assert [name for name in NO_CACHE_HIT if hits[name]] == [], "listed caches that now hit"

@@ -107,6 +107,7 @@ CLASSES = {
     ]),
     "CanonicalExtension": ("extension", "identity", [
         ("completion", REQUIRED), ("point_carrier", REQUIRED), ("algebra", REQUIRED),
+        ("dense", REQUIRED), ("compact", REQUIRED),
     ]),
     "DensityVerdict": ("extension", "fields", [("passed", REQUIRED), ("element", None), ("side", None)]),
     "CompactnessVerdict": ("extension", "fields", [
@@ -134,13 +135,13 @@ CLASSES = {
     ]),
     "CheckResult": ("harness", "fields", [("name", REQUIRED), ("verdict", REQUIRED), ("witness", None)]),
     "InstanceReport": ("harness", "unhashable", [
-        ("descriptor", REQUIRED), ("checks", REQUIRED), ("timing_ms", 0),
+        ("descriptor", REQUIRED), ("checks", REQUIRED),
     ]),
     "VerificationReport": ("harness", "unhashable", [("instances", FRESH)]),
     "SuitePlan": ("harness", "fields", [("homs", REQUIRED), ("algebra_sizes", REQUIRED)]),
     "Document": ("documents", "unhashable", [
         ("algebras", FRESH), ("labels", FRESH), ("label_index", FRESH), ("algebra_order", FRESH),
-        ("homs", FRESH), ("hom_order", FRESH), ("hom_endpoints", FRESH), ("raw", FRESH),
+        ("homs", FRESH), ("hom_order", FRESH), ("hom_endpoints", FRESH),
     ]),
     "AuditResult": ("audit", "fields", [
         ("sigma_reachable", REQUIRED), ("diagram_reachable", REQUIRED),

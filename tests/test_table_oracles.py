@@ -40,6 +40,7 @@ from stonecheck.duality import (
     dual_map,
     hat_phi_table,
     phi_table,
+    ultrafilter_rows,
     validate_stone,
 )
 from stonecheck.documents import parse_document
@@ -520,17 +521,21 @@ def membership_check(h, bundle):
     return check.witness
 
 
-def test_indicator_marks_exactly_the_members_of_every_ultrafilter():
+def test_ultrafilter_rows_mark_exactly_the_members_of_every_ultrafilter():
     rng = random.Random(8)
     algebras = [powerset_algebra(k) for k in range(1, 6)]
     algebras += [shuffled_powerset(k, rng) for k in range(1, 6)]
     doc = parse_document(SAMPLE.read_text())
     algebras += [doc.algebra(name) for name in doc.algebra_order]
     for algebra in algebras:
-        for u in ultrafilters(algebra):
-            assert len(u.indicator) == 256
-            assert set(u.indicator) <= {0, 1}
-            assert {a for a, inside in enumerate(u.indicator) if inside} == u.members
+        ufs = ultrafilters(algebra)
+        rows, indicators = ultrafilter_rows(ufs)
+        assert len(rows) == len(indicators) == len(ufs)
+        for k, (u, indicator) in enumerate(zip(ufs, indicators)):
+            assert len(indicator) == 256
+            assert set(indicator) <= {0, 1}
+            assert {a for a, inside in enumerate(indicator) if inside} == u.members
+            assert rows[indicator[: algebra.size]] == k
 
 
 def test_dual_map_matches_the_frozenset_preimages():

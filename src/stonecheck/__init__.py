@@ -10,7 +10,6 @@ from .algebra import (
     FinBoolAlg,
     FinLattice,
     FinPoset,
-    Filter,
     UltraFilter,
     all_filters,
     all_homs,

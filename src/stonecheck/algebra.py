@@ -35,13 +35,15 @@ mask tests and a least upper bound is the element whose up-set mask is the
 intersection of two others; the distributive and homomorphism laws are
 plain loops over the operation tables.
 
-Filters are stored extensionally (as element sets).  The fast enumeration
-exploits that every filter of a finite lattice is a principal up-set; the
-tests check it against a scan of every subset.  Ideals are the filters of
-the order dual, which reuses the lattice's own tables with the order, the
-operations, and the bounds swapped.  An ultrafilter is its atom and its
-members; the byte rows that the dual constructions read off the members
-are built in ``duality.ultrafilter_rows``.
+A set of elements is a bitmask too.  Filters are stored extensionally, as
+member masks: every filter of a finite lattice is a principal up-set, so
+the filters are the poset's up-set masks; the tests check them against a
+scan of every subset.  Ideals are the filters of the order dual, which
+reuses the lattice's own tables with the order, the operations, and the
+bounds swapped, so they are its down-set masks.  An ultrafilter is its
+atom and its member mask, the atom's up-set; the byte rows that the dual
+constructions read off the members are built in
+``duality.ultrafilter_rows``.
 
 A result computed from one structure is cached on that structure
 (``object_cache``), so it is freed with it; only ``powerset_algebra``,
@@ -155,10 +157,6 @@ class FinPoset:
     @property
     def size(self) -> int:
         return len(self.up)
-
-    def upset(self, i: int) -> frozenset[int]:
-        m = self.up[i]
-        return frozenset(j for j in range(self.size) if m >> j & 1)
 
 
 def _lowest_bit(mask: int) -> int:
@@ -501,44 +499,34 @@ def powerset_algebra(n: int) -> FinBoolAlg:
     return algebra
 
 
-class Filter(FieldEquality):
-    """An upward-closed, meet-closed subset containing top (improper allowed)."""
-
-    _fields = ("lattice", "members")
-    __slots__ = (*_fields, "__weakref__")
-
-    def __init__(self, lattice: FinLattice, members: frozenset[int]) -> None:
-        self.lattice = lattice
-        self.members = members
-
-
 class UltraFilter(FieldEquality):
-    """A maximal proper filter; principal at a unique atom in the finite case."""
+    """A maximal proper filter; principal at a unique atom in the finite case.
+    ``members`` is the bitmask of its elements, the atom's up-set."""
 
     _fields = ("algebra", "members", "atom")
     __slots__ = (*_fields, "__weakref__")
 
-    def __init__(self, algebra: FinBoolAlg, members: frozenset[int], atom: int) -> None:
+    def __init__(self, algebra: FinBoolAlg, members: int, atom: int) -> None:
         self.algebra = algebra
         self.members = members
         self.atom = atom
 
 
 @object_cache
-def all_filters(lattice: FinLattice) -> tuple[Filter, ...]:
-    """Every filter of a finite lattice: the principal up-sets, one per element.
+def all_filters(lattice: FinLattice) -> tuple[int, ...]:
+    """Every filter of a finite lattice as a member bitmask: the principal
+    up-sets, one per element, so the poset's ``up`` masks.
 
     Ordered by generating element index.  The tests check it against a
     scan of every subset.
     """
-    return tuple(
-        Filter(lattice, lattice.poset.upset(x)) for x in range(lattice.size)
-    )
+    return lattice.poset.up
 
 
 @object_cache
-def all_ideals(lattice: FinLattice) -> tuple[Filter, ...]:
-    """Every ideal: the filters of the order dual, so each generator is a join."""
+def all_ideals(lattice: FinLattice) -> tuple[int, ...]:
+    """Every ideal: the filters of the order dual, so each generator is a
+    join and the masks are the poset's ``down`` masks."""
     return all_filters(order_dual(lattice))
 
 
@@ -547,16 +535,12 @@ def ultrafilters(algebra: FinBoolAlg) -> tuple[UltraFilter, ...]:
     """All maximal proper filters, sorted by the generating atom's mask.
 
     In a finite Boolean algebra these are exactly the principal up-sets of
-    atoms, read off the algebra's up-set masks, so no lattice is built; the
-    tests check them against the maximal proper filters.
+    atoms, so each one's members are its atom's up-set mask and no lattice
+    is built; the tests check them against the maximal proper filters.
     """
     if algebra.bottom == algebra.top:
         raise DegenerateAlgebra("the one-element algebra has no proper filters")
-    up, n = algebra.up, algebra.size
-    ufs = [
-        UltraFilter(algebra, frozenset(j for j in range(n) if up[a] >> j & 1), a)
-        for a in algebra.atoms
-    ]
+    ufs = [UltraFilter(algebra, algebra.up[a], a) for a in algebra.atoms]
     ufs.sort(key=lambda u: algebra.mask_of(u.atom))
     return tuple(ufs)
 

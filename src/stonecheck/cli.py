@@ -108,7 +108,9 @@ def _report_pieces(
     Each sampled draw comes marked with the sample index of its hom's first
     draw (``harness.SuitePlan.run``), and an exhaustive hom with None.  A
     marked hom has its checks and descriptor text encoded once, under that
-    mark; each later draw splices in its own ``sample_index``.  A ``checks``
+    mark; each later draw splices in its own ``sample_index``.  Marks are
+    held only while their atom function's draws last: a marked draw under
+    another atom function drops them first.  A ``checks``
     list that holds the same ``CheckResult`` objects as the one before it
     (all-pass lists share one per name) reuses its text.  The splices are
     exact because ``json.dumps`` escapes every newline in a string.  Never
@@ -118,6 +120,7 @@ def _report_pieces(
     # it is freed and no later list can hold an object of the same identity
     last: tuple[list, str, bool] = ([], "[]", True)
     repeat_text: dict[int, tuple[str, bool, str, str]] = {}
+    atom_function = None
 
     def checks_piece(checks) -> tuple[str, bool]:
         nonlocal last
@@ -132,6 +135,9 @@ def _report_pieces(
     head = f'{{\n  "input_digest": {json.dumps(input_digest)},\n  "instances": ['
     separator = head
     for inst, repeat in stream:
+        if repeat is not None and inst.descriptor["atom_function"] != atom_function:
+            repeat_text.clear()
+            atom_function = inst.descriptor["atom_function"]
         known = repeat_text.get(repeat)
         if known is None:
             checks, passed = checks_piece(inst.checks)

@@ -41,7 +41,6 @@ from typing import Iterable, Iterator, Sequence
 
 from .algebra import (
     FieldEquality,
-    FinBoolAlg,
     UltraFilter,
     _preimage_table,
     powerset_algebra,
@@ -86,28 +85,27 @@ class Compactification:
 class BetaSpace:
     """The powerset-dual compactification whose points are ultrafilters.
 
-    The compactification's base, space and embedding, and the rows and
-    indicators of the points (``ultrafilter_rows``), are plain fields, set
-    when the space is made.
+    The compactification's base, space and embedding are its fields, and
+    the rows and indicators of the points (``ultrafilter_rows``) plain
+    fields set when the space is made.
     """
 
     __slots__ = (
-        "compactification", "points_as_ultrafilters", "algebra",
-        "base", "space", "embed", "point_rows", "indicators", "__weakref__",
+        "base", "space", "embed", "points_as_ultrafilters", "point_rows", "indicators",
+        "__weakref__",
     )
 
     def __init__(
         self,
-        compactification: Compactification,
+        base: FinStoneSpace,
+        space: FinStoneSpace,
+        embed: tuple[int, ...],
         points_as_ultrafilters: tuple[UltraFilter, ...],
-        algebra: FinBoolAlg,
     ) -> None:
-        self.compactification = compactification
+        self.base = base
+        self.space = space
+        self.embed = embed
         self.points_as_ultrafilters = points_as_ultrafilters
-        self.algebra = algebra
-        self.base = compactification.base
-        self.space = compactification.space
-        self.embed = compactification.embed
         self.point_rows, self.indicators = ultrafilter_rows(points_as_ultrafilters)
 
 
@@ -142,8 +140,8 @@ def beta_space(points: tuple) -> BetaSpace:
     """The dual Stone space of the powerset algebra over the given points.
 
     The embedding sends a point to the ultrafilter of all subsets containing
-    it; that description is checked literally against the members of each
-    embedded ultrafilter.
+    it; that description, as a member mask over the subset masks, is
+    checked literally against the members of each embedded ultrafilter.
     """
     if len(points) == 0:
         raise EmptySpace("cannot compactify the empty point set")
@@ -153,13 +151,13 @@ def beta_space(points: tuple) -> BetaSpace:
     ufs = ultrafilters(pow_alg)
     embed = []
     for i in range(n):
-        expected = frozenset(m for m in range(1 << n) if m >> i & 1)
+        expected = sum(1 << m for m in range(1 << n) if m >> i & 1)
         hits = [k for k, u in enumerate(ufs) if u.members == expected]
         if len(hits) != 1:
             raise InvariantViolation("point has no unique principal ultrafilter", i)
         embed.append(hits[0])
     comp = build_compactification(discrete_space(points), space, embed)
-    return BetaSpace(comp, ufs, pow_alg)
+    return BetaSpace(comp.base, comp.space, comp.embed, ufs)
 
 
 def _forced_tables(

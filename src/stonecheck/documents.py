@@ -65,10 +65,7 @@ class Document(FieldEquality):
     with each algebra's labels and label index and each hom's endpoints.
     ``parse_document`` fills the empty containers an entry at a time."""
 
-    _fields = (
-        "algebras", "labels", "label_index", "algebra_order",
-        "homs", "hom_order", "hom_endpoints",
-    )
+    _fields = ("algebras", "labels", "label_index", "homs", "hom_endpoints")
     __slots__ = (*_fields, "__weakref__")
     __hash__ = None
 
@@ -77,17 +74,13 @@ class Document(FieldEquality):
         algebras: dict[str, FinBoolAlg] | None = None,
         labels: dict[str, tuple[str, ...]] | None = None,
         label_index: dict[str, dict[str, int]] | None = None,
-        algebra_order: list[str] | None = None,
         homs: dict[str, BoolHom] | None = None,
-        hom_order: list[str] | None = None,
         hom_endpoints: dict[str, tuple[str, str]] | None = None,
     ) -> None:
         self.algebras = {} if algebras is None else algebras
         self.labels = {} if labels is None else labels
         self.label_index = {} if label_index is None else label_index
-        self.algebra_order = [] if algebra_order is None else algebra_order
         self.homs = {} if homs is None else homs
-        self.hom_order = [] if hom_order is None else hom_order
         self.hom_endpoints = {} if hom_endpoints is None else hom_endpoints
 
     def algebra(self, name: str) -> FinBoolAlg:
@@ -189,7 +182,6 @@ def _parse_algebra(entry: dict, where: str, doc: Document) -> None:
         doc.label_index[name] = index
     else:
         raise ParseError(f"{where}: algebra needs 'powerset', 'carrier', or 'ref'")
-    doc.algebra_order.append(name)
 
 
 def _validated(where: str, build: Callable[[], T]) -> T:
@@ -300,7 +292,6 @@ def _parse_hom(entry: dict, where: str, doc: Document) -> None:
         doc.homs[name] = _validated(where, lambda: hom_from_atom_function(src, dst, g))
     else:
         raise ParseError(f"{where}: hom needs 'map' or 'atom_map'")
-    doc.hom_order.append(name)
     doc.hom_endpoints[name] = (src_name, dst_name)
 
 
@@ -331,8 +322,7 @@ def parse_document(text: str) -> Document:
 def render_document(doc: Document) -> str:
     """Canonical JSON for a parsed document (stable key order and spacing)."""
     algebras = []
-    for name in doc.algebra_order:
-        algebra = doc.algebras[name]
+    for name, algebra in doc.algebras.items():
         labels = doc.labels[name]
         n = algebra.size
         up = algebra.up
@@ -346,8 +336,7 @@ def render_document(doc: Document) -> str:
         }
         algebras.append(entry)
     homs = []
-    for name in doc.hom_order:
-        hom = doc.homs[name]
+    for name, hom in doc.homs.items():
         src_name, dst_name = doc.hom_endpoints[name]
         homs.append(
             {

@@ -219,7 +219,7 @@ def phi_table(algebra: FinBoolAlg) -> tuple[int, ...]:
     entries read this table once; it is shared, so never mutated."""
     ufs = ultrafilters(algebra)
     return tuple(
-        sum(1 << i for i, u in enumerate(ufs) if a in u.members) for a in range(algebra.size)
+        sum(1 << i for i, u in enumerate(ufs) if u.members >> a & 1) for a in range(algebra.size)
     )
 
 
@@ -229,7 +229,7 @@ def dual_space(algebra: FinBoolAlg) -> FinStoneSpace:
     ufs = ultrafilters(algebra)
     # phi_table's masks, not read from it: the two paths share no helper (audit)
     base = tuple(
-        sum(1 << i for i, u in enumerate(ufs) if a in u.members) for a in range(algebra.size)
+        sum(1 << i for i, u in enumerate(ufs) if u.members >> a & 1) for a in range(algebra.size)
     )
     space = FinStoneSpace(ufs, base)
     validate_stone(space)
@@ -242,12 +242,9 @@ def ultrafilter_rows(ufs: Sequence[UltraFilter]) -> tuple[dict[bytes, int], tupl
     ``bytes.translate`` table, 1 at each member: translating a row of
     elements through it marks which lie in the ultrafilter, and its first
     ``algebra.size`` bytes are the membership row."""
-    indicators = []
-    for u in ufs:
-        row = bytearray(256)
-        for a in u.members:
-            row[a] = 1
-        indicators.append(bytes(row))
+    indicators = [
+        bytes([u.members >> a & 1 for a in range(u.algebra.size)]).ljust(256, b"\0") for u in ufs
+    ]
     rows = {ind[: u.algebra.size]: k for k, (u, ind) in enumerate(zip(ufs, indicators))}
     return rows, tuple(indicators)
 
@@ -353,13 +350,14 @@ def hat_phi_point_mask(algebra: FinBoolAlg, subset_mask: int) -> int:
     hold a set of ultrafilters, with both the set and the points as bitmasks.
 
     Computed literally over ultrafilter-of-powerset objects: membership of
-    the subset is tested in each ultrafilter of the powerset algebra.
+    the subset is tested in each ultrafilter of the powerset algebra, whose
+    element index is the subset mask.
     """
     n = len(ultrafilters(algebra))
     return sum(
         1 << k
         for k, nabla in enumerate(ultrafilters(powerset_algebra(n)))
-        if subset_mask in nabla.members
+        if nabla.members >> subset_mask & 1
     )
 
 

@@ -2,12 +2,13 @@
 
 A completion pairs a complete lattice with a validated lattice embedding.
 The density and compactness tests quantify over the extensional filter and
-ideal enumerations, implementing the defining identities literally.  The
-canonical extension of a Boolean algebra is built as the powerset of its
-ultrafilter set with the Stone embedding, and the extension of a map is
-computed by the filter-quantified join formula -- deliberately not by the
-dual-map shortcut, which lives in the verification harness as the
-independent path the formula is checked against.
+ideal enumerations, each filter and ideal a member bitmask, implementing
+the defining identities literally.  The canonical extension of a Boolean
+algebra is built as the powerset of its ultrafilter set with the Stone
+embedding, and the extension of a map is computed by the filter-quantified
+join formula -- deliberately not by the dual-map shortcut, which lives in
+the verification harness as the independent path the formula is checked
+against.
 
 The filter-formula extension reads each filter's intersections off a
 plan of the source's filters, cached per algebra (``_filter_plan``): each
@@ -90,14 +91,17 @@ class DensityVerdict(FieldEquality):
 
 
 class CompactnessVerdict(FieldEquality):
+    """Passed, or the first filter and ideal, as member masks, whose
+    embedded meet lies below the embedded join although they are disjoint."""
+
     _fields = ("passed", "filter_members", "ideal_members")
     __slots__ = (*_fields, "__weakref__")
 
     def __init__(
         self,
         passed: bool,
-        filter_members: frozenset[int] | None = None,
-        ideal_members: frozenset[int] | None = None,
+        filter_members: int | None = None,
+        ideal_members: int | None = None,
     ) -> None:
         self.passed = passed
         self.filter_members = filter_members
@@ -199,8 +203,9 @@ def is_dense(c: Completion) -> DensityVerdict:
     """
     C = c.complete
     e = c.embedding
-    filter_meets = [C.meet_all(e[a] for a in F.members) for F in all_filters(c.base)]
-    ideal_joins = [C.join_all(e[a] for a in I.members) for I in all_ideals(c.base)]
+    n = c.base.size
+    filter_meets = [C.meet_all(e[a] for a in range(n) if F >> a & 1) for F in all_filters(c.base)]
+    ideal_joins = [C.join_all(e[a] for a in range(n) if I >> a & 1) for I in all_ideals(c.base)]
     for x in range(C.size):
         join_side = C.join_all(m for m in filter_meets if C.leq_of(m, x))
         if join_side != x:
@@ -216,14 +221,15 @@ def is_compact(c: Completion) -> CompactnessVerdict:
     the filter and ideal must intersect."""
     C = c.complete
     e = c.embedding
+    n = c.base.size
     filters = all_filters(c.base)
     ideals = all_ideals(c.base)
-    filter_meets = [C.meet_all(e[a] for a in F.members) for F in filters]
-    ideal_joins = [C.join_all(e[a] for a in I.members) for I in ideals]
+    filter_meets = [C.meet_all(e[a] for a in range(n) if F >> a & 1) for F in filters]
+    ideal_joins = [C.join_all(e[a] for a in range(n) if I >> a & 1) for I in ideals]
     for F, fm in zip(filters, filter_meets):
         for I, ij in zip(ideals, ideal_joins):
-            if C.leq_of(fm, ij) and not F.members & I.members:
-                return CompactnessVerdict(False, F.members, I.members)
+            if C.leq_of(fm, ij) and not F & I:
+                return CompactnessVerdict(False, F, I)
     return CompactnessVerdict(True)
 
 
@@ -239,10 +245,11 @@ def canonical_extension(algebra: FinBoolAlg) -> CanonicalExtension:
     comp = completion(algebra.lattice, pow_alg.lattice, phi_table(algebra))
     dense = is_dense(comp)
     if not dense.passed:
-        raise InvariantViolation("canonical extension is not dense")
+        raise InvariantViolation("canonical extension is not dense", (dense.element, dense.side))
     compact = is_compact(comp)
     if not compact.passed:
-        raise InvariantViolation("canonical extension is not compact")
+        witness = (compact.filter_members, compact.ideal_members)
+        raise InvariantViolation("canonical extension is not compact", witness)
     return CanonicalExtension(comp, ufs, pow_alg, dense, compact)
 
 
@@ -328,19 +335,20 @@ def _filter_plan(algebra: FinBoolAlg) -> tuple[tuple[int, int, tuple[int, ...]],
     up, down = poset.up, poset.down
     generator = {m: x for x, m in enumerate(up)}
     filters = all_filters(algebra.lattice)
-    masks = [sum(1 << a for a in F.members) for F in filters]
-    position = {m: k for k, m in enumerate(masks)}
+    position = {m: k for k, m in enumerate(filters)}
     plan = []
-    for k, (F, m) in enumerate(zip(filters, masks)):
+    for k, m in enumerate(filters):
         g = generator.get(m)
         if g is None:
             raise InvariantViolation("filter is not the up-set of a member", k)
         covers = [
-            position.get(up[y]) for y in F.members if y != g and down[y] & m == 1 << g | 1 << y
+            position.get(up[y])
+            for y in range(algebra.size)
+            if m >> y & 1 and y != g and down[y] & m == 1 << g | 1 << y
         ]
         if None in covers:
             raise InvariantViolation("a maximal proper subfilter is not listed", k)
-        plan.append((len(F.members), k, g, tuple(covers)))
+        plan.append((m.bit_count(), k, g, tuple(covers)))
     plan.sort()
     return tuple(entry[1:] for entry in plan)
 

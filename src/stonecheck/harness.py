@@ -342,7 +342,7 @@ def _hom_checks(h: BoolHom, bundle: DiagramBundle, sigma_table) -> list[CheckRes
             {"subset_mask": a, "point": d}
             for a, upstairs in enumerate(hat_phi_table(h.source))
             for d, img in enumerate(lifted)
-            if bool(upstairs >> img & 1) != (preimages[a] in points2[d].members)
+            if upstairs >> img & 1 != points2[d].members >> preimages[a] & 1
         )
     hom_law = _hom_law_witness(sigma_table, n1, n2)
 
@@ -375,8 +375,8 @@ def _hom_checks(h: BoolHom, bundle: DiagramBundle, sigma_table) -> list[CheckRes
         lemma = _first(
             {"point": d, "member_mask": a}
             for d, nabla in enumerate(points2)
-            for a in nabla.members
-            if images[a] not in points1[lifted[d]].members
+            for a in range(size2)
+            if nabla.members >> a & 1 and not points1[lifted[d]].members >> images[a] & 1
         )
 
     return [

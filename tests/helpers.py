@@ -80,11 +80,16 @@ def export_presentation(algebra: FinBoolAlg) -> tuple[int, list[tuple[int, int]]
     return n, pairs, algebra.complement
 
 
+def members_of(mask: int) -> frozenset[int]:
+    """The elements whose bits a member bitmask sets, as the oracles' set."""
+    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
 def is_filter(lattice: FinLattice, members: frozenset[int]) -> bool:
     if lattice.top not in members:
         return False
     for i in members:
-        if not lattice.poset.upset(i) <= members:
+        if not members_of(lattice.poset.up[i]) <= members:
             return False
         for j in members:
             if lattice.meet[i][j] not in members:

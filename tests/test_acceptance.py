@@ -16,7 +16,7 @@ from pathlib import Path
 
 import stonecheck.audit as audit
 import stonecheck.cli as cli
-from helpers import validate_boolean_algebra
+from helpers import members_of, validate_boolean_algebra
 from stonecheck.algebra import (
     all_homs,
     hom_from_atom_function,
@@ -155,13 +155,13 @@ def test_criterion_5_lift_formula_and_image_lemma():
                 composed = tuple(by.embed[v] for v in f)
                 assert lift.table == beta_extend_to_compact(bx, composed, by.space).table
                 for d, nabla in enumerate(bx.points_as_ultrafilters):
-                    image_point = by.points_as_ultrafilters[lift.table[d]]
-                    for a in nabla.members:
+                    image_point = members_of(by.points_as_ultrafilters[lift.table[d]].members)
+                    for a in members_of(nabla.members):
                         forward = 0
                         for x in range(nx):
                             if a >> x & 1:
                                 forward |= 1 << f[x]
-                        assert forward in image_point.members
+                        assert forward in image_point
 
 
 def test_criterion_6_preservation():

@@ -17,6 +17,7 @@ from helpers import (
     all_ideals_bruteforce,
     export_presentation,
     identity_hom,
+    members_of,
     ultrafilters_bruteforce,
     validate_boolean_algebra,
 )
@@ -144,32 +145,32 @@ def test_powerset_atoms_are_singleton_masks():
 
 def test_all_filters_against_bruteforce_oracle():
     two = powerset_algebra(1)
-    fast = {f.members for f in all_filters(two.lattice)}
+    fast = {members_of(f) for f in all_filters(two.lattice)}
     assert fast == all_filters_bruteforce(two.lattice)
     assert fast == {frozenset({1}), frozenset({0, 1})}
 
     four = powerset_algebra(2)
-    fast = {f.members for f in all_filters(four.lattice)}
+    fast = {members_of(f) for f in all_filters(four.lattice)}
     assert len(fast) == 4
     assert fast == all_filters_bruteforce(four.lattice)
 
     one = powerset_algebra(0)
-    assert [f.members for f in all_filters(one.lattice)] == [frozenset({0})]
+    assert [members_of(f) for f in all_filters(one.lattice)] == [frozenset({0})]
 
 
 def test_all_ideals_against_bruteforce_oracle():
     two = powerset_algebra(1)
-    fast = {i.members for i in all_ideals(two.lattice)}
+    fast = {members_of(i) for i in all_ideals(two.lattice)}
     assert len(fast) == 2
     assert fast == all_ideals_bruteforce(two.lattice)
 
     four = powerset_algebra(2)
-    assert {i.members for i in all_ideals(four.lattice)} == all_ideals_bruteforce(
+    assert {members_of(i) for i in all_ideals(four.lattice)} == all_ideals_bruteforce(
         four.lattice
     )
 
     one = powerset_algebra(0)
-    assert [i.members for i in all_ideals(one.lattice)] == [frozenset({0})]
+    assert [members_of(i) for i in all_ideals(one.lattice)] == [frozenset({0})]
 
 
 # a three-element chain and the pentagon N5 (0 < 1 < 2 < 4, 0 < 3 < 4)
@@ -202,27 +203,29 @@ def test_order_dual_is_the_validated_reversed_order(rows):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_every_filter_is_principal(n):
     lattice = powerset_algebra(n).lattice
-    for f in all_filters(lattice):
-        assert f.members == lattice.poset.upset(lattice.meet_all(f.members))
-    for i in all_ideals(lattice):
-        generator = lattice.join_all(i.members)
-        assert i.members == {j for j in range(lattice.size) if lattice.leq_of(j, generator)}
+    # the elements above (below) the generator, read off the meet (join) table
+    for f in map(members_of, all_filters(lattice)):
+        generator = lattice.meet_all(f)
+        assert f == {j for j in range(lattice.size) if lattice.meet[generator][j] == generator}
+    for i in map(members_of, all_ideals(lattice)):
+        generator = lattice.join_all(i)
+        assert i == {j for j in range(lattice.size) if lattice.join[j][generator] == generator}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_ultrafilters_match_maximality_oracle(n):
     algebra = powerset_algebra(n)
-    fast = {u.members for u in ultrafilters(algebra)}
+    fast = {members_of(u.members) for u in ultrafilters(algebra)}
     assert fast == ultrafilters_bruteforce(algebra)
     assert len(ultrafilters(algebra)) == len(algebra.atoms)
     # the least element of each ultrafilter is its atom, bijectively
-    leasts = [algebra.lattice.meet_all(u.members) for u in ultrafilters(algebra)]
+    leasts = [algebra.lattice.meet_all(members_of(u.members)) for u in ultrafilters(algebra)]
     assert sorted(leasts) == sorted(algebra.atoms)
 
 
 def test_ultrafilter_counts():
     assert len(ultrafilters(powerset_algebra(1))) == 1
-    assert [sorted(u.members) for u in ultrafilters(powerset_algebra(1))] == [[1]]
+    assert [sorted(members_of(u.members)) for u in ultrafilters(powerset_algebra(1))] == [[1]]
     assert len(ultrafilters(powerset_algebra(2))) == 2
     assert len(ultrafilters(powerset_algebra(3))) == 3
 
@@ -238,8 +241,9 @@ def test_degenerate_algebra_has_no_ultrafilters():
 def test_ultrafilter_dichotomy(n):
     algebra = powerset_algebra(n)
     for u in ultrafilters(algebra):
+        inside = members_of(u.members)
         for a in range(algebra.size):
-            assert (a in u.members) != (algebra.complement[a] in u.members)
+            assert (a in inside) != (algebra.complement[a] in inside)
 
 
 def test_validate_hom_accepts_identity():

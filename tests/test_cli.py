@@ -694,6 +694,26 @@ def test_report_json_descriptor_matches_whole_payload_encoding(descriptor):
     assert report_json(report, "d") == json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+def test_a_mark_met_again_under_another_atom_function_is_encoded_afresh():
+    # a mark's texts are held while its atom function's draws last; a mark
+    # met again under another atom function belongs to another hom
+    checks = [CheckResult("a", "pass")]
+    instances = [
+        InstanceReport({"kind": "hom", "atom_function": [0], "sample_index": 3}, checks),
+        InstanceReport({"kind": "hom", "atom_function": [0], "sample_index": 5}, checks),
+        InstanceReport({"kind": "hom", "atom_function": [1, 0], "sample_index": 8}, checks),
+    ]
+    stream = zip(instances, [3, 3, 3])
+    text = "".join(cli._report_pieces(stream, "d", cli._Tally()))
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        "tool_version": __version__,
+        "input_digest": "d",
+        "instances": report_jsonable(VerificationReport(instances)),
+    }
+    assert text == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
 def test_verify_sampled_mode_is_deterministic(tmp_path):
     out1, out2 = tmp_path / "s1.json", tmp_path / "s2.json"
     args = ("verify", "--all", "--max-atoms", "3", "--seed", "7", "--count", "5")

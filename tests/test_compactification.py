@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 import stonecheck.compactification as compactification
+from helpers import members_of
 from stonecheck.algebra import MAX_ATOMS, _preimage_table, powerset_algebra, ultrafilters
 from stonecheck.compactification import (
     BetaSpace,
@@ -43,6 +44,12 @@ from stonecheck.errors import (
 def identity_compactification(points):
     space = discrete_space(points)
     return build_compactification(space, space, tuple(range(len(points))))
+
+
+def beta_compactification(points):
+    """The compactification of ``beta_space(points)``, as its own record."""
+    bx = beta_space(points)
+    return Compactification(bx.base, bx.space, bx.embed)
 
 
 def all_set_partitions(items):
@@ -122,11 +129,11 @@ def test_beta_space_of_one_point():
 def test_beta_space_points_are_principal_ultrafilters():
     bx = beta_space(("x", "y"))
     assert bx.space.size == 2
-    expected = {u.members for u in ultrafilters(powerset_algebra(2))}
-    assert {u.members for u in bx.points_as_ultrafilters} == expected
+    expected = {members_of(u.members) for u in ultrafilters(powerset_algebra(2))}
+    assert {members_of(u.members) for u in bx.points_as_ultrafilters} == expected
     # the embedding literally matches beta(x) = {A : x in A}
     for i in range(2):
-        members = bx.points_as_ultrafilters[bx.embed[i]].members
+        members = members_of(bx.points_as_ultrafilters[bx.embed[i]].members)
         assert members == frozenset(m for m in range(4) if m >> i & 1)
 
 
@@ -181,9 +188,8 @@ def test_extension_candidates_match_brute_force_oracle(nx):
 
 
 def raw_beta_space(base_points, space_points, embed):
-    """A BetaSpace around an unvalidated compactification, for fault paths."""
-    comp = Compactification(discrete_space(base_points), discrete_space(space_points), embed)
-    return BetaSpace(comp, (), powerset_algebra(1))
+    """A BetaSpace on an unvalidated base, space and embedding, for fault paths."""
+    return BetaSpace(discrete_space(base_points), discrete_space(space_points), embed, ())
 
 
 def test_extension_without_candidates_raises_no_extension():
@@ -215,7 +221,7 @@ def test_search_keeps_only_the_continuous_tables_of_a_coarse_space():
     ]
     rejected = 0
     for space in coarse_spaces:
-        bx = BetaSpace(Compactification(discrete_space(("x",)), space, (0,)), (), None)
+        bx = BetaSpace(discrete_space(("x",)), space, (0,), ())
         for target in (discrete_space(("a", "b")), discrete_space(("a", "b", "c"))):
             for f in itertools.product(range(target.size), repeat=1):
                 expected = brute_force_tables(space, target, bx.embed, f)
@@ -230,6 +236,7 @@ def above_the_cap_calls():
     six = tuple(f"p{i}" for i in range(MAX_ATOMS + 1))
     big = discrete_space(six)
     bx = beta_space(six[:MAX_ATOMS])
+    beta = Compactification(bx.base, bx.space, bx.embed)
     # every point of the smaller space forced, as the diagram path does
     into_big = Compactification(bx.base, big, tuple(range(MAX_ATOMS)))
     forced = Compactification(discrete_space(six), big, tuple(range(MAX_ATOMS + 1)))
@@ -239,7 +246,7 @@ def above_the_cap_calls():
         "validate_stone": lambda: validate_stone(big),
         "build_compactification": lambda: build_compactification(big, big, range(len(six))),
         "extension_candidates": lambda: extension_candidates(bx, range(MAX_ATOMS), big),
-        "leq_forced": lambda: compactification_leq(bx.compactification, into_big),
+        "leq_forced": lambda: compactification_leq(beta, into_big),
         "leq_free": lambda: compactification_leq(free, free),
         "equivalent_forced": lambda: compactification_equivalent(forced, forced),
         "equivalent_free": lambda: compactification_equivalent(free, free),
@@ -302,13 +309,13 @@ def test_forward_images_live_in_lifted_ultrafilters(nx, ny):
     for f in itertools.product(range(ny), repeat=nx):
         lift = beta_lift(f, bx, by)
         for d, nabla in enumerate(bx.points_as_ultrafilters):
-            image_point = by.points_as_ultrafilters[lift.table[d]]
-            for a in nabla.members:
+            image_point = members_of(by.points_as_ultrafilters[lift.table[d]].members)
+            for a in members_of(nabla.members):
                 forward = 0
                 for x in range(nx):
                     if a >> x & 1:
                         forward |= 1 << f[x]
-                assert forward in image_point.members
+                assert forward in image_point
 
 
 def test_lift_functoriality():
@@ -346,7 +353,7 @@ def test_compactification_leq_is_reflexive():
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_beta_dominates_every_quotient_compactification(n):
     points = tuple(f"x{i}" for i in range(n))
-    beta = beta_space(points).compactification
+    beta = beta_compactification(points)
     for c in quotient_compactifications(points):
         assert compactification_leq(beta, c).passed
 
@@ -354,7 +361,7 @@ def test_beta_dominates_every_quotient_compactification(n):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_compactification_leq_matches_brute_force_oracle(n):
     points = tuple(f"x{i}" for i in range(n))
-    instances = quotient_compactifications(points) + [beta_space(points).compactification]
+    instances = quotient_compactifications(points) + [beta_compactification(points)]
     for c1, c2 in itertools.product(instances, repeat=2):
         assert_leq_matches_oracle(c1, c2)
 
@@ -374,7 +381,7 @@ def test_identification_is_strictly_below():
 def test_beta_space_equivalent_to_identity_compactification():
     points = ("x", "y", "z")
     verdict = compactification_equivalent(
-        beta_space(points).compactification, identity_compactification(points)
+        beta_compactification(points), identity_compactification(points)
     )
     assert verdict.passed
 
@@ -429,7 +436,7 @@ def assert_equivalent_matches_oracle(c1, c2):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_compactification_equivalent_matches_the_permutation_oracle(n):
     points = tuple(f"x{i}" for i in range(n))
-    instances = quotient_compactifications(points) + [beta_space(points).compactification]
+    instances = quotient_compactifications(points) + [beta_compactification(points)]
     for c1, c2 in itertools.product(instances, repeat=2):
         assert_equivalent_matches_oracle(c1, c2)
 
@@ -458,7 +465,7 @@ def test_equivalence_with_free_points_matches_the_permutation_oracle():
 
 def test_equivalence_of_five_points_matches_the_oracle_and_six_exceed_the_cap():
     points = tuple(f"x{i}" for i in range(5))
-    beta = beta_space(points).compactification
+    beta = beta_compactification(points)
     identity = identity_compactification(points)
     assert_equivalent_matches_oracle(beta, identity)
     assert compactification_equivalent(beta, identity).passed

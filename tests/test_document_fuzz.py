@@ -248,7 +248,7 @@ def test_bad_pairs_exit_2_with_the_parser_message(doc_path, document):
         for argv in (["dual", str(doc_path), "a"], ["verify", str(doc_path), "h"]):
             assert run_main(argv) == (2, f"error: {exc}\n")
         return
-    for name in doc.hom_order:
+    for name in doc.homs:
         code, err = run_main(["verify", str(doc_path), name])
         assert code in (0, 1) and err == ""
     assert run_main(["canext", str(doc_path), "a"]) == (0, "")

@@ -145,11 +145,11 @@ def test_render_parse_round_trip_is_stable():
     doc = parse_document(original)
     rendered = render_document(doc)
     doc2 = parse_document(rendered)
-    assert doc2.algebra_order == doc.algebra_order
-    assert doc2.hom_order == doc.hom_order
-    for name in doc.algebra_order:
+    assert list(doc2.algebras) == list(doc.algebras)
+    assert list(doc2.homs) == list(doc.homs)
+    for name in doc.algebras:
         assert doc2.algebra(name).atom_mask == doc.algebra(name).atom_mask
-    for name in doc.hom_order:
+    for name in doc.homs:
         assert doc2.hom(name).table == doc.hom(name).table
     # rendering is idempotent byte-for-byte
     assert render_document(doc2) == rendered

@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 import stonecheck.duality as duality
-from helpers import identity_hom, replace
+from helpers import identity_hom, members_of, replace
 from stonecheck.algebra import (
     all_homs,
     compose_homs,
@@ -50,7 +50,7 @@ def test_phi_of_atom_is_its_ultrafilter():
     algebra = powerset_algebra(2)
     ufs = ultrafilters(algebra)
     # membership oracle: scan the enumerated ultrafilters directly
-    expected = sum(1 << k for k, u in enumerate(ufs) if 1 in u.members)
+    expected = sum(1 << k for k, u in enumerate(ufs) if 1 in members_of(u.members))
     assert phi_mask(algebra, 1) == expected
     assert expected.bit_count() == 1
 
@@ -61,7 +61,7 @@ def test_phi_of_join_of_two_atoms():
     hits = phi_mask(algebra, element)
     assert hits.bit_count() == 2
     assert hits == sum(
-        1 << k for k, u in enumerate(ultrafilters(algebra)) if element in u.members
+        1 << k for k, u in enumerate(ultrafilters(algebra)) if element in members_of(u.members)
     )
     assert phi_table(algebra)[element] == hits
 

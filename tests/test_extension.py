@@ -17,9 +17,8 @@ from hypothesis import strategies as st
 import stonecheck.cli as cli
 import stonecheck.extension as extension
 import stonecheck.harness as harness
-from helpers import export_presentation, identity_hom, validate_boolean_algebra
+from helpers import export_presentation, identity_hom, members_of, validate_boolean_algebra
 from stonecheck.algebra import (
-    Filter,
     FinLattice,
     all_homs,
     fin_lattice,
@@ -57,14 +56,13 @@ def sigma_oracle(hom):
     """Preimage transform: image(A) = {v : preimage of v under hom lies in A}."""
     ufs1 = ultrafilters(hom.source)
     ufs2 = ultrafilters(hom.target)
-    uf_index = {u.members: i for i, u in enumerate(ufs1)}
+    uf_index = {members_of(u.members): i for i, u in enumerate(ufs1)}
     table = []
     for a_mask in range(1 << len(ufs1)):
         image = 0
         for k, v in enumerate(ufs2):
-            pre = frozenset(
-                x for x in range(hom.source.size) if hom.table[x] in v.members
-            )
+            inside = members_of(v.members)
+            pre = frozenset(x for x in range(hom.source.size) if hom.table[x] in inside)
             if a_mask >> uf_index[pre] & 1:
                 image |= 1 << k
         table.append(image)
@@ -117,6 +115,28 @@ def test_padding_completion_fails_density():
     assert not verdict.passed
     assert verdict.element == 4
     assert verdict.side == "join"
+
+
+@pytest.mark.parametrize(
+    "law, verdict, message",
+    [
+        ("is_dense", extension.DensityVerdict(False, 2, "meet"), "not dense; witness=(2, 'meet')"),
+        # the up-set of element 1 and the down-set of element 2, disjoint
+        (
+            "is_compact",
+            extension.CompactnessVerdict(False, 0b1010, 0b0101),
+            "not compact; witness=(10, 5)",
+        ),
+    ],
+    ids=["dense", "compact"],
+)
+def test_a_failed_extension_verdict_raises_with_its_witness(monkeypatch, law, verdict, message):
+    # a fresh algebra, so that its extension is built under the fault
+    four = validate_boolean_algebra(*export_presentation(powerset_algebra(2)))
+    monkeypatch.setattr(extension, law, lambda c: verdict)
+    with pytest.raises(InvariantViolation) as info:
+        canonical_extension(four)
+    assert str(info.value) == f"canonical extension is {message}"
 
 
 def test_compactness_of_canonical_extension_of_three_atoms():
@@ -258,7 +278,8 @@ def test_a_filter_enumeration_the_plan_cannot_split_is_a_library_bug(monkeypatch
     def faulty(lattice):
         filters = real(lattice)
         if fault == "not_principal":
-            return (Filter(lattice, frozenset({1, 2})),) + filters[1:]
+            # the member mask of {1, 2}, the up-set of no element
+            return (0b110,) + filters[1:]
         return filters[:-1]
 
     monkeypatch.setattr(extension, "all_filters", faulty)

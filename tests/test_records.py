@@ -17,9 +17,13 @@ from pathlib import Path
 
 import pytest
 
-from stonecheck.algebra import all_filters, hom_from_atom_function, powerset_algebra
+from stonecheck.algebra import hom_from_atom_function, powerset_algebra
 from stonecheck.audit import audit_ownership
-from stonecheck.compactification import beta_preserves, compactification_leq
+from stonecheck.compactification import (
+    beta_preserves,
+    build_compactification,
+    compactification_leq,
+)
 from stonecheck.documents import parse_document
 from stonecheck.duality import clopen_algebra, stone_representation
 from stonecheck.extension import (
@@ -43,6 +47,8 @@ def _records() -> dict:
     hom = hom_from_atom_function(source, target, (1,))
     bundle = build_diagram(hom)
     completion = canonical_extension(source).completion
+    beta = bundle.beta1
+    compactification = build_compactification(beta.base, beta.space, beta.embed)
     report = full_hom_instance(hom)
     records = [
         source,
@@ -50,7 +56,6 @@ def _records() -> dict:
         source.lattice.poset,
         hom,
         bundle.beta1.points_as_ultrafilters[0],
-        all_filters(source.lattice)[0],
         bundle.h_star,
         bundle.beta1.space,
         clopen_algebra(bundle.beta1.space),
@@ -61,9 +66,9 @@ def _records() -> dict:
         is_compact(completion),
         completion_isomorphic(completion, completion),
         sigma_extend(hom),
-        bundle.beta1.compactification,
+        compactification,
         bundle.beta1,
-        compactification_leq(bundle.beta1.compactification, bundle.beta1.compactification),
+        compactification_leq(compactification, compactification),
         beta_preserves((0,), bundle.beta2, bundle.beta2, "one-to-one"),
         bundle,
         report.checks[0],
@@ -89,7 +94,6 @@ CLASSES = {
         ("up", REQUIRED), ("complement", REQUIRED), ("atoms", REQUIRED),
         ("atom_mask", REQUIRED), ("_mask_index", REQUIRED),
     ]),
-    "Filter": ("algebra", "fields", [("lattice", REQUIRED), ("members", REQUIRED)]),
     "UltraFilter": ("algebra", "fields", [("algebra", REQUIRED), ("members", REQUIRED), ("atom", REQUIRED)]),
     "BoolHom": ("algebra", "fields", [("source", REQUIRED), ("target", REQUIRED), ("table", REQUIRED)]),
     "FinStoneSpace": ("duality", "identity", [("points", REQUIRED), ("base", REQUIRED)]),
@@ -122,7 +126,8 @@ CLASSES = {
         ("base", REQUIRED), ("space", REQUIRED), ("embed", REQUIRED),
     ]),
     "BetaSpace": ("compactification", "identity", [
-        ("compactification", REQUIRED), ("points_as_ultrafilters", REQUIRED), ("algebra", REQUIRED),
+        ("base", REQUIRED), ("space", REQUIRED), ("embed", REQUIRED),
+        ("points_as_ultrafilters", REQUIRED),
     ]),
     "OrderVerdict": ("compactification", "fields", [("passed", REQUIRED), ("witness", None)]),
     "PreservationVerdict": ("compactification", "fields", [
@@ -140,8 +145,8 @@ CLASSES = {
     "VerificationReport": ("harness", "unhashable", [("instances", FRESH)]),
     "SuitePlan": ("harness", "fields", [("homs", REQUIRED), ("algebra_sizes", REQUIRED)]),
     "Document": ("documents", "unhashable", [
-        ("algebras", FRESH), ("labels", FRESH), ("label_index", FRESH), ("algebra_order", FRESH),
-        ("homs", FRESH), ("hom_order", FRESH), ("hom_endpoints", FRESH),
+        ("algebras", FRESH), ("labels", FRESH), ("label_index", FRESH),
+        ("homs", FRESH), ("hom_endpoints", FRESH),
     ]),
     "AuditResult": ("audit", "fields", [
         ("sigma_reachable", REQUIRED), ("diagram_reachable", REQUIRED),

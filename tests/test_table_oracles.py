@@ -19,7 +19,13 @@ from pathlib import Path
 import pytest
 
 import stonecheck.harness as harness
-from helpers import export_presentation, identity_hom, replace, validate_boolean_algebra
+from helpers import (
+    export_presentation,
+    identity_hom,
+    members_of,
+    replace,
+    validate_boolean_algebra,
+)
 from stonecheck.algebra import (
     BoolHom,
     _preimage_table,
@@ -64,13 +70,14 @@ def homs_up_to(atoms):
 
 def reference_lift_table(f, bx, by):
     ny = by.base.size
-    index = {u.members: k for k, u in enumerate(by.points_as_ultrafilters)}
+    index = {members_of(u.members): k for k, u in enumerate(by.points_as_ultrafilters)}
     table = []
     for nabla in bx.points_as_ultrafilters:
+        members = members_of(nabla.members)
         image_members = frozenset(
             mb
             for mb in range(1 << ny)
-            if sum(1 << i for i, v in enumerate(f) if mb >> v & 1) in nabla.members
+            if sum(1 << i for i, v in enumerate(f) if mb >> v & 1) in members
         )
         table.append(index[image_members])
     return tuple(table)
@@ -300,7 +307,7 @@ def reference_sigma_table(h):
     for F in all_filters(src.lattice):
         inter1 = (1 << n1) - 1
         inter2 = full2
-        for a in F.members:
+        for a in members_of(F):
             inter1 &= phi1[a]
             inter2 &= phi2[h.table[a]]
         contributions.append((inter1, inter2))
@@ -370,8 +377,7 @@ def test_sigma_extend_matches_the_filter_loop_on_the_relabelled_five_atom_docume
     assert five.atom_count == 5 and five.atom_mask != tuple(range(five.size))
     rng = random.Random(19)
     count = 0
-    for name in doc.algebra_order:
-        other = doc.algebra(name)
+    for other in doc.algebras.values():
         for source, target in ((five, other), (other, five)):
             for _ in range(8):
                 g = [rng.randrange(source.atom_count) for _ in range(target.atom_count)]
@@ -391,14 +397,17 @@ def test_filter_plan_splits_each_filter_into_its_generator_and_maximal_subfilter
         plan = _filter_plan(algebra)
         assert sorted(k for k, _, _ in plan) == list(range(len(filters)))
         done = set()
+        lattice = algebra.lattice
+        sets = [members_of(f) for f in filters]
         for k, g, subfilters in plan:
-            members = filters[k].members
-            assert algebra.lattice.poset.upset(g) == members
+            members = sets[k]
+            # the elements above g, read off the meet table
+            assert members == {j for j in range(algebra.size) if lattice.meet[g][j] == g}
             assert done.issuperset(subfilters)
-            assert members == {g}.union(*(filters[j].members for j in subfilters))
+            assert members == {g}.union(*(sets[j] for j in subfilters))
             for j in subfilters:
-                assert filters[j].members < members
-                assert not any(filters[j].members < f.members < members for f in filters)
+                assert sets[j] < members
+                assert not any(sets[j] < f < members for f in sets)
             done.add(k)
         n = algebra.atom_count
         assert sum(len(subfilters) for _, _, subfilters in plan) == n << n >> 1
@@ -440,10 +449,11 @@ def test_a_space_that_fails_validation_fails_every_time():
 
 
 def reference_dual_map_table(hom):
-    index = {u.members: i for i, u in enumerate(ultrafilters(hom.source))}
+    index = {members_of(u.members): i for i, u in enumerate(ultrafilters(hom.source))}
     table = []
     for v in ultrafilters(hom.target):
-        pre = frozenset(a for a in range(hom.source.size) if hom.table[a] in v.members)
+        members = members_of(v.members)
+        pre = frozenset(a for a in range(hom.source.size) if hom.table[a] in members)
         if pre not in index:
             raise InvariantViolation("hom preimage of an ultrafilter is not one", pre)
         table.append(index[pre])
@@ -452,11 +462,11 @@ def reference_dual_map_table(hom):
 
 def reference_beta_lift_table(f, bx, by):
     ny = by.base.size
-    index = {u.members: k for k, u in enumerate(by.points_as_ultrafilters)}
+    index = {members_of(u.members): k for k, u in enumerate(by.points_as_ultrafilters)}
     pre = _preimage_table(f, ny)
     table = []
     for nabla in bx.points_as_ultrafilters:
-        members = nabla.members
+        members = members_of(nabla.members)
         image_members = frozenset(mb for mb in range(1 << ny) if pre[mb] in members)
         if image_members not in index:
             raise InvariantViolation("lifted set is not an ultrafilter", image_members)
@@ -465,7 +475,7 @@ def reference_beta_lift_table(f, bx, by):
 
 
 def reference_preimage_membership(h, bundle):
-    members2 = [u.members for u in bundle.beta2.points_as_ultrafilters]
+    members2 = [members_of(u.members) for u in bundle.beta2.points_as_ultrafilters]
     return next(
         (
             {"subset_mask": a, "point": d}
@@ -500,7 +510,7 @@ def shuffled_homs():
 
 def sample_homs():
     doc = parse_document(SAMPLE.read_text())
-    return [doc.hom(name) for name in doc.hom_order]
+    return list(doc.homs.values())
 
 
 def every_hom_family():
@@ -526,7 +536,7 @@ def test_ultrafilter_rows_mark_exactly_the_members_of_every_ultrafilter():
     algebras = [powerset_algebra(k) for k in range(1, 6)]
     algebras += [shuffled_powerset(k, rng) for k in range(1, 6)]
     doc = parse_document(SAMPLE.read_text())
-    algebras += [doc.algebra(name) for name in doc.algebra_order]
+    algebras += doc.algebras.values()
     for algebra in algebras:
         ufs = ultrafilters(algebra)
         rows, indicators = ultrafilter_rows(ufs)
@@ -534,7 +544,7 @@ def test_ultrafilter_rows_mark_exactly_the_members_of_every_ultrafilter():
         for k, (u, indicator) in enumerate(zip(ufs, indicators)):
             assert len(indicator) == 256
             assert set(indicator) <= {0, 1}
-            assert {a for a, inside in enumerate(indicator) if inside} == u.members
+            assert {a for a, inside in enumerate(indicator) if inside} == members_of(u.members)
             assert rows[indicator[: algebra.size]] == k
 
 
@@ -596,7 +606,7 @@ def test_forced_beta_lift_miss_raises_with_the_frozenset_witness():
             assert got == expected
             if got[0] is InvariantViolation:
                 assert type(got[1]) is frozenset
-                assert got[1] == points[dropped].members
+                assert got[1] == members_of(points[dropped].members)
 
 
 def test_preimage_membership_rows_agree_with_the_frozenset_scan():
@@ -639,8 +649,8 @@ def test_preimage_membership_rows_give_the_scan_witness_on_faulty_diagrams():
 
 
 def reference_forward_image_lemma(h, bundle):
-    members1 = [u.members for u in bundle.beta1.points_as_ultrafilters]
-    members2 = [u.members for u in bundle.beta2.points_as_ultrafilters]
+    members1 = [members_of(u.members) for u in bundle.beta1.points_as_ultrafilters]
+    members2 = [members_of(u.members) for u in bundle.beta2.points_as_ultrafilters]
     images = _forward_images(bundle.h_star.table)
     return next(
         (

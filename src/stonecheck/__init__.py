@@ -42,7 +42,6 @@ from .duality import (
     stone_representation,
 )
 from .extension import (
-    CanonicalExtension,
     Completion,
     canonical_extension,
     completion,

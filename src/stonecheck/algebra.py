@@ -254,12 +254,6 @@ class FinLattice:
         """1 when element i <= element j, else 0."""
         return self.poset.up[i] >> j & 1
 
-    def meet_of(self, i: int, j: int) -> int:
-        return self.meet[i][j]
-
-    def join_of(self, i: int, j: int) -> int:
-        return self.join[i][j]
-
     def meet_all(self, elems: Iterable[int]) -> int:
         """Meet of an arbitrary finite family; the empty meet is top."""
         out = self.top
@@ -362,9 +356,6 @@ class FinBoolAlg:
             below = [m & outside for m in below] + below
         down = tuple(map(below.__getitem__, atom_mask))
         return FinLattice(FinPoset(up, down), meet, join, self.bottom, self.top)
-
-    def mask_of(self, i: int) -> int:
-        return self.atom_mask[i]
 
 
 @cache
@@ -541,7 +532,7 @@ def ultrafilters(algebra: FinBoolAlg) -> tuple[UltraFilter, ...]:
     if algebra.bottom == algebra.top:
         raise DegenerateAlgebra("the one-element algebra has no proper filters")
     ufs = [UltraFilter(algebra, algebra.up[a], a) for a in algebra.atoms]
-    ufs.sort(key=lambda u: algebra.mask_of(u.atom))
+    ufs.sort(key=lambda u: algebra.atom_mask[u.atom])
     return tuple(ufs)
 
 
@@ -659,7 +650,7 @@ def hom_from_atom_function(
 def atom_function_of_hom(hom: BoolHom) -> tuple[int, ...]:
     """Recover the dual atom function; inverse of ``hom_from_atom_function``.
     Target atom q tracks the source atom whose image lies above it."""
-    images = [hom.target.mask_of(hom.table[a]) for a in hom.source.atoms]
+    images = [hom.target.atom_mask[hom.table[a]] for a in hom.source.atoms]
     return tuple(
         next(p for p, m in enumerate(images) if m >> q & 1)
         for q in range(hom.target.atom_count)

@@ -21,7 +21,8 @@ points needs, and the extension search makes the map of each table it has
 tested itself.  A space's point count is a field.  Each space is validated
 once (``validate_stone`` is cached on the space), and ``_hat_phi_fibres``
 inverts ``hat_phi_table`` once per table.  The Stone embedding is one table
-per algebra (``phi_table``), which the hot loops read directly.
+per algebra (``phi_table``), which the hot loops read directly, and the
+Stone representation is its table into the clopens of the dual space.
 ``dual_map`` finds the preimage of an ultrafilter as one byte row, the
 hom's table translated through the ultrafilter's indicator, and looks it up
 among the source's ultrafilter rows, which ``ultrafilter_rows`` builds with
@@ -278,19 +279,14 @@ def dual_map(hom: BoolHom) -> ContinuousMap:
 
 
 class ClopenAlgebra:
-    """The Boolean algebra of clopen sets of a space, ordered by inclusion."""
+    """The Boolean algebra of clopen sets of a space, ordered by inclusion:
+    element k is the clopen with point mask ``clopen_masks[k]``."""
 
-    __slots__ = ("space", "algebra", "clopen_masks", "__weakref__")
+    __slots__ = ("algebra", "clopen_masks", "__weakref__")
 
-    def __init__(
-        self, space: FinStoneSpace, algebra: FinBoolAlg, clopen_masks: tuple[int, ...]
-    ) -> None:
-        self.space = space
+    def __init__(self, algebra: FinBoolAlg, clopen_masks: tuple[int, ...]) -> None:
         self.algebra = algebra
         self.clopen_masks = clopen_masks
-
-    def index_of_mask(self, mask: int) -> int:
-        return self.clopen_masks.index(mask)
 
 
 @object_cache
@@ -304,37 +300,31 @@ def clopen_algebra(space: FinStoneSpace) -> ClopenAlgebra:
     up = [sum(1 << j for j in range(n) if c & ~clopens[j] == 0) for c in clopens]
     comp = tuple(clopens.index(full & ~c) for c in clopens)
     algebra = boolean_algebra_of_up_sets(up, comp)
-    return ClopenAlgebra(space, algebra, tuple(clopens))
+    return ClopenAlgebra(algebra, tuple(clopens))
 
 
 def dual_of_continuous(f: ContinuousMap) -> BoolHom:
     """The homomorphism Clop(target) -> Clop(source), U -> preimage of U."""
     src_clop = clopen_algebra(f.target)
     dst_clop = clopen_algebra(f.source)
-    table = [dst_clop.index_of_mask(f.preimages[m]) for m in src_clop.clopen_masks]
+    table = [dst_clop.clopen_masks.index(f.preimages[m]) for m in src_clop.clopen_masks]
     return validate_hom(table, src_clop.algebra, dst_clop.algebra)
 
 
-class RepresentationWitness:
-    """A certified isomorphism from an algebra onto the clopens of its dual."""
-
-    __slots__ = ("algebra", "clopens", "table", "__weakref__")
-
-    def __init__(self, algebra: FinBoolAlg, clopens: ClopenAlgebra, table: tuple[int, ...]) -> None:
-        self.algebra = algebra
-        self.clopens = clopens
-        self.table = table
-
-
-def stone_representation(algebra: FinBoolAlg) -> RepresentationWitness:
-    """Certify a -> phi(a) as a bijective homomorphism onto Clop(dual space).
+def stone_representation(algebra: FinBoolAlg) -> tuple[int, ...]:
+    """Certify a -> phi(a) as a bijective homomorphism onto Clop(dual space)
+    and return its table: entry a is the index of phi(a) among the clopens.
 
     The laws are checked by ``validate_hom``.  A failure here cannot come
     from user input; it would be a library bug, so it raises
-    InvariantViolation.
+    InvariantViolation, naming the first element whose phi mask is not a
+    clopen, if any.
     """
     clop = clopen_algebra(dual_space(algebra))
-    table = tuple(clop.index_of_mask(m) for m in phi_table(algebra))
+    index = {m: k for k, m in enumerate(clop.clopen_masks)}
+    table = tuple(map(index.get, phi_table(algebra)))
+    if None in table:
+        raise InvariantViolation("phi of an element is not a clopen", table.index(None))
     if len(set(table)) != algebra.size or algebra.size != clop.algebra.size:
         raise InvariantViolation("representation is not bijective")
     try:
@@ -342,7 +332,7 @@ def stone_representation(algebra: FinBoolAlg) -> RepresentationWitness:
     except StonecheckError as exc:
         witness = (type(exc).__name__, exc.witness)
         raise InvariantViolation("representation is not a homomorphism", witness) from exc
-    return RepresentationWitness(algebra, clop, table)
+    return table
 
 
 def hat_phi_point_mask(algebra: FinBoolAlg, subset_mask: int) -> int:

@@ -3,12 +3,14 @@
 A completion pairs a complete lattice with a validated lattice embedding.
 The density and compactness tests quantify over the extensional filter and
 ideal enumerations, each filter and ideal a member bitmask, implementing
-the defining identities literally.  The canonical extension of a Boolean
-algebra is built as the powerset of its ultrafilter set with the Stone
-embedding, and the extension of a map is computed by the filter-quantified
-join formula -- deliberately not by the dual-map shortcut, which lives in
-the verification harness as the independent path the formula is checked
-against.
+the defining identities literally; both read the embedded filter meets and
+ideal joins, folded once per completion (``_embedded_bounds``, cached on
+it).  The canonical extension of a Boolean algebra is the completion of
+its lattice by the powerset of its ultrafilter set with the Stone
+embedding, returned once it has passed both tests, and the extension of a
+map is its table, computed by the filter-quantified join formula --
+deliberately not by the dual-map shortcut, which lives in the verification
+harness as the independent path the formula is checked against.
 
 The filter-formula extension reads each filter's intersections off a
 plan of the source's filters, cached per algebra (``_filter_plan``): each
@@ -35,7 +37,6 @@ from .algebra import (
     FieldEquality,
     FinBoolAlg,
     FinLattice,
-    UltraFilter,
     all_filters,
     all_ideals,
     fin_lattice,
@@ -51,33 +52,13 @@ from .errors import BoundExceeded, DegenerateAlgebra, InvariantViolation, NotAnE
 class Completion:
     """A complete finite lattice together with an embedding of the base."""
 
-    __slots__ = ("base", "complete", "embedding", "__weakref__")
+    __slots__ = ("base", "complete", "embedding", "_cache", "__weakref__")
 
     def __init__(self, base: FinLattice, complete: FinLattice, embedding: tuple[int, ...]) -> None:
         self.base = base
         self.complete = complete
         self.embedding = embedding
-
-
-class CanonicalExtension:
-    """The powerset-of-ultrafilters completion, with its point carrier and
-    the density and compactness verdicts it was built with."""
-
-    __slots__ = ("completion", "point_carrier", "algebra", "dense", "compact", "__weakref__")
-
-    def __init__(
-        self,
-        completion: Completion,
-        point_carrier: tuple[UltraFilter, ...],
-        algebra: FinBoolAlg,
-        dense: DensityVerdict,
-        compact: CompactnessVerdict,
-    ) -> None:
-        self.completion = completion
-        self.point_carrier = point_carrier
-        self.algebra = algebra
-        self.dense = dense
-        self.compact = compact
+        self._cache = {}
 
 
 class DensityVerdict(FieldEquality):
@@ -133,9 +114,9 @@ def completion(base: FinLattice, complete: FinLattice, embedding: Sequence[int])
         for b in range(base.size):
             if base.leq_of(a, b) != complete.leq_of(e[a], e[b]):
                 raise NotAnEmbedding("order not reflected", (a, b))
-            if e[base.meet_of(a, b)] != complete.meet_of(e[a], e[b]):
+            if e[base.meet[a][b]] != complete.meet[e[a]][e[b]]:
                 raise NotAnEmbedding("meet not preserved", (a, b))
-            if e[base.join_of(a, b)] != complete.join_of(e[a], e[b]):
+            if e[base.join[a][b]] != complete.join[e[a]][e[b]]:
                 raise NotAnEmbedding("join not preserved", (a, b))
     _assert_complete(complete)
     return Completion(base, complete, e)
@@ -194,6 +175,19 @@ def _assert_complete(lattice: FinLattice) -> None:
             raise InvariantViolation("finite lattice lost a bound", bits)
 
 
+@object_cache
+def _embedded_bounds(c: Completion) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The meet of every embedded filter and the join of every embedded
+    ideal, in ``all_filters`` and ``all_ideals`` order, folded once per
+    completion for both ``is_dense`` and ``is_compact``."""
+    C = c.complete
+    e = c.embedding
+    n = c.base.size
+    meets = [C.meet_all(e[a] for a in range(n) if F >> a & 1) for F in all_filters(c.base)]
+    joins = [C.join_all(e[a] for a in range(n) if I >> a & 1) for I in all_ideals(c.base)]
+    return tuple(meets), tuple(joins)
+
+
 def is_dense(c: Completion) -> DensityVerdict:
     """Check both density identities for every element of the completion.
 
@@ -202,10 +196,7 @@ def is_dense(c: Completion) -> DensityVerdict:
     the first failing element and which side failed.
     """
     C = c.complete
-    e = c.embedding
-    n = c.base.size
-    filter_meets = [C.meet_all(e[a] for a in range(n) if F >> a & 1) for F in all_filters(c.base)]
-    ideal_joins = [C.join_all(e[a] for a in range(n) if I >> a & 1) for I in all_ideals(c.base)]
+    filter_meets, ideal_joins = _embedded_bounds(c)
     for x in range(C.size):
         join_side = C.join_all(m for m in filter_meets if C.leq_of(m, x))
         if join_side != x:
@@ -220,13 +211,9 @@ def is_compact(c: Completion) -> CompactnessVerdict:
     """Whenever an embedded filter meet lies below an embedded ideal join,
     the filter and ideal must intersect."""
     C = c.complete
-    e = c.embedding
-    n = c.base.size
-    filters = all_filters(c.base)
+    filter_meets, ideal_joins = _embedded_bounds(c)
     ideals = all_ideals(c.base)
-    filter_meets = [C.meet_all(e[a] for a in range(n) if F >> a & 1) for F in filters]
-    ideal_joins = [C.join_all(e[a] for a in range(n) if I >> a & 1) for I in ideals]
-    for F, fm in zip(filters, filter_meets):
+    for F, fm in zip(all_filters(c.base), filter_meets):
         for I, ij in zip(ideals, ideal_joins):
             if C.leq_of(fm, ij) and not F & I:
                 return CompactnessVerdict(False, F, I)
@@ -234,14 +221,15 @@ def is_compact(c: Completion) -> CompactnessVerdict:
 
 
 @object_cache
-def canonical_extension(algebra: FinBoolAlg) -> CanonicalExtension:
-    """The powerset of the ultrafilter set with the Stone embedding.
+def canonical_extension(algebra: FinBoolAlg) -> Completion:
+    """The powerset of the ultrafilter set with the Stone embedding, as a
+    validated completion of the algebra's lattice.
 
-    Density and compactness are asserted before returning, and their
-    verdicts kept for callers to read; a failure would be a library bug.
+    Density and compactness are asserted before returning, so a returned
+    extension passes both; a failure would be a library bug and raises
+    InvariantViolation with the verdict's witness.
     """
-    ufs = ultrafilters(algebra)
-    pow_alg = powerset_algebra(len(ufs))
+    pow_alg = powerset_algebra(len(ultrafilters(algebra)))
     comp = completion(algebra.lattice, pow_alg.lattice, phi_table(algebra))
     dense = is_dense(comp)
     if not dense.passed:
@@ -250,29 +238,14 @@ def canonical_extension(algebra: FinBoolAlg) -> CanonicalExtension:
     if not compact.passed:
         witness = (compact.filter_members, compact.ideal_members)
         raise InvariantViolation("canonical extension is not compact", witness)
-    return CanonicalExtension(comp, ufs, pow_alg, dense, compact)
+    return comp
 
 
-class SigmaExtension:
-    """The extension of a homomorphism to the powersets of the ultrafilter sets.
-
-    ``table[A]`` is the image of the point set with bitmask A over the
-    source ultrafilter order, itself a bitmask over the target order.
-    """
-
-    __slots__ = ("source_map", "source_points", "target_points", "table", "__weakref__")
-
-    def __init__(
-        self, source_map: BoolHom, source_points: int, target_points: int, table: tuple[int, ...]
-    ) -> None:
-        self.source_map = source_map
-        self.source_points = source_points
-        self.target_points = target_points
-        self.table = table
-
-
-def sigma_extend(h: BoolHom) -> SigmaExtension:
-    """Extend a homomorphism by the filter-quantified join formula.
+def sigma_extend(h: BoolHom) -> tuple[int, ...]:
+    """Extend a homomorphism by the filter-quantified join formula, as the
+    table of the extension between the powersets of the ultrafilter sets:
+    entry A is the image of the point set with bitmask A over the source
+    ultrafilter order, itself a bitmask over the target order.
 
     For every point set A, the image is the union over all filters F of the
     source whose embedded intersection lies inside A of the intersection of
@@ -295,7 +268,7 @@ def sigma_extend(h: BoolHom) -> SigmaExtension:
     src, dst = h.source, h.target
     if src.bottom == src.top or dst.bottom == dst.top:
         raise DegenerateAlgebra("extension needs nondegenerate algebras")
-    n1, n2 = src.atom_count, dst.atom_count
+    n1 = src.atom_count
     phi1 = phi_table(src)
     phi2 = phi_table(dst)
     image = h.table
@@ -317,7 +290,7 @@ def sigma_extend(h: BoolHom) -> SigmaExtension:
         for A in range(1 << n1):
             if A & bit:
                 table[A] |= table[A ^ bit]
-    return SigmaExtension(h, n1, n2, tuple(table))
+    return tuple(table)
 
 
 @object_cache
@@ -397,9 +370,9 @@ def completion_isomorphic(c1: Completion, c2: Completion) -> IsoVerdict:
     def preserves_ops(table: dict[int, int]) -> bool:
         for x in range(n):
             for y in range(n):
-                if table[C1.meet_of(x, y)] != C2.meet_of(table[x], table[y]):
+                if table[C1.meet[x][y]] != C2.meet[table[x]][table[y]]:
                     return False
-                if table[C1.join_of(x, y)] != C2.join_of(table[x], table[y]):
+                if table[C1.join[x][y]] != C2.join[table[x]][table[y]]:
                     return False
         return True
 

@@ -31,7 +31,13 @@ from stonecheck.compactification import (
     beta_space,
     extension_candidates,
 )
-from stonecheck.duality import discrete_space, dual_space, phi_mask, stone_representation
+from stonecheck.duality import (
+    clopen_algebra,
+    discrete_space,
+    dual_space,
+    phi_mask,
+    stone_representation,
+)
 from stonecheck.extension import (
     canonical_extension,
     completion,
@@ -97,7 +103,7 @@ def test_criterion_1_main_theorem_exhaustive_and_sampled():
             g = tuple(rng.randrange(4) for _ in range(4))
             hom = hom_from_atom_function(four, four, g)
             bundle = build_diagram(hom)
-            assert sigma_extend(hom).table == bundle.double_dual
+            assert sigma_extend(hom) == bundle.double_dual
             checked += 1
         assert checked >= 100
 
@@ -108,8 +114,8 @@ def test_criterion_2_canonical_extension_axioms():
         algebras.append(abstract_diamond())
         for algebra in algebras:
             ext = canonical_extension(algebra)
-            assert is_dense(ext.completion).passed
-            assert is_compact(ext.completion).passed
+            assert is_dense(ext).passed
+            assert is_compact(ext).passed
             full = (1 << len(ultrafilters(algebra))) - 1
             masks = [phi_mask(algebra, a) for a in range(algebra.size)]
             lattice = algebra.lattice
@@ -126,9 +132,9 @@ def test_criterion_2_canonical_extension_axioms():
 def test_criterion_3_stone_representation():
     with criterion(3, "algebras are isomorphic to their clopen algebras"):
         for algebra in [powerset_algebra(n) for n in (1, 2, 3, 4)] + [abstract_diamond()]:
-            witness = stone_representation(algebra)
-            assert len(set(witness.table)) == algebra.size
-            assert witness.clopens.algebra.size == algebra.size
+            table = stone_representation(algebra)
+            assert len(set(table)) == algebra.size
+            assert clopen_algebra(dual_space(algebra)).algebra.size == algebra.size
 
 
 def test_criterion_4_universal_property():
@@ -181,7 +187,7 @@ def test_criterion_7_completion_uniqueness():
     with criterion(7, "dense+compact completions are isomorphic at small scale"):
         for n in (1, 2, 3):
             algebra = powerset_algebra(n)
-            canon = canonical_extension(algebra).completion
+            canon = canonical_extension(algebra)
             identity = completion(
                 algebra.lattice, algebra.lattice, tuple(range(algebra.size))
             )

@@ -85,8 +85,8 @@ def test_diamond_m3_is_not_distributive():
     lattice = fin_lattice(fin_poset(
         [[(i, j) in set(diamond_m3()) for j in range(5)] for i in range(5)]
     ))
-    lhs = lattice.meet_of(x, lattice.join_of(y, z))
-    rhs = lattice.join_of(lattice.meet_of(x, y), lattice.meet_of(x, z))
+    lhs = lattice.meet[x][lattice.join[y][z]]
+    rhs = lattice.join[lattice.meet[x][y]][lattice.meet[x][z]]
     assert lhs != rhs
 
 

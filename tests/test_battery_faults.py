@@ -70,9 +70,9 @@ def _reordered_beta_points(bundle):
 
 
 def _wrong_sigma(sigma):
-    table = list(sigma.table)
+    table = list(sigma)
     table[1] = table[0]
-    return replace(sigma, table=tuple(table))
+    return tuple(table)
 
 
 DIAGRAM_FAULTS = {

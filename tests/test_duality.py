@@ -162,18 +162,17 @@ def test_dual_of_swap_swaps_singleton_clopens():
     hom = dual_of_continuous(swap)
     clop = clopen_algebra(space)
     # preimages computed by hand: {a}<->{b}, bounds fixed
-    i_a = clop.index_of_mask(0b01)
-    i_b = clop.index_of_mask(0b10)
+    i_a, i_b, i_0, i_1 = map(clop.clopen_masks.index, (0b01, 0b10, 0, 0b11))
     assert hom.table[i_a] == i_b and hom.table[i_b] == i_a
-    assert hom.table[clop.index_of_mask(0)] == clop.index_of_mask(0)
-    assert hom.table[clop.index_of_mask(0b11)] == clop.index_of_mask(0b11)
+    assert hom.table[i_0] == i_0
+    assert hom.table[i_1] == i_1
 
 
 @pytest.mark.parametrize("n", [1, 2, 4])
 def test_stone_representation_certificate(n):
-    witness = stone_representation(powerset_algebra(n))
-    assert len(witness.table) == 2**n
-    assert len(set(witness.table)) == 2**n
+    table = stone_representation(powerset_algebra(n))
+    assert len(table) == 2**n
+    assert len(set(table)) == 2**n
 
 
 def _reverse_clopen_order(monkeypatch):
@@ -215,6 +214,37 @@ def test_representation_that_is_not_bijective_is_a_library_bug(monkeypatch):
         stone_representation(powerset_algebra(2))
 
 
+def _phi_with_a_stray_point(monkeypatch, element: int) -> None:
+    """Give the phi mask of ``element`` a bit outside the dual space, so
+    that it is no clopen of it."""
+    real = duality.phi_table
+
+    def stray(algebra):
+        table = list(real(algebra))
+        table[element] |= 1 << len(ultrafilters(algebra))
+        return tuple(table)
+
+    monkeypatch.setattr(duality, "phi_table", stray)
+
+
+def test_representation_of_a_mask_that_is_no_clopen_is_a_library_bug(monkeypatch):
+    _phi_with_a_stray_point(monkeypatch, 2)
+    with pytest.raises(InvariantViolation) as info:
+        stone_representation(powerset_algebra(2))
+    assert str(info.value) == "phi of an element is not a clopen; witness=2"
+
+
+def test_representation_of_a_mask_that_is_no_clopen_is_a_failed_row(monkeypatch):
+    _phi_with_a_stray_point(monkeypatch, 0)
+    inst = algebra_instance(1)
+    assert [(c.name, c.verdict) for c in inst.checks] == [
+        ("canonical_extension_dense", "pass"),
+        ("canonical_extension_compact", "pass"),
+        ("representation_is_isomorphism", "fail"),
+    ]
+    assert inst.checks[-1].witness == {"error": "phi of an element is not a clopen; witness=0"}
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_clopen_algebra_of_dual_has_same_size(n):
     algebra = powerset_algebra(n)
@@ -252,7 +282,7 @@ def test_round_trip_naturality_square():
         for h in all_homs(b1, b2):
             back = dual_of_continuous(dual_map(h))
             for a in range(b1.size):
-                assert back.table[rep1.table[a]] == rep2.table[h.table[a]]
+                assert back.table[rep1[a]] == rep2[h.table[a]]
 
 
 def test_hat_phi_at_bounds():

@@ -20,6 +20,7 @@ import stonecheck.harness as harness
 from helpers import export_presentation, identity_hom, members_of, validate_boolean_algebra
 from stonecheck.algebra import (
     FinLattice,
+    all_filters,
     all_homs,
     fin_lattice,
     fin_poset,
@@ -77,13 +78,12 @@ def test_identity_completion_is_dense_and_compact():
 
 
 def test_canonical_extension_is_dense_exhaustively():
-    ext = canonical_extension(powerset_algebra(2))
-    assert is_dense(ext.completion).passed
+    assert is_dense(canonical_extension(powerset_algebra(2))).passed
 
 
 def test_canext_and_the_algebra_instance_judge_density_and_compactness_once(monkeypatch):
-    # canonical_extension keeps the verdicts it asserts, and the command and
-    # the suite's algebra instance read them instead of judging again
+    # canonical_extension asserts both verdicts, and the command and the
+    # suite's algebra instance write pass rows once it returns, judging neither
     calls = Counter()
     for name in ("is_dense", "is_compact"):
         real = getattr(extension, name)
@@ -105,6 +105,23 @@ def test_canext_and_the_algebra_instance_judge_density_and_compactness_once(monk
     assert calls == {"is_dense": 1, "is_compact": 1}
 
 
+def test_density_and_compactness_fold_the_embedded_bounds_once(monkeypatch):
+    # a fresh algebra, so that its extension is built here
+    eight = validate_boolean_algebra(*export_presentation(powerset_algebra(3)))
+    calls = Counter()
+    real = FinLattice.meet_all
+
+    def counted(lattice, elems):
+        calls[lattice] += 1
+        return real(lattice, elems)
+
+    monkeypatch.setattr(FinLattice, "meet_all", counted)
+    complete = canonical_extension(eight).complete
+    # one meet per embedded filter, shared by is_dense and is_compact, and
+    # one meet side per element of the completion in is_dense
+    assert dict(calls) == {complete: len(all_filters(eight.lattice)) + complete.size}
+
+
 def test_padding_completion_fails_density():
     # embed the 4-element algebra into the 16-element one by zero-padding;
     # element {atom2} of the big algebra is not a join of embedded meets
@@ -117,7 +134,7 @@ def test_padding_completion_fails_density():
     assert verdict.side == "join"
 
 
-@pytest.mark.parametrize(
+FAILED_VERDICTS = pytest.mark.parametrize(
     "law, verdict, message",
     [
         ("is_dense", extension.DensityVerdict(False, 2, "meet"), "not dense; witness=(2, 'meet')"),
@@ -130,6 +147,9 @@ def test_padding_completion_fails_density():
     ],
     ids=["dense", "compact"],
 )
+
+
+@FAILED_VERDICTS
 def test_a_failed_extension_verdict_raises_with_its_witness(monkeypatch, law, verdict, message):
     # a fresh algebra, so that its extension is built under the fault
     four = validate_boolean_algebra(*export_presentation(powerset_algebra(2)))
@@ -139,9 +159,25 @@ def test_a_failed_extension_verdict_raises_with_its_witness(monkeypatch, law, ve
     assert str(info.value) == f"canonical extension is {message}"
 
 
+@FAILED_VERDICTS
+def test_a_failed_extension_verdict_is_exit_3_of_canext_and_verify(
+    monkeypatch, capsys, law, verdict, message
+):
+    # canext and the suite's algebra rows print pass for both verdicts once
+    # canonical_extension returns, so a failing verdict must stop them
+    monkeypatch.setattr(extension, law, lambda c: verdict)
+    expected = f"internal error: canonical extension is {message}\n"
+    # each parse makes a fresh algebra, whose extension is built under the fault
+    assert cli.main(["canext", str(SAMPLE), "abstract_four"]) == 3
+    assert capsys.readouterr() == ("", expected)
+    # the process-wide algebra may hold its extension from an earlier test
+    monkeypatch.delitem(powerset_algebra(1)._cache, canonical_extension.slot, raising=False)
+    assert cli.main(["verify", "--all", "--max-atoms", "1"]) == 3
+    assert capsys.readouterr().err == expected
+
+
 def test_compactness_of_canonical_extension_of_three_atoms():
-    ext = canonical_extension(powerset_algebra(3))
-    assert is_compact(ext.completion).passed
+    assert is_compact(canonical_extension(powerset_algebra(3))).passed
 
 
 def test_collapsing_embedding_is_rejected_before_compactness():
@@ -226,9 +262,9 @@ def test_a_lattice_that_fails_the_scan_fails_every_time():
 
 
 def test_canonical_extension_sizes():
-    assert canonical_extension(powerset_algebra(1)).algebra.size == 2
-    assert canonical_extension(powerset_algebra(3)).algebra.size == 8
-    assert canonical_extension(powerset_algebra(4)).algebra.size == 16
+    assert canonical_extension(powerset_algebra(1)).complete.size == 2
+    assert canonical_extension(powerset_algebra(3)).complete.size == 8
+    assert canonical_extension(powerset_algebra(4)).complete.size == 16
 
 
 def test_canonical_extension_rejects_degenerate():
@@ -237,13 +273,15 @@ def test_canonical_extension_rejects_degenerate():
 
 
 def test_canonical_extension_atoms_are_ultrafilter_singletons():
-    ext = canonical_extension(powerset_algebra(3))
-    assert set(ext.algebra.atoms) == {1 << k for k in range(len(ext.point_carrier))}
+    # the atoms of the completing lattice: the elements that cover bottom
+    algebra = powerset_algebra(3)
+    complete = canonical_extension(algebra).complete
+    atoms = {x for x in range(complete.size) if complete.poset.down[x].bit_count() == 2}
+    assert atoms == {1 << k for k in range(len(ultrafilters(algebra)))}
 
 
 def test_sigma_of_identity_on_two_element_algebra():
-    sigma = sigma_extend(identity_hom(powerset_algebra(1)))
-    assert sigma.table == (0, 1)
+    assert sigma_extend(identity_hom(powerset_algebra(1))) == (0, 1)
 
 
 def test_sigma_of_atom_selector_frozen_values():
@@ -253,20 +291,20 @@ def test_sigma_of_atom_selector_frozen_values():
     four, two = powerset_algebra(2), powerset_algebra(1)
     hom = hom_from_atom_function(four, two, (0,))
     sigma = sigma_extend(hom)
-    assert sigma.table == sigma_oracle(hom)
-    assert sigma.table == (0, 1, 0, 1)
+    assert sigma == sigma_oracle(hom)
+    assert sigma == (0, 1, 0, 1)
 
 
 def test_sigma_of_empty_set_is_empty():
     for k1, k2 in itertools.product([1, 2, 3], repeat=2):
         for hom in all_homs(powerset_algebra(k1), powerset_algebra(k2)):
-            assert sigma_extend(hom).table[0] == 0
+            assert sigma_extend(hom)[0] == 0
 
 
 @pytest.mark.parametrize("k1, k2", list(itertools.product([1, 2, 3], repeat=2)))
 def test_sigma_matches_preimage_oracle_exhaustively(k1, k2):
     for hom in all_homs(powerset_algebra(k1), powerset_algebra(k2)):
-        assert sigma_extend(hom).table == sigma_oracle(hom)
+        assert sigma_extend(hom) == sigma_oracle(hom)
 
 
 @pytest.mark.parametrize("fault", ["not_principal", "top_filter_missing"])
@@ -300,29 +338,27 @@ def test_sigma_is_monotone_and_extends():
         for a in range(1 << n1):
             for b in range(1 << n1):
                 if a & ~b == 0:
-                    assert sigma.table[a] & ~sigma.table[b] == 0
+                    assert sigma[a] & ~sigma[b] == 0
 
 
 def test_completion_isomorphic_to_itself():
     ext = canonical_extension(powerset_algebra(2))
-    verdict = completion_isomorphic(ext.completion, ext.completion)
+    verdict = completion_isomorphic(ext, ext)
     assert verdict.passed
     assert verdict.table == tuple(range(4))
 
 
 def test_completion_isomorphic_to_relabeled_copy():
     ext = canonical_extension(powerset_algebra(2))
-    shuffled = permuted_completion(ext.completion, (2, 0, 3, 1))
-    verdict = completion_isomorphic(ext.completion, shuffled)
+    shuffled = permuted_completion(ext, (2, 0, 3, 1))
+    verdict = completion_isomorphic(ext, shuffled)
     assert verdict.passed
     assert verdict.table == (2, 0, 3, 1)
 
 
 def test_identity_completion_isomorphic_to_canonical():
     algebra = powerset_algebra(2)
-    verdict = completion_isomorphic(
-        identity_completion(algebra), canonical_extension(algebra).completion
-    )
+    verdict = completion_isomorphic(identity_completion(algebra), canonical_extension(algebra))
     assert verdict.passed
 
 
@@ -342,7 +378,7 @@ def test_completion_isomorphic_bound():
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_dense_compact_completions_are_unique_at_small_scale(n):
     algebra = powerset_algebra(n)
-    canon = canonical_extension(algebra).completion
+    canon = canonical_extension(algebra)
     candidates = [identity_completion(algebra), canon]
     # relabelings of the canonical completion stay dense and compact
     perms = [
@@ -359,7 +395,7 @@ def test_dense_compact_completions_are_unique_at_small_scale(n):
 @given(st.permutations(range(4)))
 def test_relabeled_canonical_completion_stays_isomorphic(perm):
     ext = canonical_extension(powerset_algebra(2))
-    shuffled = permuted_completion(ext.completion, tuple(perm))
+    shuffled = permuted_completion(ext, tuple(perm))
     assert is_dense(shuffled).passed
     assert is_compact(shuffled).passed
-    assert completion_isomorphic(ext.completion, shuffled).passed
+    assert completion_isomorphic(ext, shuffled).passed

@@ -137,9 +137,7 @@ def test_verify_main_theorem_identity():
 @pytest.mark.parametrize("k1, k2", list(itertools.product([1, 2, 3], repeat=2)))
 def test_main_theorem_exhaustive_small(k1, k2):
     for hom in all_homs(powerset_algebra(k1), powerset_algebra(k2)):
-        bundle = build_diagram(hom)
-        sigma = sigma_extend(hom)
-        assert sigma.table == bundle.double_dual
+        assert sigma_extend(hom) == build_diagram(hom).double_dual
 
 
 def test_outer_rectangle_on_elements():
@@ -157,7 +155,7 @@ def test_verify_corollary_injective_case():
     assert embed.is_injective
     assert full_hom_instance(embed).passed
     sigma = sigma_extend(embed)
-    assert len(set(sigma.table)) == len(sigma.table)
+    assert len(set(sigma)) == len(sigma)
 
 
 def test_verify_corollary_surjective_case():
@@ -166,7 +164,7 @@ def test_verify_corollary_surjective_case():
     assert collapse.is_surjective
     assert full_hom_instance(collapse).passed
     sigma = sigma_extend(collapse)
-    assert set(sigma.table) == {0, 1}
+    assert set(sigma) == {0, 1}
 
 
 def test_verify_corollary_automorphism_case():
@@ -174,7 +172,7 @@ def test_verify_corollary_automorphism_case():
     swap = hom_from_atom_function(four, four, (1, 0))
     assert full_hom_instance(swap).passed
     sigma = sigma_extend(swap)
-    assert sorted(sigma.table) == list(range(4))
+    assert sorted(sigma) == list(range(4))
 
 
 def test_suite_at_one_atom():

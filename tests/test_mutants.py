@@ -83,7 +83,7 @@ MUTANTS = {
     # phi_table is shared, so the mutant perturbs a copy of it
     "stray_phi2_point": (
         "phi2 = phi_table(dst)",
-        "phi2 = list(phi_table(dst))\n    phi2[1] |= 1 << (n2 - 1)",
+        "phi2 = list(phi_table(dst))\n    phi2[1] |= 1 << (dst.atom_count - 1)",
     ),
 }
 
@@ -191,7 +191,7 @@ def test_every_shrunk_witness_is_a_failing_instance(monkeypatch):
             algebra.powerset_algebra(shrunk["target_atoms"]),
             tuple(function),
         )
-        assert mutant(h).table != harness.build_diagram(h).double_dual
+        assert mutant(h) != harness.build_diagram(h).double_dual
 
 
 # name -> (original line, replacement, the pinned check that kills it)

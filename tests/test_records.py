@@ -25,13 +25,12 @@ from stonecheck.compactification import (
     compactification_leq,
 )
 from stonecheck.documents import parse_document
-from stonecheck.duality import clopen_algebra, stone_representation
+from stonecheck.duality import clopen_algebra
 from stonecheck.extension import (
     canonical_extension,
     completion_isomorphic,
     is_compact,
     is_dense,
-    sigma_extend,
 )
 from stonecheck.harness import build_diagram, exhaustive_suite, full_hom_instance, suite_plan
 
@@ -46,7 +45,7 @@ def _records() -> dict:
     source, target = powerset_algebra(2), powerset_algebra(1)
     hom = hom_from_atom_function(source, target, (1,))
     bundle = build_diagram(hom)
-    completion = canonical_extension(source).completion
+    completion = canonical_extension(source)
     beta = bundle.beta1
     compactification = build_compactification(beta.base, beta.space, beta.embed)
     report = full_hom_instance(hom)
@@ -59,13 +58,10 @@ def _records() -> dict:
         bundle.h_star,
         bundle.beta1.space,
         clopen_algebra(bundle.beta1.space),
-        stone_representation(source),
         completion,
-        canonical_extension(source),
         is_dense(completion),
         is_compact(completion),
         completion_isomorphic(completion, completion),
-        sigma_extend(hom),
         compactification,
         bundle.beta1,
         compactification_leq(compactification, compactification),
@@ -100,28 +96,15 @@ CLASSES = {
     "ContinuousMap": ("duality", "identity", [
         ("source", REQUIRED), ("target", REQUIRED), ("table", REQUIRED), ("preimages", REQUIRED),
     ]),
-    "ClopenAlgebra": ("duality", "identity", [
-        ("space", REQUIRED), ("algebra", REQUIRED), ("clopen_masks", REQUIRED),
-    ]),
-    "RepresentationWitness": ("duality", "identity", [
-        ("algebra", REQUIRED), ("clopens", REQUIRED), ("table", REQUIRED),
-    ]),
+    "ClopenAlgebra": ("duality", "identity", [("algebra", REQUIRED), ("clopen_masks", REQUIRED)]),
     "Completion": ("extension", "identity", [
         ("base", REQUIRED), ("complete", REQUIRED), ("embedding", REQUIRED),
-    ]),
-    "CanonicalExtension": ("extension", "identity", [
-        ("completion", REQUIRED), ("point_carrier", REQUIRED), ("algebra", REQUIRED),
-        ("dense", REQUIRED), ("compact", REQUIRED),
     ]),
     "DensityVerdict": ("extension", "fields", [("passed", REQUIRED), ("element", None), ("side", None)]),
     "CompactnessVerdict": ("extension", "fields", [
         ("passed", REQUIRED), ("filter_members", None), ("ideal_members", None),
     ]),
     "IsoVerdict": ("extension", "fields", [("passed", REQUIRED), ("table", None)]),
-    "SigmaExtension": ("extension", "identity", [
-        ("source_map", REQUIRED), ("source_points", REQUIRED),
-        ("target_points", REQUIRED), ("table", REQUIRED),
-    ]),
     "Compactification": ("compactification", "identity", [
         ("base", REQUIRED), ("space", REQUIRED), ("embed", REQUIRED),
     ]),

@@ -130,13 +130,13 @@ def ref_validate_hom(table, source, target):
         raise NotMeetPreserving("bottom must map to bottom", ("bottom", source.bottom))
     for i in range(source.size):
         for j in range(source.size):
-            if t[src.meet_of(i, j)] != dst.meet_of(t[i], t[j]):
+            if t[src.meet[i][j]] != dst.meet[t[i]][t[j]]:
                 raise NotMeetPreserving("meet not preserved", (i, j))
     if t[source.top] != target.top:
         raise NotJoinPreserving("top must map to top", ("top", source.top))
     for i in range(source.size):
         for j in range(source.size):
-            if t[src.join_of(i, j)] != dst.join_of(t[i], t[j]):
+            if t[src.join[i][j]] != dst.join[t[i]][t[j]]:
                 raise NotJoinPreserving("join not preserved", (i, j))
     for i in range(source.size):
         if t[source.complement[i]] != target.complement[t[i]]:
@@ -147,7 +147,7 @@ def ref_validate_hom(table, source, target):
 def ref_hom_table_from_atom_function(source, target, g):
     table = []
     for i in range(source.size):
-        m1 = source.mask_of(i)
+        m1 = source.atom_mask[i]
         m2 = sum(1 << q for q in range(target.atom_count) if m1 >> g[q] & 1)
         table.append(target.atom_mask.index(m2))
     return tuple(table)
@@ -579,7 +579,7 @@ def by_mask_table(table, source, target):
     """A table of elements as the target masks indexed by the source masks."""
     by_mask = [0] * source.size
     for a, v in enumerate(table):
-        by_mask[source.mask_of(a)] = target.mask_of(v)
+        by_mask[source.atom_mask[a]] = target.atom_mask[v]
     return by_mask
 
 

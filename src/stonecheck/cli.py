@@ -128,7 +128,7 @@ def _report_pieces(
         if not same:
             rows = ",\n        ".join([_indented(c.as_row(), 8) for c in checks])
             text = f"[\n        {rows}\n      ]" if checks else "[]"
-            last = (checks, text, all(c.verdict == "pass" for c in checks))
+            last = (checks, text, all(c.witness is None for c in checks))
         return last[1:]
 
     # sent with the first instance: a run that stops before it writes nothing

@@ -13,7 +13,10 @@ with the values the embedding forces) and the direct ultrafilter formula
 properties the test suite verifies.  One search, ``_forced_tables``, serves
 the extension certificate, the compactification order and equivalence,
 whose witness must also pass ``_is_homeomorphism``, and all three return
-the maps the search made.  The search has no cap of its own:
+the maps the search made, the order and equivalence checks the first
+witness map or None when there is none.  ``beta_preserves`` names the
+first of one-to-one, onto and bijective that a map has and its lift
+lacks, or None.  The search has no cap of its own:
 ``duality.topology`` caps every space at ``MAX_ATOMS`` points, so it tries
 at most ``MAX_ATOMS ** MAX_ATOMS`` tables.
 
@@ -40,7 +43,6 @@ import itertools
 from typing import Iterable, Iterator, Sequence
 
 from .algebra import (
-    FieldEquality,
     UltraFilter,
     _preimage_table,
     powerset_algebra,
@@ -254,15 +256,6 @@ def beta_lift(
     return _checked_map(bx.space, by.space, table)
 
 
-class OrderVerdict(FieldEquality):
-    _fields = ("passed", "witness")
-    __slots__ = (*_fields, "__weakref__")
-
-    def __init__(self, passed: bool, witness: ContinuousMap | None = None) -> None:
-        self.passed = passed
-        self.witness = witness
-
-
 def _comparable(c1: Compactification, c2: Compactification) -> None:
     """Both share the base point set, and both spaces are within the point
     cap (``topology``), before any table of the search is built."""
@@ -271,29 +264,30 @@ def _comparable(c1: Compactification, c2: Compactification) -> None:
     topology(c1.space), topology(c2.space)
 
 
-def compactification_leq(c1: Compactification, c2: Compactification) -> OrderVerdict:
-    """Decide whether c2 is below c1 in the compactification order.
+def compactification_leq(c1: Compactification, c2: Compactification) -> ContinuousMap | None:
+    """The map that exhibits c2 <= c1 in the compactification order, or None.
 
     Searches the maps from c1's space to c2's that satisfy
     f(c1.embed(x)) = c2.embed(x) for a continuous one, the first in
-    lexicographic order; the witness exhibits c2 <= c1.
+    lexicographic order.
     """
     _comparable(c1, c2)
     forced = [(c1.embed[i], c2.embed[i]) for i in range(c1.base.size)]
-    first = next(_forced_tables(c1.space, c2.space, forced), None)
-    return OrderVerdict(first is not None, first)
+    return next(_forced_tables(c1.space, c2.space, forced), None)
 
 
-def compactification_equivalent(c1: Compactification, c2: Compactification) -> OrderVerdict:
+def compactification_equivalent(
+    c1: Compactification, c2: Compactification
+) -> ContinuousMap | None:
     """As the order check but requiring a homeomorphism witness: the first
     table of the same search that is a bijection with a continuous inverse."""
     _comparable(c1, c2)
     if c1.space.size != c2.space.size:
-        return OrderVerdict(False)
+        return None
     for f in _forced_tables(c1.space, c2.space, zip(c1.embed, c2.embed)):
         if _is_homeomorphism(c1.space, c2.space, f.table):
-            return OrderVerdict(True, f)
-    return OrderVerdict(False)
+            return f
+    return None
 
 
 def _is_homeomorphism(space: FinStoneSpace, target: FinStoneSpace, table: Sequence[int]) -> bool:
@@ -307,43 +301,21 @@ def _is_homeomorphism(space: FinStoneSpace, target: FinStoneSpace, table: Sequen
     return _continuous(target, space, _preimage_table(inverse, space.size))
 
 
-class PreservationVerdict(FieldEquality):
-    _fields = ("property_name", "applicable", "passed")
-    __slots__ = (*_fields, "__weakref__")
+def beta_preserves(f: Sequence[int], bx: BetaSpace, by: BetaSpace) -> str | None:
+    """The first of "one-to-one", "onto" and "bijective" that f has and its
+    lift lacks, or None when the lift keeps all three.
 
-    def __init__(self, property_name: str, applicable: bool, passed: bool) -> None:
-        self.property_name = property_name
-        self.applicable = applicable
-        self.passed = passed
-
-
-def beta_preserves(
-    f: Sequence[int], bx: BetaSpace, by: BetaSpace, property_name: str
-) -> PreservationVerdict:
-    """Check that the lift inherits injectivity/surjectivity/bijectivity from f.
-
-    When f lacks the property the implication holds vacuously; the verdict
-    records applicability so callers can distinguish the two cases.  For a
-    bijective f the lift must moreover be a homeomorphism (continuous
+    For a bijective f the lift must moreover be a homeomorphism (continuous
     inverse).
     """
     ft = tuple(int(x) for x in f)
     injective = len(set(ft)) == len(ft)
     surjective = set(ft) == set(range(by.base.size))
     lifted = beta_lift(ft, bx, by)
-    if property_name == "one-to-one":
-        return PreservationVerdict(
-            property_name, injective, (not injective) or lifted.is_injective
-        )
-    if property_name == "onto":
-        return PreservationVerdict(
-            property_name, surjective, (not surjective) or lifted.is_surjective
-        )
-    if property_name == "bijective":
-        applicable = injective and surjective
-        return PreservationVerdict(
-            property_name,
-            applicable,
-            (not applicable) or _is_homeomorphism(bx.space, by.space, lifted.table),
-        )
-    raise ValueError(f"unknown property {property_name!r}")
+    if injective and not lifted.is_injective:
+        return "one-to-one"
+    if surjective and not lifted.is_surjective:
+        return "onto"
+    if injective and surjective and not _is_homeomorphism(bx.space, by.space, lifted.table):
+        return "bijective"
+    return None

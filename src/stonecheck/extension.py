@@ -1,7 +1,8 @@
 """Completions of finite lattices and the canonical extension of maps.
 
 A completion pairs a complete lattice with a validated lattice embedding.
-The density and compactness tests quantify over the extensional filter and
+The density and compactness tests each return their first witness, or
+None when they pass, and quantify over the extensional filter and
 ideal enumerations, each filter and ideal a member bitmask, implementing
 the defining identities literally; both read the embedded filter meets and
 ideal joins, folded once per completion (``_embedded_bounds``, cached on
@@ -10,7 +11,10 @@ its lattice by the powerset of its ultrafilter set with the Stone
 embedding, returned once it has passed both tests, and the extension of a
 map is its table, computed by the filter-quantified join formula --
 deliberately not by the dual-map shortcut, which lives in the verification
-harness as the independent path the formula is checked against.
+harness as the independent path the formula is checked against.  Two
+completions are compared by the one map their embeddings force
+(``completion_isomorphic``), since a dense completion of a finite lattice
+is onto.
 
 The filter-formula extension reads each filter's intersections off a
 plan of the source's filters, cached per algebra (``_filter_plan``): each
@@ -29,24 +33,25 @@ bound masks, and walks subset by subset only to name the first lost bound.
 
 from __future__ import annotations
 
+import itertools
 from typing import Sequence
 
 from .algebra import (
+    # perfbench/worker.py imports the subset-scan cap under this name
     MAX_BRUTE_FORCE_CARRIER as MAX_ISO_SEARCH,
     BoolHom,
-    FieldEquality,
     FinBoolAlg,
     FinLattice,
     all_filters,
     all_ideals,
     fin_lattice,
-    fin_poset,
     object_cache,
+    poset_of_up_sets,
     powerset_algebra,
     ultrafilters,
 )
 from .duality import phi_table
-from .errors import BoundExceeded, DegenerateAlgebra, InvariantViolation, NotAnEmbedding
+from .errors import DegenerateAlgebra, InvariantViolation, NotAnEmbedding
 
 
 class Completion:
@@ -59,43 +64,6 @@ class Completion:
         self.complete = complete
         self.embedding = embedding
         self._cache = {}
-
-
-class DensityVerdict(FieldEquality):
-    _fields = ("passed", "element", "side")
-    __slots__ = (*_fields, "__weakref__")
-
-    def __init__(self, passed: bool, element: int | None = None, side: str | None = None) -> None:
-        self.passed = passed
-        self.element = element
-        self.side = side
-
-
-class CompactnessVerdict(FieldEquality):
-    """Passed, or the first filter and ideal, as member masks, whose
-    embedded meet lies below the embedded join although they are disjoint."""
-
-    _fields = ("passed", "filter_members", "ideal_members")
-    __slots__ = (*_fields, "__weakref__")
-
-    def __init__(
-        self,
-        passed: bool,
-        filter_members: int | None = None,
-        ideal_members: int | None = None,
-    ) -> None:
-        self.passed = passed
-        self.filter_members = filter_members
-        self.ideal_members = ideal_members
-
-
-class IsoVerdict(FieldEquality):
-    _fields = ("passed", "table")
-    __slots__ = (*_fields, "__weakref__")
-
-    def __init__(self, passed: bool, table: tuple[int, ...] | None = None) -> None:
-        self.passed = passed
-        self.table = table
 
 
 def completion(base: FinLattice, complete: FinLattice, embedding: Sequence[int]) -> Completion:
@@ -188,36 +156,37 @@ def _embedded_bounds(c: Completion) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(meets), tuple(joins)
 
 
-def is_dense(c: Completion) -> DensityVerdict:
+def is_dense(c: Completion) -> tuple[int, str] | None:
     """Check both density identities for every element of the completion.
 
     Each element must be the join of the meets of embedded filters below it
-    and the meet of the joins of embedded ideals above it; the verdict names
-    the first failing element and which side failed.
+    and the meet of the joins of embedded ideals above it; the witness is
+    the first failing element and which side failed, None when all hold.
     """
     C = c.complete
     filter_meets, ideal_joins = _embedded_bounds(c)
     for x in range(C.size):
         join_side = C.join_all(m for m in filter_meets if C.leq_of(m, x))
         if join_side != x:
-            return DensityVerdict(False, x, "join")
+            return x, "join"
         meet_side = C.meet_all(j for j in ideal_joins if C.leq_of(x, j))
         if meet_side != x:
-            return DensityVerdict(False, x, "meet")
-    return DensityVerdict(True)
+            return x, "meet"
+    return None
 
 
-def is_compact(c: Completion) -> CompactnessVerdict:
+def is_compact(c: Completion) -> tuple[int, int] | None:
     """Whenever an embedded filter meet lies below an embedded ideal join,
-    the filter and ideal must intersect."""
+    the filter and ideal must intersect.  The witness is the first disjoint
+    pair that breaks this, as (filter mask, ideal mask); None when none does."""
     C = c.complete
     filter_meets, ideal_joins = _embedded_bounds(c)
     ideals = all_ideals(c.base)
     for F, fm in zip(all_filters(c.base), filter_meets):
         for I, ij in zip(ideals, ideal_joins):
             if C.leq_of(fm, ij) and not F & I:
-                return CompactnessVerdict(False, F, I)
-    return CompactnessVerdict(True)
+                return F, I
+    return None
 
 
 @object_cache
@@ -227,16 +196,15 @@ def canonical_extension(algebra: FinBoolAlg) -> Completion:
 
     Density and compactness are asserted before returning, so a returned
     extension passes both; a failure would be a library bug and raises
-    InvariantViolation with the verdict's witness.
+    InvariantViolation with the check's witness.
     """
     pow_alg = powerset_algebra(len(ultrafilters(algebra)))
     comp = completion(algebra.lattice, pow_alg.lattice, phi_table(algebra))
-    dense = is_dense(comp)
-    if not dense.passed:
-        raise InvariantViolation("canonical extension is not dense", (dense.element, dense.side))
-    compact = is_compact(comp)
-    if not compact.passed:
-        witness = (compact.filter_members, compact.ideal_members)
+    witness = is_dense(comp)
+    if witness is not None:
+        raise InvariantViolation("canonical extension is not dense", witness)
+    witness = is_compact(comp)
+    if witness is not None:
         raise InvariantViolation("canonical extension is not compact", witness)
     return comp
 
@@ -326,78 +294,31 @@ def _filter_plan(algebra: FinBoolAlg) -> tuple[tuple[int, int, tuple[int, ...]],
     return tuple(entry[1:] for entry in plan)
 
 
-def completion_isomorphic(c1: Completion, c2: Completion) -> IsoVerdict:
-    """Search for a lattice isomorphism commuting with the two embeddings.
+def completion_isomorphic(c1: Completion, c2: Completion) -> tuple[int, ...] | None:
+    """The lattice isomorphism from c1 to c2 that commutes with the two
+    embeddings, as its table, or None when there is none.
 
-    Backtracking over the unmatched elements, pruned by order signatures;
-    capped at MAX_ISO_SEARCH (the subset-scan cap) elements.
+    A dense completion of a finite lattice has an onto embedding: each
+    element is the join of the embedded elements below it, and the
+    embedding preserves finite joins.  So the only candidate is the forced
+    map x -> e2(e1^-1(x)), and it is an isomorphism exactly when it is a
+    bijection that preserves and reflects the order.  Raises ValueError
+    when c1's embedding is not onto.
     """
     if c1.base is not c2.base and c1.base.poset.up != c2.base.poset.up:
         raise ValueError("completions must share the base lattice")
     C1, C2 = c1.complete, c2.complete
+    if set(c1.embedding) != set(range(C1.size)):
+        raise ValueError("the first completion's embedding is not onto")
     if C1.size != C2.size:
-        return IsoVerdict(False)
-    if C1.size > MAX_ISO_SEARCH:
-        raise BoundExceeded(f"isomorphism search capped at {MAX_ISO_SEARCH}", C1.size)
-
-    n = C1.size
-    assign: dict[int, int] = {}
-    used: set[int] = set()
-    for a in range(c1.base.size):
-        x, y = c1.embedding[a], c2.embedding[a]
-        if assign.get(x, y) != y:
-            return IsoVerdict(False)
-        assign[x] = y
-        used.add(y)
-    if len(used) != len(assign):
-        return IsoVerdict(False)
-
-    def signature(lat: FinLattice, x: int) -> tuple[int, int]:
-        below = sum(1 for k in range(n) if lat.leq_of(k, x))
-        above = sum(1 for k in range(n) if lat.leq_of(x, k))
-        return below, above
-
-    sig1 = [signature(C1, x) for x in range(n)]
-    sig2 = [signature(C2, y) for y in range(n)]
-    free = [x for x in range(n) if x not in assign]
-
-    def consistent(x: int, y: int, partial: dict[int, int]) -> bool:
-        for u, v in partial.items():
-            if C1.leq_of(x, u) != C2.leq_of(y, v) or C1.leq_of(u, x) != C2.leq_of(v, y):
-                return False
-        return True
-
-    def preserves_ops(table: dict[int, int]) -> bool:
-        for x in range(n):
-            for y in range(n):
-                if table[C1.meet[x][y]] != C2.meet[table[x]][table[y]]:
-                    return False
-                if table[C1.join[x][y]] != C2.join[table[x]][table[y]]:
-                    return False
-        return True
-
-    def backtrack(i: int, partial: dict[int, int], taken: set[int]):
-        if i == len(free):
-            if preserves_ops(partial):
-                return tuple(partial[x] for x in range(n))
-            return None
-        x = free[i]
-        for y in range(n):
-            if y in taken or sig1[x] != sig2[y] or not consistent(x, y, partial):
-                continue
-            partial[x] = y
-            taken.add(y)
-            found = backtrack(i + 1, partial, taken)
-            if found is not None:
-                return found
-            del partial[x]
-            taken.discard(y)
         return None
-
-    witness = backtrack(0, dict(assign), set(used))
-    if witness is None:
-        return IsoVerdict(False)
-    return IsoVerdict(True, witness)
+    table = [0] * C1.size
+    for x, y in zip(c1.embedding, c2.embedding):
+        table[x] = y
+    pairs = itertools.product(range(C1.size), repeat=2)
+    if all(C1.leq_of(x, y) == C2.leq_of(table[x], table[y]) for x, y in pairs):
+        return tuple(table)
+    return None
 
 
 def permuted_completion(c: Completion, perm: Sequence[int]) -> Completion:
@@ -409,11 +330,9 @@ def permuted_completion(c: Completion, perm: Sequence[int]) -> Completion:
     if sorted(perm) != list(range(c.complete.size)):
         raise ValueError("not a permutation of the carrier")
     n = c.complete.size
-    old = c.complete
-    rows = [[False] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            rows[perm[i]][perm[j]] = old.leq_of(i, j)
-    relabeled = fin_lattice(fin_poset(rows))
+    up = [0] * n
+    for i, mask in enumerate(c.complete.poset.up):
+        up[perm[i]] = sum(1 << perm[j] for j in range(n) if mask >> j & 1)
+    relabeled = fin_lattice(poset_of_up_sets(up))
     emb = tuple(perm[e] for e in c.embedding)
     return completion(c.base, relabeled, emb)

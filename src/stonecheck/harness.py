@@ -107,13 +107,18 @@ class DiagramBundle:
 
 
 class CheckResult(FieldEquality):
-    _fields = ("name", "verdict", "witness")
+    """A named check and its witness: it passes exactly when there is none."""
+
+    _fields = ("name", "witness")
     __slots__ = (*_fields, "__weakref__")
 
-    def __init__(self, name: str, verdict: str, witness: dict | None = None) -> None:
+    def __init__(self, name: str, witness: dict | None = None) -> None:
         self.name = name
-        self.verdict = verdict  # "pass" | "fail"
         self.witness = witness
+
+    @property
+    def verdict(self) -> str:
+        return "pass" if self.witness is None else "fail"
 
     def as_row(self) -> dict:
         """The check as report data: name and verdict, plus the witness if any."""
@@ -134,7 +139,7 @@ class InstanceReport(FieldEquality):
 
     @property
     def passed(self) -> bool:
-        return all(c.verdict == "pass" for c in self.checks)
+        return all(c.witness is None for c in self.checks)
 
 
 class VerificationReport(FieldEquality):
@@ -274,12 +279,12 @@ def _compressed(atom_function: tuple[int, ...]) -> tuple[tuple[int, ...], BoolHo
 def _passed(name: str) -> CheckResult:
     """The passing result of a check, one shared object per name (no code
     assigns a field of a record after its ``__init__``)."""
-    return CheckResult(name, "pass")
+    return CheckResult(name)
 
 
 def _verdict(name: str, witness: dict | None) -> CheckResult:
     """A check that passes exactly when it found no witness."""
-    return _passed(name) if witness is None else CheckResult(name, "fail", witness)
+    return _passed(name) if witness is None else CheckResult(name, witness)
 
 
 def _first(witnesses):
@@ -471,11 +476,10 @@ def algebra_instance(atom_count: int) -> InstanceReport:
     checks = [_passed("canonical_extension_dense"), _passed("canonical_extension_compact")]
     try:
         stone_representation(algebra)
-        checks.append(CheckResult("representation_is_isomorphism", "pass"))
+        witness = None
     except InvariantViolation as exc:
-        checks.append(
-            CheckResult("representation_is_isomorphism", "fail", {"error": str(exc)})
-        )
+        witness = {"error": str(exc)}
+    checks.append(_verdict("representation_is_isomorphism", witness))
     descriptor = {"kind": "algebra", "atoms": atom_count}
     return InstanceReport(descriptor, checks)
 

@@ -114,8 +114,8 @@ def test_criterion_2_canonical_extension_axioms():
         algebras.append(abstract_diamond())
         for algebra in algebras:
             ext = canonical_extension(algebra)
-            assert is_dense(ext).passed
-            assert is_compact(ext).passed
+            assert is_dense(ext) is None
+            assert is_compact(ext) is None
             full = (1 << len(ultrafilters(algebra))) - 1
             masks = [phi_mask(algebra, a) for a in range(algebra.size)]
             lattice = algebra.lattice
@@ -176,8 +176,7 @@ def test_criterion_6_preservation():
             bx = beta_space(tuple(f"x{i}" for i in range(nx)))
             by = beta_space(tuple(f"y{i}" for i in range(ny)))
             for f in itertools.product(range(ny), repeat=nx):
-                for prop in ("one-to-one", "onto", "bijective"):
-                    assert beta_preserves(f, bx, by, prop).passed
+                assert beta_preserves(f, bx, by) is None
         for k1, k2 in itertools.product((1, 2, 3), repeat=2):
             for hom in all_homs(powerset_algebra(k1), powerset_algebra(k2)):
                 assert full_hom_instance(hom).passed
@@ -191,7 +190,7 @@ def test_criterion_7_completion_uniqueness():
             identity = completion(
                 algebra.lattice, algebra.lattice, tuple(range(algebra.size))
             )
-            assert completion_isomorphic(identity, canon).passed
+            assert completion_isomorphic(identity, canon) is not None
             generated = [identity, canon]
             generated.append(
                 permuted_completion(canon, tuple(reversed(range(algebra.size))))
@@ -202,8 +201,8 @@ def test_criterion_7_completion_uniqueness():
                 )
             )
             for c in generated:
-                assert is_dense(c).passed and is_compact(c).passed
-                assert completion_isomorphic(canon, c).passed
+                assert is_dense(c) is None and is_compact(c) is None
+                assert completion_isomorphic(canon, c) is not None
 
 
 def test_criterion_8_oracle_independence_audit():
@@ -270,7 +269,7 @@ def test_criterion_9_cli_determinism_and_exit_codes(tmp_path):
         # produce one, so the mapping is pinned on a synthetic report)
         synthetic = InstanceReport(
             {"kind": "hom", "name": "synthetic"},
-            [CheckResult("sigma_equals_double_dual", "fail")],
+            [CheckResult("sigma_equals_double_dual", {"subset_mask": 1})],
         )
         tally = cli._Tally()
         list(cli._report_pieces([(synthetic, None)], "d", tally))

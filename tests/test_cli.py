@@ -618,12 +618,7 @@ _JSON = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_TEXT, inner, max_size=3),
     max_leaves=8,
 )
-_CHECK = st.builds(
-    CheckResult,
-    _TEXT,
-    st.sampled_from(["pass", "fail"]),
-    st.none() | st.dictionaries(_TEXT, _JSON, max_size=3),
-)
+_CHECK = st.builds(CheckResult, _TEXT, st.none() | st.dictionaries(_TEXT, _JSON, max_size=3))
 
 
 @st.composite
@@ -653,9 +648,9 @@ def test_report_json_reuses_witness_free_rows_across_lists():
     # distinct check lists (as in the exhaustive tier) that repeat the same
     # witness-free rows, with witnessed rows of the same name in between
     lists = [
-        [CheckResult("a", "pass"), CheckResult("b", "fail", {"k": [1, "\n"]})],
-        [CheckResult("a", "pass"), CheckResult("b", "pass")],
-        [CheckResult("b", "fail", {"k": 2}), CheckResult("a", "pass"), CheckResult("b", "fail")],
+        [CheckResult("a"), CheckResult("b", {"k": [1, "\n"]})],
+        [CheckResult("a"), CheckResult("b")],
+        [CheckResult("b", {"k": 2}), CheckResult("a"), CheckResult("b", {})],
         [],
     ]
     report = VerificationReport([InstanceReport({"i": i}, checks) for i, checks in enumerate(lists)])
@@ -684,7 +679,7 @@ def test_report_json_reuses_witness_free_rows_across_lists():
     ids=["empty", "hom", "strings_and_big_ints", "bool", "float", "bool_in_list", "nested", "null", "int_keys"],
 )
 def test_report_json_descriptor_matches_whole_payload_encoding(descriptor):
-    report = VerificationReport([InstanceReport(descriptor, [CheckResult("a", "pass")])])
+    report = VerificationReport([InstanceReport(descriptor, [CheckResult("a")])])
     payload = {
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
@@ -697,7 +692,7 @@ def test_report_json_descriptor_matches_whole_payload_encoding(descriptor):
 def test_a_mark_met_again_under_another_atom_function_is_encoded_afresh():
     # a mark's texts are held while its atom function's draws last; a mark
     # met again under another atom function belongs to another hom
-    checks = [CheckResult("a", "pass")]
+    checks = [CheckResult("a")]
     instances = [
         InstanceReport({"kind": "hom", "atom_function": [0], "sample_index": 3}, checks),
         InstanceReport({"kind": "hom", "atom_function": [0], "sample_index": 5}, checks),
@@ -755,24 +750,24 @@ def test_exit_code_mapping_for_failing_report():
         [
             InstanceReport(
                 {"kind": "hom", "name": "synthetic"},
-                [CheckResult("sigma_equals_double_dual", "fail", {"subset_mask": 1})],
+                [CheckResult("sigma_equals_double_dual", {"subset_mask": 1})],
             )
         ]
     )
     passing = VerificationReport(
-        [InstanceReport({"kind": "hom"}, [CheckResult("anything", "pass")])]
+        [InstanceReport({"kind": "hom"}, [CheckResult("anything")])]
     )
-    # only "pass" passes: a verdict outside pass/fail cannot read as passing
-    mistyped = VerificationReport(
-        [InstanceReport({"kind": "hom"}, [CheckResult("anything", "info")])]
+    # a check with a witness fails, also an empty one
+    empty_witness = VerificationReport(
+        [InstanceReport({"kind": "hom"}, [CheckResult("anything", {})])]
     )
     # verify reads the exit code off the tally of the report it writes,
     # also when a list with the same names follows a passing one
     for instances, code in [
         (failing.instances, 1),
         (passing.instances, 0),
-        (mistyped.instances, 1),
-        (passing.instances + mistyped.instances, 1),
+        (empty_witness.instances, 1),
+        (passing.instances + empty_witness.instances, 1),
     ]:
         tally = cli._Tally()
         list(cli._report_pieces(((inst, None) for inst in instances), "d", tally))
@@ -781,7 +776,7 @@ def test_exit_code_mapping_for_failing_report():
 
 def test_report_json_envelope():
     report = VerificationReport(
-        [InstanceReport({"kind": "hom"}, [CheckResult("x", "pass")])]
+        [InstanceReport({"kind": "hom"}, [CheckResult("x")])]
     )
     payload = json.loads(report_json(report, "digest123"))
     assert payload["input_digest"] == "digest123"

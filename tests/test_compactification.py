@@ -111,13 +111,12 @@ def assert_map_of_its_table(c1, c2, witness):
 
 def assert_leq_matches_oracle(c1, c2):
     tables = brute_force_tables(c1.space, c2.space, c1.embed, c2.embed)
-    verdict = compactification_leq(c1, c2)
-    assert verdict.passed == bool(tables)
+    witness = compactification_leq(c1, c2)
     if tables:
-        assert verdict.witness.table == tables[0]
-        assert_map_of_its_table(c1, c2, verdict.witness)
+        assert witness.table == tables[0]
+        assert_map_of_its_table(c1, c2, witness)
     else:
-        assert verdict.witness is None
+        assert witness is None
 
 
 def test_beta_space_of_one_point():
@@ -345,9 +344,7 @@ def test_compactification_validation_rejects_broken_inputs():
 
 def test_compactification_leq_is_reflexive():
     c = identity_compactification(("x", "y"))
-    verdict = compactification_leq(c, c)
-    assert verdict.passed
-    assert verdict.witness.table == (0, 1)
+    assert compactification_leq(c, c).table == (0, 1)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -355,7 +352,7 @@ def test_beta_dominates_every_quotient_compactification(n):
     points = tuple(f"x{i}" for i in range(n))
     beta = beta_compactification(points)
     for c in quotient_compactifications(points):
-        assert compactification_leq(beta, c).passed
+        assert compactification_leq(beta, c) is not None
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -374,24 +371,24 @@ def test_identification_is_strictly_below():
     collapse = Compactification(
         discrete_space(points), discrete_space(("q",)), (0, 0)
     )
-    assert compactification_leq(faithful, collapse).passed
-    assert not compactification_leq(collapse, faithful).passed
+    assert compactification_leq(faithful, collapse) is not None
+    assert compactification_leq(collapse, faithful) is None
 
 
 def test_beta_space_equivalent_to_identity_compactification():
     points = ("x", "y", "z")
-    verdict = compactification_equivalent(
+    witness = compactification_equivalent(
         beta_compactification(points), identity_compactification(points)
     )
-    assert verdict.passed
+    assert witness is not None
 
 
 def test_compactifications_of_different_sizes_are_not_equivalent():
     base = discrete_space(("x",))
     small = identity_compactification(("x",))
     inflated = Compactification(base, discrete_space(("p", "q")), (0,))
-    assert not compactification_equivalent(inflated, small).passed
-    assert not compactification_equivalent(small, inflated).passed
+    assert compactification_equivalent(inflated, small) is None
+    assert compactification_equivalent(small, inflated) is None
     assert_leq_matches_oracle(inflated, small)
     assert_leq_matches_oracle(small, inflated)
 
@@ -424,13 +421,12 @@ def permutation_equivalence_oracle(c1, c2):
 
 def assert_equivalent_matches_oracle(c1, c2):
     table = permutation_equivalence_oracle(c1, c2)
-    verdict = compactification_equivalent(c1, c2)
-    assert verdict.passed == (table is not None)
+    witness = compactification_equivalent(c1, c2)
     if table is None:
-        assert verdict.witness is None
+        assert witness is None
     else:
-        assert verdict.witness.table == table
-        assert_map_of_its_table(c1, c2, verdict.witness)
+        assert witness.table == table
+        assert_map_of_its_table(c1, c2, witness)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -456,11 +452,11 @@ def test_equivalence_with_free_points_matches_the_permutation_oracle():
         for space in spaces
         for embed in itertools.permutations(range(4), 2)
     ]
-    verdicts = set()
+    found = set()
     for c1, c2 in itertools.product(instances, repeat=2):
         assert_equivalent_matches_oracle(c1, c2)
-        verdicts.add(compactification_equivalent(c1, c2).passed)
-    assert verdicts == {False, True}
+        found.add(compactification_equivalent(c1, c2) is not None)
+    assert found == {False, True}
 
 
 def test_equivalence_of_five_points_matches_the_oracle_and_six_exceed_the_cap():
@@ -468,12 +464,12 @@ def test_equivalence_of_five_points_matches_the_oracle_and_six_exceed_the_cap():
     beta = beta_compactification(points)
     identity = identity_compactification(points)
     assert_equivalent_matches_oracle(beta, identity)
-    assert compactification_equivalent(beta, identity).passed
+    assert compactification_equivalent(beta, identity) is not None
     # five points, three of them free
     free = Compactification(discrete_space(points[:2]), discrete_space(points), (3, 1))
     other = Compactification(discrete_space(points[:2]), discrete_space(points), (0, 4))
     assert_equivalent_matches_oracle(free, other)
-    assert compactification_equivalent(free, other).passed
+    assert compactification_equivalent(free, other) is not None
     six = tuple(f"x{i}" for i in range(6))
     with pytest.raises(BoundExceeded):
         compactification_equivalent(
@@ -484,21 +480,18 @@ def test_equivalence_of_five_points_matches_the_oracle_and_six_exceed_the_cap():
 def test_preservation_of_injectivity():
     bx = beta_space(("x",))
     by = beta_space(("p", "q"))
-    verdict = beta_preserves((1,), bx, by, "one-to-one")
-    assert verdict.applicable and verdict.passed
+    assert beta_preserves((1,), bx, by) is None
 
 
 def test_preservation_of_surjectivity():
     bx = beta_space(("x", "y"))
     by = beta_space(("p",))
-    verdict = beta_preserves((0, 0), bx, by, "onto")
-    assert verdict.applicable and verdict.passed
+    assert beta_preserves((0, 0), bx, by) is None
 
 
 def test_swap_lifts_to_homeomorphism():
     bx = beta_space(("x", "y"))
-    verdict = beta_preserves((1, 0), bx, bx, "bijective")
-    assert verdict.applicable and verdict.passed
+    assert beta_preserves((1, 0), bx, bx) is None
 
 
 @pytest.mark.parametrize("error", [NotContinuous, InvariantViolation])
@@ -515,19 +508,19 @@ def test_only_a_discontinuous_inverse_fails_bijectivity(monkeypatch, error):
 
     monkeypatch.setattr(compactification, "_continuous", inverse_fails)
     if error is NotContinuous:
-        verdict = beta_preserves((1, 2, 0), bx, bx, "bijective")
-        assert verdict.applicable and not verdict.passed
+        assert beta_preserves((1, 2, 0), bx, bx) == "bijective"
     else:
         with pytest.raises(InvariantViolation, match="seeded"):
-            beta_preserves((1, 2, 0), bx, bx, "bijective")
+            beta_preserves((1, 2, 0), bx, bx)
 
 
 def test_vacuous_preservation_is_recorded():
     bx = beta_space(("x", "y"))
     by = beta_space(("p", "q"))
-    verdict = beta_preserves((0, 0), bx, by, "one-to-one")
-    assert not verdict.applicable
-    assert verdict.passed
+    # f is neither one-to-one nor onto, so its lift, which is not
+    # one-to-one either, has nothing to keep
+    assert not beta_lift((0, 0), bx, by).is_injective
+    assert beta_preserves((0, 0), bx, by) is None
 
 
 @pytest.mark.parametrize("nx, ny", list(itertools.product([1, 2, 3], repeat=2)))
@@ -535,8 +528,7 @@ def test_preservation_across_all_small_maps(nx, ny):
     bx = beta_space(tuple(f"x{i}" for i in range(nx)))
     by = beta_space(tuple(f"y{i}" for i in range(ny)))
     for f in itertools.product(range(ny), repeat=nx):
-        for prop in ("one-to-one", "onto", "bijective"):
-            assert beta_preserves(f, bx, by, prop).passed
+        assert beta_preserves(f, bx, by) is None
 
 
 def test_beta_space_matches_dual_space_of_powerset():

@@ -25,12 +25,12 @@ from stonecheck.algebra import (
     fin_lattice,
     fin_poset,
     hom_from_atom_function,
+    poset_of_up_sets,
     powerset_algebra,
     ultrafilters,
 )
 from stonecheck.documents import parse_document
 from stonecheck.errors import (
-    BoundExceeded,
     DegenerateAlgebra,
     InvariantViolation,
     NotAnEmbedding,
@@ -73,12 +73,12 @@ def sigma_oracle(hom):
 def test_identity_completion_is_dense_and_compact():
     for n in [1, 2, 3]:
         c = identity_completion(powerset_algebra(n))
-        assert is_dense(c).passed
-        assert is_compact(c).passed
+        assert is_dense(c) is None
+        assert is_compact(c) is None
 
 
 def test_canonical_extension_is_dense_exhaustively():
-    assert is_dense(canonical_extension(powerset_algebra(2))).passed
+    assert is_dense(canonical_extension(powerset_algebra(2))) is None
 
 
 def test_canext_and_the_algebra_instance_judge_density_and_compactness_once(monkeypatch):
@@ -128,32 +128,33 @@ def test_padding_completion_fails_density():
     small = powerset_algebra(2)
     big = powerset_algebra(4)
     c = completion(small.lattice, big.lattice, (0, 1, 2, 3))
-    verdict = is_dense(c)
-    assert not verdict.passed
-    assert verdict.element == 4
-    assert verdict.side == "join"
+    assert is_dense(c) == (4, "join")
+
+
+def test_density_names_a_failing_meet_side():
+    # P(2) onto the top square of P(4): element 0, checked first, is the
+    # join of no embedded meets, but the meet of the embedded ideal joins
+    # above it is 12
+    c = completion(powerset_algebra(2).lattice, powerset_algebra(4).lattice, (12, 13, 14, 15))
+    assert is_dense(c) == (0, "meet")
 
 
 FAILED_VERDICTS = pytest.mark.parametrize(
-    "law, verdict, message",
+    "law, witness, message",
     [
-        ("is_dense", extension.DensityVerdict(False, 2, "meet"), "not dense; witness=(2, 'meet')"),
+        ("is_dense", (2, "meet"), "not dense; witness=(2, 'meet')"),
         # the up-set of element 1 and the down-set of element 2, disjoint
-        (
-            "is_compact",
-            extension.CompactnessVerdict(False, 0b1010, 0b0101),
-            "not compact; witness=(10, 5)",
-        ),
+        ("is_compact", (0b1010, 0b0101), "not compact; witness=(10, 5)"),
     ],
     ids=["dense", "compact"],
 )
 
 
 @FAILED_VERDICTS
-def test_a_failed_extension_verdict_raises_with_its_witness(monkeypatch, law, verdict, message):
+def test_a_failed_extension_verdict_raises_with_its_witness(monkeypatch, law, witness, message):
     # a fresh algebra, so that its extension is built under the fault
     four = validate_boolean_algebra(*export_presentation(powerset_algebra(2)))
-    monkeypatch.setattr(extension, law, lambda c: verdict)
+    monkeypatch.setattr(extension, law, lambda c: witness)
     with pytest.raises(InvariantViolation) as info:
         canonical_extension(four)
     assert str(info.value) == f"canonical extension is {message}"
@@ -161,11 +162,11 @@ def test_a_failed_extension_verdict_raises_with_its_witness(monkeypatch, law, ve
 
 @FAILED_VERDICTS
 def test_a_failed_extension_verdict_is_exit_3_of_canext_and_verify(
-    monkeypatch, capsys, law, verdict, message
+    monkeypatch, capsys, law, witness, message
 ):
-    # canext and the suite's algebra rows print pass for both verdicts once
-    # canonical_extension returns, so a failing verdict must stop them
-    monkeypatch.setattr(extension, law, lambda c: verdict)
+    # canext and the suite's algebra rows print pass for both checks once
+    # canonical_extension returns, so a failing check must stop them
+    monkeypatch.setattr(extension, law, lambda c: witness)
     expected = f"internal error: canonical extension is {message}\n"
     # each parse makes a fresh algebra, whose extension is built under the fault
     assert cli.main(["canext", str(SAMPLE), "abstract_four"]) == 3
@@ -177,7 +178,28 @@ def test_a_failed_extension_verdict_is_exit_3_of_canext_and_verify(
 
 
 def test_compactness_of_canonical_extension_of_three_atoms():
-    assert is_compact(canonical_extension(powerset_algebra(3))).passed
+    assert is_compact(canonical_extension(powerset_algebra(3))) is None
+
+
+@pytest.mark.parametrize(
+    "complete, embedding, error, message",
+    [
+        (lambda: powerset_algebra(2).lattice, (0, 1, 2, 4), ValueError,
+         "embedding must map the base carrier into the completion"),
+        # the chain 0 < 1 < 2 < 3
+        (lambda: fin_lattice(poset_of_up_sets((0b1111, 0b1110, 0b1100, 0b1000))), (0, 1, 2, 3),
+         NotAnEmbedding, "order not reflected; witness=(1, 2)"),
+        (lambda: powerset_algebra(3).lattice, (0, 0b011, 0b110, 0b111), NotAnEmbedding,
+         "meet not preserved; witness=(1, 2)"),
+        (lambda: powerset_algebra(3).lattice, (0, 0b001, 0b010, 0b111), NotAnEmbedding,
+         "join not preserved; witness=(1, 2)"),
+    ],
+    ids=["out_of_range", "order", "meet", "join"],
+)
+def test_completion_rejects_a_map_that_is_no_lattice_embedding(complete, embedding, error, message):
+    with pytest.raises(error) as info:
+        completion(powerset_algebra(2).lattice, complete(), embedding)
+    assert str(info.value) == message
 
 
 def test_collapsing_embedding_is_rejected_before_compactness():
@@ -343,23 +365,19 @@ def test_sigma_is_monotone_and_extends():
 
 def test_completion_isomorphic_to_itself():
     ext = canonical_extension(powerset_algebra(2))
-    verdict = completion_isomorphic(ext, ext)
-    assert verdict.passed
-    assert verdict.table == tuple(range(4))
+    assert completion_isomorphic(ext, ext) == tuple(range(4))
 
 
 def test_completion_isomorphic_to_relabeled_copy():
     ext = canonical_extension(powerset_algebra(2))
     shuffled = permuted_completion(ext, (2, 0, 3, 1))
-    verdict = completion_isomorphic(ext, shuffled)
-    assert verdict.passed
-    assert verdict.table == (2, 0, 3, 1)
+    assert completion_isomorphic(ext, shuffled) == (2, 0, 3, 1)
 
 
 def test_identity_completion_isomorphic_to_canonical():
     algebra = powerset_algebra(2)
-    verdict = completion_isomorphic(identity_completion(algebra), canonical_extension(algebra))
-    assert verdict.passed
+    table = completion_isomorphic(identity_completion(algebra), canonical_extension(algebra))
+    assert table is not None
 
 
 def test_completion_isomorphic_requires_same_base():
@@ -369,10 +387,32 @@ def test_completion_isomorphic_requires_same_base():
         completion_isomorphic(c1, c2)
 
 
-def test_completion_isomorphic_bound():
-    big = identity_completion(powerset_algebra(5))
-    with pytest.raises(BoundExceeded):
-        completion_isomorphic(big, big)
+def test_a_32_element_canonical_extension_is_isomorphic_to_itself():
+    ext = canonical_extension(powerset_algebra(5))
+    assert ext.complete.size == 32
+    assert completion_isomorphic(ext, ext) == tuple(range(32))
+
+
+def test_completions_of_different_sizes_are_not_isomorphic():
+    small = powerset_algebra(2)
+    padding = completion(small.lattice, powerset_algebra(4).lattice, (0, 1, 2, 3))
+    assert completion_isomorphic(canonical_extension(small), padding) is None
+
+
+def test_a_forced_map_that_breaks_the_order_is_no_isomorphism():
+    # a raw completion, which no validation saw: the embedding swaps the
+    # element {atom1} and top, so the forced map does not keep the order
+    algebra = powerset_algebra(2)
+    swapped = extension.Completion(algebra.lattice, algebra.lattice, (0, 1, 3, 2))
+    assert completion_isomorphic(canonical_extension(algebra), swapped) is None
+
+
+def test_completion_isomorphic_needs_an_onto_first_embedding():
+    # P(1) into P(2) at bottom and top: a valid completion that is not dense
+    c = completion(powerset_algebra(1).lattice, powerset_algebra(2).lattice, (0, 3))
+    with pytest.raises(ValueError) as info:
+        completion_isomorphic(c, c)
+    assert str(info.value) == "the first completion's embedding is not onto"
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -387,8 +427,8 @@ def test_dense_compact_completions_are_unique_at_small_scale(n):
     ]
     candidates += [permuted_completion(canon, perm) for perm in perms]
     for c in candidates:
-        assert is_dense(c).passed and is_compact(c).passed
-        assert completion_isomorphic(canon, c).passed
+        assert is_dense(c) is None and is_compact(c) is None
+        assert completion_isomorphic(canon, c) is not None
 
 
 @settings(max_examples=20, deadline=None)
@@ -396,6 +436,6 @@ def test_dense_compact_completions_are_unique_at_small_scale(n):
 def test_relabeled_canonical_completion_stays_isomorphic(perm):
     ext = canonical_extension(powerset_algebra(2))
     shuffled = permuted_completion(ext, tuple(perm))
-    assert is_dense(shuffled).passed
-    assert is_compact(shuffled).passed
-    assert completion_isomorphic(ext, shuffled).passed
+    assert is_dense(shuffled) is None
+    assert is_compact(shuffled) is None
+    assert completion_isomorphic(ext, shuffled) == tuple(perm)

@@ -19,19 +19,10 @@ import pytest
 
 from stonecheck.algebra import hom_from_atom_function, powerset_algebra
 from stonecheck.audit import audit_ownership
-from stonecheck.compactification import (
-    beta_preserves,
-    build_compactification,
-    compactification_leq,
-)
+from stonecheck.compactification import build_compactification
 from stonecheck.documents import parse_document
 from stonecheck.duality import clopen_algebra
-from stonecheck.extension import (
-    canonical_extension,
-    completion_isomorphic,
-    is_compact,
-    is_dense,
-)
+from stonecheck.extension import canonical_extension
 from stonecheck.harness import build_diagram, exhaustive_suite, full_hom_instance, suite_plan
 
 REQUIRED = inspect.Parameter.empty
@@ -59,13 +50,8 @@ def _records() -> dict:
         bundle.beta1.space,
         clopen_algebra(bundle.beta1.space),
         completion,
-        is_dense(completion),
-        is_compact(completion),
-        completion_isomorphic(completion, completion),
         compactification,
         bundle.beta1,
-        compactification_leq(compactification, compactification),
-        beta_preserves((0,), bundle.beta2, bundle.beta2, "one-to-one"),
         bundle,
         report.checks[0],
         report,
@@ -100,11 +86,6 @@ CLASSES = {
     "Completion": ("extension", "identity", [
         ("base", REQUIRED), ("complete", REQUIRED), ("embedding", REQUIRED),
     ]),
-    "DensityVerdict": ("extension", "fields", [("passed", REQUIRED), ("element", None), ("side", None)]),
-    "CompactnessVerdict": ("extension", "fields", [
-        ("passed", REQUIRED), ("filter_members", None), ("ideal_members", None),
-    ]),
-    "IsoVerdict": ("extension", "fields", [("passed", REQUIRED), ("table", None)]),
     "Compactification": ("compactification", "identity", [
         ("base", REQUIRED), ("space", REQUIRED), ("embed", REQUIRED),
     ]),
@@ -112,16 +93,12 @@ CLASSES = {
         ("base", REQUIRED), ("space", REQUIRED), ("embed", REQUIRED),
         ("points_as_ultrafilters", REQUIRED),
     ]),
-    "OrderVerdict": ("compactification", "fields", [("passed", REQUIRED), ("witness", None)]),
-    "PreservationVerdict": ("compactification", "fields", [
-        ("property_name", REQUIRED), ("applicable", REQUIRED), ("passed", REQUIRED),
-    ]),
     "DiagramBundle": ("harness", "identity", [
         ("hom", REQUIRED), ("h_star", REQUIRED), ("beta1", REQUIRED), ("beta2", REQUIRED),
         ("h_star_beta", REQUIRED), ("double_dual", REQUIRED),
         ("candidate_count", REQUIRED), ("lift", REQUIRED),
     ]),
-    "CheckResult": ("harness", "fields", [("name", REQUIRED), ("verdict", REQUIRED), ("witness", None)]),
+    "CheckResult": ("harness", "fields", [("name", REQUIRED), ("witness", None)]),
     "InstanceReport": ("harness", "unhashable", [
         ("descriptor", REQUIRED), ("checks", REQUIRED),
     ]),

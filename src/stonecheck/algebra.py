@@ -76,9 +76,10 @@ from .errors import (
 # labels, and Stone spaces (``duality.topology``) at MAX_ATOMS points, so the
 # table search tries at most MAX_ATOMS**MAX_ATOMS tables; subset scans stop
 # at MAX_BRUTE_FORCE_CARRIER elements, raw table scans at 2**that many
-# tables.  Byte rows need element indices below 256, so MAX_ATOMS <= 8;
-# and ``extension._assert_complete`` splits its not-above/not-below masks
-# into two bytes, so MAX_BRUTE_FORCE_CARRIER <= 16.
+# tables.  Byte rows need element indices below 256, and the preimage and
+# extension tables keep each point set of at most MAX_ATOMS points in a
+# byte, so MAX_ATOMS <= 8; and ``extension._assert_complete`` splits its
+# not-above/not-below masks into two bytes, so MAX_BRUTE_FORCE_CARRIER <= 16.
 MAX_ATOMS = 5
 MAX_BRUTE_FORCE_CARRIER = 16
 
@@ -177,11 +178,31 @@ def _subset_unions(parts: Sequence[int]) -> list[int]:
 
 def _preimage_table(table: Sequence[int], target_size: int) -> list[int]:
     """The preimage mask of every target point set under a point table:
-    entry m is the union of the fibres of the points in m."""
-    fibres = [0] * target_size
+    entry m is the union of the fibres of the points in m.
+
+    Point i adds bit i to the entries of the sets that hold its image, so
+    the masks are the bytes of one int: the OR of each image's column
+    (``_member_columns``) shifted by its point's index.  A byte holds the
+    masks of at most 8 points, so a table or a target above MAX_ATOMS
+    points raises BoundExceeded before any column is built, as
+    ``duality.topology`` does for the table's space and then the target.
+    """
+    if max(len(table), target_size) > MAX_ATOMS:
+        points = len(table) if len(table) > MAX_ATOMS else target_size
+        raise BoundExceeded(f"Stone spaces capped at {MAX_ATOMS} points", points)
+    columns = _member_columns(target_size)
+    rows = 0
     for i, v in enumerate(table):
-        fibres[v] |= 1 << i
-    return _subset_unions(fibres)
+        rows |= columns[v] << i
+    return list(rows.to_bytes(1 << target_size, "little"))
+
+
+@cache
+def _member_columns(n: int) -> tuple[int, ...]:
+    """Column x is the int whose byte S, of 2**n bytes read little endian,
+    is 1 when x lies in the n-bit mask S."""
+    masks = range(1 << n)
+    return tuple(int.from_bytes(bytes([m >> x & 1 for m in masks]), "little") for x in range(n))
 
 
 def fin_poset(rows: Sequence[Sequence[bool]]) -> FinPoset:

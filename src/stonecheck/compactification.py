@@ -94,7 +94,7 @@ class BetaSpace:
 
     __slots__ = (
         "base", "space", "embed", "points_as_ultrafilters", "point_rows", "indicators",
-        "__weakref__",
+        "members", "__weakref__",
     )
 
     def __init__(
@@ -109,6 +109,8 @@ class BetaSpace:
         self.embed = embed
         self.points_as_ultrafilters = points_as_ultrafilters
         self.point_rows, self.indicators = ultrafilter_rows(points_as_ultrafilters)
+        rows = [indicator[: 1 << base.size] for indicator in self.indicators]
+        self.members = int.from_bytes(b"".join(rows), "big")
 
 
 def build_compactification(

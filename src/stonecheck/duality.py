@@ -19,10 +19,14 @@ once: ``continuous_map`` checks a table's entries and ``_checked_map`` its
 continuity, which is all that a table built from index lookups of valid
 points needs, and the extension search makes the map of each table it has
 tested itself.  A space's point count is a field.  Each space is validated
-once (``validate_stone`` is cached on the space), and ``_hat_phi_fibres``
-inverts ``hat_phi_table`` once per table.  The Stone embedding is one table
-per algebra (``phi_table``), which the hot loops read directly, and the
-Stone representation is its table into the clopens of the dual space.
+once (``validate_stone`` is cached on the space).  The opens stay behind
+``topology`` and ``open_set``, which a space above the point cap reaches
+only to raise, rather than in fields of every space made.  The Stone
+embedding is one table per algebra (``phi_table``), which the hot loops
+read directly, and the Stone representation is its table into the clopens
+of the dual space; the double-dual embedding (``hat_phi_table``) is built
+once per algebra, with its inverse, by the harness's record of the
+algebra.
 ``dual_map`` finds the preimage of an ultrafilter as one byte row, the
 hom's table translated through the ultrafilter's indicator, and looks it up
 among the source's ultrafilter rows, which ``ultrafilter_rows`` builds with
@@ -31,7 +35,6 @@ the indicators, once per algebra (``_ultrafilter_rows``).
 
 from __future__ import annotations
 
-from functools import cache
 from typing import Sequence
 
 from .algebra import (
@@ -351,23 +354,9 @@ def hat_phi_point_mask(algebra: FinBoolAlg, subset_mask: int) -> int:
     )
 
 
-@object_cache
 def hat_phi_table(algebra: FinBoolAlg) -> tuple[int, ...]:
-    """hat_phi_point_mask of every subset mask, indexed by the mask."""
+    """hat_phi_point_mask of every subset mask, indexed by the mask.  Not
+    cached: its one caller, ``harness._diagram_side``, is."""
     n = len(ultrafilters(algebra))
     return tuple(hat_phi_point_mask(algebra, a) for a in range(1 << n))
 
-
-@cache
-def _hat_phi_fibres(table: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
-    """Every subset mask with a given hat_phi point mask, keyed by that mask.
-
-    The inverse of a ``hat_phi_table``; a point mask with no subset is
-    absent and one with several subsets lists them all.  Keyed by the table
-    itself, which depends only on the number of ultrafilters, so algebras of
-    one size share an entry.
-    """
-    fibres: dict[int, tuple[int, ...]] = {}
-    for subset_mask, points in enumerate(table):
-        fibres[points] = fibres.get(points, ()) + (subset_mask,)
-    return fibres

@@ -16,10 +16,15 @@ completions are compared by the one map their embeddings force
 (``completion_isomorphic``), since a dense completion of a finite lattice
 is onto.
 
-The filter-formula extension reads each filter's intersections off a
-plan of the source's filters, cached per algebra (``_filter_plan``): each
-filter is its generator plus its maximal proper subfilters, so the
-intersections take one AND per cover rather than one per member.
+The filter-formula extension reads everything that depends on the source
+alone off a plan of the source's filters, cached per algebra
+(``_filter_plan``): each filter is its generator plus its maximal proper
+subfilters, so an intersection over its members takes one AND per cover
+rather than one per member; the plan holds each filter's embedded
+intersection, which reads only the source's Stone embedding, and the
+shifts and masks of the zeta transform's steps, which depend only on the
+number of points.  A hom then intersects only the h-images and runs the
+transform on its table as the bytes of one int.
 
 The completeness scan of a completion's lattice runs once per lattice
 object (``_assert_complete`` is cached on the lattice).  Every canonical
@@ -220,13 +225,18 @@ def sigma_extend(h: BoolHom) -> tuple[int, ...]:
     the embedded h-images of the members of F.  A filter's members are its
     generator and the members of its maximal proper subfilters, so each
     intersection is the generator's entry intersected with those of the
-    subfilters, read off the source's filter plan (``_filter_plan``): n *
-    2**(n - 1) ANDs for n points rather than one per member, 3**n.  The
-    union is a subset zeta transform (Bjorklund, Husfeldt, Kaski & Koivisto,
+    subfilters: n * 2**(n - 1) ANDs for n points rather than one per
+    member, 3**n.  The embedded intersections depend on the source alone,
+    so the source's filter plan (``_filter_plan``) holds them, and each
+    hom takes only the intersections of the h-images.  The union is a
+    subset zeta transform (Bjorklund, Husfeldt, Kaski & Koivisto,
     "Fourier meets Moebius: fast subset convolution", STOC 2007): each
     filter's image is scattered to the entry of its embedded intersection,
     and then each entry takes the union of the entries of its subsets, one
     point at a time, in O(n * 2**n) steps rather than O(filters * 2**n).
+    The entries are target point sets, below 2**MAX_ATOMS, so the table is
+    the bytes of one int, and each point's step is one shift of it by the
+    point's bit in bytes, masked to the entries that hold the point.
     The table is not checked here: the harness battery judges it
     (``sigma_is_boolean_hom`` implies order preservation, and
     ``sigma_equals_double_dual`` with ``embedded_elements_preserved``
@@ -237,34 +247,34 @@ def sigma_extend(h: BoolHom) -> tuple[int, ...]:
     if src.bottom == src.top or dst.bottom == dst.top:
         raise DegenerateAlgebra("extension needs nondegenerate algebras")
     n1 = src.atom_count
-    phi1 = phi_table(src)
+    plan, inter1s, zeta = _filter_plan(src)
     phi2 = phi_table(dst)
     image = h.table
-    plan = _filter_plan(src)
-    inter1s = [0] * len(plan)
     inter2s = [0] * len(plan)
     for k, g, subfilters in plan:
-        inter1 = phi1[g]
         inter2 = phi2[image[g]]
         for j in subfilters:
-            inter1 &= inter1s[j]
             inter2 &= inter2s[j]
-        inter1s[k] = inter1
         inter2s[k] = inter2
     table = [0] * (1 << n1)
     for inter1, inter2 in zip(inter1s, inter2s):
         table[inter1] |= inter2
-    for bit in (1 << p for p in range(n1)):
-        for A in range(1 << n1):
-            if A & bit:
-                table[A] |= table[A ^ bit]
-    return tuple(table)
+    # entry A is byte A of one int, and each point's step ORs in every
+    # entry without the point, shifted onto the entries that hold it
+    lanes = int.from_bytes(bytes(table), "little")
+    for shift, holds_point in zeta:
+        lanes |= lanes << shift & holds_point
+    return tuple(lanes.to_bytes(1 << n1, "little"))
 
 
 @object_cache
-def _filter_plan(algebra: FinBoolAlg) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+def _filter_plan(algebra: FinBoolAlg) -> tuple[tuple, tuple[int, ...], tuple]:
     """Each filter of ``all_filters`` as (its position, its generator, the
-    positions of its maximal proper subfilters), smaller filters first.
+    positions of its maximal proper subfilters), smaller filters first, and
+    the embedded intersection of each filter, by position: the Stone
+    embedding of its generator intersected with those of its subfilters;
+    and, for ``sigma_extend``'s zeta transform, each point's shift in bits
+    with the mask of the bytes of the point sets that hold it.
 
     The generator is the member whose up-set is the filter, and the
     maximal proper subfilters are the up-sets of the members that cover it:
@@ -291,7 +301,18 @@ def _filter_plan(algebra: FinBoolAlg) -> tuple[tuple[int, int, tuple[int, ...]],
             raise InvariantViolation("a maximal proper subfilter is not listed", k)
         plan.append((m.bit_count(), k, g, tuple(covers)))
     plan.sort()
-    return tuple(entry[1:] for entry in plan)
+    phi = phi_table(algebra)
+    inters = [0] * len(plan)
+    for _, k, g, subfilters in plan:
+        inters[k] = phi[g]
+        for j in subfilters:
+            inters[k] &= inters[j]
+    sets = range(1 << algebra.atom_count)
+    zeta = tuple(
+        (8 << p, 255 * int.from_bytes(bytes([A >> p & 1 for A in sets]), "little"))
+        for p in range(algebra.atom_count)
+    )
+    return tuple(entry[1:] for entry in plan), tuple(inters), zeta
 
 
 def completion_isomorphic(c1: Completion, c2: Completion) -> tuple[int, ...] | None:

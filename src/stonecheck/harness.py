@@ -14,22 +14,29 @@ or with the filter formula becomes a failed check with a witness, and so
 does an extension search that finds more than one table (the diagram goes
 on with the first).
 
-Both work a table at a time.  Each arrow of the diagram reads the one
-preimage table of its point map, built and tested for continuity once per
-arrow, and each double-dual entry is a lookup in that table and in the
-inverse of ``hat_phi_table``; each algebra keeps its compactification
-(``_beta_of``), whose base, space, embedding and point indicators are
-plain fields that the battery reads directly.  The battery takes
-forward images from one table per homomorphism (preimage and forward-image
-tables are both built by the subset-union fold ``algebra._subset_unions``).
-It tests the extension's homomorphism laws, and for a bijective
-extension those of its inverse, at once by atom additivity
-(``algebra.atom_additive``: the table is the union of its atom images,
-which partition the target), and the preimage membership equivalence and
-the forward-image lemma as byte rows, one per point.  Only when a test fails
-does a plain scan run, in index order, so each check reports the first
-witness of the literal scan.  A passing check is one shared
-``CheckResult`` per name.
+Both work a table at a time, and each reads what depends on one algebra
+only off one record per algebra, built with the algebra's first hom and
+freed with the algebra, so a hom's battery does only the work that
+depends on the hom.  The diagram path's record is the algebra's
+``_DiagramSide``: the compactification of its ultrafilters, its
+``hat_phi_table``, that table's inverse and its bit rows (the filter
+formula's is ``extension._filter_plan``, and the two share nothing).
+Each arrow of the diagram reads the one preimage table of its point map,
+built and tested for continuity once per arrow, and each double-dual
+entry is a lookup in that table and in the inverse.  The
+compactification's base, space, embedding, point indicators and the
+member rows of all its points, as one int, are plain fields that the
+battery reads off the bundle, so a fault swapped into a bundle reaches
+its check.  The battery takes forward images from one table per
+homomorphism (``algebra._subset_unions``).  It tests the extension's
+homomorphism laws, and for a bijective extension those of its inverse,
+at once by atom additivity (``algebra.atom_additive``: the table is the
+union of its atom images, which partition the target), and the preimage
+membership equivalence and the forward-image lemma as byte rows, one per
+point.  Only when a test fails does a plain scan run, in index order, so
+each check reports the first witness of the literal scan.  A passing
+check is one shared ``CheckResult`` per name, and a battery whose checks
+all pass returns a fresh list of the eleven.
 """
 
 from __future__ import annotations
@@ -62,7 +69,6 @@ from .compactification import (
 )
 from .duality import (
     ContinuousMap,
-    _hat_phi_fibres,
     dual_map,
     hat_phi_table,
     phi_table,
@@ -178,47 +184,68 @@ def build_diagram(h: BoolHom) -> DiagramBundle:
     battery's ``lift_paths_agree`` and ``extension_square_commutes`` checks.
     """
     h_star = dual_map(h)
-    beta1, beta2 = _beta_of(h.source), _beta_of(h.target)
+    side1, side2 = _diagram_side(h.source), _diagram_side(h.target)
+    beta1, beta2 = side1.beta, side2.beta
     embed1 = beta1.embed
     composed = tuple([embed1[v] for v in h_star.table])
     candidates = extension_candidates(beta2, composed, beta1.space)
     via_extension = sole_extension(candidates)
     via_formula = beta_lift(h_star, beta2, beta1)
-    double_dual = _double_dual_entries(h, via_extension, range(1 << beta1.base.size))
+    double_dual = _double_dual_entries(side1, side2, via_extension, range(1 << beta1.base.size))
     return DiagramBundle(
         h, h_star, beta1, beta2, via_extension, double_dual, len(candidates), via_formula.table
     )
 
 
+class _DiagramSide:
+    """What the diagram path reads of one algebra, whatever the hom: the
+    compactification of its ultrafilters, its ``hat_phi_table``, and two
+    values derived from that table when the record is made.  ``fibres``
+    inverts it: every subset mask with a given point mask, keyed by that
+    mask, so a point mask with no subset is absent and one with several
+    lists them all.  Row d, byte A of ``bit_rows`` is 1 when the
+    double-dual point d lies in hat_phi(A)."""
+
+    __slots__ = ("beta", "hat_phi", "fibres", "bit_rows", "__weakref__")
+
+    def __init__(self, beta: BetaSpace, hat_phi: tuple[int, ...]) -> None:
+        self.beta = beta
+        self.hat_phi = hat_phi
+        self.fibres = fibres = {}
+        for subset_mask, points in enumerate(hat_phi):
+            fibres[points] = fibres.get(points, ()) + (subset_mask,)
+        self.bit_rows = tuple(bytes(p >> d & 1 for p in hat_phi) for d in range(beta.base.size))
+
+
 @object_cache
-def _beta_of(algebra: FinBoolAlg) -> BetaSpace:
-    """The compactification of the algebra's ultrafilters, once per algebra."""
-    return beta_space(ultrafilters(algebra))
+def _diagram_side(algebra: FinBoolAlg) -> _DiagramSide:
+    """The algebra's ``_DiagramSide``, built once per algebra and freed with it."""
+    return _DiagramSide(beta_space(ultrafilters(algebra)), hat_phi_table(algebra))
 
 
 def double_dual_map(bundle: DiagramBundle, subset_mask: int) -> int:
     """The dual of the compactified map at one subset, by its defining
     preimage equation (see ``_double_dual_entries``)."""
-    return _double_dual_entries(bundle.hom, bundle.h_star_beta, (subset_mask,))[0]
+    sides = _diagram_side(bundle.hom.source), _diagram_side(bundle.hom.target)
+    return _double_dual_entries(*sides, bundle.h_star_beta, (subset_mask,))[0]
 
 
 def _double_dual_entries(
-    h: BoolHom, h_star_beta: ContinuousMap, subset_masks: Sequence[int]
+    source: _DiagramSide, target: _DiagramSide, h_star_beta: ContinuousMap, masks: Sequence[int]
 ) -> tuple[int, ...]:
     """The dual of the compactified map at each of the given subsets.
 
-    Embeds each subset into the double dual, pulls it back through the
-    compactified map (its preimage table), and looks up the target subsets
-    whose embedding equals that preimage (the inverse of ``hat_phi_table``).
-    Duality guarantees exactly one: a miss raises NoClopenPreimage and
-    several raise InvariantViolation, both library-bug signals, at the
-    first subset in the given order that has them.
+    Embeds each subset into the double dual (the source's ``hat_phi``),
+    pulls it back through the compactified map (its preimage table), and
+    looks up the target subsets whose embedding equals that preimage (the
+    target's ``fibres``).  Duality guarantees exactly one: a miss raises
+    NoClopenPreimage and several raise InvariantViolation, both
+    library-bug signals, at the first subset in the given order that has
+    them.
     """
-    upstairs = hat_phi_table(h.source)
-    pre = h_star_beta.preimages
-    fibres = _hat_phi_fibres(hat_phi_table(h.target))
+    upstairs, pre, fibres = source.hat_phi, h_star_beta.preimages, target.fibres
     table = []
-    for a in subset_masks:
+    for a in masks:
         matches = fibres.get(pre[upstairs[a]], ())
         if len(matches) != 1:
             if not matches:
@@ -282,6 +309,17 @@ def _passed(name: str) -> CheckResult:
     return CheckResult(name)
 
 
+# The per-homomorphism battery's checks, in report order, and their passing
+# rows, which a battery whose checks all pass returns as a fresh list.
+BATTERY = (
+    "sigma_equals_double_dual", "embedded_elements_preserved", "preimage_membership_equivalence",
+    "sigma_is_boolean_hom", "sigma_injective_when_injective", "sigma_surjective_when_surjective",
+    "sigma_isomorphism_when_isomorphism", "unique_continuous_extension",
+    "extension_square_commutes", "lift_paths_agree", "forward_image_in_lifted_ultrafilter",
+)
+_ALL_PASSED = tuple(map(_passed, BATTERY))
+
+
 def _verdict(name: str, witness: dict | None) -> CheckResult:
     """A check that passes exactly when it found no witness."""
     return _passed(name) if witness is None else CheckResult(name, witness)
@@ -295,10 +333,8 @@ def _first(witnesses):
 def _hom_checks(h: BoolHom, bundle: DiagramBundle, sigma_table) -> list[CheckResult]:
     """The per-homomorphism battery: the main theorem, its corollary, and
     the compactification facts the diagram rests on."""
-    double_dual = bundle.double_dual
-    h_star, h_star_beta, beta1, beta2 = (
-        bundle.h_star, bundle.h_star_beta, bundle.beta1, bundle.beta2
-    )
+    double_dual, h_star, h_star_beta = bundle.double_dual, bundle.h_star, bundle.h_star_beta
+    beta1, beta2 = bundle.beta1, bundle.beta2
     n1, n2 = beta1.base.size, beta2.base.size
     full2 = (1 << n2) - 1
     points1, points2 = beta1.points_as_ultrafilters, beta2.points_as_ultrafilters
@@ -337,23 +373,24 @@ def _hom_checks(h: BoolHom, bundle: DiagramBundle, sigma_table) -> list[CheckRes
     # per point nabla, one byte row over A of each side
     preimages = h_star.preimages
     pre_row = bytes(preimages)
-    bit_rows = _hat_phi_bit_rows(h.source)
     remark = None
+    bit_rows = _diagram_side(h.source).bit_rows
     if any(
         pre_row.translate(indicator) != bit_rows[img]
         for indicator, img in zip(indicators2, lifted)
     ):
         remark = _first(
             {"subset_mask": a, "point": d}
-            for a, upstairs in enumerate(hat_phi_table(h.source))
+            for a, upstairs in enumerate(_diagram_side(h.source).hat_phi)
             for d, img in enumerate(lifted)
             if upstairs >> img & 1 != points2[d].members >> preimages[a] & 1
         )
     hom_law = _hom_law_witness(sigma_table, n1, n2)
 
     h_inj, h_surj = h.is_injective, h.is_surjective
-    sigma_inj = len(set(sigma_table)) == len(sigma_table)
-    sigma_surj = set(sigma_table) == set(range(full2 + 1))
+    sigma_values = set(sigma_table)
+    sigma_inj = len(sigma_values) == len(sigma_table)
+    sigma_surj = sigma_values == set(range(full2 + 1))
     iso_ok = sigma_inj and sigma_surj
     if iso_ok:
         inverse = [0] * (full2 + 1)
@@ -365,58 +402,32 @@ def _hom_checks(h: BoolHom, bundle: DiagramBundle, sigma_table) -> list[CheckRes
         return None if law_holds else {"table": list(sigma_table)}
 
     square = _first(
-        {"point": v}
-        for v in range(n2)
-        if lifted[beta2.embed[v]] != beta1.embed[h_star.table[v]]
+        {"point": v} for v in range(n2) if lifted[beta2.embed[v]] != beta1.embed[h_star.table[v]]
     )
     # per point d, its membership row over A lies within the row of whether
     # the forward image of A is in d's lifted point: all points as one integer
     images = _forward_images(h_star.table)
-    image_row, size2 = bytes(images), 1 << n2
-    members = b"".join([indicator[:size2] for indicator in indicators2])
+    image_row = bytes(images)
     covered = b"".join([image_row.translate(indicators1[img]) for img in lifted])
     lemma = None
-    if int.from_bytes(members, "big") & ~int.from_bytes(covered, "big"):
+    if beta2.members & ~int.from_bytes(covered, "big"):
         lemma = _first(
             {"point": d, "member_mask": a}
             for d, nabla in enumerate(points2)
-            for a in range(size2)
+            for a in range(1 << n2)
             if nabla.members >> a & 1 and not points1[lifted[d]].members >> images[a] & 1
         )
 
-    return [
-        _verdict("sigma_equals_double_dual", sigma_witness),
-        _verdict("embedded_elements_preserved", element),
-        _verdict("preimage_membership_equivalence", remark),
-        _verdict("sigma_is_boolean_hom", hom_law),
-        _verdict("sigma_injective_when_injective", unless(not h_inj or sigma_inj)),
-        _verdict("sigma_surjective_when_surjective", unless(not h_surj or sigma_surj)),
-        _verdict(
-            "sigma_isomorphism_when_isomorphism", unless(not (h_inj and h_surj) or iso_ok)
-        ),
-        _verdict(
-            "unique_continuous_extension",
-            None if bundle.candidate_count == 1 else {"candidates": bundle.candidate_count},
-        ),
-        _verdict("extension_square_commutes", square),
-        _verdict(
-            "lift_paths_agree",
-            None
-            if bundle.lift == lifted
-            else {"lift": list(bundle.lift), "extension": list(lifted)},
-        ),
-        _verdict("forward_image_in_lifted_ultrafilter", lemma),
-    ]
-
-
-@object_cache
-def _hat_phi_bit_rows(algebra: FinBoolAlg) -> tuple[bytes, ...]:
-    """Row d, byte A is 1 when the double-dual point d lies in hat_phi(A)."""
-    table = hat_phi_table(algebra)
-    return tuple(
-        bytes(upstairs >> point & 1 for upstairs in table)
-        for point in range(len(ultrafilters(algebra)))
+    candidates, lift = bundle.candidate_count, bundle.lift
+    witnesses = (
+        sigma_witness, element, remark, hom_law, unless(not h_inj or sigma_inj),
+        unless(not h_surj or sigma_surj), unless(not (h_inj and h_surj) or iso_ok),
+        None if candidates == 1 else {"candidates": candidates}, square,
+        None if lift == lifted else {"lift": list(lift), "extension": list(lifted)}, lemma,
     )
+    if witnesses.count(None) == len(BATTERY):
+        return list(_ALL_PASSED)
+    return list(map(_verdict, BATTERY, witnesses))
 
 
 def _forward_images(table: tuple[int, ...]) -> list[int]:

@@ -124,7 +124,7 @@ def test_hat_phi_bit_rows_read_the_hat_phi_table():
     for alg in sides + [doc.algebra("five"), doc.algebra("three")]:
         table, n = hat_phi_table(alg), alg.atom_count
         assert len(table) == 1 << n
-        assert harness._hat_phi_bit_rows(alg) == tuple(
+        assert harness._diagram_side(alg).bit_rows == tuple(
             bytes(points >> d & 1 for points in table) for d in range(n)
         )
 
@@ -314,6 +314,22 @@ def test_full_instance_check_names():
     } == names
 
 
+def test_a_passing_battery_returns_a_list_of_its_own():
+    # every passing battery returns the same rows, each in a fresh list, so
+    # a caller that grows or reorders one report's checks leaves the next
+    # report's alone
+    first = full_hom_instance(identity_hom(powerset_algebra(2)))
+    second = full_hom_instance(identity_hom(powerset_algebra(3)))
+    assert first.passed and second.passed
+    assert first.checks == second.checks and first.checks is not second.checks
+    names = [c.name for c in second.checks]
+    first.checks.append(harness.CheckResult("extra", {"note": 1}))
+    first.checks.reverse()
+    third = full_hom_instance(identity_hom(powerset_algebra(2)))
+    assert [c.name for c in second.checks] == [c.name for c in third.checks] == names
+    assert third.passed
+
+
 def test_shrinker_finds_minimal_failing_instance():
     # synthetic predicate: "fails" whenever the target has >= 2 atoms;
     # the shrinker must walk down to a two-atom target
@@ -424,7 +440,15 @@ def test_one_hom_builds_each_arrow_table_once_and_a_fixed_number_of_lookups(monk
     # both counts are exact, so duplicated work shows here first.  The hom
     # law of sigma is tested by atom additivity, which reads no cached
     # operation block, and each map's preimage table is a field, read
-    # without a cache lookup
+    # without a cache lookup.  What depends on one algebra only is read off
+    # one record per algebra and path: sigma reads the source's filter plan
+    # and the target's Stone embedding, the diagram each side's
+    # _diagram_side (the battery the source's again), and a battery whose
+    # checks all pass copies one tuple of passing rows.  The 21 lookups: h_*'s dual
+    # spaces and ultrafilter rows (4), two per continuity test of h_*, the
+    # search's one table and the lift (6), the search's target validation
+    # (1), the sides (3), one subset-column table per preimage table (3),
+    # sigma's two and the battery's two Stone embeddings (4)
     h = hom_from_atom_function(powerset_algebra(4), powerset_algebra(4), (0, 0, 1, 2))
     full_hom_instance(h)
     real = algebra._preimage_table
@@ -445,4 +469,7 @@ def test_one_hom_builds_each_arrow_table_once_and_a_fixed_number_of_lookups(monk
     before = lookups()
     full_hom_instance(h)
     assert len(built) == 3
-    assert lookups() - before == 33
+    assert lookups() - before == 21
+    before = lookups()
+    sigma_extend(h)
+    assert lookups() - before == 2

@@ -79,7 +79,10 @@ MUTANTS = {
         "for inter1, inter2 in zip(inter1s[:-1], inter2s):",
     ),
     # the zeta transform's subset step, run on the entries without the point
-    "flip_subset_test": ("if A & bit:", "if not A & bit:"),
+    "flip_subset_test": (
+        "lanes |= lanes << shift & holds_point",
+        "lanes |= lanes >> shift & ~holds_point",
+    ),
     # phi_table is shared, so the mutant perturbs a copy of it
     "stray_phi2_point": (
         "phi2 = phi_table(dst)",
@@ -331,7 +334,7 @@ FAST_PATH_MUTANTS = {
         harness,
         "_hom_checks",
         '& ~int.from_bytes(covered, "big")',
-        '& ~int.from_bytes(members, "big")',
+        "& ~beta2.members",
         "every_check_fails_under_a_fault",
     ),
     # the isomorphism law is tested on the inverse read backwards, which

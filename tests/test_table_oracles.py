@@ -14,10 +14,14 @@ hold.
 
 import itertools
 import random
+from functools import reduce
+from operator import and_
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+import stonecheck.algebra as algebra
 import stonecheck.harness as harness
 from helpers import (
     export_presentation,
@@ -27,6 +31,7 @@ from helpers import (
     validate_boolean_algebra,
 )
 from stonecheck.algebra import (
+    MAX_ATOMS,
     BoolHom,
     _preimage_table,
     all_filters,
@@ -40,7 +45,6 @@ from stonecheck.algebra import (
 from stonecheck.compactification import beta_lift, beta_space, extension_candidates
 from stonecheck.duality import (
     FinStoneSpace,
-    _hat_phi_fibres,
     continuous_map,
     discrete_space,
     dual_map,
@@ -50,7 +54,7 @@ from stonecheck.duality import (
     validate_stone,
 )
 from stonecheck.documents import parse_document
-from stonecheck.errors import InvariantViolation, NoClopenPreimage, NotStone
+from stonecheck.errors import BoundExceeded, InvariantViolation, NoClopenPreimage, NotStone
 from stonecheck.extension import _filter_plan, sigma_extend
 from stonecheck.harness import (
     _forward_images,
@@ -139,6 +143,23 @@ def test_preimage_table_matches_preimage_mask_on_random_tables():
         assert f.preimages == expected
 
 
+@pytest.mark.parametrize("points, target_size", [(2, 20), (MAX_ATOMS + 1, 2)])
+def test_a_preimage_table_above_the_point_cap_is_refused_before_any_column(points, target_size):
+    # the subset columns are cached per point count, so a target above the
+    # cap must not reach them; the refusal is topology's, for the first
+    # space above the cap in the order continuity reads them
+    held = algebra._member_columns.cache_info().currsize
+    table = tuple(range(points)) if points <= target_size else (0,) * points
+    with pytest.raises(BoundExceeded) as info:
+        _preimage_table(table, target_size)
+    assert str(info.value).startswith(f"Stone spaces capped at {MAX_ATOMS} points")
+    assert info.value.witness == max(points, target_size)
+    with pytest.raises(BoundExceeded) as via_map:
+        continuous_map(discrete_space(range(points)), discrete_space(range(target_size)), table)
+    assert str(via_map.value) == str(info.value)
+    assert algebra._member_columns.cache_info().currsize == held
+
+
 @pytest.mark.parametrize("nx, ny", list(itertools.product([1, 2, 3, 4], repeat=2)))
 def test_lift_table_matches_per_ultrafilter_sums(nx, ny):
     bx = beta_space(tuple(f"x{i}" for i in range(nx)))
@@ -170,7 +191,7 @@ def test_double_dual_table_matches_per_subset_scan_up_to_three_atoms():
 def test_fibres_invert_the_hat_phi_table():
     for k in range(1, 5):
         table = hat_phi_table(powerset_algebra(k))
-        fibres = _hat_phi_fibres(table)
+        fibres = harness._diagram_side(powerset_algebra(k)).fibres
         assert sorted(fibres) == sorted(set(table))
         for points, subsets in fibres.items():
             assert subsets == tuple(b for b, image in enumerate(table) if image == points)
@@ -195,6 +216,9 @@ def test_corrupted_hat_phi_table_raises_as_the_scan_did(monkeypatch, i, j):
         table[i] = table[j]
         return tuple(table)
 
+    # the diagram path reads the table off each algebra's side record,
+    # whose fibres are derived from it when the record is made
+    real_side = harness._diagram_side
     two = powerset_algebra(2)
     kinds = set()
     for hom in [*all_homs(two, two), *all_homs(two, powerset_algebra(3))]:
@@ -203,7 +227,11 @@ def test_corrupted_hat_phi_table_raises_as_the_scan_did(monkeypatch, i, j):
         expected = raised_by(
             lambda: [reference_double_dual_map(bundle, a, corrupted) for a in range(1 << n1)]
         )
-        monkeypatch.setattr(harness, "hat_phi_table", corrupted)
+        monkeypatch.setattr(
+            harness,
+            "_diagram_side",
+            lambda algebra: replace(real_side(algebra), hat_phi=corrupted(algebra)),
+        )
         assert raised_by(lambda: build_diagram(hom)) == expected
         monkeypatch.undo()
         kinds.add(expected and expected[0])
@@ -211,16 +239,24 @@ def test_corrupted_hat_phi_table_raises_as_the_scan_did(monkeypatch, i, j):
 
 
 def test_corrupted_fibres_raise(monkeypatch):
+    # the fibres are derived when a side record is made, so each corrupted
+    # copy is a stand-in with the record's fields
     hom = identity_hom(powerset_algebra(2))
-    target_table = hat_phi_table(hom.target)
-    missing = dict(_hat_phi_fibres(target_table))
+    side = harness._diagram_side(hom.target)
+    target_table = side.hat_phi
+
+    def with_fibres(fibres):
+        fields = dict(beta=side.beta, hat_phi=target_table, bit_rows=side.bit_rows)
+        return lambda algebra: SimpleNamespace(**fields, fibres=fibres)
+
+    missing = dict(side.fibres)
     del missing[target_table[3]]
-    monkeypatch.setattr(harness, "_hat_phi_fibres", lambda table: missing)
+    monkeypatch.setattr(harness, "_diagram_side", with_fibres(missing))
     with pytest.raises(NoClopenPreimage):
         build_diagram(hom)
-    doubled = dict(_hat_phi_fibres(target_table))
+    doubled = dict(side.fibres)
     doubled[target_table[1]] += (2,)
-    monkeypatch.setattr(harness, "_hat_phi_fibres", lambda table: doubled)
+    monkeypatch.setattr(harness, "_diagram_side", with_fibres(doubled))
     with pytest.raises(InvariantViolation):
         build_diagram(hom)
 
@@ -394,8 +430,14 @@ def test_filter_plan_splits_each_filter_into_its_generator_and_maximal_subfilter
     algebras += [up_set_powerset(k, rng) for k in range(1, 6)]
     for algebra in algebras:
         filters = all_filters(algebra.lattice)
-        plan = _filter_plan(algebra)
+        plan, inters, _ = _filter_plan(algebra)
         assert sorted(k for k, _, _ in plan) == list(range(len(filters)))
+        # each filter's embedded intersection, from the Stone embedding of
+        # every member
+        phi = phi_table(algebra)
+        assert inters == tuple(
+            reduce(and_, (phi[a] for a in range(algebra.size) if f >> a & 1)) for f in filters
+        )
         done = set()
         lattice = algebra.lattice
         sets = [members_of(f) for f in filters]

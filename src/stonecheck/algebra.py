@@ -22,12 +22,13 @@ ultrafilters are only listed, costs no tables.
 A homomorphism is recognised by its atom masks.  By Stone duality a table
 between finite Boolean algebras is a homomorphism exactly when, read in
 atom-mask coordinates, it is the preimage table of a point map
-(``atom_additive``), which takes O(size) steps.  ``validate_hom`` accepts
-such a table at once.
+(``atom_additive``), which takes O(size) steps.  ``_hom_of_table`` accepts
+such a table at once; ``validate_hom`` first checks that a raw table maps
+the source carrier into the target carrier.
 
 Every valid input is accepted by these mask tests.  Only an input that
 fails one reaches the law scans (``poset_of_up_sets``, ``fin_lattice``,
-``fin_bool_alg`` and the tail of ``validate_hom``), which name its first
+``fin_bool_alg`` and the tail of ``_hom_of_table``), which name its first
 witness in index order.  An order is held as bitmasks only: a poset keeps
 each row as an up-set bitmask and each column as a down-set bitmask, so
 ``leq_of`` is one bit, the order dual swaps the two, the order laws are
@@ -449,16 +450,17 @@ def _atom_encoding(up: tuple[int, ...]) -> tuple[tuple[int, ...], bytes] | None:
     n = len(up)
     if not n or n & (n - 1) or n > 256:
         return None
-    atoms = tuple(i for i, m in enumerate(up) if m.bit_count() == n >> 1)
+    half = n >> 1
+    atoms = tuple([i for i, m in enumerate(up) if m.bit_count() == half])
     if n != 1 << len(atoms):
         return None
-    packed, above = 0, [(1 << n) - 1]
+    packed, above, spec = 0, [(1 << n) - 1], f"0{n}b"
     for t, a in enumerate(atoms):
         column = up[a]
         if column >> n:
             return None
         # one byte per element, 1 where it lies above atom t, moved to bit t
-        row = format(column, f"0{n}b").encode().translate(_BITS)
+        row = format(column, spec).encode().translate(_BITS)
         packed += int.from_bytes(row, "big") << t
         above += [m & column for m in above]
     masks = packed.to_bytes(n, "little")
@@ -484,16 +486,24 @@ def boolean_algebra_of_up_sets(up: Sequence[int], complement: Sequence[int]) -> 
         return fin_bool_alg(fin_lattice(poset_of_up_sets(up)), complement)
     atoms, masks = encoding
     n = len(up)
-    comp = _checked_complement(n, complement)
-    # x meets not-x in bottom, whose mask is 0, and joins it in top
-    full = n - 1
-    for x, c in enumerate(comp):
-        if masks[x] & masks[c]:
-            raise ComplementLawFails("x and not-x do not meet to bottom", (x, c))
-        if masks[x] | masks[c] != full:
-            raise ComplementLawFails("x and not-x do not join to top", (x, c))
     atom_mask = tuple(masks)
-    return FinBoolAlg(up, comp, atoms, atom_mask, {m: i for i, m in enumerate(atom_mask)})
+    mask_index = {m: i for i, m in enumerate(atom_mask)}
+    # x meets not-x in bottom, whose mask is 0, and joins it in top, exactly
+    # when not-x is the element whose mask holds the other atoms, so a table
+    # equal to that one keeps the laws; any other table, or an algebra above
+    # the cap, goes through _checked_complement, and the loop names the
+    # first x that breaks a law
+    full = n - 1
+    comp = tuple([mask_index[full ^ m] for m in atom_mask])
+    given = tuple(complement)
+    if n > 1 << MAX_ATOMS or given != comp:
+        comp = _checked_complement(n, given)
+        for x, c in enumerate(comp):
+            if masks[x] & masks[c]:
+                raise ComplementLawFails("x and not-x do not meet to bottom", (x, c))
+            if masks[x] | masks[c] != full:
+                raise ComplementLawFails("x and not-x do not join to top", (x, c))
+    return FinBoolAlg(up, comp, atoms, atom_mask, mask_index)
 
 
 @cache
@@ -604,22 +614,31 @@ def atom_additive(by_mask: Sequence[int], n1: int, n2: int) -> bool:
 def validate_hom(table: Sequence[int], source: FinBoolAlg, target: FinBoolAlg) -> BoolHom:
     """Accept a raw image table as a homomorphism or name the first broken law.
 
+    The table is read as ints and must map the source carrier into the
+    target carrier; ``_hom_of_table`` then tests the laws.
+    """
+    t = tuple(map(int, table))
+    if len(t) != source.size or min(t) < 0 or max(t) >= target.size:
+        raise ValueError("table must map the source carrier into the target carrier")
+    return _hom_of_table(t, source, target)
+
+
+def _hom_of_table(t: tuple[int, ...], source: FinBoolAlg, target: FinBoolAlg) -> BoolHom:
+    """The homomorphism whose image table is ``t``, a tuple of target
+    indices, one per source element, or the error naming its first broken
+    law.
+
     The image masks, ordered by the source element's mask, are tested with
     ``atom_additive``, and a table that passes is accepted at once.  Any
     other table breaks a law, and plain scans name the first: bottom, the
     meet of each pair (i, j) in row-major order, top, the join of each
-    pair, then the complement of each element.
+    pair, then the complement of each element.  A caller whose table is in
+    range by construction (``hom_from_atom_function``, a document's
+    ``map``) calls it without ``validate_hom``'s conversion and range check.
     """
-    t = tuple(map(int, table))
     n = source.size
-    if len(t) != n or min(t) < 0 or max(t) >= target.size:
-        raise ValueError("table must map the source carrier into the target carrier")
-    masks = target.atom_mask
-    if source.atom_mask == tuple(range(n)):
-        by_mask = [masks[v] for v in t]
-    else:
-        index = source._mask_index
-        by_mask = [masks[t[index[m]]] for m in range(n)]
+    masks, index = target.atom_mask, source._mask_index
+    by_mask = [masks[t[index[m]]] for m in range(n)]
     if atom_additive(by_mask, source.atom_count, target.atom_count):
         return BoolHom(source, target, t)
     src, dst = source.lattice, target.lattice
@@ -665,7 +684,7 @@ def hom_from_atom_function(
         raise ValueError("atom function must map target atoms to source atoms")
     pre = _preimage_table(g, source.atom_count)
     index = target._mask_index
-    return validate_hom([index[pre[m]] for m in source.atom_mask], source, target)
+    return _hom_of_table(tuple([index[pre[m]] for m in source.atom_mask]), source, target)
 
 
 def atom_function_of_hom(hom: BoolHom) -> tuple[int, ...]:

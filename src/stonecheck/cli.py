@@ -176,12 +176,12 @@ def report_json(report: VerificationReport, input_digest: str) -> str:
     return "".join(_report_pieces(stream, input_digest, _Tally()))
 
 
-def _load_document(path: str) -> tuple[Document, str]:
+def _read_document(path: str) -> str:
+    """The text of a document file; only ``verify`` hashes it, for its report."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise StonecheckError(f"cannot read document: {exc}") from exc
-    return parse_document(text), document_digest(text)
 
 
 class _OutputFile:
@@ -327,7 +327,7 @@ def _cmd_dual(args) -> int:
         raise UsageError("--dot requires --out PATH")
     if args.out is not None and not args.dot:
         raise UsageError("--out requires --dot")
-    doc, _ = _load_document(args.document)
+    doc = parse_document(_read_document(args.document))
     algebra = doc.algebra(args.name)
     labels = doc.labels[args.name]
     ufs = ultrafilters(algebra)
@@ -347,7 +347,7 @@ def _cmd_dual(args) -> int:
 
 
 def _cmd_canext(args) -> int:
-    doc, _ = _load_document(args.document)
+    doc = parse_document(_read_document(args.document))
     algebra = doc.algebra(args.name)
     extension = canonical_extension(algebra)
     # canonical_extension raises InvariantViolation unless both verdicts pass
@@ -388,7 +388,8 @@ def _cmd_verify(args) -> int:
             raise UsageError("verify needs a document and a homomorphism name, or --all")
         if args.max_atoms is not None or args.seed is not None or args.count is not None:
             raise UsageError("--max-atoms/--seed/--count only apply to --all")
-        doc, digest = _load_document(args.document)
+        text = _read_document(args.document)
+        doc, digest = parse_document(text), document_digest(text)
         hom = doc.hom(args.hom)
         stream, total = [(full_hom_instance(hom, name=args.hom), None)], None
 
@@ -402,7 +403,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_diagram(args) -> int:
-    doc, _ = _load_document(args.document)
+    doc = parse_document(_read_document(args.document))
     write_pieces([_diagram_dot(doc, args.hom)], args.out)
     return 0
 

@@ -23,20 +23,27 @@ A validator's error becomes a ``ValidationError`` naming the entry, except
 a ``LibraryBug``, which passes through unchanged: it signals a bug in this
 package, not a bad document.
 
-Every command parses and validates the whole document again.  To keep that
-cheap, the label pairs of a ``leq`` or ``complement`` list are resolved in
-one pass, and a ``map`` or ``atom_map`` list in one ``dict(pairs)`` and one
-lookup per source label, through the label index the document keeps for
-each algebra (``Document.label_index``); the pair-by-pair checks run only
-when that pass fails, to name the first bad pair.  The closure of the
-``leq`` pairs stays as up-set bitmasks (``_closed_relation``), which go to
-``algebra.boolean_algebra_of_up_sets`` as they are, with no pair list or
-boolean matrix in between.  It recognises a valid algebra by its atom
-encoding and tests the complement laws on the atom masks; the order and
-lattice scans run only on an invalid one, to name its witness.  A valid
-algebra's order, meet and join tables (``FinBoolAlg.lattice``) are built
-when a command first reads them, so a command pays for the tables of the
-algebras it uses, not for those of every algebra in the document.
+Every command parses and validates the whole document again, and each
+pass is kept linear in the document.  Every pair list -- ``leq``,
+``complement``, ``map`` and ``atom_map`` -- goes through one resolver
+(``_resolved_pairs``): ``set(map(type, pairs))`` and one unpacking
+comprehension type-check it and turn its labels into indices, through the
+label index the document keeps for each algebra (``Document.label_index``);
+the pair-by-pair checks run only when that pass fails, to name the first
+bad pair.  A ``complement``, ``map`` or ``atom_map`` list then becomes a
+table in one loop, which also names a label paired twice or never
+(``_pair_table``).  The ``leq`` pairs are closed in reverse topological
+order, found as in Kahn's algorithm, in O(size + pairs) steps on an
+acyclic relation (``_closed_relation``); the closure stays as up-set
+bitmasks, which go to ``algebra.boolean_algebra_of_up_sets`` as they are,
+with no pair list or boolean matrix in between.  It recognises a valid
+algebra by its atom encoding and tests the complement laws on the atom
+masks; the order and lattice scans run only on an invalid one, to name its
+witness.  A valid algebra's order, meet and join tables
+(``FinBoolAlg.lattice``) are built when a command first reads them, so a
+command pays for the tables of the algebras it uses, not for those of
+every algebra in the document.  Nothing is cached across parses: each
+command validates every entry of the document it reads.
 """
 
 from __future__ import annotations
@@ -50,10 +57,10 @@ from .algebra import (
     BoolHom,
     FieldEquality,
     FinBoolAlg,
+    _hom_of_table,
     boolean_algebra_of_up_sets,
     hom_from_atom_function,
     powerset_algebra,
-    validate_hom,
 )
 from .errors import LibraryBug, ParseError, StonecheckError, UnknownName, ValidationError
 
@@ -105,18 +112,42 @@ def powerset_labels(n: int) -> tuple[str, ...]:
 def _closed_relation(size: int, pairs: list[tuple[int, int]]) -> list[int]:
     """The reflexive-transitive closure of the pairs as up-set bitmasks.
 
-    Row i is the bitmask of the elements i relates to; Warshall's closure
-    ORs row k into every row that contains k.  The rows go to
-    ``boolean_algebra_of_up_sets`` as they are.
+    Row i is the bitmask of the elements i relates to.  Rows are closed in
+    reverse topological order, found as in Kahn's algorithm (Kahn,
+    "Topological sorting of large networks", CACM 1962): an element is
+    final once all its successors are, and its final row is then ORed into
+    the row of each predecessor, once per pair, so one pass takes
+    O(size + pairs) steps.  An element on a cycle, or below one, never
+    becomes final; further passes OR the rows of those elements into their
+    predecessors' rows while some row still changes, so the rows are the
+    exact closure on any input.  A pair (i, i) adds nothing to row i.  The
+    rows go to ``boolean_algebra_of_up_sets`` as they are.
     """
     rows = [1 << i for i in range(size)]
+    # below[j] lists i once per pair (i, j); waiting[i] counts the pairs
+    # (i, j) whose j is not final yet
+    below = [[] for _ in range(size)]
+    waiting = [0] * size
     for i, j in pairs:
-        rows[i] |= 1 << j
-    for k in range(size):
-        row_k, bit = rows[k], 1 << k
-        for i in range(size):
-            if rows[i] & bit:
-                rows[i] |= row_k
+        if i != j:
+            below[j].append(i)
+            waiting[i] += 1
+    final = [v for v in range(size) if not waiting[v]]
+    for v in final:
+        row = rows[v]
+        for p in below[v]:
+            rows[p] |= row
+            waiting[p] -= 1
+            if not waiting[p]:
+                final.append(p)
+    # the elements left wait on a cycle: pass over them until no row changes
+    before = None
+    while len(final) < size and rows != before:
+        before = rows[:]
+        for v in range(size):
+            if waiting[v]:
+                for p in below[v]:
+                    rows[p] |= rows[v]
     return rows
 
 
@@ -142,74 +173,73 @@ def _parse_algebra(entry: dict, where: str, doc: Document) -> None:
         n = entry["powerset"]
         if isinstance(n, bool) or not isinstance(n, int) or n < 0:
             raise ParseError(f"{where}: powerset must be a nonnegative integer")
-        doc.algebras[name] = _validated(where, lambda: powerset_algebra(n))
+        doc.algebras[name] = _validated(where, powerset_algebra, n)
         doc.labels[name] = labels = powerset_labels(n)
         doc.label_index[name] = {label: i for i, label in enumerate(labels)}
     elif "carrier" in entry:
         carrier = entry.get("carrier")
-        if not isinstance(carrier, list) or not all(isinstance(x, str) for x in carrier):
+        if not isinstance(carrier, list) or not set(map(type, carrier)) <= {str}:
             raise ParseError(f"{where}: carrier must be a list of labels")
-        if not carrier:
+        n = len(carrier)
+        if not n:
             raise ValidationError(f"{where}: carrier must be nonempty")
-        if len(carrier) > 1 << MAX_ATOMS:
+        if n > 1 << MAX_ATOMS:
             raise ValidationError(
-                f"{where}: carrier of {len(carrier)} elements exceeds the cap of "
+                f"{where}: carrier of {n} elements exceeds the cap of "
                 f"{1 << MAX_ATOMS} ({MAX_ATOMS} atoms)"
             )
-        if len(set(carrier)) != len(carrier):
+        index = dict(zip(carrier, range(n)))
+        if len(index) != n:
             raise ValidationError(f"{where}: carrier labels must be unique")
-        index = {label: i for i, label in enumerate(carrier)}
         for key in ("leq", "complement"):
             if not isinstance(entry.get(key, []), list):
                 raise ParseError(f"{where}: {key} must be a list of label pairs")
+        # both lists are resolved in full first, so that a malformed pair is
+        # named before an element with two complements or none
         leq_pairs, comp_pairs = (
             list(_resolved_pairs(entry.get(key, []), index, index, where, key))
             for key in ("leq", "complement")
         )
-        comp_table = [-1] * len(carrier)
-        for i, j in comp_pairs:
-            if comp_table[i] != -1:
-                raise ValidationError(f"{where}: element {carrier[i]!r} has two complements")
-            comp_table[i] = j
-        if -1 in comp_table:
-            missing = carrier[comp_table.index(-1)]
-            raise ValidationError(f"{where}: element {missing!r} has no complement")
-        up = _closed_relation(len(carrier), leq_pairs)
-        doc.algebras[name] = _validated(
-            where, lambda: boolean_algebra_of_up_sets(up, comp_table)
+        comp_table = _pair_table(
+            comp_pairs, index, where, "element", "has two complements", "has no complement"
         )
+        up = _closed_relation(n, leq_pairs)
+        doc.algebras[name] = _validated(where, boolean_algebra_of_up_sets, up, comp_table)
         doc.labels[name] = tuple(carrier)
         doc.label_index[name] = index
     else:
         raise ParseError(f"{where}: algebra needs 'powerset', 'carrier', or 'ref'")
 
 
-def _validated(where: str, build: Callable[[], T]) -> T:
-    """``build()``, with a validator's error turned into a ValidationError
-    naming the entry; a LibraryBug passes through unchanged."""
+def _validated(where: str, build: Callable[..., T], *args) -> T:
+    """``build(*args)``, with a validator's error turned into a
+    ValidationError naming the entry; a LibraryBug passes through unchanged."""
     try:
-        return build()
+        return build(*args)
     except LibraryBug:
         raise
     except StonecheckError as exc:
         raise ValidationError(f"{where}: {exc}") from exc
 
 
-def _resolved_pairs(pairs: list, left: dict, right: dict, where: str, key: str):
-    """The (left, right) label indices of every pair, resolved in one pass.
+def _resolved_pairs(
+    pairs: list, left: dict, right: dict, where: str, key: str, unknown: str | None = None
+):
+    """The (left, right) label indices of every pair.
 
-    When some pair is bad, the result is instead an iterator that resolves
+    A list of two-item lists of known labels is type-checked and resolved
+    in one pass: ``set(map(type, pairs))``, then one unpacking
+    comprehension.  Any other list gives instead an iterator that resolves
     the pairs one at a time and raises the error naming the first bad one
     (``_resolve_pair``), so a caller that checks each pair as it comes
     still meets the errors in pair order.
     """
     try:
-        out = [(left[p[0]], right[p[1]]) for p in pairs if type(p) is list and len(p) == 2]
-        if len(out) == len(pairs):
-            return out
-    except (KeyError, TypeError):
+        if set(map(type, pairs)) <= {list}:
+            return [(left[a], right[b]) for a, b in pairs]
+    except (KeyError, TypeError, ValueError):
         pass
-    return (_resolve_pair(p, left, right, where, key) for p in pairs)
+    return (_resolve_pair(pair, left, right, where, key, unknown) for pair in pairs)
 
 
 def _resolve_pair(pair, left: dict, right: dict, where: str, key: str, unknown: str | None = None):
@@ -227,40 +257,22 @@ def _resolve_pair(pair, left: dict, right: dict, where: str, key: str, unknown: 
     raise ParseError(f"{where}: bad {key} pair {pair!r}")
 
 
-def _pair_table(pairs, left: dict, right: dict, where: str, key: str) -> list[int]:
-    """Entry i is the right index that ``pairs`` gives the i-th left label,
-    the labels of ``left`` taken in order.
+def _pair_table(resolved, left: dict, where: str, noun: str, twice: str, missing: str) -> list[int]:
+    """Entry i is the right index that the resolved pairs give the i-th
+    left label, the labels of ``left`` taken in order.
 
-    A list of two-item lists with one pair per left label and only known
-    labels is read in one pass: ``dict(pairs)``, then one lookup per left
-    label.  Any other input is scanned pair by pair, so the error names the
-    first bad pair: pairs are taken in order, each checked for its shape,
-    then its labels, then a left label mapped twice.
+    The pairs are taken in order, and the error names the first bad one: a
+    left label met twice (an iterator from ``_resolved_pairs`` raises a
+    malformed pair where it meets it), then, after the last pair, the
+    first left label with none.
     """
-    if not isinstance(pairs, list):
-        raise ParseError(f"{where}: {key} must be a list of label pairs")
-    try:
-        # dict() would also split a two-character string into a pair
-        if set(map(type, pairs)) == {list}:
-            images = dict(pairs)
-            if len(images) == len(pairs) == len(left):
-                return [right[images[label]] for label in left]
-    except (KeyError, TypeError, ValueError):
-        pass
-    if key == "map":
-        noun, unknown = "element", "unknown label"
-    else:
-        noun, unknown = "target atom", "unknown atom label"
-    left_labels = list(left)
-    table = [-1] * len(left_labels)
-    for pair in pairs:
-        i, v = _resolve_pair(pair, left, right, where, key, unknown)
+    table = [-1] * len(left)
+    for i, v in resolved:
         if table[i] != -1:
-            raise ValidationError(f"{where}: {noun} {left_labels[i]!r} mapped twice")
+            raise ValidationError(f"{where}: {noun} {list(left)[i]!r} {twice}")
         table[i] = v
     if -1 in table:
-        missing = left_labels[table.index(-1)]
-        raise ValidationError(f"{where}: {noun} {missing!r} has no image")
+        raise ValidationError(f"{where}: {noun} {list(left)[table.index(-1)]!r} {missing}")
     return table
 
 
@@ -281,17 +293,24 @@ def _parse_hom(entry: dict, where: str, doc: Document) -> None:
     src, dst = doc.algebras[src_name], doc.algebras[dst_name]
 
     if "map" in entry:
-        src_index, dst_index = doc.label_index[src_name], doc.label_index[dst_name]
-        table = _pair_table(entry["map"], src_index, dst_index, where, "map")
-        doc.homs[name] = _validated(where, lambda: validate_hom(table, src, dst))
+        key, noun, unknown = "map", "element", "unknown label"
+        left, right = doc.label_index[src_name], doc.label_index[dst_name]
     elif "atom_map" in entry:
+        key, noun, unknown = "atom_map", "target atom", "unknown atom label"
         src_labels, dst_labels = doc.labels[src_name], doc.labels[dst_name]
-        src_atom_index = {src_labels[a]: k for k, a in enumerate(src.atoms)}
-        dst_atom_index = {dst_labels[a]: q for q, a in enumerate(dst.atoms)}
-        g = _pair_table(entry["atom_map"], dst_atom_index, src_atom_index, where, "atom_map")
-        doc.homs[name] = _validated(where, lambda: hom_from_atom_function(src, dst, g))
+        left = {dst_labels[a]: q for q, a in enumerate(dst.atoms)}
+        right = {src_labels[a]: k for k, a in enumerate(src.atoms)}
     else:
         raise ParseError(f"{where}: hom needs 'map' or 'atom_map'")
+    if not isinstance(entry[key], list):
+        raise ParseError(f"{where}: {key} must be a list of label pairs")
+    resolved = _resolved_pairs(entry[key], left, right, where, key, unknown)
+    table = _pair_table(resolved, left, where, noun, "mapped twice", "has no image")
+    if key == "map":
+        # the table is in range: every image came from the target's label index
+        doc.homs[name] = _validated(where, _hom_of_table, tuple(table), src, dst)
+    else:
+        doc.homs[name] = _validated(where, hom_from_atom_function, src, dst, table)
     doc.hom_endpoints[name] = (src_name, dst_name)
 
 

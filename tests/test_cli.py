@@ -288,7 +288,7 @@ def test_library_bug_in_the_document_parser_exits_3(monkeypatch, capsys, error):
     def broken(*args):
         raise error("seeded library bug")
 
-    monkeypatch.setattr(documents, "validate_hom", broken)
+    monkeypatch.setattr(documents, "_hom_of_table", broken)
     assert main(["verify", str(SAMPLE), "identity_four"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

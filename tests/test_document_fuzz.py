@@ -144,6 +144,10 @@ MALFORMED = [
     ('complement_bad_pair_named_before_an_earlier_twice',
      alg(complement=[["l", "r"], ["l", "l"], ["x"]]),
      ParseError, "algebras[0]: bad complement pair ['x']"),
+    # every complement pair is resolved before two complements are judged
+    ('complement_unknown_label_named_after_a_twice',
+     alg(complement=COMP + [["l", "l"], ["l", "R"]]),
+     ParseError, "algebras[0]: bad complement pair ['l', 'R']"),
     ('complement_pair_two_char_string', alg(complement=COMP[:3] + ["lr"]),
      ParseError, "algebras[0]: bad complement pair 'lr'"),
     ('map_pair_two_key_object', hom(map=MAP[:3] + [{"top": 1, "{0}": 2}]),

@@ -1,6 +1,8 @@
 """Document schema: parsing, validation context, shorthand expansion, round trip."""
 
 import json
+import random
+from pathlib import Path
 
 import pytest
 
@@ -263,3 +265,26 @@ def test_a_well_formed_map_in_any_pair_order_gives_the_same_table():
         hom = {"name": "swap", "source": "p", "target": "p", "map": order}
         tables.add(parse_document(json.dumps({"algebras": algebras, "homs": [hom]})).hom("swap").table)
     assert tables == {(0, 2, 1, 3)}
+
+
+def test_permuting_every_pair_list_leaves_the_parse_unchanged():
+    # the closure, the pair resolution and the tables read no pair order
+    text = (Path(__file__).parent / "data" / "relabelled_five.json").read_text()
+    base = parse_document(text)
+    rng = random.Random(32)
+    for _ in range(5):
+        raw = json.loads(text)
+        for entry in raw["algebras"] + raw["homs"]:
+            for key in ("leq", "complement", "map", "atom_map"):
+                if key in entry:
+                    rng.shuffle(entry[key])
+        assert raw != json.loads(text)
+        doc = parse_document(json.dumps(raw))
+        for name, algebra in base.algebras.items():
+            other = doc.algebra(name)
+            assert (other.up, other.complement, other.atom_mask) == (
+                algebra.up, algebra.complement, algebra.atom_mask
+            )
+        assert {name: h.table for name, h in doc.homs.items()} == {
+            name: h.table for name, h in base.homs.items()
+        }

@@ -362,10 +362,10 @@ FAST_PATH_MUTANTS = {
         "and ",
         "raw_table_oracle",
     ),
-    # validate_hom reads each element index as its atom mask
+    # the hom's law test reads each element index as its atom mask
     "hom_without_source_reordering": (
         algebra,
-        "validate_hom",
+        "_hom_of_table",
         "by_mask = [masks[t[index[m]]] for m in range(n)]",
         "by_mask = [masks[v] for v in t]",
         "raw_table_oracle",

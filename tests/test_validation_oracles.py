@@ -8,10 +8,13 @@ triple, in index order.  Every input must give the same result from both:
 the same exception class, witness and message, or identical tables.  Inputs
 are seeded random relation matrices on 1-8 elements, 16- and 32-element
 powersets (with shuffled carriers) carrying one corrupted entry, and the
-atom functions between powersets and between shuffled presentations.
-``algebra.atom_additive``, with which ``validate_hom`` accepts a table
-before any scan, must accept exactly the tables ``ref_validate_hom`` does,
-on every raw table between small powersets and shuffled presentations.
+atom functions between powersets and between shuffled presentations; for
+the closure, also the shuffled cover relations of the 16- and 32-element
+powersets, duplicate pairs and self-loops, and cycles of every length, each
+in several pair orders.  ``algebra.atom_additive``, with which
+``validate_hom`` accepts a table before any scan, must accept exactly the
+tables ``ref_validate_hom`` does, on every raw table between small
+powersets and shuffled presentations.
 """
 
 import itertools
@@ -423,7 +426,38 @@ def test_atom_function_expansions_match_reference_on_shuffled_carriers():
         assert_atom_function_expansions_match(source, target)
 
 
-@pytest.mark.parametrize("size", [1, 2, 3, 5, 8, 32])
+def closure_cases(size, rng):
+    """Pair lists beyond the random relations: on 16 and 32 elements the
+    shuffled cover relation of the powerset, whose closure must be its
+    order; a relation with duplicate pairs and self-loops; and a cycle of
+    every length from 2 to ``size`` through random elements, among a few
+    random pairs.  Yields each list with the expected rows, or None where
+    only the reference gives them."""
+    if size in (16, 32):
+        atoms = size.bit_length() - 1
+        label = rng.sample(range(size), size)
+        covers = [
+            (label[m], label[m | 1 << i]) for m in range(size) for i in range(atoms) if not m >> i & 1
+        ]
+        rng.shuffle(covers)
+        expected = [0] * size
+        for m, n in itertools.product(range(size), repeat=2):
+            if m & ~n == 0:
+                expected[label[m]] |= 1 << label[n]
+        yield covers, expected
+    pairs = [(rng.randrange(size), rng.randrange(size)) for _ in range(size)]
+    pairs += rng.choices(pairs, k=size) + [(i, i) for i in rng.sample(range(size), size // 2)]
+    rng.shuffle(pairs)
+    yield pairs, None
+    for length in range(2, size + 1):
+        cycle = rng.sample(range(size), length)
+        pairs = list(zip(cycle, cycle[1:] + cycle[:1]))
+        pairs += [(rng.randrange(size), rng.randrange(size)) for _ in range(size // 4)]
+        rng.shuffle(pairs)
+        yield pairs, None
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 5, 8, 16, 32])
 def test_closed_relation_matches_reference(size):
     rng = random.Random(size)
     for density in (0.0, 0.05, 0.2, 0.6):
@@ -435,6 +469,15 @@ def test_closed_relation_matches_reference(size):
         for i, j in ref_closed_relation(size, pairs):
             expected[i] |= 1 << j
         assert _closed_relation(size, pairs) == expected
+    for pairs, expected in closure_cases(size, rng):
+        if expected is None:
+            expected = [0] * size
+            for i, j in ref_closed_relation(size, pairs):
+                expected[i] |= 1 << j
+        assert _closed_relation(size, pairs) == expected
+        # the same pairs in any order close to the same rows
+        for _ in range(3):
+            assert _closed_relation(size, rng.sample(pairs, len(pairs))) == expected
 
 
 def test_boolean_algebras_are_capped_at_32_elements():

@@ -179,31 +179,45 @@ def _subset_unions(parts: Sequence[int]) -> list[int]:
 
 def _preimage_table(table: Sequence[int], target_size: int) -> list[int]:
     """The preimage mask of every target point set under a point table:
-    entry m is the union of the fibres of the points in m.
+    entry m is the union of the fibres of the points in m.  The block of
+    one table of ``_preimage_lanes``."""
+    return list(_preimage_lanes(bytes(table), 1, target_size))
 
-    Point i adds bit i to the entries of the sets that hold its image, so
-    the masks are the bytes of one int: the OR of each image's column
-    (``_member_columns``) shifted by its point's index.  A byte holds the
-    masks of at most 8 points, so a table or a target above MAX_ATOMS
-    points raises BoundExceeded before any column is built, as
-    ``duality.topology`` does for the table's space and then the target.
+
+def _preimage_lanes(table: bytes, lanes: int, target_size: int) -> bytes:
+    """The preimage tables of a block of point tables, one per lane.
+
+    Entry i of lane j's table is byte ``i * lanes + j`` of ``table``; the
+    preimage of target point set m under lane j is byte
+    ``j * 2**target_size + m`` of the result, so each lane's preimage table
+    is one run of bytes.  Point i adds bit i to the entries of the sets that
+    hold its image, so for each point the columns of its images
+    (``_member_columns``), one per lane, are joined into one int, shifted by
+    the point's index and ORed in: one join per point, whatever the number
+    of lanes.  A byte holds the masks of at most 8 points, so a table or a
+    target above MAX_ATOMS points raises BoundExceeded before any column is
+    built, as ``duality.topology`` does for the table's space and then the
+    target.
     """
-    if max(len(table), target_size) > MAX_ATOMS:
-        points = len(table) if len(table) > MAX_ATOMS else target_size
-        raise BoundExceeded(f"Stone spaces capped at {MAX_ATOMS} points", points)
+    points = len(table) // lanes
+    if max(points, target_size) > MAX_ATOMS:
+        raise BoundExceeded(
+            f"Stone spaces capped at {MAX_ATOMS} points",
+            points if points > MAX_ATOMS else target_size,
+        )
     columns = _member_columns(target_size)
     rows = 0
-    for i, v in enumerate(table):
-        rows |= columns[v] << i
-    return list(rows.to_bytes(1 << target_size, "little"))
+    for i in range(points):
+        cells = table[i * lanes : i * lanes + lanes]
+        rows |= int.from_bytes(b"".join(map(columns.__getitem__, cells)), "little") << i
+    return rows.to_bytes(lanes << target_size, "little")
 
 
 @cache
-def _member_columns(n: int) -> tuple[int, ...]:
-    """Column x is the int whose byte S, of 2**n bytes read little endian,
-    is 1 when x lies in the n-bit mask S."""
+def _member_columns(n: int) -> tuple[bytes, ...]:
+    """Column x is 2**n bytes, byte S 1 when x lies in the n-bit mask S."""
     masks = range(1 << n)
-    return tuple(int.from_bytes(bytes([m >> x & 1 for m in masks]), "little") for x in range(n))
+    return tuple(bytes([m >> x & 1 for m in masks]) for x in range(n))
 
 
 def fin_poset(rows: Sequence[Sequence[bool]]) -> FinPoset:
@@ -577,14 +591,6 @@ class BoolHom(FieldEquality):
         self.source = source
         self.target = target
         self.table = table
-
-    @property
-    def is_injective(self) -> bool:
-        return len(set(self.table)) == len(self.table)
-
-    @property
-    def is_surjective(self) -> bool:
-        return set(self.table) == set(range(self.target.size))
 
 
 def atom_additive(by_mask: Sequence[int], n1: int, n2: int) -> bool:

@@ -16,7 +16,9 @@ is never held whole, and a reader that closes stdout changes no exit code;
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import math
 import os
 import sys
 import time
@@ -30,7 +32,7 @@ from . import __version__
 from .algebra import MAX_ATOMS, ultrafilters
 from .documents import Document, document_digest, parse_document
 from .duality import dual_space, phi_table
-from .errors import LibraryBug, StonecheckError
+from .errors import InvariantViolation, LibraryBug, StonecheckError
 from .extension import canonical_extension
 from .harness import (
     InstanceReport,
@@ -75,20 +77,152 @@ def _descriptor_text(descriptor: dict) -> str:
 class _Tally:
     """Counts the instances and checks written and whether all passed; with
     the ``total`` of a run and a terminal as stderr, it also shows ``k/total
-    instances`` there after the first second, at most once a second."""
+    instances`` there after the first second, at most once a second.
 
-    def __init__(self, total: int | None = None) -> None:
+    With the ``coverage`` of a ``verify --all`` run, (max atoms, sample or
+    None), it checks each descriptor as it streams against what those
+    arguments alone call for (``_Coverage``), and at the end the run's
+    ``premises`` too; a mismatch is an InvariantViolation."""
+
+    def __init__(
+        self,
+        total: int | None = None,
+        coverage: tuple[int, tuple[int, int] | None] | None = None,
+        premises: list[int] | None = None,
+    ) -> None:
         self.instances, self.checks, self.passed = 0, 0, True
         self.total = total if total is not None and sys.stderr.isatty() else None
         self.due = _clock() + 1.0
+        self.coverage = None if coverage is None else _Coverage(*coverage)
+        self.premises = premises
 
-    def add(self, checks: int, passed: bool) -> None:
+    def add(self, descriptor: dict, checks: int, passed: bool) -> None:
+        if self.coverage is not None:
+            self.coverage.add(descriptor)
         self.instances += 1
         self.checks += checks
         self.passed = self.passed and passed
         if self.total is not None and (now := _clock()) >= self.due:
             print(f"{self.instances}/{self.total} instances", file=sys.stderr, flush=True)
             self.due = now + 1.0
+
+    def finish(self) -> None:
+        """Raise InvariantViolation when a descriptor the run calls for is
+        missing, or, in an exhaustive run, when the homs it found
+        one-to-one, onto and both are not those of the closed forms."""
+        if self.coverage is None:
+            return
+        self.coverage.finish()
+        if self.coverage.sample is None and self.premises is not None:
+            expected = _premise_counts(self.coverage.max_atoms)
+            if tuple(self.premises) != expected:
+                raise InvariantViolation(
+                    "premise counts differ from their closed forms",
+                    (tuple(self.premises), expected),
+                )
+
+
+def _premise_counts(max_atoms: int) -> tuple[int, int, int]:
+    """How many homs between powerset algebras of 1 to ``max_atoms`` atoms
+    are one-to-one, onto, and both.  h from k1 to k2 atoms is one-to-one
+    exactly when its atom function, from the k2 target atoms to the k1
+    source atoms, is onto, and onto exactly when that function is one-to-one:
+    the surjections k1! S(k2, k1), by inclusion-exclusion, and the
+    injections k1! / (k1 - k2)!."""
+    sizes = range(1, max_atoms + 1)
+    onto = sum(
+        sum((-1) ** i * math.comb(k1, i) * (k1 - i) ** k2 for i in range(k1 + 1))
+        for k1 in sizes
+        for k2 in sizes
+    )
+    one_to_one = sum(math.perm(k1, k2) for k1 in sizes for k2 in sizes)
+    return onto, one_to_one, sum(math.factorial(k) for k in sizes)
+
+
+class _Coverage:
+    """The instances a ``verify --all`` run calls for, from its arguments
+    alone, checked one descriptor at a time in report order.
+
+    Exhaustive: every atom count from 1 to K once, and every atom function
+    of ``range(k1) ** k2`` once for 1 <= k1, k2 <= K.  Report order is that
+    of the descriptors' JSON texts, in which each (k1, k2) pair's functions
+    come in the order of ``itertools.product``, so one counter per pair
+    names the next function due; sampled: exactly ``count`` homs, sample
+    indices 0 to count - 1 once each, kept as one bitmask.  The first
+    descriptor out of place, or the first missing at the end, raises
+    InvariantViolation naming it."""
+
+    def __init__(self, max_atoms: int, sample: tuple[int, int] | None) -> None:
+        self.max_atoms, self.sample = max_atoms, sample
+        self.due: dict[tuple[int, int], int] = {}
+        self.seen = 0
+        self.atoms = 0
+
+    def add(self, descriptor: dict) -> None:
+        if descriptor.get("kind") == "algebra":
+            self.atoms += 1
+            if descriptor.get("atoms") != self.atoms or self.atoms > self.max_atoms:
+                self._refuse("unexpected", descriptor)
+            return
+        k1, g = descriptor.get("source_atoms"), descriptor.get("atom_function")
+        k2 = len(g)
+        if (
+            self.atoms
+            or not 1 <= k1 <= self.max_atoms
+            or not 1 <= k2 <= self.max_atoms
+            or descriptor.get("target_atoms") != k2
+            or not all(0 <= p < k1 for p in g)
+        ):
+            self._refuse("unexpected", descriptor)
+        if self.sample is not None:
+            i = descriptor.get("sample_index")
+            if not 0 <= i < self.sample[1] or self.seen >> i & 1:
+                self._refuse("unexpected", descriptor)
+            self.seen |= 1 << i
+            return
+        number = 0
+        for p in g:
+            number = number * k1 + p
+        due = self.due.get((k1, k2), 0)
+        if number < due:
+            self._refuse("unexpected", descriptor)
+        if number > due:
+            self._refuse("missing", _hom_descriptor_of(k1, k2, due))
+        self.due[k1, k2] = due + 1
+
+    def finish(self) -> None:
+        sizes = range(1, self.max_atoms + 1)
+        if self.sample is not None:
+            missing = ~self.seen & ((1 << self.sample[1]) - 1)
+            if missing:
+                i = (missing & -missing).bit_length() - 1
+                self._refuse("missing", {"kind": "hom", "sample_index": i})
+        else:
+            missing = [
+                _hom_descriptor_of(k1, k2, self.due.get((k1, k2), 0))
+                for k1, k2 in itertools.product(sizes, sizes)
+                if self.due.get((k1, k2), 0) < k1**k2
+            ]
+            if missing:
+                # the first in report order: by the atom function's text
+                first = min(missing, key=lambda d: (str(d["atom_function"]), str(d["source_atoms"])))
+                self._refuse("missing", first)
+        if self.atoms < self.max_atoms:
+            self._refuse("missing", {"kind": "algebra", "atoms": self.atoms + 1})
+
+    @staticmethod
+    def _refuse(what: str, descriptor: dict) -> None:
+        raise InvariantViolation(f"{what} instance in the suite", descriptor)
+
+
+def _hom_descriptor_of(k1: int, k2: int, number: int) -> dict:
+    """The descriptor of the hom from k1 to k2 atoms whose atom function is
+    the k2 digits of ``number`` in base k1."""
+    g = []
+    for _ in range(k2):
+        number, p = divmod(number, k1)
+        g.append(p)
+    return {"kind": "hom", "source_atoms": k1, "target_atoms": k2, "atom_function": g[::-1]}
 
 
 _clock = time.monotonic
@@ -149,7 +283,7 @@ def _report_pieces(
         else:
             checks, passed, before, after = known
             descriptor = before + str(inst.descriptor["sample_index"]) + after
-        tally.add(len(inst.checks), passed)
+        tally.add(inst.descriptor, len(inst.checks), passed)
         # the stream makes its next instance while this frame waits
         del inst
         yield (
@@ -160,6 +294,7 @@ def _report_pieces(
             "    }"
         )
         separator = ","
+    tally.finish()
     yield (
         (head + "]" if separator is head else "\n  ]")
         + f',\n  "schema_version": {json.dumps(SCHEMA_VERSION)},\n'
@@ -381,8 +516,8 @@ def _cmd_verify(args) -> int:
         if args.document is not None:
             raise UsageError("--all does not take a document")
         plan = suite_plan(args.max_atoms, sample)
-        stream, total = plan.run(), len(plan)
-        digest = document_digest(digest_text)
+        stream, digest = plan.run(), document_digest(digest_text)
+        tally = _Tally(len(plan), (args.max_atoms, sample), plan.premises)
     else:
         if args.document is None or args.hom is None:
             raise UsageError("verify needs a document and a homomorphism name, or --all")
@@ -391,9 +526,8 @@ def _cmd_verify(args) -> int:
         text = _read_document(args.document)
         doc, digest = parse_document(text), document_digest(text)
         hom = doc.hom(args.hom)
-        stream, total = [(full_hom_instance(hom, name=args.hom), None)], None
+        stream, tally = [(full_hom_instance(hom, name=args.hom), None)], _Tally()
 
-    tally = _Tally(total)
     write_pieces(_report_pieces(stream, digest, tally), args.out, echo=args.json)
     code = 0 if tally.passed else 1
     if args.out is not None and not args.json:

@@ -44,14 +44,16 @@ from typing import Iterable, Iterator, Sequence
 
 from .algebra import (
     UltraFilter,
+    _preimage_lanes,
     _preimage_table,
     powerset_algebra,
     ultrafilters,
 )
 from .duality import (
+    ContinuousLanes,
     ContinuousMap,
     FinStoneSpace,
-    _checked_map,
+    _checked_lanes,
     _continuous,
     closure_mask,
     discrete_space,
@@ -168,39 +170,93 @@ def _forced_tables(
     space: FinStoneSpace, target: FinStoneSpace, forced: Iterable[tuple[int, int]]
 ) -> Iterator[ContinuousMap]:
     """The map of every continuous table from space to target taking the
-    forced values, with the preimage table its continuity was tested on.
+    forced values, with the preimage table its continuity was tested on:
+    ``_forced_lanes`` for a block of one table."""
+    forced = [(point, bytes([value if 0 <= value < 256 else 255])) for point, value in forced]
+    for found, _ in _forced_lanes(space, target, forced, 1):
+        yield found.lane(0)
 
-    ``forced`` lists (point, value) pairs.  Only the points they leave free
-    are enumerated, so the tables come out in the lexicographic order of the
-    full table space.  A forced value outside the target, or two different
-    values forced on one point, leave no table.
+
+def _forced_lanes(
+    space: FinStoneSpace, target: FinStoneSpace, forced: Sequence[tuple[int, bytes]], lanes: int
+) -> Iterator[tuple[ContinuousLanes, int]]:
+    """Every table from space to target that takes the forced values, as a
+    block of one table per lane, with the lanes in which it is continuous.
+
+    ``forced`` lists (point, values) pairs, the value of lane j at byte j.
+    Only the points they leave free are enumerated, the same for every
+    lane, so the tables come out in the lexicographic order of the full
+    table space.  A lane with a forced value outside the target, or with
+    two different values forced on one point, takes no table.  Each block
+    is yielded with the int whose byte j is 1 when lane j takes it, unless
+    no lane does; continuity is tested lane by lane only when the block's
+    one test fails.
     """
-    table = [0] * space.size
+    n = target.size
+    inside, clamped = b"\1" * n + bytes(256 - n), bytes(range(n)) + bytes(256 - n)
+    table = [bytes(lanes)] * space.size
     fixed = [False] * space.size
-    for point, value in forced:
-        if not 0 <= value < target.size or fixed[point] and table[point] != value:
-            return
-        table[point] = value
-        fixed[point] = True
+    kept = int.from_bytes(b"\1" * lanes, "little")
+    for point, values in forced:
+        kept &= int.from_bytes(values.translate(inside), "little")
+        if fixed[point]:
+            differ = int.from_bytes(table[point], "little") ^ int.from_bytes(values, "little")
+            kept &= int.from_bytes(differ.to_bytes(lanes, "little").translate(_ZERO), "little")
+        else:
+            table[point] = values.translate(clamped)
+            fixed[point] = True
+    if not kept:
+        return
     free = [s for s in range(space.size) if not fixed[s]]
-    for values in itertools.product(range(target.size), repeat=len(free)):
+    size = 1 << n
+    for values in itertools.product(range(n), repeat=len(free)):
         for s, v in zip(free, values):
-            table[s] = v
-        pre = _preimage_table(table, target.size)
+            table[s] = bytes([v]) * lanes
+        cells = b"".join(table)
+        pre = _preimage_lanes(cells, lanes, n)
         if _continuous(space, target, pre):
-            yield ContinuousMap(space, target, tuple(table), pre)
+            passed = kept
+        elif lanes == 1:
+            continue
+        else:
+            runs = [pre[j * size : j * size + size] for j in range(lanes)]
+            passed = kept & int.from_bytes(
+                bytes([_continuous(space, target, run) for run in runs]), "little"
+            )
+        if passed:
+            yield ContinuousLanes(space, target, cells, pre, lanes), passed
+
+
+# byte 0 to 1 and every other byte to 0
+_ZERO = b"\1" + bytes(255)
 
 
 def extension_candidates(
     bx: BetaSpace, f: Sequence[int], target: FinStoneSpace
 ) -> list[ContinuousMap]:
     """The continuous maps g with g(embed(x)) = f(x), in the lexicographic
-    order of their tables; used for certification."""
-    validate_stone(target)
+    order of their tables; used for certification.  The block of one map
+    of ``extension_candidates_lanes``."""
     ft = tuple(map(int, f))
     if len(ft) != bx.base.size or ft and (min(ft) < 0 or max(ft) >= target.size):
+        validate_stone(target)
         raise ValueError("map must send base points into the target")
-    return list(_forced_tables(bx.space, target, zip(bx.embed, ft)))
+    candidates = extension_candidates_lanes(bx, bytes(ft), target, 1)
+    return [found.lane(0) for found, _ in candidates]
+
+
+def extension_candidates_lanes(
+    bx: BetaSpace, f: bytes, target: FinStoneSpace, lanes: int
+) -> list[tuple[ContinuousLanes, int]]:
+    """The continuous extensions of a block of maps from bx's base points to
+    target, value of base point x in lane j at byte ``x * lanes + j``: every
+    block of ``_forced_lanes`` that takes the values f forces on the
+    embedded points, with the lanes it extends."""
+    validate_stone(target)
+    if len(f) != bx.base.size * lanes or f and max(f) >= target.size:
+        raise ValueError("map must send base points into the target")
+    forced = [(e, f[x * lanes : x * lanes + lanes]) for x, e in enumerate(bx.embed)]
+    return list(_forced_lanes(bx.space, target, forced, lanes))
 
 
 def beta_extend_to_compact(
@@ -212,50 +268,76 @@ def beta_extend_to_compact(
     the embedded points; zero or multiple matches signal an invariant bug,
     never bad user input.
     """
-    candidates = extension_candidates(bx, f, target)
+    ft = tuple(map(int, f))
+    if len(ft) != bx.base.size or ft and (min(ft) < 0 or max(ft) >= target.size):
+        validate_stone(target)
+        raise ValueError("map must send base points into the target")
+    candidates = extension_candidates_lanes(bx, bytes(ft), target, 1)
     if len(candidates) > 1:
         raise InvariantViolation("continuous extension is not unique", len(candidates))
-    return sole_extension(candidates)
+    return sole_extension(candidates).lane(0)
 
 
-def sole_extension(candidates: Sequence[ContinuousMap]) -> ContinuousMap:
-    """The first map ``extension_candidates`` found.
+def sole_extension(candidates: Sequence[tuple[ContinuousLanes, int]]) -> ContinuousLanes:
+    """The first block ``extension_candidates_lanes`` found, when it extends
+    every lane.
 
-    An empty list raises NoExtension; two or more maps are for the caller
-    to judge (the battery's ``unique_continuous_extension`` check, or
-    ``beta_extend_to_compact``).
+    Raises NoExtension when there is none, or when the first leaves a lane
+    out (which then has none, or finds its first at a later table: run
+    alone, each hom gets its own first).  How many each lane found is for
+    the caller to judge (the battery's ``unique_continuous_extension``
+    check, or ``beta_extend_to_compact``).
     """
-    if not candidates:
+    if not candidates or candidates[0][1] != int.from_bytes(
+        b"\1" * candidates[0][0].lanes, "little"
+    ):
         raise NoExtension("no continuous extension satisfies the equation")
-    return candidates[0]
+    return candidates[0][0]
 
 
 def beta_lift(
     f: Sequence[int] | ContinuousMap, bx: BetaSpace, by: BetaSpace
 ) -> ContinuousMap:
-    """Lift a map between discrete point sets via the ultrafilter formula.
-
-    The image of an ultrafilter U is {B : preimage of B under f lies in U},
-    located among the points of the target compactification.  The preimage
-    of every B is read from one table (a ``ContinuousMap`` f lends its own),
-    and the image of U is that table as a byte row translated through the
-    indicator of U: a membership row, looked up among the target's
-    ``point_rows``.
-    """
+    """Lift a map between discrete point sets via the ultrafilter formula:
+    ``beta_lift_lanes`` for a block of one map.  The preimage of every B is
+    read from one table, which a ``ContinuousMap`` f lends."""
     lent = isinstance(f, ContinuousMap)
     ft = f.table if lent else tuple(map(int, f))
     if len(ft) != bx.base.size or min(ft) < 0 or max(ft) >= by.base.size or (
         lent and f.target.size != by.base.size
     ):
         raise ValueError("map must send base points into the target base")
-    index = by.point_rows
     pre = bytes(f.preimages if lent else _preimage_table(ft, by.base.size))
-    table = tuple([index.get(pre.translate(indicator)) for indicator in bx.indicators])
+    return _lift_lanes(pre, 1, bx, by).lane(0)
+
+
+def beta_lift_lanes(f: ContinuousLanes, bx: BetaSpace, by: BetaSpace) -> ContinuousLanes:
+    """The ultrafilter-formula lift of every lane of a block of continuous
+    maps from bx's base points to by's, read off the block's preimages."""
+    if f.source.size != bx.base.size or f.target.size != by.base.size:
+        raise ValueError("map must send base points into the target base")
+    return _lift_lanes(f.preimages, f.lanes, bx, by)
+
+
+def _lift_lanes(pre: bytes, lanes: int, bx: BetaSpace, by: BetaSpace) -> ContinuousLanes:
+    """The image of an ultrafilter U is {B : preimage of B in U}, located
+    among the points of the target compactification.  The preimage tables
+    of the lanes, one run per lane, translated through the indicator of U
+    are the membership rows of the images of U in every lane, each looked
+    up among the target's ``point_rows``."""
+    index = by.point_rows
+    size = 1 << by.base.size
+    rows = [slice(start, start + size) for start in range(0, len(pre), size)]
+    table = []
+    for indicator in bx.indicators:
+        members = pre.translate(indicator)
+        table += map(index.get, map(members.__getitem__, rows))
     if None in table:
-        row = pre.translate(bx.indicators[table.index(None)])
+        k = table.index(None)
+        row = pre.translate(bx.indicators[k // lanes])[rows[k % lanes]]
         image_members = frozenset(mb for mb, inside in enumerate(row) if inside)
         raise InvariantViolation("lifted set is not an ultrafilter", image_members)
-    return _checked_map(bx.space, by.space, table)
+    return _checked_lanes(bx.space, by.space, bytes(table), lanes)
 
 
 def _comparable(c1: Compactification, c2: Compactification) -> None:

@@ -42,7 +42,7 @@ from .algebra import (
     BoolHom,
     FinBoolAlg,
     UltraFilter,
-    _preimage_table,
+    _preimage_lanes,
     boolean_algebra_of_up_sets,
     object_cache,
     powerset_algebra,
@@ -171,34 +171,68 @@ class ContinuousMap:
         return set(self.table) == set(range(self.target.size))
 
 
+class ContinuousLanes:
+    """A block of point tables from one source space to one target space,
+    each validated as a ``ContinuousMap``, one per lane: entry s of lane j
+    is byte ``s * lanes + j`` of ``table``, and the preimage of target mask
+    m under lane j is byte ``j * 2**target.size + m`` of ``preimages``."""
+
+    __slots__ = ("source", "target", "table", "preimages", "lanes", "__weakref__")
+
+    def __init__(
+        self,
+        source: FinStoneSpace,
+        target: FinStoneSpace,
+        table: bytes,
+        preimages: bytes,
+        lanes: int,
+    ) -> None:
+        self.source = source
+        self.target = target
+        self.table = table
+        self.preimages = preimages
+        self.lanes = lanes
+
+    def lane(self, j: int) -> ContinuousMap:
+        """Lane j as a ``ContinuousMap`` of its own."""
+        size = 1 << self.target.size
+        pre = list(self.preimages[j * size : j * size + size])
+        return ContinuousMap(self.source, self.target, tuple(self.table[j :: self.lanes]), pre)
+
+
 def continuous_map(
     source: FinStoneSpace, target: FinStoneSpace, table: Sequence[int]
 ) -> ContinuousMap:
     t = tuple(map(int, table))
     if len(t) != source.size or t and (min(t) < 0 or max(t) >= target.size):
         raise ValueError("table must map source points to target points")
-    return _checked_map(source, target, t)
+    return _checked_lanes(source, target, bytes(t), 1).lane(0)
 
 
 def _continuous(source: FinStoneSpace, target: FinStoneSpace, pre: Sequence[int]) -> bool:
-    """Whether the preimage table ``pre`` of a point table from source to
-    target sends every open of the target to an open of the source."""
-    return open_set(source).issuperset(map(pre.__getitem__, topology(target)))
+    """Whether the preimage tables ``pre``, one run of ``2**target.size``
+    entries per lane, send every open of the target to an open of the
+    source, in every lane.  When every mask is an open, every entry is
+    tested at once."""
+    opens = topology(target)
+    size = 1 << target.size
+    tested = pre if len(opens) == size else b"".join([bytes(pre[o::size]) for o in opens])
+    return open_set(source).issuperset(tested)
 
 
-def _checked_map(
-    source: FinStoneSpace, target: FinStoneSpace, table: tuple[int, ...]
-) -> ContinuousMap:
-    """The map of a table whose entries are target points, once every open's
-    preimage is open (a scan names a failure).  The entries are not checked
-    again: callers build them from point indices, or ``continuous_map``
-    checks them."""
-    pre = _preimage_table(table, target.size)
+def _checked_lanes(
+    source: FinStoneSpace, target: FinStoneSpace, table: bytes, lanes: int
+) -> ContinuousLanes:
+    """The block of a table whose entries are target points, once every
+    open's preimage is open in every lane (a scan names the first open that
+    fails in some lane).  The entries are not checked again: callers build
+    them from point indices, or ``continuous_map`` checks them."""
+    pre = _preimage_lanes(table, lanes, target.size)
     if not _continuous(source, target, pre):
-        source_opens = open_set(source)
-        o = next(o for o in topology(target) if pre[o] not in source_opens)
+        source_opens, size = open_set(source), 1 << target.size
+        o = next(o for o in topology(target) if not source_opens.issuperset(pre[o::size]))
         raise NotContinuous("preimage of an open set is not open", o)
-    return ContinuousMap(source, target, table, pre)
+    return ContinuousLanes(source, target, table, pre, lanes)
 
 
 def compose_continuous(outer: ContinuousMap, inner: ContinuousMap) -> ContinuousMap:
@@ -260,25 +294,41 @@ def _ultrafilter_rows(algebra: FinBoolAlg) -> tuple[dict[bytes, int], tuple[byte
 
 
 def dual_map(hom: BoolHom) -> ContinuousMap:
-    """The continuous map Uf(target) -> Uf(source), v -> preimage of v under h.
+    """The continuous map Uf(target) -> Uf(source), v -> preimage of v under
+    h: ``dual_map_lanes`` for a block of one hom."""
+    return dual_map_lanes([hom]).lane(0)
 
-    Each preimage is checked to be an ultrafilter of the source algebra.  It
-    is computed as a membership row, the image table translated through the
-    indicator of v, and looked up among the source's ultrafilter rows.  The
+
+def dual_map_lanes(homs: Sequence[BoolHom]) -> ContinuousLanes:
+    """The dual maps of a block of homs with one source and one target, one
+    lane per hom, in order.
+
+    Each preimage is checked to be an ultrafilter of the source algebra.
+    The image tables of the block are one run of bytes per hom; translated
+    through the indicator of v, they are the membership rows of every hom's
+    preimage of v, each looked up among the source's ultrafilter rows.  The
     entries are those positions, so only continuity is tested.  A preimage
-    that is not an ultrafilter is named by its members, read off its row.
+    that is not an ultrafilter is named by its members, read off its row:
+    the first in the order of v, then of the homs.
     """
+    hom = homs[0]
     src_space = dual_space(hom.target)
     dst_space = dual_space(hom.source)
     index = _ultrafilter_rows(hom.source)[0]
-    image = bytes(hom.table)
     indicators = _ultrafilter_rows(hom.target)[1]
-    table = tuple([index.get(image.translate(v)) for v in indicators])
+    size, lanes = hom.source.size, len(homs)
+    images = b"".join([bytes(h.table) for h in homs])
+    rows = [slice(start, start + size) for start in range(0, len(images), size)]
+    table = []
+    for v in indicators:
+        members = images.translate(v)
+        table += map(index.get, map(members.__getitem__, rows))
     if None in table:
-        row = image.translate(indicators[table.index(None)])
+        k = table.index(None)
+        row = images.translate(indicators[k // lanes])[rows[k % lanes]]
         members = frozenset(a for a, inside in enumerate(row) if inside)
         raise InvariantViolation("hom preimage of an ultrafilter is not one", members)
-    return _checked_map(src_space, dst_space, table)
+    return _checked_lanes(src_space, dst_space, bytes(table), lanes)
 
 
 class ClopenAlgebra:

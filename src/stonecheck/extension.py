@@ -218,7 +218,14 @@ def sigma_extend(h: BoolHom) -> tuple[int, ...]:
     """Extend a homomorphism by the filter-quantified join formula, as the
     table of the extension between the powersets of the ultrafilter sets:
     entry A is the image of the point set with bitmask A over the source
-    ultrafilter order, itself a bitmask over the target order.
+    ultrafilter order, itself a bitmask over the target order.  The block
+    of one hom of ``sigma_lanes``."""
+    return tuple(sigma_lanes([h]))
+
+
+def sigma_lanes(homs: Sequence[BoolHom]) -> bytes:
+    """The extension tables of a block of homs with one source and one
+    target, one lane per hom: entry A of lane j is byte ``A * lanes + j``.
 
     For every point set A, the image is the union over all filters F of the
     source whose embedded intersection lies inside A of the intersection of
@@ -227,54 +234,62 @@ def sigma_extend(h: BoolHom) -> tuple[int, ...]:
     intersection is the generator's entry intersected with those of the
     subfilters: n * 2**(n - 1) ANDs for n points rather than one per
     member, 3**n.  The embedded intersections depend on the source alone,
-    so the source's filter plan (``_filter_plan``) holds them, and each
-    hom takes only the intersections of the h-images.  The union is a
-    subset zeta transform (Bjorklund, Husfeldt, Kaski & Koivisto,
-    "Fourier meets Moebius: fast subset convolution", STOC 2007): each
-    filter's image is scattered to the entry of its embedded intersection,
-    and then each entry takes the union of the entries of its subsets, one
-    point at a time, in O(n * 2**n) steps rather than O(filters * 2**n).
-    The entries are target point sets, below 2**MAX_ATOMS, so the table is
-    the bytes of one int, and each point's step is one shift of it by the
-    point's bit in bytes, masked to the entries that hold the point.
-    The table is not checked here: the harness battery judges it
+    so the source's filter plan (``_filter_plan``) holds them, and the
+    block takes only the intersections of the h-images.  Each of those is
+    one int with a byte per lane: the generator's column of the block's
+    image tables translated through the target's Stone embedding, ANDed
+    with the ints of the subfilters.  The union is a subset zeta transform
+    (Bjorklund, Husfeldt, Kaski & Koivisto, "Fourier meets Moebius: fast
+    subset convolution", STOC 2007): each filter's image is scattered to
+    the entry of its embedded intersection, and then each entry takes the
+    union of the entries of its subsets, one point at a time, in
+    O(n * 2**n) steps rather than O(filters * 2**n).  The entries are
+    target point sets, below 2**MAX_ATOMS, so the block's tables are the
+    bytes of one int, and each point's step is one shift of it by the
+    point's bit in entries, masked to the entries that hold the point.
+    The tables are not checked here: the harness battery judges them
     (``sigma_is_boolean_hom`` implies order preservation, and
     ``sigma_equals_double_dual`` with ``embedded_elements_preserved``
-    implies that it extends h), so a wrong table becomes a failed check
-    with a witness.
+    implies that each extends its hom), so a wrong table becomes a failed
+    check with a witness.
     """
+    h = homs[0]
     src, dst = h.source, h.target
     if src.bottom == src.top or dst.bottom == dst.top:
         raise DegenerateAlgebra("extension needs nondegenerate algebras")
-    n1 = src.atom_count
-    plan, inter1s, zeta = _filter_plan(src)
+    n1, size, count = src.atom_count, src.size, len(homs)
+    plan, inter1s = _filter_plan(src)
     phi2 = phi_table(dst)
-    image = h.table
+    # byte j * size + a is phi2 of hom j's image of a, so column g is
+    # every hom's embedded image of g
+    images = b"".join([bytes(g.table) for g in homs]).translate(bytes(phi2).ljust(256, b"\0"))
     inter2s = [0] * len(plan)
     for k, g, subfilters in plan:
-        inter2 = phi2[image[g]]
+        inter2 = int.from_bytes(images[g::size], "little")
         for j in subfilters:
             inter2 &= inter2s[j]
         inter2s[k] = inter2
     table = [0] * (1 << n1)
     for inter1, inter2 in zip(inter1s, inter2s):
         table[inter1] |= inter2
-    # entry A is byte A of one int, and each point's step ORs in every
-    # entry without the point, shifted onto the entries that hold it
-    lanes = int.from_bytes(bytes(table), "little")
-    for shift, holds_point in zeta:
+    # entry A is bytes A * count to A * count + count of one int, and each
+    # point's step ORs in every entry without the point, shifted onto the
+    # entries that hold it
+    width = count << n1
+    lanes = int.from_bytes(b"".join([t.to_bytes(count, "little") for t in table]), "little")
+    for run in (count << p for p in range(n1)):
+        shift, holds_point = run << 3, (bytes(run) + b"\xff" * run) * (width // run >> 1)
+        holds_point = int.from_bytes(holds_point, "little")
         lanes |= lanes << shift & holds_point
-    return tuple(lanes.to_bytes(1 << n1, "little"))
+    return lanes.to_bytes(width, "little")
 
 
 @object_cache
-def _filter_plan(algebra: FinBoolAlg) -> tuple[tuple, tuple[int, ...], tuple]:
+def _filter_plan(algebra: FinBoolAlg) -> tuple[tuple, tuple[int, ...]]:
     """Each filter of ``all_filters`` as (its position, its generator, the
     positions of its maximal proper subfilters), smaller filters first, and
     the embedded intersection of each filter, by position: the Stone
-    embedding of its generator intersected with those of its subfilters;
-    and, for ``sigma_extend``'s zeta transform, each point's shift in bits
-    with the mask of the bytes of the point sets that hold it.
+    embedding of its generator intersected with those of its subfilters.
 
     The generator is the member whose up-set is the filter, and the
     maximal proper subfilters are the up-sets of the members that cover it:
@@ -307,12 +322,7 @@ def _filter_plan(algebra: FinBoolAlg) -> tuple[tuple, tuple[int, ...], tuple]:
         inters[k] = phi[g]
         for j in subfilters:
             inters[k] &= inters[j]
-    sets = range(1 << algebra.atom_count)
-    zeta = tuple(
-        (8 << p, 255 * int.from_bytes(bytes([A >> p & 1 for A in sets]), "little"))
-        for p in range(algebra.atom_count)
-    )
-    return tuple(entry[1:] for entry in plan), tuple(inters), zeta
+    return tuple(entry[1:] for entry in plan), tuple(inters)
 
 
 def completion_isomorphic(c1: Completion, c2: Completion) -> tuple[int, ...] | None:

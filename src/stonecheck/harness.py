@@ -44,6 +44,7 @@ from __future__ import annotations
 import itertools
 import random
 from functools import cache
+from operator import add
 from typing import Callable, Iterator, Sequence
 
 from .algebra import (
@@ -51,7 +52,6 @@ from .algebra import (
     BoolHom,
     FieldEquality,
     FinBoolAlg,
-    _subset_unions,
     all_homs,
     atom_additive,
     atom_function_of_hom,
@@ -62,20 +62,21 @@ from .algebra import (
 )
 from .compactification import (
     BetaSpace,
-    beta_lift,
+    beta_lift_lanes,
     beta_space,
-    extension_candidates,
+    extension_candidates_lanes,
     sole_extension,
 )
 from .duality import (
+    ContinuousLanes,
     ContinuousMap,
-    dual_map,
+    dual_map_lanes,
     hat_phi_table,
     phi_table,
     stone_representation,
 )
 from .errors import BoundExceeded, InvariantViolation, NoClopenPreimage
-from .extension import canonical_extension, sigma_extend
+from .extension import canonical_extension, sigma_extend, sigma_lanes
 
 
 class DiagramBundle:
@@ -175,38 +176,90 @@ def hom_descriptor(
     return d
 
 
+class DiagramLanes:
+    """Every arrow of the construction square for a block of homs with one
+    source and one target, one lane per hom, as ``DiagramBundle`` holds
+    them for one: the maps as ``ContinuousLanes``, the double dual and the
+    lift with entry A of lane j at byte ``A * lanes + j``, and the number
+    of continuous extensions each lane's search found."""
+
+    __slots__ = (
+        "homs", "h_star", "beta1", "beta2", "h_star_beta",
+        "double_dual", "candidate_counts", "lift", "__weakref__",
+    )
+
+    def __init__(
+        self,
+        homs: Sequence[BoolHom],
+        h_star: ContinuousLanes,
+        beta1: BetaSpace,
+        beta2: BetaSpace,
+        h_star_beta: ContinuousLanes,
+        double_dual: bytes,
+        candidate_counts: list[int],
+        lift: bytes,
+    ) -> None:
+        self.homs = homs
+        self.h_star = h_star
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.h_star_beta = h_star_beta
+        self.double_dual = double_dual
+        self.candidate_counts = candidate_counts
+        self.lift = lift
+
+    def bundle(self, j: int) -> DiagramBundle:
+        """Lane j as a ``DiagramBundle`` of its own."""
+        lanes = len(self.homs)
+        return DiagramBundle(
+            self.homs[j], self.h_star.lane(j), self.beta1, self.beta2, self.h_star_beta.lane(j),
+            tuple(self.double_dual[j::lanes]), self.candidate_counts[j], tuple(self.lift[j::lanes]),
+        )
+
+
 def build_diagram(h: BoolHom) -> DiagramBundle:
-    """Construct every arrow of the square, without judging it.
+    """Construct every arrow of the square, without judging it: the block
+    of one hom of ``diagram_lanes``."""
+    return diagram_lanes([h]).bundle(0)
+
+
+def diagram_lanes(homs: Sequence[BoolHom]) -> DiagramLanes:
+    """Construct every arrow of the square for each hom of a block, without
+    judging it.
 
     The compactified map is computed twice -- once as the certified unique
     continuous extension, once by the ultrafilter lift formula.  Whether the
     two tables agree and whether the square commutes is decided by the
     battery's ``lift_paths_agree`` and ``extension_square_commutes`` checks.
     """
-    h_star = dual_map(h)
-    side1, side2 = _diagram_side(h.source), _diagram_side(h.target)
+    h_star = dual_map_lanes(homs)
+    side1, side2 = _diagram_side(homs[0].source), _diagram_side(homs[0].target)
     beta1, beta2 = side1.beta, side2.beta
-    embed1 = beta1.embed
-    composed = tuple([embed1[v] for v in h_star.table])
-    candidates = extension_candidates(beta2, composed, beta1.space)
+    composed = h_star.table.translate(bytes(beta1.embed).ljust(256, b"\0"))
+    candidates = extension_candidates_lanes(beta2, composed, beta1.space, len(homs))
     via_extension = sole_extension(candidates)
-    via_formula = beta_lift(h_star, beta2, beta1)
-    double_dual = _double_dual_entries(side1, side2, via_extension, range(1 << beta1.base.size))
-    return DiagramBundle(
-        h, h_star, beta1, beta2, via_extension, double_dual, len(candidates), via_formula.table
+    counts = [0] * len(homs)
+    for _, found in candidates:
+        counts = list(map(add, counts, found.to_bytes(len(homs), "little")))
+    via_formula = beta_lift_lanes(h_star, beta2, beta1)
+    double_dual = _double_dual_lanes(side1, side2, via_extension.preimages, len(homs))
+    return DiagramLanes(
+        homs, h_star, beta1, beta2, via_extension, double_dual, counts, via_formula.table
     )
 
 
 class _DiagramSide:
     """What the diagram path reads of one algebra, whatever the hom: the
-    compactification of its ultrafilters, its ``hat_phi_table``, and two
-    values derived from that table when the record is made.  ``fibres``
-    inverts it: every subset mask with a given point mask, keyed by that
-    mask, so a point mask with no subset is absent and one with several
-    lists them all.  Row d, byte A of ``bit_rows`` is 1 when the
+    compactification of its ultrafilters, its ``hat_phi_table``, and values
+    derived from that table when the record is made.  ``fibres`` inverts
+    it: every subset mask with a given point mask, keyed by that mask, so a
+    point mask with no subset is absent and one with several lists them
+    all; ``inverse`` and ``unmatched`` are 256-byte ``bytes.translate``
+    tables of it, byte m the one subset with point mask m, and 1 when m
+    has none or several.  Row d, byte A of ``bit_rows`` is 1 when the
     double-dual point d lies in hat_phi(A)."""
 
-    __slots__ = ("beta", "hat_phi", "fibres", "bit_rows", "__weakref__")
+    __slots__ = ("beta", "hat_phi", "fibres", "inverse", "unmatched", "bit_rows", "__weakref__")
 
     def __init__(self, beta: BetaSpace, hat_phi: tuple[int, ...]) -> None:
         self.beta = beta
@@ -214,7 +267,17 @@ class _DiagramSide:
         self.fibres = fibres = {}
         for subset_mask, points in enumerate(hat_phi):
             fibres[points] = fibres.get(points, ()) + (subset_mask,)
+        self.inverse, self.unmatched = _fibre_tables(fibres)
         self.bit_rows = tuple(bytes(p >> d & 1 for p in hat_phi) for d in range(beta.base.size))
+
+
+def _fibre_tables(fibres: dict[int, tuple[int, ...]]) -> tuple[bytes, bytes]:
+    """The ``inverse`` and ``unmatched`` translation tables of a side's fibres."""
+    inverse, unmatched = bytearray(256), bytearray(b"\1" * 256)
+    for points, subsets in fibres.items():
+        if 0 <= points < 256 and len(subsets) == 1:
+            inverse[points], unmatched[points] = subsets[0], 0
+    return bytes(inverse), bytes(unmatched)
 
 
 @object_cache
@@ -225,34 +288,34 @@ def _diagram_side(algebra: FinBoolAlg) -> _DiagramSide:
 
 def double_dual_map(bundle: DiagramBundle, subset_mask: int) -> int:
     """The dual of the compactified map at one subset, by its defining
-    preimage equation (see ``_double_dual_entries``)."""
+    preimage equation (see ``_double_dual_lanes``)."""
     sides = _diagram_side(bundle.hom.source), _diagram_side(bundle.hom.target)
-    return _double_dual_entries(*sides, bundle.h_star_beta, (subset_mask,))[0]
+    return _double_dual_lanes(*sides, bytes(bundle.h_star_beta.preimages), 1)[subset_mask]
 
 
-def _double_dual_entries(
-    source: _DiagramSide, target: _DiagramSide, h_star_beta: ContinuousMap, masks: Sequence[int]
-) -> tuple[int, ...]:
-    """The dual of the compactified map at each of the given subsets.
+def _double_dual_lanes(
+    source: _DiagramSide, target: _DiagramSide, preimages: bytes, lanes: int
+) -> bytes:
+    """The dual of each lane's compactified map at every subset, entry A of
+    lane j at byte ``A * lanes + j``.
 
     Embeds each subset into the double dual (the source's ``hat_phi``),
-    pulls it back through the compactified map (its preimage table), and
-    looks up the target subsets whose embedding equals that preimage (the
-    target's ``fibres``).  Duality guarantees exactly one: a miss raises
-    NoClopenPreimage and several raise InvariantViolation, both
-    library-bug signals, at the first subset in the given order that has
-    them.
+    pulls it back through every lane's compactified map (the preimage
+    tables, one run per lane), and translates that preimage into the
+    target subset whose embedding it is (the target's ``inverse``).
+    Duality guarantees exactly one: a miss raises NoClopenPreimage and
+    several raise InvariantViolation, both library-bug signals, at the
+    first subset that has them in some lane.
     """
-    upstairs, pre, fibres = source.hat_phi, h_star_beta.preimages, target.fibres
-    table = []
-    for a in masks:
-        matches = fibres.get(pre[upstairs[a]], ())
-        if len(matches) != 1:
-            if not matches:
-                raise NoClopenPreimage("preimage is not the embedding of any subset", a)
-            raise InvariantViolation("double-dual image is not unique", a)
-        table.append(matches[0])
-    return tuple(table)
+    size = 1 << source.beta.base.size
+    pulled = b"".join([preimages[upstairs::size] for upstairs in source.hat_phi])
+    misses = pulled.translate(target.unmatched)
+    if 1 in misses:
+        k = misses.index(1)
+        if not target.fibres.get(pulled[k], ()):
+            raise NoClopenPreimage("preimage is not the embedding of any subset", k // lanes)
+        raise InvariantViolation("double-dual image is not unique", k // lanes)
+    return pulled.translate(target.inverse)
 
 
 def shrink_failing_hom(h: BoolHom, fails: Callable[[BoolHom], bool]) -> dict:
@@ -319,6 +382,12 @@ BATTERY = (
 )
 _ALL_PASSED = tuple(map(_passed, BATTERY))
 
+# byte translations: a point x below 8 to its one-point mask 1 << x; a
+# byte to 1 when it is nonzero; a byte to its popcount
+_ONE_HOT = bytes([1 << x for x in range(8)]).ljust(256, b"\0")
+_NONZERO = b"\0" + b"\1" * 255
+_POPCOUNT = bytes([x.bit_count() for x in range(256)])
+
 
 def _verdict(name: str, witness: dict | None) -> CheckResult:
     """A check that passes exactly when it found no witness."""
@@ -330,110 +399,261 @@ def _first(witnesses):
     return next(iter(witnesses), None)
 
 
+def _differing(a: bytes, b: bytes, lanes: int, run: int = 0) -> set[int]:
+    """The lanes in which two blocks of one layout differ: entry A of lane j
+    at byte ``A * lanes + j``, or, with a ``run``, at ``j * run + A``."""
+    if run:
+        return {j for j in range(lanes) if a[j * run : j * run + run] != b[j * run : j * run + run]}
+    return {j for j in range(lanes) if a[j::lanes] != b[j::lanes]}
+
+
 def _hom_checks(h: BoolHom, bundle: DiagramBundle, sigma_table) -> list[CheckResult]:
-    """The per-homomorphism battery: the main theorem, its corollary, and
-    the compactification facts the diagram rests on."""
-    double_dual, h_star, h_star_beta = bundle.double_dual, bundle.h_star, bundle.h_star_beta
+    """The per-homomorphism battery: the checks of ``_lane_checks`` on the
+    block of one hom that a bundle and a sigma table make."""
+
+    def one(f: ContinuousMap) -> ContinuousLanes:
+        return ContinuousLanes(f.source, f.target, bytes(f.table), bytes(f.preimages), 1)
+
+    diagram = DiagramLanes(
+        [h], one(bundle.h_star), bundle.beta1, bundle.beta2, one(bundle.h_star_beta),
+        bytes(bundle.double_dual), [bundle.candidate_count], bytes(bundle.lift),
+    )
+    (checks,), _ = _lane_checks(diagram, bytes(sigma_table))
+    return list(_ALL_PASSED) if checks is None else checks
+
+
+def _premises(images: bytes, elements: int, size: int) -> tuple[list[bool], list[bool]]:
+    """Whether each hom of a block is one-to-one and whether it is onto,
+    from its image table, one run of ``elements`` bytes per hom: as many
+    distinct images as source elements, or as the target's ``size``."""
+    rows = [slice(start, start + elements) for start in range(0, len(images), elements)]
+    distinct = list(map(len, map(set, map(images.__getitem__, rows))))
+    return [d == elements for d in distinct], [d == size for d in distinct]
+
+
+def _lane_checks(diagram: DiagramLanes, sigma: bytes) -> tuple[list, tuple[int, int, int]]:
+    """The per-homomorphism battery over a block: the main theorem, its
+    corollary, and the compactification facts the diagram rests on.
+
+    Each check is one test of the whole block, a few translations, joins,
+    shifts and masks, that names the lanes it may fail in; a named lane
+    then gets the plain scan of its own tables, in index order, so each
+    check reports the first witness of the literal scan.  Returns, per
+    lane, None when all eleven checks pass, else its list of results; and
+    how many homs of the block are one-to-one, onto, and both, the premises
+    of the corollary's three checks.
+    """
+    homs = diagram.homs
+    h, lanes = homs[0], len(homs)
+    double_dual, h_star, lifted = diagram.double_dual, diagram.h_star, diagram.h_star_beta.table
+    beta1, beta2 = diagram.beta1, diagram.beta2
+    n1, n2 = beta1.base.size, beta2.base.size
+    size1, size2 = 1 << n1, 1 << n2
+    elements = h.source.size
+    images = b"".join([bytes(g.table) for g in homs])
+    suspects: list = [()] * len(BATTERY)
+
+    if sigma != double_dual:
+        suspects[0] = _differing(sigma, double_dual, lanes)
+    phi1, phi2 = phi_table(h.source), phi_table(h.target)
+    columns = b"".join([images[a::elements] for a in range(elements)])
+    embedded = b"".join([double_dual[e * lanes : e * lanes + lanes] for e in phi1])
+    expected = columns.translate(bytes(phi2).ljust(256, b"\0"))
+    if embedded != expected:
+        suspects[1] = _differing(embedded, expected, lanes)
+    # h_*^beta(nabla) lies in hat_phi(A) exactly when h_*^-1(A) is in nabla:
+    # per point nabla, one byte row over A of each side, one run per lane
+    bit_rows = _diagram_side(h.source).bit_rows
+    remark: set[int] = set()
+    for d, indicator in enumerate(beta2.indicators):
+        row = h_star.preimages.translate(indicator)
+        want = b"".join(map(bit_rows.__getitem__, lifted[d * lanes : d * lanes + lanes]))
+        if row != want:
+            remark |= _differing(row, want, lanes, size1)
+    suspects[2] = remark
+    suspects[3] = _lawless_lanes(sigma, n1, n2, lanes)
+
+    injective, surjective = _premises(images, elements, h.target.size)
+    tables = [sigma[j::lanes] for j in range(lanes)]
+    values = list(map(set, tables))
+    sigma_inj = [len(v) == size1 for v in values]
+    sigma_surj = list(map(set(range(size2)).__eq__, values))
+    suspects[4] = {j for j in range(lanes) if injective[j] and not sigma_inj[j]}
+    suspects[5] = {j for j in range(lanes) if surjective[j] and not sigma_surj[j]}
+    bijective = [j for j in range(lanes) if injective[j] and surjective[j]]
+    iso_fails = set()
+    for j in bijective:
+        iso_ok = sigma_inj[j] and sigma_surj[j]
+        if iso_ok:
+            inverse = sorted(range(size1), key=tables[j].__getitem__)
+            iso_ok = atom_additive(inverse, n2, n1)
+        if not iso_ok:
+            iso_fails.add(j)
+    suspects[6] = iso_fails
+    suspects[7] = {j for j, count in enumerate(diagram.candidate_counts) if count != 1}
+    moved = b"".join([lifted[e * lanes : e * lanes + lanes] for e in beta2.embed])
+    embedded_images = h_star.table.translate(bytes(beta1.embed).ljust(256, b"\0"))
+    if moved != embedded_images:
+        suspects[8] = _differing(moved, embedded_images, lanes)
+    if diagram.lift != lifted:
+        suspects[9] = _differing(diagram.lift, lifted, lanes)
+    # per point d, its membership row over A lies within the row of whether
+    # the forward image of A is in d's lifted point: every lifted point's
+    # row is one bit of a byte per entry, picked by the lane's lifted point
+    forward = _forward_images(h_star.table, lanes)
+    packed = sum(int.from_bytes(ind, "little") << e for e, ind in enumerate(beta1.indicators))
+    held = int.from_bytes(forward.translate(packed.to_bytes(256, "little")), "little")
+    spread = (bytes(lanes), b"\1" * lanes)
+    rows2 = beta2.members.to_bytes(n2 * size2, "big")
+    lemma: set[int] = set()
+    for d in range(n2):
+        picked = lifted[d * lanes : d * lanes + lanes].translate(_ONE_HOT) * size2
+        covered = (held & int.from_bytes(picked, "little")).to_bytes(len(forward), "little")
+        covered = covered.translate(_NONZERO)
+        needed = b"".join(map(spread.__getitem__, rows2[d * size2 : d * size2 + size2]))
+        lost = int.from_bytes(needed, "little") & ~int.from_bytes(covered, "little")
+        if lost:
+            lost_bytes = lost.to_bytes(len(forward), "little")
+            lemma |= {k % lanes for k, x in enumerate(lost_bytes) if x}
+    suspects[10] = lemma
+
+    verdicts: list = [None] * lanes
+    for j in sorted(set().union(*suspects)):
+        flagged = [j in named for named in suspects]
+        bundle, table = diagram.bundle(j), tuple(tables[j])
+        witnesses = _lane_witnesses(homs[j], bundle, table, forward[j::lanes], flagged)
+        if witnesses.count(None) != len(BATTERY):
+            verdicts[j] = list(map(_verdict, BATTERY, witnesses))
+    return verdicts, (sum(injective), sum(surjective), len(bijective))
+
+
+def _lane_witnesses(
+    h: BoolHom, bundle: DiagramBundle, sigma_table: tuple, forward: bytes, flagged: list[bool]
+) -> list[dict | None]:
+    """The witness of each flagged check on one hom's own tables, by the
+    plain scans, in index order; None for the checks not flagged and for
+    those whose scan finds nothing.  ``forward`` is the hom's forward-image
+    table (``_forward_images``)."""
+    witnesses: list[dict | None] = [None] * len(BATTERY)
+    double_dual, h_star, lifted = bundle.double_dual, bundle.h_star, bundle.h_star_beta.table
     beta1, beta2 = bundle.beta1, bundle.beta2
     n1, n2 = beta1.base.size, beta2.base.size
-    full2 = (1 << n2) - 1
     points1, points2 = beta1.points_as_ultrafilters, beta2.points_as_ultrafilters
-    indicators1, indicators2 = beta1.indicators, beta2.indicators
-    lifted = h_star_beta.table
-
-    mismatch = None
-    if sigma_table != double_dual:
-        mismatch = _first(
-            a
-            for a in sorted(range(1 << n1), key=lambda m: (bin(m).count("1"), m))
-            if sigma_table[a] != double_dual[a]
+    if flagged[0]:
+        witnesses[0] = _sigma_mismatch(h, sigma_table, double_dual)
+    if flagged[1]:
+        phi1, phi2 = phi_table(h.source), phi_table(h.target)
+        witnesses[1] = _first(
+            {"element": a}
+            for a in range(h.source.size)
+            if double_dual[phi1[a]] != phi2[h.table[a]]
         )
-    sigma_witness = None
-    if mismatch is not None:
-
-        def still_fails(candidate: BoolHom) -> bool:
-            cb = build_diagram(candidate)
-            ct = sigma_extend(candidate)
-            return any(ct[m] != cb.double_dual[m] for m in range(len(ct)))
-
-        sigma_witness = {
-            "subset_mask": mismatch,
-            "sigma": sigma_table[mismatch],
-            "double_dual": double_dual[mismatch],
-            "shrunk": shrink_failing_hom(h, still_fails),
-        }
-
-    phi1, phi2 = phi_table(h.source), phi_table(h.target)
-    element = _first(
-        {"element": a}
-        for a in range(h.source.size)
-        if double_dual[phi1[a]] != phi2[h.table[a]]
-    )
-    # h_*^beta(nabla) lies in hat_phi(A) exactly when h_*^-1(A) is in nabla:
-    # per point nabla, one byte row over A of each side
-    preimages = h_star.preimages
-    pre_row = bytes(preimages)
-    remark = None
-    bit_rows = _diagram_side(h.source).bit_rows
-    if any(
-        pre_row.translate(indicator) != bit_rows[img]
-        for indicator, img in zip(indicators2, lifted)
-    ):
-        remark = _first(
+    if flagged[2]:
+        preimages = h_star.preimages
+        witnesses[2] = _first(
             {"subset_mask": a, "point": d}
             for a, upstairs in enumerate(_diagram_side(h.source).hat_phi)
             for d, img in enumerate(lifted)
             if upstairs >> img & 1 != points2[d].members >> preimages[a] & 1
         )
-    hom_law = _hom_law_witness(sigma_table, n1, n2)
-
-    h_inj, h_surj = h.is_injective, h.is_surjective
-    sigma_values = set(sigma_table)
-    sigma_inj = len(sigma_values) == len(sigma_table)
-    sigma_surj = sigma_values == set(range(full2 + 1))
-    iso_ok = sigma_inj and sigma_surj
-    if iso_ok:
-        inverse = [0] * (full2 + 1)
-        for a, b in enumerate(sigma_table):
-            inverse[b] = a
-        iso_ok = atom_additive(inverse, n2, n1)
-
-    def unless(law_holds: bool) -> dict | None:
-        return None if law_holds else {"table": list(sigma_table)}
-
-    square = _first(
-        {"point": v} for v in range(n2) if lifted[beta2.embed[v]] != beta1.embed[h_star.table[v]]
-    )
-    # per point d, its membership row over A lies within the row of whether
-    # the forward image of A is in d's lifted point: all points as one integer
-    images = _forward_images(h_star.table)
-    image_row = bytes(images)
-    covered = b"".join([image_row.translate(indicators1[img]) for img in lifted])
-    lemma = None
-    if beta2.members & ~int.from_bytes(covered, "big"):
-        lemma = _first(
+    if flagged[3]:
+        witnesses[3] = _hom_law_witness(sigma_table, n1, n2)
+    for k in (4, 5, 6):
+        if flagged[k]:
+            witnesses[k] = {"table": list(sigma_table)}
+    if flagged[7]:
+        witnesses[7] = {"candidates": bundle.candidate_count}
+    if flagged[8]:
+        witnesses[8] = _first(
+            {"point": v} for v in range(n2) if lifted[beta2.embed[v]] != beta1.embed[h_star.table[v]]
+        )
+    if flagged[9]:
+        witnesses[9] = {"lift": list(bundle.lift), "extension": list(lifted)}
+    if flagged[10]:
+        witnesses[10] = _first(
             {"point": d, "member_mask": a}
             for d, nabla in enumerate(points2)
             for a in range(1 << n2)
-            if nabla.members >> a & 1 and not points1[lifted[d]].members >> images[a] & 1
+            if nabla.members >> a & 1 and not points1[lifted[d]].members >> forward[a] & 1
         )
+    return witnesses
 
-    candidates, lift = bundle.candidate_count, bundle.lift
-    witnesses = (
-        sigma_witness, element, remark, hom_law, unless(not h_inj or sigma_inj),
-        unless(not h_surj or sigma_surj), unless(not (h_inj and h_surj) or iso_ok),
-        None if candidates == 1 else {"candidates": candidates}, square,
-        None if lift == lifted else {"lift": list(lift), "extension": list(lifted)}, lemma,
+
+def _sigma_mismatch(h: BoolHom, sigma_table: tuple, double_dual: tuple) -> dict | None:
+    """The first subset, fewest points first, where sigma and the double
+    dual differ, with the failing instance shrunk; None when none does."""
+    mismatch = _first(
+        a
+        for a in sorted(range(len(sigma_table)), key=lambda m: (bin(m).count("1"), m))
+        if sigma_table[a] != double_dual[a]
     )
-    if witnesses.count(None) == len(BATTERY):
-        return list(_ALL_PASSED)
-    return list(map(_verdict, BATTERY, witnesses))
+    if mismatch is None:
+        return None
+
+    def still_fails(candidate: BoolHom) -> bool:
+        cb = build_diagram(candidate)
+        ct = sigma_extend(candidate)
+        return any(ct[m] != cb.double_dual[m] for m in range(len(ct)))
+
+    return {
+        "subset_mask": mismatch,
+        "sigma": sigma_table[mismatch],
+        "double_dual": double_dual[mismatch],
+        "shrunk": shrink_failing_hom(h, still_fails),
+    }
 
 
-def _forward_images(table: tuple[int, ...]) -> list[int]:
-    """The image of every point set (bitmask) under a point table, indexed
-    by the set."""
-    return _subset_unions([1 << v for v in table])
+def _unions(cells: bytes, points: int, lanes: int) -> bytes:
+    """Each entry of a block, entry A of lane j at byte ``A * lanes + j``
+    over the subsets A of ``points`` points, ORed with the entries of its
+    subsets: the subset zeta transform of every lane at once, one shift of
+    the whole block by the point's bit in entries per point, masked to the
+    entries that hold the point."""
+    width = len(cells)
+    union = int.from_bytes(cells, "little")
+    for run in (lanes << p for p in range(points)):
+        holds_point = int.from_bytes((bytes(run) + b"\xff" * run) * (width // run >> 1), "little")
+        union |= union << (run << 3) & holds_point
+    return union.to_bytes(width, "little")
+
+
+def _forward_images(table, lanes: int = 1) -> bytes:
+    """The image of every point set (bitmask) under each lane's point table,
+    entry S of lane j at byte ``S * lanes + j``: the union of the one-point
+    masks of the images of the points of S."""
+    table = bytes(table)
+    points = len(table) // lanes
+    parts = [table[v * lanes : v * lanes + lanes].translate(_ONE_HOT) for v in range(points)]
+    cells = [bytes(lanes)] * (1 << points)
+    for v, part in enumerate(parts):
+        cells[1 << v] = part
+    return _unions(b"".join(cells), points, lanes)
+
+
+def _lawless_lanes(sigma: bytes, n1: int, n2: int, lanes: int) -> set[int]:
+    """The lanes of a block of tables from the n1-bit to the n2-bit masks,
+    entry A of lane j at byte ``A * lanes + j``, that ``atom_additive``
+    rejects: whose full mask does not go to the full mask, whose atom
+    images' popcounts do not sum to n2, or that are not the union of their
+    atom images."""
+    size1 = 1 << n1
+    parts = [sigma[(1 << x) * lanes : ((1 << x) + 1) * lanes] for x in range(n1)]
+    cells = [bytes(lanes)] * size1
+    for x, part in enumerate(parts):
+        cells[1 << x] = part
+    failing = set()
+    unions = _unions(b"".join(cells), n1, lanes)
+    if unions != sigma:
+        failing |= _differing(unions, sigma, lanes)
+    counts = sum(int.from_bytes(part.translate(_POPCOUNT), "little") for part in parts)
+    counts = counts.to_bytes(lanes, "little")
+    if counts != bytes([n2]) * lanes:
+        failing |= _differing(counts, bytes([n2]) * lanes, lanes)
+    top = bytes([(1 << n2) - 1]) * lanes
+    full = sigma[(size1 - 1) * lanes :]
+    if full != top:
+        failing |= _differing(full, top, lanes)
+    return failing
 
 
 def _hom_law_witness(sigma_table, n1: int, n2: int) -> dict | None:
@@ -498,46 +718,101 @@ def algebra_instance(atom_count: int) -> InstanceReport:
 class SuitePlan(FieldEquality):
     """Every instance of a suite run in report order (``suite_plan``).  A hom
     entry is (source atoms, atom function, hom, None) when exhaustive and
-    (source atoms, atom function, None, sample index) when sampled."""
+    (source atoms, atom function, None, sample index) when sampled.
+    ``premises`` counts, as the homs run, the distinct homs that are
+    one-to-one, onto, and both."""
 
     _fields = ("homs", "algebra_sizes")
-    __slots__ = (*_fields, "__weakref__")
+    __slots__ = (*_fields, "premises", "__weakref__")
 
     def __init__(self, homs: list[tuple], algebra_sizes: list[int]) -> None:
         self.homs = homs
         self.algebra_sizes = algebra_sizes
+        self.premises = [0, 0, 0]
 
     def __len__(self) -> int:
         return len(self.homs) + len(self.algebra_sizes)
 
     def run(self) -> Iterator[tuple[InstanceReport, int | None]]:
         """Make each instance in order, a sampled draw with the sample index
-        of its hom's first draw, an exhaustive hom with None.  The draws of
-        one atom function are adjacent in report order, so the battery runs
-        once per source size while they last: every later draw of a hom
-        shares the ``checks`` of its first draw.  No instance is kept, and
-        a hom's verdicts only until its atom function's draws end."""
+        of its hom's first draw, an exhaustive hom with None.
+
+        The distinct homs with one source and one target size are one
+        block, and a block's battery runs, one lane per hom, when its first
+        hom comes up; each hom's verdicts are kept until its first draw is
+        made.  A block that raises is run again one hom at a time, each
+        when it comes up, so an error names its hom after the instances
+        before it.  The draws of one atom function are adjacent in report
+        order, so every later draw of a hom shares the ``checks`` of its
+        first draw.  No instance is kept, and a hom's verdicts only until
+        its atom function's draws end."""
+        lanes: dict[tuple, int] = {}
+        blocks: dict[tuple[int, int], list] = {}
+        for k1, g, h, _ in self.homs:
+            if (k1, g) not in lanes:
+                members = blocks.setdefault((k1, len(g)), [])
+                lanes[k1, g] = len(members)
+                members.append((g, h))
+        ran: dict[tuple[int, int], list] = {}
         firsts: dict[int, tuple[int, dict, list[CheckResult]]] = {}
         atom_function = None
         for k1, g, h, i in self.homs:
-            if i is None:
-                yield full_hom_instance(h, atom_function=g), None
-                continue
-            if g != atom_function:
-                firsts.clear()
-                atom_function = g
-            first = firsts.get(k1)
-            if first is None:
-                h = hom_from_atom_function(powerset_algebra(k1), powerset_algebra(len(g)), g)
-                inst = full_hom_instance(h, extra={"sample_index": i}, atom_function=g)
-                first = firsts[k1] = (i, inst.descriptor, inst.checks)
+            if i is not None:
+                if g != atom_function:
+                    firsts.clear()
+                    atom_function = g
+                first = firsts.get(k1)
+                if first is not None:
+                    yield InstanceReport(dict(first[1], sample_index=i), first[2]), first[0]
+                    continue
+            key = (k1, len(g))
+            if key not in ran:
+                ran[key] = self._run_block(k1, blocks.pop(key))
+            block, lane = ran[key], lanes.pop((k1, g))
+            h = block[0][lane]
+            extra = None if i is None else {"sample_index": i}
+            if block[1] is None:
+                inst = full_hom_instance(h, extra=extra, atom_function=g)
+                injective, surjective = _premises(bytes(h.table), h.source.size, h.target.size)
+                self._count(injective[0], surjective[0], injective[0] and surjective[0])
             else:
-                inst = InstanceReport(dict(first[1], sample_index=i), first[2])
-            yield inst, first[0]
+                descriptor = hom_descriptor(h, atom_function=g)
+                if extra:
+                    descriptor.update(extra)
+                checks = block[1][lane]
+                inst = InstanceReport(descriptor, list(_ALL_PASSED) if checks is None else checks)
+            block[2] -= 1
+            if not block[2]:
+                del ran[key]
+            if i is not None:
+                firsts[k1] = (i, inst.descriptor, inst.checks)
+            yield inst, i
             # the consumer has dropped it: free it before the next battery runs
             del inst
         for k in self.algebra_sizes:
             yield algebra_instance(k), None
+
+    def _run_block(self, k1: int, members: list[tuple]) -> list:
+        """The block's homs, each lane's verdicts (None when the block
+        raised) and how many of its homs are still to come."""
+        homs = [
+            h if h is not None else hom_from_atom_function(
+                powerset_algebra(k1), powerset_algebra(len(g)), g
+            )
+            for g, h in members
+        ]
+        try:
+            verdicts, premises = _lane_checks(diagram_lanes(homs), sigma_lanes(homs))
+        except Exception:
+            return [homs, None, len(homs)]
+        self._count(*premises)
+        return [homs, verdicts, len(homs)]
+
+    def _count(self, injective: int, surjective: int, bijective: int) -> None:
+        counts = self.premises
+        counts[0] += injective
+        counts[1] += surjective
+        counts[2] += bijective
 
 
 def suite_plan(max_atoms: int, sample: tuple[int, int] | None = None) -> SuitePlan:

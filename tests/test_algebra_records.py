@@ -2,7 +2,7 @@
 
 The filter formula reads its source's plan (``extension._filter_plan``) and
 the diagram chase each side's record (``harness._diagram_side``), so a
-hom's battery does only the work that depends on the hom.  Over the 4-atom
+block's battery does only the work that depends on its homs.  Over the 4-atom
 certificate each is built exactly once per algebra: counted in a fresh
 interpreter, since ``powerset_algebra`` outlives a test.  Each sits in the
 ``_cache`` of its algebra and is freed with it.
@@ -56,9 +56,10 @@ def test_each_path_builds_its_record_once_per_algebra_over_the_4_atom_certificat
     # one build per powerset algebra of 1 to 4 atoms, on each path
     assert result["misses"] == {"plan": 4, "side": 4}
     assert result["held"] == {"plan": [True] * 4, "side": [True] * 4}
-    # every other read is a hit: sigma reads its source's plan once per hom,
-    # and the diagram and the battery read three sides per hom
-    assert result["hits"] == {"plan": 494 - 4, "side": 3 * 494 - 4}
+    # every other read is a hit: sigma reads its source's plan once per
+    # block, and the diagram and the battery read three sides per block,
+    # over the 16 blocks of one source and one target size
+    assert result["hits"] == {"plan": 16 - 4, "side": 3 * 16 - 4}
 
 
 def test_each_record_sits_in_its_algebras_cache_and_is_freed_with_it():

@@ -1,7 +1,9 @@
 """Seeded faults in the diagram or the filter formula become failed checks.
 
 Each fault wraps ``build_diagram`` or ``sigma_extend`` as the harness sees
-them and corrupts one piece of their output.  Every one of the eleven
+them and corrupts one piece of their output; the faults run over a suite
+wrap the block functions behind them, ``diagram_lanes`` and
+``sigma_lanes``, and corrupt every lane alike.  Every one of the eleven
 checks of the per-homomorphism battery must fail for at least one fault,
 and the failing reports (witnesses and shrunk instances included) are
 pinned by digest so that refactoring the battery cannot change them.
@@ -11,9 +13,15 @@ import hashlib
 import json
 from pathlib import Path
 
+import stonecheck.extension as extension
 import stonecheck.harness as harness
 from helpers import replace, report_jsonable
-from stonecheck.algebra import _preimage_table, hom_from_atom_function, powerset_algebra
+from stonecheck.algebra import (
+    _preimage_lanes,
+    _preimage_table,
+    hom_from_atom_function,
+    powerset_algebra,
+)
 from stonecheck.cli import main
 from stonecheck.harness import (
     VerificationReport,
@@ -41,6 +49,32 @@ BATTERY = (
 def _shifted(table, points):
     """Every entry moved to the next point (a wrong table when points > 1)."""
     return tuple((v + 1) % points for v in table)
+
+
+def _shifted_lanes(table: bytes, points: int) -> bytes:
+    """``_shifted`` on every lane of a block."""
+    return table.translate(bytes((v + 1) % points for v in range(points)).ljust(256, b"\0"))
+
+
+def _wrong_lift_lanes(diagram):
+    return replace(diagram, lift=_shifted_lanes(diagram.lift, diagram.beta1.space.size))
+
+
+def _wrong_sigma_lanes(sigma, lanes):
+    """``_wrong_sigma`` on every lane of a block."""
+    return sigma[:lanes] * 2 + sigma[2 * lanes :]
+
+
+def _install_wrong_sigma(monkeypatch):
+    """Bind ``_wrong_sigma_lanes`` of the real blocks where the harness and
+    ``sigma_extend`` read ``sigma_lanes``, so the shrinker sees it too."""
+    real = extension.sigma_lanes
+
+    def wrong(homs):
+        return _wrong_sigma_lanes(real(homs), len(homs))
+
+    for module in (extension, harness):
+        monkeypatch.setattr(module, "sigma_lanes", wrong)
 
 
 def _two_candidates(bundle):
@@ -146,14 +180,15 @@ def test_fault_reports_stay_byte_identical(monkeypatch):
 
 
 def test_disagreeing_lift_is_a_failed_check_not_an_error(monkeypatch, capsys):
-    real_lift = harness.beta_lift
+    real_lift = harness.beta_lift_lanes
 
     def wrong_lift(f, bx, by):
         lifted = real_lift(f, bx, by)
-        table = _shifted(lifted.table, by.space.size)
-        return replace(lifted, table=table, preimages=_preimage_table(table, by.space.size))
+        table = _shifted_lanes(lifted.table, by.space.size)
+        pre = _preimage_lanes(table, lifted.lanes, by.space.size)
+        return replace(lifted, table=table, preimages=pre)
 
-    monkeypatch.setattr(harness, "beta_lift", wrong_lift)
+    monkeypatch.setattr(harness, "beta_lift_lanes", wrong_lift)
     code = main(["verify", str(SAMPLE), "identity_four", "--json"])
     captured = capsys.readouterr()
     assert code == 1
@@ -169,8 +204,8 @@ def test_disagreeing_lift_is_a_failed_check_not_an_error(monkeypatch, capsys):
 
 def test_fault_shows_on_every_repeated_draw_of_the_faulty_hom(monkeypatch):
     # the shifted lift is wrong exactly when the source has two atoms
-    real_build = harness.build_diagram
-    monkeypatch.setattr(harness, "build_diagram", lambda h: _wrong_lift(real_build(h)))
+    real_lanes = harness.diagram_lanes
+    monkeypatch.setattr(harness, "diagram_lanes", lambda homs: _wrong_lift_lanes(real_lanes(homs)))
     draws = {}
     for inst in exhaustive_suite(2, (5, 300)).instances:
         d = inst.descriptor
@@ -188,8 +223,7 @@ def test_fault_shows_on_every_repeated_draw_of_the_faulty_hom(monkeypatch):
 
 
 def test_failing_sampled_report_file_is_pinned(monkeypatch, tmp_path, capsys):
-    real_sigma = harness.sigma_extend
-    monkeypatch.setattr(harness, "sigma_extend", lambda h: _wrong_sigma(real_sigma(h)))
+    _install_wrong_sigma(monkeypatch)
     out = tmp_path / "report.json"
     argv = ["verify", "--all", "--max-atoms", "3", "--seed", "5", "--count", "40"]
     assert main([*argv, "--out", str(out)]) == 1

@@ -361,22 +361,26 @@ def test_writing_a_report_holds_no_copy_of_its_text(tmp_path):
 def test_verify_all_holds_at_most_one_hom_instance_at_a_time(monkeypatch, tmp_path, capsys):
     # each instance is written as it is made and freed once written; every
     # repeated draw takes the verdicts of its first, so the battery runs once
-    # per distinct hom
-    real = harness.full_hom_instance
-    made = []
+    # per distinct hom, in one block per source and target size
+    made, blocks = [], []
 
-    def tracked(*args, **kwargs):
-        assert [ref for ref in made if ref() is not None] == []
-        inst = real(*args, **kwargs)
-        made.append(weakref.ref(inst))
-        return inst
+    class Tracked(harness.InstanceReport):
+        __slots__ = ()
 
-    monkeypatch.setattr(harness, "full_hom_instance", tracked)
+        def __init__(self, *args):
+            assert [ref for ref in made if ref() is not None] == []
+            super().__init__(*args)
+            made.append(weakref.ref(self))
+
+    real = harness.diagram_lanes
+    monkeypatch.setattr(harness, "InstanceReport", Tracked)
+    monkeypatch.setattr(harness, "diagram_lanes", lambda homs: blocks.append(len(homs)) or real(homs))
     out = tmp_path / "report.json"
     argv = ["verify", "--all", "--max-atoms", "3", "--seed", "7", "--count", "500"]
     assert main([*argv, "--out", str(out)]) == 0
     assert capsys.readouterr().out == "503 instances, 5509 checks: all passed\n"
-    assert 1 < len(made) <= 56
+    assert len(made) == 503
+    assert len(blocks) == 9 and 1 < sum(blocks) <= 56
     assert all(ref() is None for ref in made)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "ba4b8ccc7a9d0fb7cc45e2d73b55a1c47e5ff8cc27402cacd1f2958a6361b84d"
@@ -430,6 +434,12 @@ def test_a_library_bug_mid_run_exits_3_and_leaves_the_instances_before_it(
             raise InvariantViolation("seeded library bug")
         return real(*args, **kwargs)
 
+    def broken_block(homs):
+        raise InvariantViolation("a block that raises")
+
+    # every block raises, so each hom runs alone when it comes up, through
+    # full_hom_instance, whose sigma_extend reads the unbroken sigma_lanes
+    monkeypatch.setattr(harness, "sigma_lanes", broken_block)
     monkeypatch.setattr(harness, "full_hom_instance", faulty)
     capsys.readouterr()
     out = tmp_path / "report.json"

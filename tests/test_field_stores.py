@@ -4,7 +4,7 @@ Records are plain ``__slots__`` classes (``algebra.FieldEquality``), so
 nothing at run time refuses a store to a field; this walk of the package's
 syntax trees does instead.  Outside an ``__init__`` the only attribute
 stores are the two attributes ``object_cache`` puts on its wrapper and the
-counters of ``cli._Tally``, and no code calls ``setattr`` or
+counters of ``cli._Tally`` and ``cli._Coverage``, and no code calls ``setattr`` or
 ``__setattr__``.
 """
 
@@ -23,6 +23,8 @@ ALLOWED = {
     ("cli", "_Tally.add", "self.checks"),
     ("cli", "_Tally.add", "self.passed"),
     ("cli", "_Tally.add", "self.due"),
+    ("cli", "_Coverage.add", "self.atoms"),
+    ("cli", "_Coverage.add", "self.seen"),
 }
 
 

@@ -152,7 +152,7 @@ def test_outer_rectangle_on_elements():
 def test_verify_corollary_injective_case():
     two, four = powerset_algebra(1), powerset_algebra(2)
     embed = hom_from_atom_function(two, four, (0, 0))
-    assert embed.is_injective
+    assert len(set(embed.table)) == embed.source.size
     assert full_hom_instance(embed).passed
     sigma = sigma_extend(embed)
     assert len(set(sigma)) == len(sigma)
@@ -161,7 +161,7 @@ def test_verify_corollary_injective_case():
 def test_verify_corollary_surjective_case():
     four, two = powerset_algebra(2), powerset_algebra(1)
     collapse = hom_from_atom_function(four, two, (0,))
-    assert collapse.is_surjective
+    assert set(collapse.table) == set(range(collapse.target.size))
     assert full_hom_instance(collapse).passed
     sigma = sigma_extend(collapse)
     assert set(sigma) == {0, 1}
@@ -199,22 +199,24 @@ def test_suite_at_three_atoms_matches_duality_count():
 
 def test_each_extension_search_tests_one_table(monkeypatch):
     # a validated finite Stone space is discrete, so the embedding forces
-    # every point of the beta space and no table is left to enumerate
+    # every point of the beta space and no table is left to enumerate: each
+    # block's search tests one block of tables, in one continuity test
     searches, tested = [], []
-    real_search, real_continuous = harness.extension_candidates, compactification._continuous
+    real_search, real_continuous = harness.extension_candidates_lanes, compactification._continuous
 
     def search(*args):
         before = len(tested)
         result = real_search(*args)
-        searches.append(len(tested) - before)
+        searches.append((len(tested) - before, args[-1]))
         return result
 
-    monkeypatch.setattr(harness, "extension_candidates", search)
+    monkeypatch.setattr(harness, "extension_candidates_lanes", search)
     monkeypatch.setattr(
         compactification, "_continuous", lambda *args: tested.append(args) or real_continuous(*args)
     )
     exhaustive_suite(3)
-    assert searches == [1] * 56
+    assert [tests for tests, _ in searches] == [1] * 9
+    assert sum(lanes for _, lanes in searches) == 56
 
 
 def test_suite_bound():
@@ -260,14 +262,15 @@ def test_sampled_suite_is_deterministic():
 
 
 def test_sampled_suite_runs_the_battery_once_per_distinct_hom(monkeypatch):
-    calls = {"build_diagram": 0, "sigma_extend": 0}
+    # one block per size pair, one lane per distinct hom
+    calls = {"diagram_lanes": [], "sigma_lanes": []}
 
     def counted(name):
         real = getattr(harness, name)
 
-        def wrapper(h):
-            calls[name] += 1
-            return real(h)
+        def wrapper(homs):
+            calls[name].append(len(homs))
+            return real(homs)
 
         return wrapper
 
@@ -286,7 +289,10 @@ def test_sampled_suite_runs_the_battery_once_per_distinct_hom(monkeypatch):
             k: v for k, v in first.descriptor.items() if k != "sample_index"
         }
     assert len(first_draw) < 300
-    assert calls == {"build_diagram": len(first_draw), "sigma_extend": len(first_draw)}
+    blocks = {(k1, len(g)) for k1, g in first_draw}
+    for lanes in calls.values():
+        assert len(lanes) == len(blocks) == 4
+        assert sum(lanes) == len(first_draw)
     assert sorted(i.descriptor["sample_index"] for i in homs) == list(range(300))
 
 
@@ -435,32 +441,35 @@ def _cached_functions():
 
 
 def test_one_hom_builds_each_arrow_table_once_and_a_fixed_number_of_lookups(monkeypatch):
-    # h_*, the accepted extension and the lift each build one preimage table,
-    # and the diagram and battery read the caches a fixed number of times:
-    # both counts are exact, so duplicated work shows here first.  The hom
-    # law of sigma is tested by atom additivity, which reads no cached
-    # operation block, and each map's preimage table is a field, read
-    # without a cache lookup.  What depends on one algebra only is read off
-    # one record per algebra and path: sigma reads the source's filter plan
-    # and the target's Stone embedding, the diagram each side's
-    # _diagram_side (the battery the source's again), and a battery whose
-    # checks all pass copies one tuple of passing rows.  The 21 lookups: h_*'s dual
-    # spaces and ultrafilter rows (4), two per continuity test of h_*, the
-    # search's one table and the lift (6), the search's target validation
-    # (1), the sides (3), one subset-column table per preimage table (3),
+    # h_*, the accepted extension and the lift each build one block of
+    # preimage tables, and the diagram and battery read the caches a fixed
+    # number of times, the same for a block of one hom as for the block of
+    # all 256 homs between two 4-atom powersets: both counts are exact, so
+    # work done per hom, or done twice, shows here first.  The hom law of
+    # sigma is tested by atom additivity, which reads no cached operation
+    # block, and each block's preimage tables are a field, read without a
+    # cache lookup.  What depends on one algebra only is read off one
+    # record per algebra and path: sigma reads the source's filter plan and
+    # the target's Stone embedding, the diagram each side's _diagram_side
+    # (the battery the source's again), and a battery whose checks all pass
+    # copies one tuple of passing rows.  The 21 lookups: h_*'s dual spaces
+    # and ultrafilter rows (4), two per continuity test of h_*, the
+    # search's one block and the lift (6), the search's target validation
+    # (1), the sides (3), one subset-column table per preimage block (3),
     # sigma's two and the battery's two Stone embeddings (4)
     h = hom_from_atom_function(powerset_algebra(4), powerset_algebra(4), (0, 0, 1, 2))
+    homs = all_homs(powerset_algebra(4), powerset_algebra(4))
     full_hom_instance(h)
-    real = algebra._preimage_table
+    real = algebra._preimage_lanes
     built = []
 
-    def counted(table, target_size):
-        built.append(tuple(table))
-        return real(table, target_size)
+    def counted(table, lanes, target_size):
+        built.append(lanes)
+        return real(table, lanes, target_size)
 
     for module in (algebra, duality, compactification, harness):
-        if getattr(module, "_preimage_table", None) is real:
-            monkeypatch.setattr(module, "_preimage_table", counted)
+        if getattr(module, "_preimage_lanes", None) is real:
+            monkeypatch.setattr(module, "_preimage_lanes", counted)
     functions = _cached_functions()
 
     def lookups() -> int:
@@ -468,8 +477,14 @@ def test_one_hom_builds_each_arrow_table_once_and_a_fixed_number_of_lookups(monk
 
     before = lookups()
     full_hom_instance(h)
-    assert len(built) == 3
+    assert built == [1, 1, 1]
     assert lookups() - before == 21
     before = lookups()
     sigma_extend(h)
     assert lookups() - before == 2
+    built.clear()
+    before = lookups()
+    verdicts, _ = harness._lane_checks(harness.diagram_lanes(homs), extension.sigma_lanes(homs))
+    assert verdicts == [None] * 256
+    assert built == [256, 256, 256]
+    assert lookups() - before == 21

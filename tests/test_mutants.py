@@ -1,15 +1,16 @@
 """Seeded faults reach a check that fails.
 
-Each ``sigma_extend`` mutant is the source of ``extension.sigma_extend``
-with one edit, compiled in a copy of the extension module's namespace and
-bound as the ``sigma_extend`` the harness reads, so the battery and the
-shrinker both run it.  Under each mutant ``verify --all --max-atoms 3``
+Each ``sigma_extend`` mutant is the source of ``extension.sigma_lanes``, the
+block function behind ``sigma_extend``, with one edit, compiled in a copy of
+the extension module's namespace and bound wherever the package binds
+``sigma_lanes``, so the battery's blocks and the shrinker's blocks of one
+both run it.  Under each mutant ``verify --all --max-atoms 3``
 must exit 1 with a failed ``sigma_equals_double_dual`` check whose witness
 carries a shrunk instance, rather than stop on an internal error.  Every
 mutant is compiled at its function's own lines of the module file, so its
 traceback points into the function.
 
-``sigma_extend`` scatters each filter's image to the entry of its embedded
+``sigma_lanes`` scatters each filter's image to the entry of its embedded
 intersection with ``table[inter1] |= inter2``.  Plain assignment in its
 place (``table[inter1] = inter2``) is an equivalent mutant, so none is
 listed: every filter of a finite Boolean algebra is principal, generated by
@@ -17,9 +18,10 @@ the meet of its members, and its embedded intersection is the Stone
 embedding of that generator, which is injective.  No two filters therefore
 share ``inter1``, and no entry is scattered to twice.
 
-Each fast-path mutant edits one line of a table-at-a-time shortcut of the
+Each fast-path mutant edits one line of a block-at-a-time step of the
 diagram path, the extension search, the battery, the Stone embedding, the
-homomorphism validator or the report encoder, compiled the same way and
+homomorphism validator or the report encoder, each the same fault in every
+lane of a block, compiled the same way and
 bound wherever the package binds the original; an ``@object_cache``
 function is compiled under a fresh cache slot, so that it never reads the
 table the original cached on an algebra.  ``FAST_PATH_MUTANTS`` names the
@@ -31,8 +33,12 @@ invisible to the battery, whose algebras are all powersets with element
 index equal to atom mask; the tests over shuffled presentations kill it.
 Some shortcuts have equivalent mutants,
 which are not listed: a prefilter or a block comparison made stricter (the
-lemma's ``& ~`` read as ``|``, say) only sends more homomorphisms to the
-literal scan, which finds the same witness or none.  The kill matrix test
+lemma's ``& ~`` read as ``|``, say) only sends more lanes to the literal
+scan, which finds the same witness or none.  The premise mutants make the
+battery's one-to-one or onto test of the homs always false, which no check
+can see, since a false premise passes its check; the premise counts that
+``verify --all`` checks against their closed forms catch them, as an
+internal error.  The kill matrix test
 runs every mutant against every check and prints the matrix; README's
 table "What each check can catch" lists, per battery check, the mutants
 that fail it there, and is checked against it.
@@ -121,11 +127,11 @@ def compiled(module, name: str, original: str, replacement: str):
 
 
 def compiled_sigma_extend(original: str, replacement: str):
-    return compiled(extension, "sigma_extend", original, replacement)
+    return compiled(extension, "sigma_lanes", original, replacement)
 
 
-def run_suite(monkeypatch, tmp_path, sigma_extend) -> tuple[int, dict]:
-    monkeypatch.setattr(harness, "sigma_extend", sigma_extend)
+def run_suite(monkeypatch, tmp_path, sigma_lanes) -> tuple[int, dict]:
+    install(monkeypatch, extension, "sigma_lanes", sigma_lanes)
     out = tmp_path / "report.json"
     code = main(["verify", "--all", "--max-atoms", "3", "--out", str(out)])
     return code, json.loads(out.read_text())
@@ -142,7 +148,7 @@ def test_failing_exhaustive_report_file_is_pinned(monkeypatch, tmp_path, capsys)
     # every hom fails with witnesses of its own, and each instance is freed
     # once written, so a checks text cached by the identities of the
     # CheckResult objects could be served for a later list that reuses them
-    monkeypatch.setattr(harness, "sigma_extend", compiled_sigma_extend(*MUTANTS["flip_subset_test"]))
+    install(monkeypatch, extension, "sigma_lanes", compiled_sigma_extend(*MUTANTS["flip_subset_test"]))
     out = tmp_path / "report.json"
     assert main(["verify", "--all", "--max-atoms", "3", "--out", str(out)]) == 1
     assert capsys.readouterr() == ("59 instances, 625 checks: COUNTEREXAMPLE FOUND\n", "")
@@ -178,7 +184,7 @@ def test_sigma_mutant_fails_the_battery_with_a_shrunk_witness(
 
 def test_every_shrunk_witness_is_a_failing_instance(monkeypatch):
     mutant = compiled_sigma_extend(*MUTANTS["flip_subset_test"])
-    monkeypatch.setattr(harness, "sigma_extend", mutant)
+    install(monkeypatch, extension, "sigma_lanes", mutant)
     witnesses = [
         check.witness["shrunk"]
         for inst in harness.exhaustive_suite(3).instances
@@ -194,7 +200,7 @@ def test_every_shrunk_witness_is_a_failing_instance(monkeypatch):
             algebra.powerset_algebra(shrunk["target_atoms"]),
             tuple(function),
         )
-        assert mutant(h) != harness.build_diagram(h).double_dual
+        assert tuple(mutant([h])) != harness.build_diagram(h).double_dual
 
 
 # name -> (original line, replacement, the pinned check that kills it)
@@ -245,9 +251,9 @@ def test_a_mutant_raises_at_the_module_line_it_replaced(mutated):
     four = algebra.powerset_algebra(2)
     function, original, call = {
         "sigma_extend": (
-            extension.sigma_extend,
+            extension.sigma_lanes,
             "phi2 = phi_table(dst)",
-            lambda *edit: compiled_sigma_extend(*edit)(identity_hom(four)),
+            lambda *edit: compiled_sigma_extend(*edit)([identity_hom(four)]),
         ),
         "_atom_encoding": (
             algebra._atom_encoding,
@@ -284,64 +290,65 @@ FAST_PATH_MUTANTS = {
     "continuity_first_open": (
         duality,
         "_continuous",
-        "map(pre.__getitem__, topology(target))",
-        "map(pre.__getitem__, topology(target)[:1])",
+        "opens = topology(target)",
+        "opens = topology(target)[:1]",
         "coarse_map_is_not_continuous",
     ),
     # the search's maps keep the preimage table of the complements
     "handed_preimages_reversed": (
         compactification,
-        "_forced_tables",
-        "yield ContinuousMap(space, target, tuple(table), pre)",
-        "yield ContinuousMap(space, target, tuple(table), pre[::-1])",
+        "_forced_lanes",
+        "yield ContinuousLanes(space, target, cells, pre, lanes), passed",
+        "yield ContinuousLanes(space, target, cells, b''.join("
+        "[pre[j : j + size][::-1] for j in range(0, len(pre), size)]), lanes), passed",
         "sigma_equals_double_dual",
     ),
     # the search yields each map it makes twice
     "duplicate_yield": (
         compactification,
-        "_forced_tables",
-        "yield ContinuousMap(space, target, tuple(table), pre)",
-        "yield ContinuousMap(space, target, tuple(table), pre)\n"
-        "            yield ContinuousMap(space, target, tuple(table), pre)",
+        "_forced_lanes",
+        "yield ContinuousLanes(space, target, cells, pre, lanes), passed",
+        "yield ContinuousLanes(space, target, cells, pre, lanes), passed\n"
+        "            yield ContinuousLanes(space, target, cells, pre, lanes), passed",
         "unique_continuous_extension",
     ),
     # the search moves each forced value to the next target point
     "forced_value_shifted": (
         compactification,
-        "_forced_tables",
-        "        table[point] = value\n",
-        "        table[point] = (value + 1) % target.size\n",
+        "_forced_lanes",
+        "table[point] = values.translate(clamped)",
+        "table[point] = values.translate(bytes((v + 1) % n for v in range(n)).ljust(256, b'\\0'))",
         "extension_square_commutes",
     ),
     # the lift reads the indicators of the source points in reverse order
     "lift_indicators_reversed": (
         compactification,
-        "beta_lift",
-        "for indicator in bx.indicators])",
-        "for indicator in bx.indicators[::-1]])",
+        "_lift_lanes",
+        "for indicator in bx.indicators:",
+        "for indicator in bx.indicators[::-1]:",
         "lift_paths_agree",
     ),
     # the forward image of a point set is taken under the reversed table
     "forward_images_reversed": (
         harness,
         "_forward_images",
-        "_subset_unions([1 << v for v in table])",
-        "_subset_unions([1 << v for v in table[::-1]])",
+        "for v, part in enumerate(parts):",
+        "for v, part in enumerate(parts[::-1]):",
         "forward_image_in_lifted_ultrafilter",
     ),
     # the lemma's prefilter compares the member rows with themselves
     "lemma_rows_against_themselves": (
         harness,
-        "_hom_checks",
-        '& ~int.from_bytes(covered, "big")',
-        "& ~beta2.members",
+        "_lane_checks",
+        '& ~int.from_bytes(covered, "little")',
+        '& ~int.from_bytes(needed, "little")',
         "every_check_fails_under_a_fault",
     ),
     # the isomorphism law is tested on the inverse read backwards, which
     # complements every entry
     "iso_inverse_reversed": (
         harness,
-        "_hom_checks",
+        "_lane_checks",
         "iso_ok = atom_additive(inverse, n2, n1)",
         "iso_ok = atom_additive(inverse[::-1], n2, n1)",
         "sigma_isomorphism_when_isomorphism",
@@ -373,9 +380,9 @@ FAST_PATH_MUTANTS = {
     # the battery's fast path is handed the full mask as the table's last entry
     "hom_law_without_full_mask": (
         harness,
-        "_hom_law_witness",
-        "if atom_additive(sigma_table, n1, n2):",
-        "if atom_additive([*sigma_table[:-1], (1 << n2) - 1], n1, n2):",
+        "_lawless_lanes",
+        "full = sigma[(size1 - 1) * lanes :]",
+        "full = top",
         "small_table_hom_laws",
     ),
     # the encoder reuses the last checks text for a list with the same names
@@ -385,6 +392,22 @@ FAST_PATH_MUTANTS = {
         "same = len(checks) == len(last[0]) and all(map(is_, checks, last[0]))",
         "same = [c.name for c in checks] == [c.name for c in last[0]]",
         "failing_report_is_pinned",
+    ),
+    # no hom is one-to-one, so sigma_injective_when_injective passes vacuously
+    "injective_premise_never": (
+        harness,
+        "_premises",
+        "return [d == elements for d in distinct], [d == size for d in distinct]",
+        "return [False] * len(distinct), [d == size for d in distinct]",
+        "premise_counts",
+    ),
+    # no hom is onto, so sigma_surjective_when_surjective passes vacuously
+    "surjective_premise_never": (
+        harness,
+        "_premises",
+        "return [d == elements for d in distinct], [d == size for d in distinct]",
+        "return [d == elements for d in distinct], [False] * len(distinct)",
+        "premise_counts",
     ),
 }
 
@@ -428,7 +451,8 @@ def test_a_search_that_yields_a_table_twice_is_a_failed_check(monkeypatch, tmp_p
 
 
 def test_a_search_that_yields_no_table_is_an_internal_error(monkeypatch, capsys):
-    monkeypatch.setattr(harness, "extension_candidates", lambda *args: [])
+    # every block raises, and so does each hom when it runs alone
+    monkeypatch.setattr(harness, "extension_candidates_lanes", lambda *args: [])
     assert main(["verify", "--all", "--max-atoms", "2"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -441,6 +465,15 @@ def check_coarse_map_is_not_continuous(monkeypatch, tmp_path, capsys):
     with pytest.raises(NotContinuous) as info:
         duality.continuous_map(coarse, two, (0, 1))
     assert info.value.witness == 1
+
+
+def check_premise_counts(monkeypatch, tmp_path, capsys):
+    # verify --all checks the homs it finds one-to-one, onto and both
+    # against the closed forms of the exhaustive suite
+    out = tmp_path / "premises.json"
+    code = main(["verify", "--all", "--max-atoms", "3", "--out", str(out)])
+    capsys.readouterr()
+    assert code == 0
 
 
 # name -> check(monkeypatch, tmp_path, capsys); each raises when it fails
@@ -465,6 +498,7 @@ NAMED_CHECKS = {
     "small_table_hom_laws": lambda *_: (
         oracles.test_hom_law_fast_path_is_the_pair_loop_on_every_small_table(2, 2)
     ),
+    "premise_counts": check_premise_counts,
 }
 
 # what a failing check raises: an assertion, pytest.raises seeing nothing,
@@ -525,7 +559,7 @@ def test_kill_matrix(monkeypatch, tmp_path, capsys):
     itself fails none of them, and each mutant fails at least its own."""
     mutants = {"(none)": None}
     for name, (original, replacement) in MUTANTS.items():
-        mutants[name] = (extension, "sigma_extend", original, replacement)
+        mutants[name] = (extension, "sigma_lanes", original, replacement)
     mutants.update({name: entry[:4] for name, entry in FAST_PATH_MUTANTS.items()})
     rows = {}
     for name, entry in mutants.items():

@@ -173,7 +173,7 @@ def test_forward_images_match_per_set_images():
     for _ in range(200):
         table = tuple(rng.randrange(5) for _ in range(rng.randint(1, 5)))
         expected = [reference_forward_image(m, table) for m in range(1 << len(table))]
-        assert _forward_images(table) == expected
+        assert list(_forward_images(table)) == expected
 
 
 def test_double_dual_table_matches_per_subset_scan_up_to_three_atoms():
@@ -247,7 +247,10 @@ def test_corrupted_fibres_raise(monkeypatch):
 
     def with_fibres(fibres):
         fields = dict(beta=side.beta, hat_phi=target_table, bit_rows=side.bit_rows)
-        return lambda algebra: SimpleNamespace(**fields, fibres=fibres)
+        inverse, unmatched = harness._fibre_tables(fibres)
+        return lambda algebra: SimpleNamespace(
+            **fields, fibres=fibres, inverse=inverse, unmatched=unmatched
+        )
 
     missing = dict(side.fibres)
     del missing[target_table[3]]
@@ -302,6 +305,12 @@ def test_hom_law_fast_path_is_the_pair_loop_on_every_small_table(n1, n2):
     for table in itertools.product(values, repeat=1 << n1):
         homs += assert_fast_path_agrees(table, n1, n2) is None
     assert homs == n1**n2
+    # the battery's test of a block: every table with byte entries as one
+    # lane, each flagged exactly when it breaks a law
+    tables = list(itertools.product(range(full2 + 2), repeat=1 << n1))
+    block = bytes(v for entry in zip(*tables) for v in entry)
+    lawless = {j for j, table in enumerate(tables) if reference_hom_law(table, n1, n2)}
+    assert harness._lawless_lanes(block, n1, n2, len(tables)) == lawless
 
 
 def test_a_sigma_table_that_atom_additivity_rejects_is_a_library_bug(monkeypatch):
@@ -430,7 +439,7 @@ def test_filter_plan_splits_each_filter_into_its_generator_and_maximal_subfilter
     algebras += [up_set_powerset(k, rng) for k in range(1, 6)]
     for algebra in algebras:
         filters = all_filters(algebra.lattice)
-        plan, inters, _ = _filter_plan(algebra)
+        plan, inters = _filter_plan(algebra)
         assert sorted(k for k, _, _ in plan) == list(range(len(filters)))
         # each filter's embedded intersection, from the Stone embedding of
         # every member

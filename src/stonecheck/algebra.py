@@ -191,10 +191,10 @@ def _preimage_lanes(table: bytes, lanes: int, target_size: int) -> bytes:
     preimage of target point set m under lane j is byte
     ``j * 2**target_size + m`` of the result, so each lane's preimage table
     is one run of bytes.  Point i adds bit i to the entries of the sets that
-    hold its image, so for each point the columns of its images
-    (``_member_columns``), one per lane, are joined into one int, shifted by
-    the point's index and ORed in: one join per point, whatever the number
-    of lanes.  A byte holds the masks of at most 8 points, so a table or a
+    hold its image, so the columns of all the images (``_member_columns``)
+    are joined once, and each point's run of them, one column per lane, is
+    one int, shifted by the point's index and ORed in: a few operations per
+    point, whatever the number of lanes.  A byte holds the masks of at most 8 points, so a table or a
     target above MAX_ATOMS points raises BoundExceeded before any column is
     built, as ``duality.topology`` does for the table's space and then the
     target.
@@ -205,12 +205,12 @@ def _preimage_lanes(table: bytes, lanes: int, target_size: int) -> bytes:
             f"Stone spaces capped at {MAX_ATOMS} points",
             points if points > MAX_ATOMS else target_size,
         )
-    columns = _member_columns(target_size)
+    run = lanes << target_size
+    columns = b"".join(map(_member_columns(target_size).__getitem__, table))
     rows = 0
-    for i in range(points):
-        cells = table[i * lanes : i * lanes + lanes]
-        rows |= int.from_bytes(b"".join(map(columns.__getitem__, cells)), "little") << i
-    return rows.to_bytes(lanes << target_size, "little")
+    for i, start in enumerate(range(0, len(columns), run)):
+        rows |= int.from_bytes(columns[start : start + run], "little") << i
+    return rows.to_bytes(run, "little")
 
 
 @cache

@@ -91,12 +91,15 @@ class BetaSpace:
 
     The compactification's base, space and embedding are its fields, and
     the rows and indicators of the points (``ultrafilter_rows``) plain
-    fields set when the space is made.
+    fields set when the space is made, with two read by the battery: the
+    member rows of all the points over the subset masks, one after
+    another, and ``holders``, a 256-byte ``bytes.translate`` table whose
+    byte m has bit k set when point k's ultrafilter holds the subset m.
     """
 
     __slots__ = (
         "base", "space", "embed", "points_as_ultrafilters", "point_rows", "indicators",
-        "members", "__weakref__",
+        "member_rows", "holders", "__weakref__",
     )
 
     def __init__(
@@ -111,8 +114,9 @@ class BetaSpace:
         self.embed = embed
         self.points_as_ultrafilters = points_as_ultrafilters
         self.point_rows, self.indicators = ultrafilter_rows(points_as_ultrafilters)
-        rows = [indicator[: 1 << base.size] for indicator in self.indicators]
-        self.members = int.from_bytes(b"".join(rows), "big")
+        self.member_rows = b"".join([indicator[: 1 << base.size] for indicator in self.indicators])
+        holders = sum(int.from_bytes(ind, "little") << k for k, ind in enumerate(self.indicators))
+        self.holders = holders.to_bytes(256, "little")
 
 
 def build_compactification(
@@ -237,26 +241,32 @@ def extension_candidates(
     """The continuous maps g with g(embed(x)) = f(x), in the lexicographic
     order of their tables; used for certification.  The block of one map
     of ``extension_candidates_lanes``."""
-    ft = tuple(map(int, f))
-    if len(ft) != bx.base.size or ft and (min(ft) < 0 or max(ft) >= target.size):
-        validate_stone(target)
-        raise ValueError("map must send base points into the target")
-    candidates = extension_candidates_lanes(bx, bytes(ft), target, 1)
-    return [found.lane(0) for found, _ in candidates]
+    return [found.lane(0) for found, _ in _candidates_of_one(bx, f, target)]
 
 
 def extension_candidates_lanes(
     bx: BetaSpace, f: bytes, target: FinStoneSpace, lanes: int
 ) -> list[tuple[ContinuousLanes, int]]:
     """The continuous extensions of a block of maps from bx's base points to
-    target, value of base point x in lane j at byte ``x * lanes + j``: every
-    block of ``_forced_lanes`` that takes the values f forces on the
+    target, the value of base point x in lane j at byte ``x * lanes + j``:
+    every block of ``_forced_lanes`` that takes the values f forces on the
     embedded points, with the lanes it extends."""
     validate_stone(target)
     if len(f) != bx.base.size * lanes or f and max(f) >= target.size:
         raise ValueError("map must send base points into the target")
     forced = [(e, f[x * lanes : x * lanes + lanes]) for x, e in enumerate(bx.embed)]
     return list(_forced_lanes(bx.space, target, forced, lanes))
+
+
+def _candidates_of_one(
+    bx: BetaSpace, f: Sequence[int], target: FinStoneSpace
+) -> list[tuple[ContinuousLanes, int]]:
+    """``extension_candidates_lanes`` of one map given as a table of ints."""
+    validate_stone(target)
+    ft = tuple(map(int, f))
+    if len(ft) != bx.base.size or ft and (min(ft) < 0 or max(ft) >= target.size):
+        raise ValueError("map must send base points into the target")
+    return extension_candidates_lanes(bx, bytes(ft), target, 1)
 
 
 def beta_extend_to_compact(
@@ -268,11 +278,7 @@ def beta_extend_to_compact(
     the embedded points; zero or multiple matches signal an invariant bug,
     never bad user input.
     """
-    ft = tuple(map(int, f))
-    if len(ft) != bx.base.size or ft and (min(ft) < 0 or max(ft) >= target.size):
-        validate_stone(target)
-        raise ValueError("map must send base points into the target")
-    candidates = extension_candidates_lanes(bx, bytes(ft), target, 1)
+    candidates = _candidates_of_one(bx, f, target)
     if len(candidates) > 1:
         raise InvariantViolation("continuous extension is not unique", len(candidates))
     return sole_extension(candidates).lane(0)

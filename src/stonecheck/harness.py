@@ -44,7 +44,8 @@ from __future__ import annotations
 import itertools
 import random
 from functools import cache
-from operator import add
+from itertools import compress
+from operator import add, and_, gt
 from typing import Callable, Iterator, Sequence
 
 from .algebra import (
@@ -383,9 +384,8 @@ BATTERY = (
 _ALL_PASSED = tuple(map(_passed, BATTERY))
 
 # byte translations: a point x below 8 to its one-point mask 1 << x; a
-# byte to 1 when it is nonzero; a byte to its popcount
+# byte to its popcount
 _ONE_HOT = bytes([1 << x for x in range(8)]).ljust(256, b"\0")
-_NONZERO = b"\0" + b"\1" * 255
 _POPCOUNT = bytes([x.bit_count() for x in range(256)])
 
 
@@ -399,12 +399,28 @@ def _first(witnesses):
     return next(iter(witnesses), None)
 
 
-def _differing(a: bytes, b: bytes, lanes: int, run: int = 0) -> set[int]:
-    """The lanes in which two blocks of one layout differ: entry A of lane j
-    at byte ``A * lanes + j``, or, with a ``run``, at ``j * run + A``."""
-    if run:
-        return {j for j in range(lanes) if a[j * run : j * run + run] != b[j * run : j * run + run]}
-    return {j for j in range(lanes) if a[j::lanes] != b[j::lanes]}
+def _differing(a: bytes, b: bytes, lanes: int, run: int = 1) -> list[int]:
+    """The lanes, in order, in which two blocks of one layout differ: byte
+    k of a block is in lane ``k // run % lanes`` (run 1 for entry-major
+    blocks, the length of each lane's run for hom-major ones)."""
+    diff = (int.from_bytes(a, "little") ^ int.from_bytes(b, "little")).to_bytes(len(a), "little")
+    return sorted({k // run % lanes for k, x in enumerate(diff) if x})
+
+
+def _entries(block: bytes, run: int, lanes: int) -> bytes:
+    """A hom-major block, one run of ``run`` bytes per lane, entry-major:
+    entry A of lane j at byte ``A * lanes + j``.  The two layouts of a
+    block of one coincide."""
+    if lanes == 1:
+        return block
+    return b"".join([block[a::run] for a in range(run)])
+
+
+def _gather(cells: bytes, order: Sequence[int], lanes: int) -> bytes:
+    """The entries of an entry-major block in the given order."""
+    if lanes == 1:
+        return bytes(map(cells.__getitem__, order))
+    return b"".join([cells[e * lanes : e * lanes + lanes] for e in order])
 
 
 def _hom_checks(h: BoolHom, bundle: DiagramBundle, sigma_table) -> list[CheckResult]:
@@ -449,82 +465,70 @@ def _lane_checks(diagram: DiagramLanes, sigma: bytes) -> tuple[list, tuple[int, 
     beta1, beta2 = diagram.beta1, diagram.beta2
     n1, n2 = beta1.base.size, beta2.base.size
     size1, size2 = 1 << n1, 1 << n2
-    elements = h.source.size
+    source, target = h.source, h.target
     images = b"".join([bytes(g.table) for g in homs])
+    every = range(lanes)
     suspects: list = [()] * len(BATTERY)
 
     if sigma != double_dual:
         suspects[0] = _differing(sigma, double_dual, lanes)
-    phi1, phi2 = phi_table(h.source), phi_table(h.target)
-    columns = b"".join([images[a::elements] for a in range(elements)])
-    embedded = b"".join([double_dual[e * lanes : e * lanes + lanes] for e in phi1])
-    expected = columns.translate(bytes(phi2).ljust(256, b"\0"))
+    embedded = _gather(double_dual, phi_table(source), lanes)
+    expected = _entries(images, source.size, lanes).translate(
+        bytes(phi_table(target)).ljust(256, b"\0")
+    )
     if embedded != expected:
         suspects[1] = _differing(embedded, expected, lanes)
     # h_*^beta(nabla) lies in hat_phi(A) exactly when h_*^-1(A) is in nabla:
     # per point nabla, one byte row over A of each side, one run per lane
-    bit_rows = _diagram_side(h.source).bit_rows
-    remark: set[int] = set()
-    for d, indicator in enumerate(beta2.indicators):
-        row = h_star.preimages.translate(indicator)
-        want = b"".join(map(bit_rows.__getitem__, lifted[d * lanes : d * lanes + lanes]))
-        if row != want:
-            remark |= _differing(row, want, lanes, size1)
-    suspects[2] = remark
+    rows = b"".join([h_star.preimages.translate(indicator) for indicator in beta2.indicators])
+    want = b"".join(map(_diagram_side(source).bit_rows.__getitem__, lifted))
+    if rows != want:
+        suspects[2] = _differing(rows, want, lanes, size1)
     suspects[3] = _lawless_lanes(sigma, n1, n2, lanes)
 
-    injective, surjective = _premises(images, elements, h.target.size)
-    tables = [sigma[j::lanes] for j in range(lanes)]
-    values = list(map(set, tables))
-    sigma_inj = [len(v) == size1 for v in values]
+    injective, surjective = _premises(images, source.size, target.size)
+    values = list(map(set, [sigma[j::lanes] for j in every]))
+    sigma_inj = list(map(size1.__eq__, map(len, values)))
     sigma_surj = list(map(set(range(size2)).__eq__, values))
-    suspects[4] = {j for j in range(lanes) if injective[j] and not sigma_inj[j]}
-    suspects[5] = {j for j in range(lanes) if surjective[j] and not sigma_surj[j]}
-    bijective = [j for j in range(lanes) if injective[j] and surjective[j]]
-    iso_fails = set()
-    for j in bijective:
+    suspects[4] = list(compress(every, map(gt, injective, sigma_inj)))
+    suspects[5] = list(compress(every, map(gt, surjective, sigma_surj)))
+    iso_fails = []
+    for j in compress(every, map(and_, injective, surjective)):
         iso_ok = sigma_inj[j] and sigma_surj[j]
         if iso_ok:
-            inverse = sorted(range(size1), key=tables[j].__getitem__)
+            inverse = sorted(range(size1), key=sigma[j::lanes].__getitem__)
             iso_ok = atom_additive(inverse, n2, n1)
         if not iso_ok:
-            iso_fails.add(j)
+            iso_fails.append(j)
     suspects[6] = iso_fails
-    suspects[7] = {j for j, count in enumerate(diagram.candidate_counts) if count != 1}
-    moved = b"".join([lifted[e * lanes : e * lanes + lanes] for e in beta2.embed])
+    suspects[7] = list(compress(every, map((1).__ne__, diagram.candidate_counts)))
+    moved = _gather(lifted, beta2.embed, lanes)
     embedded_images = h_star.table.translate(bytes(beta1.embed).ljust(256, b"\0"))
     if moved != embedded_images:
         suspects[8] = _differing(moved, embedded_images, lanes)
     if diagram.lift != lifted:
         suspects[9] = _differing(diagram.lift, lifted, lanes)
-    # per point d, its membership row over A lies within the row of whether
-    # the forward image of A is in d's lifted point: every lifted point's
-    # row is one bit of a byte per entry, picked by the lane's lifted point
+    # per point d, its member row over A lies within the row of whether the
+    # forward image of A is in d's lifted point: byte (d, A, j) of ``held``
+    # has a bit per point of beta1 whose ultrafilter holds the image, and
+    # ``picked`` the bit of lane j's lifted point of d
     forward = _forward_images(h_star.table, lanes)
-    packed = sum(int.from_bytes(ind, "little") << e for e, ind in enumerate(beta1.indicators))
-    held = int.from_bytes(forward.translate(packed.to_bytes(256, "little")), "little")
-    spread = (bytes(lanes), b"\1" * lanes)
-    rows2 = beta2.members.to_bytes(n2 * size2, "big")
-    lemma: set[int] = set()
-    for d in range(n2):
-        picked = lifted[d * lanes : d * lanes + lanes].translate(_ONE_HOT) * size2
-        covered = (held & int.from_bytes(picked, "little")).to_bytes(len(forward), "little")
-        covered = covered.translate(_NONZERO)
-        needed = b"".join(map(spread.__getitem__, rows2[d * size2 : d * size2 + size2]))
-        lost = int.from_bytes(needed, "little") & ~int.from_bytes(covered, "little")
-        if lost:
-            lost_bytes = lost.to_bytes(len(forward), "little")
-            lemma |= {k % lanes for k, x in enumerate(lost_bytes) if x}
-    suspects[10] = lemma
+    held = int.from_bytes(forward.translate(beta1.holders) * n2, "little")
+    ones = lifted.translate(_ONE_HOT)
+    picked = b"".join([ones[d * lanes : d * lanes + lanes] * size2 for d in range(n2)])
+    needed = b"".join(map((bytes(lanes), b"\xff" * lanes).__getitem__, beta2.member_rows))
+    lost = int.from_bytes(picked, "little") & int.from_bytes(needed, "little") & ~held
+    if lost:
+        suspects[10] = _differing(lost.to_bytes(len(picked), "little"), bytes(len(picked)), lanes)
 
     verdicts: list = [None] * lanes
     for j in sorted(set().union(*suspects)):
         flagged = [j in named for named in suspects]
-        bundle, table = diagram.bundle(j), tuple(tables[j])
+        bundle, table = diagram.bundle(j), tuple(sigma[j::lanes])
         witnesses = _lane_witnesses(homs[j], bundle, table, forward[j::lanes], flagged)
         if witnesses.count(None) != len(BATTERY):
             verdicts[j] = list(map(_verdict, BATTERY, witnesses))
-    return verdicts, (sum(injective), sum(surjective), len(bijective))
+    return verdicts, (sum(injective), sum(surjective), sum(map(and_, injective, surjective)))
 
 
 def _lane_witnesses(
@@ -603,57 +607,48 @@ def _sigma_mismatch(h: BoolHom, sigma_table: tuple, double_dual: tuple) -> dict 
     }
 
 
-def _unions(cells: bytes, points: int, lanes: int) -> bytes:
-    """Each entry of a block, entry A of lane j at byte ``A * lanes + j``
-    over the subsets A of ``points`` points, ORed with the entries of its
-    subsets: the subset zeta transform of every lane at once, one shift of
-    the whole block by the point's bit in entries per point, masked to the
-    entries that hold the point."""
-    width = len(cells)
-    union = int.from_bytes(cells, "little")
-    for run in (lanes << p for p in range(points)):
-        holds_point = int.from_bytes((bytes(run) + b"\xff" * run) * (width // run >> 1), "little")
-        union |= union << (run << 3) & holds_point
-    return union.to_bytes(width, "little")
+def _subset_unions(parts: list[bytes], lanes: int) -> bytes:
+    """Entry S of lane j, at byte ``S * lanes + j``, is the union of byte j
+    of ``parts[x]`` over the x in the bitmask S: subset doubling, adding x
+    to every set so far ORs part x into a copy of all their entries."""
+    unions = bytes(lanes)
+    for part in parts:
+        width = len(unions)
+        doubled = int.from_bytes(unions, "little") | int.from_bytes(part * (width // lanes), "little")
+        unions += doubled.to_bytes(width, "little")
+    return unions
 
 
 def _forward_images(table, lanes: int = 1) -> bytes:
     """The image of every point set (bitmask) under each lane's point table,
     entry S of lane j at byte ``S * lanes + j``: the union of the one-point
     masks of the images of the points of S."""
-    table = bytes(table)
-    points = len(table) // lanes
-    parts = [table[v * lanes : v * lanes + lanes].translate(_ONE_HOT) for v in range(points)]
-    cells = [bytes(lanes)] * (1 << points)
-    for v, part in enumerate(parts):
-        cells[1 << v] = part
-    return _unions(b"".join(cells), points, lanes)
+    ones = bytes(table).translate(_ONE_HOT)
+    parts = [ones[v : v + lanes] for v in range(0, len(ones), lanes)]
+    return _subset_unions(parts, lanes)
 
 
-def _lawless_lanes(sigma: bytes, n1: int, n2: int, lanes: int) -> set[int]:
-    """The lanes of a block of tables from the n1-bit to the n2-bit masks,
-    entry A of lane j at byte ``A * lanes + j``, that ``atom_additive``
-    rejects: whose full mask does not go to the full mask, whose atom
-    images' popcounts do not sum to n2, or that are not the union of their
-    atom images."""
+def _lawless_lanes(sigma: bytes, n1: int, n2: int, lanes: int) -> list[int]:
+    """The lanes, in order, of a block of tables from the n1-bit to the
+    n2-bit masks, entry A of lane j at byte ``A * lanes + j``, that
+    ``atom_additive`` rejects: whose full mask does not go to the full
+    mask, whose atom images' popcounts do not sum to n2, or that are not
+    the union of their atom images."""
     size1 = 1 << n1
     parts = [sigma[(1 << x) * lanes : ((1 << x) + 1) * lanes] for x in range(n1)]
-    cells = [bytes(lanes)] * size1
-    for x, part in enumerate(parts):
-        cells[1 << x] = part
     failing = set()
-    unions = _unions(b"".join(cells), n1, lanes)
+    unions = _subset_unions(parts, lanes)
     if unions != sigma:
-        failing |= _differing(unions, sigma, lanes)
+        failing.update(_differing(unions, sigma, lanes))
     counts = sum(int.from_bytes(part.translate(_POPCOUNT), "little") for part in parts)
     counts = counts.to_bytes(lanes, "little")
     if counts != bytes([n2]) * lanes:
-        failing |= _differing(counts, bytes([n2]) * lanes, lanes)
+        failing.update(_differing(counts, bytes([n2]) * lanes, lanes))
     top = bytes([(1 << n2) - 1]) * lanes
     full = sigma[(size1 - 1) * lanes :]
     if full != top:
-        failing |= _differing(full, top, lanes)
-    return failing
+        failing.update(_differing(full, top, lanes))
+    return sorted(failing)
 
 
 def _hom_law_witness(sigma_table, n1: int, n2: int) -> dict | None:

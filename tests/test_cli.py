@@ -875,3 +875,83 @@ def test_every_entry_point_honours_the_one_hom_cap(tmp_path):
     for sample in (None, (0, 1)):
         with pytest.raises(BoundExceeded):
             harness.exhaustive_suite(MAX_ATOMS + 1, sample=sample)
+
+
+@pytest.mark.parametrize(
+    "max_atoms, counts",
+    [(1, (1, 1, 1)), (2, (4, 5, 3)), (3, (17, 20, 9)), (4, (92, 84, 33)), (5, (633, 409, 153))],
+)
+def test_the_premise_closed_forms_count_the_exhaustive_suites_homs(max_atoms, counts):
+    # one-to-one, onto and bijective homs between powersets of 1 to K atoms
+    assert cli._premise_counts(max_atoms) == counts
+    if max_atoms <= 3:
+        plan = harness.suite_plan(max_atoms)
+        for _ in plan.run():
+            pass
+        assert tuple(plan.premises) == counts
+
+
+def shrunk_range_plan(real):
+    """``suite_plan`` over one atom count fewer than it is asked for."""
+    return lambda max_atoms, sample=None: real(max_atoms - 1, sample)
+
+
+def test_a_plan_that_misses_instances_exits_3_naming_the_first_missing(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "suite_plan", shrunk_range_plan(harness.suite_plan))
+    assert main(["verify", "--all", "--max-atoms", "3"]) == 3
+    err = capsys.readouterr().err
+    assert err == (
+        "internal error: missing instance in the suite; witness={'kind': 'hom', "
+        "'source_atoms': 1, 'target_atoms': 3, 'atom_function': [0, 0, 0]}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "edit, witness",
+    [
+        ("duplicate", "unexpected instance in the suite; witness={'kind': 'hom', "
+         "'source_atoms': 2, 'target_atoms': 2, 'atom_function': [0, 1]}"),
+        ("drop", "missing instance in the suite; witness={'kind': 'hom', "
+         "'source_atoms': 2, 'target_atoms': 2, 'atom_function': [0, 1]}"),
+        ("foreign", "unexpected instance in the suite; witness={'kind': 'hom', "
+         "'source_atoms': 2, 'target_atoms': 2, 'atom_function': [3]}"),
+    ],
+)
+def test_a_stream_with_an_extra_or_missing_hom_exits_3(monkeypatch, tmp_path, capsys, edit, witness):
+    # the descriptors are checked as they stream, against the arguments alone
+    real = harness.SuitePlan.run
+
+    def edited(plan):
+        for inst, repeat in real(plan):
+            d = inst.descriptor
+            hit = d.get("atom_function") == [0, 1] and d["source_atoms"] == 2
+            if hit and edit == "drop":
+                continue
+            if hit and edit == "foreign":
+                inst = harness.InstanceReport(dict(d, atom_function=[3]), inst.checks)
+            yield inst, repeat
+            if hit and edit == "duplicate":
+                yield inst, repeat
+
+    monkeypatch.setattr(harness.SuitePlan, "run", edited)
+    out = tmp_path / "report.json"
+    assert main(["verify", "--all", "--max-atoms", "2", "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"internal error: {witness}\n"
+    assert not out.read_text().endswith("}\n")
+
+
+def test_a_sampled_stream_missing_a_sample_index_exits_3(monkeypatch, capsys):
+    real = harness.SuitePlan.run
+
+    def dropped(plan):
+        for inst, repeat in real(plan):
+            if inst.descriptor.get("sample_index") != 4:
+                yield inst, repeat
+
+    monkeypatch.setattr(harness.SuitePlan, "run", dropped)
+    assert main(["verify", "--all", "--max-atoms", "2", "--seed", "1", "--count", "9"]) == 3
+    assert capsys.readouterr().err == (
+        "internal error: missing instance in the suite; witness={'kind': 'hom', 'sample_index': 4}\n"
+    )

@@ -332,15 +332,15 @@ FAST_PATH_MUTANTS = {
     "forward_images_reversed": (
         harness,
         "_forward_images",
-        "for v, part in enumerate(parts):",
-        "for v, part in enumerate(parts[::-1]):",
+        "return _subset_unions(parts, lanes)",
+        "return _subset_unions(parts[::-1], lanes)",
         "forward_image_in_lifted_ultrafilter",
     ),
     # the lemma's prefilter compares the member rows with themselves
     "lemma_rows_against_themselves": (
         harness,
         "_lane_checks",
-        '& ~int.from_bytes(covered, "little")',
+        "& ~held",
         '& ~int.from_bytes(needed, "little")',
         "every_check_fails_under_a_fault",
     ),

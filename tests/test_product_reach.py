@@ -92,7 +92,9 @@ NEVER_RAN = {
         "duality.continuous_map",
         "duality.phi_mask",
         "harness.double_dual_map",
-        # blocks of one: the suite and the commands run their blocks
+        # blocks of one, and their helper, which the commands and the suite
+        # run as blocks
+        "compactification._candidates_of_one",
         "compactification.beta_lift",
         "compactification.extension_candidates",
         "duality.dual_map",

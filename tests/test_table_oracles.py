@@ -310,7 +310,7 @@ def test_hom_law_fast_path_is_the_pair_loop_on_every_small_table(n1, n2):
     tables = list(itertools.product(range(full2 + 2), repeat=1 << n1))
     block = bytes(v for entry in zip(*tables) for v in entry)
     lawless = {j for j, table in enumerate(tables) if reference_hom_law(table, n1, n2)}
-    assert harness._lawless_lanes(block, n1, n2, len(tables)) == lawless
+    assert harness._lawless_lanes(block, n1, n2, len(tables)) == sorted(lawless)
 
 
 def test_a_sigma_table_that_atom_additivity_rejects_is_a_library_bug(monkeypatch):

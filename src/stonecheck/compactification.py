@@ -10,7 +10,7 @@ Map extensions come in two independently computed flavours: the certified
 unique continuous extension (found by exhausting every table that agrees
 with the values the embedding forces) and the direct ultrafilter formula
 ``lift(f)(U) = {B : preimage of B in U}``.  Their agreement is one of the
-properties the test suite verifies.  One search, ``_forced_tables``, serves
+properties the test suite verifies.  One search, ``_forced_lanes``, serves
 the extension certificate, the compactification order and equivalence,
 whose witness must also pass ``_is_homeomorphism``, and all three return
 the maps the search made, the order and equivalence checks the first
@@ -20,21 +20,27 @@ lacks, or None.  The search has no cap of its own:
 ``duality.topology`` caps every space at ``MAX_ATOMS`` points, so it tries
 at most ``MAX_ATOMS ** MAX_ATOMS`` tables.
 
-Both flavours work a table at a time: each candidate's continuity and the
-lift's image sets read one preimage table of the point map
-(``algebra._preimage_table``) instead of summing a preimage per open set or
-per ultrafilter, and the target space is validated once per space.  No
+Both flavours work a block at a time, every map of a block in one byte
+lane (``duality.ContinuousLanes``), and the per-map functions
+(``extension_candidates``, ``beta_lift``, ``_forced_tables``) are blocks
+of one.  Each table of the search is one block, the values the embedding
+forces in each lane and the free points' values shared by all lanes, and
+its continuity and the lift's image sets read one block of preimage tables
+(``algebra._preimage_lanes``) instead of summing a preimage per open set
+or per ultrafilter; the target space is validated once per space.  No
 table is built twice and no continuity is tested twice: the search yields
-each table that passes ``duality._continuous`` as a ``ContinuousMap`` that
-keeps the preimage table it was tested on, ``sole_extension`` returns the
-first of those maps as it is, the lift of a ``ContinuousMap`` reads the
-map's preimage table, and the lift's entries are point indices, so only its
-continuity is tested.  The lift reads each image set as a byte row, that
-preimage table translated through a point's indicator, and looks it up
-among the target's point rows (``BetaSpace.indicators`` and ``point_rows``,
-plain fields built from the space's own points).  How many tables the search found
-is judged by its caller: ``beta_extend_to_compact`` raises on two or more,
-and the harness battery reports them as a failed check.
+each block that passes ``duality._continuous`` in some lane as a
+``ContinuousLanes`` that keeps the preimage tables it was tested on, with
+the lanes it passed in, ``sole_extension`` returns the first of those
+blocks as it is, the lift reads the block's preimage tables, and the
+lift's entries are point indices, so only its continuity is tested.  The
+lift reads each image set of every lane as a byte row, the preimage
+tables translated through a point's indicator, and looks it up among the
+target's point rows (``BetaSpace.indicators`` and ``point_rows``, plain
+fields built from the space's own points).  How many tables the search
+found in each lane is judged by its caller: ``beta_extend_to_compact``
+raises on two or more, and the harness battery reports them as a failed
+check.
 """
 
 from __future__ import annotations

@@ -10,27 +10,33 @@ embeddings ``phi_table`` and ``hat_phi_table``.
 Points of dual spaces are the ultrafilter values themselves, so that the
 double-dual constructions can be manipulated extensionally.
 
-Maps are checked a table at a time: ``algebra._preimage_table`` lists the
-preimage of every target point set of a point table, built once per map and
-kept as its ``preimages``, a field set when the map is made, so continuity
-is one test, ``_continuous``, against the set of opens (``open_set``, once
-per space) and every later preimage is a lookup.  Each map is validated
-once: ``continuous_map`` checks a table's entries and ``_checked_map`` its
-continuity, which is all that a table built from index lookups of valid
-points needs, and the extension search makes the map of each table it has
-tested itself.  A space's point count is a field.  Each space is validated
-once (``validate_stone`` is cached on the space).  The opens stay behind
-``topology`` and ``open_set``, which a space above the point cap reaches
-only to raise, rather than in fields of every space made.  The Stone
-embedding is one table per algebra (``phi_table``), which the hot loops
-read directly, and the Stone representation is its table into the clopens
-of the dual space; the double-dual embedding (``hat_phi_table``) is built
-once per algebra, with its inverse, by the harness's record of the
-algebra.
-``dual_map`` finds the preimage of an ultrafilter as one byte row, the
-hom's table translated through the ultrafilter's indicator, and looks it up
+Maps are checked a block at a time: a ``ContinuousLanes`` holds the point
+tables of one source and one target space, one per byte lane, entry s of
+lane j at byte ``s * lanes + j``, with the preimage of every target point
+set under every lane (``algebra._preimage_lanes``), one run of bytes per
+lane, built once per block and kept as its ``preimages``, a field set when
+the block is made.  Continuity is then one test of the whole block,
+``_continuous``, against the set of opens (``open_set``, once per space),
+and every later preimage is a lookup; a ``ContinuousMap`` is one lane of
+it (``ContinuousLanes.lane``).  Each block is validated once:
+``continuous_map`` checks a table's entries and ``_checked_lanes`` the
+continuity of every lane, which is all that tables built from index
+lookups of valid points need, and the extension search makes the block of
+each table it has tested itself.  A space's point count is a field.  Each
+space is validated once (``validate_stone`` is cached on the space).  The
+opens stay behind ``topology`` and ``open_set``, which a space above the
+point cap reaches only to raise, rather than in fields of every space
+made.  The Stone embedding is one table per algebra (``phi_table``), which
+the hot loops read directly, and the Stone representation is its table
+into the clopens of the dual space; the double-dual embedding
+(``hat_phi_table``) is built once per algebra, with its inverse, by the
+harness's record of the algebra.
+``dual_map_lanes`` finds the preimages of an ultrafilter under every hom of
+a block as one byte row per hom: the block's image tables, one run per
+hom, translated through the ultrafilter's indicator, each run looked up
 among the source's ultrafilter rows, which ``ultrafilter_rows`` builds with
-the indicators, once per algebra (``_ultrafilter_rows``).
+the indicators, once per algebra (``_ultrafilter_rows``); ``dual_map`` is
+its block of one.
 """
 
 from __future__ import annotations

@@ -16,15 +16,18 @@ completions are compared by the one map their embeddings force
 (``completion_isomorphic``), since a dense completion of a finite lattice
 is onto.
 
-The filter-formula extension reads everything that depends on the source
-alone off a plan of the source's filters, cached per algebra
+The filter-formula extension runs a block at a time (``sigma_lanes``):
+every hom with one source and one target, one hom per byte lane, and
+``sigma_extend(h)`` is its block of one.  It reads everything that depends
+on the source alone off a plan of the source's filters, cached per algebra
 (``_filter_plan``): each filter is its generator plus its maximal proper
 subfilters, so an intersection over its members takes one AND per cover
-rather than one per member; the plan holds each filter's embedded
-intersection, which reads only the source's Stone embedding, and the
-shifts and masks of the zeta transform's steps, which depend only on the
-number of points.  A hom then intersects only the h-images and runs the
-transform on its table as the bytes of one int.
+rather than one per member, and the plan holds each filter's embedded
+intersection, which reads only the source's Stone embedding.  A block then
+intersects only the h-images, each one int with a byte per lane, and runs
+the zeta transform on all its tables as the bytes of one int: entry A of
+lane j at byte ``A * lanes + j``, one shift and mask of the whole block
+per point.
 
 The completeness scan of a completion's lattice runs once per lattice
 object (``_assert_complete`` is cached on the lattice).  Every canonical

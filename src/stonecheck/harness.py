@@ -9,34 +9,51 @@ against an explicit list -- so their exhaustive agreement on every subset
 is genuine evidence rather than a tautology.
 
 ``build_diagram`` only builds the diagram; one check battery
-(``full_hom_instance``) judges it, so a diagram that disagrees with itself
+(``full_hom_instance``, and ``_lane_checks`` for a block) judges it, so a diagram that disagrees with itself
 or with the filter formula becomes a failed check with a witness, and so
 does an extension search that finds more than one table (the diagram goes
 on with the first).
 
-Both work a table at a time, and each reads what depends on one algebra
-only off one record per algebra, built with the algebra's first hom and
-freed with the algebra, so a hom's battery does only the work that
-depends on the hom.  The diagram path's record is the algebra's
-``_DiagramSide``: the compactification of its ultrafilters, its
-``hat_phi_table``, that table's inverse and its bit rows (the filter
-formula's is ``extension._filter_plan``, and the two share nothing).
-Each arrow of the diagram reads the one preimage table of its point map,
-built and tested for continuity once per arrow, and each double-dual
-entry is a lookup in that table and in the inverse.  The
-compactification's base, space, embedding, point indicators and the
-member rows of all its points, as one int, are plain fields that the
-battery reads off the bundle, so a fault swapped into a bundle reaches
-its check.  The battery takes forward images from one table per
-homomorphism (``algebra._subset_unions``).  It tests the extension's
-homomorphism laws, and for a bijective extension those of its inverse,
-at once by atom additivity (``algebra.atom_additive``: the table is the
-union of its atom images, which partition the target), and the preimage
-membership equivalence and the forward-image lemma as byte rows, one per
-point.  Only when a test fails does a plain scan run, in index order, so
-each check reports the first witness of the literal scan.  A passing
-check is one shared ``CheckResult`` per name, and a battery whose checks
-all pass returns a fresh list of the eleven.
+Both work a block at a time: every hom with one source and one target
+algebra, one hom per byte lane.  A table of a block keeps entry A of lane
+j at byte ``A * lanes + j`` (entry-major), so each entry of every hom is
+one int whose byte j is hom j's value; a block of preimage tables keeps
+each lane's table as one run of bytes (hom-major), so a translation
+through one ultrafilter's indicator reads every lane's row at once.  Each
+step of either path is then a few ``bytes.translate``, join, shift and
+mask operations per block, whatever its number of homs, and a block of
+one is the per-hom case: ``sigma_extend(h)`` and ``build_diagram(h)`` run
+``sigma_lanes([h])`` and ``diagram_lanes([h])``.
+
+Each path reads what depends on one algebra only off one record per
+algebra, built with the algebra's first block and freed with the
+algebra.  The diagram path's record is the algebra's ``_DiagramSide``: the
+compactification of its ultrafilters, its ``hat_phi_table``, that table's
+inverse as translation tables and its bit rows (the filter formula's is
+``extension._filter_plan``, and the two share nothing).  Each arrow of the
+diagram reads the one block of preimage tables of its point maps, built
+and tested for continuity once per arrow (``duality.ContinuousLanes``),
+and the double dual of a block is that block gathered at the embedded
+subsets and translated through the inverse.  The compactification's base,
+space, embedding, point indicators, member rows and holders are plain
+fields that the battery reads off the diagram, so a fault swapped into a
+diagram reaches its check.
+
+The battery (``_lane_checks``) runs one test of the whole block per check:
+the sigma tables against the double duals as one comparison, the
+extension's homomorphism laws by atom additivity (``_lawless_lanes``: each
+table is the union of its atom images, which partition the target), the
+preimage membership equivalence and the forward-image lemma as byte rows
+of every lane, and the premises of the corollary, whether each hom is
+one-to-one and onto, from its image table (``_premises``).  Each test
+names the lanes it may fail in, and only a named lane gets a plain scan
+of its own tables, in index order, so each check reports the first
+witness of the literal scan.  A passing check is one shared
+``CheckResult`` per name, and a hom whose checks all pass gets a fresh
+list of the eleven.  ``SuitePlan.run`` runs a block when its first hom
+comes up in report order and keeps each lane's verdicts until that hom's
+first draw is made; a block that raises is run again one hom at a time,
+each when it comes up.
 """
 
 from __future__ import annotations

@@ -149,80 +149,58 @@ class _Coverage:
     come in the order of ``itertools.product``, so one counter per pair
     names the next function due; sampled: exactly ``count`` homs, sample
     indices 0 to count - 1 once each, kept as one bitmask.  The first
-    descriptor out of place, or the first missing at the end, raises
-    InvariantViolation naming it."""
+    descriptor out of place, or at the end the first one missing (of the
+    first pair that is short), raises InvariantViolation naming it."""
 
     def __init__(self, max_atoms: int, sample: tuple[int, int] | None) -> None:
         self.max_atoms, self.sample = max_atoms, sample
         self.due: dict[tuple[int, int], int] = {}
-        self.seen = 0
-        self.atoms = 0
+        self.seen = self.atoms = 0
 
-    def add(self, descriptor: dict) -> None:
-        if descriptor.get("kind") == "algebra":
+    def add(self, d: dict) -> None:
+        sizes = range(1, self.max_atoms + 1)
+        if d.get("kind") == "algebra":
             self.atoms += 1
-            if descriptor.get("atoms") != self.atoms or self.atoms > self.max_atoms:
-                self._refuse("unexpected", descriptor)
+            _expect(d.get("atoms") == self.atoms in sizes, "unexpected", d)
             return
-        k1, g = descriptor.get("source_atoms"), descriptor.get("atom_function")
-        k2 = len(g)
-        if (
-            self.atoms
-            or not 1 <= k1 <= self.max_atoms
-            or not 1 <= k2 <= self.max_atoms
-            or descriptor.get("target_atoms") != k2
-            or not all(0 <= p < k1 for p in g)
-        ):
-            self._refuse("unexpected", descriptor)
+        k1, g = d.get("source_atoms"), d.get("atom_function")
+        valid = k1 in sizes and len(g) in sizes and d.get("target_atoms") == len(g)
+        _expect(valid and not self.atoms and all(0 <= p < k1 for p in g), "unexpected", d)
         if self.sample is not None:
-            i = descriptor.get("sample_index")
-            if not 0 <= i < self.sample[1] or self.seen >> i & 1:
-                self._refuse("unexpected", descriptor)
+            i = d.get("sample_index")
+            _expect(0 <= i < self.sample[1] and not self.seen >> i & 1, "unexpected", d)
             self.seen |= 1 << i
             return
-        number = 0
-        for p in g:
-            number = number * k1 + p
-        due = self.due.get((k1, k2), 0)
-        if number < due:
-            self._refuse("unexpected", descriptor)
+        due = self.due.get((k1, len(g)), 0)
+        number = sum(p * k1**e for e, p in enumerate(reversed(g)))
+        _expect(number >= due, "unexpected", d)
         if number > due:
-            self._refuse("missing", _hom_descriptor_of(k1, k2, due))
-        self.due[k1, k2] = due + 1
+            _expect(False, "missing", _hom_descriptor_of(k1, len(g), due))
+        self.due[k1, len(g)] = due + 1
 
     def finish(self) -> None:
         sizes = range(1, self.max_atoms + 1)
         if self.sample is not None:
             missing = ~self.seen & ((1 << self.sample[1]) - 1)
-            if missing:
-                i = (missing & -missing).bit_length() - 1
-                self._refuse("missing", {"kind": "hom", "sample_index": i})
-        else:
-            missing = [
-                _hom_descriptor_of(k1, k2, self.due.get((k1, k2), 0))
-                for k1, k2 in itertools.product(sizes, sizes)
-                if self.due.get((k1, k2), 0) < k1**k2
-            ]
-            if missing:
-                # the first in report order: by the atom function's text
-                first = min(missing, key=lambda d: (str(d["atom_function"]), str(d["source_atoms"])))
-                self._refuse("missing", first)
-        if self.atoms < self.max_atoms:
-            self._refuse("missing", {"kind": "algebra", "atoms": self.atoms + 1})
+            i = (missing & -missing).bit_length() - 1
+            _expect(not missing, "missing", {"kind": "hom", "sample_index": i})
+        for k1, k2 in itertools.product(sizes, sizes) if self.sample is None else ():
+            due = self.due.get((k1, k2), 0)
+            _expect(due == k1**k2, "missing", _hom_descriptor_of(k1, k2, due))
+        _expect(self.atoms == self.max_atoms, "missing", {"kind": "algebra", "atoms": self.atoms + 1})
 
-    @staticmethod
-    def _refuse(what: str, descriptor: dict) -> None:
+
+def _expect(holds: bool, what: str, descriptor: dict) -> None:
+    """Raise InvariantViolation naming the descriptor unless ``holds``."""
+    if not holds:
         raise InvariantViolation(f"{what} instance in the suite", descriptor)
 
 
 def _hom_descriptor_of(k1: int, k2: int, number: int) -> dict:
     """The descriptor of the hom from k1 to k2 atoms whose atom function is
     the k2 digits of ``number`` in base k1."""
-    g = []
-    for _ in range(k2):
-        number, p = divmod(number, k1)
-        g.append(p)
-    return {"kind": "hom", "source_atoms": k1, "target_atoms": k2, "atom_function": g[::-1]}
+    g = [number // k1**e % k1 for e in reversed(range(k2))]
+    return {"kind": "hom", "source_atoms": k1, "target_atoms": k2, "atom_function": g}
 
 
 _clock = time.monotonic

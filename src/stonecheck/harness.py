@@ -759,16 +759,19 @@ class SuitePlan(FieldEquality):
         first draw.  No instance is kept, and a hom's verdicts only until
         its atom function's draws end."""
         lanes: dict[tuple, int] = {}
-        blocks: dict[tuple[int, int], list] = {}
+        blocks: dict[tuple[int, int], list[BoolHom]] = {}
         for k1, g, h, _ in self.homs:
             if (k1, g) not in lanes:
-                members = blocks.setdefault((k1, len(g)), [])
-                lanes[k1, g] = len(members)
-                members.append((g, h))
-        ran: dict[tuple[int, int], list] = {}
+                block = blocks.setdefault((k1, len(g)), [])
+                lanes[k1, g] = len(block)
+                if h is None:
+                    h = hom_from_atom_function(powerset_algebra(k1), powerset_algebra(len(g)), g)
+                block.append(h)
+        left = {key: len(block) for key, block in blocks.items()}
+        ran: dict[tuple[int, int], list | None] = {}
         firsts: dict[int, tuple[int, dict, list[CheckResult]]] = {}
         atom_function = None
-        for k1, g, h, i in self.homs:
+        for k1, g, _, i in self.homs:
             if i is not None:
                 if g != atom_function:
                     firsts.clear()
@@ -777,25 +780,23 @@ class SuitePlan(FieldEquality):
                 if first is not None:
                     yield InstanceReport(dict(first[1], sample_index=i), first[2]), first[0]
                     continue
-            key = (k1, len(g))
+            key, lane = (k1, len(g)), lanes.pop((k1, g))
             if key not in ran:
-                ran[key] = self._run_block(k1, blocks.pop(key))
-            block, lane = ran[key], lanes.pop((k1, g))
-            h = block[0][lane]
+                ran[key] = self._run_block(blocks[key])
+            h, verdicts = blocks[key][lane], ran[key]
             extra = None if i is None else {"sample_index": i}
-            if block[1] is None:
+            if verdicts is None:
                 inst = full_hom_instance(h, extra=extra, atom_function=g)
                 injective, surjective = _premises(bytes(h.table), h.source.size, h.target.size)
-                self._count(injective[0], surjective[0], injective[0] and surjective[0])
+                self._count((injective[0], surjective[0], injective[0] and surjective[0]))
             else:
                 descriptor = hom_descriptor(h, atom_function=g)
-                if extra:
-                    descriptor.update(extra)
-                checks = block[1][lane]
+                descriptor.update(extra or ())
+                checks = verdicts[lane]
                 inst = InstanceReport(descriptor, list(_ALL_PASSED) if checks is None else checks)
-            block[2] -= 1
-            if not block[2]:
-                del ran[key]
+            left[key] -= 1
+            if not left[key]:
+                del ran[key], blocks[key]
             if i is not None:
                 firsts[k1] = (i, inst.descriptor, inst.checks)
             yield inst, i
@@ -804,27 +805,17 @@ class SuitePlan(FieldEquality):
         for k in self.algebra_sizes:
             yield algebra_instance(k), None
 
-    def _run_block(self, k1: int, members: list[tuple]) -> list:
-        """The block's homs, each lane's verdicts (None when the block
-        raised) and how many of its homs are still to come."""
-        homs = [
-            h if h is not None else hom_from_atom_function(
-                powerset_algebra(k1), powerset_algebra(len(g)), g
-            )
-            for g, h in members
-        ]
+    def _run_block(self, homs: list[BoolHom]) -> list | None:
+        """Each lane's verdicts of a block, or None when the block raised."""
         try:
             verdicts, premises = _lane_checks(diagram_lanes(homs), sigma_lanes(homs))
         except Exception:
-            return [homs, None, len(homs)]
-        self._count(*premises)
-        return [homs, verdicts, len(homs)]
+            return None
+        self._count(premises)
+        return verdicts
 
-    def _count(self, injective: int, surjective: int, bijective: int) -> None:
-        counts = self.premises
-        counts[0] += injective
-        counts[1] += surjective
-        counts[2] += bijective
+    def _count(self, premises: Sequence[int]) -> None:
+        self.premises[:] = map(add, self.premises, premises)
 
 
 def suite_plan(max_atoms: int, sample: tuple[int, int] | None = None) -> SuitePlan:

@@ -124,8 +124,6 @@ NEVER_RAN = {
     # is not a partial order, a malformed document pair).
     "failure-only": {
         "algebra._lowest_bit",
-        "cli._Coverage._refuse",
-        "cli._hom_descriptor_of",
         "documents._resolve_pair",
         "harness._compressed",
         "harness._differing",

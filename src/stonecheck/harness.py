@@ -63,7 +63,7 @@ import random
 from functools import cache
 from itertools import compress
 from operator import add, and_, gt
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .algebra import (
     MAX_ATOMS,
@@ -95,6 +95,18 @@ from .duality import (
 )
 from .errors import BoundExceeded, InvariantViolation, NoClopenPreimage
 from .extension import canonical_extension, sigma_extend, sigma_lanes
+from .checks import (
+    _differing,
+    _entries,
+    _first,
+    _forward_images,
+    _gather,
+    _lane_witnesses,
+    _lawless_lanes,
+    _ONE_HOT,
+    _premises,
+    shrink_failing_hom,
+)
 
 
 class DiagramBundle:
@@ -336,53 +348,6 @@ def _double_dual_lanes(
     return pulled.translate(target.inverse)
 
 
-def shrink_failing_hom(h: BoolHom, fails: Callable[[BoolHom], bool]) -> dict:
-    """Minimize a failing instance by dropping target atoms and compressing.
-
-    Each step deletes one coordinate of the dual atom function and renumbers
-    the surviving source atoms; the first smaller instance that still fails
-    is taken, repeatedly, so the reported witness is locally minimal.  When
-    no coordinate can be dropped, the source atoms are still renumbered,
-    and that compressed instance is kept only if it fails too; otherwise the
-    original instance is reported.  Every witness therefore names a real
-    instance: each entry lies below ``source_atoms``.
-    """
-    current = tuple(atom_function_of_hom(h))
-    source_atoms = h.source.atom_count
-    improved = True
-    while improved:
-        improved = False
-        for drop in range(len(current)):
-            sub = current[:drop] + current[drop + 1 :]
-            if not sub:
-                continue
-            remapped, candidate = _compressed(sub)
-            if fails(candidate):
-                current, source_atoms = remapped, candidate.source.atom_count
-                improved = True
-                break
-    if source_atoms > len(set(current)):
-        remapped, candidate = _compressed(current)
-        if fails(candidate):
-            current, source_atoms = remapped, candidate.source.atom_count
-    return {
-        "source_atoms": source_atoms,
-        "target_atoms": len(current),
-        "atom_function": list(current),
-    }
-
-
-def _compressed(atom_function: tuple[int, ...]) -> tuple[tuple[int, ...], BoolHom]:
-    """``atom_function`` with its source atoms renumbered, in order, onto
-    the ones it uses, and the hom between powersets that it defines."""
-    used = sorted(set(atom_function))
-    remapped = tuple(map(used.index, atom_function))
-    candidate = hom_from_atom_function(
-        powerset_algebra(len(used)), powerset_algebra(len(remapped)), remapped
-    )
-    return remapped, candidate
-
-
 @cache
 def _passed(name: str) -> CheckResult:
     """The passing result of a check, one shared object per name (no code
@@ -400,44 +365,9 @@ BATTERY = (
 )
 _ALL_PASSED = tuple(map(_passed, BATTERY))
 
-# byte translations: a point x below 8 to its one-point mask 1 << x; a
-# byte to its popcount
-_ONE_HOT = bytes([1 << x for x in range(8)]).ljust(256, b"\0")
-_POPCOUNT = bytes([x.bit_count() for x in range(256)])
-
-
 def _verdict(name: str, witness: dict | None) -> CheckResult:
     """A check that passes exactly when it found no witness."""
     return _passed(name) if witness is None else CheckResult(name, witness)
-
-
-def _first(witnesses):
-    """The first witness of a scan, or None when the scan finds none."""
-    return next(iter(witnesses), None)
-
-
-def _differing(a: bytes, b: bytes, lanes: int, run: int = 1) -> list[int]:
-    """The lanes, in order, in which two blocks of one layout differ: byte
-    k of a block is in lane ``k // run % lanes`` (run 1 for entry-major
-    blocks, the length of each lane's run for hom-major ones)."""
-    diff = (int.from_bytes(a, "little") ^ int.from_bytes(b, "little")).to_bytes(len(a), "little")
-    return sorted({k // run % lanes for k, x in enumerate(diff) if x})
-
-
-def _entries(block: bytes, run: int, lanes: int) -> bytes:
-    """A hom-major block, one run of ``run`` bytes per lane, entry-major:
-    entry A of lane j at byte ``A * lanes + j``.  The two layouts of a
-    block of one coincide."""
-    if lanes == 1:
-        return block
-    return b"".join([block[a::run] for a in range(run)])
-
-
-def _gather(cells: bytes, order: Sequence[int], lanes: int) -> bytes:
-    """The entries of an entry-major block in the given order."""
-    if lanes == 1:
-        return bytes(map(cells.__getitem__, order))
-    return b"".join([cells[e * lanes : e * lanes + lanes] for e in order])
 
 
 def _hom_checks(h: BoolHom, bundle: DiagramBundle, sigma_table) -> list[CheckResult]:
@@ -453,15 +383,6 @@ def _hom_checks(h: BoolHom, bundle: DiagramBundle, sigma_table) -> list[CheckRes
     )
     (checks,), _ = _lane_checks(diagram, bytes(sigma_table))
     return list(_ALL_PASSED) if checks is None else checks
-
-
-def _premises(images: bytes, elements: int, size: int) -> tuple[list[bool], list[bool]]:
-    """Whether each hom of a block is one-to-one and whether it is onto,
-    from its image table, one run of ``elements`` bytes per hom: as many
-    distinct images as source elements, or as the target's ``size``."""
-    rows = [slice(start, start + elements) for start in range(0, len(images), elements)]
-    distinct = list(map(len, map(set, map(images.__getitem__, rows))))
-    return [d == elements for d in distinct], [d == size for d in distinct]
 
 
 def _lane_checks(diagram: DiagramLanes, sigma: bytes) -> tuple[list, tuple[int, int, int]]:
@@ -542,62 +463,13 @@ def _lane_checks(diagram: DiagramLanes, sigma: bytes) -> tuple[list, tuple[int, 
     for j in sorted(set().union(*suspects)):
         flagged = [j in named for named in suspects]
         bundle, table = diagram.bundle(j), tuple(sigma[j::lanes])
-        witnesses = _lane_witnesses(homs[j], bundle, table, forward[j::lanes], flagged)
+        hat_phi = _diagram_side(source).hat_phi
+        witnesses = _lane_witnesses(homs[j], bundle, table, forward[j::lanes], flagged, hat_phi)
+        if flagged[0]:
+            witnesses[0] = _sigma_mismatch(homs[j], table, bundle.double_dual)
         if witnesses.count(None) != len(BATTERY):
             verdicts[j] = list(map(_verdict, BATTERY, witnesses))
     return verdicts, (sum(injective), sum(surjective), sum(map(and_, injective, surjective)))
-
-
-def _lane_witnesses(
-    h: BoolHom, bundle: DiagramBundle, sigma_table: tuple, forward: bytes, flagged: list[bool]
-) -> list[dict | None]:
-    """The witness of each flagged check on one hom's own tables, by the
-    plain scans, in index order; None for the checks not flagged and for
-    those whose scan finds nothing.  ``forward`` is the hom's forward-image
-    table (``_forward_images``)."""
-    witnesses: list[dict | None] = [None] * len(BATTERY)
-    double_dual, h_star, lifted = bundle.double_dual, bundle.h_star, bundle.h_star_beta.table
-    beta1, beta2 = bundle.beta1, bundle.beta2
-    n1, n2 = beta1.base.size, beta2.base.size
-    points1, points2 = beta1.points_as_ultrafilters, beta2.points_as_ultrafilters
-    if flagged[0]:
-        witnesses[0] = _sigma_mismatch(h, sigma_table, double_dual)
-    if flagged[1]:
-        phi1, phi2 = phi_table(h.source), phi_table(h.target)
-        witnesses[1] = _first(
-            {"element": a}
-            for a in range(h.source.size)
-            if double_dual[phi1[a]] != phi2[h.table[a]]
-        )
-    if flagged[2]:
-        preimages = h_star.preimages
-        witnesses[2] = _first(
-            {"subset_mask": a, "point": d}
-            for a, upstairs in enumerate(_diagram_side(h.source).hat_phi)
-            for d, img in enumerate(lifted)
-            if upstairs >> img & 1 != points2[d].members >> preimages[a] & 1
-        )
-    if flagged[3]:
-        witnesses[3] = _hom_law_witness(sigma_table, n1, n2)
-    for k in (4, 5, 6):
-        if flagged[k]:
-            witnesses[k] = {"table": list(sigma_table)}
-    if flagged[7]:
-        witnesses[7] = {"candidates": bundle.candidate_count}
-    if flagged[8]:
-        witnesses[8] = _first(
-            {"point": v} for v in range(n2) if lifted[beta2.embed[v]] != beta1.embed[h_star.table[v]]
-        )
-    if flagged[9]:
-        witnesses[9] = {"lift": list(bundle.lift), "extension": list(lifted)}
-    if flagged[10]:
-        witnesses[10] = _first(
-            {"point": d, "member_mask": a}
-            for d, nabla in enumerate(points2)
-            for a in range(1 << n2)
-            if nabla.members >> a & 1 and not points1[lifted[d]].members >> forward[a] & 1
-        )
-    return witnesses
 
 
 def _sigma_mismatch(h: BoolHom, sigma_table: tuple, double_dual: tuple) -> dict | None:
@@ -622,76 +494,6 @@ def _sigma_mismatch(h: BoolHom, sigma_table: tuple, double_dual: tuple) -> dict 
         "double_dual": double_dual[mismatch],
         "shrunk": shrink_failing_hom(h, still_fails),
     }
-
-
-def _subset_unions(parts: list[bytes], lanes: int) -> bytes:
-    """Entry S of lane j, at byte ``S * lanes + j``, is the union of byte j
-    of ``parts[x]`` over the x in the bitmask S: subset doubling, adding x
-    to every set so far ORs part x into a copy of all their entries."""
-    unions = bytes(lanes)
-    for part in parts:
-        width = len(unions)
-        doubled = int.from_bytes(unions, "little") | int.from_bytes(part * (width // lanes), "little")
-        unions += doubled.to_bytes(width, "little")
-    return unions
-
-
-def _forward_images(table, lanes: int = 1) -> bytes:
-    """The image of every point set (bitmask) under each lane's point table,
-    entry S of lane j at byte ``S * lanes + j``: the union of the one-point
-    masks of the images of the points of S."""
-    ones = bytes(table).translate(_ONE_HOT)
-    parts = [ones[v : v + lanes] for v in range(0, len(ones), lanes)]
-    return _subset_unions(parts, lanes)
-
-
-def _lawless_lanes(sigma: bytes, n1: int, n2: int, lanes: int) -> list[int]:
-    """The lanes, in order, of a block of tables from the n1-bit to the
-    n2-bit masks, entry A of lane j at byte ``A * lanes + j``, that
-    ``atom_additive`` rejects: whose full mask does not go to the full
-    mask, whose atom images' popcounts do not sum to n2, or that are not
-    the union of their atom images."""
-    size1 = 1 << n1
-    parts = [sigma[(1 << x) * lanes : ((1 << x) + 1) * lanes] for x in range(n1)]
-    failing = set()
-    unions = _subset_unions(parts, lanes)
-    if unions != sigma:
-        failing.update(_differing(unions, sigma, lanes))
-    counts = sum(int.from_bytes(part.translate(_POPCOUNT), "little") for part in parts)
-    counts = counts.to_bytes(lanes, "little")
-    if counts != bytes([n2]) * lanes:
-        failing.update(_differing(counts, bytes([n2]) * lanes, lanes))
-    top = bytes([(1 << n2) - 1]) * lanes
-    full = sigma[(size1 - 1) * lanes :]
-    if full != top:
-        failing.update(_differing(full, top, lanes))
-    return sorted(failing)
-
-
-def _hom_law_witness(sigma_table, n1: int, n2: int) -> dict | None:
-    """The first Boolean-algebra law a table between powersets breaks, or None.
-
-    A table that ``atom_additive`` accepts keeps every law.  Any other
-    breaks one, and a plain scan names the first: bounds first; then for
-    each a in turn the meet and the join with every b, then the complement
-    of a.
-    """
-    if atom_additive(sigma_table, n1, n2):
-        return None
-    size1, full2 = 1 << n1, (1 << n2) - 1
-    full1 = size1 - 1
-    if sigma_table[0] != 0 or sigma_table[full1] != full2:
-        return {"law": "bounds"}
-    for a in range(size1):
-        s = sigma_table[a]
-        for b in range(size1):
-            if sigma_table[a & b] != s & sigma_table[b]:
-                return {"law": "meet", "pair": [a, b]}
-            if sigma_table[a | b] != s | sigma_table[b]:
-                return {"law": "join", "pair": [a, b]}
-        if sigma_table[full1 ^ a] != full2 ^ s:
-            return {"law": "complement", "element": a}
-    raise InvariantViolation("a table that keeps every law is not atom additive", list(sigma_table))
 
 
 def full_hom_instance(

@@ -63,6 +63,7 @@ from pathlib import Path
 import pytest
 
 import stonecheck.algebra as algebra
+import stonecheck.checks as checks
 import stonecheck.cli as cli
 import stonecheck.compactification as compactification
 import stonecheck.duality as duality
@@ -330,7 +331,7 @@ FAST_PATH_MUTANTS = {
     ),
     # the forward image of a point set is taken under the reversed table
     "forward_images_reversed": (
-        harness,
+        checks,
         "_forward_images",
         "return _subset_unions(parts, lanes)",
         "return _subset_unions(parts[::-1], lanes)",
@@ -379,7 +380,7 @@ FAST_PATH_MUTANTS = {
     ),
     # the battery's fast path is handed the full mask as the table's last entry
     "hom_law_without_full_mask": (
-        harness,
+        checks,
         "_lawless_lanes",
         "full = sigma[(size1 - 1) * lanes :]",
         "full = top",
@@ -395,7 +396,7 @@ FAST_PATH_MUTANTS = {
     ),
     # no hom is one-to-one, so sigma_injective_when_injective passes vacuously
     "injective_premise_never": (
-        harness,
+        checks,
         "_premises",
         "return [d == elements for d in distinct], [d == size for d in distinct]",
         "return [False] * len(distinct), [d == size for d in distinct]",
@@ -403,7 +404,7 @@ FAST_PATH_MUTANTS = {
     ),
     # no hom is onto, so sigma_surjective_when_surjective passes vacuously
     "surjective_premise_never": (
-        harness,
+        checks,
         "_premises",
         "return [d == elements for d in distinct], [d == size for d in distinct]",
         "return [d == elements for d in distinct], [False] * len(distinct)",
@@ -411,7 +412,7 @@ FAST_PATH_MUTANTS = {
     ),
 }
 
-PACKAGE = (algebra, duality, compactification, extension, harness, cli)
+PACKAGE = (algebra, duality, compactification, extension, checks, harness, cli)
 
 
 def install(monkeypatch, module, name: str, function) -> None:

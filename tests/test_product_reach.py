@@ -125,14 +125,14 @@ NEVER_RAN = {
     "failure-only": {
         "algebra._lowest_bit",
         "documents._resolve_pair",
-        "harness._compressed",
-        "harness._differing",
-        "harness._first",
-        "harness._hom_law_witness",
-        "harness._lane_witnesses",
+        "checks._compressed",
+        "checks._differing",
+        "checks._first",
+        "checks._hom_law_witness",
+        "checks._lane_witnesses",
         "harness._sigma_mismatch",
         "harness._sigma_mismatch.still_fails",
-        "harness.shrink_failing_hom",
+        "checks.shrink_failing_hom",
     },
     # Library entry points and record members that only tests and the
     # static ownership audit call.

@@ -22,6 +22,7 @@ from types import SimpleNamespace
 import pytest
 
 import stonecheck.algebra as algebra
+import stonecheck.checks as checks
 import stonecheck.harness as harness
 from helpers import (
     export_presentation,
@@ -55,13 +56,9 @@ from stonecheck.duality import (
 )
 from stonecheck.documents import parse_document
 from stonecheck.errors import BoundExceeded, InvariantViolation, NoClopenPreimage, NotStone
+from stonecheck.checks import _forward_images, _hom_law_witness
 from stonecheck.extension import _filter_plan, sigma_extend
-from stonecheck.harness import (
-    _forward_images,
-    _hom_law_witness,
-    build_diagram,
-    double_dual_map,
-)
+from stonecheck.harness import build_diagram, double_dual_map
 
 SAMPLE = Path(__file__).resolve().parents[1] / "src/stonecheck/data/sample_document.json"
 RELABELLED_FIVE = Path(__file__).resolve().parent / "data/relabelled_five.json"
@@ -289,10 +286,10 @@ def test_hom_law_scan_gives_the_loop_witness_on_corrupted_sigma_tables():
 
 
 def assert_fast_path_agrees(table, n1, n2):
-    # read through the harness module, so that a mutant bound there runs
+    # read through the checks module, so that a mutant bound there runs
     expected = reference_hom_law(table, n1, n2)
-    assert harness.atom_additive(table, n1, n2) == (expected is None), table
-    assert harness._hom_law_witness(table, n1, n2) == expected, table
+    assert checks.atom_additive(table, n1, n2) == (expected is None), table
+    assert checks._hom_law_witness(table, n1, n2) == expected, table
     return expected
 
 
@@ -310,14 +307,14 @@ def test_hom_law_fast_path_is_the_pair_loop_on_every_small_table(n1, n2):
     tables = list(itertools.product(range(full2 + 2), repeat=1 << n1))
     block = bytes(v for entry in zip(*tables) for v in entry)
     lawless = {j for j, table in enumerate(tables) if reference_hom_law(table, n1, n2)}
-    assert harness._lawless_lanes(block, n1, n2, len(tables)) == sorted(lawless)
+    assert checks._lawless_lanes(block, n1, n2, len(tables)) == sorted(lawless)
 
 
 def test_a_sigma_table_that_atom_additivity_rejects_is_a_library_bug(monkeypatch):
     # every law holds, so the loop names no witness: the two tests disagree
-    monkeypatch.setattr(harness, "atom_additive", lambda *args: False)
+    monkeypatch.setattr(checks, "atom_additive", lambda *args: False)
     with pytest.raises(InvariantViolation):
-        harness._hom_law_witness((0, 1, 2, 3), 2, 2)
+        checks._hom_law_witness((0, 1, 2, 3), 2, 2)
 
 
 def test_hom_law_fast_path_is_the_pair_loop_on_twice_corrupted_sigma_tables():

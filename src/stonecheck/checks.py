@@ -61,8 +61,7 @@ def _premises(images: bytes, elements: int, size: int) -> tuple[list[bool], list
     """Whether each hom of a block is one-to-one and whether it is onto,
     from its image table, one run of ``elements`` bytes per hom: as many
     distinct images as source elements, or as the target's ``size``."""
-    rows = [slice(start, start + elements) for start in range(0, len(images), elements)]
-    distinct = list(map(len, map(set, map(images.__getitem__, rows))))
+    distinct = [len(set(images[s : s + elements])) for s in range(0, len(images), elements)]
     return [d == elements for d in distinct], [d == size for d in distinct]
 
 
@@ -70,12 +69,11 @@ def _subset_unions(parts: list[bytes], lanes: int) -> bytes:
     """Entry S of lane j, at byte ``S * lanes + j``, is the union of byte j
     of ``parts[x]`` over the x in the bitmask S: subset doubling, adding x
     to every set so far ORs part x into a copy of all their entries."""
-    unions = bytes(lanes)
+    unions, width = 0, lanes
     for part in parts:
-        width = len(unions)
-        doubled = int.from_bytes(unions, "little") | int.from_bytes(part * (width // lanes), "little")
-        unions += doubled.to_bytes(width, "little")
-    return unions
+        unions |= (unions | int.from_bytes(part * (width // lanes), "little")) << (width << 3)
+        width <<= 1
+    return unions.to_bytes(width, "little")
 
 
 def _forward_images(table, lanes: int = 1) -> bytes:

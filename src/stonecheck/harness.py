@@ -41,14 +41,15 @@ diagram reaches its check.
 
 The battery (``_lane_checks``) runs one test of the whole block per check:
 the sigma tables against the double duals as one comparison, the
-extension's homomorphism laws by atom additivity (``_lawless_lanes``: each
-table is the union of its atom images, which partition the target), the
-preimage membership equivalence and the forward-image lemma as byte rows
-of every lane, and the premises of the corollary, whether each hom is
-one-to-one and onto, from its image table (``_premises``).  Each test
-names the lanes it may fail in, and only a named lane gets a plain scan
-of its own tables, in index order, so each check reports the first
-witness of the literal scan.  A passing check is one shared
+extension's homomorphism laws by atom additivity
+(``checks._lawless_lanes``: each table is the union of its atom images,
+which partition the target), the preimage membership equivalence and the
+forward-image lemma as byte rows of every lane, and the premises of the
+corollary, whether each hom is one-to-one and onto, from its image table
+(``checks._premises``).  Each test names the lanes it may fail in, and
+only a named lane gets a plain scan of its own tables, in index order
+(``checks._lane_witnesses``), so each check reports the first witness of
+the literal scan.  A passing check is one shared
 ``CheckResult`` per name, and a hom whose checks all pass gets a fresh
 list of the eleven.  ``SuitePlan.run`` runs a block when its first hom
 comes up in report order and keeps each lane's verdicts until that hom's
@@ -460,7 +461,10 @@ def _lane_checks(diagram: DiagramLanes, sigma: bytes) -> tuple[list, tuple[int, 
         suspects[10] = _differing(lost.to_bytes(len(picked), "little"), bytes(len(picked)), lanes)
 
     verdicts: list = [None] * lanes
-    for j in sorted(set().union(*suspects)):
+    named = set().union(*suspects)
+    if named:
+        suspects = list(map(set, suspects))
+    for j in sorted(named):
         flagged = [j in named for named in suspects]
         bundle, table = diagram.bundle(j), tuple(sigma[j::lanes])
         hat_phi = _diagram_side(source).hat_phi

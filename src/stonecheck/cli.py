@@ -113,7 +113,7 @@ class _Tally:
         if self.coverage is None:
             return
         self.coverage.finish()
-        if self.coverage.sample is None and self.premises is not None:
+        if self.coverage.sample is None:
             expected = _premise_counts(self.coverage.max_atoms)
             if tuple(self.premises) != expected:
                 raise InvariantViolation(

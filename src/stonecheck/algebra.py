@@ -220,6 +220,42 @@ def _member_columns(n: int) -> tuple[bytes, ...]:
     return tuple(bytes([m >> x & 1 for m in masks]) for x in range(n))
 
 
+def _differing(a: bytes, b: bytes, lanes: int, run: int = 1) -> list[int]:
+    """The lanes, in order, in which two blocks of one layout differ: byte
+    k of a block is in lane ``k // run % lanes`` (run 1 for entry-major
+    blocks, the length of each lane's run for hom-major ones)."""
+    diff = (int.from_bytes(a, "little") ^ int.from_bytes(b, "little")).to_bytes(len(a), "little")
+    return sorted({k // run % lanes for k, x in enumerate(diff) if x})
+
+
+def _entries(block: bytes, run: int, lanes: int) -> bytes:
+    """A hom-major block, one run of ``run`` bytes per lane, entry-major:
+    entry A of lane j at byte ``A * lanes + j``.  The two layouts of a
+    block of one coincide."""
+    if lanes == 1:
+        return block
+    return b"".join([block[a::run] for a in range(run)])
+
+
+def _gather(cells: bytes, order: Sequence[int], lanes: int) -> bytes:
+    """The entries of an entry-major block in the given order."""
+    if lanes == 1:
+        return bytes(map(cells.__getitem__, order))
+    return b"".join([cells[e * lanes : e * lanes + lanes] for e in order])
+
+
+def _subset_union_lanes(parts: list[bytes], lanes: int) -> bytes:
+    """Entry S of lane j, at byte ``S * lanes + j``, is the union of byte j
+    of ``parts[x]`` over the x in the bitmask S: ``_subset_unions`` of every
+    lane at once, adding x to every set so far ORs part x into a copy of all
+    their entries."""
+    unions, width = 0, lanes
+    for part in parts:
+        unions |= (unions | int.from_bytes(part * (width // lanes), "little")) << (width << 3)
+        width <<= 1
+    return unions.to_bytes(width, "little")
+
+
 def fin_poset(rows: Sequence[Sequence[bool]]) -> FinPoset:
     """Validate a relation matrix as a partial order: ``poset_of_up_sets``
     over its rows read as bitmasks."""
@@ -617,6 +653,33 @@ def atom_additive(by_mask: Sequence[int], n1: int, n2: int) -> bool:
     )
 
 
+# a byte to its popcount, as a ``bytes.translate`` table
+_POPCOUNT = bytes([x.bit_count() for x in range(256)])
+
+
+def _lawless_lanes(sigma: bytes, n1: int, n2: int, lanes: int) -> list[int]:
+    """The lanes, in order, of a block of tables from the n1-bit to the
+    n2-bit masks, entry A of lane j at byte ``A * lanes + j``, that
+    ``atom_additive`` rejects: whose full mask does not go to the full
+    mask, whose atom images' popcounts do not sum to n2, or that are not
+    the union of their atom images."""
+    size1 = 1 << n1
+    parts = [sigma[(1 << x) * lanes : ((1 << x) + 1) * lanes] for x in range(n1)]
+    failing = set()
+    unions = _subset_union_lanes(parts, lanes)
+    if unions != sigma:
+        failing.update(_differing(unions, sigma, lanes))
+    counts = sum(int.from_bytes(part.translate(_POPCOUNT), "little") for part in parts)
+    counts = counts.to_bytes(lanes, "little")
+    if counts != bytes([n2]) * lanes:
+        failing.update(_differing(counts, bytes([n2]) * lanes, lanes))
+    top = bytes([(1 << n2) - 1]) * lanes
+    full = sigma[(size1 - 1) * lanes :]
+    if full != top:
+        failing.update(_differing(full, top, lanes))
+    return sorted(failing)
+
+
 def validate_hom(table: Sequence[int], source: FinBoolAlg, target: FinBoolAlg) -> BoolHom:
     """Accept a raw image table as a homomorphism or name the first broken law.
 
@@ -639,7 +702,7 @@ def _hom_of_table(t: tuple[int, ...], source: FinBoolAlg, target: FinBoolAlg) ->
     other table breaks a law, and plain scans name the first: bottom, the
     meet of each pair (i, j) in row-major order, top, the join of each
     pair, then the complement of each element.  A caller whose table is in
-    range by construction (``hom_from_atom_function``, a document's
+    range by construction (``homs_from_atom_functions``, a document's
     ``map``) calls it without ``validate_hom``'s conversion and range check.
     """
     n = source.size
@@ -683,14 +746,45 @@ def hom_from_atom_function(
     p-th atom of the source: h(a) is the target element whose atoms are
     exactly those q with atom p below a, the preimage of a's atoms.  This is
     the dual description of a homomorphism used both by the exhaustive
-    generator and by the document shorthand.
+    generator and by the document shorthand.  The block of one of
+    ``homs_from_atom_functions``.
     """
-    g = tuple(map(int, atom_function))
-    if len(g) != target.atom_count or g and (min(g) < 0 or max(g) >= source.atom_count):
+    return homs_from_atom_functions(source, target, [tuple(map(int, atom_function))])[0]
+
+
+def homs_from_atom_functions(
+    source: FinBoolAlg, target: FinBoolAlg, functions: Sequence[Sequence[int]]
+) -> tuple[BoolHom, ...]:
+    """The hom each atom function induces (``hom_from_atom_function``), in
+    order, made for the whole block at once, one hom per byte lane.
+
+    One ``_preimage_lanes`` call turns the functions, as an entry-major
+    point table, into every lane's preimage table in atom-mask coordinates;
+    one ``_lawless_lanes`` test of the block stands for ``_hom_of_table``'s
+    ``atom_additive``, and a lane it names goes back through
+    ``_hom_of_table``, which names the first law its table breaks.  Each
+    lane's table is its run of bytes read at the source's atom masks and
+    translated to the target's indices.  Distinct functions induce distinct
+    homs, so a repeated function raises InvariantViolation.
+    """
+    k1, k2, lanes = source.atom_count, target.atom_count, len(functions)
+    if not lanes:
+        return ()
+    try:
+        points = bytes(itertools.chain.from_iterable(zip(*functions)))
+    except ValueError:  # a point below 0 or above 255
+        points = None
+    if points is None or set(map(len, functions)) != {k2} or max(points, default=-1) >= k1:
         raise ValueError("atom function must map target atoms to source atoms")
-    pre = _preimage_table(g, source.atom_count)
-    index = target._mask_index
-    return _hom_of_table(tuple([index[pre[m]] for m in source.atom_mask]), source, target)
+    by_mask = _entries(_preimage_lanes(points, lanes, k1), 1 << k1, lanes)
+    index = bytes(map(target._mask_index.__getitem__, range(target.size))).ljust(256, b"\0")
+    cells = _gather(by_mask, source.atom_mask, lanes).translate(index)
+    tables = [tuple(cells[j::lanes]) for j in range(lanes)]
+    for j in _lawless_lanes(by_mask, k1, k2, lanes):
+        _hom_of_table(tables[j], source, target)
+    if len(set(tables)) != lanes:
+        raise InvariantViolation("hom enumeration does not match the duality count")
+    return tuple([BoolHom(source, target, t) for t in tables])
 
 
 def atom_function_of_hom(hom: BoolHom) -> tuple[int, ...]:
@@ -706,14 +800,9 @@ def atom_function_of_hom(hom: BoolHom) -> tuple[int, ...]:
 def all_homs(source: FinBoolAlg, target: FinBoolAlg) -> tuple[BoolHom, ...]:
     """Every homomorphism source -> target, in lexicographic atom-function order.
 
-    The count always equals |Uf(source)| ** |Uf(target)|; the generator
-    asserts this, and the test suite cross-checks against a raw table scan.
+    By duality they are the |Uf(source)| ** |Uf(target)| homs that the atom
+    functions induce, one each (``homs_from_atom_functions`` asserts that
+    they are distinct); the test suite cross-checks against a raw table scan.
     """
-    homs = tuple(
-        hom_from_atom_function(source, target, g)
-        for g in itertools.product(range(source.atom_count), repeat=target.atom_count)
-    )
-    expected = source.atom_count ** target.atom_count
-    if len(homs) != expected or len({h.table for h in homs}) != expected:
-        raise InvariantViolation("hom enumeration does not match the duality count")
-    return homs
+    functions = itertools.product(range(source.atom_count), repeat=target.atom_count)
+    return homs_from_atom_functions(source, target, list(functions))

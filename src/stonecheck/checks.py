@@ -3,21 +3,23 @@
 The battery (``harness._lane_checks``) runs every hom of a block at once,
 one hom per byte lane.  A point table of a block keeps entry A of lane j at
 byte ``A * lanes + j`` (entry-major), and a block of preimage tables keeps
-each lane's table as one run of bytes (hom-major).  The helpers here move
-between the layouts, name the lanes in which two blocks differ, and run
-the battery's tests of a whole block that read no diagram: the premises of
-the corollary, forward images and atom additivity by subset doubling.
-With them are the plain scan that names the first law a failing table
-breaks and the shrinker of a failing hom.  They belong to the battery
-alone: neither extension path calls them.
+each lane's table as one run of bytes (hom-major).  The helpers that move
+between the layouts, name the lanes in which two blocks differ and test a
+block for atom additivity are ``algebra``'s, whose builder of a block's
+homs reads them too.  The helpers here run the battery's other tests of a
+whole block that read no diagram: the premises of the corollary and
+forward images by subset doubling.  With them are the plain scan that
+names the first law a failing table breaks and the shrinker of a failing
+hom.  They belong to the battery alone: neither extension path calls them.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 from .algebra import (
     BoolHom,
+    _subset_union_lanes,
     atom_additive,
     atom_function_of_hom,
     hom_from_atom_function,
@@ -26,35 +28,8 @@ from .algebra import (
 from .duality import phi_table
 from .errors import InvariantViolation
 
-# byte translations: a point x below 8 to its one-point mask 1 << x; a
-# byte to its popcount
+# a point x below 8 to its one-point mask 1 << x, as a ``bytes.translate`` table
 _ONE_HOT = bytes([1 << x for x in range(8)]).ljust(256, b"\0")
-_POPCOUNT = bytes([x.bit_count() for x in range(256)])
-
-
-
-def _differing(a: bytes, b: bytes, lanes: int, run: int = 1) -> list[int]:
-    """The lanes, in order, in which two blocks of one layout differ: byte
-    k of a block is in lane ``k // run % lanes`` (run 1 for entry-major
-    blocks, the length of each lane's run for hom-major ones)."""
-    diff = (int.from_bytes(a, "little") ^ int.from_bytes(b, "little")).to_bytes(len(a), "little")
-    return sorted({k // run % lanes for k, x in enumerate(diff) if x})
-
-
-def _entries(block: bytes, run: int, lanes: int) -> bytes:
-    """A hom-major block, one run of ``run`` bytes per lane, entry-major:
-    entry A of lane j at byte ``A * lanes + j``.  The two layouts of a
-    block of one coincide."""
-    if lanes == 1:
-        return block
-    return b"".join([block[a::run] for a in range(run)])
-
-
-def _gather(cells: bytes, order: Sequence[int], lanes: int) -> bytes:
-    """The entries of an entry-major block in the given order."""
-    if lanes == 1:
-        return bytes(map(cells.__getitem__, order))
-    return b"".join([cells[e * lanes : e * lanes + lanes] for e in order])
 
 
 def _premises(images: bytes, elements: int, size: int) -> tuple[list[bool], list[bool]]:
@@ -65,47 +40,13 @@ def _premises(images: bytes, elements: int, size: int) -> tuple[list[bool], list
     return [d == elements for d in distinct], [d == size for d in distinct]
 
 
-def _subset_unions(parts: list[bytes], lanes: int) -> bytes:
-    """Entry S of lane j, at byte ``S * lanes + j``, is the union of byte j
-    of ``parts[x]`` over the x in the bitmask S: subset doubling, adding x
-    to every set so far ORs part x into a copy of all their entries."""
-    unions, width = 0, lanes
-    for part in parts:
-        unions |= (unions | int.from_bytes(part * (width // lanes), "little")) << (width << 3)
-        width <<= 1
-    return unions.to_bytes(width, "little")
-
-
 def _forward_images(table, lanes: int = 1) -> bytes:
     """The image of every point set (bitmask) under each lane's point table,
     entry S of lane j at byte ``S * lanes + j``: the union of the one-point
     masks of the images of the points of S."""
     ones = bytes(table).translate(_ONE_HOT)
     parts = [ones[v : v + lanes] for v in range(0, len(ones), lanes)]
-    return _subset_unions(parts, lanes)
-
-
-def _lawless_lanes(sigma: bytes, n1: int, n2: int, lanes: int) -> list[int]:
-    """The lanes, in order, of a block of tables from the n1-bit to the
-    n2-bit masks, entry A of lane j at byte ``A * lanes + j``, that
-    ``atom_additive`` rejects: whose full mask does not go to the full
-    mask, whose atom images' popcounts do not sum to n2, or that are not
-    the union of their atom images."""
-    size1 = 1 << n1
-    parts = [sigma[(1 << x) * lanes : ((1 << x) + 1) * lanes] for x in range(n1)]
-    failing = set()
-    unions = _subset_unions(parts, lanes)
-    if unions != sigma:
-        failing.update(_differing(unions, sigma, lanes))
-    counts = sum(int.from_bytes(part.translate(_POPCOUNT), "little") for part in parts)
-    counts = counts.to_bytes(lanes, "little")
-    if counts != bytes([n2]) * lanes:
-        failing.update(_differing(counts, bytes([n2]) * lanes, lanes))
-    top = bytes([(1 << n2) - 1]) * lanes
-    full = sigma[(size1 - 1) * lanes :]
-    if full != top:
-        failing.update(_differing(full, top, lanes))
-    return sorted(failing)
+    return _subset_union_lanes(parts, lanes)
 
 
 def _hom_law_witness(sigma_table, n1: int, n2: int) -> dict | None:

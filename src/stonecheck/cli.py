@@ -37,6 +37,7 @@ from .extension import canonical_extension
 from .harness import (
     InstanceReport,
     VerificationReport,
+    _descriptor_of,
     build_diagram,
     full_hom_instance,
     suite_plan,
@@ -146,15 +147,17 @@ class _Coverage:
     Exhaustive: every atom count from 1 to K once, and every atom function
     of ``range(k1) ** k2`` once for 1 <= k1, k2 <= K.  Report order is that
     of the descriptors' JSON texts, in which each (k1, k2) pair's functions
-    come in the order of ``itertools.product``, so one counter per pair
-    names the next function due; sampled: exactly ``count`` homs, sample
-    indices 0 to count - 1 once each, kept as one bitmask.  The first
+    come in the order of ``itertools.product``, so one such iterator per
+    pair names the next function due; sampled: exactly ``count`` homs,
+    sample indices 0 to count - 1 once each, kept as one bitmask.  The first
     descriptor out of place, or at the end the first one missing (of the
     first pair that is short), raises InvariantViolation naming it."""
 
     def __init__(self, max_atoms: int, sample: tuple[int, int] | None) -> None:
         self.max_atoms, self.sample = max_atoms, sample
-        self.due: dict[tuple[int, int], int] = {}
+        sizes = range(1, max_atoms + 1) if sample is None else ()
+        pairs = itertools.product(sizes, sizes)
+        self.due = {(k1, k2): itertools.product(range(k1), repeat=k2) for k1, k2 in pairs}
         self.seen = self.atoms = 0
 
     def add(self, d: dict) -> None:
@@ -171,22 +174,19 @@ class _Coverage:
             _expect(0 <= i < self.sample[1] and not self.seen >> i & 1, "unexpected", d)
             self.seen |= 1 << i
             return
-        due = self.due.get((k1, len(g)), 0)
-        number = sum(p * k1**e for e, p in enumerate(reversed(g)))
-        _expect(number >= due, "unexpected", d)
-        if number > due:
-            _expect(False, "missing", _hom_descriptor_of(k1, len(g), due))
-        self.due[k1, len(g)] = due + 1
+        due = next(self.due[k1, len(g)], None)
+        _expect(due is not None and tuple(g) >= due, "unexpected", d)
+        _expect(tuple(g) == due, "missing", _descriptor_of(k1, due))
 
     def finish(self) -> None:
-        sizes = range(1, self.max_atoms + 1)
         if self.sample is not None:
             missing = ~self.seen & ((1 << self.sample[1]) - 1)
             i = (missing & -missing).bit_length() - 1
             _expect(not missing, "missing", {"kind": "hom", "sample_index": i})
-        for k1, k2 in itertools.product(sizes, sizes) if self.sample is None else ():
-            due = self.due.get((k1, k2), 0)
-            _expect(due == k1**k2, "missing", _hom_descriptor_of(k1, k2, due))
+        for (k1, _), functions in self.due.items():
+            due = next(functions, None)
+            if due is not None:
+                _expect(False, "missing", _descriptor_of(k1, due))
         _expect(self.atoms == self.max_atoms, "missing", {"kind": "algebra", "atoms": self.atoms + 1})
 
 
@@ -194,13 +194,6 @@ def _expect(holds: bool, what: str, descriptor: dict) -> None:
     """Raise InvariantViolation naming the descriptor unless ``holds``."""
     if not holds:
         raise InvariantViolation(f"{what} instance in the suite", descriptor)
-
-
-def _hom_descriptor_of(k1: int, k2: int, number: int) -> dict:
-    """The descriptor of the hom from k1 to k2 atoms whose atom function is
-    the k2 digits of ``number`` in base k1."""
-    g = [number // k1**e % k1 for e in reversed(range(k2))]
-    return {"kind": "hom", "source_atoms": k1, "target_atoms": k2, "atom_function": g}
 
 
 _clock = time.monotonic

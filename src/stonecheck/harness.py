@@ -42,7 +42,7 @@ diagram reaches its check.
 The battery (``_lane_checks``) runs one test of the whole block per check:
 the sigma tables against the double duals as one comparison, the
 extension's homomorphism laws by atom additivity
-(``checks._lawless_lanes``: each table is the union of its atom images,
+(``algebra._lawless_lanes``: each table is the union of its atom images,
 which partition the target), the preimage membership equivalence and the
 forward-image lemma as byte rows of every lane, and the premises of the
 corollary, whether each hom is one-to-one and onto, from its image table
@@ -71,10 +71,14 @@ from .algebra import (
     BoolHom,
     FieldEquality,
     FinBoolAlg,
-    all_homs,
+    _differing,
+    _entries,
+    _gather,
+    _lawless_lanes,
     atom_additive,
     atom_function_of_hom,
     hom_from_atom_function,
+    homs_from_atom_functions,
     object_cache,
     powerset_algebra,
     ultrafilters,
@@ -97,13 +101,9 @@ from .duality import (
 from .errors import BoundExceeded, InvariantViolation, NoClopenPreimage
 from .extension import canonical_extension, sigma_extend, sigma_lanes
 from .checks import (
-    _differing,
-    _entries,
     _first,
     _forward_images,
-    _gather,
     _lane_witnesses,
-    _lawless_lanes,
     _ONE_HOT,
     _premises,
     shrink_failing_hom,
@@ -196,15 +196,17 @@ def hom_descriptor(
     built h from it, spares re-deriving it from the table."""
     if atom_function is None:
         atom_function = atom_function_of_hom(h)
-    d = {
-        "kind": "hom",
-        "source_atoms": h.source.atom_count,
-        "target_atoms": h.target.atom_count,
-        "atom_function": list(atom_function),
-    }
+    d = _descriptor_of(h.source.atom_count, atom_function)
     if name is not None:
         d["name"] = name
     return d
+
+
+def _descriptor_of(source_atoms: int, atom_function: Sequence[int]) -> dict:
+    """The instance descriptor of the hom from the powerset of
+    ``source_atoms`` atoms that ``atom_function`` induces."""
+    g = list(atom_function)
+    return {"kind": "hom", "source_atoms": source_atoms, "target_atoms": len(g), "atom_function": g}
 
 
 class DiagramLanes:
@@ -535,10 +537,9 @@ def algebra_instance(atom_count: int) -> InstanceReport:
 
 class SuitePlan(FieldEquality):
     """Every instance of a suite run in report order (``suite_plan``).  A hom
-    entry is (source atoms, atom function, hom, None) when exhaustive and
-    (source atoms, atom function, None, sample index) when sampled.
-    ``premises`` counts, as the homs run, the distinct homs that are
-    one-to-one, onto, and both."""
+    entry is (source atoms, atom function, sample index), the index None
+    when exhaustive; no entry holds a hom.  ``premises`` counts, as the
+    homs run, the distinct homs that are one-to-one, onto, and both."""
 
     _fields = ("homs", "algebra_sizes")
     __slots__ = (*_fields, "premises", "__weakref__")
@@ -555,29 +556,27 @@ class SuitePlan(FieldEquality):
         """Make each instance in order, a sampled draw with the sample index
         of its hom's first draw, an exhaustive hom with None.
 
-        The distinct homs with one source and one target size are one
-        block, and a block's battery runs, one lane per hom, when its first
-        hom comes up; each hom's verdicts are kept until its first draw is
-        made.  A block that raises is run again one hom at a time, each
-        when it comes up, so an error names its hom after the instances
-        before it.  The draws of one atom function are adjacent in report
-        order, so every later draw of a hom shares the ``checks`` of its
-        first draw.  No instance is kept, and a hom's verdicts only until
-        its atom function's draws end."""
-        lanes: dict[tuple, int] = {}
-        blocks: dict[tuple[int, int], list[BoolHom]] = {}
-        for k1, g, h, _ in self.homs:
-            if (k1, g) not in lanes:
-                block = blocks.setdefault((k1, len(g)), [])
-                lanes[k1, g] = len(block)
-                if h is None:
-                    h = hom_from_atom_function(powerset_algebra(k1), powerset_algebra(len(g)), g)
-                block.append(h)
-        left = {key: len(block) for key, block in blocks.items()}
-        ran: dict[tuple[int, int], list | None] = {}
+        The distinct atom functions with one source and one target size are
+        one block.  When a block's first hom comes up in report order, its
+        homs are made in one ``homs_from_atom_functions`` call and its
+        battery runs, one lane per hom; only each lane's verdicts are kept,
+        until that hom's first draw is made, so at most one block's homs
+        are alive at a time.  A block whose build or battery raises is run
+        again one hom at a time, each when it comes up, so an error names
+        its hom after the instances before it.  The draws of one atom
+        function are adjacent in report order, so every later draw of a hom
+        shares the ``checks`` of its first draw.  No instance is kept, and
+        a hom's verdicts only until its atom function's draws end."""
+        blocks: dict[tuple[int, int], dict[tuple[int, ...], None]] = {}
+        for k1, g, _ in self.homs:
+            blocks.setdefault((k1, len(g)), {})[g] = None
+        # each hom's verdicts, by (k1, g), from its block's run until its
+        # first draw: None when its checks all pass, False when its block
+        # raised, else its list of results
+        ran: dict[tuple, list | bool | None] = {}
         firsts: dict[int, tuple[int, dict, list[CheckResult]]] = {}
         atom_function = None
-        for k1, g, _, i in self.homs:
+        for k1, g, i in self.homs:
             if i is not None:
                 if g != atom_function:
                     firsts.clear()
@@ -586,23 +585,21 @@ class SuitePlan(FieldEquality):
                 if first is not None:
                     yield InstanceReport(dict(first[1], sample_index=i), first[2]), first[0]
                     continue
-            key, lane = (k1, len(g)), lanes.pop((k1, g))
-            if key not in ran:
-                ran[key] = self._run_block(blocks[key])
-            h, verdicts = blocks[key][lane], ran[key]
+            key = (k1, len(g))
+            if key in blocks:
+                functions = list(blocks.pop(key))
+                verdicts = self._run_block(key, functions) or [False] * len(functions)
+                ran.update(zip([(k1, f) for f in functions], verdicts))
+            checks = ran.pop((k1, g))
             extra = None if i is None else {"sample_index": i}
-            if verdicts is None:
+            if checks is False:
+                h = hom_from_atom_function(powerset_algebra(k1), powerset_algebra(len(g)), g)
                 inst = full_hom_instance(h, extra=extra, atom_function=g)
                 injective, surjective = _premises(bytes(h.table), h.source.size, h.target.size)
                 self._count((injective[0], surjective[0], injective[0] and surjective[0]))
             else:
-                descriptor = hom_descriptor(h, atom_function=g)
-                descriptor.update(extra or ())
-                checks = verdicts[lane]
-                inst = InstanceReport(descriptor, list(_ALL_PASSED) if checks is None else checks)
-            left[key] -= 1
-            if not left[key]:
-                del ran[key], blocks[key]
+                descriptor = _descriptor_of(k1, g) | (extra or {})
+                inst = InstanceReport(descriptor, checks or list(_ALL_PASSED))
             if i is not None:
                 firsts[k1] = (i, inst.descriptor, inst.checks)
             yield inst, i
@@ -611,9 +608,12 @@ class SuitePlan(FieldEquality):
         for k in self.algebra_sizes:
             yield algebra_instance(k), None
 
-    def _run_block(self, homs: list[BoolHom]) -> list | None:
-        """Each lane's verdicts of a block, or None when the block raised."""
+    def _run_block(self, key: tuple[int, int], functions: list[tuple[int, ...]]) -> list | None:
+        """Each lane's verdicts of the block of homs between the powersets
+        of ``key``'s atom counts that the functions induce, or None when the
+        block raised."""
         try:
+            homs = homs_from_atom_functions(*map(powerset_algebra, key), functions)
             verdicts, premises = _lane_checks(diagram_lanes(homs), sigma_lanes(homs))
         except Exception:
             return None
@@ -627,9 +627,11 @@ class SuitePlan(FieldEquality):
 def suite_plan(max_atoms: int, sample: tuple[int, int] | None = None) -> SuitePlan:
     """List every instance of the suite in report order, before any work.
 
-    Exhaustive mode takes every hom between powerset algebras of at most
-    ``max_atoms`` atoms (``all_homs``, which asserts each pair's duality
-    count); sampled mode draws ``count`` atom functions from a seeded
+    Exhaustive mode takes every atom function of ``range(k1) ** k2`` for
+    1 <= k1, k2 <= ``max_atoms``, each inducing a hom between powerset
+    algebras (``homs_from_atom_functions`` makes a block's homs when it
+    runs, and asserts the duality count: distinct functions, distinct
+    homs); sampled mode draws ``count`` atom functions from a seeded
     generator.  The order is that of the ``json.dumps(descriptor,
     sort_keys=True)`` texts, found without encoding one: hom texts begin
     ``{"atom_function": [``, before algebra texts' ``{"atoms": ``, and first
@@ -646,18 +648,15 @@ def suite_plan(max_atoms: int, sample: tuple[int, int] | None = None) -> SuitePl
     homs = []
     if sample is None:
         for k1, k2 in itertools.product(sizes, sizes):
-            # all_homs lists the homs in the order of their atom functions
-            functions = itertools.product(range(k1), repeat=k2)
-            pairs = zip(functions, all_homs(powerset_algebra(k1), powerset_algebra(k2)))
-            homs += [(k1, g, h, None) for g, h in pairs]
+            homs += [(k1, g, None) for g in itertools.product(range(k1), repeat=k2)]
         homs.sort(key=lambda e: (str(list(e[1])), str(e[0])))
     else:
         rng = random.Random(sample[0])
         for i in range(sample[1]):
             k1 = rng.randint(1, max_atoms)
             k2 = rng.randint(1, max_atoms)
-            homs.append((k1, tuple(rng.randrange(k1) for _ in range(k2)), None, i))
-        homs.sort(key=lambda e: (str(list(e[1])), str(e[3])))
+            homs.append((k1, tuple(rng.randrange(k1) for _ in range(k2)), i))
+        homs.sort(key=lambda e: (str(list(e[1])), str(e[2])))
     return SuitePlan(homs, sorted(sizes, key=str))
 
 

@@ -1,4 +1,5 @@
-"""Warm microseconds per homomorphism of the check battery, per size block.
+"""Warm microseconds per homomorphism of the check battery, per size block,
+and of building the homs.
 
     PYTHONPATH=src python tests/battery_cost.py [--max-atoms K] [--repeat R]
 
@@ -15,7 +16,15 @@ them, each once to fill the per-algebra caches and then R more passes
 
 Each hom is handed its atom function, as ``verify --all`` hands it, so the
 time is the battery's and the instance descriptor's.  The k -> k diagonal
-of both is printed last.  Every instance must pass; the script exits 1
+of both is printed last, and then, for each k -> k block, the same
+microseconds per hom of making its homs from their atom functions two
+ways:
+
+* lanes: one ``homs_from_atom_functions`` call for the block, as
+  ``verify --all`` makes them;
+* one: ``hom_from_atom_function`` on each function alone, a block of one,
+  as a document's ``atom_map`` is made.
+  Every instance must pass; the script exits 1
 otherwise.  It is a measuring tool, not a test: pytest does not collect
 it, and its numbers depend on the machine that runs it.
 """
@@ -27,7 +36,13 @@ import itertools
 import sys
 import time
 
-from stonecheck.algebra import MAX_ATOMS, all_homs, powerset_algebra
+from stonecheck.algebra import (
+    MAX_ATOMS,
+    all_homs,
+    hom_from_atom_function,
+    homs_from_atom_functions,
+    powerset_algebra,
+)
 from stonecheck.extension import sigma_lanes
 from stonecheck.harness import (
     _ALL_PASSED,
@@ -52,6 +67,26 @@ def run_alone(homs, functions) -> list[InstanceReport]:
     return [full_hom_instance(h, atom_function=g) for h, g in zip(homs, functions)]
 
 
+def fastest(run, repeat: int) -> float:
+    """The fastest of ``repeat`` timed calls of ``run``, in seconds."""
+    best = float("inf")
+    for _ in range(repeat):
+        start = time.perf_counter()
+        run()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def build_cost(k: int, repeat: int) -> tuple[float, float]:
+    """The fastest of ``repeat`` passes making the k -> k block's homs, in
+    lanes and one at a time, in microseconds per hom."""
+    algebra = powerset_algebra(k)
+    functions = list(itertools.product(range(k), repeat=k))
+    lanes = fastest(lambda: homs_from_atom_functions(algebra, algebra, functions), repeat)
+    one = fastest(lambda: [hom_from_atom_function(algebra, algebra, g) for g in functions], repeat)
+    return lanes / len(functions) * 1e6, one / len(functions) * 1e6
+
+
 def block_cost(k1: int, k2: int, repeat: int) -> tuple[float, float]:
     """The fastest of ``repeat`` warm passes over the (k1, k2) block, as one
     block and one hom at a time, in microseconds per hom."""
@@ -62,12 +97,7 @@ def block_cost(k1: int, k2: int, repeat: int) -> tuple[float, float]:
     for run in (run_block, run_alone):
         if not all(inst.passed for inst in run(homs, functions)):
             raise SystemExit(f"a hom of the {k1} -> {k2} block fails its battery")
-        best = float("inf")
-        for _ in range(repeat):
-            start = time.perf_counter()
-            run(homs, functions)
-            best = min(best, time.perf_counter() - start)
-        costs.append(best / len(homs) * 1e6)
+        costs.append(fastest(lambda: run(homs, functions), repeat) / len(homs) * 1e6)
     return costs[0], costs[1]
 
 
@@ -85,6 +115,9 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{k1:>5}" + "".join(f"{costs[k1, k2][column]:8.1f}" for k2 in sizes))
     for column, title in enumerate(("block", "one")):
         print(f"k->k {title:<5} " + " ".join(f"{k}:{costs[k, k][column]:.1f}" for k in sizes))
+    builds = [build_cost(k, args.repeat) for k in sizes]
+    for column, title in enumerate(("lanes", "one")):
+        print(f"k->k build {title:<5} " + " ".join(f"{k}:{b[column]:.1f}" for k, b in zip(sizes, builds)))
     return 0
 
 

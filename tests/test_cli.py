@@ -361,8 +361,15 @@ def test_writing_a_report_holds_no_copy_of_its_text(tmp_path):
 def test_verify_all_holds_at_most_one_hom_instance_at_a_time(monkeypatch, tmp_path, capsys):
     # each instance is written as it is made and freed once written; every
     # repeated draw takes the verdicts of its first, so the battery runs once
-    # per distinct hom, in one block per source and target size
-    made, blocks = [], []
+    # per distinct hom, in one block per source and target size, whose homs
+    # are made when it runs and freed before the next block's are made
+    made, blocks, homs = [], [], []
+
+    def built(*args):
+        assert [ref for ref in homs if ref() is not None] == []
+        block = real_build(*args)
+        homs.extend(map(weakref.ref, block))
+        return block
 
     class Tracked(harness.InstanceReport):
         __slots__ = ()
@@ -372,8 +379,9 @@ def test_verify_all_holds_at_most_one_hom_instance_at_a_time(monkeypatch, tmp_pa
             super().__init__(*args)
             made.append(weakref.ref(self))
 
-    real = harness.diagram_lanes
+    real, real_build = harness.diagram_lanes, harness.homs_from_atom_functions
     monkeypatch.setattr(harness, "InstanceReport", Tracked)
+    monkeypatch.setattr(harness, "homs_from_atom_functions", built)
     monkeypatch.setattr(harness, "diagram_lanes", lambda homs: blocks.append(len(homs)) or real(homs))
     out = tmp_path / "report.json"
     argv = ["verify", "--all", "--max-atoms", "3", "--seed", "7", "--count", "500"]
@@ -381,7 +389,8 @@ def test_verify_all_holds_at_most_one_hom_instance_at_a_time(monkeypatch, tmp_pa
     assert capsys.readouterr().out == "503 instances, 5509 checks: all passed\n"
     assert len(made) == 503
     assert len(blocks) == 9 and 1 < sum(blocks) <= 56
-    assert all(ref() is None for ref in made)
+    assert len(homs) == sum(blocks)
+    assert all(ref() is None for ref in made + homs)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "ba4b8ccc7a9d0fb7cc45e2d73b55a1c47e5ff8cc27402cacd1f2958a6361b84d"
     )

@@ -15,6 +15,7 @@ import stonecheck.extension as extension
 import stonecheck.harness as harness
 from helpers import identity_hom, report_jsonable
 from stonecheck.algebra import (
+    BoolHom,
     all_homs,
     hom_from_atom_function,
     powerset_algebra,
@@ -399,7 +400,7 @@ def test_the_plan_orders_instances_by_the_text_of_json_dumps(max_atoms, sample):
             "atom_function": list(g),
             **({} if i is None else {"sample_index": i}),
         }
-        for k1, g, _, i in plan.homs
+        for k1, g, i in plan.homs
     ]
     descriptors += [{"kind": "algebra", "atoms": k} for k in plan.algebra_sizes]
     keys = [json.dumps(d, sort_keys=True) for d in descriptors]
@@ -408,6 +409,15 @@ def test_the_plan_orders_instances_by_the_text_of_json_dumps(max_atoms, sample):
         assert sorted(d["sample_index"] for d in descriptors[: len(plan.homs)]) == list(
             range(sample[1])
         )
+
+
+@pytest.mark.parametrize("sample", [None, (7, 2000)], ids=["exhaustive", "sampled"])
+def test_the_plan_holds_atom_functions_and_no_hom(sample):
+    # each block's homs are made when it runs, so the plan's memory is its
+    # atom functions alone
+    plan = harness.suite_plan(4, sample)
+    assert all(type(g) is tuple and all(type(p) is int for p in g) for _, g, _ in plan.homs)
+    assert not any(isinstance(value, BoolHom) for entry in plan.homs for value in entry)
 
 
 def report_digest(report):

@@ -1,12 +1,13 @@
 """A block runs each hom in a lane of its own.
 
-``SuitePlan.run`` runs the battery a block at a time: every distinct hom
-with one source and one target size, each in one byte lane of the block's
-tables.  Each lane must be exactly what its hom gives alone, as a block of
-one: the same sigma table, the same arrows of the diagram, the same checks
-and witnesses.  A fault in one lane must show on that hom's report only,
-and a block that raises must leave the report that running each hom alone
-leaves.
+``SuitePlan.run`` makes a block's homs and runs its battery a block at a
+time: every distinct hom with one source and one target size, each in one
+byte lane of the block's tables.  Each lane must be exactly what its hom
+gives alone, as a block of one: the same hom from its atom function, the
+same sigma table, the same arrows of the diagram, the same checks and
+witnesses.  A fault in one lane must show on that hom's report only, or
+raise the error its table raises alone, and a block that raises must leave
+the report that running each hom alone leaves.
 """
 
 import itertools
@@ -16,9 +17,16 @@ from pathlib import Path
 
 import pytest
 
+import stonecheck.algebra as algebra
 import stonecheck.harness as harness
 from helpers import replace
-from stonecheck.algebra import all_homs, hom_from_atom_function, powerset_algebra
+from stonecheck.algebra import (
+    _hom_of_table,
+    all_homs,
+    hom_from_atom_function,
+    homs_from_atom_functions,
+    powerset_algebra,
+)
 from stonecheck.cli import main
 from stonecheck.documents import parse_document
 from stonecheck.errors import InvariantViolation
@@ -26,6 +34,91 @@ from stonecheck.extension import sigma_extend, sigma_lanes
 from stonecheck.harness import _lane_checks, build_diagram, diagram_lanes, full_hom_instance
 
 RELABELLED_FIVE = Path(__file__).resolve().parent / "data/relabelled_five.json"
+
+
+def induced_table(source, target, g):
+    """The image table of the hom that atom function g induces, from its
+    definition: h(a) is the target element whose atoms are the q with atom
+    g[q] below a."""
+    table = []
+    for mask in source.atom_mask:
+        image = sum(1 << q for q, p in enumerate(g) if mask >> p & 1)
+        table.append(target._mask_index[image])
+    return tuple(table)
+
+
+def assert_builder_is_blocks_of_one(source, target, functions):
+    homs = homs_from_atom_functions(source, target, functions)
+    assert len(homs) == len(functions)
+    for g, h in zip(functions, homs):
+        assert h == hom_from_atom_function(source, target, g)
+        assert (h.source, h.target, h.table) == (source, target, induced_table(source, target, g))
+
+
+@pytest.mark.parametrize("k1, k2", list(itertools.product(range(5), repeat=2)))
+def test_the_builder_makes_each_hom_of_every_block_up_to_four_atoms_as_alone(k1, k2):
+    source, target = powerset_algebra(k1), powerset_algebra(k2)
+    functions = list(itertools.product(range(k1), repeat=k2))
+    assert_builder_is_blocks_of_one(source, target, functions)
+    assert homs_from_atom_functions(source, target, functions) == all_homs(source, target)
+
+
+@pytest.mark.parametrize("source, target", list(itertools.product(["five", "three"], repeat=2)))
+def test_the_builder_makes_each_hom_between_shuffled_presentations_as_alone(source, target):
+    # element index is not atom mask on either side, so each lane's table
+    # is read at the source's atom masks and translated to target indices
+    doc = parse_document(RELABELLED_FIVE.read_text())
+    source, target = doc.algebra(source), doc.algebra(target)
+    assert source.atom_mask != tuple(range(source.size))
+    assert target.atom_mask != tuple(range(target.size))
+    functions = list(itertools.product(range(source.atom_count), repeat=target.atom_count))
+    assert_builder_is_blocks_of_one(source, target, functions)
+
+
+def test_a_repeated_atom_function_breaks_the_duality_count():
+    three = powerset_algebra(3)
+    functions = [(0, 1, 2), (2, 1, 0), (0, 1, 2)]
+    with pytest.raises(InvariantViolation) as info:
+        homs_from_atom_functions(three, three, functions)
+    assert str(info.value) == "hom enumeration does not match the duality count"
+
+
+@pytest.mark.parametrize(
+    "functions",
+    [[(0, 3)], [(0, -1)], [(0, 1, 0)], [(0, 1), (1,)], [(0, 1), (0, 256)]],
+    ids=["past_the_source", "negative", "too_long", "too_short", "past_a_byte"],
+)
+def test_the_builder_refuses_a_function_outside_the_atoms(functions):
+    three = powerset_algebra(3)
+    with pytest.raises(ValueError) as info:
+        homs_from_atom_functions(three, powerset_algebra(2), functions)
+    assert str(info.value) == "atom function must map target atoms to source atoms"
+
+
+@pytest.mark.parametrize("faulty", [[11], [11, 20], [0, 26]], ids=["one", "two", "first_and_last"])
+def test_a_faulted_lane_raises_the_law_error_of_its_table_alone(monkeypatch, faulty):
+    # flip bit 0 of entry 5 of each faulty lane's preimage table: the block
+    # raises what the first faulty lane's table raises alone
+    three = powerset_algebra(3)
+    functions = list(itertools.product(range(3), repeat=3))
+    real = algebra._preimage_lanes
+
+    def faulted(table, lanes, target_size):
+        cells = bytearray(real(table, lanes, target_size))
+        for j in faulty:
+            cells[(j << target_size) + 5] ^= 1
+        return bytes(cells)
+
+    monkeypatch.setattr(algebra, "_preimage_lanes", faulted)
+    with pytest.raises(Exception) as block:
+        homs_from_atom_functions(three, three, functions)
+    table = list(real(bytes(functions[faulty[0]]), 1, 3))
+    table[5] ^= 1
+    with pytest.raises(Exception) as alone:
+        _hom_of_table(tuple(table), three, three)
+    assert type(block.value) is type(alone.value)
+    assert str(block.value) == str(alone.value)
+    assert block.value.witness == alone.value.witness is not None
 
 
 def arrows(bundle):
@@ -83,6 +176,40 @@ def test_a_fault_in_one_lane_fails_that_hom_only_with_its_block_of_one_witness(m
     assert verdicts[11] == alone
     failed = [c.name for c in alone if c.witness is not None]
     assert failed == ["sigma_equals_double_dual", "embedded_elements_preserved"]
+
+
+def test_a_builder_that_raises_mid_run_exits_3_naming_its_hom_after_the_instances_before_it(
+    monkeypatch, tmp_path, capsys
+):
+    # building the 3 -> 2 block raises, so each of its homs is built alone
+    # when it comes up, and the one that raises alone stops the run there
+    whole = tmp_path / "whole.json"
+    argv = ["verify", "--all", "--max-atoms", "3"]
+    assert main([*argv, "--out", str(whole)]) == 0
+    capsys.readouterr()
+    real = algebra.homs_from_atom_functions
+
+    def broken(source, target, functions):
+        if source.atom_count == 3 and (2, 1) in functions:
+            raise InvariantViolation("seeded library bug", (2, 1))
+        return real(source, target, functions)
+
+    monkeypatch.setattr(algebra, "homs_from_atom_functions", broken)
+    monkeypatch.setattr(harness, "homs_from_atom_functions", broken)
+    out = tmp_path / "report.json"
+    assert main([*argv, "--out", str(out)]) == 3
+    assert capsys.readouterr() == ("", "internal error: seeded library bug; witness=(2, 1)\n")
+    text = out.read_text(encoding="utf-8")
+    instances = json.loads(whole.read_text())["instances"]
+    before = next(
+        k for k, inst in enumerate(instances)
+        if inst["descriptor"].get("atom_function") == [2, 1]
+        and inst["descriptor"]["source_atoms"] == 3
+    )
+    assert before > 0
+    assert whole.read_text(encoding="utf-8").startswith(text)
+    assert text.count('"descriptor": ') == before
+    assert text.endswith("\n    }")
 
 
 def test_a_block_that_raises_leaves_the_report_of_each_hom_alone(monkeypatch, tmp_path, capsys):

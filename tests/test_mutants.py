@@ -333,8 +333,8 @@ FAST_PATH_MUTANTS = {
     "forward_images_reversed": (
         checks,
         "_forward_images",
-        "return _subset_unions(parts, lanes)",
-        "return _subset_unions(parts[::-1], lanes)",
+        "return _subset_union_lanes(parts, lanes)",
+        "return _subset_union_lanes(parts[::-1], lanes)",
         "forward_image_in_lifted_ultrafilter",
     ),
     # the lemma's prefilter compares the member rows with themselves
@@ -380,7 +380,7 @@ FAST_PATH_MUTANTS = {
     ),
     # the battery's fast path is handed the full mask as the table's last entry
     "hom_law_without_full_mask": (
-        checks,
+        algebra,
         "_lawless_lanes",
         "full = sigma[(size1 - 1) * lanes :]",
         "full = top",

@@ -51,10 +51,11 @@ only a named lane gets a plain scan of its own tables, in index order
 (``checks._lane_witnesses``), so each check reports the first witness of
 the literal scan.  A passing check is one shared
 ``CheckResult`` per name, and a hom whose checks all pass gets a fresh
-list of the eleven.  ``SuitePlan.run`` runs a block when its first hom
-comes up in report order and keeps each lane's verdicts until that hom's
-first draw is made; a block that raises is run again one hom at a time,
-each when it comes up.
+list of the eleven.  ``SuitePlan.run`` makes a block's homs from their
+atom functions (``algebra.homs_from_atom_functions``) and runs the block
+when its first hom comes up in report order, and keeps each lane's
+verdicts until that hom's first draw is made; a block whose build or
+battery raises is run again one hom at a time, each when it comes up.
 """
 
 from __future__ import annotations

@@ -24,9 +24,10 @@ ways:
   ``verify --all`` makes them;
 * one: ``hom_from_atom_function`` on each function alone, a block of one,
   as a document's ``atom_map`` is made.
-  Every instance must pass; the script exits 1
-otherwise.  It is a measuring tool, not a test: pytest does not collect
-it, and its numbers depend on the machine that runs it.
+
+Every instance must pass; the script exits 1 otherwise.  It is a
+measuring tool, not a test: pytest does not collect it, and its numbers
+depend on the machine that runs it.
 """
 
 from __future__ import annotations

@@ -32,7 +32,7 @@ from .compactification import (
 )
 from .duality import (
     ClopenAlgebra,
-    ContinuousMap,
+    ContinuousLanes,
     FinStoneSpace,
     clopen_algebra,
     discrete_space,
@@ -51,7 +51,7 @@ from .extension import (
     sigma_extend,
 )
 from .harness import (
-    DiagramBundle,
+    DiagramLanes,
     VerificationReport,
     build_diagram,
     double_dual_map,

@@ -128,19 +128,20 @@ def _first(witnesses):
 
 
 def _lane_witnesses(
-    h: BoolHom, bundle, sigma_table: tuple, forward: bytes, flagged: list[bool], hat_phi
+    diagram, j: int, sigma_table: tuple, forward: bytes, flagged: list[bool], hat_phi
 ) -> list[dict | None]:
-    """The witness of each flagged check but the first on one hom's own
-    tables (a ``harness.DiagramBundle``), by the plain scans, in index
-    order; None for the checks not flagged and for those whose scan finds
-    nothing.  ``forward`` is the hom's forward-image table
+    """The witness of each flagged check but the first on lane j's own
+    tables of a block (a ``harness.DiagramLanes``), by the plain scans, in
+    index order; None for the checks not flagged and for those whose scan
+    finds nothing.  ``forward`` is the hom's forward-image table
     (``_forward_images``) and ``hat_phi`` its source's double-dual
     embedding.  The first check's witness, which shrinks the hom, is the
     harness's."""
     witnesses: list[dict | None] = [None] * len(flagged)
-    double_dual, h_star, lifted = bundle.double_dual, bundle.h_star, bundle.h_star_beta.table
-    beta1, beta2 = bundle.beta1, bundle.beta2
+    h, lanes = diagram.homs[j], len(diagram.homs)
+    beta1, beta2 = diagram.beta1, diagram.beta2
     n1, n2 = beta1.base.size, beta2.base.size
+    double_dual, lifted = diagram.double_dual[j::lanes], diagram.h_star_beta.table[j::lanes]
     points1, points2 = beta1.points_as_ultrafilters, beta2.points_as_ultrafilters
     if flagged[1]:
         phi1, phi2 = phi_table(h.source), phi_table(h.target)
@@ -150,7 +151,8 @@ def _lane_witnesses(
             if double_dual[phi1[a]] != phi2[h.table[a]]
         )
     if flagged[2]:
-        preimages = h_star.preimages
+        size = 1 << n1
+        preimages = diagram.h_star.preimages[j * size : (j + 1) * size]
         witnesses[2] = _first(
             {"subset_mask": a, "point": d}
             for a, upstairs in enumerate(hat_phi)
@@ -163,13 +165,14 @@ def _lane_witnesses(
         if flagged[k]:
             witnesses[k] = {"table": list(sigma_table)}
     if flagged[7]:
-        witnesses[7] = {"candidates": bundle.candidate_count}
+        witnesses[7] = {"candidates": diagram.candidate_counts[j]}
     if flagged[8]:
+        h_star = diagram.h_star.table[j::lanes]
         witnesses[8] = _first(
-            {"point": v} for v in range(n2) if lifted[beta2.embed[v]] != beta1.embed[h_star.table[v]]
+            {"point": v} for v in range(n2) if lifted[beta2.embed[v]] != beta1.embed[h_star[v]]
         )
     if flagged[9]:
-        witnesses[9] = {"lift": list(bundle.lift), "extension": list(lifted)}
+        witnesses[9] = {"lift": list(diagram.lift[j::lanes]), "extension": list(lifted)}
     if flagged[10]:
         witnesses[10] = _first(
             {"point": d, "member_mask": a}

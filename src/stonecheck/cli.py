@@ -386,7 +386,7 @@ def _diagram_dot(doc: Document, hom_name: str) -> str:
     """The eight-node construction diagram for a named homomorphism."""
     hom = doc.hom(hom_name)
     src_name, dst_name = doc.hom_endpoints[hom_name]
-    bundle = build_diagram(hom)
+    diagram = build_diagram(hom)
     n1 = len(ultrafilters(hom.source))
     n2 = len(ultrafilters(hom.target))
 
@@ -400,7 +400,7 @@ def _diagram_dot(doc: Document, hom_name: str) -> str:
     hom_tip = "; ".join(
         f"{src_labels[i]}->{dst_labels[v]}" for i, v in enumerate(hom.table)
     )
-    dd_tip = table_tip(bundle.double_dual)
+    dd_tip = table_tip(diagram.double_dual)
     lines = [
         f"digraph {_dot_string(hom_name)} {{",
         "  rankdir=LR;",
@@ -420,8 +420,8 @@ def _diagram_dot(doc: Document, hom_name: str) -> str:
         '  uf2 -> beta2 [label="beta_2"];',
         '  beta2 -> pow2 [label="(.)^*" style=dashed];',
         f'  b1 -> b2 [label="h" tooltip={_dot_string(hom_tip)}];',
-        f'  uf2 -> uf1 [label="h_*" tooltip="{table_tip(bundle.h_star.table)}"];',
-        f'  beta2 -> beta1 [label="h_*^beta" tooltip="{table_tip(bundle.h_star_beta.table)}"];',
+        f'  uf2 -> uf1 [label="h_*" tooltip="{table_tip(diagram.h_star.table)}"];',
+        f'  beta2 -> beta1 [label="h_*^beta" tooltip="{table_tip(diagram.h_star_beta.table)}"];',
         f'  pow1 -> pow2 [label="(h_*^beta)^*" tooltip="{dd_tip}"];',
         "}",
     ]

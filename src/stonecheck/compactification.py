@@ -22,9 +22,10 @@ at most ``MAX_ATOMS ** MAX_ATOMS`` tables.
 
 Both flavours work a block at a time, every map of a block in one byte
 lane (``duality.ContinuousLanes``), and the per-map functions
-(``extension_candidates``, ``beta_lift``, ``_forced_tables``) are blocks
-of one.  Each table of the search is one block, the values the embedding
-forces in each lane and the free points' values shared by all lanes, and
+(``extension_candidates``, ``beta_extend_to_compact``, ``beta_lift``,
+``_forced_tables``) are blocks of one, which they return as they are.
+Each table of the search is one block, the values the embedding forces
+in each lane and the free points' values shared by all lanes, and
 its continuity and the lift's image sets read one block of preimage tables
 (``algebra._preimage_lanes``) instead of summing a preimage per open set
 or per ultrafilter; the target space is validated once per space.  No
@@ -57,7 +58,6 @@ from .algebra import (
 )
 from .duality import (
     ContinuousLanes,
-    ContinuousMap,
     FinStoneSpace,
     _checked_lanes,
     _continuous,
@@ -178,13 +178,13 @@ def beta_space(points: tuple) -> BetaSpace:
 
 def _forced_tables(
     space: FinStoneSpace, target: FinStoneSpace, forced: Iterable[tuple[int, int]]
-) -> Iterator[ContinuousMap]:
+) -> Iterator[ContinuousLanes]:
     """The map of every continuous table from space to target taking the
     forced values, with the preimage table its continuity was tested on:
     ``_forced_lanes`` for a block of one table."""
     forced = [(point, bytes([value if 0 <= value < 256 else 255])) for point, value in forced]
     for found, _ in _forced_lanes(space, target, forced, 1):
-        yield found.lane(0)
+        yield found
 
 
 def _forced_lanes(
@@ -243,11 +243,16 @@ _ZERO = b"\1" + bytes(255)
 
 def extension_candidates(
     bx: BetaSpace, f: Sequence[int], target: FinStoneSpace
-) -> list[ContinuousMap]:
+) -> list[ContinuousLanes]:
     """The continuous maps g with g(embed(x)) = f(x), in the lexicographic
     order of their tables; used for certification.  The block of one map
-    of ``extension_candidates_lanes``."""
-    return [found.lane(0) for found, _ in _candidates_of_one(bx, f, target)]
+    of ``extension_candidates_lanes``, f given as a table of ints: a block
+    is found only when its one lane extends f."""
+    validate_stone(target)
+    ft = tuple(map(int, f))
+    if len(ft) != bx.base.size or ft and (min(ft) < 0 or max(ft) >= target.size):
+        raise ValueError("map must send base points into the target")
+    return [found for found, _ in extension_candidates_lanes(bx, bytes(ft), target, 1)]
 
 
 def extension_candidates_lanes(
@@ -264,30 +269,21 @@ def extension_candidates_lanes(
     return list(_forced_lanes(bx.space, target, forced, lanes))
 
 
-def _candidates_of_one(
-    bx: BetaSpace, f: Sequence[int], target: FinStoneSpace
-) -> list[tuple[ContinuousLanes, int]]:
-    """``extension_candidates_lanes`` of one map given as a table of ints."""
-    validate_stone(target)
-    ft = tuple(map(int, f))
-    if len(ft) != bx.base.size or ft and (min(ft) < 0 or max(ft) >= target.size):
-        raise ValueError("map must send base points into the target")
-    return extension_candidates_lanes(bx, bytes(ft), target, 1)
-
-
 def beta_extend_to_compact(
     bx: BetaSpace, f: Sequence[int], target: FinStoneSpace
-) -> ContinuousMap:
+) -> ContinuousLanes:
     """The unique continuous extension of f along the compactification embedding.
 
     Uniqueness is certified by exhausting every table that agrees with f on
     the embedded points; zero or multiple matches signal an invariant bug,
     never bad user input.
     """
-    candidates = _candidates_of_one(bx, f, target)
+    candidates = extension_candidates(bx, f, target)
     if len(candidates) > 1:
         raise InvariantViolation("continuous extension is not unique", len(candidates))
-    return sole_extension(candidates).lane(0)
+    if not candidates:
+        raise NoExtension("no continuous extension satisfies the equation")
+    return candidates[0]
 
 
 def sole_extension(candidates: Sequence[tuple[ContinuousLanes, int]]) -> ContinuousLanes:
@@ -298,7 +294,7 @@ def sole_extension(candidates: Sequence[tuple[ContinuousLanes, int]]) -> Continu
     out (which then has none, or finds its first at a later table: run
     alone, each hom gets its own first).  How many each lane found is for
     the caller to judge (the battery's ``unique_continuous_extension``
-    check, or ``beta_extend_to_compact``).
+    check).
     """
     if not candidates or candidates[0][1] != int.from_bytes(
         b"\1" * candidates[0][0].lanes, "little"
@@ -307,20 +303,14 @@ def sole_extension(candidates: Sequence[tuple[ContinuousLanes, int]]) -> Continu
     return candidates[0][0]
 
 
-def beta_lift(
-    f: Sequence[int] | ContinuousMap, bx: BetaSpace, by: BetaSpace
-) -> ContinuousMap:
+def beta_lift(f: Sequence[int], bx: BetaSpace, by: BetaSpace) -> ContinuousLanes:
     """Lift a map between discrete point sets via the ultrafilter formula:
     ``beta_lift_lanes`` for a block of one map.  The preimage of every B is
-    read from one table, which a ``ContinuousMap`` f lends."""
-    lent = isinstance(f, ContinuousMap)
-    ft = f.table if lent else tuple(map(int, f))
-    if len(ft) != bx.base.size or min(ft) < 0 or max(ft) >= by.base.size or (
-        lent and f.target.size != by.base.size
-    ):
+    read from one table."""
+    ft = tuple(map(int, f))
+    if len(ft) != bx.base.size or min(ft) < 0 or max(ft) >= by.base.size:
         raise ValueError("map must send base points into the target base")
-    pre = bytes(f.preimages if lent else _preimage_table(ft, by.base.size))
-    return _lift_lanes(pre, 1, bx, by).lane(0)
+    return _lift_lanes(bytes(_preimage_table(ft, by.base.size)), 1, bx, by)
 
 
 def beta_lift_lanes(f: ContinuousLanes, bx: BetaSpace, by: BetaSpace) -> ContinuousLanes:
@@ -360,7 +350,7 @@ def _comparable(c1: Compactification, c2: Compactification) -> None:
     topology(c1.space), topology(c2.space)
 
 
-def compactification_leq(c1: Compactification, c2: Compactification) -> ContinuousMap | None:
+def compactification_leq(c1: Compactification, c2: Compactification) -> ContinuousLanes | None:
     """The map that exhibits c2 <= c1 in the compactification order, or None.
 
     Searches the maps from c1's space to c2's that satisfy
@@ -374,7 +364,7 @@ def compactification_leq(c1: Compactification, c2: Compactification) -> Continuo
 
 def compactification_equivalent(
     c1: Compactification, c2: Compactification
-) -> ContinuousMap | None:
+) -> ContinuousLanes | None:
     """As the order check but requiring a homeomorphism witness: the first
     table of the same search that is a bijection with a continuous inverse."""
     _comparable(c1, c2)
@@ -407,11 +397,11 @@ def beta_preserves(f: Sequence[int], bx: BetaSpace, by: BetaSpace) -> str | None
     ft = tuple(int(x) for x in f)
     injective = len(set(ft)) == len(ft)
     surjective = set(ft) == set(range(by.base.size))
-    lifted = beta_lift(ft, bx, by)
-    if injective and not lifted.is_injective:
+    lifted = beta_lift(ft, bx, by).table
+    if injective and len(set(lifted)) != len(lifted):
         return "one-to-one"
-    if surjective and not lifted.is_surjective:
+    if surjective and set(lifted) != set(range(by.space.size)):
         return "onto"
-    if injective and surjective and not _is_homeomorphism(bx.space, by.space, lifted.table):
+    if injective and surjective and not _is_homeomorphism(bx.space, by.space, lifted):
         return "bijective"
     return None

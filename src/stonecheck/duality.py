@@ -17,8 +17,9 @@ set under every lane (``algebra._preimage_lanes``), one run of bytes per
 lane, built once per block and kept as its ``preimages``, a field set when
 the block is made.  Continuity is then one test of the whole block,
 ``_continuous``, against the set of opens (``open_set``, once per space),
-and every later preimage is a lookup; a ``ContinuousMap`` is one lane of
-it (``ContinuousLanes.lane``).  Each block is validated once:
+and every later preimage is a lookup; a single map is a block of one
+lane, so ``continuous_map`` and ``dual_map`` return one.  Each block is
+validated once:
 ``continuous_map`` checks a table's entries and ``_checked_lanes`` the
 continuity of every lane, which is all that tables built from index
 lookups of valid points need, and the extension search makes the block of
@@ -150,38 +151,12 @@ def validate_stone(space: FinStoneSpace) -> tuple[int, ...]:
     return opens
 
 
-class ContinuousMap:
-    """A point table validated so that preimages of opens are open, with
-    the preimage mask of every target mask, indexed by the target mask."""
-
-    __slots__ = ("source", "target", "table", "preimages", "__weakref__")
-
-    def __init__(
-        self,
-        source: FinStoneSpace,
-        target: FinStoneSpace,
-        table: tuple[int, ...],
-        preimages: list[int],
-    ) -> None:
-        self.source = source
-        self.target = target
-        self.table = table
-        self.preimages = preimages
-
-    @property
-    def is_injective(self) -> bool:
-        return len(set(self.table)) == len(self.table)
-
-    @property
-    def is_surjective(self) -> bool:
-        return set(self.table) == set(range(self.target.size))
-
-
 class ContinuousLanes:
     """A block of point tables from one source space to one target space,
-    each validated as a ``ContinuousMap``, one per lane: entry s of lane j
-    is byte ``s * lanes + j`` of ``table``, and the preimage of target mask
-    m under lane j is byte ``j * 2**target.size + m`` of ``preimages``."""
+    each validated so that preimages of opens are open, one per lane: entry
+    s of lane j is byte ``s * lanes + j`` of ``table``, and the preimage of
+    target mask m under lane j is byte ``j * 2**target.size + m`` of
+    ``preimages``.  A block of one lane is a single map."""
 
     __slots__ = ("source", "target", "table", "preimages", "lanes", "__weakref__")
 
@@ -199,20 +174,14 @@ class ContinuousLanes:
         self.preimages = preimages
         self.lanes = lanes
 
-    def lane(self, j: int) -> ContinuousMap:
-        """Lane j as a ``ContinuousMap`` of its own."""
-        size = 1 << self.target.size
-        pre = list(self.preimages[j * size : j * size + size])
-        return ContinuousMap(self.source, self.target, tuple(self.table[j :: self.lanes]), pre)
-
 
 def continuous_map(
     source: FinStoneSpace, target: FinStoneSpace, table: Sequence[int]
-) -> ContinuousMap:
+) -> ContinuousLanes:
     t = tuple(map(int, table))
     if len(t) != source.size or t and (min(t) < 0 or max(t) >= target.size):
         raise ValueError("table must map source points to target points")
-    return _checked_lanes(source, target, bytes(t), 1).lane(0)
+    return _checked_lanes(source, target, bytes(t), 1)
 
 
 def _continuous(source: FinStoneSpace, target: FinStoneSpace, pre: Sequence[int]) -> bool:
@@ -241,7 +210,7 @@ def _checked_lanes(
     return ContinuousLanes(source, target, table, pre, lanes)
 
 
-def compose_continuous(outer: ContinuousMap, inner: ContinuousMap) -> ContinuousMap:
+def compose_continuous(outer: ContinuousLanes, inner: ContinuousLanes) -> ContinuousLanes:
     if inner.target is not outer.source:
         raise ValueError("maps do not compose")
     return continuous_map(
@@ -299,10 +268,10 @@ def _ultrafilter_rows(algebra: FinBoolAlg) -> tuple[dict[bytes, int], tuple[byte
     return ultrafilter_rows(ultrafilters(algebra))
 
 
-def dual_map(hom: BoolHom) -> ContinuousMap:
+def dual_map(hom: BoolHom) -> ContinuousLanes:
     """The continuous map Uf(target) -> Uf(source), v -> preimage of v under
     h: ``dual_map_lanes`` for a block of one hom."""
-    return dual_map_lanes([hom]).lane(0)
+    return dual_map_lanes([hom])
 
 
 def dual_map_lanes(homs: Sequence[BoolHom]) -> ContinuousLanes:
@@ -362,7 +331,7 @@ def clopen_algebra(space: FinStoneSpace) -> ClopenAlgebra:
     return ClopenAlgebra(algebra, tuple(clopens))
 
 
-def dual_of_continuous(f: ContinuousMap) -> BoolHom:
+def dual_of_continuous(f: ContinuousLanes) -> BoolHom:
     """The homomorphism Clop(target) -> Clop(source), U -> preimage of U."""
     src_clop = clopen_algebra(f.target)
     dst_clop = clopen_algebra(f.source)

@@ -9,10 +9,11 @@ against an explicit list -- so their exhaustive agreement on every subset
 is genuine evidence rather than a tautology.
 
 ``build_diagram`` only builds the diagram; one check battery
-(``full_hom_instance``, and ``_lane_checks`` for a block) judges it, so a diagram that disagrees with itself
-or with the filter formula becomes a failed check with a witness, and so
-does an extension search that finds more than one table (the diagram goes
-on with the first).
+(``_lane_checks``, which ``full_hom_instance`` runs on a block of one)
+judges it, so a diagram that disagrees with itself or with the filter
+formula becomes a failed check with a witness, and so does an extension
+search that finds more than one table (the diagram goes on with the
+first).
 
 Both work a block at a time: every hom with one source and one target
 algebra, one hom per byte lane.  A table of a block keeps entry A of lane
@@ -22,8 +23,9 @@ each lane's table as one run of bytes (hom-major), so a translation
 through one ultrafilter's indicator reads every lane's row at once.  Each
 step of either path is then a few ``bytes.translate``, join, shift and
 mask operations per block, whatever its number of homs, and a block of
-one is the per-hom case: ``sigma_extend(h)`` and ``build_diagram(h)`` run
-``sigma_lanes([h])`` and ``diagram_lanes([h])``.
+one is the per-hom case: ``sigma_extend(h)`` runs ``sigma_lanes([h])``,
+and ``build_diagram(h)`` is the one-hom ``DiagramLanes`` of
+``diagram_lanes([h])``, which the battery reads as it is.
 
 Each path reads what depends on one algebra only off one record per
 algebra, built with the algebra's first block and freed with the
@@ -93,7 +95,6 @@ from .compactification import (
 )
 from .duality import (
     ContinuousLanes,
-    ContinuousMap,
     dual_map_lanes,
     hat_phi_table,
     phi_table,
@@ -109,40 +110,6 @@ from .checks import (
     _premises,
     shrink_failing_hom,
 )
-
-
-class DiagramBundle:
-    """Every arrow of the construction square for one homomorphism.
-
-    ``candidate_count`` is the number of continuous extensions the search
-    found and ``lift`` the ultrafilter-formula table, both kept so that the
-    checks read them instead of recomputing them.
-    """
-
-    __slots__ = (
-        "hom", "h_star", "beta1", "beta2", "h_star_beta",
-        "double_dual", "candidate_count", "lift", "__weakref__",
-    )
-
-    def __init__(
-        self,
-        hom: BoolHom,
-        h_star: ContinuousMap,
-        beta1: BetaSpace,
-        beta2: BetaSpace,
-        h_star_beta: ContinuousMap,
-        double_dual: tuple[int, ...],
-        candidate_count: int,
-        lift: tuple[int, ...],
-    ) -> None:
-        self.hom = hom
-        self.h_star = h_star
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.h_star_beta = h_star_beta
-        self.double_dual = double_dual
-        self.candidate_count = candidate_count
-        self.lift = lift
 
 
 class CheckResult(FieldEquality):
@@ -212,10 +179,13 @@ def _descriptor_of(source_atoms: int, atom_function: Sequence[int]) -> dict:
 
 class DiagramLanes:
     """Every arrow of the construction square for a block of homs with one
-    source and one target, one lane per hom, as ``DiagramBundle`` holds
-    them for one: the maps as ``ContinuousLanes``, the double dual and the
-    lift with entry A of lane j at byte ``A * lanes + j``, and the number
-    of continuous extensions each lane's search found."""
+    source and one target, one lane per hom: the maps as
+    ``ContinuousLanes``, the double dual and the lift with entry A of lane
+    j at byte ``A * lanes + j``, and the number of continuous extensions
+    each lane's search found.  A block of one hom is a single diagram.
+
+    ``candidate_counts`` and ``lift``, the ultrafilter-formula table, are
+    kept so that the checks read them instead of recomputing them."""
 
     __slots__ = (
         "homs", "h_star", "beta1", "beta2", "h_star_beta",
@@ -242,19 +212,11 @@ class DiagramLanes:
         self.candidate_counts = candidate_counts
         self.lift = lift
 
-    def bundle(self, j: int) -> DiagramBundle:
-        """Lane j as a ``DiagramBundle`` of its own."""
-        lanes = len(self.homs)
-        return DiagramBundle(
-            self.homs[j], self.h_star.lane(j), self.beta1, self.beta2, self.h_star_beta.lane(j),
-            tuple(self.double_dual[j::lanes]), self.candidate_counts[j], tuple(self.lift[j::lanes]),
-        )
 
-
-def build_diagram(h: BoolHom) -> DiagramBundle:
+def build_diagram(h: BoolHom) -> DiagramLanes:
     """Construct every arrow of the square, without judging it: the block
     of one hom of ``diagram_lanes``."""
-    return diagram_lanes([h]).bundle(0)
+    return diagram_lanes([h])
 
 
 def diagram_lanes(homs: Sequence[BoolHom]) -> DiagramLanes:
@@ -320,11 +282,12 @@ def _diagram_side(algebra: FinBoolAlg) -> _DiagramSide:
     return _DiagramSide(beta_space(ultrafilters(algebra)), hat_phi_table(algebra))
 
 
-def double_dual_map(bundle: DiagramBundle, subset_mask: int) -> int:
-    """The dual of the compactified map at one subset, by its defining
-    preimage equation (see ``_double_dual_lanes``)."""
-    sides = _diagram_side(bundle.hom.source), _diagram_side(bundle.hom.target)
-    return _double_dual_lanes(*sides, bytes(bundle.h_star_beta.preimages), 1)[subset_mask]
+def double_dual_map(diagram: DiagramLanes, subset_mask: int) -> int:
+    """The dual of the compactified map of a one-hom diagram at one subset,
+    by its defining preimage equation (see ``_double_dual_lanes``)."""
+    (h,) = diagram.homs
+    sides = _diagram_side(h.source), _diagram_side(h.target)
+    return _double_dual_lanes(*sides, diagram.h_star_beta.preimages, 1)[subset_mask]
 
 
 def _double_dual_lanes(
@@ -372,21 +335,6 @@ _ALL_PASSED = tuple(map(_passed, BATTERY))
 def _verdict(name: str, witness: dict | None) -> CheckResult:
     """A check that passes exactly when it found no witness."""
     return _passed(name) if witness is None else CheckResult(name, witness)
-
-
-def _hom_checks(h: BoolHom, bundle: DiagramBundle, sigma_table) -> list[CheckResult]:
-    """The per-homomorphism battery: the checks of ``_lane_checks`` on the
-    block of one hom that a bundle and a sigma table make."""
-
-    def one(f: ContinuousMap) -> ContinuousLanes:
-        return ContinuousLanes(f.source, f.target, bytes(f.table), bytes(f.preimages), 1)
-
-    diagram = DiagramLanes(
-        [h], one(bundle.h_star), bundle.beta1, bundle.beta2, one(bundle.h_star_beta),
-        bytes(bundle.double_dual), [bundle.candidate_count], bytes(bundle.lift),
-    )
-    (checks,), _ = _lane_checks(diagram, bytes(sigma_table))
-    return list(_ALL_PASSED) if checks is None else checks
 
 
 def _lane_checks(diagram: DiagramLanes, sigma: bytes) -> tuple[list, tuple[int, int, int]]:
@@ -469,17 +417,17 @@ def _lane_checks(diagram: DiagramLanes, sigma: bytes) -> tuple[list, tuple[int, 
         suspects = list(map(set, suspects))
     for j in sorted(named):
         flagged = [j in named for named in suspects]
-        bundle, table = diagram.bundle(j), tuple(sigma[j::lanes])
+        table = tuple(sigma[j::lanes])
         hat_phi = _diagram_side(source).hat_phi
-        witnesses = _lane_witnesses(homs[j], bundle, table, forward[j::lanes], flagged, hat_phi)
+        witnesses = _lane_witnesses(diagram, j, table, forward[j::lanes], flagged, hat_phi)
         if flagged[0]:
-            witnesses[0] = _sigma_mismatch(homs[j], table, bundle.double_dual)
+            witnesses[0] = _sigma_mismatch(homs[j], table, double_dual[j::lanes])
         if witnesses.count(None) != len(BATTERY):
             verdicts[j] = list(map(_verdict, BATTERY, witnesses))
     return verdicts, (sum(injective), sum(surjective), sum(map(and_, injective, surjective)))
 
 
-def _sigma_mismatch(h: BoolHom, sigma_table: tuple, double_dual: tuple) -> dict | None:
+def _sigma_mismatch(h: BoolHom, sigma_table: tuple, double_dual: bytes) -> dict | None:
     """The first subset, fewest points first, where sigma and the double
     dual differ, with the failing instance shrunk; None when none does."""
     mismatch = _first(
@@ -513,7 +461,8 @@ def full_hom_instance(
 
     ``atom_function`` is the one h was built from, if the caller has it.
     """
-    checks = _hom_checks(h, build_diagram(h), sigma_extend(h))
+    (checks,), _ = _lane_checks(build_diagram(h), bytes(sigma_extend(h)))
+    checks = list(_ALL_PASSED) if checks is None else checks
     descriptor = hom_descriptor(h, name, atom_function)
     if extra:
         descriptor.update(extra)

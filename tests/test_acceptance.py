@@ -102,8 +102,8 @@ def test_criterion_1_main_theorem_exhaustive_and_sampled():
         for _ in range(FOUR_ATOM_SAMPLE):
             g = tuple(rng.randrange(4) for _ in range(4))
             hom = hom_from_atom_function(four, four, g)
-            bundle = build_diagram(hom)
-            assert sigma_extend(hom) == bundle.double_dual
+            diagram = build_diagram(hom)
+            assert sigma_extend(hom) == tuple(diagram.double_dual)
             checked += 1
         assert checked >= 100
 

@@ -16,12 +16,7 @@ from pathlib import Path
 import stonecheck.extension as extension
 import stonecheck.harness as harness
 from helpers import replace, report_jsonable
-from stonecheck.algebra import (
-    _preimage_lanes,
-    _preimage_table,
-    hom_from_atom_function,
-    powerset_algebra,
-)
+from stonecheck.algebra import _preimage_lanes, hom_from_atom_function, powerset_algebra
 from stonecheck.cli import main
 from stonecheck.harness import (
     VerificationReport,
@@ -46,13 +41,9 @@ BATTERY = (
 )
 
 
-def _shifted(table, points):
-    """Every entry moved to the next point (a wrong table when points > 1)."""
-    return tuple((v + 1) % points for v in table)
-
-
 def _shifted_lanes(table: bytes, points: int) -> bytes:
-    """``_shifted`` on every lane of a block."""
+    """Every entry of every lane moved to the next point (a wrong table
+    when points > 1)."""
     return table.translate(bytes((v + 1) % points for v in range(points)).ljust(256, b"\0"))
 
 
@@ -77,30 +68,26 @@ def _install_wrong_sigma(monkeypatch):
         monkeypatch.setattr(module, "sigma_lanes", wrong)
 
 
-def _two_candidates(bundle):
-    return replace(bundle, candidate_count=2)
+def _two_candidates(diagram):
+    return replace(diagram, candidate_counts=[2])
 
 
-def _wrong_lift(bundle):
-    return replace(bundle, lift=_shifted(bundle.lift, bundle.beta1.space.size))
+def _wrong_extension(diagram):
+    points = diagram.beta1.space.size
+    table = _shifted_lanes(diagram.h_star_beta.table, points)
+    pre = _preimage_lanes(table, 1, points)
+    return replace(diagram, h_star_beta=replace(diagram.h_star_beta, table=table, preimages=pre))
 
 
-def _wrong_extension(bundle):
-    points = bundle.beta1.space.size
-    table = _shifted(bundle.h_star_beta.table, points)
-    pre = _preimage_table(table, points)
-    return replace(bundle, h_star_beta=replace(bundle.h_star_beta, table=table, preimages=pre))
-
-
-def _wrong_double_dual(bundle):
-    table = list(bundle.double_dual)
+def _wrong_double_dual(diagram):
+    table = bytearray(diagram.double_dual)
     table[1] ^= 1
-    return replace(bundle, double_dual=tuple(table))
+    return replace(diagram, double_dual=bytes(table))
 
 
-def _reordered_beta_points(bundle):
-    points = bundle.beta1.points_as_ultrafilters
-    return replace(bundle, beta1=replace(bundle.beta1, points_as_ultrafilters=points[::-1]))
+def _reordered_beta_points(diagram):
+    points = diagram.beta1.points_as_ultrafilters
+    return replace(diagram, beta1=replace(diagram.beta1, points_as_ultrafilters=points[::-1]))
 
 
 def _wrong_sigma(sigma):
@@ -111,7 +98,7 @@ def _wrong_sigma(sigma):
 
 DIAGRAM_FAULTS = {
     "two_candidates": _two_candidates,
-    "wrong_lift": _wrong_lift,
+    "wrong_lift": _wrong_lift_lanes,
     "wrong_extension": _wrong_extension,
     "wrong_double_dual": _wrong_double_dual,
     "reordered_beta_points": _reordered_beta_points,

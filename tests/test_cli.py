@@ -744,6 +744,18 @@ def test_diagram_matches_golden_file(tmp_path):
     assert out.read_bytes() == golden
 
 
+def test_diagram_of_a_hom_from_a_relabelled_presentation_matches_golden_file(tmp_path):
+    # the source is given by carrier and order, not as a powerset, so its
+    # element indices are not atom masks; the tooltips print h_*, h_*^beta
+    # and the double dual as tables
+    out = tmp_path / "diagram.dot"
+    doc = GOLDEN_DIR / "relabelled_five.json"
+    proc = run_cli("diagram", str(doc), "collapse", "--out", str(out))
+    assert proc.returncode == 0
+    golden = (GOLDEN_DIR / "diagram_relabelled_five_collapse.dot").read_bytes()
+    assert out.read_bytes() == golden
+
+
 def test_diagram_is_byte_identical_across_runs(tmp_path):
     out1, out2 = tmp_path / "d1.dot", tmp_path / "d2.dot"
     run_cli("diagram", str(SAMPLE), "embed_two_in_four", "--out", str(out1))

@@ -201,7 +201,7 @@ def test_every_shrunk_witness_is_a_failing_instance(monkeypatch):
             algebra.powerset_algebra(shrunk["target_atoms"]),
             tuple(function),
         )
-        assert tuple(mutant([h])) != harness.build_diagram(h).double_dual
+        assert mutant([h]) != harness.build_diagram(h).double_dual
 
 
 # name -> (original line, replacement, the pinned check that kills it)

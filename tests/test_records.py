@@ -35,9 +35,9 @@ def _records() -> dict:
     """One record of every class, made by the library, by class name."""
     source, target = powerset_algebra(2), powerset_algebra(1)
     hom = hom_from_atom_function(source, target, (1,))
-    bundle = build_diagram(hom)
+    diagram = build_diagram(hom)
     completion = canonical_extension(source)
-    beta = bundle.beta1
+    beta = diagram.beta1
     compactification = build_compactification(beta.base, beta.space, beta.embed)
     report = full_hom_instance(hom)
     records = [
@@ -45,14 +45,14 @@ def _records() -> dict:
         source.lattice,
         source.lattice.poset,
         hom,
-        bundle.beta1.points_as_ultrafilters[0],
-        bundle.h_star,
-        bundle.beta1.space,
-        clopen_algebra(bundle.beta1.space),
+        diagram.beta1.points_as_ultrafilters[0],
+        diagram.h_star,
+        diagram.beta1.space,
+        clopen_algebra(diagram.beta1.space),
         completion,
         compactification,
-        bundle.beta1,
-        bundle,
+        diagram.beta1,
+        diagram,
         report.checks[0],
         report,
         exhaustive_suite(1),
@@ -79,8 +79,9 @@ CLASSES = {
     "UltraFilter": ("algebra", "fields", [("algebra", REQUIRED), ("members", REQUIRED), ("atom", REQUIRED)]),
     "BoolHom": ("algebra", "fields", [("source", REQUIRED), ("target", REQUIRED), ("table", REQUIRED)]),
     "FinStoneSpace": ("duality", "identity", [("points", REQUIRED), ("base", REQUIRED)]),
-    "ContinuousMap": ("duality", "identity", [
+    "ContinuousLanes": ("duality", "identity", [
         ("source", REQUIRED), ("target", REQUIRED), ("table", REQUIRED), ("preimages", REQUIRED),
+        ("lanes", REQUIRED),
     ]),
     "ClopenAlgebra": ("duality", "identity", [("algebra", REQUIRED), ("clopen_masks", REQUIRED)]),
     "Completion": ("extension", "identity", [
@@ -93,10 +94,10 @@ CLASSES = {
         ("base", REQUIRED), ("space", REQUIRED), ("embed", REQUIRED),
         ("points_as_ultrafilters", REQUIRED),
     ]),
-    "DiagramBundle": ("harness", "identity", [
-        ("hom", REQUIRED), ("h_star", REQUIRED), ("beta1", REQUIRED), ("beta2", REQUIRED),
+    "DiagramLanes": ("harness", "identity", [
+        ("homs", REQUIRED), ("h_star", REQUIRED), ("beta1", REQUIRED), ("beta2", REQUIRED),
         ("h_star_beta", REQUIRED), ("double_dual", REQUIRED),
-        ("candidate_count", REQUIRED), ("lift", REQUIRED),
+        ("candidate_counts", REQUIRED), ("lift", REQUIRED),
     ]),
     "CheckResult": ("harness", "fields", [("name", REQUIRED), ("witness", None)]),
     "InstanceReport": ("harness", "unhashable", [

@@ -1,7 +1,7 @@
 """The table-at-a-time arrows against the per-entry computations they replace.
 
 Each reference below is the earlier per-entry code, kept literally: the
-per-set preimage sum (once ``ContinuousMap.preimage_mask``), the
+per-set preimage sum (``ref_preimage_mask``), the
 per-ultrafilter sums of the ultrafilter lift, the per-subset double-dual
 scan, the per-set forward image, the pair-by-pair homomorphism-law loop
 of the battery, and the filter-quantified double loop of ``sigma_extend``.
@@ -84,15 +84,16 @@ def reference_lift_table(f, bx, by):
     return tuple(table)
 
 
-def reference_double_dual_map(bundle, subset_mask, hat_phi_table=hat_phi_table):
-    upstairs = hat_phi_table(bundle.hom.source)[subset_mask]
+def reference_double_dual_map(diagram, subset_mask, hat_phi_table=hat_phi_table):
+    (hom,) = diagram.homs
+    upstairs = hat_phi_table(hom.source)[subset_mask]
     pre = sum(
         1 << d
-        for d, img in enumerate(bundle.h_star_beta.table)
+        for d, img in enumerate(diagram.h_star_beta.table)
         if upstairs >> img & 1
     )
     matches = [
-        b for b, image in enumerate(hat_phi_table(bundle.hom.target)) if image == pre
+        b for b, image in enumerate(hat_phi_table(hom.target)) if image == pre
     ]
     if not matches:
         raise NoClopenPreimage("preimage is not the embedding of any subset", subset_mask)
@@ -137,7 +138,7 @@ def test_preimage_table_matches_preimage_mask_on_random_tables():
         f = continuous_map(source, target, table)
         expected = [ref_preimage_mask(table, m) for m in range(1 << target.size)]
         assert _preimage_table(table, target.size) == expected
-        assert f.preimages == expected
+        assert list(f.preimages) == expected
 
 
 @pytest.mark.parametrize("points, target_size", [(2, 20), (MAX_ATOMS + 1, 2)])
@@ -162,7 +163,7 @@ def test_lift_table_matches_per_ultrafilter_sums(nx, ny):
     bx = beta_space(tuple(f"x{i}" for i in range(nx)))
     by = beta_space(tuple(f"y{i}" for i in range(ny)))
     for f in itertools.product(range(ny), repeat=nx):
-        assert beta_lift(f, bx, by).table == reference_lift_table(f, bx, by)
+        assert tuple(beta_lift(f, bx, by).table) == reference_lift_table(f, bx, by)
 
 
 def test_forward_images_match_per_set_images():
@@ -176,11 +177,11 @@ def test_forward_images_match_per_set_images():
 def test_double_dual_table_matches_per_subset_scan_up_to_three_atoms():
     count = 0
     for hom in homs_up_to(3):
-        bundle = build_diagram(hom)
+        diagram = build_diagram(hom)
         n1 = len(ultrafilters(hom.source))
-        expected = tuple(reference_double_dual_map(bundle, a) for a in range(1 << n1))
-        assert bundle.double_dual == expected
-        assert tuple(double_dual_map(bundle, a) for a in range(1 << n1)) == expected
+        expected = tuple(reference_double_dual_map(diagram, a) for a in range(1 << n1))
+        assert tuple(diagram.double_dual) == expected
+        assert tuple(double_dual_map(diagram, a) for a in range(1 << n1)) == expected
         count += 1
     assert count == 56
 
@@ -219,10 +220,10 @@ def test_corrupted_hat_phi_table_raises_as_the_scan_did(monkeypatch, i, j):
     two = powerset_algebra(2)
     kinds = set()
     for hom in [*all_homs(two, two), *all_homs(two, powerset_algebra(3))]:
-        bundle = build_diagram(hom)
+        diagram = build_diagram(hom)
         n1 = len(ultrafilters(hom.source))
         expected = raised_by(
-            lambda: [reference_double_dual_map(bundle, a, corrupted) for a in range(1 << n1)]
+            lambda: [reference_double_dual_map(diagram, a, corrupted) for a in range(1 << n1)]
         )
         monkeypatch.setattr(
             harness,
@@ -471,12 +472,12 @@ def test_each_space_is_validated_once():
     before = validate_stone.cache_info()
     for k1, k2 in itertools.product(fresh, repeat=2):
         for hom in all_homs(fresh[k1], fresh[k2]):
-            bundle = build_diagram(hom)
+            diagram = build_diagram(hom)
             new_spaces |= {
-                bundle.h_star.source, bundle.h_star.target, bundle.beta1.base, bundle.beta2.base
+                diagram.h_star.source, diagram.h_star.target, diagram.beta1.base, diagram.beta2.base
             }
-            spaces |= new_spaces | {bundle.beta1.space, bundle.beta2.space}
-            extension_candidates(bundle.beta2, bundle.lift, bundle.beta1.space)
+            spaces |= new_spaces | {diagram.beta1.space, diagram.beta2.space}
+            extension_candidates(diagram.beta2, diagram.lift, diagram.beta1.space)
     after = validate_stone.cache_info()
     misses, hits = after.misses - before.misses, after.hits - before.hits
     assert len(new_spaces) == 4
@@ -522,14 +523,14 @@ def reference_beta_lift_table(f, bx, by):
     return tuple(table)
 
 
-def reference_preimage_membership(h, bundle):
-    members2 = [members_of(u.members) for u in bundle.beta2.points_as_ultrafilters]
+def reference_preimage_membership(h, diagram):
+    members2 = [members_of(u.members) for u in diagram.beta2.points_as_ultrafilters]
     return next(
         (
             {"subset_mask": a, "point": d}
             for a, upstairs in enumerate(hat_phi_table(h.source))
-            for d, img in enumerate(bundle.h_star_beta.table)
-            if bool(upstairs >> img & 1) != (bundle.h_star.preimages[a] in members2[d])
+            for d, img in enumerate(diagram.h_star_beta.table)
+            if bool(upstairs >> img & 1) != (diagram.h_star.preimages[a] in members2[d])
         ),
         None,
     )
@@ -573,10 +574,14 @@ def raised(compute):
         return InvariantViolation, exc.witness
 
 
-def membership_check(h, bundle):
-    checks = harness._hom_checks(h, bundle, sigma_extend(h))
-    (check,) = [c for c in checks if c.name == "preimage_membership_equivalence"]
-    return check.witness
+def battery_witness(h, diagram, name):
+    """The witness of one check of the battery on a one-hom diagram."""
+    (checks,), _ = harness._lane_checks(diagram, bytes(sigma_extend(h)))
+    return next((c.witness for c in checks or () if c.name == name), None)
+
+
+def membership_check(h, diagram):
+    return battery_witness(h, diagram, "preimage_membership_equivalence")
 
 
 def test_ultrafilter_rows_mark_exactly_the_members_of_every_ultrafilter():
@@ -599,7 +604,7 @@ def test_ultrafilter_rows_mark_exactly_the_members_of_every_ultrafilter():
 def test_dual_map_matches_the_frozenset_preimages():
     count = 0
     for hom in every_hom_family():
-        assert dual_map(hom).table == reference_dual_map_table(hom)
+        assert tuple(dual_map(hom).table) == reference_dual_map_table(hom)
         count += 1
     assert count > 494
 
@@ -615,7 +620,7 @@ def test_dual_map_miss_raises_as_the_frozenset_scan_did():
             table = tuple(rng.randrange(target.size) for _ in range(source.size))
             hom = BoolHom(source, target, table)
             expected = raised(lambda: reference_dual_map_table(hom))
-            got = raised(lambda: dual_map(hom).table)
+            got = raised(lambda: tuple(dual_map(hom).table))
             assert got == expected
             misses += expected[0] is InvariantViolation
     assert misses > 100
@@ -634,9 +639,9 @@ def test_dual_map_miss_names_the_preimage_members_without_an_address():
 
 def test_beta_lift_on_every_diagram_matches_the_frozenset_lift():
     for hom in every_hom_family():
-        bundle = build_diagram(hom)
-        expected = reference_beta_lift_table(bundle.h_star.table, bundle.beta2, bundle.beta1)
-        assert bundle.lift == expected
+        diagram = build_diagram(hom)
+        expected = reference_beta_lift_table(diagram.h_star.table, diagram.beta2, diagram.beta1)
+        assert tuple(diagram.lift) == expected
 
 
 def test_forced_beta_lift_miss_raises_with_the_frozenset_witness():
@@ -650,7 +655,7 @@ def test_forced_beta_lift_miss_raises_with_the_frozenset_witness():
         )
         for f in itertools.product(range(2), repeat=3):
             expected = raised(lambda: reference_beta_lift_table(f, bx, crippled))
-            got = raised(lambda: beta_lift(f, bx, crippled).table)
+            got = raised(lambda: tuple(beta_lift(f, bx, crippled).table))
             assert got == expected
             if got[0] is InvariantViolation:
                 assert type(got[1]) is frozenset
@@ -659,30 +664,30 @@ def test_forced_beta_lift_miss_raises_with_the_frozenset_witness():
 
 def test_preimage_membership_rows_agree_with_the_frozenset_scan():
     for hom in every_hom_family():
-        bundle = build_diagram(hom)
-        assert membership_check(hom, bundle) is None
-        assert reference_preimage_membership(hom, bundle) is None
+        diagram = build_diagram(hom)
+        assert membership_check(hom, diagram) is None
+        assert reference_preimage_membership(hom, diagram) is None
 
 
-def membership_faults(bundle):
+def membership_faults(diagram):
     """Diagrams with one arrow or one point order wrong."""
-    points1 = bundle.beta1.space.size
-    table = tuple((v + 1) % points1 for v in bundle.h_star_beta.table)
-    pre = _preimage_table(table, points1)
+    points1 = diagram.beta1.space.size
+    table = bytes((v + 1) % points1 for v in diagram.h_star_beta.table)
+    pre = bytes(_preimage_table(table, points1))
     yield replace(
-        bundle, h_star_beta=replace(bundle.h_star_beta, table=table, preimages=pre)
+        diagram, h_star_beta=replace(diagram.h_star_beta, table=table, preimages=pre)
     )
     yield replace(
-        bundle,
+        diagram,
         beta2=replace(
-            bundle.beta2, points_as_ultrafilters=bundle.beta2.points_as_ultrafilters[::-1]
+            diagram.beta2, points_as_ultrafilters=diagram.beta2.points_as_ultrafilters[::-1]
         ),
     )
-    h_star = bundle.h_star
-    shifted = tuple((v + 1) % h_star.target.size for v in h_star.table)
-    pre = _preimage_table(shifted, h_star.target.size)
+    h_star = diagram.h_star
+    shifted = bytes((v + 1) % h_star.target.size for v in h_star.table)
+    pre = bytes(_preimage_table(shifted, h_star.target.size))
     yield replace(
-        bundle, h_star=replace(h_star, table=shifted, preimages=pre)
+        diagram, h_star=replace(h_star, table=shifted, preimages=pre)
     )
 
 
@@ -696,32 +701,30 @@ def test_preimage_membership_rows_give_the_scan_witness_on_faulty_diagrams():
     assert failures > 100
 
 
-def reference_forward_image_lemma(h, bundle):
-    members1 = [members_of(u.members) for u in bundle.beta1.points_as_ultrafilters]
-    members2 = [members_of(u.members) for u in bundle.beta2.points_as_ultrafilters]
-    images = _forward_images(bundle.h_star.table)
+def reference_forward_image_lemma(h, diagram):
+    members1 = [members_of(u.members) for u in diagram.beta1.points_as_ultrafilters]
+    members2 = [members_of(u.members) for u in diagram.beta2.points_as_ultrafilters]
+    images = _forward_images(diagram.h_star.table)
     return next(
         (
             {"point": d, "member_mask": a}
             for d, members in enumerate(members2)
             for a in members
-            if images[a] not in members1[bundle.h_star_beta.table[d]]
+            if images[a] not in members1[diagram.h_star_beta.table[d]]
         ),
         None,
     )
 
 
-def lemma_check(h, bundle):
-    checks = harness._hom_checks(h, bundle, sigma_extend(h))
-    (check,) = [c for c in checks if c.name == "forward_image_in_lifted_ultrafilter"]
-    return check.witness
+def lemma_check(h, diagram):
+    return battery_witness(h, diagram, "forward_image_in_lifted_ultrafilter")
 
 
 def test_forward_image_rows_agree_with_the_frozenset_scan():
     for hom in every_hom_family():
-        bundle = build_diagram(hom)
-        assert lemma_check(hom, bundle) is None
-        assert reference_forward_image_lemma(hom, bundle) is None
+        diagram = build_diagram(hom)
+        assert lemma_check(hom, diagram) is None
+        assert reference_forward_image_lemma(hom, diagram) is None
 
 
 def test_forward_image_rows_give_the_scan_witness_on_faulty_diagrams():
@@ -765,9 +768,9 @@ def test_every_arrow_keeps_the_preimage_table_of_its_own_point_table():
     # the search hands the table it accepted on to the extension, and the
     # lift reads the one of h_*: each must be the table of the arrow's points
     for hom in every_hom_family():
-        bundle = build_diagram(hom)
-        for arrow in (bundle.h_star, bundle.h_star_beta):
-            assert arrow.preimages == _preimage_table(arrow.table, arrow.target.size)
-        assert bundle.lift == reference_beta_lift_table(
-            bundle.h_star.table, bundle.beta2, bundle.beta1
+        diagram = build_diagram(hom)
+        for arrow in (diagram.h_star, diagram.h_star_beta):
+            assert list(arrow.preimages) == _preimage_table(arrow.table, arrow.target.size)
+        assert tuple(diagram.lift) == reference_beta_lift_table(
+            diagram.h_star.table, diagram.beta2, diagram.beta1
         )
